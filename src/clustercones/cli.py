@@ -205,31 +205,12 @@ def _context_from_key(key: dict) -> Context:
 
 # rendering helpers
 
-def _poly_text(poly: LaurentPolynomial, names: list[str]) -> str:
-    pieces = []
-    for exps, coeff in poly.terms():
-        factors = [
-            names[i] if e == 1 else f"{names[i]}^{e}"
-            for i, e in enumerate(exps)
-            if e
-        ]
-        mag = abs(coeff)
-        body = "*".join(factors) if factors else str(mag)
-        if factors and mag != 1:
-            body = f"{mag}*{body}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(pieces) or "0"
-
-
 def _poly_fraction_text(poly: LaurentPolynomial, names: list[str]) -> str:
     """Clear denominators and print as a reduced fraction."""
     mins = poly.min_exponents()
     shift = [-m if m < 0 else 0 for m in mins]
     num = poly * LaurentPolynomial.monomial(poly.nvars, 1, shift)
-    num_text = _poly_text(num, names)
+    num_text = num.serialize(names)
     den_factors = [(names[i], s) for i, s in enumerate(shift) if s]
     if not den_factors:
         return num_text
@@ -605,8 +586,13 @@ def _verify_certificate(args) -> int:
         raise UsageError(f"{args.certificate} is not JSON: {exc}") from exc
     if "context" not in data or "certificate" not in data:
         raise UsageError("certificate file needs context and certificate keys")
-    ctx = _context_from_key(data["context"])
-    cert = _certificate_from_dict(data["certificate"], ctx)
+    try:
+        ctx = _context_from_key(data["context"])
+        cert = _certificate_from_dict(data["certificate"], ctx)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise UsageError(
+            f"malformed certificate ({type(exc).__name__}: {exc})"
+        ) from exc
     ok = verify_certificate(ctx.U, cert)
     payload = {
         "command": "verify",

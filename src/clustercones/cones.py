@@ -15,8 +15,8 @@ from math import gcd
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
-from .laurent import LaurentPolynomial
 from .linalg import ExactSolver, det_bareiss, hermite_column_reduce, rank
+from .seeds import _FRACTIONS, _laurent_ring, _monomial, _Ring, _split
 from .uvars import (
     UVariable,
     WeightFunctional,
@@ -166,7 +166,6 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
     boundedness, a negative entry yields a degeneration ray sending that
     u-variable to zero while the input ratio blows up.
     """
-    belt = U.belt
     for w in U.functionals:
         val = w.of_vector(vector)
         if val != 0:
@@ -182,12 +181,8 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
         return Certificate(vector, "bounded", lam=lam)
     j = min(range(len(lam)), key=lambda i: lam[i])
     gamma = U.uvars[j].gamma
-    ray = degeneration_ray(belt, U.uvars, gamma)
-    input_values = []
-    for t in ray.ts:
-        point = [t**b for b in ray.beta]
-        values = belt.value_walk(point, start_step=ray.step)
-        input_values.append(ratio_value(vector, values))
+    ray = degeneration_ray(U.belt, U.uvars, gamma)
+    input_values = [ratio_value(vector, values) for values in ray.walks]
     return Certificate(vector, "unbounded", lam=lam, ray=ray,
                        input_values=input_values)
 
@@ -575,15 +570,10 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
             "expansion check needs symbolic mode; only integral "
             "factorizations can be verified on tropical belts"
         )
-    size = belt.exchange.size
-    p = LaurentPolynomial.one(size)
-    q = LaurentPolynomial.one(size)
-    for id, e in cert.vector.items():
-        if e > 0:
-            p = p * belt.poly(id) ** e
-        elif e < 0:
-            q = q * belt.poly(id) ** (-e)
-    diff = q - p
+    ring = _laurent_ring(belt.exchange.size)
+    polys = [belt.poly(e.id) for e in belt.entries]
+    pos, neg = _split(cert.vector.items())
+    diff = _monomial(ring, polys, neg) - _monomial(ring, polys, pos)
     positive: dict[tuple[int, ...], int] = {}
     negative: dict[tuple[int, ...], int] = {}
     for exps, coeff in diff.terms():
@@ -606,66 +596,35 @@ def _verify_chain(chain: list[int], U: UMatrix) -> bool:
     """
     belt = U.belt
     by_gamma = {u.gamma: u for u in U.uvars}
+    factors = [by_gamma[g] for g in chain]
+    size = belt.exchange.size
     if belt.symbolic:
-        size = belt.exchange.size
-        one = LaurentPolynomial.one(size)
-
-        def as_poly(vector: dict[int, int]) -> LaurentPolynomial:
-            acc = one
-            for id, e in vector.items():
-                acc = acc * belt.poly(id) ** e
-            return acc
-
-        ps = []
-        qs = []
-        fs = []
-        for g in chain:
-            u = by_gamma[g]
-            ps.append(as_poly(u.numerator))
-            qs.append(as_poly({u.gamma: 1, u.partner: 1}))
-            fs.append(as_poly(u.frozen_in))
-        big_p = one
-        big_q = one
-        for p, q in zip(ps, qs):
-            big_p = big_p * p
-            big_q = big_q * q
-        total = LaurentPolynomial.zero(size)
-        prefix = one
-        for i in range(len(chain)):
-            suffix = one
-            for j in range(i + 1, len(chain)):
-                suffix = suffix * ps[j]
-            total = total + prefix * fs[i] * suffix
-            prefix = prefix * qs[i]
-        return big_q - big_p == total
-    rng_points = [
+        polys = [belt.poly(e.id) for e in belt.entries]
+        return _telescopes(_laurent_ring(size), polys, factors)
+    points = [
         [Fraction(2 + ((7 * i + s) % 11), 3 + ((5 * i + s) % 7))
-         for i in range(belt.exchange.size)]
+         for i in range(size)]
         for s in (1, 2, 3)
     ]
-    for point in rng_points:
-        values = belt.value_walk(point)
-        big_p = Fraction(1)
-        big_q = Fraction(1)
-        total = Fraction(0)
-        prefix = Fraction(1)
-        suffixes = [Fraction(1)] * (len(chain) + 1)
-        pvals = []
-        qvals = []
-        fvals = []
-        for g in chain:
-            u = by_gamma[g]
-            pvals.append(ratio_value(u.numerator, values))
-            qvals.append(values[u.gamma] * values[u.partner])
-            fvals.append(ratio_value(u.frozen_in, values))
-        for i in range(len(chain) - 1, -1, -1):
-            suffixes[i] = suffixes[i + 1] * pvals[i]
-        for p, q in zip(pvals, qvals):
-            big_p *= p
-            big_q *= q
-        for i in range(len(chain)):
-            total += prefix * fvals[i] * suffixes[i + 1]
-            prefix *= qvals[i]
-        if big_q - big_p != total:
-            return False
-    return True
+    return all(
+        _telescopes(_FRACTIONS, belt.value_walk(point), factors)
+        for point in points
+    )
+
+
+def _telescopes(ring: _Ring, values, factors: list[UVariable]) -> bool:
+    """Q == P + sum_i q_1..q_{i-1} f_i p_{i+1}..p_r over a ring, where
+    p_i, q_i, f_i are the out-product, exchange pair and frozen in-product
+    of the i-th u-factor, P = prod p_i and Q = prod q_i."""
+    ps = [_monomial(ring, values, u.numerator.items()) for u in factors]
+    fs = [_monomial(ring, values, u.frozen_in.items()) for u in factors]
+    suffixes = [ring.one()]  # suffixes[i] = prod(ps[i:]), built backwards
+    for p in reversed(ps):
+        suffixes.append(ring.mul(p, suffixes[-1]))
+    suffixes.reverse()
+    total = suffixes[0]
+    prefix = ring.one()
+    for i, u in enumerate(factors):
+        total = ring.add(total, ring.mul(ring.mul(prefix, fs[i]), suffixes[i + 1]))
+        prefix = ring.mul(prefix, ring.mul(values[u.gamma], values[u.partner]))
+    return total == prefix

@@ -1,15 +1,27 @@
 """Dynkin catalog, recognition, and the bipartite belt.
 
-The belt construction mutates all sources of a bipartite seed at once,
-repeatedly, for h+2 steps (h the Coxeter number), registering every
-distinct cluster variable it meets. Variables are deduplicated by their
-componentwise minimum exponent vector in the initial frame: min exponents
-are additive under multiplication over a domain and take componentwise
-minima under sums with positive coefficients, so they can be propagated
-through mutation as pure integer vectors. In finite type the mutable part
-of that vector (the negated denominator vector) is a complete invariant,
-which is what makes the tropical mode sound; symbolic mode additionally
-carries the full Laurent expansions and cross-checks the dedup.
+The belt mutates all sources of a bipartite seed at once, repeatedly,
+until the labeled seed comes back (after h+2 or 2(h+2) steps, h the
+Coxeter number), registering every distinct cluster variable it meets.
+A step applies the exchange relation x' = (prod out^b + prod in^b) / x
+at each source; the belt compiles its steps once into a schedule of
+(node, out-terms, in-terms, produced id) tuples, and one private walker
+runs that schedule over any of the rings in `seeds`:
+
+- Laurent polynomials, for the registry expansions and frame(s);
+- exact Fractions, for value_walk at positive points;
+- min-plus exponent vectors, for the deduplication key;
+- additive torus weights, for weight_walk, where an inhomogeneous
+  exchange relation raises.
+
+Variables are deduplicated by their componentwise minimum exponent vector
+in the initial frame: min exponents are additive under multiplication
+over a domain and take componentwise minima under sums with positive
+coefficients, so the min-plus walk computes them exactly. In finite type
+the mutable part of that vector (the negated denominator vector) is a
+complete invariant, which is what makes the tropical mode sound; symbolic
+mode also carries the full Laurent expansions and cross-checks the
+deduplication against them.
 
 Tropical mode exists because the deepest variables of an E8-size belt have
 Laurent expansions with too many terms to multiply comfortably in pure
@@ -26,7 +38,17 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
-from .seeds import ExchangeData, mutate_matrix
+from .seeds import (
+    _FRACTIONS,
+    _WEIGHTS,
+    ExchangeData,
+    _exchange,
+    _laurent_ring,
+    _minplus_ring,
+    _Ring,
+    _split,
+    mutate_matrix,
+)
 
 __all__ = [
     "DynkinType",
@@ -42,9 +64,6 @@ __all__ = [
 
 class NotFiniteTypeError(ValueError):
     """The given exchange data is not of finite cluster type (or not supported)."""
-
-
-_COXETER = {"A": None, "B": None, "C": None, "D": None, "E": None, "F": 12, "G": 6}
 
 
 class DynkinType(NamedTuple):
@@ -389,16 +408,14 @@ class BipartiteBelt:
         self.steps: list[BeltStep] = []
         self.period = 0
 
-        cluster_polys: list[LaurentPolynomial] | None = None
-        if symbolic:
-            cluster_polys = [LaurentPolynomial.variable(size, i) for i in range(size)]
-        minexps: list[tuple[int, ...]] = []
-        ids: list[int] = []
-        for i in range(size):
-            unit = tuple(int(j == i) for j in range(size))
-            minexps.append(unit)
-            poly = cluster_polys[i] if symbolic else None
-            ids.append(self._register(poly, unit, i >= n, (0, i)))
+        minplus = _minplus_ring(size)
+        laurent = _laurent_ring(size)
+        polys = [LaurentPolynomial.variable(size, i) for i in range(size)]
+        minexps = [tuple(int(j == i) for j in range(size)) for i in range(size)]
+        ids = [
+            self._register(polys[i] if symbolic else None, minexps[i], i >= n, (0, i))
+            for i in range(size)
+        ]
 
         # Types whose longest Weyl element is not -1 (A_n, D_odd, E6) come
         # back to the start seed after h+2 steps only up to the diagram
@@ -406,6 +423,7 @@ class BipartiteBelt:
         matrix = exchange.matrix
         state0 = (matrix, tuple(ids))
         steps: list[BeltStep] = []
+        moves: list[list[tuple[int, tuple, tuple]]] = []
         total = 2 * (self.h + 2)
         s = 0
         while True:
@@ -420,32 +438,14 @@ class BipartiteBelt:
                 )
             srcs = sources_of(matrix, n)
             steps.append(BeltStep(matrix, tuple(ids), srcs))
-            for k in srcs:
-                row = matrix[k]
-                pos_me = [0] * size
-                neg_me = [0] * size
-                for j in range(size):
-                    b = row[j]
-                    if b > 0:
-                        for c in range(size):
-                            pos_me[c] += b * minexps[j][c]
-                    elif b < 0:
-                        for c in range(size):
-                            neg_me[c] += (-b) * minexps[j][c]
-                new_minexp = tuple(
-                    min(p, q) - m for p, q, m in zip(pos_me, neg_me, minexps[k])
-                )
+            # sources are pairwise unlinked, so mutating one leaves the
+            # rows of the others as they are in this step's matrix
+            moves.append([(k, *_split(enumerate(matrix[k]))) for k in srcs])
+            for k, pos, neg in moves[-1]:
+                new_minexp = _exchange(minplus, minexps, pos, neg, minexps[k])
                 new_poly = None
                 if symbolic:
-                    pos = LaurentPolynomial.one(size)
-                    neg = LaurentPolynomial.one(size)
-                    for j in range(size):
-                        b = row[j]
-                        if b > 0:
-                            pos = pos * cluster_polys[j] ** b
-                        elif b < 0:
-                            neg = neg * cluster_polys[j] ** (-b)
-                    new_poly = (pos + neg).divide_exact(cluster_polys[k])
+                    new_poly = _exchange(laurent, polys, pos, neg, polys[k])
                     if new_poly.min_exponents() != new_minexp:
                         raise BeltError("tropical min-exponent bookkeeping diverged")
                 gamma = ids[k]
@@ -457,7 +457,7 @@ class BipartiteBelt:
                 ids[k] = new_id
                 minexps[k] = new_minexp
                 if symbolic:
-                    cluster_polys[k] = self.entries[new_id].poly
+                    polys[k] = self.entries[new_id].poly
                 matrix = mutate_matrix(matrix, k, n)
             s += 1
         if total % self.period != 0:
@@ -465,6 +465,13 @@ class BipartiteBelt:
                 f"belt period {self.period} does not divide 2(h+2) = {total}"
             )
         self.steps = steps
+        # the walk schedule: per step, (node, out-terms, in-terms, id of
+        # the variable the exchange produces), nonzero exponents only
+        self._schedule = [
+            tuple((k, pos, neg, steps[(r + 1) % self.period].cluster_ids[k])
+                  for k, pos, neg in step_moves)
+            for r, step_moves in enumerate(moves)
+        ]
         self.seed_count = len({frozenset(st.cluster_ids) for st in steps})
 
         self.mutable_ids = [e.id for e in self.entries if not e.frozen]
@@ -548,6 +555,19 @@ class BipartiteBelt:
 
     # walks
 
+    def _walk(self, ring: _Ring, values: list, start: int) -> dict:
+        """Walk one period of the belt from step start over a ring.
+
+        values holds the cluster of step start by node and is updated in
+        place; returns the value of every registry variable.
+        """
+        out = dict(zip(self.step(start).cluster_ids, values))
+        p = self.period
+        for r in range(start, start + p):
+            for k, pos, neg, target in self._schedule[r % p]:
+                values[k] = out[target] = _exchange(ring, values, pos, neg, values[k])
+        return out
+
     def frame(self, s: int) -> dict[int, LaurentPolynomial]:
         """Registry polynomials re-expressed in the cluster of belt step s.
 
@@ -559,63 +579,20 @@ class BipartiteBelt:
             raise BeltError("frames need symbolic mode")
         s %= self.period
         cached = self._frames.get(s)
-        if cached is not None:
-            return cached
-        size = self.exchange.size
-        out: dict[int, LaurentPolynomial] = {}
-        polys = [LaurentPolynomial.variable(size, j) for j in range(size)]
-        for j, id in enumerate(self.step(s).cluster_ids):
-            out[id] = polys[j]
-        for r in range(self.period):
-            st = self.step(s + r)
-            nxt = self.step(s + r + 1)
-            matrix = st.matrix
-            for k in st.sources:
-                row = matrix[k]
-                pos = LaurentPolynomial.one(size)
-                neg = LaurentPolynomial.one(size)
-                for j in range(size):
-                    b = row[j]
-                    if b > 0:
-                        pos = pos * polys[j] ** b
-                    elif b < 0:
-                        neg = neg * polys[j] ** (-b)
-                new_poly = (pos + neg).divide_exact(polys[k])
-                polys[k] = new_poly
-                out[nxt.cluster_ids[k]] = new_poly
-        self._frames[s] = out
-        return out
+        if cached is None:
+            size = self.exchange.size
+            variables = [LaurentPolynomial.variable(size, j) for j in range(size)]
+            cached = self._frames[s] = self._walk(_laurent_ring(size), variables, s)
+        return cached
 
     def value_walk(
         self, point: Sequence[Fraction | int], start_step: int = 0
     ) -> dict[int, Fraction]:
         """Exact values of every registry variable, given positive values
         for the cluster of belt step start_step (indexed by node)."""
-        size = self.exchange.size
-        if len(point) != size:
+        if len(point) != self.exchange.size:
             raise ValueError("need one value per node")
-        vals = [Fraction(v) for v in point]
-        out: dict[int, Fraction] = {}
-        for j, id in enumerate(self.step(start_step).cluster_ids):
-            out[id] = vals[j]
-        for r in range(self.period):
-            st = self.step(start_step + r)
-            nxt = self.step(start_step + r + 1)
-            matrix = st.matrix
-            for k in st.sources:
-                row = matrix[k]
-                pos = Fraction(1)
-                neg = Fraction(1)
-                for j in range(size):
-                    b = row[j]
-                    if b > 0:
-                        pos *= vals[j] ** b
-                    elif b < 0:
-                        neg *= vals[j] ** (-b)
-                newv = (pos + neg) / vals[k]
-                vals[k] = newv
-                out[nxt.cluster_ids[k]] = newv
-        return out
+        return self._walk(_FRACTIONS, [Fraction(v) for v in point], start_step)
 
     def weight_walk(self, alpha: Sequence[int | Fraction]) -> dict[int, Fraction]:
         """Torus weights of every registry variable for a kernel functional.
@@ -624,36 +601,9 @@ class BipartiteBelt:
         ValueError if some exchange relation is not homogeneous, i.e. alpha
         is not in the kernel of the extended exchange matrix.
         """
-        size = self.exchange.size
-        if len(alpha) != size:
+        if len(alpha) != self.exchange.size:
             raise ValueError("need one weight per node")
-        wts = [Fraction(a) for a in alpha]
-        out: dict[int, Fraction] = {}
-        for j, id in enumerate(self.step(0).cluster_ids):
-            out[id] = wts[j]
-        for r in range(self.period):
-            st = self.step(r)
-            nxt = self.step(r + 1)
-            matrix = st.matrix
-            for k in st.sources:
-                row = matrix[k]
-                wpos = Fraction(0)
-                wneg = Fraction(0)
-                for j in range(size):
-                    b = row[j]
-                    if b > 0:
-                        wpos += b * wts[j]
-                    elif b < 0:
-                        wneg += (-b) * wts[j]
-                if wpos != wneg:
-                    raise ValueError(
-                        "weight functional is not in the exchange kernel "
-                        f"(step {r}, node {k})"
-                    )
-                neww = wpos - wts[k]
-                wts[k] = neww
-                out[nxt.cluster_ids[k]] = neww
-        return out
+        return self._walk(_WEIGHTS, [Fraction(a) for a in alpha], 0)
 
     # compatibility
 

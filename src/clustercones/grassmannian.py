@@ -32,7 +32,15 @@ from .cones import ConeDescription, UMatrix, build_u_matrix, membership, subset_
 from .expressions import parse_ratio
 from .finite_type import BipartiteBelt, NotFiniteTypeError, find_bipartite_seed_path
 from .linalg import rank, solve
-from .seeds import ExchangeData, load_seed_file
+from .seeds import (
+    _FRACTIONS,
+    _WEIGHTS,
+    ExchangeData,
+    _exchange,
+    _Ring,
+    _split,
+    load_seed_file,
+)
 
 __all__ = [
     "GrassmannianCluster",
@@ -267,6 +275,14 @@ class PrimitiveRatio:
         return f"<PrimitiveRatio ({self.i},{self.j}) S={self.extra}>"
 
 
+def _ratio_product(factors: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Exponent vector of a product of (id, exponent) factors, zeros dropped."""
+    vec: dict[int, int] = {}
+    for id, e in factors:
+        vec[id] = vec.get(id, 0) + e
+    return {id: e for id, e in vec.items() if e}
+
+
 class GrassmannianCluster:
     """All exact data of the cluster structure on a finite type Gr(k, n).
 
@@ -285,45 +301,19 @@ class GrassmannianCluster:
         self.k = k
         self.n = n
         self.grid = grid_seed(k, n)
-        contents, frozen, _ = _grid_layout(k, n)
+        contents, _, _ = _grid_layout(k, n)
         self._grid_sets = contents  # column subsets, node order of self.grid
         self.points = tuple(tp_sample(k, n, s) for s in (11, 12, 13))
         self.path = find_bipartite_seed_path(self.grid)
 
-        # push contents and point values along the re-basing path, recording
-        # the exchange row used at every step so other value systems (the
-        # rotated minors) can replay the same walk later
-        size = self.grid.size
-        node_contents = [
-            tuple(int(c in J) for c in range(1, n + 1)) for J in contents
-        ]
-        value_rows = [
-            [Fraction(pt.minor(J)) for J in contents] for pt in self.points
-        ]
+        # the exchange terms of every re-basing step, so any value system
+        # (the rotated minors, say) can replay the path later
         ex = self.grid
-        self._path_rows: list[tuple[int, tuple[int, ...]]] = []
+        self._path_moves: list[tuple[int, tuple, tuple]] = []
         for step in self.path:
-            row = ex.matrix[step]
-            self._path_rows.append((step, row))
-            pos = [0] * n
-            neg = [0] * n
-            for j, b in enumerate(row):
-                if b > 0:
-                    for c in range(n):
-                        pos[c] += b * node_contents[j][c]
-                elif b < 0:
-                    for c in range(n):
-                        neg[c] += (-b) * node_contents[j][c]
-            if pos != neg:
-                raise IdentificationError(
-                    f"exchange at node {step} is not content homogeneous"
-                )
-            node_contents[step] = tuple(
-                p - c for p, c in zip(pos, node_contents[step])
-            )
-            for vals in value_rows:
-                self._apply_exchange(vals, step, row)
+            self._path_moves.append((step, *_split(enumerate(ex.matrix[step]))))
             ex = ex.mutate(step)
+        size = self.grid.size
         names = [
             ex.names[i] if i not in set(self.path) else f"node{i}"
             for i in range(size)
@@ -331,24 +321,23 @@ class GrassmannianCluster:
         base = ExchangeData(ex.n, ex.m, ex.matrix, ex.weights, names)
         self.belt = BipartiteBelt(base, symbolic=False)
 
-        # transport the n column contents along the belt; each one is a
-        # torus weight, so weight_walk both checks kernel membership and
-        # covers every registry variable
-        functionals = [
-            [node_contents[i][c] for i in range(size)] for c in range(n)
-        ]
+        # the content of each column is a torus weight: walking it along
+        # the path and then the belt checks every exchange relation for
+        # homogeneity and covers every registry variable
+        functionals = []
+        per_column = []
+        for c in range(1, n + 1):
+            try:
+                alpha = self._replay(_WEIGHTS, [int(c in J) for J in contents])
+                per_column.append(self.belt.weight_walk(alpha))
+            except ValueError as exc:
+                raise IdentificationError(
+                    f"column {c} content is not an exchange weight: {exc}"
+                ) from exc
+            functionals.append(alpha)
         if rank(functionals) != n:
             raise IdentificationError("column functionals do not have full rank")
         self.content: dict[int, tuple[int, ...]] = {}
-        per_column = []
-        for c in range(n):
-            try:
-                wt = self.belt.weight_walk(functionals[c])
-            except ValueError as exc:
-                raise IdentificationError(
-                    f"column {c + 1} content is not an exchange weight: {exc}"
-                ) from exc
-            per_column.append(wt)
         for id in self.belt.row_order:
             vec = []
             for c in range(n):
@@ -368,9 +357,7 @@ class GrassmannianCluster:
                 )
             self.degree[id] = total // k
 
-        self.values = [
-            self.belt.value_walk(vals) for vals in value_rows
-        ]
+        self.values = self._walk_values(self.points, TotallyPositivePoint.minor)
         self._identify()
         self._name_registry()
 
@@ -382,29 +369,21 @@ class GrassmannianCluster:
 
     # plumbing
 
-    @staticmethod
-    def _apply_exchange(vals: list[Fraction], node: int, row: tuple[int, ...]) -> None:
-        pos = Fraction(1)
-        neg = Fraction(1)
-        for j, b in enumerate(row):
-            if b > 0:
-                pos *= vals[j] ** b
-            elif b < 0:
-                neg *= vals[j] ** (-b)
-        vals[node] = (pos + neg) / vals[node]
+    def _replay(self, ring: _Ring, vals: list) -> list:
+        """Walk a value system, indexed by grid node, along the re-basing
+        path in place."""
+        for node, pos, neg in self._path_moves:
+            vals[node] = _exchange(ring, vals, pos, neg, vals[node])
+        return vals
 
     def _walk_values(self, points, minor_of) -> list[dict[int, Fraction]]:
         """Registry values when each grid node J is seeded with minor_of(J)."""
-        out = []
-        for pt in points:
-            vals = [Fraction(minor_of(pt, J)) for J in self._grid_sets]
-            for node, row in self._path_rows:
-                self._apply_exchange(vals, node, row)
-            out.append(self.belt.value_walk(vals))
-        return out
-
-    def _walk_grid_values(self, minor_of) -> list[dict[int, Fraction]]:
-        return self._walk_values(self.points, minor_of)
+        return [
+            self.belt.value_walk(self._replay(
+                _FRACTIONS, [Fraction(minor_of(pt, J)) for J in self._grid_sets]
+            ))
+            for pt in points
+        ]
 
     def _identify(self) -> None:
         self.minor_id: dict[tuple[int, ...], int] = {}
@@ -479,7 +458,7 @@ class GrassmannianCluster:
             if all(a <= b for a, b in zip(A, B)):
                 standard.append((A, B))
         pts = [tp_sample(3, 6, s) for s in range(21, 29)]
-        walked = self._walk_values(pts, lambda pt, J: pt.minor(J))
+        walked = self._walk_values(pts, TotallyPositivePoint.minor)
         matrix = [
             [Fraction(pt.minor(A) * pt.minor(B)) for A, B in standard]
             for pt in pts
@@ -511,12 +490,9 @@ class GrassmannianCluster:
     def name(self, id: int) -> str:
         return self.belt.name(id)
 
-    def id_of_minor(self, cols: Sequence[int]) -> int:
-        return self.minor_id[tuple(cols)]
-
     def registry_values(self, point: TotallyPositivePoint) -> dict[int, Fraction]:
         """Exact value of every registry variable at a totally positive point."""
-        return self._walk_values([point], lambda pt, J: pt.minor(J))[0]
+        return self._walk_values([point], TotallyPositivePoint.minor)[0]
 
     @property
     def uvars(self):
@@ -576,7 +552,7 @@ class GrassmannianCluster:
         def rho(J):
             return tuple(sorted((j - 2) % n + 1 for j in J))
 
-        rotated = self._walk_grid_values(lambda pt, J: pt.minor(rho(J)))
+        rotated = self._walk_values(self.points, lambda pt, J: pt.minor(rho(J)))
         index = {}
         for id in self.belt.row_order:
             key = tuple(self.values[p][id] for p in range(len(self.points)))
@@ -721,14 +697,7 @@ class GrassmannianCluster:
                     if cols in seen:
                         continue
                     seen.add(cols)
-                    vec: dict[int, int] = {}
-                    for col in cols:
-                        for id, e in uvecs[col].items():
-                            new = vec.get(id, 0) + e
-                            if new:
-                                vec[id] = new
-                            else:
-                                del vec[id]
+                    vec = _ratio_product(t for col in cols for t in uvecs[col].items())
                     if all(self.degree[id] == 1 for id in vec):
                         found = (combo, vec)
                         break
@@ -744,14 +713,7 @@ class GrassmannianCluster:
             out.append(prim)
             for t in reversed(combo):
                 remaining.pop(t)
-        check: dict[int, int] = {}
-        for prim in out:
-            for id, e in prim.vector.items():
-                new = check.get(id, 0) + e
-                if new:
-                    check[id] = new
-                else:
-                    del check[id]
+        check = _ratio_product(t for prim in out for t in prim.vector.items())
         if check != {id: e for id, e in vector.items() if e}:
             raise RatioTableError("primitive factors do not multiply back to the input")
         return out
@@ -907,26 +869,11 @@ def check_ray_table(
         return tok[1] if tok[0] == "id" else asg[tok[2]]
 
     def row_holds(row, asg) -> bool:
-        vec: dict[int, int] = {}
-        for tok, e in row[0]:
-            id = resolve(tok, asg)
-            new = vec.get(id, 0) + e
-            if new:
-                vec[id] = new
-            else:
-                del vec[id]
-        target: dict[int, int] = {}
-        for tok in row[1]:
-            gamma = resolve(tok, asg)
-            u = uvec_by_gamma.get(gamma)
-            if u is None:
-                return False
-            for id, e in u.items():
-                new = target.get(id, 0) + e
-                if new:
-                    target[id] = new
-                else:
-                    del target[id]
+        vec = _ratio_product((resolve(tok, asg), e) for tok, e in row[0])
+        us = [uvec_by_gamma.get(resolve(tok, asg)) for tok in row[1]]
+        if None in us:
+            return False
+        target = _ratio_product(t for u in us for t in u.items())
         return vec == target and frozenset(vec.items()) in ray_index
 
     assignments: list[dict[str, int]] = [{}]
@@ -976,11 +923,8 @@ def check_ray_table(
     for row in parsed:
         if not row_holds(row, chosen):
             raise RatioTableError("chosen assignment fails on re-verification")
-        vec: dict[int, int] = {}
-        for tok, e in row[0]:
-            id = resolve(tok, chosen)
-            vec[id] = vec.get(id, 0) + e
-        indices.append(ray_index[frozenset((i, e) for i, e in vec.items() if e)])
+        vec = _ratio_product((resolve(tok, chosen), e) for tok, e in row[0])
+        indices.append(ray_index[frozenset(vec.items())])
     return chosen, indices
 
 

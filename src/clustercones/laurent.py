@@ -6,7 +6,9 @@ monomials is then one integer addition, term keys hash fast, and comparing
 packed keys of nonnegative-exponent monomials agrees with lexicographic
 order on exponent vectors. Exponents must stay below 2**13 in absolute
 value; the belt computations this module serves never get near that, and
-the bound is checked on construction.
+the bound is checked on construction and on the operands of every
+product (a product of in-range operands still fits its 16-bit fields, so
+out-of-range exponents raise OverflowError instead of wrapping).
 
 Coefficients are arbitrary-precision ints. There is no coefficient field:
 division is exact division over the integer Laurent ring, and refuses
@@ -23,12 +25,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "LaurentPolynomial",
     "NotDivisible",
-    "lp_add",
-    "lp_mul",
-    "lp_div_by_monomial",
-    "lp_divide_exact",
-    "lp_eval",
-    "lp_is_coefficient_nonnegative",
 ]
 
 FIELD_BITS = 16
@@ -37,6 +33,7 @@ BIAS = 1 << (FIELD_BITS - 1)
 EXP_LIMIT = 1 << 13
 
 _zero_key_cache: dict[int, int] = {}
+_range_cache: dict[int, tuple[int, int]] = {}
 
 
 def _zero_key(nvars: int) -> int:
@@ -47,6 +44,24 @@ def _zero_key(nvars: int) -> int:
             key = (key << FIELD_BITS) | BIAS
         _zero_key_cache[nvars] = key
     return key
+
+
+def _range_check(nvars: int) -> tuple[int, int]:
+    """(low, mask) with (key - low) & mask == 0 iff every exponent e of
+    the packed key has -EXP_LIMIT <= e < EXP_LIMIT.
+
+    Subtracting BIAS - EXP_LIMIT from each field leaves e + EXP_LIMIT,
+    which lies in [0, 2 * EXP_LIMIT) exactly when e is in range; a field
+    below that borrows and sets its top bits, one above sets them itself.
+    """
+    got = _range_cache.get(nvars)
+    if got is None:
+        low = mask = 0
+        for _ in range(nvars):
+            low = (low << FIELD_BITS) | (BIAS - EXP_LIMIT)
+            mask = (mask << FIELD_BITS) | (FIELD_MASK & -(2 * EXP_LIMIT))
+        got = _range_cache[nvars] = (low, mask)
+    return got
 
 
 def pack_exponents(exps: Sequence[int]) -> int:
@@ -144,9 +159,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {_zero_key(self.nvars): 1}
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
@@ -167,9 +179,6 @@ class LaurentPolynomial:
         decorated.sort(reverse=True)
         for _, exps, coeff in decorated:
             yield exps, coeff
-
-    def coefficient(self, exps: Sequence[int]) -> int:
-        return self._terms.get(pack_exponents(exps), 0)
 
     def min_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly: zeros).
@@ -250,9 +259,15 @@ class LaurentPolynomial:
         if len(a) > len(b):
             a, b = b, a
         base = _zero_key(self.nvars)
+        low, mask = _range_check(self.nvars)
+        for kb in b:
+            if (kb - low) & mask:
+                raise OverflowError("exponent out of supported range in a product")
         out: dict[int, int] = {}
         get = out.get
         for ka, ca in a.items():
+            if (ka - low) & mask:
+                raise OverflowError("exponent out of supported range in a product")
             off = ka - base
             for kb, cb in b.items():
                 k = kb + off
@@ -266,11 +281,6 @@ class LaurentPolynomial:
                     else:
                         del out[k]
         return LaurentPolynomial(self.nvars, out)
-
-    def scale(self, c: int) -> "LaurentPolynomial":
-        if c == 0:
-            return LaurentPolynomial(self.nvars, {})
-        return LaurentPolynomial(self.nvars, {k: c * v for k, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
@@ -292,15 +302,6 @@ class LaurentPolynomial:
             if n:
                 square = square * square
         return result
-
-    def mul_monomial(self, coeff: int, exps: Sequence[int]) -> "LaurentPolynomial":
-        """Multiply by coeff * x^exps without building an intermediate polynomial."""
-        if coeff == 0:
-            return LaurentPolynomial(self.nvars, {})
-        off = pack_exponents(exps) - _zero_key(self.nvars)
-        return LaurentPolynomial(
-            self.nvars, {k + off: c * coeff for k, c in self._terms.items()}
-        )
 
     def divide_exact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient self / other over the integer Laurent ring.
@@ -396,21 +397,25 @@ class LaurentPolynomial:
 
     # serialization
 
-    def serialize(self) -> str:
+    def serialize(self, names: Sequence[str] | None = None) -> str:
         """Canonical string form, byte-stable across runs.
 
         Terms in graded lex order (highest first), variables 1-based:
-        "x1^2*x2 - 3*x1*x3^-1 + 2". The zero polynomial is "0".
+        "x1^2*x2 - 3*x1*x3^-1 + 2". The zero polynomial is "0". names,
+        when given, replaces x1, x2, ... in the output; parse() reads
+        only the default names.
         """
         if not self._terms:
             return "0"
+        if names is None:
+            names = [f"x{i + 1}" for i in range(self.nvars)]
         pieces: list[str] = []
         for exps, coeff in self.terms():
             factors = []
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                factors.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
+                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -496,33 +501,3 @@ class LaurentPolynomial:
         if len(s) > 60:
             s = s[:57] + "..."
         return f"<Laurent {self.nvars}v {s}>"
-
-
-# Module-level aliases. The operation names below are the library's public
-# spelling; the methods exist so client code can stay fluent.
-
-
-def lp_add(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a + b
-
-
-def lp_mul(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a * b
-
-
-def lp_div_by_monomial(a: LaurentPolynomial, coeff: int, exps: Sequence[int]) -> LaurentPolynomial:
-    """Divide by coeff * x^exps; every coefficient must divide exactly."""
-    mono = LaurentPolynomial.monomial(a.nvars, coeff, exps)
-    return a.divide_exact(mono)
-
-
-def lp_divide_exact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    return a.divide_exact(b)
-
-
-def lp_eval(a: LaurentPolynomial, point: Sequence[Fraction | int]) -> Fraction:
-    return a.evaluate(point)
-
-
-def lp_is_coefficient_nonnegative(a: LaurentPolynomial) -> bool:
-    return a.has_nonnegative_coefficients()

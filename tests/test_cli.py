@@ -148,6 +148,27 @@ def test_tampered_certificate_fails_replay(capsys, tmp_path):
     assert payload["replayed"] is False
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda record: record["certificate"].pop("verdict"),
+    lambda record: record["certificate"]["lambda"].update(x1="abc"),
+    lambda record: record["context"].pop("type"),
+], ids=["missing-verdict", "non-numeric-lambda", "missing-context-type"])
+def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
+    path = tmp_path / "cert.json"
+    run(
+        capsys,
+        ["check", "--type", "A1", "--frozen", "1", "--ratio", "1/(x1*x2)",
+         "--certificate-out", str(path)],
+    )
+    record = json.loads(path.read_text())
+    tamper(record)
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "malformed certificate" in err
+
+
 def test_cone_pluecker_rays(capsys):
     code, payload = run_json(
         capsys, ["cone", "--gr", "3", "6", "--subset", "pluecker"]

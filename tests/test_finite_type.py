@@ -17,7 +17,7 @@ from clustercones.finite_type import (
     sources_of,
 )
 from clustercones.laurent import LaurentPolynomial
-from clustercones.seeds import ExchangeData
+from clustercones.seeds import ExchangeData, Seed
 
 
 def P(nvars, text):
@@ -208,6 +208,41 @@ def test_value_walk_matches_symbolic_evaluation():
         values = belt.value_walk(point)
         for id in belt.mutable_ids + belt.frozen_ids:
             assert values[id] == belt.poly(id).evaluate(point)
+
+
+SYMBOLIC_WITH_FROZEN = [("A3", 3), ("C2", 2), ("G2", 0), ("D4", 2)]
+
+
+@pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN)
+def test_frames_agree_with_value_walks_from_every_step(name, frozen):
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+    assert belt.symbolic
+    rng = random.Random(53)
+    size = belt.exchange.size
+    for s in range(belt.period):
+        point = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size)]
+        values = belt.value_walk(point, start_step=s)
+        assert [values[id] for id in belt.step(s).cluster_ids] == point
+        frame = belt.frame(s)
+        assert frame.keys() == values.keys() == set(range(len(belt.entries)))
+        # the registry polynomials live in the cluster of step 0
+        initial = [values[id] for id in belt.step(0).cluster_ids]
+        for id, poly in frame.items():
+            assert poly.evaluate(point) == values[id], (s, belt.name(id))
+            assert belt.poly(id).evaluate(initial) == values[id], (s, belt.name(id))
+
+
+@pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN)
+def test_seed_mutation_along_the_belt_reproduces_the_registry(name, frozen):
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+    seed = Seed.initial(belt.exchange)
+    for s in range(belt.period):
+        step = belt.step(s)
+        assert seed.exchange.matrix == step.matrix
+        for k in step.sources:
+            seed = seed.mutate(k)
+        ids = belt.step(s + 1).cluster_ids
+        assert seed.cluster == tuple(belt.poly(id) for id in ids), s
 
 
 def test_weight_walk_homogeneity():

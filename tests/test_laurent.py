@@ -5,16 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clustercones.laurent import (
-    LaurentPolynomial,
-    NotDivisible,
-    lp_add,
-    lp_div_by_monomial,
-    lp_divide_exact,
-    lp_eval,
-    lp_is_coefficient_nonnegative,
-    lp_mul,
-)
+from clustercones.laurent import LaurentPolynomial, NotDivisible
 
 
 def P(nvars, text):
@@ -41,8 +32,8 @@ def test_add_and_mul_agree_with_evaluation():
         a = _random_poly(rng, nvars)
         b = _random_poly(rng, nvars)
         point = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(nvars)]
-        assert lp_eval(lp_add(a, b), point) == lp_eval(a, point) + lp_eval(b, point)
-        assert lp_eval(lp_mul(a, b), point) == lp_eval(a, point) * lp_eval(b, point)
+        assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+        assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
 
 def _random_poly(rng, nvars, nterms=5, span=3):
@@ -96,7 +87,8 @@ def test_divide_by_zero_and_coefficient_refusal():
         a.divide_exact(LaurentPolynomial.zero(1))
     with pytest.raises(NotDivisible):
         P(1, "3*x1 + 2").divide_exact(P(1, "2"))
-    assert lp_div_by_monomial(P(1, "2*x1 + 4"), 2, [1]) == P(1, "1 + 2*x1^-1")
+    mono = LaurentPolynomial.monomial(1, 2, [1])
+    assert P(1, "2*x1 + 4").divide_exact(mono) == P(1, "1 + 2*x1^-1")
 
 
 def test_pow_including_monomial_negative():
@@ -111,9 +103,9 @@ def test_pow_including_monomial_negative():
 
 def test_eval_exact():
     p = P(2, "x1^-1*x2 + x1^-1")
-    assert lp_eval(p, [Fraction(1, 2), Fraction(3)]) == Fraction(8)
-    assert lp_is_coefficient_nonnegative(p)
-    assert not lp_is_coefficient_nonnegative(P(2, "x1 - x2"))
+    assert p.evaluate([Fraction(1, 2), Fraction(3)]) == Fraction(8)
+    assert p.has_nonnegative_coefficients()
+    assert not P(2, "x1 - x2").has_nonnegative_coefficients()
 
 
 def test_min_max_exponents():
@@ -130,6 +122,28 @@ def test_serialize_forms():
     assert P(2, "2*x1^-1*x2^2 + 1").serialize() == "2*x1^-1*x2^2 + 1"
     # graded order puts higher total degree first, ties broken lexicographically
     assert P(2, "x2 + x1 + x1*x2").serialize() == "x1*x2 + x1 + x2"
+
+
+def test_serialize_with_names():
+    p = P(2, "2*x1^-1*x2^2 - x1 + 1")
+    assert p.serialize(["a", "b"]) == "-a + 2*a^-1*b^2 + 1"
+    assert p.serialize() == "-x1 + 2*x1^-1*x2^2 + 1"
+    assert LaurentPolynomial.zero(2).serialize(["a", "b"]) == "0"
+
+
+def test_products_refuse_exponents_that_would_wrap():
+    # packed 16-bit exponent fields used to wrap silently: x2**40000 came
+    # out as x1*x2^-25536
+    x = LaurentPolynomial.variable(2, 1)
+    with pytest.raises(OverflowError):
+        x**40000
+    # in-range operands still multiply, even when the product leaves the
+    # construction range; the next product refuses it as an operand
+    for e in (8191, -8191):
+        big = (x**e) * (x**e)
+        assert big.max_exponents() == (0, 2 * e)
+        with pytest.raises(OverflowError):
+            big * x
 
 
 def test_serialize_parse_round_trip():
