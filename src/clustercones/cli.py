@@ -16,7 +16,7 @@ suite, failed replay), 2 usage error. Output is text on a terminal and
 JSON otherwise; --format overrides. JSON payloads carry a legend naming
 every variable so ratio vectors are self-describing. Setting the env
 variable CLUSTER_CONE_CACHE to a directory caches cone payloads keyed by
-a content hash of the context.
+a content hash of the context, the package version and the cache schema.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .cones import (
     Certificate,
     NotFullRankError,
@@ -61,6 +62,9 @@ from .seeds import ExchangeData, dump_seed_data, load_seed_file
 from .uvars import DegenerationRay, build_u_variables, verify_u_equations
 
 U_EQUATION_TYPES = ("A1", "A2", "A3", "C2", "D4")
+# bump when the cone payload changes shape; cached payloads of another
+# schema or package version are not read back
+CONE_CACHE_SCHEMA = 1
 
 
 class UsageError(Exception):
@@ -112,6 +116,8 @@ class Context:
 
 
 def _catalog_context(type_name: str, frozen: int) -> Context:
+    if not isinstance(type_name, str):
+        raise TypeError(f"catalog type {type_name!r} is not a string")
     try:
         dynkin = DynkinType.from_name(type_name)
         exchange = catalog_exchange(dynkin, frozen)
@@ -193,12 +199,19 @@ def _context_from_args(args) -> Context:
 
 
 def _context_from_key(key: dict) -> Context:
+    """The context a certificate names; TypeError, KeyError and
+    ValueError mean the key is malformed."""
+    if not isinstance(key, dict):
+        raise TypeError(f"context is a {type(key).__name__}, not an object")
     kind = key.get("kind")
     if kind == "catalog":
         return _catalog_context(key["type"], int(key.get("frozen", 0)))
     if kind == "grassmannian":
         return _grassmannian_context(int(key["k"]), int(key["n"]))
     if kind == "seed":
+        # a string would be opened as a path by load_seed_file
+        if not isinstance(key["seed"], dict):
+            raise TypeError("seed context must be an object")
         return _seed_context(key["seed"], "seed file")
     raise UsageError(f"certificate names unknown context kind {kind!r}")
 
@@ -448,7 +461,8 @@ def cmd_cone(args) -> int:
     payload = None
     if cache_dir:
         material = json.dumps(
-            {"command": "cone", "context": ctx.key, "subset": subset_name},
+            {"command": "cone", "context": ctx.key, "subset": subset_name,
+             "version": __version__, "schema": CONE_CACHE_SCHEMA},
             sort_keys=True,
         )
         digest = hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -460,9 +474,12 @@ def cmd_cone(args) -> int:
         payload = _cone_payload(ctx, subset_name)
         if cache_path:
             os.makedirs(cache_dir, exist_ok=True)
-            with open(cache_path, "w", encoding="utf-8") as fh:
+            # readers see the old file or the whole new one, never a part
+            partial = f"{cache_path}.{os.getpid()}.tmp"
+            with open(partial, "w", encoding="utf-8") as fh:
                 json.dump(payload, fh, indent=2)
                 fh.write("\n")
+            os.replace(partial, cache_path)
     _emit(args, payload, _text_cone)
     return 0
 

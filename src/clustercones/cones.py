@@ -192,7 +192,12 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
     belt = U.belt
     vector = cert.vector
     if cert.verdict == "not-weight-zero":
-        w = weight_table(belt, cert.alpha)
+        if cert.alpha is None:
+            return False
+        try:
+            w = weight_table(belt, cert.alpha)
+        except ValueError:  # wrong length, or outside the exchange kernel
+            return False
         return w.of_vector(vector) == cert.weight != 0
     if cert.lam is None or len(cert.lam) != U.num_cols:
         return False

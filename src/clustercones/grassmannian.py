@@ -814,7 +814,8 @@ def check_ray_table(
     assignments consistent with every row, where consistent means the
     left ratio is an extreme ray of the cone and equals the sum of the
     named u-vectors. Returns the chosen assignment and the ray index of
-    each row; raises RatioTableError when no assignment survives.
+    each row; raises RatioTableError when no assignment survives, or when
+    more than cap do after some row.
     """
     n = grass.n
     uvec_by_gamma = {u.gamma: u.vector for u in grass.uvars}
@@ -907,12 +908,13 @@ def check_ray_table(
                     continue
                 key = tuple(sorted(ext.items()))
                 if key not in survivor_keys:
+                    if len(survivors) == cap:
+                        raise RatioTableError(
+                            f"table row {ridx + 1}: more than cap={cap} name "
+                            "assignments survive"
+                        )
                     survivor_keys.add(key)
                     survivors.append(ext)
-                    if len(survivors) >= cap:
-                        break
-            if len(survivors) >= cap:
-                break
         if not survivors:
             raise RatioTableError(
                 f"table row {ridx + 1}: no name assignment verifies the factorization"

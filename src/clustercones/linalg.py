@@ -1,15 +1,26 @@
-"""Exact linear algebra over the rationals and integers.
+"""Exact linear algebra over the integers.
 
-Everything here works on lists of lists of int or Fraction and never
-touches floating point. Sizes are modest (a few hundred rows at most), so
-plain Gauss-Jordan with Fraction arithmetic and fraction-free Bareiss
-elimination are fast enough.
+One routine does every elimination: `rref`, a fraction-free Gauss-Jordan
+elimination (Bareiss 1968). Each step replaces a row by
+(p * row - f * pivot_row) / d, where p is the new pivot, f the row's
+entry in the pivot column and d the previous pivot; the division is
+exact because every entry stays, up to sign, a minor of the input
+(Nakos, Turner and Williams 1997). All pivots end equal to one scale d,
+so the reduced row echelon form is the integer result divided by d, and
+no Fraction is built during elimination. Rational input is scaled row by
+row to integers first.
+
+`rank`, `right_kernel_basis`, `solve` and `det_bareiss` read off one
+`rref`. `ExactSolver` uses two: one of U^T picks the pivot rows of U, one
+of [S | I] inverts the square block S as M / d. A solve is then a sparse
+integer product M @ rhs, an integer residual check U @ (M @ rhs) == d *
+rhs on every row, and only at the end the Fractions num / d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 __all__ = [
@@ -18,41 +29,55 @@ __all__ = [
     "right_kernel_basis",
     "solve",
     "det_bareiss",
-    "invert",
     "ExactSolver",
     "hermite_column_reduce",
     "primitive_vector",
 ]
 
 
-def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form. Returns (rows, pivot column indices)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _integral(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free reduced row echelon form: (rows, pivot columns, d).
+
+    rows are integers; the first len(pivots) carry the pivots, each equal
+    to d, with zeros elsewhere in every pivot column, so rows / d is the
+    reduced row echelon form of matrix. Sign changes keep the
+    determinant (a swap negates the row moved down, a negative pivot row
+    is negated together with the next row), so for a square nonsingular
+    matrix d is its determinant.
+    """
+    a = [_integral(row) for row in matrix]
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+    prev = 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == len(a):
             break
-    return rows, pivots
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        # positive pivots keep runs of unit pivots equal, so rows with a
+        # zero in column c need no rescaling
+        if p != r:
+            a[r], a[p] = a[p], [-x for x in a[r]]
+        if a[r][c] < 0 and r + 1 < len(a):
+            a[r] = [-x for x in a[r]]
+            a[r + 1] = [-x for x in a[r + 1]]
+        prow = a[r]
+        piv = prow[c]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i == r or not f and piv == prev:
+                continue
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+        pivots.append(c)
+        prev = piv
+    return a, pivots, prev
 
 
 def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
@@ -61,42 +86,32 @@ def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
 
 def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector to integers with gcd 1, first nonzero positive."""
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
+    ints = _integral(vec)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // gcd(denom, f.denominator)
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-v for v in ints]
-            break
-    return tuple(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def right_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Primitive integer basis of {v : matrix @ v = 0}.
 
-    Rational elimination, one basis vector per free column, each rescaled
-    to a primitive integer vector with first nonzero entry positive.
+    One basis vector per free column, read off the reduced echelon form
+    and rescaled to a primitive integer vector with first nonzero entry
+    positive.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, pivots, d = rref(matrix)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = d
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(primitive_vector(v))
     return basis
 
@@ -108,99 +123,60 @@ def solve(
 
     Free variables are set to zero.
     """
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug)
     ncols = len(matrix[0]) if matrix else 0
-    for r, pc in zip(rows, pivots):
-        if pc == ncols:
-            return None
+    rows, pivots, d = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
+    for row, pc in zip(rows, pivots):
+        x[pc] = Fraction(row[ncols], d)
     return x
 
 
 def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix, fraction-free."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def invert(matrix: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]] | None:
-    """Exact inverse, or None when singular."""
     n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rows[:n]]
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    _, pivots, d = rref(matrix)
+    return d if len(pivots) == n else 0
 
 
 class ExactSolver:
     """Repeated exact solves of A @ x = b for a fixed full-column-rank A.
 
-    Picks row indices making a square invertible submatrix once, inverts it
-    exactly, then each solve is a matrix-vector product plus a residual
-    check against the remaining rows.
+    Picks row indices making a square invertible submatrix S once and
+    stores S^-1 = M / d, then each solve is an integer product M @ b plus
+    an integer residual check of every row of A against d * b.
     """
 
     def __init__(self, matrix: Sequence[Sequence[int]]):
-        self.matrix = [list(row) for row in matrix]
-        ncols = len(self.matrix[0]) if self.matrix else 0
-        transposed = [[row[c] for row in self.matrix] for c in range(ncols)]
-        _, pivots = rref(transposed)
+        ncols = len(matrix[0]) if matrix else 0
+        _, pivots, _ = rref([[row[c] for row in matrix] for c in range(ncols)])
         if len(pivots) != ncols:
             raise ValueError("matrix does not have full column rank")
-        self.pivot_rows = pivots
-        square = [self.matrix[r] for r in pivots]
-        inv = invert(square)
-        assert inv is not None
-        self.inverse = inv
-        self.ncols = ncols
+        block = [
+            list(matrix[r]) + [int(i == j) for j in range(ncols)]
+            for i, r in enumerate(pivots)
+        ]
+        rows, _, self.scale = rref(block)
+        # M's columns index the pivot rows, so they index rhs directly
+        self.inverse = [
+            [(pivots[j], m) for j, m in enumerate(row[ncols:]) if m]
+            for row in rows
+        ]
+        self.rows = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
 
     def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
         """Solution vector, or None when rhs is outside the column span."""
-        if len(rhs) != len(self.matrix):
+        if len(rhs) != len(self.rows):
             raise ValueError("rhs length mismatch")
-        sub = [rhs[r] for r in self.pivot_rows]
-        x = [
-            sum((row[j] * Fraction(sub[j]) for j in range(self.ncols)), Fraction(0))
-            for row in self.inverse
-        ]
-        for row, b in zip(self.matrix, rhs):
-            acc = Fraction(0)
-            for a, xi in zip(row, x):
-                if a:
-                    acc += a * xi
-            if acc != b:
+        x = [sum(m * rhs[r] for r, m in row) for row in self.inverse]
+        d = self.scale
+        for row, b in zip(self.rows, rhs):
+            if sum(a * x[j] for j, a in row) != d * b:
                 return None
-        return x
+        return [Fraction(num, d) for num in x]
 
 
 def hermite_column_reduce(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

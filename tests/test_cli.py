@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+from clustercones import cli
 from clustercones.cli import main
 
 
@@ -152,7 +153,12 @@ def test_tampered_certificate_fails_replay(capsys, tmp_path):
     lambda record: record["certificate"].pop("verdict"),
     lambda record: record["certificate"]["lambda"].update(x1="abc"),
     lambda record: record["context"].pop("type"),
-], ids=["missing-verdict", "non-numeric-lambda", "missing-context-type"])
+    lambda record: record.update(context=["catalog"]),
+    lambda record: record["context"].update(type=5),
+    lambda record: record.update(context={"kind": "seed", "seed": "seed.json"}),
+], ids=["missing-verdict", "non-numeric-lambda", "missing-context-type",
+        "context-not-an-object", "catalog-type-not-a-string",
+        "seed-not-an-object"])
 def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
     path = tmp_path / "cert.json"
     run(
@@ -167,6 +173,28 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
     assert code == 2
     assert out == ""
     assert "malformed certificate" in err
+
+
+@pytest.mark.parametrize("alpha", [["1", "1"], ["1"], None],
+                         ids=["outside-the-kernel", "wrong-length", "missing"])
+def test_bad_weight_functional_fails_replay(capsys, tmp_path, alpha):
+    path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        ["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*f1",
+         "--certificate-out", str(path)],
+    )
+    assert code == 1
+    record = json.loads(path.read_text())
+    assert record["certificate"]["verdict"] == "not-weight-zero"
+    if alpha is None:
+        del record["certificate"]["alpha"]
+    else:
+        record["certificate"]["alpha"] = alpha
+    path.write_text(json.dumps(record))
+    code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert code == 1
+    assert payload["replayed"] is False
 
 
 def test_cone_pluecker_rays(capsys):
@@ -196,6 +224,26 @@ def test_cone_cache_hits(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert first == second
     assert list(tmp_path.glob("cone-*.json")) == cached
+
+
+def test_cone_cache_is_keyed_on_the_package_version(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
+    argv = ["cone", "--type", "A1", "--frozen", "1", "--format", "json"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "__version__", "0.0.0")
+        code, _ = run_json(capsys, argv)
+    assert code == 0
+    [stale] = tmp_path.iterdir()
+    record = json.loads(stale.read_text())
+    record["count"] = -1
+    stale.write_text(json.dumps(record))
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["count"] != -1
+    # one finished file per version, no temporary file left behind
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert len(files) == 2
+    assert all(name.startswith("cone-") and name.endswith(".json") for name in files)
 
 
 def test_cone_on_seed_file(capsys, tmp_path, gr26_seed_path):

@@ -608,6 +608,18 @@ def test_gr38_appendix_tables(gr38):
         assert assignment[key] == assignment2[key]
 
 
+def test_ray_table_search_refuses_to_truncate(gr37):
+    cone = gr37.pluecker_cone()
+    # the row holds whichever of the two variables of content 0111111 the
+    # exponent-zero name takes, so two assignments survive it
+    rows = [({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1,
+              "q[234|567]": 0}, ["v[124]"])]
+    with pytest.raises(RatioTableError, match=r"table row 1: more than cap=1 "):
+        check_ray_table(gr37, rows, cone, cap=1)
+    assignment, ray_rows = check_ray_table(gr37, rows, cone, cap=2)
+    assert list(assignment) == ["234|567"] and len(ray_rows) == 1
+
+
 def test_ray_table_parse_and_check_errors(gr36):
     with pytest.raises(ValueError, match="before any"):
         load_ray_table("p[12]/p[13] : v[12]")
