@@ -469,7 +469,12 @@ def cmd_cone(args) -> int:
         cache_path = os.path.join(cache_dir, f"cone-{digest}.json")
         if os.path.exists(cache_path):
             with open(cache_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+                try:
+                    payload = json.load(fh)
+                except ValueError:  # not UTF-8 or not JSON
+                    pass
+            if not isinstance(payload, dict):  # a miss: recompute, rewrite
+                payload = None
     if payload is None:
         payload = _cone_payload(ctx, subset_name)
         if cache_path:

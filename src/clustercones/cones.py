@@ -15,7 +15,9 @@ from math import gcd
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
-from .linalg import ExactSolver, det_bareiss, hermite_column_reduce, rank
+from .linalg import ExactSolver, det_bareiss, hermite_column_reduce
+# unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
+from .linalg import rank  # noqa: F401
 from .seeds import _FRACTIONS, _laurent_ring, _monomial, _Ring, _split
 from .uvars import (
     UVariable,
@@ -84,12 +86,20 @@ class UMatrix:
             out[self.row_index[id]] = e
         return out
 
-    def combine(self, lam: Sequence[Fraction]) -> list[Fraction]:
-        """Row-order exponent vector of the u-monomial with powers lam."""
-        return [
-            sum((l * c for l, c in zip(lam, row) if c), Fraction(0))
-            for row in self.rows
-        ]
+    def combine(self, lam: Sequence[int | Fraction]) -> list[int | Fraction]:
+        """Row-order exponent vector of the u-monomial with powers lam.
+
+        Only the u-variables with a nonzero power contribute, each through
+        its own sparse exponent vector. The entries are Fractions if lam
+        holds one, integers otherwise.
+        """
+        zero = Fraction(0) if any(isinstance(l, Fraction) for l in lam) else 0
+        out = [zero] * len(self.row_ids)
+        for l, u in zip(lam, self.uvars):
+            if l:
+                for id, c in u.vector.items():
+                    out[self.row_index[id]] += l * c
+        return out
 
 
 def build_u_matrix(belt: BipartiteBelt, uvars: list[UVariable] | None = None) -> UMatrix:
@@ -201,8 +211,7 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
         return w.of_vector(vector) == cert.weight != 0
     if cert.lam is None or len(cert.lam) != U.num_cols:
         return False
-    combined = U.combine(cert.lam)
-    if combined != [Fraction(e) for e in U.dense(vector)]:
+    if U.combine(cert.lam) != U.dense(vector):
         return False
     if cert.verdict == "bounded":
         return all(l >= 0 for l in cert.lam)
@@ -226,108 +235,93 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
 # double description over exact integers
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b) if x and y)
-
-
-def _primitive(ray: list[int]) -> tuple[int, ...]:
-    g = 0
-    for x in ray:
-        g = gcd(g, x)
-    return tuple(x // g for x in ray) if g > 1 else tuple(ray)
-
-
 def double_description(
-    equalities: Sequence[Sequence[int]],
-    dim: int,
-    adjacency: str = "combinatorial",
+    equalities: Sequence[Sequence[int]], dim: int
 ) -> list[tuple[int, ...]]:
     """Extreme rays of {x >= 0, Ex = 0} as primitive integer tuples.
 
-    Equalities are inserted one at a time into the positive orthant.
-    Adjacency of a positive and a negative ray is decided on coordinate
-    zero sets, either combinatorially (no third ray's zero set contains
-    the common one) or by an exact rank test; both are valid because the
-    cone stays pointed inside the orthant. Output sorted lexicographically.
+    Equalities are inserted one at a time into the positive orthant. Each
+    row is read as its (column, coefficient) pairs, so a ray's dot product
+    touches only the row's nonzero columns. Every ray carries its support
+    as a bit mask and as a tuple of indices. A new ray is
+    s_p * r_n - s_n * r_p with s_p > 0 > s_n and r_p, r_n >= 0, so nothing
+    cancels and its support is exactly S = S_p | S_n.
+
+    A positive ray p and a negative ray n are adjacent iff no third current
+    ray has its support inside S (its zero set containing their common
+    one). Adjacent rays span a 2-face, whose tight constraints have rank
+    dim - 2; each row processed so far gives at most one of it, so a pair
+    with |S| > processed + 2 is skipped at once. Otherwise a
+    blocker is sought only among the rays that meet both S_p - S_n and
+    S_n - S_p, read off per-coordinate bitsets of ray indices (nz below).
+    That loses no blocker. The current rays are the distinct primitive
+    extreme rays of a pointed cone, and a point of the cone whose zero set
+    contains an extreme ray's zero set is a multiple of that ray, so the
+    rays' zero sets are pairwise incomparable. A ray with support inside S
+    that misses S_p - S_n therefore lies inside S_n and is n itself, and
+    likewise for p. Nor are p and n candidates: p misses S_n - S_p and n
+    misses S_p - S_n. Output sorted lexicographically.
     """
-    if adjacency not in ("combinatorial", "rank"):
-        raise ValueError("adjacency must be 'combinatorial' or 'rank'")
-    rays: list[tuple[int, ...]] = []
-    for i in range(dim):
-        unit = [0] * dim
-        unit[i] = 1
-        rays.append(tuple(unit))
-    processed: list[Sequence[int]] = []
-    for row in equalities:
+    rays = [(tuple(int(i == j) for j in range(dim)), 1 << i, (i,))
+            for i in range(dim)]
+    for processed, row in enumerate(equalities):
         if len(row) != dim:
             raise ValueError("equality row has wrong length")
-        pos: list[tuple[tuple[int, ...], int]] = []
-        neg: list[tuple[tuple[int, ...], int]] = []
-        keep: list[tuple[int, ...]] = []
-        for r in rays:
-            s = _dot(row, r)
+        terms = [(c, a) for c, a in enumerate(row) if a]
+        row_mask = sum(1 << c for c, _ in terms)
+        pos: list[tuple[int, int]] = []
+        neg: list[tuple[int, int]] = []
+        kept = []
+        for k, ray in enumerate(rays):
+            vec, mask, _ = ray
+            s = sum(a * vec[c] for c, a in terms) if mask & row_mask else 0
             if s > 0:
-                pos.append((r, s))
+                pos.append((k, s))
             elif s < 0:
-                neg.append((r, s))
+                neg.append((k, s))
             else:
-                keep.append(r)
-        if not pos and not neg:
-            processed.append(row)
-            continue
+                kept.append(ray)
         if not pos or not neg:
-            rays = keep
-            processed.append(row)
+            rays = kept
             if not rays:
                 return []
             continue
-        masks = {r: _zero_mask(r) for r in rays}
-        # Adjacent rays lie on a common 2-face, so the rank of their shared
-        # tight constraints is dim - 2; the processed rows contribute at
-        # most len(processed) of that, the rest must be shared zeros.
-        need = dim - 2 - len(processed)
-        new_rays = list(keep)
-        for rp, sp in pos:
-            mp = masks[rp]
-            for rn, sn in neg:
-                t = mp & masks[rn]
-                if t.bit_count() < need:
+        nz = [0] * dim  # nz[i]: bitset of the rays whose support holds i
+        for k, (_, _, support) in enumerate(rays):
+            bit = 1 << k
+            for i in support:
+                nz[i] |= bit
+        new = {vec: (mask, support) for vec, mask, support in kept}
+        for p, sp in pos:
+            vp, mp, sup_p = rays[p]
+            for n, sn in neg:
+                vn, mn, sup_n = rays[n]
+                both = mp | mn
+                if both.bit_count() > processed + 2:
                     continue
-                if adjacency == "combinatorial":
-                    ok = True
-                    for ro in rays:
-                        if ro is rp or ro is rn:
-                            continue
-                        if masks[ro] & t == t:
-                            ok = False
-                            break
-                else:
-                    ok = _rank_adjacent(t, processed, dim)
-                if ok:
-                    comb = [sp * b - sn * a for a, b in zip(rp, rn)]
-                    new_rays.append(_primitive(comb))
-        rays = sorted(set(new_rays))
-        processed.append(row)
-    return sorted(set(rays))
-
-
-def _zero_mask(ray: tuple[int, ...]) -> int:
-    m = 0
-    for i, x in enumerate(ray):
-        if x == 0:
-            m |= 1 << i
-    return m
-
-
-def _rank_adjacent(tight_mask: int, processed: list[Sequence[int]], dim: int) -> bool:
-    """Rays sharing this tight set are adjacent iff it pins a 2-face."""
-    rows: list[list[int]] = [list(r) for r in processed]
-    for i in range(dim):
-        if tight_mask >> i & 1:
-            unit = [0] * dim
-            unit[i] = 1
-            rows.append(unit)
-    return rank(rows) == dim - 2
+                from_p = from_n = 0
+                for i in sup_p:
+                    if not mn >> i & 1:
+                        from_p |= nz[i]
+                for i in sup_n:
+                    if not mp >> i & 1:
+                        from_n |= nz[i]
+                blockers = from_p & from_n
+                while blockers:
+                    low = blockers & -blockers
+                    if rays[low.bit_length() - 1][1] | both == both:
+                        break
+                    blockers ^= low
+                else:  # no blocker: p and n are adjacent
+                    support = tuple(sorted(set(sup_p).union(sup_n)))
+                    vals = [sp * vn[i] - sn * vp[i] for i in support]
+                    g = gcd(*vals)
+                    vec = [0] * dim
+                    for i, v in zip(support, vals):
+                        vec[i] = v // g
+                    new[tuple(vec)] = (both, support)
+        rays = [(vec, mask, support) for vec, (mask, support) in new.items()]
+    return sorted(vec for vec, _, _ in rays)
 
 
 # cones of bounded ratios supported on a subset of variables
@@ -375,7 +369,7 @@ class ConeDescription:
         }
 
 
-def subset_cone(subset, U: UMatrix, adjacency: str = "combinatorial") -> ConeDescription:
+def subset_cone(subset, U: UMatrix) -> ConeDescription:
     """Extreme rays of bounded ratios using only the subset's variables.
 
     Inside u-exponent space the constraint is linear: the combined ratio
@@ -387,16 +381,10 @@ def subset_cone(subset, U: UMatrix, adjacency: str = "combinatorial") -> ConeDes
     eq_rows = [row for id, row in zip(U.row_ids, U.rows) if id not in subset]
     # sparse rows first keeps the intermediate ray counts small
     eq_rows.sort(key=lambda row: (sum(1 for x in row if x), row))
-    lam_rays = double_description(eq_rows, U.num_cols, adjacency)
     rays = []
-    for ell in lam_rays:
-        dense = [
-            sum(l * c for l, c in zip(ell, row) if l and c)
-            for row in U.rows
-        ]
-        g = 0
-        for x in dense:
-            g = gcd(g, x)
+    for ell in double_description(eq_rows, U.num_cols):
+        dense = U.combine(ell)
+        g = gcd(*dense)
         if g == 0:
             continue
         vector: dict[int, int] = {}

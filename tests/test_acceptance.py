@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import GR26_SEED, GR37_ORBIT_TABLE
-from test_cones import brute_force_rays
+from test_cones import brute_force_rays, rank_test_rays
 from test_grassmannian import (
     GR36_EXCERPT_COLUMNS,
     GR36_EXCERPT_ROWS,
@@ -423,8 +423,8 @@ def test_criterion_11():
                 for _ in range(neq)
             ]
             expected = brute_force_rays(eqs, dim)
-            assert double_description(eqs, dim, "combinatorial") == expected
-            assert double_description(eqs, dim, "rank") == expected
+            assert double_description(eqs, dim) == expected
+            assert rank_test_rays(eqs, dim) == expected
 
         # every certificate emitted here replays
         rng = random.Random(59)

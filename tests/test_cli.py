@@ -246,6 +246,24 @@ def test_cone_cache_is_keyed_on_the_package_version(capsys, tmp_path, monkeypatc
     assert all(name.startswith("cone-") and name.endswith(".json") for name in files)
 
 
+@pytest.mark.parametrize("content", [b'{"trunc', b"[1, 2]", b"\xff\xfe"],
+                         ids=["truncated", "not-an-object", "not-utf8"])
+def test_corrupt_cone_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
+                                                content):
+    monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
+    argv = ["cone", "--type", "A1", "--frozen", "1", "--format", "json"]
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    [entry] = tmp_path.iterdir()
+    entry.write_bytes(content)
+    code, second, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert second == first
+    # rewritten whole, with no temporary file left behind
+    assert list(tmp_path.iterdir()) == [entry]
+    assert json.loads(entry.read_text()) == json.loads(first)
+
+
 def test_cone_on_seed_file(capsys, tmp_path, gr26_seed_path):
     code, payload = run_json(capsys, ["cone", "--seed-file", gr26_seed_path])
     assert code == 0

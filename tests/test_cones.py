@@ -21,7 +21,13 @@ from clustercones.cones import (
     verify_certificate,
 )
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
-from clustercones.linalg import det_bareiss, right_kernel_basis, solve
+from clustercones.linalg import (
+    det_bareiss,
+    primitive_vector,
+    rank,
+    right_kernel_basis,
+    solve,
+)
 from clustercones.seeds import load_seed_file
 
 
@@ -163,19 +169,39 @@ def test_gr26_product_chains_verify():
 
 
 def test_double_description_known_cones():
-    for adjacency in ("combinatorial", "rank"):
-        assert double_description([[1, -1]], 2, adjacency) == [(1, 1)]
-        assert double_description([], 3, adjacency) == [
-            (0, 0, 1), (0, 1, 0), (1, 0, 0)]
-        assert double_description([[0, 0, 0]], 3, adjacency) == [
-            (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    for rays_of in (double_description, rank_test_rays):
+        assert rays_of([[1, -1]], 2) == [(1, 1)]
+        assert rays_of([], 3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        assert rays_of([[0, 0, 0]], 3) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
         # x = y = z collapses to the diagonal
-        assert double_description([[1, -1, 0], [0, 1, -1]], 3, adjacency) == [
-            (1, 1, 1)]
-        assert double_description([[1, 1]], 2, adjacency) == []
+        assert rays_of([[1, -1, 0], [0, 1, -1]], 3) == [(1, 1, 1)]
+        assert rays_of([[1, 1]], 2) == []
         # alternating functional pairs each even slot with an odd one
-        assert double_description([[1, -1, 1, -1]], 4, adjacency) == [
+        assert rays_of([[1, -1, 1, -1]], 4) == [
             (0, 0, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)]
+
+
+def rank_test_rays(eqs, dim):
+    """Extreme rays by double description with an exact rank test: a
+    positive and a negative ray are adjacent iff their common tight
+    constraints have rank dim - 2. Oracle for larger dims."""
+    rays = {tuple(int(i == j) for j in range(dim)) for i in range(dim)}
+    processed = []
+    for row in eqs:
+        dots = {r: sum(a * x for a, x in zip(row, r)) for r in rays}
+        new = {r for r in rays if dots[r] == 0}
+        for rp in (r for r in rays if dots[r] > 0):
+            for rn in (r for r in rays if dots[r] < 0):
+                tight = processed + [
+                    [int(i == j) for j in range(dim)]
+                    for i in range(dim) if rp[i] == rn[i] == 0
+                ]
+                if rank(tight) == dim - 2:
+                    comb = [dots[rp] * b - dots[rn] * a for a, b in zip(rp, rn)]
+                    new.add(primitive_vector(comb))
+        rays = new
+        processed.append(list(row))
+    return sorted(rays)
 
 
 def brute_force_rays(eqs, dim):
@@ -215,10 +241,57 @@ def test_double_description_matches_brute_force():
             for _ in range(neq)
         ]
         expected = brute_force_rays(eqs, dim)
-        got_c = double_description(eqs, dim, "combinatorial")
-        got_r = double_description(eqs, dim, "rank")
-        assert got_c == expected, (trial, dim, eqs)
-        assert got_r == expected, (trial, dim, eqs)
+        assert double_description(eqs, dim) == expected, (trial, dim, eqs)
+        assert rank_test_rays(eqs, dim) == expected, (trial, dim, eqs)
+
+
+def test_double_description_matches_rank_oracle_on_sparse_degenerate_rows():
+    # sparse rows, some repeated and some sums of others (a degenerate
+    # arrangement), in dimensions brute force cannot reach
+    rng = random.Random(211)
+    ranks = set()
+    for trial in range(200):
+        dim = rng.randint(10, 20)
+        target = rng.randint(1, dim - 1)
+        eqs = []
+        while rank(eqs) < target:
+            row = [0] * dim
+            for j in rng.sample(range(dim), rng.randint(2, 4)):
+                row[j] = rng.choice((-1, 1, 2))
+            eqs.append(row)
+            if rng.random() < 0.3:
+                eqs.append(list(row))
+            if len(eqs) > 1 and rng.random() < 0.3:
+                a, b = rng.sample(eqs, 2)
+                total = [x + y for x, y in zip(a, b)]
+                if all(x in (-1, 0, 1, 2) for x in total):
+                    eqs.append(total)
+        rng.shuffle(eqs)
+        ranks.add((dim, rank(eqs)))
+        assert double_description(eqs, dim) == rank_test_rays(eqs, dim), (
+            trial, dim, eqs)
+    assert min(r for _, r in ranks) == 1
+    assert any(r == d - 1 for d, r in ranks)
+
+
+@pytest.mark.parametrize("context", ["C2", "D4+3", "gr36"])
+def test_combine_is_the_dense_product(request, context):
+    # D4 needs three frozen variables before U has independent columns
+    if context == "gr36":
+        U = request.getfixturevalue("gr36").U
+    else:
+        name, _, frozen = context.partition("+")
+        U = build_u_matrix(belt_of(name, frozen=int(frozen or 0)))
+    rng = random.Random(67)
+    for trial in range(40):
+        lam = [rng.choice((0, 0, 1, -2, 3)) for _ in range(U.num_cols)]
+        if trial % 2:
+            lam = [Fraction(l, rng.randint(1, 6)) for l in lam]
+        dense = [sum((l * c for l, c in zip(lam, row)), lam[0] * 0)
+                 for row in U.rows]
+        got = U.combine(lam)
+        assert got == dense
+        assert [type(x) for x in got] == [type(x) for x in dense]
 
 
 def test_subset_cone_of_everything_returns_u_columns():
