@@ -473,8 +473,8 @@ def cmd_cone(args) -> int:
                     payload = json.load(fh)
                 except ValueError:  # not UTF-8 or not JSON
                     pass
-            if not isinstance(payload, dict):  # a miss: recompute, rewrite
-                payload = None
+            if not _is_cone_payload(payload, ctx.label, subset_name):
+                payload = None  # a miss: recompute, rewrite
     if payload is None:
         payload = _cone_payload(ctx, subset_name)
         if cache_path:
@@ -487,6 +487,28 @@ def cmd_cone(args) -> int:
             os.replace(partial, cache_path)
     _emit(args, payload, _text_cone)
     return 0
+
+
+def _is_cone_payload(payload, label: str, subset_name: str) -> bool:
+    """Whether a cached entry is the cone payload of this context and
+    subset, with every key _text_cone reads."""
+    if not (
+        isinstance(payload, dict)
+        and payload.get("command") == "cone"
+        and payload.get("context") == label
+        and payload.get("subset_name") == subset_name
+        and isinstance(payload.get("count"), int)
+        and isinstance(payload.get("subset"), list)
+        and isinstance(payload.get("rays"), list)
+        and isinstance(payload.get("orbits", []), list)
+    ):
+        return False
+    return all(
+        isinstance(ray, dict)
+        and isinstance(ray.get("expression"), str)
+        and isinstance(ray.get("lambda"), dict)
+        for ray in payload["rays"]
+    ) and all(isinstance(orbit, list) for orbit in payload.get("orbits", []))
 
 
 def _text_cone(payload):
@@ -656,6 +678,10 @@ def _text_suite_u_equations(payload):
 
 def _suite_gr48(args) -> int:
     points = args.samples if args.samples is not None else 1000
+    if points < 1:
+        raise UsageError(f"--samples must be at least 1, got {points}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     seed = args.sample_seed if args.sample_seed is not None else 97
     report = verify_gr48_table(points=points, seed=seed, jobs=args.jobs)
     payload = {"command": "verify", "suite": "gr48", "seed": seed}

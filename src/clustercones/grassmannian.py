@@ -1089,8 +1089,10 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     Every image under the 32 rotation/reflection/complement symmetries is
     evaluated at `points` exact Vandermonde points. The report carries the
     exact maximum value seen, which stays strictly below 1 when the table
-    is right.
+    is right. Raises ValueError for fewer than one point.
     """
+    if points < 1:
+        raise ValueError(f"need at least one sample point, got {points}")
     ratios = load_gr48_ratios()
     weight_zero = True
     images = _gr48_images(ratios)

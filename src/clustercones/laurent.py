@@ -9,6 +9,10 @@ value; the belt computations this module serves never get near that, and
 the bound is checked on construction and on the operands of every
 product (a product of in-range operands still fits its 16-bit fields, so
 out-of-range exponents raise OverflowError instead of wrapping).
+The componentwise min/max exponents (the corners that bound exact
+division) are read in one unpacking pass: every key goes to bytes, a
+cached struct splits it into its biased fields, and min or max runs over
+the columns at C level.
 
 Coefficients are arbitrary-precision ints. There is no coefficient field:
 division is exact division over the integer Laurent ring, and refuses
@@ -19,8 +23,10 @@ from __future__ import annotations
 
 import heapq
 import re
+import struct
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from operator import le
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "LaurentPolynomial",
@@ -34,6 +40,7 @@ EXP_LIMIT = 1 << 13
 
 _zero_key_cache: dict[int, int] = {}
 _range_cache: dict[int, tuple[int, int]] = {}
+_fields_cache: dict[int, Callable] = {}
 
 
 def _zero_key(nvars: int) -> int:
@@ -62,6 +69,15 @@ def _range_check(nvars: int) -> tuple[int, int]:
             mask = (mask << FIELD_BITS) | (FIELD_MASK & -(2 * EXP_LIMIT))
         got = _range_cache[nvars] = (low, mask)
     return got
+
+
+def _fields(nvars: int) -> Callable:
+    """Unpacker of a packed key's to_bytes(2 * nvars, "big") into its
+    nvars biased 16-bit fields, most significant first."""
+    unpack = _fields_cache.get(nvars)
+    if unpack is None:
+        unpack = _fields_cache[nvars] = struct.Struct(f">{nvars}H").unpack
+    return unpack
 
 
 def pack_exponents(exps: Sequence[int]) -> int:
@@ -192,16 +208,14 @@ class LaurentPolynomial:
         return self._corner(max)
 
     def _corner(self, pick) -> tuple[int, ...]:
+        # Biased fields are unsigned and in range, so their order is the
+        # exponents' order: pick over the raw fields, unbias once.
         n = self.nvars
         if not self._terms:
             return (0,) * n
-        it = iter(self._terms)
-        best = list(unpack_exponents(next(it), n))
-        for key in it:
-            exps = unpack_exponents(key, n)
-            for i in range(n):
-                best[i] = pick(best[i], exps[i])
-        return tuple(best)
+        unpack, size = _fields(n), 2 * n
+        fields = [unpack(key.to_bytes(size, "big")) for key in self._terms]
+        return tuple(c - BIAS for c in map(pick, zip(*fields)))
 
     def has_nonnegative_coefficients(self) -> bool:
         return all(c > 0 for c in self._terms.values())
@@ -353,7 +367,7 @@ class LaurentPolynomial:
                 continue
             qkey = k - bkey + base
             qexps = unpack_exponents(qkey, n)
-            if any(not (qmin[i] <= qexps[i] <= qmax[i]) for i in range(n)):
+            if not (all(map(le, qmin, qexps)) and all(map(le, qexps, qmax))):
                 raise NotDivisible("leading term outside quotient box")
             qc, r = divmod(rem[k], bc)
             if r:

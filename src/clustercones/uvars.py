@@ -247,25 +247,41 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
 
     Works on any belt in symbolic mode, full rank or not: the identity is
     between explicit Laurent polynomials. Returns {gamma id: bool}.
+
+    Each u-variable is a monomial x^v in the registry variables (v is
+    UVariable.vector, frozen ids included), so the product term is x^w
+    with w = sum over omega != gamma of (omega||gamma) * v_omega, summed
+    as exponent vectors before any polynomial is formed. With D = max(0, -v, -w) componentwise, the
+    three vectors D + v, D + w and D are nonnegative, and
+
+        x^v + x^w = 1  iff  x^(D+v) + x^(D+w) = x^D,
+
+    since x^D is a nonzero polynomial: both sides are the same rational
+    identity multiplied through by it, so the check stays exact and
+    complete. D is the reduced common denominator: the max with 0 leaves
+    out every factor present in all three of x^(D+v), x^(D+w) and x^D
+    (one of the three has exponent 0 at each id), so no product is
+    larger than it must be.
     """
     if uvars is None:
         uvars = build_u_variables(belt)
     ring = _laurent_ring(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
-    nums, dens = {}, {}
-    for u in uvars:
-        pos, neg = _split(u.vector.items())
-        nums[u.gamma] = _monomial(ring, polys, pos)
-        dens[u.gamma] = _monomial(ring, polys, neg)
+    vectors = {u.gamma: u.vector for u in uvars}
     results: dict[int, bool] = {}
     for gamma in belt.mutable_ids:
-        a, b = nums[gamma], dens[gamma]
-        powers = [
-            (omega, e)
-            for omega in belt.mutable_ids
-            if omega != gamma and (e := belt.compatibility_degree(omega, gamma))
-        ]
-        c = _monomial(ring, nums, powers)
-        d = _monomial(ring, dens, powers)
-        results[gamma] = (a * d + c * b) == (b * d)
+        v = vectors[gamma]
+        w: dict[int, int] = {}
+        for omega in belt.mutable_ids:
+            if omega != gamma and (e := belt.compatibility_degree(omega, gamma)):
+                for id, b in vectors[omega].items():
+                    w[id] = w.get(id, 0) + e * b
+        ids = sorted(v.keys() | w.keys())
+        d = {id: -min(0, v.get(id, 0), w.get(id, 0)) for id in ids}
+
+        def power(shift):
+            return _monomial(ring, polys, [
+                (id, b) for id in ids if (b := d[id] + shift.get(id, 0))])
+
+        results[gamma] = power(v) + power(w) == power({})
     return results

@@ -246,8 +246,9 @@ def test_cone_cache_is_keyed_on_the_package_version(capsys, tmp_path, monkeypatc
     assert all(name.startswith("cone-") and name.endswith(".json") for name in files)
 
 
-@pytest.mark.parametrize("content", [b'{"trunc', b"[1, 2]", b"\xff\xfe"],
-                         ids=["truncated", "not-an-object", "not-utf8"])
+@pytest.mark.parametrize("content", [b'{"trunc', b"[1, 2]", b"\xff\xfe", b"{}"],
+                         ids=["truncated", "not-an-object", "not-utf8",
+                              "not-a-cone-payload"])
 def test_corrupt_cone_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
                                                 content):
     monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
@@ -332,6 +333,17 @@ def test_verify_gr48_suite(capsys):
     assert payload["ok"] is True
     assert payload["images"] == 316
     assert payload["strictly_below_one"] is True
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--samples", "0"), ("--samples", "-5"), ("--jobs", "0"), ("--jobs", "-3"),
+])
+def test_verify_gr48_refuses_nonpositive_counts(capsys, flag, value):
+    # zero points used to pass with "points": 0 and nothing checked
+    argv = ["verify", "--suite", "gr48", "--samples", "1", flag, value]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"{flag} must be at least 1" in err
 
 
 def test_verify_appendix_suite(capsys):

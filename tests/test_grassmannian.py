@@ -688,6 +688,13 @@ def test_gr48_symmetry_closure():
     assert len(images) == 316
 
 
+@pytest.mark.parametrize("points", [0, -5])
+def test_gr48_verification_needs_a_point(points):
+    # zero points used to report strictly_below_one and ok on nothing
+    with pytest.raises(ValueError, match="at least one sample point"):
+        verify_gr48_table(points=points)
+
+
 def test_gr48_verification_run():
     report = verify_gr48_table(points=40, seed=311)
     assert report.num_ratios == 19

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from clustercones.laurent import LaurentPolynomial, NotDivisible
+from clustercones.laurent import EXP_LIMIT, LaurentPolynomial, NotDivisible
 
 
 def P(nvars, text):
@@ -113,6 +113,43 @@ def test_min_max_exponents():
     assert p.min_exponents() == (-2, -1)
     assert p.max_exponents() == (3, 1)
     assert LaurentPolynomial.zero(2).min_exponents() == (0, 0)
+
+
+def test_min_max_exponents_match_a_per_term_loop():
+    rng = random.Random(31)
+    span = EXP_LIMIT - 1
+    for trial in range(300):
+        nvars = rng.randint(1, 14)
+        nterms = trial if trial < 2 else rng.choice((1, 2, 5, 20))
+        items = [
+            ([rng.choice((-span, span, 0, rng.randint(-span, span)))
+              for _ in range(nvars)], rng.choice((-3, 1, 2)))
+            for _ in range(nterms)
+        ]
+        p = LaurentPolynomial.from_terms(nvars, items)
+        exps = [e for e, _ in p.terms()]
+        if not exps:
+            assert p.min_exponents() == p.max_exponents() == (0,) * nvars
+            continue
+        lo, hi = list(exps[0]), list(exps[0])
+        for e in exps[1:]:
+            for i in range(nvars):
+                lo[i] = min(lo[i], e[i])
+                hi[i] = max(hi[i], e[i])
+        assert p.min_exponents() == tuple(lo)
+        assert p.max_exponents() == tuple(hi)
+
+
+def test_divide_exact_box_refusals():
+    # the dividend spans no x1 degree but the divisor spans one: no
+    # quotient fits, whatever the coefficients
+    with pytest.raises(NotDivisible, match="exponent box is empty"):
+        P(2, "1 + x2").divide_exact(P(2, "1 + x1"))
+    # (x1^2 + 1) / (x1 + 1): the quotient box in x1 is [0, 1], and long
+    # division reaches the remainder 2, whose quotient term x1^-1 lies
+    # outside it
+    with pytest.raises(NotDivisible, match="leading term outside quotient box"):
+        P(1, "x1^2 + 1").divide_exact(P(1, "x1 + 1"))
 
 
 def test_serialize_forms():

@@ -9,14 +9,40 @@ from conftest import GR26_SEED
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.laurent import LaurentPolynomial
 from clustercones.linalg import rank
-from clustercones.seeds import load_seed_file
+from clustercones.seeds import _laurent_ring, _monomial, _split, load_seed_file
 from clustercones.uvars import (
+    UVariable,
     build_u_variables,
     degeneration_ray,
     kernel_functionals,
     verify_u_equations,
     weight_table,
 )
+
+
+def cross_multiplied_u_equations(belt, uvars):
+    """Reference check: u_gamma = a/b and the product term c/d, with c and
+    d the products of the numerators and denominators raised to (w||gamma),
+    checked as a*d + c*b == b*d."""
+    ring = _laurent_ring(belt.exchange.size)
+    polys = [belt.poly(e.id) for e in belt.entries]
+    nums, dens = {}, {}
+    for u in uvars:
+        pos, neg = _split(u.vector.items())
+        nums[u.gamma] = _monomial(ring, polys, pos)
+        dens[u.gamma] = _monomial(ring, polys, neg)
+    results = {}
+    for gamma in belt.mutable_ids:
+        a, b = nums[gamma], dens[gamma]
+        powers = [
+            (omega, e)
+            for omega in belt.mutable_ids
+            if omega != gamma and (e := belt.compatibility_degree(omega, gamma))
+        ]
+        c = _monomial(ring, nums, powers)
+        d = _monomial(ring, dens, powers)
+        results[gamma] = (a * d + c * b) == (b * d)
+    return results
 
 
 def belt_of(name, frozen=0, symbolic=None):
@@ -210,3 +236,37 @@ def test_exchange_gap_is_the_incoming_frozen_product():
         saw_frozen += bool(u.frozen_in)
         assert belt.poly(u.gamma) * belt.poly(u.partner) - outp == inp
     assert saw_frozen > 0
+
+
+def test_u_equations_hold_on_larger_types():
+    for name in ("A5", "B3", "C3", "D5", "F4"):
+        belt = belt_of(name)
+        results = verify_u_equations(belt)
+        assert len(results) == len(belt.mutable_ids)
+        assert all(results.values()), f"u-equation failed on {name}"
+
+
+def test_u_equations_match_cross_multiplied_form_on_tampered_vectors():
+    rng = random.Random(5)
+    contexts = [("A2", 0), ("A3", 0), ("C2", 0), ("G2", 0), ("A1", 1),
+                ("A3", 3), ("B3", 0)]
+    belts = {c: belt_of(*c) for c in contexts}
+    uvars = {c: build_u_variables(belt) for c, belt in belts.items()}
+    false_verdicts = frozen_moves = 0
+    for _ in range(105):
+        context = rng.choice(contexts)
+        belt = belts[context]
+        tampered = list(uvars[context])
+        pos = rng.randrange(len(tampered))
+        u = tampered[pos]
+        id = rng.randrange(len(belt.entries))
+        vector = dict(u.vector)
+        vector[id] = vector.get(id, 0) + rng.choice((-1, 1))
+        frozen_moves += belt.entries[id].frozen
+        tampered[pos] = UVariable(u.gamma, u.partner, u.step, u.node,
+                                  u.numerator, u.frozen_in, vector)
+        got = verify_u_equations(belt, tampered)
+        assert got == cross_multiplied_u_equations(belt, tampered), context
+        assert not got[u.gamma]
+        false_verdicts += sum(not ok for ok in got.values())
+    assert false_verdicts > 105 and frozen_moves > 0
