@@ -2,10 +2,21 @@
 
 The u-variables span the cone of Laurent monomials in cluster variables
 that stay bounded on the positive locus. This module assembles their
-exponent matrix, decides membership with replayable certificates,
+exponent matrix U, decides membership with replayable certificates,
 enumerates extreme rays of restricted cones by exact double description,
 hunts for unimodular row minors (which force integer factorizations),
 and checks subtraction-freeness of bounded ratios.
+
+Every verdict rests on the dual basis G of the u-variables: one row of
+valuations per u-variable, from one min-plus walk along its degeneration
+ray, with G U = diag(c) and c > 0 (the extreme-ray theorem, per context).
+A ratio's u-exponents are lam = G v / c, confirmed by the exact residual
+U lam = v. Nonnegative lam proves the ratio bounded; a negative entry
+lam_gamma means the ratio has valuation c_gamma lam_gamma < 0 along
+gamma's ray, so it grows like t^val as t -> 0, which the replay confirms
+with one min-plus walk. A bounded ratio with integral lam is a product of
+u-variables, and a structural check of each factor against its exchange
+relation proves the telescoping identity behind subtraction-freeness.
 """
 
 from __future__ import annotations
@@ -15,17 +26,18 @@ from math import gcd
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
-from .linalg import ExactSolver, det_bareiss, hermite_column_reduce
+from .linalg import det_bareiss, hermite_column_reduce
 # unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
 from .linalg import rank  # noqa: F401
-from .seeds import _FRACTIONS, _laurent_ring, _monomial, _Ring, _split
+from .seeds import _laurent_ring, _monomial, _split
 from .uvars import (
+    DegenerationRay,
     UVariable,
     WeightFunctional,
+    _u_variable_at,
     build_u_variables,
     degeneration_ray,
     kernel_functionals,
-    ratio_value,
     weight_table,
 )
 
@@ -57,6 +69,10 @@ class UMatrix:
     column per u-variable, columns ordered by the registry id of their
     defining variable. Columns are independent exactly when the extended
     exchange matrix has full rank, which build_u_matrix enforces.
+
+    Column j's u-variable has a degeneration ray rays[j]; dual[j] holds
+    the nonzero valuations of the registry variables along it (the row
+    g_j of G, by registry id) and scales[j] = g_j . u_j = c_j > 0.
     """
 
     def __init__(self, belt: BipartiteBelt, uvars: list[UVariable],
@@ -69,7 +85,13 @@ class UMatrix:
             [u.vector.get(id, 0) for u in uvars] for id in self.row_ids
         ]
         self.functionals = functionals
-        self.solver = ExactSolver(self.rows)
+        self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
+        self.dual = [
+            {id: v for id, v in belt.valuation_walk(ray.beta, ray.step).items()
+             if v}
+            for ray in self.rays
+        ]
+        self.scales = [_pair(g, u.vector) for g, u in zip(self.dual, uvars)]
 
     @property
     def num_rows(self) -> int:
@@ -86,6 +108,14 @@ class UMatrix:
             out[self.row_index[id]] = e
         return out
 
+    def solve(self, vector: dict[int, int]) -> list[Fraction] | None:
+        """The u-exponents lam with U lam = vector, or None when vector is
+        outside the u-span: lam = G vector / c, kept only if the exact
+        residual U lam == vector holds."""
+        lam = [Fraction(_pair(g, vector), c)
+               for g, c in zip(self.dual, self.scales)]
+        return lam if self.combine(lam) == self.dense(vector) else None
+
     def combine(self, lam: Sequence[int | Fraction]) -> list[int | Fraction]:
         """Row-order exponent vector of the u-monomial with powers lam.
 
@@ -100,6 +130,11 @@ class UMatrix:
                 for id, c in u.vector.items():
                     out[self.row_index[id]] += l * c
         return out
+
+
+def _pair(valuations: dict[int, int], vector: dict[int, int]) -> int:
+    """Valuation of the ratio vector given its variables' valuations."""
+    return sum(e * valuations.get(id, 0) for id, e in vector.items())
 
 
 def build_u_matrix(belt: BipartiteBelt, uvars: list[UVariable] | None = None) -> UMatrix:
@@ -118,22 +153,20 @@ class Certificate:
 
     verdict is one of "bounded", "unbounded", "not-weight-zero". Bounded
     carries the u-exponents lam; unbounded carries lam plus a degeneration
-    ray along which the input ratio grows without bound; not-weight-zero
+    ray with the ratio's negative valuation along it; not-weight-zero
     carries the violating torus functional.
     """
 
-    __slots__ = ("vector", "verdict", "lam", "alpha", "weight", "ray",
-                 "input_values")
+    __slots__ = ("vector", "verdict", "lam", "alpha", "weight", "ray")
 
     def __init__(self, vector, verdict, lam=None, alpha=None, weight=None,
-                 ray=None, input_values=None):
+                 ray=None):
         self.vector = vector
         self.verdict = verdict
         self.lam = lam
         self.alpha = alpha
         self.weight = weight
         self.ray = ray
-        self.input_values = input_values
 
     @property
     def bounded(self) -> bool:
@@ -163,7 +196,6 @@ class Certificate:
             out["weight"] = str(self.weight)
         if self.ray is not None:
             out["ray"] = self.ray.to_dict(belt)
-            out["input_values"] = [str(v) for v in self.input_values]
         return out
 
 
@@ -173,15 +205,16 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
     Weight-zero failure short-circuits with the violating functional.
     Otherwise the unique u-exponent solution lam exists (the weight
     functionals span the left kernel of U); nonnegative lam certifies
-    boundedness, a negative entry yields a degeneration ray sending that
-    u-variable to zero while the input ratio blows up.
+    boundedness. A negative entry lam_gamma (the least, first on ties)
+    yields gamma's degeneration ray, along which the ratio has valuation
+    c_gamma * lam_gamma < 0 and so blows up.
     """
     for w in U.functionals:
         val = w.of_vector(vector)
         if val != 0:
             return Certificate(vector, "not-weight-zero",
                                alpha=w.alpha, weight=val)
-    lam = U.solver.solve(U.dense(vector))
+    lam = U.solve(vector)
     if lam is None:
         raise RuntimeError(
             "ratio has weight zero but is outside the u-span; "
@@ -190,17 +223,27 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
     if all(l >= 0 for l in lam):
         return Certificate(vector, "bounded", lam=lam)
     j = min(range(len(lam)), key=lambda i: lam[i])
-    gamma = U.uvars[j].gamma
-    ray = degeneration_ray(U.belt, U.uvars, gamma)
-    input_values = [ratio_value(vector, values) for values in ray.walks]
-    return Certificate(vector, "unbounded", lam=lam, ray=ray,
-                       input_values=input_values)
+    ray = U.rays[j]
+    return Certificate(vector, "unbounded", lam=lam, ray=DegenerationRay(
+        ray.gamma, ray.step, ray.beta, _pair(U.dual[j], vector)))
 
 
 def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
-    """Replay a certificate's evidence without re-deciding membership."""
+    """Replay a certificate's evidence without re-deciding membership.
+
+    Fields read from a file are taken as they stand: a ratio exponent,
+    step, beta entry or valuation that is not an integer, a beta of the
+    wrong length, or a missing ray fails the replay instead of raising.
+    The unbounded proof is one min-plus walk along the ray: the ratio's
+    valuation there must be the certificate's, and negative, so the ratio
+    is C * t^val (1 + o(1)) with C > 0 and grows without bound as t -> 0.
+    Any integer beta and step give a positive curve, so nothing else about
+    the ray needs checking.
+    """
     belt = U.belt
     vector = cert.vector
+    if not all(type(e) is int for e in vector.values()):
+        return False
     if cert.verdict == "not-weight-zero":
         if cert.alpha is None:
             return False
@@ -215,21 +258,20 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
         return False
     if cert.verdict == "bounded":
         return all(l >= 0 for l in cert.lam)
-    if cert.verdict != "unbounded":
-        return False
-    if all(l >= 0 for l in cert.lam) or cert.ray is None:
+    if cert.verdict != "unbounded" or all(l >= 0 for l in cert.lam):
         return False
     ray = cert.ray
-    vals = cert.input_values
-    if len(vals) != len(ray.ts):
+    if not (
+        ray is not None
+        and type(ray.step) is int
+        and type(ray.valuation) is int
+        and isinstance(ray.beta, (list, tuple))
+        and len(ray.beta) == belt.exchange.size
+        and all(type(b) is int for b in ray.beta)
+    ):
         return False
-    for t, expected in zip(ray.ts, vals):
-        point = [t**b for b in ray.beta]
-        values = belt.value_walk(point, start_step=ray.step)
-        if ratio_value(vector, values) != expected:
-            return False
-    growing = all(a < b for a, b in zip(vals, vals[1:]))
-    return growing and vals[-1] > 64 * vals[0] and ray.gamma_tends_to_zero()
+    valuations = belt.valuation_walk(ray.beta, ray.step)
+    return _pair(valuations, vector) == ray.valuation < 0
 
 
 # double description over exact integers
@@ -539,22 +581,25 @@ class SubtractionFreeReport:
 def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeReport:
     """Explain why a bounded ratio is at most 1, or find a sign obstruction.
 
-    Integral lam: flatten the u-monomial into single u-factors and verify
-    the telescoping identity Q - P = sum_i q_1..q_{i-1} (q_i - p_i)
-    p_{i+1}..p_r, whose middle factors are incoming-frozen products. Every
-    term is then a product of cluster variables and frozen variables, so
-    the gap is subtraction-free in cluster variables. Non-integral lam:
-    expand the gap in the initial cluster and report signed terms.
+    Integral lam: flatten the u-monomial into single u-factors and check
+    each against its exchange relation (_verify_chain), which makes the
+    telescoping identity Q - P = sum_i q_1..q_{i-1} (q_i - p_i)
+    p_{i+1}..p_r hold, with incoming-frozen products as middle factors.
+    Every term is then a product of cluster variables and frozen
+    variables, so the gap is subtraction-free in cluster variables.
+    Non-integral lam: expand the gap in the initial cluster and report
+    signed terms.
     """
     if not cert.bounded:
         raise ValueError("subtraction-freeness is only defined for bounded ratios")
     belt = U.belt
     if cert.integral:
-        chain: list[int] = []
+        factors: list[UVariable] = []
         for u, l in zip(U.uvars, cert.lam):
-            chain.extend([u.gamma] * int(l))
-        verified = _verify_chain(chain, U)
-        return SubtractionFreeReport("chain", chain=chain, verified=verified)
+            factors.extend([u] * int(l))
+        return SubtractionFreeReport(
+            "chain", chain=[u.gamma for u in factors],
+            verified=_verify_chain(belt, factors))
     denoms = 1
     for l in cert.lam:
         denoms = denoms * l.denominator // gcd(denoms, l.denominator)
@@ -580,44 +625,25 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
     )
 
 
-def _verify_chain(chain: list[int], U: UMatrix) -> bool:
+def _verify_chain(belt: BipartiteBelt, factors: list[UVariable]) -> bool:
     """Check the telescoping decomposition behind a chain proof.
 
-    Symbolic belts get an exact polynomial identity check. Tropical belts
-    are checked numerically at three fixed positive points, which together
-    with the belt's own exchange verification pins the identity.
+    Each u-factor u = p / (gamma * partner) must be exactly the ratio read
+    off its node of its belt step, and that node a source there: gamma
+    and partner are the variables at (step, node) and (step + 1, node),
+    and numerator and frozen_in are the out/in split of the node's matrix
+    row, the in-part frozen. The belt produced partner by the exchange
+    relation at exactly that row, so q = gamma * partner = p + f with f
+    the frozen in-product. Then Q - P = prod q_i - prod p_i telescopes as
+    sum_i q_1..q_{i-1} (q_i - p_i) p_{i+1}..p_r, formally in any
+    commutative ring, and q_i - p_i = f_i: every term is a product of
+    cluster and frozen variables. The check is exact on symbolic and
+    tropical belts alike.
     """
-    belt = U.belt
-    by_gamma = {u.gamma: u for u in U.uvars}
-    factors = [by_gamma[g] for g in chain]
-    size = belt.exchange.size
-    if belt.symbolic:
-        polys = [belt.poly(e.id) for e in belt.entries]
-        return _telescopes(_laurent_ring(size), polys, factors)
-    points = [
-        [Fraction(2 + ((7 * i + s) % 11), 3 + ((5 * i + s) % 7))
-         for i in range(size)]
-        for s in (1, 2, 3)
-    ]
-    return all(
-        _telescopes(_FRACTIONS, belt.value_walk(point), factors)
-        for point in points
-    )
-
-
-def _telescopes(ring: _Ring, values, factors: list[UVariable]) -> bool:
-    """Q == P + sum_i q_1..q_{i-1} f_i p_{i+1}..p_r over a ring, where
-    p_i, q_i, f_i are the out-product, exchange pair and frozen in-product
-    of the i-th u-factor, P = prod p_i and Q = prod q_i."""
-    ps = [_monomial(ring, values, u.numerator.items()) for u in factors]
-    fs = [_monomial(ring, values, u.frozen_in.items()) for u in factors]
-    suffixes = [ring.one()]  # suffixes[i] = prod(ps[i:]), built backwards
-    for p in reversed(ps):
-        suffixes.append(ring.mul(p, suffixes[-1]))
-    suffixes.reverse()
-    total = suffixes[0]
-    prefix = ring.one()
-    for i, u in enumerate(factors):
-        total = ring.add(total, ring.mul(ring.mul(prefix, fs[i]), suffixes[i + 1]))
-        prefix = ring.mul(prefix, ring.mul(values[u.gamma], values[u.partner]))
-    return total == prefix
+    for u in factors:
+        if u.node not in belt.step(u.step).sources:
+            return False
+        exact = _u_variable_at(belt, u.step, u.node)
+        if any(getattr(u, f) != getattr(exact, f) for f in UVariable.__slots__):
+            return False
+    return True

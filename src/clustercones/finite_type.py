@@ -11,6 +11,7 @@ runs that schedule over any of the rings in `seeds`:
 - Laurent polynomials, for the registry expansions and frame(s);
 - exact Fractions, for value_walk at positive points;
 - min-plus exponent vectors, for the deduplication key;
+- min-plus integers, for valuation_walk along a curve x = t^beta;
 - additive torus weights, for weight_walk, where an inhomogeneous
   exchange relation raises.
 
@@ -40,6 +41,7 @@ from typing import NamedTuple, Sequence
 from .laurent import LaurentPolynomial
 from .seeds import (
     _FRACTIONS,
+    _VALUATIONS,
     _WEIGHTS,
     ExchangeData,
     _exchange,
@@ -593,6 +595,20 @@ class BipartiteBelt:
         if len(point) != self.exchange.size:
             raise ValueError("need one value per node")
         return self._walk(_FRACTIONS, [Fraction(v) for v in point], start_step)
+
+    def valuation_walk(
+        self, beta: Sequence[int], start_step: int = 0
+    ) -> dict[int, int]:
+        """Valuations at t -> 0 of every registry variable when the cluster
+        of belt step start_step is x_j = t^beta_j (indexed by node).
+
+        Every variable is a Laurent polynomial with positive coefficients
+        in that cluster, so along the curve it is C * t^val * (1 + o(1))
+        with C > 0, and the min-plus walk computes val exactly.
+        """
+        if len(beta) != self.exchange.size:
+            raise ValueError("need one exponent per node")
+        return self._walk(_VALUATIONS, list(beta), start_step)
 
     def weight_walk(self, alpha: Sequence[int | Fraction]) -> dict[int, Fraction]:
         """Torus weights of every registry variable for a kernel functional.

@@ -1080,6 +1080,8 @@ class Gr48Report:
             "all_bounded": self.all_bounded,
             "strictly_below_one": self.strictly_below_one,
             "max_value": str(self.max_value),
+            # "at most 1" holds at the sample points only; no proof
+            "evidence": "sampled",
         }
 
 

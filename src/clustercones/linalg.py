@@ -11,10 +11,7 @@ no Fraction is built during elimination. Rational input is scaled row by
 row to integers first.
 
 `rank`, `right_kernel_basis`, `solve` and `det_bareiss` read off one
-`rref`. `ExactSolver` uses two: one of U^T picks the pivot rows of U, one
-of [S | I] inverts the square block S as M / d. A solve is then a sparse
-integer product M @ rhs, an integer residual check U @ (M @ rhs) == d *
-rhs on every row, and only at the end the Fractions num / d.
+`rref`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "right_kernel_basis",
     "solve",
     "det_bareiss",
-    "ExactSolver",
     "hermite_column_reduce",
     "primitive_vector",
 ]
@@ -140,43 +136,6 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
         raise ValueError("matrix is not square")
     _, pivots, d = rref(matrix)
     return d if len(pivots) == n else 0
-
-
-class ExactSolver:
-    """Repeated exact solves of A @ x = b for a fixed full-column-rank A.
-
-    Picks row indices making a square invertible submatrix S once and
-    stores S^-1 = M / d, then each solve is an integer product M @ b plus
-    an integer residual check of every row of A against d * b.
-    """
-
-    def __init__(self, matrix: Sequence[Sequence[int]]):
-        ncols = len(matrix[0]) if matrix else 0
-        _, pivots, _ = rref([[row[c] for row in matrix] for c in range(ncols)])
-        if len(pivots) != ncols:
-            raise ValueError("matrix does not have full column rank")
-        block = [
-            list(matrix[r]) + [int(i == j) for j in range(ncols)]
-            for i, r in enumerate(pivots)
-        ]
-        rows, _, self.scale = rref(block)
-        # M's columns index the pivot rows, so they index rhs directly
-        self.inverse = [
-            [(pivots[j], m) for j, m in enumerate(row[ncols:]) if m]
-            for row in rows
-        ]
-        self.rows = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
-
-    def solve(self, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-        """Solution vector, or None when rhs is outside the column span."""
-        if len(rhs) != len(self.rows):
-            raise ValueError("rhs length mismatch")
-        x = [sum(m * rhs[r] for r, m in row) for row in self.inverse]
-        d = self.scale
-        for row, b in zip(self.rows, rhs):
-            if sum(a * x[j] for j, a in row) != d * b:
-                return None
-        return [Fraction(num, d) for num in x]
 
 
 def hermite_column_reduce(matrix: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -13,8 +13,8 @@ not what it claimed to be.
 
 The exchange relation x' = (prod out^b + prod in^b) / x is written once,
 in _exchange, over a _Ring: Laurent polynomials, exact Fractions, min-plus
-exponent vectors, or additive torus weights. Every cluster mutation and
-belt walk in the package goes through it.
+exponent vectors, min-plus valuations, or additive torus weights. Every
+cluster mutation and belt walk in the package goes through it.
 """
 
 from __future__ import annotations
@@ -82,6 +82,11 @@ def _minplus_ring(nvars: int) -> _Ring:
         lambda a, b: tuple(map(min, a, b)),
         lambda a, b: tuple(map(operator.sub, a, b)),
     )
+
+
+# valuations at t -> 0 along x = t^beta: a sum of positive-coefficient
+# terms c * t^a + d * t^b has valuation min(a, b), and nothing cancels
+_VALUATIONS = _Ring(lambda: 0, operator.add, operator.mul, min, operator.sub)
 
 
 def _balanced(a, b):

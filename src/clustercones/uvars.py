@@ -7,6 +7,16 @@ relation makes the denominator minus the numerator a product of frozen
 variables, which is why these ratios are bounded by 1 on the positive
 locus and why telescoping products of them witness subtraction-free
 inequalities.
+
+A DegenerationRay is the positive curve x_j = t^beta_j at gamma's source
+seed, with beta chosen so that every exchange relation there stays
+balanced except gamma's own. Along it every registry variable is C * t^val
+with C > 0 as t -> 0, and the valuations val come from one min-plus walk
+of the belt. Read as a row g_gamma over the registry variables, they
+vanish on every other u-variable and are positive on u_gamma: stacked,
+they form the dual basis G of the u-variables, with G U = diag(c), c > 0.
+A ratio whose valuation along some such curve is negative grows without
+bound, which is the whole proof behind an unbounded verdict.
 """
 
 from __future__ import annotations
@@ -16,14 +26,13 @@ from typing import Sequence
 
 from .finite_type import BipartiteBelt
 from .linalg import primitive_vector, solve
-from .seeds import _FRACTIONS, _laurent_ring, _monomial, _split
+from .seeds import _laurent_ring, _monomial, _split
 
 __all__ = [
     "UVariable",
     "WeightFunctional",
     "build_u_variables",
     "kernel_functionals",
-    "ratio_value",
     "weight_table",
     "DegenerationRay",
     "degeneration_ray",
@@ -101,9 +110,6 @@ class UVariable:
         self.frozen_in = frozen_in  # id -> positive exponent, all frozen
         self.vector = vector  # id -> exponent, full ratio
 
-    def value(self, values: dict[int, Fraction]) -> Fraction:
-        return ratio_value(self.vector, values)
-
 
 def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     """One u-variable per mutable registry variable, in registry order.
@@ -114,132 +120,93 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     here.
     """
     out = []
-    n = belt.exchange.n
     if belt.symbolic:
         ring = _laurent_ring(belt.exchange.size)
         polys = [e.poly for e in belt.entries]
     for gamma in belt.mutable_ids:
-        entry = belt.entries[gamma]
-        s, k = entry.source_pos
-        st = belt.step(s)
-        pos, neg = _split(enumerate(st.matrix[k]))
-        if any(j < n for j, _ in neg):
+        s, k = belt.entries[gamma].source_pos
+        if k not in belt.step(s).sources:
             raise RuntimeError(
                 f"belt variable {gamma} has a mutable in-arrow at its source"
             )
-        numerator = {st.cluster_ids[j]: b for j, b in pos}
-        frozen_in = {st.cluster_ids[j]: b for j, b in neg}
-        vector = dict(numerator)
-        vector[gamma] = vector.get(gamma, 0) - 1
-        partner = entry.partner
-        vector[partner] = vector.get(partner, 0) - 1
+        u = _u_variable_at(belt, s, k)
         if belt.symbolic:
-            outp = _monomial(ring, polys, numerator.items())
-            inp = _monomial(ring, polys, frozen_in.items())
-            if polys[gamma] * polys[partner] != outp + inp:
+            outp = _monomial(ring, polys, u.numerator.items())
+            inp = _monomial(ring, polys, u.frozen_in.items())
+            if polys[gamma] * polys[u.partner] != outp + inp:
                 raise RuntimeError(
                     f"exchange identity failed at variable {belt.name(gamma)}"
                 )
-        out.append(UVariable(gamma, partner, s, k, numerator, frozen_in, vector))
+        out.append(u)
     return out
 
 
-def ratio_value(vector: dict[int, int], values: dict[int, Fraction]) -> Fraction:
-    """Value of a ratio vector at Fraction values (as value_walk gives)."""
-    return _monomial(_FRACTIONS, values, vector.items())
+def _u_variable_at(belt: BipartiteBelt, s: int, k: int) -> UVariable:
+    """The ratio read off node k of belt step s: the out/in split of that
+    node's matrix row, over the variable there times the one the exchange
+    at k produces, which sits at node k of step s + 1."""
+    st = belt.step(s)
+    ids = st.cluster_ids
+    gamma, partner = ids[k], belt.step(s + 1).cluster_ids[k]
+    pos, neg = _split(enumerate(st.matrix[k]))
+    numerator = {ids[j]: b for j, b in pos}
+    vector = dict(numerator)
+    for id in (gamma, partner):
+        vector[id] = vector.get(id, 0) - 1
+    return UVariable(gamma, partner, s, k, numerator,
+                     {ids[j]: b for j, b in neg}, vector)
 
 
 class DegenerationRay:
-    """A one-parameter positive substitution sending one u-variable to zero.
+    """The positive curve x_j = t^beta_j at belt step `step`, as t -> 0.
 
-    The cluster at gamma's source seed is specialized to x_j = t^beta_j
-    where the extended exchange matrix sends beta to c*e_node (c > 0), so
-    every exchange relation stays balanced except the one at gamma's node,
-    whose frozen in-monomial picks up a positive power of t. The table
-    records exact u-values at t = 1/2, 1/4, ..., 2^-depth.
-
-    walks holds the registry values at each t, as degeneration_ray walked
-    them; a ray read back from a certificate has none, and it is never
-    serialized.
+    degeneration_ray picks beta at gamma's source step so that the
+    extended exchange matrix sends it to c * e_node, c > 0: every exchange
+    relation there stays balanced except gamma's own, whose out-monomial
+    vanishes faster than its frozen in-monomial, so u_gamma ~ t^c -> 0.
+    valuation is the valuation of one ratio along the curve (None until a
+    certificate sets it); a negative valuation proves the ratio unbounded.
+    BipartiteBelt.valuation_walk(beta, step) gives every variable's.
     """
 
-    __slots__ = ("gamma", "step", "node", "beta", "scale", "ts", "table",
-                 "walks")
+    __slots__ = ("gamma", "step", "beta", "valuation")
 
-    def __init__(self, gamma, step, node, beta, scale, ts, table):
+    def __init__(self, gamma, step, beta, valuation=None):
         self.gamma = gamma
         self.step = step
-        self.node = node
         self.beta = beta
-        self.scale = scale
-        self.ts = ts
-        self.table = table  # gamma id -> list of Fractions, aligned with ts
-        self.walks: list[dict[int, Fraction]] | None = None
-
-    def gamma_tends_to_zero(self) -> bool:
-        vals = self.table[self.gamma]
-        decreasing = all(a > b for a, b in zip(vals, vals[1:]))
-        return decreasing and vals[-1] * 64 < vals[0]
-
-    def others_bounded_away(self) -> bool:
-        last = self.table[self.gamma][-1]
-        for g, vals in self.table.items():
-            if g == self.gamma:
-                continue
-            if min(vals) <= last:
-                return False
-        return True
+        self.valuation = valuation
 
     def to_dict(self, belt: BipartiteBelt) -> dict:
         return {
             "gamma": belt.name(self.gamma),
             "step": self.step,
-            "node": self.node,
             "beta": list(self.beta),
-            "scale": self.scale,
-            "ts": [str(t) for t in self.ts],
-            "table": {
-                belt.name(g): [str(v) for v in vals]
-                for g, vals in self.table.items()
-            },
+            "valuation": self.valuation,
         }
 
 
-def degeneration_ray(
-    belt: BipartiteBelt,
-    uvars: Sequence[UVariable],
-    gamma: int,
-    depth: int = 10,
-) -> DegenerationRay:
-    """Build the degeneration substitution for gamma's u-variable.
+def degeneration_ray(belt: BipartiteBelt, gamma: int) -> DegenerationRay:
+    """The degeneration curve of gamma's u-variable.
 
     Needs the extended exchange matrix to have full rank; raises
     ValueError otherwise.
     """
-    entry = belt.entries[gamma]
-    s, node = entry.source_pos
+    s, node = belt.entries[gamma].source_pos
     st = belt.step(s)
     n = belt.exchange.n
-    size = belt.exchange.size
     extended = [st.matrix[i] for i in range(n)]
-    rhs = [Fraction(int(i == node)) for i in range(n)]
-    beta_frac = solve(extended, rhs)
-    if beta_frac is None:
+    beta = solve(extended, [Fraction(int(i == node)) for i in range(n)])
+    if beta is None:
         raise ValueError(
             "extended exchange matrix does not have full rank; "
             "no degeneration ray exists"
         )
-    prim = primitive_vector(beta_frac + [Fraction(1)])
-    beta, scale = list(prim[:-1]), prim[-1]
-    if scale <= 0:
+    # the primitive integer multiple of beta with a positive scale c
+    *beta, scale = primitive_vector(beta + [Fraction(1)])
+    if scale < 0:
         beta = [-b for b in beta]
-        scale = -scale
-    ts = [Fraction(1, 2**i) for i in range(1, depth + 1)]
-    walks = [belt.value_walk([t**b for b in beta], start_step=s) for t in ts]
-    table = {u.gamma: [u.value(values) for values in walks] for u in uvars}
-    ray = DegenerationRay(gamma, s, node, beta, scale, ts, table)
-    ray.walks = walks
-    return ray
+    return DegenerationRay(gamma, s, beta)
 
 
 def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = None):

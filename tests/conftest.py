@@ -1,6 +1,17 @@
 """Shared test fixtures: seed-file dicts and cluster structures used by several suites."""
 
+from fractions import Fraction
+
 import pytest
+
+
+def ratio_value(vector, values):
+    """Value of a ratio vector {id: exponent} at exact registry values, as
+    BipartiteBelt.value_walk returns them."""
+    acc = Fraction(1)
+    for id, e in vector.items():
+        acc *= values[id] ** e
+    return acc
 
 # Rank-3 seed with six frozen Plucker coordinates of Gr(2,6) attached.
 # P15 and P24 are the two sources of the bipartite orientation, P14 the

@@ -99,8 +99,10 @@ def test_check_unbounded_exits_one(capsys):
     assert code == 1
     cert = payload["certificate"]
     assert cert["verdict"] == "unbounded"
-    assert "ray" in cert
-    assert len(cert["input_values"]) == len(cert["ray"]["ts"])
+    # x1 * x2 = 1 + f1 grows like t^-1 along f1 = t^-1
+    assert cert["ray"] == {"gamma": "x1", "step": 0, "beta": [0, -1],
+                           "valuation": -1}
+    assert "input_values" not in cert
 
 
 def test_check_weight_obstruction_exits_one(capsys):
@@ -149,6 +151,21 @@ def test_tampered_certificate_fails_replay(capsys, tmp_path):
     assert payload["replayed"] is False
 
 
+@pytest.mark.parametrize("exponent", [-1.5, "-1", -1.0])
+def test_non_integer_ratio_exponent_fails_replay(capsys, tmp_path, exponent):
+    # the exponent used to be truncated by int(), so x1^-1.5 / x2 replayed
+    # as the bounded 1/(x1*x2)
+    path = tmp_path / "cert.json"
+    run(capsys, ["check", "--type", "A1", "--frozen", "1", "--ratio",
+                 "1/(x1*x2)", "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    record["certificate"]["ratio"]["x1"] = exponent
+    path.write_text(json.dumps(record))
+    code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert code == 1
+    assert payload["replayed"] is False
+
+
 @pytest.mark.parametrize("tamper", [
     lambda record: record["certificate"].pop("verdict"),
     lambda record: record["certificate"]["lambda"].update(x1="abc"),
@@ -173,6 +190,63 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
     assert code == 2
     assert out == ""
     assert "malformed certificate" in err
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda ray: ray.update(valuation=1),
+    lambda ray: ray.update(valuation=-2),
+    lambda ray: ray["beta"].__setitem__(1, 0),
+    lambda ray: ray["beta"].append(0),
+    lambda ray: ray["beta"].__setitem__(1, -1.5),
+    lambda ray: ray["beta"].__setitem__(1, "-1"),
+    lambda ray: ray.update(step=0.5),
+    lambda ray: ray.update(step="0"),
+], ids=["valuation-positive", "valuation-wrong", "beta-moved", "beta-too-long",
+        "beta-non-integer", "beta-string", "step-non-integer", "step-string"])
+def test_tampered_unbounded_certificate_fails_replay(capsys, tmp_path, tamper):
+    path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        ["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*x2",
+         "--certificate-out", str(path)],
+    )
+    assert code == 1
+    record = json.loads(path.read_text())
+    tamper(record["certificate"]["ray"])
+    path.write_text(json.dumps(record))
+    code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert code == 1
+    assert payload["replayed"] is False
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda cert: cert["ray"].pop("valuation"),
+    lambda cert: cert["ray"].pop("beta"),
+    lambda cert: cert.update(ray=[0, -1]),
+], ids=["missing-valuation", "missing-beta", "ray-not-an-object"])
+def test_malformed_ray_is_a_usage_error(capsys, tmp_path, tamper):
+    path = tmp_path / "cert.json"
+    run(capsys, ["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*x2",
+                 "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    tamper(record["certificate"])
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "malformed certificate" in err
+
+
+def test_unbounded_certificate_without_a_ray_fails_replay(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    run(capsys, ["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*x2",
+                 "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    del record["certificate"]["ray"]
+    path.write_text(json.dumps(record))
+    code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert code == 1
+    assert payload["replayed"] is False
 
 
 @pytest.mark.parametrize("alpha", [["1", "1"], ["1"], None],
@@ -333,6 +407,16 @@ def test_verify_gr48_suite(capsys):
     assert payload["ok"] is True
     assert payload["images"] == 316
     assert payload["strictly_below_one"] is True
+
+
+def test_verify_gr48_suite_is_labelled_sampled(capsys):
+    argv = ["verify", "--suite", "gr48", "--samples", "3", "--sample-seed", "5"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["evidence"] == "sampled"
+    code, out, _ = run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert "sampled at 3 totally positive points" in out
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -1,6 +1,7 @@
 """U-matrix assembly, membership certificates, double description,
 unimodular minors, subtraction-freeness."""
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -9,8 +10,10 @@ from itertools import combinations
 import pytest
 
 from conftest import GR26_SEED
+from test_linalg import ExactSolver
 from clustercones.cones import (
     NotFullRankError,
+    _verify_chain,
     build_u_matrix,
     double_description,
     membership,
@@ -21,6 +24,7 @@ from clustercones.cones import (
     verify_certificate,
 )
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
+from clustercones.grassmannian import GrassmannianCluster
 from clustercones.linalg import (
     det_bareiss,
     primitive_vector,
@@ -28,7 +32,8 @@ from clustercones.linalg import (
     right_kernel_basis,
     solve,
 )
-from clustercones.seeds import load_seed_file
+from clustercones.seeds import _laurent_ring, _monomial, load_seed_file
+from clustercones.uvars import DegenerationRay, UVariable, _u_variable_at
 
 
 def belt_of(name, frozen=0):
@@ -70,8 +75,8 @@ def test_a1_membership_verdicts():
     assert cert.verdict == "unbounded"
     assert cert.lam == [Fraction(-1), Fraction(0)]
     assert cert.ray is not None
-    # the ratio is x * x' = 1 + f1, growing along the ray
-    assert all(a < b for a, b in zip(cert.input_values, cert.input_values[1:]))
+    # the ratio is x * x' = 1 + f1, which grows like t^-1 along f1 = t^-1
+    assert cert.ray.beta == [0, -1] and cert.ray.valuation == -1
 
 
 def test_certificates_replay_and_serialize():
@@ -366,3 +371,217 @@ def test_bounded_rays_evaluate_at_most_one():
             for id, e in r.vector.items():
                 acc *= values[id] ** e
             assert acc <= 1
+
+
+# the dual basis: G U = diag(c), c > 0
+
+
+def u_matrix_of(request, context):
+    """U of a context named "grKN" or "TYPE+FROZEN"."""
+    if context.startswith("gr"):
+        if context in ("gr26", "gr36", "gr37", "gr38"):
+            return request.getfixturevalue(context).U
+        return GrassmannianCluster(int(context[2]), int(context[3])).U
+    name, _, frozen = context.partition("+")
+    return build_u_matrix(belt_of(name, frozen=int(frozen)))
+
+
+@pytest.mark.parametrize("context", [
+    "gr27", "gr36", "gr37", "gr38", "E8+8", "E6+6", "D5+5", "F4+4",
+    "G2+2", "B3+3", "C3+3", "A5+5", "A1+1", "D4+3",
+])
+def test_dual_basis_inverts_u(request, context):
+    # the extreme-ray theorem in computational form: each u-variable's
+    # degeneration valuations vanish on every other u-variable and are
+    # positive on its own
+    U = u_matrix_of(request, context)
+    assert all(c > 0 for c in U.scales)
+    for j, g in enumerate(U.dual):
+        row = [sum(e * g.get(id, 0) for id, e in u.vector.items())
+               for u in U.uvars]
+        assert row == [U.scales[j] if k == j else 0 for k in range(U.num_cols)]
+    oracle = ExactSolver(U.rows)
+    rng = random.Random(83)
+    for _ in range(50):
+        lam = [rng.choice((-2, -1, 0, 0, 0, 1, 3)) for _ in range(U.num_cols)]
+        dense = U.combine(lam)
+        vector = {id: e for id, e in zip(U.row_ids, dense) if e}
+        assert U.solve(vector) == lam == oracle.solve(dense)
+    # off the u-span the residual check refuses, as the oracle does
+    refused = 0
+    for id in U.row_ids:
+        got = U.solve({id: 1})
+        assert got == oracle.solve(U.dense({id: 1}))
+        refused += got is None
+    assert refused > 0
+
+
+# replay of tampered certificates
+
+
+def _tamper(cert, U, rng):
+    """A mutated copy of cert and the name of the mutation, or None when
+    the mutation does not apply to this verdict."""
+    out = copy.deepcopy(cert)
+    ray = out.ray
+    kind = rng.choice([
+        "valuation-sign", "beta-entry", "beta-length", "beta-non-integer",
+        "step-non-integer", "drop", "lambda-entry", "ratio-exponent",
+    ])
+    if kind == "ratio-exponent":
+        id = rng.choice(U.row_ids)
+        out.vector[id] = out.vector.get(id, 0) + rng.choice((-1, 1))
+        if not out.vector[id]:
+            del out.vector[id]
+    elif kind == "lambda-entry" and out.lam is not None:
+        i = rng.randrange(len(out.lam))
+        out.lam[i] += rng.choice((-1, 1, Fraction(1, 2)))
+    elif kind == "drop":
+        fields = [f for f in ("lam", "ray", "alpha", "weight")
+                  if getattr(out, f) is not None]
+        if ray is not None:
+            fields += ["ray.valuation", "ray.beta", "ray.step"]
+        field = rng.choice(fields)
+        if field.startswith("ray."):
+            setattr(ray, field[4:], None)
+        else:
+            setattr(out, field, None)
+    elif ray is None:
+        return None
+    elif kind == "valuation-sign":
+        ray.valuation = -ray.valuation
+    elif kind == "beta-entry":
+        ray.beta[rng.randrange(len(ray.beta))] += rng.choice((-1, 1))
+    elif kind == "beta-length":
+        ray.beta = ray.beta[:-1] if rng.random() < 0.5 else ray.beta + [0]
+    elif kind == "beta-non-integer":
+        ray.beta[rng.randrange(len(ray.beta))] = rng.choice(
+            (Fraction(1, 2), 0.5, "1", True))
+    elif kind == "step-non-integer":
+        ray.step = rng.choice((ray.step + 0.5, str(ray.step), None))
+    else:
+        return None
+    return out, kind
+
+
+@pytest.mark.parametrize("context", ["A1+1", "C2+2", "G2+2", "gr36"])
+def test_tampered_certificates_never_raise_and_never_lie(request, context):
+    U = u_matrix_of(request, context)
+    rng = random.Random(29)
+    certs = []
+    for _ in range(12):
+        lam = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(U.num_cols)]
+        vector = {id: e for id, e in zip(U.row_ids, U.combine(lam)) if e}
+        if vector:
+            certs.append(membership(vector, U))
+    for _ in range(6):
+        vector = {id: rng.choice((-1, 1)) for id in rng.sample(U.row_ids, 2)}
+        certs.append(membership(vector, U))
+    assert {c.verdict for c in certs} == {
+        "bounded", "unbounded", "not-weight-zero"}
+    assert all(verify_certificate(U, c) for c in certs)
+    rejected = accepted = 0
+    kinds = set()
+    while rejected + accepted < 300:
+        got = _tamper(rng.choice(certs), U, rng)
+        if got is None:
+            continue
+        tampered, kind = got
+        kinds.add(kind)
+        ok = verify_certificate(U, tampered)
+        assert ok is True or ok is False, kind
+        if ok:
+            # a certificate that still replays is still a proof
+            assert membership(tampered.vector, U).verdict == tampered.verdict
+            accepted += 1
+        else:
+            rejected += 1
+    assert len(kinds) == 8
+    assert rejected > 250
+
+
+def test_unbounded_replay_needs_a_negative_valuation(gr36):
+    # every u-variable's ray with the ratio's true valuation along it: the
+    # certificate replays exactly when that valuation is negative
+    U = gr36.U
+    vector = {id: -e for id, e in U.uvars[0].vector.items()}
+    for id, e in U.uvars[5].vector.items():
+        vector[id] = vector.get(id, 0) - e
+    cert = membership({id: e for id, e in vector.items() if e}, U)
+    assert cert.verdict == "unbounded"
+    signs = set()
+    for ray, g in zip(U.rays, U.dual):
+        valuation = sum(e * g.get(id, 0) for id, e in cert.vector.items())
+        cert.ray = DegenerationRay(ray.gamma, ray.step, ray.beta, valuation)
+        assert verify_certificate(U, cert) is (valuation < 0)
+        signs.add((valuation > 0) - (valuation < 0))
+    assert signs == {-1, 0}
+
+
+# the structural chain check against the telescoping identity
+
+
+def telescopes(ring, values, factors):
+    """Q == P + sum_i q_1..q_{i-1} f_i p_{i+1}..p_r over a ring, where
+    p_i, q_i, f_i are the out-product, exchange pair and frozen in-product
+    of the i-th u-factor, P = prod p_i and Q = prod q_i. Oracle for the
+    structural chain check."""
+    ps = [_monomial(ring, values, u.numerator.items()) for u in factors]
+    fs = [_monomial(ring, values, u.frozen_in.items()) for u in factors]
+    suffixes = [ring.one()]  # suffixes[i] = prod(ps[i:]), built backwards
+    for p in reversed(ps):
+        suffixes.append(ring.mul(p, suffixes[-1]))
+    suffixes.reverse()
+    total = suffixes[0]
+    prefix = ring.one()
+    for i, u in enumerate(factors):
+        total = ring.add(total, ring.mul(ring.mul(prefix, fs[i]), suffixes[i + 1]))
+        prefix = ring.mul(prefix, ring.mul(values[u.gamma], values[u.partner]))
+    return total == prefix
+
+
+@pytest.mark.parametrize("context", ["A3+3", "C2+2", "D4+3", "G2+2"])
+def test_structural_chain_check_matches_telescoping_identity(context):
+    name, _, frozen = context.partition("+")
+    belt = belt_of(name, frozen=int(frozen))
+    U = build_u_matrix(belt)
+    ring = _laurent_ring(belt.exchange.size)
+    polys = [belt.poly(e.id) for e in belt.entries]
+    rng = random.Random(37)
+    for trial in range(10):
+        lam = [0] * U.num_cols
+        for j in rng.choices(range(U.num_cols), k=rng.randint(1, 3)):
+            lam[j] += 1
+        vector = {id: e for id, e in zip(U.row_ids, U.combine(lam)) if e}
+        cert = membership(vector, U)
+        report = subtraction_free_check(cert, U)
+        assert report.kind == "chain" and report.verified
+        factors = [u for u, l in zip(U.uvars, cert.lam) for _ in range(int(l))]
+        assert telescopes(ring, polys, factors)
+
+        # one tampered u-factor fails both checks and the report
+        pos = rng.randrange(len(factors))
+        u = factors[pos]
+        numerator, partner = dict(u.numerator), u.partner
+        if trial % 3 == 0:
+            id = rng.choice(sorted(numerator) or range(len(belt.entries)))
+            numerator[id] = numerator.get(id, 0) + 1
+        elif trial % 3 == 1:
+            partner = rng.choice(
+                [id for id in range(len(belt.entries)) if id != partner])
+        if trial % 3 < 2:
+            bad = UVariable(u.gamma, partner, u.step, u.node, numerator,
+                            u.frozen_in, u.vector)
+        else:
+            # read off a node that is not mutated at its step: the
+            # variable there is its own "partner"
+            s = rng.randrange(belt.period)
+            k = rng.choice([k for k in range(belt.exchange.n)
+                            if k not in belt.step(s).sources])
+            bad = _u_variable_at(belt, s, k)
+        tampered = factors[:pos] + [bad] + factors[pos + 1:]
+        assert not _verify_chain(belt, tampered)
+        assert not telescopes(ring, polys, tampered)
+        bad_U = copy.copy(U)
+        bad_U.uvars = [bad if v is u else v for v in U.uvars]
+        assert not subtraction_free_check(cert, bad_U).verified

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GR26_SEED, GR37_ORBIT_TABLE
+from conftest import GR26_SEED, GR37_ORBIT_TABLE, ratio_value
 from clustercones.cones import (
     membership,
     subset_cone,
@@ -43,7 +43,6 @@ from clustercones.grassmannian import (
 )
 from clustercones.linalg import det_bareiss
 from clustercones.seeds import load_seed_file
-from clustercones.uvars import ratio_value
 
 
 def uvec(g, name):

@@ -1,7 +1,9 @@
 """Exact linear algebra helpers.
 
 The integer routines are checked against a textbook Fraction
-Gauss-Jordan kept here as the oracle.
+Gauss-Jordan kept here as the oracle. ExactSolver, a Bareiss inverse of a
+full-column-rank matrix, lives here too: it is the oracle for the
+u-exponents the dual basis gives (tests/test_cones.py).
 """
 
 import random
@@ -11,7 +13,6 @@ from math import gcd
 import pytest
 
 from clustercones.linalg import (
-    ExactSolver,
     det_bareiss,
     hermite_column_reduce,
     primitive_vector,
@@ -20,6 +21,44 @@ from clustercones.linalg import (
     rref,
     solve,
 )
+
+
+class ExactSolver:
+    """Repeated exact solves of A @ x = b for a fixed full-column-rank A.
+
+    Picks row indices making a square invertible submatrix S once (one
+    rref of A^T) and stores S^-1 = M / d (one rref of [S | I]); each solve
+    is then an integer product M @ b plus an integer residual check of
+    every row of A against d * b.
+    """
+
+    def __init__(self, matrix):
+        ncols = len(matrix[0]) if matrix else 0
+        _, pivots, _ = rref([[row[c] for row in matrix] for c in range(ncols)])
+        if len(pivots) != ncols:
+            raise ValueError("matrix does not have full column rank")
+        block = [
+            list(matrix[r]) + [int(i == j) for j in range(ncols)]
+            for i, r in enumerate(pivots)
+        ]
+        rows, _, self.scale = rref(block)
+        # M's columns index the pivot rows, so they index rhs directly
+        self.inverse = [
+            [(pivots[j], m) for j, m in enumerate(row[ncols:]) if m]
+            for row in rows
+        ]
+        self.rows = [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+
+    def solve(self, rhs):
+        """Solution vector, or None when rhs is outside the column span."""
+        if len(rhs) != len(self.rows):
+            raise ValueError("rhs length mismatch")
+        x = [sum(m * rhs[r] for r, m in row) for row in self.inverse]
+        d = self.scale
+        for row, b in zip(self.rows, rhs):
+            if sum(a * x[j] for j, a in row) != d * b:
+                return None
+        return [Fraction(num, d) for num in x]
 
 
 def reference_rref(matrix):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GR26_SEED
+from conftest import GR26_SEED, ratio_value
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.laurent import LaurentPolynomial
 from clustercones.linalg import rank
@@ -160,50 +160,51 @@ def test_u_values_land_strictly_inside_unit_interval():
             ]
             values = belt.value_walk(point)
             for u in uvars:
-                v = u.value(values)
+                v = ratio_value(u.vector, values)
                 assert 0 < v < 1
+
+
+def u_valuations(belt, uvars, ray):
+    """Valuation of each u-variable along a degeneration ray, by gamma."""
+    vals = belt.valuation_walk(ray.beta, ray.step)
+    return {u.gamma: sum(e * vals[id] for id, e in u.vector.items())
+            for u in uvars}
 
 
 def test_degeneration_rays_a1_frozen():
     belt = belt_of("A1", frozen=1)
     uvars = build_u_variables(belt)
 
-    # second variable: its source seed has the frozen arrow flipped inward
-    ray = degeneration_ray(belt, uvars, gamma=2)
-    assert ray.beta == [0, 1] and ray.scale == 1 and ray.step == 1
-    assert ray.table[2] == [t / (1 + t) for t in ray.ts]
-    assert ray.table[0] == [1 / (1 + t) for t in ray.ts]
-    assert ray.gamma_tends_to_zero()
-    assert ray.others_bounded_away()
+    # second variable: its source seed has the frozen arrow flipped inward;
+    # along f1 = t its u-variable t/(1 + t) has valuation 1, the other
+    # u-variable 1/(1 + t) valuation 0
+    ray = degeneration_ray(belt, gamma=2)
+    assert ray.beta == [0, 1] and ray.step == 1
+    assert u_valuations(belt, uvars, ray) == {2: 1, 0: 0}
 
-    ray0 = degeneration_ray(belt, uvars, gamma=0)
+    ray0 = degeneration_ray(belt, gamma=0)
     assert ray0.beta == [0, -1]
-    assert ray0.gamma_tends_to_zero()
-    assert ray0.others_bounded_away()
+    assert u_valuations(belt, uvars, ray0) == {0: 1, 2: 0}
 
     d = ray.to_dict(belt)
-    assert d["gamma"] == belt.name(2)
-    assert d["beta"] == [0, 1]
-    assert len(d["table"]) == 2
+    assert d == {"gamma": belt.name(2), "step": 1, "beta": [0, 1],
+                 "valuation": None}
 
 
 def test_degeneration_ray_requires_full_rank():
     belt = belt_of("A1")
-    uvars = build_u_variables(belt)
     with pytest.raises(ValueError):
-        degeneration_ray(belt, uvars, gamma=0)
+        degeneration_ray(belt, gamma=0)
 
 
 def test_degeneration_ray_c2_halving_decay():
     belt = belt_of("C2", frozen=2)
     uvars = build_u_variables(belt)
-    ray = degeneration_ray(belt, uvars, gamma=0)
-    vals = ray.table[0]
-    assert ray.gamma_tends_to_zero()
-    assert ray.others_bounded_away()
-    # decay tracks t itself: successive ratios approach 1/2 from above
-    for a, b in zip(vals, vals[1:]):
-        assert Fraction(2, 5) < b / a < Fraction(2, 3)
+    ray = degeneration_ray(belt, gamma=0)
+    # u_0 decays like t itself (valuation 1: halving t halves it in the
+    # limit); every other u-variable tends to a positive constant
+    assert u_valuations(belt, uvars, ray) == {
+        u.gamma: int(u.gamma == 0) for u in uvars}
 
 
 def test_u_equations_hold():
