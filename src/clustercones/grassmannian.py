@@ -203,9 +203,14 @@ class TotallyPositivePoint:
     so the minor on columns J is prod_{a<b in J} (t_b - t_a): positive
     whenever the parameters increase strictly, and computed without any
     determinant expansion. Integer parameters give integer minors.
+
+    Minors are not cached: only cluster set-up calls `minor`, a few hundred
+    times. The 4x8 table check never asks for a minor; it evaluates
+    monomials in the differences t_b - t_a directly (see
+    `verify_gr48_table`).
     """
 
-    __slots__ = ("k", "ts", "_cache")
+    __slots__ = ("k", "ts")
 
     def __init__(self, k: int, ts: Sequence[Fraction | int]):
         self.k = k
@@ -214,7 +219,6 @@ class TotallyPositivePoint:
             raise ValueError("parameters must be positive")
         if any(a >= b for a, b in zip(self.ts, self.ts[1:])):
             raise ValueError("parameters must increase strictly")
-        self._cache: dict[tuple[int, ...], Fraction | int] = {}
 
     @property
     def n(self) -> int:
@@ -222,18 +226,14 @@ class TotallyPositivePoint:
 
     def minor(self, cols: Sequence[int]) -> Fraction | int:
         J = tuple(cols)
-        got = self._cache.get(J)
-        if got is None:
-            if len(J) != self.k:
-                raise ValueError(f"need {self.k} columns, got {J}")
-            if any(a >= b for a, b in zip(J, J[1:])) or J[0] < 1 or J[-1] > self.n:
-                raise ValueError(f"columns {J} not strictly increasing in range")
-            got = math.prod(
-                self.ts[b - 1] - self.ts[a - 1]
-                for a, b in itertools.combinations(J, 2)
-            )
-            self._cache[J] = got
-        return got
+        if len(J) != self.k:
+            raise ValueError(f"need {self.k} columns, got {J}")
+        if any(a >= b for a, b in zip(J, J[1:])) or J[0] < 1 or J[-1] > self.n:
+            raise ValueError(f"columns {J} not strictly increasing in range")
+        return math.prod(
+            self.ts[b - 1] - self.ts[a - 1]
+            for a, b in itertools.combinations(J, 2)
+        )
 
 
 def tp_sample(k: int, n: int, seed: int = 7) -> TotallyPositivePoint:
@@ -1011,32 +1011,92 @@ def _integer_points(n: int, count: int, seed: int) -> list[list[int]]:
     return pts
 
 
+def _gr48_monomials(images) -> list[tuple[int, tuple, tuple]]:
+    """The distinct difference monomials of the images, in image order.
+
+    Image prod_J P_J^{e_J} equals prod_{a<b} (t_b - t_a)^{d_ab} at every
+    Vandermonde point, with d_ab the sum of e_J over the 4-sets J holding
+    both a and b. Each entry is (first image index with these d, numerator
+    terms, denominator terms); a term is (pair index, positive exponent),
+    pairs listed as `itertools.combinations` lists them.
+    """
+    pair_index = {
+        pair: i for i, pair in enumerate(itertools.combinations(range(1, 9), 2))
+    }
+    pairs_of = {
+        J: tuple(pair_index[pair] for pair in itertools.combinations(J, 2))
+        for J in itertools.combinations(range(1, 9), 4)
+    }
+    first: dict[tuple[int, ...], int] = {}
+    for ii, image in enumerate(images):
+        d = [0] * len(pair_index)
+        for J, e in image.items():
+            for i in pairs_of[J]:
+                d[i] += e
+        first.setdefault(tuple(d), ii)
+    return [
+        (
+            ii,
+            tuple((i, e) for i, e in enumerate(d) if e > 0),
+            tuple((i, -e) for i, e in enumerate(d) if e < 0),
+        )
+        for d, ii in first.items()
+    ]
+
+
 def _gr48_eval_chunk(args) -> tuple[bool, int, int, tuple[int, int]]:
-    """Worst (largest) value of the given ratios over the given points.
+    """Worst (largest) value of the given monomials over the given points.
 
     Returns (all_bounded, num, den, (image index, point index)); num/den
     is the maximum of the exact values, tracked by cross-multiplication.
+    Ties go to the earliest point, then the earliest image.
     """
-    items, offset, points = args
+    monomials, points = args
     best_num, best_den = 0, 1
     best_at = (-1, -1)
     ok = True
     for pi, ts in enumerate(points):
-        pt = TotallyPositivePoint(4, ts)
-        for ii, ratio in enumerate(items):
+        diffs = [b - a for a, b in itertools.combinations(ts, 2)]
+        for ii, up, down in monomials:
             num = 1
+            for i, e in up:
+                num *= diffs[i] ** e
             den = 1
-            for J, e in ratio:
-                m = pt.minor(J)
-                if e > 0:
-                    num *= m**e
-                else:
-                    den *= m ** (-e)
+            for i, e in down:
+                den *= diffs[i] ** e
             if num > den:
                 ok = False
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
-                best_at = (offset + ii, pi)
+                best_at = (ii, pi)
+    return ok, best_num, best_den, best_at
+
+
+def _gr48_evaluate(images, points, jobs: int = 1) -> tuple[bool, int, int, tuple[int, int]]:
+    """Evaluate every image at every point, split over `jobs` processes.
+
+    Returns what `_gr48_eval_chunk` returns for the whole list: the
+    result, argmax included, does not depend on `jobs`.
+    """
+    monomials = _gr48_monomials(images)
+    if jobs > 1:
+        step = max(1, (len(monomials) + jobs - 1) // jobs)
+        chunks = [
+            (monomials[off:off + step], points)
+            for off in range(0, len(monomials), step)
+        ]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_gr48_eval_chunk, chunks))
+    else:
+        results = [_gr48_eval_chunk((monomials, points))]
+    ok = all(r[0] for r in results)
+    best_num, best_den, best_at = 0, 1, (-1, -1)
+    # ties between chunks go as within one: earliest point, then image
+    for _, num, den, at in results:
+        if num * best_den > best_num * den or (
+            num * best_den == best_num * den and at[::-1] < best_at[::-1]
+        ):
+            best_num, best_den, best_at = num, den, at
     return ok, best_num, best_den, best_at
 
 
@@ -1089,9 +1149,20 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     """Check the stored 4x8 ratios: weight zero, and at most 1 on TP points.
 
     Every image under the 32 rotation/reflection/complement symmetries is
-    evaluated at `points` exact Vandermonde points. The report carries the
-    exact maximum value seen, which stays strictly below 1 when the table
-    is right. Raises ValueError for fewer than one point.
+    checked for weight zero on its Plucker exponents, and evaluated at
+    `points` exact Vandermonde points. The report carries the exact
+    maximum value seen, which stays strictly below 1 when the table is
+    right. Raises ValueError for fewer than one point.
+
+    Evaluation goes through the differences, not the minors. Each minor
+    is prod_{a<b in J} (t_b - t_a), so an image is a monomial in the 28
+    differences, and most of its Plucker factors cancel there before any
+    point is chosen: an image has about 21 Plucker factors but about 10
+    nonzero difference exponents. Images with equal difference exponents
+    take equal values at every Vandermonde point, so each distinct
+    monomial is evaluated once and stands for its images exactly; it
+    reports the first of them as argmax. `num_images` still counts every
+    image (316), and `jobs` splits the distinct monomials over processes.
     """
     if points < 1:
         raise ValueError(f"need at least one sample point, got {points}")
@@ -1099,27 +1170,14 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     weight_zero = True
     images = _gr48_images(ratios)
     for ratio in images:
-        for c in range(1, 9):
-            if sum(e for J, e in ratio.items() if c in J):
-                weight_zero = False
+        weight = [0] * 8
+        for J, e in ratio.items():
+            for c in J:
+                weight[c - 1] += e
+        if any(weight):
+            weight_zero = False
     pts = _integer_points(8, points, seed)
-    chunks = []
-    if jobs > 1:
-        step = max(1, (len(images) + jobs - 1) // jobs)
-        for off in range(0, len(images), step):
-            part = images[off:off + step]
-            chunks.append(([sorted(r.items()) for r in part], off, pts))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_gr48_eval_chunk, chunks))
-    else:
-        results = [_gr48_eval_chunk(([sorted(r.items()) for r in images], 0, pts))]
-    ok = all(r[0] for r in results)
-    best_num, best_den, best_at = 0, 1, (-1, -1)
-    for _, num, den, at in results:
-        if num * best_den > best_num * den or (
-            num * best_den == best_num * den and at < best_at
-        ):
-            best_num, best_den, best_at = num, den, at
+    ok, best_num, best_den, best_at = _gr48_evaluate(images, pts, jobs)
     return Gr48Report(
         len(ratios), len(images), len(pts),
         weight_zero, ok, best_num, best_den, best_at,

@@ -30,8 +30,11 @@ from clustercones.grassmannian import (
     RatioTableError,
     TotallyPositivePoint,
     UnboundedRatioError,
+    _gr48_evaluate,
     _gr48_images,
+    _gr48_monomials,
     _gr48_symmetries,
+    _integer_points,
     _zigzag_diagonals,
     check_ray_table,
     grid_seed,
@@ -160,7 +163,6 @@ def test_point_minors_are_vandermonde_products():
     want = {(1, 2): 1, (1, 3): 2, (1, 4): 3, (2, 3): 1, (2, 4): 2, (3, 4): 1}
     for J, m in want.items():
         assert pt.minor(J) == m
-    assert pt.minor((1, 4)) is pt.minor((1, 4))  # cached
 
 
 def test_point_validation():
@@ -745,3 +747,100 @@ def test_gr48_composite_ratio_is_bounded():
             else:
                 den *= pt.minor(J) ** (-e)
         assert num < den
+
+
+# the compiled 4x8 evaluator against the per-minor one it replaced
+
+
+def per_minor_evaluate(images, points):
+    """Reference: every Plucker factor of every image at every point, in
+    point-major order, ties kept by the first (point, image) seen.
+
+    Returns (all_bounded, maximum value, (image index, point index)).
+    """
+    best_num, best_den = 0, 1
+    best_at = (-1, -1)
+    ok = True
+    items = [sorted(image.items()) for image in images]
+    for pi, ts in enumerate(points):
+        pt = TotallyPositivePoint(4, ts)
+        minors = {J: pt.minor(J) for J in itertools.combinations(range(1, 9), 4)}
+        for ii, ratio in enumerate(items):
+            num = 1
+            den = 1
+            for J, e in ratio:
+                if e > 0:
+                    num *= minors[J] ** e
+                else:
+                    den *= minors[J] ** (-e)
+            if num > den:
+                ok = False
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+                best_at = (ii, pi)
+    return ok, Fraction(best_num, best_den), best_at
+
+
+def compiled_evaluate(images, points):
+    ok, num, den, at = _gr48_evaluate(images, points)
+    return ok, Fraction(num, den), at
+
+
+@pytest.fixture(scope="module")
+def gr48_images():
+    return _gr48_images(load_gr48_ratios())
+
+
+def test_gr48_images_share_114_difference_monomials(gr48_images):
+    # measured once, frozen; complement maps a weight-zero ratio to the
+    # same difference monomial, which is part of why so many coincide
+    monomials = _gr48_monomials(gr48_images)
+    assert len(monomials) == 114
+    assert monomials[0][0] == 0
+    assert [m[0] for m in monomials] == sorted(m[0] for m in monomials)
+
+
+@pytest.mark.parametrize("count", [1, 7, 40])
+def test_gr48_compiled_evaluator_matches_per_minor_reference(gr48_images, count):
+    for seed in range(30):
+        pts = _integer_points(8, count, 1000 + seed)
+        want = per_minor_evaluate(gr48_images, pts)
+        assert compiled_evaluate(gr48_images, pts) == want, seed
+        assert want[0] and want[1] < 1
+
+
+def _altered_image_lists(images, rng):
+    for k in rng.sample(range(len(images)), 4):
+        inverse = {J: -e for J, e in images[k].items()}
+        yield "inverse", images + [inverse]
+        yield "inverse alone", [inverse]
+        J = rng.choice(sorted(images[k]))
+        for step in (1, -1):
+            moved = dict(images[k])
+            moved[J] += step
+            yield "moved", images[:k] + [moved] + images[k + 1:]
+            yield "moved alone", [moved]
+        yield "single", [images[k]]
+
+
+def test_gr48_compiled_evaluator_matches_reference_on_altered_images(gr48_images):
+    rng = random.Random(53)
+    seen = set()
+    for seed in range(3):
+        pts = _integer_points(8, 7, 2000 + seed)
+        for kind, images in _altered_image_lists(gr48_images, rng):
+            want = per_minor_evaluate(images, pts)
+            assert compiled_evaluate(images, pts) == want, (kind, seed)
+            if kind.startswith("inverse"):
+                assert not want[0] and want[1] > 1
+            seen.add((kind, want[0]))
+    # the moved exponents reach both verdicts
+    assert {("moved alone", True), ("moved alone", False)} <= seen
+
+
+@pytest.mark.parametrize("seed", [3, 311, 4096])
+def test_gr48_two_workers_match_one(seed):
+    one = verify_gr48_table(points=40, seed=seed, jobs=1)
+    two = verify_gr48_table(points=40, seed=seed, jobs=2)
+    assert two.to_dict() == one.to_dict()
+    assert two.argmax == one.argmax
