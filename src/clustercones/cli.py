@@ -541,6 +541,8 @@ def cmd_factor(args) -> int:
         payload["reason"] = str(exc)
         _emit(args, payload, _text_factor)
         return 1
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     payload["factors"] = [
         {
             "crossing": [f.i, f.j],

@@ -364,6 +364,7 @@ class GrassmannianCluster:
         self._uvars = None
         self._U = None
         self._primitives = None
+        self._primitive_lams = None
         self._rotation = None
         self._cones: dict[frozenset, ConeDescription] = {}
 
@@ -663,12 +664,19 @@ class GrassmannianCluster:
     def factor_into_primitives(self, vector: dict[int, int]) -> list[PrimitiveRatio]:
         """Write a bounded ratio of minors as a product of primitive ratios.
 
-        Peels off a smallest sub-multiset of the u-factorization whose
-        product is again a ratio of minors; that product is an extreme ray
-        of the Plucker cone, hence primitive, and the remainder recurses.
+        With lam the input's u-exponents, repeatedly subtract the first
+        primitive ratio in (i, j, S) order whose u-exponents lam_p (cached
+        once per cluster) satisfy lam_p <= lam componentwise. This never
+        gets stuck while the factorization theorem holds: the remainder
+        U lam is bounded and supported on minors, so it factors, and as
+        lam is linear and every lam_p >= 0, each of its factors fits.
+        Sum(lam) drops at every step, so the loop ends.
+
         Raises UnboundedRatioError (with certificate) if the input is not
         bounded, ValueError if it is not supported on minors or its
-        u-exponents are not integers.
+        u-exponents are not integers. RatioTableError means a bounded
+        minor ratio with no primitive factorization, a counterexample to
+        the theorem (or a fault in the u-variables), and is never expected.
         """
         for id in vector:
             if self.degree[id] != 1:
@@ -680,39 +688,28 @@ class GrassmannianCluster:
             raise UnboundedRatioError(cert)
         if not cert.integral:
             raise ValueError("u-exponents are not integral; no monomial factorization")
-        remaining: list[int] = []
-        for col, l in enumerate(cert.lam):
-            remaining.extend([col] * int(l))
-        prim_by_key = {
-            frozenset(p.vector.items()): p for p in self.primitive_ratios()
-        }
-        uvecs = [u.vector for u in self.uvars]
+        if self._primitive_lams is None:
+            lams = []
+            for p in self.primitive_ratios():
+                lam_p = self.U.solve(p.vector)
+                if lam_p is None or any(l < 0 or l.denominator != 1 for l in lam_p):
+                    raise RatioTableError(f"u-exponents of {p!r} are not all nonnegative integers")
+                lams.append({col: int(l) for col, l in enumerate(lam_p) if l})
+            self._primitive_lams = lams
+        lam = [int(l) for l in cert.lam]
         out = []
-        while remaining:
-            found = None
-            for size in range(1, len(remaining) + 1):
-                seen = set()
-                for combo in itertools.combinations(range(len(remaining)), size):
-                    cols = tuple(remaining[t] for t in combo)
-                    if cols in seen:
-                        continue
-                    seen.add(cols)
-                    vec = _ratio_product(t for col in cols for t in uvecs[col].items())
-                    if all(self.degree[id] == 1 for id in vec):
-                        found = (combo, vec)
-                        break
-                if found:
+        while any(lam):
+            for prim, lam_p in zip(self.primitive_ratios(), self._primitive_lams):
+                if all(lam[col] >= e for col, e in lam_p.items()):
                     break
-            assert found is not None, "the full remainder is itself a minor ratio"
-            combo, vec = found
-            prim = prim_by_key.get(frozenset(vec.items()))
-            if prim is None:
+            else:
                 raise RatioTableError(
-                    "a minimal minor-supported subproduct is not a primitive ratio"
+                    "no primitive ratio fits the remaining u-exponents: "
+                    "a bounded minor ratio without a primitive factorization"
                 )
             out.append(prim)
-            for t in reversed(combo):
-                remaining.pop(t)
+            for col, e in lam_p.items():
+                lam[col] -= e
         check = _ratio_product(t for prim in out for t in prim.vector.items())
         if check != {id: e for id, e in vector.items() if e}:
             raise RatioTableError("primitive factors do not multiply back to the input")

@@ -172,9 +172,6 @@ class LaurentPolynomial:
     def n_terms(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
@@ -216,9 +213,6 @@ class LaurentPolynomial:
         unpack, size = _fields(n), 2 * n
         fields = [unpack(key.to_bytes(size, "big")) for key in self._terms]
         return tuple(c - BIAS for c in map(pick, zip(*fields)))
-
-    def has_nonnegative_coefficients(self) -> bool:
-        return all(c > 0 for c in self._terms.values())
 
     # comparison and hashing
 

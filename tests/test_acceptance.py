@@ -388,7 +388,7 @@ def test_criterion_11():
                 seed = Seed.initial(ex)
                 for _ in range(8):
                     seed = seed.mutate(rng.randrange(ex.n))
-                assert all(not c.is_zero() for c in seed.cluster)
+                assert all(bool(c) for c in seed.cluster)
 
         # y-values of a mutated seed equal the mutated y-values, depth 6
         rng = random.Random(47)

@@ -451,6 +451,7 @@ def test_verify_appendix_suite(capsys):
     (["verify"], "exactly one of"),
     (["verify", "--suite", "gr48", "--certificate", "x"], "exactly one of"),
     (["uvars", "--seed-file", "/nonexistent/seed.json"], "cannot read"),
+    (["factor", "--gr", "3", "6", "--ratio", "q[124|356]/p[135]"], "not a minor"),
 ])
 def test_usage_errors_exit_two(capsys, argv, needle):
     code, out, err = run(capsys, argv)

@@ -501,6 +501,34 @@ def test_factorization_rejects_quadratic_support(gr36):
         gr36.factor_into_primitives({q: 1, p: -1})
 
 
+@pytest.mark.parametrize("name", ["gr26", "gr27", "gr36", "gr37", "gr38"])
+def test_factorization_of_seeded_random_products(request, name):
+    g = GrassmannianCluster(2, 7) if name == "gr27" else request.getfixturevalue(name)
+    prims = g.primitive_ratios()
+    position = {id(p): t for t, p in enumerate(prims)}
+    rng = random.Random(f"factor-{name}")
+    for size in range(1, 41):
+        target = vector_sum([rng.choice(prims).vector for _ in range(size)])
+        got = g.factor_into_primitives(target)
+        assert vector_sum([p.vector for p in got]) == target
+        assert all(id(p) in position for p in got)
+        # first fit: a primitive that did not fit never fits a smaller lam
+        order = [position[id(p)] for p in got]
+        assert order == sorted(order)
+        assert g.factor_into_primitives(target) == got
+
+
+def test_factorization_without_a_fitting_primitive_raises():
+    # in Gr(2,n) every primitive ratio is a single u-variable; once one is
+    # hidden, nothing else fits under its u-exponents
+    g = GrassmannianCluster(2, 6)
+    prims = g.primitive_ratios()
+    hidden = next(p for p in prims if sum(membership(p.vector, g.U).lam) == 1)
+    g._primitives = [p for p in prims if p is not hidden]
+    with pytest.raises(RatioTableError, match="no primitive ratio fits"):
+        g.factor_into_primitives(hidden.vector)
+
+
 # rotation and orbits
 
 

@@ -21,7 +21,7 @@ def test_construction_and_terms_order():
 
 def test_zero_terms_are_dropped():
     p = LaurentPolynomial.from_terms(1, [((1,), 2), ((1,), -2)])
-    assert p.is_zero()
+    assert not p
     assert p.serialize() == "0"
 
 
@@ -50,7 +50,7 @@ def test_divide_exact_recovers_factor():
         nvars = rng.randint(1, 3)
         a = _random_poly(rng, nvars)
         b = _random_poly(rng, nvars)
-        if a.is_zero() or b.is_zero():
+        if not a or not b:
             continue
         prod = a * b
         assert prod.divide_exact(b) == a
@@ -104,8 +104,6 @@ def test_pow_including_monomial_negative():
 def test_eval_exact():
     p = P(2, "x1^-1*x2 + x1^-1")
     assert p.evaluate([Fraction(1, 2), Fraction(3)]) == Fraction(8)
-    assert p.has_nonnegative_coefficients()
-    assert not P(2, "x1 - x2").has_nonnegative_coefficients()
 
 
 def test_min_max_exponents():

@@ -102,7 +102,7 @@ def test_laurent_phenomenon_random_walks():
         for _ in range(6):
             k = rng.randrange(3)
             seed = seed.mutate(k)  # raises NotDivisible on any failure
-        assert all(not c.is_zero() for c in seed.cluster)
+        assert all(bool(c) for c in seed.cluster)
 
 
 def test_extended_rank_and_kernel():
