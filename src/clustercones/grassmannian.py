@@ -20,6 +20,7 @@ including the 4x8 table whose cluster structure is not of finite type.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -1069,13 +1070,13 @@ def _gr48_eval_chunk(args) -> tuple[bool, int, int, tuple[int, int]]:
     return ok, best_num, best_den, best_at
 
 
-def _gr48_evaluate(images, points, jobs: int = 1) -> tuple[bool, int, int, tuple[int, int]]:
-    """Evaluate every image at every point, split over `jobs` processes.
+def _gr48_evaluate(monomials, points, jobs: int = 1) -> tuple[bool, int, int, tuple[int, int]]:
+    """Evaluate the difference monomials of `_gr48_monomials` at every
+    point, split over `jobs` processes.
 
     Returns what `_gr48_eval_chunk` returns for the whole list: the
     result, argmax included, does not depend on `jobs`.
     """
-    monomials = _gr48_monomials(images)
     if jobs > 1:
         step = max(1, (len(monomials) + jobs - 1) // jobs)
         chunks = [
@@ -1142,6 +1143,25 @@ class Gr48Report:
         }
 
 
+@functools.cache
+def _gr48_compiled() -> tuple[int, int, bool, tuple[tuple[int, tuple, tuple], ...]]:
+    """What verify_gr48_table needs of the stored table, built once per
+    process: (number of ratios, number of symmetry images, whether every
+    image has weight zero, the images' difference monomials). All of it
+    is immutable, so every caller may share it."""
+    ratios = load_gr48_ratios()
+    images = _gr48_images(ratios)
+    weight_zero = True
+    for ratio in images:
+        weight = [0] * 8
+        for J, e in ratio.items():
+            for c in J:
+                weight[c - 1] += e
+        if any(weight):
+            weight_zero = False
+    return len(ratios), len(images), weight_zero, tuple(_gr48_monomials(images))
+
+
 def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48Report:
     """Check the stored 4x8 ratios: weight zero, and at most 1 on TP points.
 
@@ -1163,19 +1183,10 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     """
     if points < 1:
         raise ValueError(f"need at least one sample point, got {points}")
-    ratios = load_gr48_ratios()
-    weight_zero = True
-    images = _gr48_images(ratios)
-    for ratio in images:
-        weight = [0] * 8
-        for J, e in ratio.items():
-            for c in J:
-                weight[c - 1] += e
-        if any(weight):
-            weight_zero = False
+    num_ratios, num_images, weight_zero, monomials = _gr48_compiled()
     pts = _integer_points(8, points, seed)
-    ok, best_num, best_den, best_at = _gr48_evaluate(images, pts, jobs)
+    ok, best_num, best_den, best_at = _gr48_evaluate(monomials, pts, jobs)
     return Gr48Report(
-        len(ratios), len(images), len(pts),
+        num_ratios, num_images, len(pts),
         weight_zero, ok, best_num, best_den, best_at,
     )

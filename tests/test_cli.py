@@ -4,6 +4,7 @@ Under pytest stdout is not a terminal, so the default output format is
 JSON; text assertions pass --format text explicitly.
 """
 
+import hashlib
 import json
 from math import gcd
 
@@ -285,6 +286,24 @@ def test_cone_pluecker_rays(capsys):
             g = gcd(g, e)
         assert g == 1
         assert all(name.startswith("p[") for name in ray["ratio"])
+
+
+# sha256 of the JSON the command prints, computed before the double
+# description inserted its rows in belt order; any change of order,
+# lambda or ray list shows up here
+CONE_GOLDEN = {
+    "7": "80c1ef7713bd0833f1def7875acae74c34c5e31557a71c81eed3fd62aa74a589",
+    "8": "524892cff0cbdce7cba8683ec4bde1651c7310e6a0b57987c8652deac860b816",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CONE_GOLDEN))
+def test_cone_pluecker_json_is_golden(capsys, monkeypatch, n):
+    monkeypatch.delenv("CLUSTER_CONE_CACHE", raising=False)
+    argv = ["cone", "--gr", "3", n, "--subset", "pluecker", "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CONE_GOLDEN[n]
 
 
 def test_cone_cache_hits(capsys, tmp_path, monkeypatch):

@@ -279,6 +279,44 @@ def test_double_description_matches_rank_oracle_on_sparse_degenerate_rows():
     assert any(r == d - 1 for d, r in ranks)
 
 
+@pytest.mark.parametrize("context,subset,shuffles,count", [
+    ("gr37", "pluecker", 4, 42),
+    ("gr38", "deg2", 3, 168),
+    # seeded shuffles of these 80 rows cost up to 0.6 s each: reversed only
+    ("gr38", "pluecker", 0, 80),
+])
+def test_double_description_ignores_row_order(request, context, subset,
+                                              shuffles, count):
+    # subset_cone feeds the rows in belt order because it is the cheap
+    # one; every other order must still give the same rays
+    g = request.getfixturevalue(context)
+    U = g.U
+    keep = set(g.degree_one_ids() if subset == "pluecker"
+               else g.ids_with_degree_at_most(2))
+    rows = [row for id, row in zip(U.row_ids, U.rows) if id not in keep]
+    want = double_description(rows, U.num_cols)
+    assert len(want) == count
+    orders = [rows[::-1]]
+    rng = random.Random(f"dd-order-{context}-{subset}")
+    for _ in range(shuffles):
+        order = list(rows)
+        rng.shuffle(order)
+        orders.append(order)
+    for order in orders:
+        assert double_description(order, U.num_cols) == want
+
+
+def test_gr37_pluecker_rays_replay_through_membership(gr37):
+    U = gr37.U
+    cone = subset_cone(gr37.degree_one_ids(), U)
+    assert len(cone) == 42
+    for r in cone.rays:
+        cert = membership(r.vector, U)
+        assert cert.verdict == "bounded"
+        assert tuple(cert.lam) == r.lam
+        assert all(type(l) is Fraction for l in r.lam)
+
+
 @pytest.mark.parametrize("context", ["C2", "D4+3", "gr36"])
 def test_combine_is_the_dense_product(request, context):
     # D4 needs three frozen variables before U has independent columns
