@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
@@ -115,10 +115,24 @@ class UMatrix:
     def solve(self, vector: dict[int, int]) -> list[Fraction] | None:
         """The u-exponents lam with U lam = vector, or None when vector is
         outside the u-span: lam = G vector / c, kept only if the exact
-        residual U lam == vector holds."""
-        lam = [Fraction(v, c) if (v := _pair(g, vector)) else _ZERO
-               for g, c in zip(self.dual, self.scales)]
-        return lam if self.combine(lam) == self.dense(vector) else None
+        residual U lam - vector is zero.
+
+        The residual is checked times L, the lcm of the scales c_j of the
+        nonzero powers, so it stays in integers; it can be nonzero only on
+        the rows those powers touch and on the vector's support, so only
+        they are summed. This is the same check as
+        combine(lam) == dense(vector).
+        """
+        nums = [_pair(g, vector) for g in self.dual]
+        scale = lcm(*(c for v, c in zip(nums, self.scales) if v))
+        residual = {id: -scale * e for id, e in vector.items()}
+        for v, c, u in compress(zip(nums, self.scales, self.uvars), nums):
+            f = v * (scale // c)
+            for id, b in u.vector.items():
+                residual[id] = residual.get(id, 0) + f * b
+        if any(residual.values()):
+            return None
+        return [Fraction(v, c) if v else _ZERO for v, c in zip(nums, self.scales)]
 
     def combine(self, lam: Sequence[int | Fraction]) -> list[int | Fraction]:
         """Row-order exponent vector of the u-monomial with powers lam.

@@ -8,9 +8,10 @@ at each source; the belt compiles its steps once into a schedule of
 (node, out-terms, in-terms, produced id) tuples, and one private walker
 runs that schedule over any of the rings in `seeds`:
 
-- Laurent polynomials, for the registry expansions and frame(s);
+- Laurent polynomials, for the registry expansions;
 - exact Fractions, for value_walk at positive points;
-- min-plus exponent vectors, for the deduplication key;
+- min-plus exponent vectors, for the deduplication key and for the
+  frames that compatibility degrees are read from;
 - min-plus integers, for valuation_walk along a curve x = t^beta;
 - additive torus weights, for weight_walk, where an inhomogeneous
   exchange relation raises.
@@ -22,7 +23,9 @@ coefficients, so the min-plus walk computes them exactly. In finite type
 the mutable part of that vector (the negated denominator vector) is a
 complete invariant, which is what makes the tropical mode sound; symbolic
 mode also carries the full Laurent expansions and cross-checks the
-deduplication against them.
+deduplication against them: a new variable is proved Laurent by exact
+division, and a revisited one by a single product with the stored
+expansion.
 
 Tropical mode exists because the deepest variables of an E8-size belt have
 Laurent expansions with too many terms to multiply comfortably in pure
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -381,11 +385,29 @@ class BeltError(RuntimeError):
     """The belt failed to close or revisited inconsistent state."""
 
 
+def _confirm_quotient(quotient: LaurentPolynomial, numerator: LaurentPolynomial,
+                      denominator: LaurentPolynomial) -> LaurentPolynomial:
+    """Division for an exchange that revisits a registered variable: the
+    stored expansion is the quotient iff one product gives the numerator
+    back, since the quotient in a domain is unique."""
+    if quotient * denominator != numerator:
+        raise BeltError("two distinct variables share a denominator vector")
+    return quotient
+
+
 class BipartiteBelt:
     """The source-mutation orbit of a bipartite finite-type seed.
 
     symbolic=None picks symbolic Laurent bookkeeping for small types
     (at most 50 belt variables) and tropical bookkeeping beyond that.
+
+    In symbolic mode every exchange is checked exactly. When the min-plus
+    walk lands on a variable not yet registered, its expansion is the
+    exact quotient of the exchange relation. When it lands on a registered
+    one (the second half of a 2(h+2) belt, and the initial cluster at the
+    end of every belt), the stored expansion P is confirmed by testing
+    P * old == numerator, one product in place of a division; the quotient
+    in a domain is unique, so this is the same proof.
     """
 
     def __init__(self, exchange: ExchangeData, symbolic: bool | None = None):
@@ -447,7 +469,10 @@ class BipartiteBelt:
                 new_minexp = _exchange(minplus, minexps, pos, neg, minexps[k])
                 new_poly = None
                 if symbolic:
-                    new_poly = _exchange(laurent, polys, pos, neg, polys[k])
+                    known = self._by_minexp.get(new_minexp)
+                    ring = laurent if known is None else laurent._replace(
+                        div=partial(_confirm_quotient, self.entries[known].poly))
+                    new_poly = _exchange(ring, polys, pos, neg, polys[k])
                     if new_poly.min_exponents() != new_minexp:
                         raise BeltError("tropical min-exponent bookkeeping diverged")
                 gamma = ids[k]
@@ -458,8 +483,7 @@ class BipartiteBelt:
                     entry.partner = new_id
                 ids[k] = new_id
                 minexps[k] = new_minexp
-                if symbolic:
-                    polys[k] = self.entries[new_id].poly
+                polys[k] = new_poly
                 matrix = mutate_matrix(matrix, k, n)
             s += 1
         if total % self.period != 0:
@@ -490,7 +514,7 @@ class BipartiteBelt:
         self.display_names: dict[int, str] = {}
         for i in range(size):
             self.display_names[i] = exchange.names[i]
-        self._frames: dict[int, dict[int, LaurentPolynomial]] = {}
+        self._frames: dict[int, dict[int, tuple[int, ...]]] = {}
 
     # registry helpers
 
@@ -503,8 +527,6 @@ class BipartiteBelt:
     ) -> int:
         known = self._by_minexp.get(minexp)
         if known is not None:
-            if poly is not None and self.entries[known].poly != poly:
-                raise BeltError("two distinct variables share a denominator vector")
             return known
         new_id = len(self.entries)
         self.entries.append(RegistryEntry(new_id, poly, minexp, frozen, pos))
@@ -570,21 +592,21 @@ class BipartiteBelt:
                 values[k] = out[target] = _exchange(ring, values, pos, neg, values[k])
         return out
 
-    def frame(self, s: int) -> dict[int, LaurentPolynomial]:
-        """Registry polynomials re-expressed in the cluster of belt step s.
+    def _frame(self, s: int) -> dict[int, tuple[int, ...]]:
+        """Min exponents of every registry variable in the cluster of belt
+        step s, by one min-plus walk from unit vectors (cached per step).
 
-        The fresh frame's variable j is the cluster entry at node j of step
-        s. Mutation schedules and matrices coincide with the stored belt,
-        so new variables map to registry ids positionally.
+        The frame's variable j is the cluster entry at node j of step s.
+        Every registry variable is a Laurent polynomial with positive
+        coefficients in that cluster, so nothing cancels and the min-plus
+        walk gives its componentwise minimum exponents exactly.
         """
-        if not self.symbolic:
-            raise BeltError("frames need symbolic mode")
         s %= self.period
         cached = self._frames.get(s)
         if cached is None:
             size = self.exchange.size
-            variables = [LaurentPolynomial.variable(size, j) for j in range(size)]
-            cached = self._frames[s] = self._walk(_laurent_ring(size), variables, s)
+            units = [tuple(int(i == j) for i in range(size)) for j in range(size)]
+            cached = self._frames[s] = self._walk(_minplus_ring(size), units, s)
         return cached
 
     def value_walk(
@@ -626,15 +648,18 @@ class BipartiteBelt:
     def compatibility_degree(self, gamma: int, omega: int) -> int:
         """Exponent of the gamma-variable in the denominator of omega,
         written in the cluster at gamma's source seed. Zero when the two
-        share a cluster, and for omega == gamma."""
+        share a cluster, and for omega == gamma.
+
+        The exponent is read off the min-plus frame of that step (see
+        _frame), so it needs no Laurent expansion and works on tropical
+        belts as well.
+        """
         entry = self.entries[gamma]
         if entry.frozen or self.entries[omega].frozen:
             raise ValueError("compatibility degrees are between mutable variables")
         assert entry.source_pos is not None
         s, node = entry.source_pos
-        frame = self.frame(s)
-        d = -frame[omega].min_exponents()[node]
-        return max(d, 0)
+        return max(-self._frame(s)[omega][node], 0)
 
     def __repr__(self) -> str:
         return (

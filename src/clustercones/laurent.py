@@ -16,7 +16,11 @@ the columns at C level.
 
 Coefficients are arbitrary-precision ints. There is no coefficient field:
 division is exact division over the integer Laurent ring, and refuses
-(raises NotDivisible) when the quotient does not exist there.
+(raises NotDivisible) when the quotient does not exist there. It is heap
+long division: the remainder's keys wait in a heap that holds each key
+once, pushed when it enters the remainder, and the quotient box test runs
+on packed keys, one addition, one subtraction and two ANDs per leading
+term against guard constants computed once per division.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import heapq
 import re
 import struct
 from fractions import Fraction
-from operator import le
+from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -78,6 +82,25 @@ def _fields(nvars: int) -> Callable:
     if unpack is None:
         unpack = _fields_cache[nvars] = struct.Struct(f">{nvars}H").unpack
     return unpack
+
+
+def _box_guards(lo: Sequence[int], hi: Sequence[int]) -> tuple[int, int, int]:
+    """(add, sub, top) with (key + add) & (sub - key) & top == top iff
+    lo[i] <= e[i] <= hi[i] for every exponent e[i] of the packed key.
+
+    Field i of key + add is e[i] - lo[i] + 2**15 and field i of sub - key
+    is hi[i] - e[i] + 2**15; top holds bit 15 of every field, which is
+    set exactly when the difference is nonnegative. The test is exact
+    whenever both differences lie in [-2**15, 2**15) for every field, so
+    that no field borrows from or carries into its neighbour: for
+    instance when lo and hi, like e, lie in a box narrower than 2**15.
+    """
+    add = sub = top = 0
+    for low, high in zip(lo, hi):
+        add = (add << FIELD_BITS) - low
+        sub = (sub << FIELD_BITS) + high + (1 << FIELD_BITS)
+        top = (top << FIELD_BITS) | BIAS
+    return add, sub, top
 
 
 def pack_exponents(exps: Sequence[int]) -> int:
@@ -320,6 +343,17 @@ class LaurentPolynomial:
         componentwise min/max exponents of the operands (these are additive
         under multiplication over a domain), and each emitted coefficient
         must divide exactly over the integers.
+
+        The remainder's terms wait in a max-heap of keys (Monagan-Pearce
+        style), each key pushed once, when it enters the remainder; a key
+        whose coefficient cancels stays behind and is skipped when popped.
+        A remainder term with key k gives the quotient term k - b, b the
+        divisor's leading key, so the quotient box shifted by b is a box
+        for k, tested on the packed key by _box_guards. Every remainder
+        key lies in the dividend's corner box (the shifted quotient box
+        plus the divisor's exponent spread is exactly that box), which is
+        what keeps the packed test exact; a dividend spanning 2**15 or
+        more in some exponent is refused with OverflowError.
         """
         self._check_compat(other)
         if not other._terms:
@@ -342,39 +376,46 @@ class LaurentPolynomial:
 
         amin, amax = self.min_exponents(), self.max_exponents()
         bmin, bmax = other.min_exponents(), other.max_exponents()
-        qmin = [amin[i] - bmin[i] for i in range(n)]
-        qmax = [amax[i] - bmax[i] for i in range(n)]
-        if any(qmin[i] > qmax[i] for i in range(n)):
-            raise NotDivisible("exponent box is empty")
-
         bterms = other._terms
         bkey = max(bterms)
         bc = bterms[bkey]
+        lead = unpack_exponents(bkey, n)
+        lo = [a - m + e for a, m, e in zip(amin, bmin, lead)]
+        hi = [a - m + e for a, m, e in zip(amax, bmax, lead)]
+        if any(map(gt, lo, hi)):
+            raise NotDivisible("exponent box is empty")
+        if any(b - a >= BIAS for a, b in zip(amin, amax)):
+            raise OverflowError("exponent out of supported range in a quotient")
+        add, sub, top = _box_guards(lo, hi)
+
+        shift = bkey - base
+        rest = [(kb - bkey, cb) for kb, cb in bterms.items() if kb != bkey]
         rem = dict(self._terms)
-        quot: dict[int, int] = {}
+        get, pop = rem.get, rem.pop
         heap = [-k for k in rem]
         heapq.heapify(heap)
+        push, popmax = heapq.heappush, heapq.heappop
+        quot: dict[int, int] = {}
         while rem:
-            k = -heap[0]
-            if k not in rem:
-                heapq.heappop(heap)
+            k = -popmax(heap)
+            c = pop(k, 0)
+            if not c:
                 continue
-            qkey = k - bkey + base
-            qexps = unpack_exponents(qkey, n)
-            if not (all(map(le, qmin, qexps)) and all(map(le, qexps, qmax))):
+            if (k + add) & (sub - k) & top != top:
                 raise NotDivisible("leading term outside quotient box")
-            qc, r = divmod(rem[k], bc)
+            qc, r = divmod(c, bc)
             if r:
                 raise NotDivisible("leading coefficient not divisible")
-            quot[qkey] = qc
-            off = qkey - base
-            for kb, cb in bterms.items():
-                kk = kb + off
-                nc = rem.get(kk, 0) - qc * cb
-                if nc:
+            quot[k - shift] = qc
+            for d, cb in rest:
+                kk = k + d
+                old = get(kk)
+                if old is None:
+                    rem[kk] = -qc * cb
+                    push(heap, -kk)
+                elif nc := old - qc * cb:
                     rem[kk] = nc
-                    heapq.heappush(heap, -kk)
-                elif kk in rem:
+                else:
                     del rem[kk]
         return LaurentPolynomial(n, quot)
 

@@ -115,9 +115,9 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     """One u-variable per mutable registry variable, in registry order.
 
     The exchange relation gamma * partner = out-product + in-product has
-    already been verified by exact division while the belt was built, so
-    the denominator-minus-numerator factorization needs no symbolic work
-    here.
+    already been verified while the belt was built (by exact division, or
+    by one product for a revisited variable), so the
+    denominator-minus-numerator factorization needs no symbolic work here.
     """
     out = []
     if belt.symbolic:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from clustercones.finite_type import (
+    BeltError,
     BipartiteBelt,
     DynkinType,
     NotFiniteTypeError,
@@ -197,6 +198,11 @@ def test_tropical_mode_matches_symbolic():
         ]
         with pytest.raises(Exception):
             trop.poly(trop.mutable_ids[-1])
+        ids = sym.mutable_ids
+        assert trop.mutable_ids == ids
+        assert [[trop.compatibility_degree(g, w) for w in ids] for g in ids] == [
+            [sym.compatibility_degree(g, w) for w in ids] for g in ids
+        ], name
 
 
 def test_value_walk_matches_symbolic_evaluation():
@@ -217,19 +223,55 @@ SYMBOLIC_WITH_FROZEN = [("A3", 3), ("C2", 2), ("G2", 0), ("D4", 2)]
 def test_frames_agree_with_value_walks_from_every_step(name, frozen):
     belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
     assert belt.symbolic
+    ex = belt.exchange
     rng = random.Random(53)
-    size = belt.exchange.size
+    size = ex.size
     for s in range(belt.period):
         point = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(size)]
         values = belt.value_walk(point, start_step=s)
         assert [values[id] for id in belt.step(s).cluster_ids] == point
-        frame = belt.frame(s)
-        assert frame.keys() == values.keys() == set(range(len(belt.entries)))
+        # every variable's expansion in the cluster of step s, from a seed
+        # that starts there and mutates at the belt's sources for a period
+        seed = Seed.initial(
+            ExchangeData(ex.n, ex.m, belt.step(s).matrix, ex.weights, ex.names))
+        expansions = dict(zip(belt.step(s).cluster_ids, seed.cluster))
+        for r in range(s, s + belt.period):
+            assert seed.exchange.matrix == belt.step(r).matrix
+            for k in belt.step(r).sources:
+                seed = seed.mutate(k)
+            for id, poly in zip(belt.step(r + 1).cluster_ids, seed.cluster):
+                assert expansions.setdefault(id, poly) == poly, (s, belt.name(id))
+        frame = belt._frame(s)
+        assert frame.keys() == values.keys() == expansions.keys() == set(
+            range(len(belt.entries)))
         # the registry polynomials live in the cluster of step 0
         initial = [values[id] for id in belt.step(0).cluster_ids]
-        for id, poly in frame.items():
+        for id, poly in expansions.items():
+            assert frame[id] == poly.min_exponents(), (s, belt.name(id))
             assert poly.evaluate(point) == values[id], (s, belt.name(id))
             assert belt.poly(id).evaluate(initial) == values[id], (s, belt.name(id))
+
+
+@pytest.mark.parametrize("name,target", [("A3", (1, 0)), ("C2", (0, 0))])
+def test_revisit_is_checked_against_the_stored_expansion(monkeypatch, name, target):
+    # A3's labeled period is 2(h+2): its second half produces the variable
+    # first met at node 0 of step 1 again. C2 closes after h+2 steps and
+    # revisits only its initial cluster, at the end. The stored expansion
+    # is made wrong after it was registered and before its revisit.
+    register = BipartiteBelt._register
+    corrupted = []
+
+    def register_then_corrupt(self, poly, minexp, frozen, pos):
+        if pos[0] > target[0] and not corrupted:
+            entry = next(e for e in self.entries if e.first_pos == target)
+            entry.poly = entry.poly + LaurentPolynomial.one(entry.poly.nvars)
+            corrupted.append(entry.id)
+        return register(self, poly, minexp, frozen, pos)
+
+    monkeypatch.setattr(BipartiteBelt, "_register", register_then_corrupt)
+    with pytest.raises(BeltError, match="two distinct variables share a denominator vector"):
+        BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
+    assert corrupted
 
 
 @pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN)

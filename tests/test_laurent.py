@@ -1,11 +1,19 @@
 """Laurent arithmetic: exactness, division refusal, serialization round trips."""
 
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
 
-from clustercones.laurent import EXP_LIMIT, LaurentPolynomial, NotDivisible
+from clustercones.laurent import (
+    EXP_LIMIT,
+    LaurentPolynomial,
+    NotDivisible,
+    _box_guards,
+    _zero_key,
+    unpack_exponents,
+)
 
 
 def P(nvars, text):
@@ -148,6 +156,141 @@ def test_divide_exact_box_refusals():
     # outside it
     with pytest.raises(NotDivisible, match="leading term outside quotient box"):
         P(1, "x1^2 + 1").divide_exact(P(1, "x1 + 1"))
+
+
+def _reference_divide(a, b):
+    """Exact Laurent division as the package did it before the box test
+    ran on packed keys: every leading term is unpacked and compared with
+    the quotient box field by field, and every remainder update pushes
+    its key onto the heap again. The oracle for divide_exact."""
+    n = a.nvars
+    base = _zero_key(n)
+    amin, amax = a.min_exponents(), a.max_exponents()
+    bmin, bmax = b.min_exponents(), b.max_exponents()
+    qmin = [amin[i] - bmin[i] for i in range(n)]
+    qmax = [amax[i] - bmax[i] for i in range(n)]
+    if any(qmin[i] > qmax[i] for i in range(n)):
+        raise NotDivisible("exponent box is empty")
+    bterms = b._terms
+    bkey = max(bterms)
+    bc = bterms[bkey]
+    rem = dict(a._terms)
+    quot = {}
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    while rem:
+        k = -heap[0]
+        if k not in rem:
+            heapq.heappop(heap)
+            continue
+        qkey = k - bkey + base
+        qexps = unpack_exponents(qkey, n)
+        if not all(lo <= q <= hi for lo, q, hi in zip(qmin, qexps, qmax)):
+            raise NotDivisible("leading term outside quotient box")
+        qc, r = divmod(rem[k], bc)
+        if r:
+            raise NotDivisible("leading coefficient not divisible")
+        quot[qkey] = qc
+        off = qkey - base
+        for kb, cb in bterms.items():
+            kk = kb + off
+            nc = rem.get(kk, 0) - qc * cb
+            if nc:
+                rem[kk] = nc
+                heapq.heappush(heap, -kk)
+            elif kk in rem:
+                del rem[kk]
+    return LaurentPolynomial(n, quot)
+
+
+def _edge_poly(rng, nvars, nterms):
+    """Random polynomial whose exponents include 0, small values, and the
+    extremes +-(EXP_LIMIT - 1) of the construction range."""
+    span = EXP_LIMIT - 1
+    items = [
+        ([rng.choice((-span, span, 0, rng.randint(-3, 3), rng.randint(-span, span)))
+          for _ in range(nvars)], rng.choice((-3, -1, 1, 2, 5)))
+        for _ in range(nterms)
+    ]
+    return LaurentPolynomial.from_terms(nvars, items)
+
+
+def _refusal(divide, a, b):
+    with pytest.raises(NotDivisible) as info:
+        divide(a, b)
+    return str(info.value)
+
+
+def test_divide_exact_matches_reference_long_division():
+    rng = random.Random(61)
+    checked = refused = 0
+    for trial in range(400):
+        nvars = rng.randint(1, 5)
+        edge = trial % 2
+        make = _edge_poly if edge else (lambda r, n, t: _random_poly(r, n, t, span=4))
+        q = make(rng, nvars, rng.randint(1, 6))
+        b = make(rng, nvars, rng.randint(2, 5))
+        if not q or b.n_terms < 2:
+            continue
+        a = q * b
+        assert a.divide_exact(b) == _reference_divide(a, b) == q
+        checked += 1
+        # q*b + c*x^e is never divisible by b: b would divide a monomial,
+        # a unit, so b would be a unit, i.e. a monomial
+        exps = [rng.choice((-3, 0, 2, EXP_LIMIT - 1, 1 - EXP_LIMIT)) for _ in range(nvars)]
+        bad = a + LaurentPolynomial.monomial(nvars, rng.choice((-1, 1, 7)), exps)
+        assert _refusal(LaurentPolynomial.divide_exact, bad, b) == _refusal(
+            _reference_divide, bad, b)
+        refused += 1
+    assert checked > 300 and refused == checked
+
+
+def test_packed_box_test_matches_unpack_and_compare():
+    # key and box corners span up to 2 * (EXP_LIMIT - 1) on either side of
+    # zero, as the operands of one product do, so a key's distance to a
+    # corner reaches past 2**14 (a guard with only that much headroom would
+    # borrow from the next field) but stays below 2**15
+    rng = random.Random(67)
+    reach = 2 * (EXP_LIMIT - 1)
+    far = 0
+    for _ in range(3000):
+        nvars = rng.randint(1, 6)
+        lo, hi, exps = [], [], []
+        for _ in range(nvars):
+            a, b = sorted(rng.choice((-reach, reach, 0, rng.randint(-reach, reach)))
+                          for _ in range(2))
+            pick = rng.random()
+            if pick < 0.3:
+                e = rng.choice((a, b, a - 1, b + 1))
+            elif pick < 0.5:
+                e = rng.choice((-reach, reach, EXP_LIMIT - 1, 1 - EXP_LIMIT))
+            else:
+                e = rng.randint(-reach, reach)
+            e = max(-reach, min(reach, e))
+            lo.append(a)
+            hi.append(b)
+            exps.append(e)
+            far += abs(e - a) > 1 << 14 or abs(b - e) > 1 << 14
+        key = _zero_key(nvars)
+        for i, e in enumerate(reversed(exps)):
+            key += e << (16 * i)
+        assert unpack_exponents(key, nvars) == tuple(exps)
+        add, sub, top = _box_guards(lo, hi)
+        inside = all(a <= e <= b for a, e, b in zip(lo, exps, hi))
+        assert ((key + add) & (sub - key) & top == top) == inside, (lo, exps, hi)
+    assert far > 100
+
+
+def test_quotients_refuse_dividends_too_wide_to_pack():
+    # x^24573 + x^-24573 is reachable through products and monomial
+    # quotients but spans more than 2**15 in x1, too wide for the packed
+    # box test: refused, as products of out-of-range operands are
+    x = LaurentPolynomial.variable(1, 0)
+    top = (x**8191 * x**8191).divide_exact(x**-8191)
+    bottom = (x**-8191 * x**-8191).divide_exact(x**8191)
+    assert top.max_exponents() == (24573,) and bottom.min_exponents() == (-24573,)
+    with pytest.raises(OverflowError):
+        (top + bottom).divide_exact(x + LaurentPolynomial.one(1))
 
 
 def test_serialize_forms():
