@@ -344,9 +344,9 @@ class LaurentPolynomial:
         under multiplication over a domain), and each emitted coefficient
         must divide exactly over the integers.
 
-        The remainder's terms wait in a max-heap of keys (Monagan-Pearce
-        style), each key pushed once, when it enters the remainder; a key
-        whose coefficient cancels stays behind and is skipped when popped.
+        The remainder's terms wait in a max-heap of keys, each key pushed
+        once, when it enters the remainder; a key whose coefficient
+        cancels stays behind and is skipped when popped.
         A remainder term with key k gives the quotient term k - b, b the
         divisor's leading key, so the quotient box shifted by b is a box
         for k, tested on the packed key by _box_guards. Every remainder
