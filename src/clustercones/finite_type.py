@@ -25,7 +25,12 @@ complete invariant, which is what makes the tropical mode sound; symbolic
 mode also carries the full Laurent expansions and cross-checks the
 deduplication against them: a new variable is proved Laurent by exact
 division, and a revisited one by a single product with the stored
-expansion.
+expansion. Every exchange then compares the expansion's min exponents
+with the min-plus vector. The expansion's corners come out of the Laurent
+arithmetic itself, which carries them exactly through products, sums in
+which nothing cancels and exact quotients (see `laurent`), so no
+expansion is rescanned for them; they are never taken from the min-plus
+walk, so the comparison still tests that walk against the expansions.
 
 Tropical mode exists because the deepest variables of an E8-size belt have
 Laurent expansions with too many terms to multiply comfortably in pure

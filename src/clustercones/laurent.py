@@ -8,11 +8,25 @@ order on exponent vectors. Exponents must stay below 2**13 in absolute
 value; the belt computations this module serves never get near that, and
 the bound is checked on construction and on the operands of every
 product (a product of in-range operands still fits its 16-bit fields, so
-out-of-range exponents raise OverflowError instead of wrapping).
-The componentwise min/max exponents (the corners that bound exact
-division) are read in one unpacking pass: every key goes to bytes, a
-cached struct splits it into its biased fields, and min or max runs over
-the columns at C level.
+out-of-range exponents raise OverflowError instead of wrapping). A
+quotient whose exponents would leave the 16-bit fields raises
+OverflowError as well.
+
+Each polynomial caches its componentwise min and max exponent vectors
+(its corners). A cached corner is always exact, never an estimate: it is
+set only where the corner follows from the operands' corners with no
+cancellation to account for. Z[x^+-1] is an integral domain, so the
+lowest (and highest) x_i-parts of two factors multiply to something
+nonzero, and the corners of a product are the sums of its factors'
+corners; the corners of an exact quotient q = a / b are a's minus b's,
+since q * b = a; a sum or difference in which no key cancelled has the
+union of its operands' supports, so its corners are their componentwise
+min and max; negation keeps them; variables, constants and monomials
+know theirs. Any other polynomial (a sum in which a key cancelled, one
+built from a term dict) reads its corners on first request, in one
+unpacking pass per corner: every key goes to bytes, a cached struct
+splits it into its biased fields, and min or max runs over the columns at
+C level. The product's range check and the quotient box read the corners.
 
 Coefficients are arbitrary-precision ints. There is no coefficient field:
 division is exact division over the integer Laurent ring, and refuses
@@ -29,7 +43,7 @@ import heapq
 import re
 import struct
 from fractions import Fraction
-from operator import gt
+from operator import add, gt, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -43,7 +57,6 @@ BIAS = 1 << (FIELD_BITS - 1)
 EXP_LIMIT = 1 << 13
 
 _zero_key_cache: dict[int, int] = {}
-_range_cache: dict[int, tuple[int, int]] = {}
 _fields_cache: dict[int, Callable] = {}
 
 
@@ -55,24 +68,6 @@ def _zero_key(nvars: int) -> int:
             key = (key << FIELD_BITS) | BIAS
         _zero_key_cache[nvars] = key
     return key
-
-
-def _range_check(nvars: int) -> tuple[int, int]:
-    """(low, mask) with (key - low) & mask == 0 iff every exponent e of
-    the packed key has -EXP_LIMIT <= e < EXP_LIMIT.
-
-    Subtracting BIAS - EXP_LIMIT from each field leaves e + EXP_LIMIT,
-    which lies in [0, 2 * EXP_LIMIT) exactly when e is in range; a field
-    below that borrows and sets its top bits, one above sets them itself.
-    """
-    got = _range_cache.get(nvars)
-    if got is None:
-        low = mask = 0
-        for _ in range(nvars):
-            low = (low << FIELD_BITS) | (BIAS - EXP_LIMIT)
-            mask = (mask << FIELD_BITS) | (FIELD_MASK & -(2 * EXP_LIMIT))
-        got = _range_cache[nvars] = (low, mask)
-    return got
 
 
 def _fields(nvars: int) -> Callable:
@@ -134,12 +129,16 @@ class LaurentPolynomial:
     already hold packed keys.
     """
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_terms", "_hash", "_min", "_max")
 
     def __init__(self, nvars: int, terms: dict[int, int]):
         self.nvars = nvars
         self._terms = terms
         self._hash: int | None = None
+        # the exact corners, or None until first requested; set directly
+        # only where they are known exactly (see the module docstring)
+        self._min: tuple[int, ...] | None = None
+        self._max: tuple[int, ...] | None = None
 
     # construction
 
@@ -151,7 +150,8 @@ class LaurentPolynomial:
     def constant(cls, nvars: int, c: int) -> "LaurentPolynomial":
         if c == 0:
             return cls(nvars, {})
-        return cls(nvars, {_zero_key(nvars): c})
+        zeros = (0,) * nvars
+        return _exactly(nvars, {_zero_key(nvars): c}, zeros, zeros)
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPolynomial":
@@ -163,7 +163,8 @@ class LaurentPolynomial:
             raise IndexError(f"variable index {index} out of range")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {pack_exponents(exps): 1})
+        exps = tuple(exps)
+        return _exactly(nvars, {pack_exponents(exps): 1}, exps, exps)
 
     @classmethod
     def monomial(cls, nvars: int, coeff: int, exps: Sequence[int]) -> "LaurentPolynomial":
@@ -171,7 +172,8 @@ class LaurentPolynomial:
             raise ValueError("exponent vector length mismatch")
         if coeff == 0:
             return cls(nvars, {})
-        return cls(nvars, {pack_exponents(exps): coeff})
+        exps = tuple(exps)
+        return _exactly(nvars, {pack_exponents(exps): coeff}, exps, exps)
 
     @classmethod
     def from_terms(
@@ -222,12 +224,19 @@ class LaurentPolynomial:
         The negatives of these are the denominator exponents when the
         polynomial is written over a common monomial denominator.
         """
-        return self._corner(min)
+        lo = self._min
+        if lo is None:
+            lo = self._min = self._corner(min)
+        return lo
 
     def max_exponents(self) -> tuple[int, ...]:
-        return self._corner(max)
+        hi = self._max
+        if hi is None:
+            hi = self._max = self._corner(max)
+        return hi
 
     def _corner(self, pick) -> tuple[int, ...]:
+        """One corner read from the terms (pick is min or max)."""
         # Biased fields are unsigned and in range, so their order is the
         # exponents' order: pick over the raw fields, unbias once.
         n = self.nvars
@@ -260,45 +269,73 @@ class LaurentPolynomial:
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_compat(other)
         out = dict(self._terms)
+        cancelled = False
         for key, coeff in other._terms.items():
             c = out.get(key, 0) + coeff
             if c:
                 out[key] = c
             elif key in out:
                 del out[key]
-        return LaurentPolynomial(self.nvars, out)
+                cancelled = True
+        return self._union(other, out, cancelled)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.nvars, {k: -c for k, c in self._terms.items()})
+        neg = LaurentPolynomial(self.nvars, {k: -c for k, c in self._terms.items()})
+        neg._min, neg._max = self._min, self._max
+        return neg
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_compat(other)
         out = dict(self._terms)
+        cancelled = False
         for key, coeff in other._terms.items():
             c = out.get(key, 0) - coeff
             if c:
                 out[key] = c
             elif key in out:
                 del out[key]
-        return LaurentPolynomial(self.nvars, out)
+                cancelled = True
+        return self._union(other, out, cancelled)
+
+    def _union(self, other: "LaurentPolynomial", out: dict[int, int],
+               cancelled: bool) -> "LaurentPolynomial":
+        """The sum or difference with terms out. When no key cancelled,
+        its support is the union of the operands' supports, so it gets
+        the componentwise min and max of their corners where both carry
+        them (a zero operand contributes no terms, and no corner)."""
+        total = LaurentPolynomial(self.nvars, out)
+        if cancelled:
+            return total
+        if not other._terms:
+            total._min, total._max = self._min, self._max
+        elif not self._terms:
+            total._min, total._max = other._min, other._max
+        else:
+            lo, hi, olo, ohi = self._min, self._max, other._min, other._max
+            if lo is not None and olo is not None:
+                total._min = tuple([x if x < y else y for x, y in zip(lo, olo)])
+            if hi is not None and ohi is not None:
+                total._max = tuple([x if x > y else y for x, y in zip(hi, ohi)])
+        return total
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_compat(other)
         a, b = self._terms, other._terms
         if not a or not b:
             return LaurentPolynomial(self.nvars, {})
+        alo, ahi = self.min_exponents(), self.max_exponents()
+        blo, bhi = other.min_exponents(), other.max_exponents()
+        # every exponent of both factors in [-EXP_LIMIT, EXP_LIMIT), the
+        # range in which the product still fits its 16-bit fields (a
+        # polynomial in no variables has no exponents to check)
+        if alo and (min(alo + blo) < -EXP_LIMIT or max(ahi + bhi) >= EXP_LIMIT):
+            raise OverflowError("exponent out of supported range in a product")
         if len(a) > len(b):
             a, b = b, a
         base = _zero_key(self.nvars)
-        low, mask = _range_check(self.nvars)
-        for kb in b:
-            if (kb - low) & mask:
-                raise OverflowError("exponent out of supported range in a product")
         out: dict[int, int] = {}
         get = out.get
         for ka, ca in a.items():
-            if (ka - low) & mask:
-                raise OverflowError("exponent out of supported range in a product")
             off = ka - base
             for kb, cb in b.items():
                 k = kb + off
@@ -311,7 +348,8 @@ class LaurentPolynomial:
                         out[k] = c
                     else:
                         del out[k]
-        return LaurentPolynomial(self.nvars, out)
+        return _exactly(self.nvars, out, tuple(map(add, alo, blo)),
+                        tuple(map(add, ahi, bhi)))
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
@@ -342,7 +380,12 @@ class LaurentPolynomial:
         the quotient's exponents are confined to the box pinned down by the
         componentwise min/max exponents of the operands (these are additive
         under multiplication over a domain), and each emitted coefficient
-        must divide exactly over the integers.
+        must divide exactly over the integers. The operands' corners are
+        read from their caches, and the quotient leaves with the corners
+        of that box, a's minus b's: q * b = a in a domain, so they are
+        exact. A quotient whose box leaves the 16-bit exponent fields is
+        refused with OverflowError, on both the monomial and the heap
+        branch, so that no quotient key wraps.
 
         The remainder's terms wait in a max-heap of keys, each key pushed
         once, when it enters the remainder; a key whose coefficient
@@ -362,6 +405,13 @@ class LaurentPolynomial:
             return LaurentPolynomial(self.nvars, {})
         n = self.nvars
         base = _zero_key(n)
+        amin, amax = self.min_exponents(), self.max_exponents()
+        qmin = tuple(map(sub, amin, other.min_exponents()))
+        qmax = tuple(map(sub, amax, other.max_exponents()))
+        if any(map(gt, qmin, qmax)):
+            raise NotDivisible("exponent box is empty")
+        if min(qmin, default=0) < -BIAS or max(qmax, default=0) >= BIAS:
+            raise OverflowError("exponent out of supported range in a quotient")
 
         if len(other._terms) == 1:
             ((bkey, bc),) = other._terms.items()
@@ -372,21 +422,16 @@ class LaurentPolynomial:
                 if r:
                     raise NotDivisible("coefficient not divisible")
                 out[k - off] = q
-            return LaurentPolynomial(n, out)
+            return _exactly(n, out, qmin, qmax)
 
-        amin, amax = self.min_exponents(), self.max_exponents()
-        bmin, bmax = other.min_exponents(), other.max_exponents()
         bterms = other._terms
         bkey = max(bterms)
         bc = bterms[bkey]
         lead = unpack_exponents(bkey, n)
-        lo = [a - m + e for a, m, e in zip(amin, bmin, lead)]
-        hi = [a - m + e for a, m, e in zip(amax, bmax, lead)]
-        if any(map(gt, lo, hi)):
-            raise NotDivisible("exponent box is empty")
         if any(b - a >= BIAS for a, b in zip(amin, amax)):
             raise OverflowError("exponent out of supported range in a quotient")
-        add, sub, top = _box_guards(lo, hi)
+        plus, minus, top = _box_guards([q + e for q, e in zip(qmin, lead)],
+                                       [q + e for q, e in zip(qmax, lead)])
 
         shift = bkey - base
         rest = [(kb - bkey, cb) for kb, cb in bterms.items() if kb != bkey]
@@ -401,7 +446,7 @@ class LaurentPolynomial:
             c = pop(k, 0)
             if not c:
                 continue
-            if (k + add) & (sub - k) & top != top:
+            if (k + plus) & (minus - k) & top != top:
                 raise NotDivisible("leading term outside quotient box")
             qc, r = divmod(c, bc)
             if r:
@@ -417,7 +462,7 @@ class LaurentPolynomial:
                     rem[kk] = nc
                 else:
                     del rem[kk]
-        return LaurentPolynomial(n, quot)
+        return _exactly(n, quot, qmin, qmax)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         """Evaluate at a point with nonzero coordinates, exactly."""
@@ -550,3 +595,12 @@ class LaurentPolynomial:
         if len(s) > 60:
             s = s[:57] + "..."
         return f"<Laurent {self.nvars}v {s}>"
+
+
+def _exactly(nvars: int, terms: dict[int, int], lo: tuple[int, ...],
+             hi: tuple[int, ...]) -> LaurentPolynomial:
+    """A polynomial whose corners lo and hi are known exactly (never pass
+    a bound that is merely valid)."""
+    p = LaurentPolynomial(nvars, terms)
+    p._min, p._max = lo, hi
+    return p

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from clustercones import finite_type
 from clustercones.finite_type import (
     BeltError,
     BipartiteBelt,
@@ -272,6 +273,46 @@ def test_revisit_is_checked_against_the_stored_expansion(monkeypatch, name, targ
     with pytest.raises(BeltError, match="two distinct variables share a denominator vector"):
         BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
     assert corrupted
+
+
+@pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN + [("E6", 6)])
+def test_registry_corners_match_the_terms(name, frozen):
+    # the corners a registry expansion carries out of the Laurent
+    # arithmetic equal the ones read from its terms, and the min corner
+    # is the min-plus vector the belt deduplicates by
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+    assert belt.symbolic
+    for entry in belt.entries:
+        poly = entry.poly
+        assert poly.min_exponents() == poly._corner(min) == entry.minexp, belt.name(entry.id)
+        assert poly.max_exponents() == poly._corner(max), belt.name(entry.id)
+
+
+@pytest.mark.parametrize("name,wrong", [("A3", 1), ("A3", 16), ("C2", 4), ("E6", 30)])
+def test_min_exponent_divergence_is_caught(monkeypatch, name, wrong):
+    # the min-plus walk is made to give one exchange (the wrong-th) a min
+    # vector no variable has, once on a variable the belt revisits (A3's
+    # 16th); the expansion's own corners, which never come from that walk,
+    # must disagree with it
+    minplus_ring = finite_type._minplus_ring
+    divisions = []
+
+    def skewed_ring(nvars):
+        ring = minplus_ring(nvars)
+
+        def div(a, b):
+            q = ring.div(a, b)
+            divisions.append(q)
+            if len(divisions) == wrong:
+                q = (q[0] - 100,) + q[1:]
+            return q
+
+        return ring._replace(div=div)
+
+    monkeypatch.setattr(finite_type, "_minplus_ring", skewed_ring)
+    with pytest.raises(BeltError, match="tropical min-exponent bookkeeping diverged"):
+        BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
+    assert len(divisions) == wrong
 
 
 @pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN)

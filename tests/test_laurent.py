@@ -146,6 +146,84 @@ def test_min_max_exponents_match_a_per_term_loop():
         assert p.max_exponents() == tuple(hi)
 
 
+def _assert_exact_corners(p):
+    # min_exponents/max_exponents return the cached corner when there is
+    # one; _corner reads the corner from the terms afresh
+    assert p.min_exponents() == p._corner(min), p
+    assert p.max_exponents() == p._corner(max), p
+
+
+def test_cached_corners_of_cancelling_sums_and_zeros():
+    x1, x2 = (LaurentPolynomial.variable(2, i) for i in range(2))
+    one = LaurentPolynomial.one(2)
+    cases = [
+        (x1 + x2) - x1,
+        (x1**-2 + one) + (-(x1**-2)),
+        (x1 * x2 + x2**-1) - x2**-1,
+        x1 - x1,
+        (x1 + x2) + LaurentPolynomial.zero(2),
+        LaurentPolynomial.zero(2) - (x1 + x2**3),
+        (x1 + x2) * LaurentPolynomial.zero(2),
+        LaurentPolynomial.zero(2).divide_exact(x1 + x2),
+        (x1**3 - x1 * x2**2).divide_exact(x1 + x2),
+        (x1 + x2).divide_exact(LaurentPolynomial.monomial(2, -1, [2, -3])),
+    ]
+    for p in cases:
+        _assert_exact_corners(p)
+    assert cases[0].min_exponents() == (0, 1) == cases[0].max_exponents()
+    assert cases[1].min_exponents() == (0, 0)
+    assert cases[5].min_exponents() == (0, 0) and cases[5].max_exponents() == (1, 3)
+    assert cases[8].min_exponents() == (1, 0) and cases[8].max_exponents() == (2, 1)
+
+
+def test_cached_corners_match_the_terms_under_random_arithmetic():
+    # grow a pool from variables, constants and monomials (which know their
+    # corners) and from term dicts (which do not), and check every result's
+    # corners against the ones read from its terms
+    rng = random.Random(73)
+    carried = total = zeros = 0
+    for trial in range(40):
+        nvars = rng.randint(1, 4)
+        pool = [LaurentPolynomial.variable(nvars, i) for i in range(nvars)]
+        pool.append(LaurentPolynomial.constant(nvars, rng.choice((-2, 1, 3))))
+        pool.append(_random_poly(rng, nvars, nterms=4, span=2))
+        for _ in range(30):
+            a, b = rng.choice(pool), rng.choice(pool)
+            op = rng.randrange(8)
+            if op == 0:
+                p = a + b
+            elif op == 1:
+                p = a - b
+            elif op == 2:
+                p = -a
+            elif op == 3:
+                p = a * b
+            elif op == 4:
+                p = a ** rng.randint(0, 3)
+            elif op == 5:
+                # a sum whose extreme terms cancel
+                p = (a + b) - b
+            elif op == 6:
+                mono = LaurentPolynomial.monomial(
+                    nvars, rng.choice((-1, 1, 2)), [rng.randint(-2, 2) for _ in range(nvars)])
+                p = (a * mono).divide_exact(mono)
+                assert p == a
+            else:
+                if not b:
+                    continue
+                p = (a * b).divide_exact(b)
+                assert p == a
+            carried += p._min is not None and p._max is not None
+            _assert_exact_corners(p)
+            total += 1
+            zeros += not p
+            if p.n_terms <= 40:
+                pool.append(p)
+    # most results got their corners from their operands'; sums in which
+    # a key cancelled, and results built from term dicts, read them later
+    assert total // 2 < carried < total and zeros > 10
+
+
 def test_divide_exact_box_refusals():
     # the dividend spans no x1 degree but the divisor spans one: no
     # quotient fits, whatever the coefficients
@@ -291,6 +369,20 @@ def test_quotients_refuse_dividends_too_wide_to_pack():
     assert top.max_exponents() == (24573,) and bottom.min_exponents() == (-24573,)
     with pytest.raises(OverflowError):
         (top + bottom).divide_exact(x + LaurentPolynomial.one(1))
+
+
+def test_quotients_refuse_exponents_that_would_wrap():
+    # chained quotients by x2^-8191 push x2's exponent past 2**15, where
+    # its field would carry into x1's: x2^40955 used to come out as
+    # x1*x2^-24581, from a monomial divisor and from the heap alike
+    x = LaurentPolynomial.variable(2, 1)
+    top = (x**8191 * x**8191).divide_exact(x**-8191)
+    near = top.divide_exact(x**-8191)
+    assert near.max_exponents() == (0, 32764) == near._corner(max)
+    with pytest.raises(OverflowError, match="in a quotient"):
+        near.divide_exact(x**-8191)
+    with pytest.raises(OverflowError, match="in a quotient"):
+        (near + top.divide_exact(x**-8190)).divide_exact(x**-8191 + x**-8190)
 
 
 def test_serialize_forms():
