@@ -22,6 +22,7 @@ relation proves the telescoping identity behind subtraction-freeness.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
@@ -393,30 +394,53 @@ def double_description(
 
 
 class ExtremeRay:
-    """Primitive integer ratio vector with its u-variable provenance."""
+    """Primitive integer ratio vector with its u-variable provenance.
 
-    __slots__ = ("vector", "lam")
+    powers holds the ray's nonzero u-exponents as (column, Fraction)
+    pairs in column order: a ray has a handful of them out of num_cols.
+    lam is the dense tuple over all num_cols columns, built from powers
+    on request.
+    """
 
-    def __init__(self, vector: dict[int, int], lam: tuple[Fraction, ...]):
+    __slots__ = ("vector", "powers", "num_cols")
+
+    def __init__(self, vector: dict[int, int],
+                 powers: tuple[tuple[int, Fraction], ...], num_cols: int):
         self.vector = vector
-        self.lam = lam
+        self.powers = powers
+        self.num_cols = num_cols
+
+    @property
+    def lam(self) -> tuple[Fraction, ...]:
+        lam = [_ZERO] * self.num_cols
+        for j, l in self.powers:
+            lam[j] = l
+        return tuple(lam)
 
 
 class ConeDescription:
-    """Extreme rays of the bounded ratios supported on a variable subset."""
+    """Extreme rays of the bounded ratios supported on a variable subset.
 
-    __slots__ = ("subset", "rays", "umatrix")
+    ray_index maps each ray's vector, as a frozenset of its items, to the
+    ray's position; it is shorter than rays only if two rays coincide.
+    """
+
+    __slots__ = ("subset", "rays", "umatrix", "ray_index")
 
     def __init__(self, subset, rays, umatrix):
         self.subset = subset
         self.rays = rays
         self.umatrix = umatrix
+        self.ray_index = {
+            frozenset(r.vector.items()): i for i, r in enumerate(rays)
+        }
 
     def __len__(self) -> int:
         return len(self.rays)
 
     def to_dict(self) -> dict:
         belt = self.umatrix.belt
+        uvars = self.umatrix.uvars
         return {
             "subset": sorted(belt.name(id) for id in self.subset),
             "rays": [
@@ -424,9 +448,7 @@ class ConeDescription:
                     "ratio": {belt.name(id): e
                               for id, e in sorted(r.vector.items())},
                     "lambda": {
-                        belt.name(u.gamma): str(l)
-                        for u, l in zip(self.umatrix.uvars, r.lam)
-                        if l
+                        belt.name(uvars[j].gamma): str(l) for j, l in r.powers
                     },
                 }
                 for r in self.rays
@@ -440,7 +462,10 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     Inside u-exponent space the constraint is linear: the combined ratio
     must have exponent zero on every variable outside the subset. Double
     description over those equality rows gives the lambda-rays, which map
-    through U to the ratio vectors themselves.
+    through U to the ratio vectors themselves. Each ray is built from the
+    nonzero entries of its lambda-ray alone: the sparse u-vectors of those
+    columns are summed and divided by the gcd of the sum, which leaves the
+    ray's sparse powers (see ExtremeRay).
     """
     subset = frozenset(subset)
     # Rows go in registry (belt) order, as the u-columns do. That makes
@@ -451,20 +476,24 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     # way to 80, against 600 with the sparsest rows first).
     eq_rows = [row for id, row in zip(U.row_ids, U.rows) if id not in subset]
     columns = range(U.num_cols)
+    uvectors = [u.vector for u in U.uvars]
+    fraction = cache(Fraction)  # the rays share a few distinct powers
     rays = []
     for ell in double_description(eq_rows, U.num_cols):
-        dense = U.combine(ell)
-        g = gcd(*dense)
+        support = list(compress(columns, ell))
+        total: dict[int, int] = {}
+        for j in support:
+            l = ell[j]
+            for id, c in uvectors[j].items():
+                total[id] = total.get(id, 0) + l * c
+        g = gcd(*total.values())
         if g == 0:
             continue
-        vector = {id: e // g for id, e in compress(zip(U.row_ids, dense), dense)}
+        vector = {id: e // g for id, e in total.items() if e}
         if not subset.issuperset(vector):
             raise RuntimeError("ray escaped the requested subset")
-        # a ray has a handful of nonzero u-exponents out of num_cols
-        lam = [_ZERO] * U.num_cols
-        for j in compress(columns, ell):
-            lam[j] = Fraction(ell[j], g)
-        rays.append(ExtremeRay(vector, tuple(lam)))
+        powers = tuple((j, fraction(ell[j], g)) for j in support)
+        rays.append(ExtremeRay(vector, powers, U.num_cols))
     rays.sort(key=lambda r: U.dense(r.vector))
     return ConeDescription(subset, rays, U)
 

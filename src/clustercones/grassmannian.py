@@ -594,9 +594,7 @@ class GrassmannianCluster:
 
     def ray_orbits(self, cone: ConeDescription) -> list[list[int]]:
         """Ray indices grouped into rotation orbits; fails if not closed."""
-        ray_index = {
-            frozenset(r.vector.items()): i for i, r in enumerate(cone.rays)
-        }
+        ray_index = cone.ray_index
         if len(ray_index) != len(cone.rays):
             raise IdentificationError("duplicate rays in cone description")
         orbits = []
@@ -810,21 +808,25 @@ def check_ray_table(
     groups only pins the content multiset, which up to three registry
     variables share; the checker searches injective per-content
     assignments consistent with every row, where consistent means the
-    left ratio is an extreme ray of the cone and equals the sum of the
-    named u-vectors. Returns the chosen assignment and the ray index of
-    each row; raises RatioTableError when no assignment survives, or when
-    more than cap do after some row.
+    left ratio is an extreme ray of the cone and equals the product of
+    the named u-variables. A row is decided in two steps: the left ratio
+    is looked up among the rays, and the multiset of named u-variables is
+    compared with that ray's powers. U has independent columns
+    (build_u_matrix enforces it), so a ratio's u-exponents are unique and
+    the ratio is that product exactly when its powers are the multiset.
+    Returns the chosen assignment and the ray index of each row; raises
+    RatioTableError when no assignment survives, or when more than cap
+    do after some row.
     """
     n = grass.n
-    uvec_by_gamma = {u.gamma: u.vector for u in grass.uvars}
-    ray_index = {
-        frozenset(r.vector.items()): i for i, r in enumerate(cone.rays)
-    }
+    gammas = [u.gamma for u in cone.umatrix.uvars]
+    ray_index = cone.ray_index
     class_ids: dict[tuple[int, ...], list[int]] = {}
     for id in grass.belt.row_order:
         if grass.degree[id] >= 2:
             class_ids.setdefault(grass.content[id], []).append(id)
 
+    @functools.cache  # a table repeats its names from row to row
     def canon(name: str):
         groups = _token_groups(name)
         if len(groups) == 1 and len(groups[0]) == grass.k:
@@ -867,13 +869,18 @@ def check_ray_table(
     def resolve(tok, asg):
         return tok[1] if tok[0] == "id" else asg[tok[2]]
 
-    def row_holds(row, asg) -> bool:
+    def row_ray(row, asg) -> int | None:
+        """The index of the row's ray if the row holds, else None."""
         vec = _ratio_product((resolve(tok, asg), e) for tok, e in row[0])
-        us = [uvec_by_gamma.get(resolve(tok, asg)) for tok in row[1]]
-        if None in us:
-            return False
-        target = _ratio_product(t for u in us for t in u.items())
-        return vec == target and frozenset(vec.items()) in ray_index
+        i = ray_index.get(frozenset(vec.items()))
+        if i is None:
+            return None
+        named: dict[int, int] = {}
+        for tok in row[1]:
+            id = resolve(tok, asg)
+            named[id] = named.get(id, 0) + 1
+        powers = {gammas[j]: l for j, l in cone.rays[i].powers}
+        return i if named == powers else None
 
     assignments: list[dict[str, int]] = [{}]
     content_of_name: dict[str, tuple[int, ...]] = {}
@@ -902,7 +909,7 @@ def check_ray_table(
                 for (names, _), perm in zip(option_sets, combo):
                     for nm, id in zip(names, perm):
                         ext[nm] = id
-                if not row_holds(row, ext):
+                if row_ray(row, ext) is None:
                     continue
                 key = tuple(sorted(ext.items()))
                 if key not in survivor_keys:
@@ -921,10 +928,10 @@ def check_ray_table(
     chosen = assignments[0]
     indices = []
     for row in parsed:
-        if not row_holds(row, chosen):
+        i = row_ray(row, chosen)
+        if i is None:
             raise RatioTableError("chosen assignment fails on re-verification")
-        vec = _ratio_product((resolve(tok, chosen), e) for tok, e in row[0])
-        indices.append(ray_index[frozenset(vec.items())])
+        indices.append(i)
     return chosen, indices
 
 

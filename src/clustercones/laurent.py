@@ -362,14 +362,21 @@ class LaurentPolynomial:
                         self.nvars, sign, [e * n for e in exps]
                     )
             raise NotDivisible("negative power of a non-unit")
-        result = LaurentPolynomial.one(self.nvars)
+        if n == 0:
+            return LaurentPolynomial.one(self.nvars)
+        # square up to the lowest set bit of n and start there, so that no
+        # product is spent on the constant one
         square = self
+        while not n & 1:
+            square = square * square
+            n >>= 1
+        result = square
+        n >>= 1
         while n:
+            square = square * square
             if n & 1:
                 result = result * square
             n >>= 1
-            if n:
-                square = square * square
         return result
 
     def divide_exact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":

@@ -306,6 +306,23 @@ def test_cone_pluecker_json_is_golden(capsys, monkeypatch, n):
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_GOLDEN[n]
 
 
+# sha256 of the JSON of the other two Gr(3,8) cones, computed before the
+# rays carried their u-exponents in sparse form
+CONE_GR38_GOLDEN = {
+    "deg2": "60418ff9be34223d9b33f8af16a3fdfa0a722db7e23cfe6f3f5f0d0844af800e",
+    "all": "dda1d529d0166ecdda7d89fff103fa40987ae17592b3eb6f64a75dc2e0a7e770",
+}
+
+
+@pytest.mark.parametrize("subset", sorted(CONE_GR38_GOLDEN))
+def test_cone_gr38_json_is_golden(capsys, monkeypatch, subset):
+    monkeypatch.delenv("CLUSTER_CONE_CACHE", raising=False)
+    argv = ["cone", "--gr", "3", "8", "--subset", subset, "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CONE_GR38_GOLDEN[subset]
+
+
 def test_cone_cache_hits(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
     argv = ["cone", "--type", "A1", "--frozen", "1", "--format", "json"]

@@ -317,6 +317,30 @@ def test_gr37_pluecker_rays_replay_through_membership(gr37):
         assert all(type(l) is Fraction for l in r.lam)
 
 
+@pytest.mark.parametrize("context", ["C2", "gr36", "gr38"])
+def test_ray_powers_are_the_nonzero_lam_entries(request, context):
+    if context == "C2":
+        U = build_u_matrix(belt_of("C2"))
+        cone = subset_cone([0, 1, 2, 3, 5], U)
+    else:
+        grass = request.getfixturevalue(context)
+        U = grass.U
+        cone = grass.degree_filtered_cone(2)
+    assert len(cone) > 0
+    for i, r in enumerate(cone.rays):
+        columns = [j for j, _ in r.powers]
+        assert columns == sorted(set(columns))
+        assert all(type(l) is Fraction and l > 0 for _, l in r.powers)
+        lam = r.lam
+        assert len(lam) == U.num_cols == r.num_cols
+        assert [(j, l) for j, l in enumerate(lam) if l] == list(r.powers)
+        assert U.combine(lam) == U.dense(r.vector)
+        assert cone.ray_index[frozenset(r.vector.items())] == i
+    assert len(cone.ray_index) == len(cone)
+    with pytest.raises(AttributeError):
+        cone.rays[0].lam = ()
+
+
 @pytest.mark.parametrize("context", ["C2", "D4+3", "gr36"])
 def test_combine_is_the_dense_product(request, context):
     # D4 needs three frozen variables before U has independent columns

@@ -637,6 +637,33 @@ def test_gr38_appendix_tables(gr38):
         assert assignment[key] == assignment2[key]
 
 
+def _tampered_degree2_rows(how):
+    rows = [(dict(lhs), list(rhs)) for lhs, rhs in
+            load_ray_table(packaged_table("gr38_appendix.txt"))["degree2"]]
+    lhs, rhs = rows[5]
+    assert len(rhs) == 4  # v[258] v[147|258|368] v[247|358] v[246|358]
+    if how == "drop-factor":
+        rhs.pop()
+    elif how == "duplicate-factor":
+        rhs.append(rhs[0])
+    elif how == "frozen-minor":
+        rhs[0] = "v[123]"  # a frozen minor has no u-variable
+    else:  # twice a ray is no extreme ray, though its lambda is twice
+        rows.append(({nm: 2 * e for nm, e in lhs.items()}, rhs + rhs))
+    return rows
+
+
+@pytest.mark.parametrize("how", ["drop-factor", "duplicate-factor",
+                                 "frozen-minor", "not-a-ray"])
+def test_gr38_degree2_table_rejects_tampered_rows(gr38, how):
+    cone = gr38.degree_filtered_cone(2)
+    rows = _tampered_degree2_rows(how)
+    row = len(rows) if how == "not-a-ray" else 6
+    with pytest.raises(RatioTableError,
+                       match=rf"table row {row}: no name assignment"):
+        check_ray_table(gr38, rows, cone)
+
+
 def test_ray_table_search_refuses_to_truncate(gr37):
     cone = gr37.pluecker_cone()
     # the row holds whichever of the two variables of content 0111111 the

@@ -109,6 +109,27 @@ def test_pow_including_monomial_negative():
         _ = p**-1
 
 
+def test_powers_equal_repeated_products_and_carry_exact_corners():
+    rng = random.Random(59)
+    for trial in range(30):
+        nvars = rng.randint(1, 4)
+        # half the bases know their corners (a product), half do not
+        p = _random_poly(rng, nvars, nterms=3, span=2)
+        if trial % 2:
+            p = p * LaurentPolynomial.variable(nvars, 0)
+        want = LaurentPolynomial.one(nvars)
+        for n in range(10):
+            got = p**n
+            assert got == want, (p, n)
+            _assert_exact_corners(got)
+            want = want * p
+    x = LaurentPolynomial.variable(3, 1)
+    assert x**0 == LaurentPolynomial.one(3)
+    assert (x**0).min_exponents() == (0, 0, 0) == (x**0).max_exponents()
+    assert LaurentPolynomial.zero(3)**0 == LaurentPolynomial.one(3)
+    assert not LaurentPolynomial.zero(3)**5
+
+
 def test_eval_exact():
     p = P(2, "x1^-1*x2 + x1^-1")
     assert p.evaluate([Fraction(1, 2), Fraction(3)]) == Fraction(8)
