@@ -4,8 +4,9 @@ The u-variables span the cone of Laurent monomials in cluster variables
 that stay bounded on the positive locus. This module assembles their
 exponent matrix U, decides membership with replayable certificates,
 enumerates extreme rays of restricted cones by exact double description,
-hunts for unimodular row minors (which force integer factorizations),
-and checks subtraction-freeness of bounded ratios.
+reads unimodular row minors of U (which force integer factorizations)
+off the one fraction-free elimination `linalg.rref`, and checks
+subtraction-freeness of bounded ratios.
 
 Every verdict rests on the dual basis G of the u-variables: one row of
 valuations per u-variable, from one min-plus walk along its degeneration
@@ -28,7 +29,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
-from .linalg import det_bareiss, hermite_column_reduce
+from .linalg import det_bareiss, rref
 # unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
 from .linalg import rank  # noqa: F401
 from .seeds import _laurent_ring, _monomial, _split
@@ -52,7 +53,6 @@ __all__ = [
     "build_u_matrix",
     "double_description",
     "membership",
-    "row_lattice_index",
     "subset_cone",
     "subtraction_free_check",
     "unimodular_minor_search",
@@ -501,91 +501,22 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
 # unimodular minors
 
 
-def row_lattice_index(rows: Sequence[Sequence[int]]) -> int:
-    """Index in Z^ncols of the lattice generated by the rows.
-
-    Equals the gcd of all maximal minors; a unit row minor can exist only
-    when this is 1.
-    """
-    ncols = len(rows[0])
-    work = [list(r) for r in rows]
-    det = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(col, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("rows do not have full column rank")
-        work[col], work[piv] = work[piv], work[col]
-        for r in range(col + 1, len(work)):
-            while work[r][col]:
-                q = work[col][col] // work[r][col]
-                for c in range(col, ncols):
-                    work[col][c] -= q * work[r][c]
-                work[col], work[r] = work[r], work[col]
-        det *= work[col][col]
-    return abs(det)
-
-
-def unimodular_minor_search(
-    rows: Sequence[Sequence[int]], tries: int = 40, seed: int = 101
-) -> list[int] | None:
+def unimodular_minor_search(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """Row subset whose square minor has determinant +-1, or None.
 
-    The row-lattice index prunes impossible inputs immediately. Otherwise
-    the matrix is column-reduced (which changes every row minor by the
-    same unit) and greedy elimination repeatedly picks the remaining row
-    with the smallest nonzero pivot, breaking ties by a seeded shuffle on
-    later attempts.
+    One `rref` of the rows, pivoting on the smallest entry at each column,
+    is the greedy search: with a pivot in every column, its scale d is +-
+    the minor on the pivot rows (the Bareiss invariant), so |d| = 1 names
+    a unimodular minor, which det_bareiss confirms independently. Rows of
+    lower rank or a non-unit d give None, which proves only that this one
+    greedy pass found no unit minor; rows whose lattice has index > 1
+    (every maximal minor then shares a factor) always give None.
     """
-    import random
-
-    nrows, ncols = len(rows), len(rows[0])
-    if nrows < ncols:
+    _, pivots, d, origin = rref(rows)
+    if len(pivots) != len(rows[0]) or abs(d) != 1:
         return None
-    if row_lattice_index(rows) != 1:
-        return None
-    reduced = hermite_column_reduce(rows)
-    rng = random.Random(seed)
-    order = list(range(nrows))
-    for attempt in range(tries):
-        work = [[Fraction(x) for x in reduced[i]] for i in range(nrows)]
-        chosen: list[int] = []
-        used = [False] * nrows
-        ok = True
-        for col in range(ncols):
-            best = None
-            best_key = None
-            for i in order:
-                if used[i] or work[i][col] == 0:
-                    continue
-                key = abs(work[i][col])
-                if best is None or key < best_key:
-                    best, best_key = i, key
-                    if key == 1:
-                        break
-            if best is None:
-                ok = False
-                break
-            used[best] = True
-            chosen.append(best)
-            pr = work[best]
-            for i in order:
-                if used[i] or work[i][col] == 0:
-                    continue
-                f = work[i][col] / pr[col]
-                wi = work[i]
-                for c in range(col, ncols):
-                    if pr[c]:
-                        wi[c] -= f * pr[c]
-        if ok:
-            sub = [list(rows[i]) for i in chosen]
-            if abs(det_bareiss(sub)) == 1:
-                return sorted(chosen)
-        rng.shuffle(order)
-    return None
+    chosen = sorted(origin[:len(pivots)])
+    return chosen if abs(det_bareiss([rows[i] for i in chosen])) == 1 else None
 
 
 # subtraction-freeness
@@ -656,9 +587,7 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
         return SubtractionFreeReport(
             "chain", chain=[u.gamma for u in factors],
             verified=_verify_chain(belt, factors))
-    denoms = 1
-    for l in cert.lam:
-        denoms = denoms * l.denominator // gcd(denoms, l.denominator)
+    denoms = lcm(*(l.denominator for l in cert.lam))
     if not belt.symbolic:
         raise BeltError(
             "expansion check needs symbolic mode; only integral "

@@ -301,15 +301,18 @@ def sources_of(matrix: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _mixed_nodes(matrix: Sequence[Sequence[int]], n: int) -> int:
+    """Number of mutable nodes that are neither a source nor a sink of the
+    mutable subquiver."""
+    return sum(
+        any(row[j] > 0 for j in range(n)) and any(row[j] < 0 for j in range(n))
+        for row in matrix[:n]
+    )
+
+
 def is_bipartite_orientation(matrix: Sequence[Sequence[int]], n: int) -> bool:
     """Every mutable node is a source or a sink of the mutable subquiver."""
-    for i in range(n):
-        row = matrix[i]
-        has_out = any(row[j] > 0 for j in range(n))
-        has_in = any(row[j] < 0 for j in range(n))
-        if has_out and has_in:
-            return False
-    return True
+    return _mixed_nodes(matrix, n) == 0
 
 
 def find_bipartite_seed_path(
@@ -325,22 +328,11 @@ def find_bipartite_seed_path(
     """
     n = exchange.n
     weights = exchange.weights[:n]
-
-    def defect(mat) -> int:
-        bad = 0
-        for i in range(n):
-            row = mat[i]
-            has_out = any(row[j] > 0 for j in range(n))
-            has_in = any(row[j] < 0 for j in range(n))
-            if has_out and has_in:
-                bad += 1
-        return bad
-
     start = exchange.mutable_matrix()
     visited = {start}
     counter = 0
     heap: list[tuple[int, int, int, tuple, tuple[int, ...]]] = [
-        (defect(start), 0, counter, start, ())
+        (_mixed_nodes(start, n), 0, counter, start, ())
     ]
     while heap:
         d, depth, _, mat, path = heapq.heappop(heap)
@@ -361,7 +353,8 @@ def find_bipartite_seed_path(
                     "the mutation class looks infinite"
                 )
             counter += 1
-            heapq.heappush(heap, (defect(nxt), depth + 1, counter, nxt, path + (k,)))
+            heapq.heappush(
+                heap, (_mixed_nodes(nxt, n), depth + 1, counter, nxt, path + (k,)))
     raise NotFiniteTypeError("mutation class exhausted without a bipartite seed")
 
 

@@ -10,8 +10,20 @@ so the reduced row echelon form is the integer result divided by d, and
 no Fraction is built during elimination. Rational input is scaled row by
 row to integers first.
 
-`rank`, `right_kernel_basis`, `solve` and `det_bareiss` read off one
-`rref`.
+At each column the pivot is the nonzero entry of smallest magnitude
+among the rows not yet used, the first such row on ties. The choice of
+pivot rows changes neither the pivot columns nor the reduced echelon
+form rows / d, which are unique, so `rank`, `right_kernel_basis`
+(primitive rescalings of kernel vectors read off rows / d) and `solve`
+read the same results off any choice. Swaps negate the row moved down,
+so for a square nonsingular matrix d stays its signed determinant, which
+`det_bareiss` reads. For any matrix, d is +- the minor on the pivot rows
+and pivot columns, and `rref` reports which input row each output row
+came from; with full column rank, a unit d is a unimodular row minor,
+and `cones.unimodular_minor_search` is that one reading. Small pivots
+make the pass a greedy search for a unit minor; it finds one on the
+u-exponent matrices of Gr(3,6), Gr(3,7) and Gr(3,8) that the paper's
+integer factorizations rest on.
 """
 
 from __future__ import annotations
@@ -26,7 +38,6 @@ __all__ = [
     "right_kernel_basis",
     "solve",
     "det_bareiss",
-    "hermite_column_reduce",
     "primitive_vector",
 ]
 
@@ -37,30 +48,38 @@ def _integral(row: Sequence[Fraction | int]) -> list[int]:
     return [int(x * den) for x in row]
 
 
-def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free reduced row echelon form: (rows, pivot columns, d).
+def rref(
+    matrix: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[list[int]], list[int], int, list[int]]:
+    """Fraction-free reduced row echelon form: (rows, pivot columns, d, origin).
 
     rows are integers; the first len(pivots) carry the pivots, each equal
     to d, with zeros elsewhere in every pivot column, so rows / d is the
-    reduced row echelon form of matrix. Sign changes keep the
-    determinant (a swap negates the row moved down, a negative pivot row
-    is negated together with the next row), so for a square nonsingular
-    matrix d is its determinant.
+    reduced row echelon form of matrix. origin[i] is the input row that
+    output row i came from. Sign changes keep the determinant (a swap
+    negates the row moved down, a negative pivot row is negated together
+    with the next row), so for a square nonsingular matrix d is its
+    determinant, and in general d is +- the minor of matrix on the rows
+    origin[:len(pivots)] and the pivot columns.
     """
     a = [_integral(row) for row in matrix]
+    origin = list(range(len(a)))
     pivots: list[int] = []
     prev = 1
     for c in range(len(a[0]) if a else 0):
         r = len(pivots)
         if r == len(a):
             break
-        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        # the smallest nonzero entry among the unused rows; min keeps the first
+        p = min((i for i in range(r, len(a)) if a[i][c]),
+                key=lambda i: abs(a[i][c]), default=None)
         if p is None:
             continue
         # positive pivots keep runs of unit pivots equal, so rows with a
         # zero in column c need no rescaling
         if p != r:
             a[r], a[p] = a[p], [-x for x in a[r]]
+            origin[r], origin[p] = origin[p], origin[r]
         if a[r][c] < 0 and r + 1 < len(a):
             a[r] = [-x for x in a[r]]
             a[r + 1] = [-x for x in a[r + 1]]
@@ -73,7 +92,7 @@ def rref(matrix: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], l
             a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(c)
         prev = piv
-    return a, pivots, prev
+    return a, pivots, prev, origin
 
 
 def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
@@ -101,7 +120,7 @@ def right_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
     if not matrix:
         return []
     ncols = len(matrix[0])
-    rows, pivots, d = rref(matrix)
+    rows, pivots, d, _ = rref(matrix)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
@@ -120,7 +139,7 @@ def solve(
     Free variables are set to zero.
     """
     ncols = len(matrix[0]) if matrix else 0
-    rows, pivots, d = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    rows, pivots, d, _ = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols
@@ -134,47 +153,5 @@ def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    _, pivots, d = rref(matrix)
+    _, pivots, d, _ = rref(matrix)
     return d if len(pivots) == n else 0
-
-
-def hermite_column_reduce(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Column-style Hermite normal form of an integer matrix.
-
-    Unimodular column operations only, so the selected-rows determinant of
-    the result matches the original up to sign. Used to expose unit pivots
-    for the unimodular minor search.
-    """
-    a = [list(row) for row in matrix]
-    if not a:
-        return []
-    nrows, ncols = len(a), len(a[0])
-    col = 0
-    for row in range(nrows):
-        if col >= ncols:
-            break
-        # euclid out the row entries to the right of col
-        while True:
-            nonzero = [c for c in range(col, ncols) if a[row][c]]
-            if not nonzero:
-                break
-            cmin = min(nonzero, key=lambda c: abs(a[row][c]))
-            if cmin != col:
-                for r in range(nrows):
-                    a[r][col], a[r][cmin] = a[r][cmin], a[r][col]
-            done = True
-            for c in range(col + 1, ncols):
-                if a[row][c]:
-                    q = a[row][c] // a[row][col]
-                    for r in range(nrows):
-                        a[r][c] -= q * a[r][col]
-                    if a[row][c]:
-                        done = False
-            if done:
-                break
-        if a[row][col]:
-            if a[row][col] < 0:
-                for r in range(nrows):
-                    a[r][col] = -a[r][col]
-            col += 1
-    return a

@@ -63,32 +63,14 @@ class WeightFunctional:
 def weight_table(belt: BipartiteBelt, alpha: Sequence[int | Fraction]) -> WeightFunctional:
     """Weights of all registry variables under a kernel functional alpha.
 
-    On a symbolic belt each variable's terms are checked to share one
-    alpha-degree; inhomogeneity means alpha is outside the kernel and
-    raises ValueError. Tropical belts get the same numbers by propagating
-    weights through the exchange relations, each of which is checked for
-    homogeneity along the way.
+    Symbolic and tropical belts alike read them off one walk of the belt,
+    BipartiteBelt.weight_walk: each exchange relation must be homogeneous
+    of one alpha-degree, which makes every variable's Laurent terms share
+    it, and an inhomogeneous relation means alpha is outside the kernel
+    and raises ValueError, as does an alpha of the wrong length.
     """
-    size = belt.exchange.size
-    if len(alpha) != size:
-        raise ValueError("need one weight per initial node")
     alpha = tuple(Fraction(a) for a in alpha)
-    if not belt.symbolic:
-        return WeightFunctional(alpha, belt.weight_walk(alpha))
-    weights: dict[int, Fraction] = {}
-    for entry in belt.entries:
-        deg: Fraction | None = None
-        for exps, _ in entry.poly.terms():
-            d = sum((a * e for a, e in zip(alpha, exps)), Fraction(0))
-            if deg is None:
-                deg = d
-            elif d != deg:
-                raise ValueError(
-                    "weight functional is not in the exchange kernel "
-                    f"(variable {belt.name(entry.id)} is inhomogeneous)"
-                )
-        weights[entry.id] = deg if deg is not None else Fraction(0)
-    return WeightFunctional(alpha, weights)
+    return WeightFunctional(alpha, belt.weight_walk(alpha))
 
 
 def kernel_functionals(belt: BipartiteBelt) -> list[WeightFunctional]:

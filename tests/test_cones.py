@@ -17,7 +17,6 @@ from clustercones.cones import (
     build_u_matrix,
     double_description,
     membership,
-    row_lattice_index,
     subset_cone,
     subtraction_free_check,
     unimodular_minor_search,
@@ -101,10 +100,8 @@ def test_a1_unimodular_minor():
 
 def test_unimodular_search_respects_lattice_index():
     # the rows generate 2Z x 2Z, so no row pair has a unit determinant
-    assert row_lattice_index([[2, 0], [0, 2], [2, 2]]) == 4
     assert unimodular_minor_search([[2, 0], [0, 2], [2, 2]]) is None
     rows = [[2, 1], [1, 1], [4, 3]]
-    assert row_lattice_index(rows) == 1
     found = unimodular_minor_search(rows)
     assert found is not None
     assert abs(det_bareiss([rows[i] for i in found])) == 1

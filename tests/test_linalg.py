@@ -14,7 +14,6 @@ import pytest
 
 from clustercones.linalg import (
     det_bareiss,
-    hermite_column_reduce,
     primitive_vector,
     rank,
     right_kernel_basis,
@@ -34,14 +33,14 @@ class ExactSolver:
 
     def __init__(self, matrix):
         ncols = len(matrix[0]) if matrix else 0
-        _, pivots, _ = rref([[row[c] for row in matrix] for c in range(ncols)])
+        _, pivots, _, _ = rref([[row[c] for row in matrix] for c in range(ncols)])
         if len(pivots) != ncols:
             raise ValueError("matrix does not have full column rank")
         block = [
             list(matrix[r]) + [int(i == j) for j in range(ncols)]
             for i, r in enumerate(pivots)
         ]
-        rows, _, self.scale = rref(block)
+        rows, _, self.scale, _ = rref(block)
         # M's columns index the pivot rows, so they index rhs directly
         self.inverse = [
             [(pivots[j], m) for j, m in enumerate(row[ncols:]) if m]
@@ -150,17 +149,20 @@ def random_cases(count=200, seed=11):
 
 
 def test_rref_pivots():
-    rows, pivots, d = rref([[2, 4, 6], [1, 2, 4]])
+    rows, pivots, d, origin = rref([[2, 4, 6], [1, 2, 4]])
     assert pivots == [0, 2]
     assert all(isinstance(x, int) for row in rows for x in row)
     assert [Fraction(x, d) for x in rows[0]] == [1, 2, 0]
     assert [Fraction(x, d) for x in rows[1]] == [0, 0, 1]
+    # column 0 pivots on its smallest entry, the 1 of input row 1
+    assert origin == [1, 0]
+    assert d == det_bareiss([[2, 6], [1, 4]])
 
 
 def test_rref_matches_fraction_elimination_on_random_matrices():
     scales = set()
     for mat, _ in random_cases():
-        rows, pivots, d = rref(mat)
+        rows, pivots, d, _ = rref(mat)
         ref_rows, ref_pivots, _ = reference_rref(mat)
         assert pivots == ref_pivots
         assert all(isinstance(x, int) for row in rows for x in row)
@@ -168,6 +170,27 @@ def test_rref_matches_fraction_elimination_on_random_matrices():
         assert rank(mat) == len(ref_pivots)
         scales.add(abs(d))
     assert scales - {1}  # the scale is not always a unit
+
+
+def test_rref_reports_the_pivot_rows_of_its_scale():
+    rng = random.Random(13)
+    full = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 5)
+        if rng.random() < 1 / 2:  # tall
+            nrows = max(nrows, ncols + rng.randint(0, 3))
+        mat = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0
+                for _ in range(ncols)] for _ in range(nrows)]
+        _, pivots, d, origin = rref(mat)
+        assert sorted(origin) == list(range(nrows))
+        chosen = origin[:len(pivots)]
+        # d is +- the minor on the pivot rows and pivot columns
+        minor = [[mat[i][c] for c in pivots] for i in chosen]
+        assert abs(det_bareiss(minor)) == abs(d)
+        if len(pivots) == ncols:
+            full += 1
+            assert abs(det_bareiss([mat[i] for i in chosen])) == abs(d)
+    assert full > 50
 
 
 def test_kernel_and_solve_match_fraction_elimination_on_random_matrices():
@@ -249,7 +272,7 @@ def test_det_bareiss_matches_random_fraction_elimination():
         _, ref_pivots, ref_det = reference_rref(mat)
         assert d == (ref_det if len(ref_pivots) == n else 0)
         # eliminating [A | I] gives [s I | M] with A^-1 = M / s
-        rows, pivots, s = rref([row + [int(i == j) for j in range(n)]
+        rows, pivots, s, _ = rref([row + [int(i == j) for j in range(n)]
                                 for i, row in enumerate(mat)])
         if d == 0:
             assert pivots[:n] != list(range(n))
@@ -291,18 +314,3 @@ def test_exact_solver_with_a_non_unit_scale():
     assert solver.solve([1, 1, 1]) is None
     with pytest.raises(ValueError):
         solver.solve([1, 1])
-
-
-def test_hermite_column_reduce_preserves_row_space_shape():
-    mat = [[4, 6], [2, 2]]
-    h = hermite_column_reduce(mat)
-    # first row euclids to (gcd, 0)
-    assert h[0] == [2, 0]
-    # column ops are unimodular: determinant magnitude is preserved
-    assert abs(det_bareiss(h)) == abs(det_bareiss(mat))
-
-
-def test_hermite_column_reduce_rectangular():
-    mat = [[3, 1, 2], [0, 5, 5]]
-    h = hermite_column_reduce(mat)
-    assert h[0][0] > 0 and h[0][1] == 0 and h[0][2] == 0

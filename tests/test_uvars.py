@@ -114,18 +114,53 @@ def test_weight_table_rejects_non_kernel_vector():
         weight_table(belt, (1,))
 
 
+def scanned_weights(belt, alpha):
+    """Reference torus weights of a symbolic belt: the common alpha-degree
+    of each variable's Laurent terms. Raises ValueError when some
+    variable's terms disagree, i.e. alpha is outside the exchange kernel."""
+    weights = {}
+    for entry in belt.entries:
+        degrees = {sum((a * e for a, e in zip(alpha, exps)), Fraction(0))
+                   for exps, _ in entry.poly.terms()}
+        if len(degrees) != 1:
+            raise ValueError(f"variable {belt.name(entry.id)} is inhomogeneous")
+        (weights[entry.id],) = degrees
+    return weights
+
+
 def test_weight_paths_agree_on_symbolic_belts():
-    for belt in (
-        belt_of("C2", frozen=2),
-        belt_of("A3", frozen=3),
-        BipartiteBelt(load_seed_file(GR26_SEED)),
-    ):
+    """weight_table walks the belt; scanning every variable's terms must
+    give the same weights on kernel alphas and refuse the same others."""
+    rng = random.Random(17)
+    inside = outside = 0
+    belts = [belt_of(name, frozen=f) for name, f in (
+        ("A1", 1), ("A2", 2), ("A3", 3), ("A3", 1), ("A4", 2), ("B2", 2),
+        ("B3", 3), ("C2", 2), ("C3", 1), ("D4", 4), ("G2", 2), ("G2", 1),
+    )] + [BipartiteBelt(load_seed_file(GR26_SEED))]
+    for belt in belts:
+        assert belt.symbolic
+        size = belt.exchange.size
         basis = belt.exchange.kernel_basis()
         assert basis
-        for alpha in basis:
-            table = weight_table(belt, alpha).weights
-            walked = belt.weight_walk(alpha)
-            assert table == walked
+        alphas = list(basis)
+        for _ in range(3):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            alphas.append([sum(c * v[j] for c, v in zip(coeffs, basis))
+                           for j in range(size)])
+        alphas += [[int(i == j) for j in range(size)] for i in range(size)]
+        alphas += [[rng.randint(-2, 2) for _ in range(size)] for _ in range(6)]
+        for alpha in alphas:
+            if all(sum(b * a for b, a in zip(row, alpha)) == 0
+                   for row in belt.exchange.extended_matrix()):
+                inside += 1
+                assert weight_table(belt, alpha).weights == scanned_weights(belt, alpha)
+            else:
+                outside += 1
+                with pytest.raises(ValueError):
+                    scanned_weights(belt, alpha)
+                with pytest.raises(ValueError):
+                    weight_table(belt, alpha)
+    assert inside > 50 and outside > 100
 
 
 def test_u_vectors_weight_zero_and_independent():
