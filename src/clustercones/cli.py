@@ -14,21 +14,17 @@ attachments), --gr K N (Grassmannian minors), or --seed-file PATH:
 Exit codes: 0 success, 1 mathematical negative (unbounded ratio, failed
 suite, failed replay), 2 usage error. Output is text on a terminal and
 JSON otherwise; --format overrides. JSON payloads carry a legend naming
-every variable so ratio vectors are self-describing. Setting the env
-variable CLUSTER_CONE_CACHE to a directory caches cone payloads keyed by
-a content hash of the context, the package version and the cache schema.
+every variable so ratio vectors are self-describing.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import __version__
 from .cones import (
     Certificate,
     NotFullRankError,
@@ -62,9 +58,6 @@ from .seeds import ExchangeData, dump_seed_data, load_seed_file
 from .uvars import DegenerationRay, build_u_variables, verify_u_equations
 
 U_EQUATION_TYPES = ("A1", "A2", "A3", "C2", "D4")
-# bump when the cone payload changes shape; cached payloads of another
-# schema or package version are not read back
-CONE_CACHE_SCHEMA = 1
 
 
 class UsageError(Exception):
@@ -147,10 +140,18 @@ def _grassmannian_context(k: int, n: int) -> Context:
     return Context(f"Gr({k},{n})", grass.belt, key, grass=grass)
 
 
+def _object(value, what: str) -> dict:
+    """value itself if it is a JSON object; TypeError otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} is a {type(value).__name__}, not an object")
+    return value
+
+
 def _seed_context(data: dict, label: str) -> Context:
     try:
-        exchange = load_seed_file(data)
-    except (ValueError, KeyError, TypeError) as exc:
+        # a string would be opened as a path by load_seed_file
+        exchange = load_seed_file(_object(data, "seed description"))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad seed description: {exc}") from exc
     try:
         if not is_bipartite_orientation(exchange.mutable_matrix(), exchange.n):
@@ -163,7 +164,7 @@ def _seed_context(data: dict, label: str) -> Context:
                 exchange.n, exchange.m, exchange.matrix, exchange.weights, names
             )
         belt = BipartiteBelt(exchange)
-    except (NotFiniteTypeError, BeltError) as exc:
+    except (NotFiniteTypeError, BeltError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
     key = {"kind": "seed", "seed": dump_seed_data(exchange)}
     return Context(label, belt, key)
@@ -201,18 +202,13 @@ def _context_from_args(args) -> Context:
 def _context_from_key(key: dict) -> Context:
     """The context a certificate names; TypeError, KeyError and
     ValueError mean the key is malformed."""
-    if not isinstance(key, dict):
-        raise TypeError(f"context is a {type(key).__name__}, not an object")
-    kind = key.get("kind")
+    kind = _object(key, "context").get("kind")
     if kind == "catalog":
         return _catalog_context(key["type"], int(key.get("frozen", 0)))
     if kind == "grassmannian":
         return _grassmannian_context(int(key["k"]), int(key["n"]))
     if kind == "seed":
-        # a string would be opened as a path by load_seed_file
-        if not isinstance(key["seed"], dict):
-            raise TypeError("seed context must be an object")
-        return _seed_context(key["seed"], "seed file")
+        return _seed_context(_object(key["seed"], "seed"), "seed file")
     raise UsageError(f"certificate names unknown context kind {kind!r}")
 
 
@@ -372,9 +368,14 @@ def cmd_check(args) -> int:
             payload["subtraction_free"] = report.to_dict(belt)
     if args.certificate_out:
         record = {"context": ctx.key, "certificate": cert.to_dict(U)}
-        with open(args.certificate_out, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.certificate_out, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(
+                f"cannot write {args.certificate_out}: {exc}"
+            ) from exc
         payload["certificate_path"] = args.certificate_out
     _emit(args, payload, _text_check)
     return 0 if cert.bounded else 1
@@ -422,7 +423,9 @@ def _text_check(payload):
 
 # cone
 
-def _cone_payload(ctx: Context, subset_name: str) -> dict:
+def cmd_cone(args) -> int:
+    ctx = _context_from_args(args)
+    subset_name = args.subset
     if subset_name != "all" and ctx.grass is None:
         raise UsageError(f"--subset {subset_name} needs a --gr context")
     if ctx.grass is not None:
@@ -446,65 +449,8 @@ def _cone_payload(ctx: Context, subset_name: str) -> dict:
         ray["expression"] = render_ratio(ray["ratio"])
     if ctx.grass is not None:
         payload["orbits"] = ctx.grass.ray_orbits(cone)
-    return payload
-
-
-def cmd_cone(args) -> int:
-    ctx = _context_from_args(args)
-    subset_name = args.subset
-    cache_dir = os.environ.get("CLUSTER_CONE_CACHE")
-    cache_path = None
-    payload = None
-    if cache_dir:
-        material = json.dumps(
-            {"command": "cone", "context": ctx.key, "subset": subset_name,
-             "version": __version__, "schema": CONE_CACHE_SCHEMA},
-            sort_keys=True,
-        )
-        digest = hashlib.sha256(material.encode("utf-8")).hexdigest()
-        cache_path = os.path.join(cache_dir, f"cone-{digest}.json")
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                try:
-                    payload = json.load(fh)
-                except ValueError:  # not UTF-8 or not JSON
-                    pass
-            if not _is_cone_payload(payload, ctx.label, subset_name):
-                payload = None  # a miss: recompute, rewrite
-    if payload is None:
-        payload = _cone_payload(ctx, subset_name)
-        if cache_path:
-            os.makedirs(cache_dir, exist_ok=True)
-            # readers see the old file or the whole new one, never a part
-            partial = f"{cache_path}.{os.getpid()}.tmp"
-            with open(partial, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            os.replace(partial, cache_path)
     _emit(args, payload, _text_cone)
     return 0
-
-
-def _is_cone_payload(payload, label: str, subset_name: str) -> bool:
-    """Whether a cached entry is the cone payload of this context and
-    subset, with every key _text_cone reads."""
-    if not (
-        isinstance(payload, dict)
-        and payload.get("command") == "cone"
-        and payload.get("context") == label
-        and payload.get("subset_name") == subset_name
-        and isinstance(payload.get("count"), int)
-        and isinstance(payload.get("subset"), list)
-        and isinstance(payload.get("rays"), list)
-        and isinstance(payload.get("orbits", []), list)
-    ):
-        return False
-    return all(
-        isinstance(ray, dict)
-        and isinstance(ray.get("expression"), str)
-        and isinstance(ray.get("lambda"), dict)
-        for ray in payload["rays"]
-    ) and all(isinstance(orbit, list) for orbit in payload.get("orbits", []))
 
 
 def _text_cone(payload):
@@ -575,6 +521,8 @@ def _text_factor(payload):
 # verify
 
 def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
+    """The certificate a file records; TypeError, KeyError, ValueError,
+    ZeroDivisionError and OverflowError mean the record is malformed."""
     belt = ctx.belt
 
     def rid(name: str) -> int:
@@ -583,10 +531,14 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
             raise UsageError(f"certificate names unknown variable {name!r}")
         return id
 
-    vector = {rid(nm): e for nm, e in data["ratio"].items()}
+    _object(data, "certificate")
+    vector = {rid(nm): e for nm, e in _object(data["ratio"], "ratio").items()}
     lam = None
     if "lambda" in data:
-        by_name = {nm: Fraction(v) for nm, v in data["lambda"].items()}
+        by_name = {
+            nm: Fraction(v)
+            for nm, v in _object(data["lambda"], "lambda").items()
+        }
         lam = tuple(
             by_name.get(belt.name(u.gamma), Fraction(0)) for u in ctx.U.uvars
         )
@@ -594,7 +546,7 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
     weight = Fraction(data["weight"]) if "weight" in data else None
     ray = None
     if "ray" in data:
-        rd = data["ray"]
+        rd = _object(data["ray"], "ray")
         # like the ratio's exponents, step, beta and valuation are passed
         # on as read: the replay rejects anything but integers
         ray = DegenerationRay(rid(rd["gamma"]), rd["step"], rd["beta"],
@@ -617,12 +569,13 @@ def _verify_certificate(args) -> int:
         raise UsageError(f"cannot read {args.certificate}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{args.certificate} is not JSON: {exc}") from exc
-    if "context" not in data or "certificate" not in data:
-        raise UsageError("certificate file needs context and certificate keys")
     try:
-        ctx = _context_from_key(data["context"])
-        cert = _certificate_from_dict(data["certificate"], ctx)
-    except (KeyError, ValueError, TypeError) as exc:
+        data = _object(data, "certificate file")
+        key, record = data["context"], data["certificate"]
+        ctx = _context_from_key(key)
+        cert = _certificate_from_dict(record, ctx)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError,
+            OverflowError) as exc:
         raise UsageError(
             f"malformed certificate ({type(exc).__name__}: {exc})"
         ) from exc

@@ -10,7 +10,6 @@ from math import gcd
 
 import pytest
 
-from clustercones import cli
 from clustercones.cli import main
 
 
@@ -174,10 +173,19 @@ def test_non_integer_ratio_exponent_fails_replay(capsys, tmp_path, exponent):
     lambda record: record.update(context=["catalog"]),
     lambda record: record["context"].update(type=5),
     lambda record: record.update(context={"kind": "seed", "seed": "seed.json"}),
+    lambda record: record["certificate"].__setitem__("lambda", ["1"]),
+    lambda record: record["certificate"].update(ratio=5),
+    lambda record: record["certificate"]["lambda"].update(x1="1/0"),
+    lambda record: record["certificate"]["lambda"].update(x1=float("inf")),
+    5,
+    None,
 ], ids=["missing-verdict", "non-numeric-lambda", "missing-context-type",
         "context-not-an-object", "catalog-type-not-a-string",
-        "seed-not-an-object"])
+        "seed-not-an-object", "lambda-not-an-object", "ratio-not-an-object",
+        "lambda-zero-denominator", "lambda-infinite", "file-is-a-number",
+        "file-is-null"])
 def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
+    # a callable edits the record in place; anything else replaces it
     path = tmp_path / "cert.json"
     run(
         capsys,
@@ -185,12 +193,26 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
          "--certificate-out", str(path)],
     )
     record = json.loads(path.read_text())
-    tamper(record)
+    if callable(tamper):
+        tamper(record)
+    else:
+        record = tamper
     path.write_text(json.dumps(record))
     code, out, err = run(capsys, ["verify", "--certificate", str(path)])
     assert code == 2
     assert out == ""
-    assert "malformed certificate" in err
+    assert err.startswith("error: malformed certificate")
+    assert len(err.splitlines()) == 1
+
+
+def test_null_certificate_file_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "null.json"
+    path.write_text("null")
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == ("error: malformed certificate (TypeError: certificate "
+                   "file is a NoneType, not an object)\n")
 
 
 @pytest.mark.parametrize("tamper", [
@@ -298,8 +320,7 @@ CONE_GOLDEN = {
 
 
 @pytest.mark.parametrize("n", sorted(CONE_GOLDEN))
-def test_cone_pluecker_json_is_golden(capsys, monkeypatch, n):
-    monkeypatch.delenv("CLUSTER_CONE_CACHE", raising=False)
+def test_cone_pluecker_json_is_golden(capsys, n):
     argv = ["cone", "--gr", "3", n, "--subset", "pluecker", "--format", "json"]
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
@@ -315,64 +336,27 @@ CONE_GR38_GOLDEN = {
 
 
 @pytest.mark.parametrize("subset", sorted(CONE_GR38_GOLDEN))
-def test_cone_gr38_json_is_golden(capsys, monkeypatch, subset):
-    monkeypatch.delenv("CLUSTER_CONE_CACHE", raising=False)
+def test_cone_gr38_json_is_golden(capsys, subset):
     argv = ["cone", "--gr", "3", "8", "--subset", subset, "--format", "json"]
     code, out, err = run(capsys, argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_GR38_GOLDEN[subset]
 
 
-def test_cone_cache_hits(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
+def test_cone_ignores_a_cone_cache_variable(capsys, tmp_path, monkeypatch):
+    # CLUSTER_CONE_CACHE once named a cache directory; cone must neither
+    # read nor write it
     argv = ["cone", "--type", "A1", "--frozen", "1", "--format", "json"]
-    code, first, _ = run(capsys, argv)
-    assert code == 0
-    cached = list(tmp_path.glob("cone-*.json"))
-    assert len(cached) == 1
-    code, second, _ = run(capsys, argv)
-    assert code == 0
-    assert first == second
-    assert list(tmp_path.glob("cone-*.json")) == cached
-
-
-def test_cone_cache_is_keyed_on_the_package_version(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
-    argv = ["cone", "--type", "A1", "--frozen", "1", "--format", "json"]
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "__version__", "0.0.0")
-        code, _ = run_json(capsys, argv)
-    assert code == 0
-    [stale] = tmp_path.iterdir()
-    record = json.loads(stale.read_text())
-    record["count"] = -1
-    stale.write_text(json.dumps(record))
-    code, payload = run_json(capsys, argv)
-    assert code == 0
-    assert payload["count"] != -1
-    # one finished file per version, no temporary file left behind
-    files = sorted(p.name for p in tmp_path.iterdir())
-    assert len(files) == 2
-    assert all(name.startswith("cone-") and name.endswith(".json") for name in files)
-
-
-@pytest.mark.parametrize("content", [b'{"trunc', b"[1, 2]", b"\xff\xfe", b"{}"],
-                         ids=["truncated", "not-an-object", "not-utf8",
-                              "not-a-cone-payload"])
-def test_corrupt_cone_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch,
-                                                content):
-    monkeypatch.setenv("CLUSTER_CONE_CACHE", str(tmp_path))
-    argv = ["cone", "--type", "A1", "--frozen", "1", "--format", "json"]
-    code, first, _ = run(capsys, argv)
-    assert code == 0
-    [entry] = tmp_path.iterdir()
-    entry.write_bytes(content)
-    code, second, err = run(capsys, argv)
+    monkeypatch.delenv("CLUSTER_CONE_CACHE", raising=False)
+    code, plain, err = run(capsys, argv)
     assert code == 0 and err == ""
-    assert second == first
-    # rewritten whole, with no temporary file left behind
-    assert list(tmp_path.iterdir()) == [entry]
-    assert json.loads(entry.read_text()) == json.loads(first)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("CLUSTER_CONE_CACHE", str(blocker / "sub"))
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert out == plain
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_cone_on_seed_file(capsys, tmp_path, gr26_seed_path):
@@ -488,11 +472,30 @@ def test_verify_appendix_suite(capsys):
     (["verify", "--suite", "gr48", "--certificate", "x"], "exactly one of"),
     (["uvars", "--seed-file", "/nonexistent/seed.json"], "cannot read"),
     (["factor", "--gr", "3", "6", "--ratio", "q[124|356]/p[135]"], "not a minor"),
+    (["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*x2",
+      "--certificate-out", "/nonexistent/dir/c.json"], "cannot write"),
 ])
 def test_usage_errors_exit_two(capsys, argv, needle):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert needle in err
+
+
+@pytest.mark.parametrize("content", [
+    '"seed.json"',
+    '{"nodes": [{"name": "a", "weight": Infinity}, {"name": "b"}],'
+    ' "arrows": [{"from": "a", "to": "b"}]}',
+    '{"nodes": [{"name": "a"}, {"name": "b"}, {"name": "f", "frozen": true}],'
+    ' "arrows": [{"from": "a", "to": "b"},'
+    ' {"from": "f", "to": "a", "mult": 1000000000000000000000000000000}]}',
+], ids=["string", "infinite-weight", "huge-frozen-multiplicity"])
+def test_malformed_seed_file_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "seed.json"
+    path.write_text(content)
+    code, out, err = run(capsys, ["uvars", "--seed-file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_ratio_error_is_annotated(capsys):
