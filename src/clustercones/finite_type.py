@@ -45,9 +45,11 @@ import heapq
 from collections import deque
 from functools import partial
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
+from .linalg import rref
 from .seeds import (
     _FRACTIONS,
     _VALUATIONS,
@@ -178,8 +180,6 @@ def catalog_exchange(dynkin: DynkinType, frozen_count: int = 0) -> ExchangeData:
                 queue.append(j)
     size = n + frozen_count
     mat = [[0] * size for _ in range(size)]
-    from math import gcd
-
     for i, j in edges:
         s, d = (i, j) if color[i] == 0 else (j, i)
         g = gcd(weights[s], weights[d])
@@ -304,10 +304,12 @@ def sources_of(matrix: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
 def _mixed_nodes(matrix: Sequence[Sequence[int]], n: int) -> int:
     """Number of mutable nodes that are neither a source nor a sink of the
     mutable subquiver."""
-    return sum(
-        any(row[j] > 0 for j in range(n)) and any(row[j] < 0 for j in range(n))
-        for row in matrix[:n]
-    )
+    mixed = 0
+    for row in matrix[:n]:
+        mutable = row[:n]
+        if max(mutable) > 0 > min(mutable):
+            mixed += 1
+    return mixed
 
 
 def is_bipartite_orientation(matrix: Sequence[Sequence[int]], n: int) -> bool:
@@ -513,6 +515,7 @@ class BipartiteBelt:
         for i in range(size):
             self.display_names[i] = exchange.names[i]
         self._frames: dict[int, dict[int, tuple[int, ...]]] = {}
+        self._rays: dict[int, list[tuple[int, ...] | None]] = {}
 
     # registry helpers
 
@@ -607,6 +610,44 @@ class BipartiteBelt:
             cached = self._frames[s] = self._walk(_minplus_ring(size), units, s)
         return cached
 
+    def _degenerations(self, s: int) -> list[tuple[int, ...] | None]:
+        """Per mutable node j of belt step s, the primitive integer beta
+        with B beta = c * e_j for some c > 0, B the step's extended
+        exchange matrix (its n mutable rows); None where e_j is outside
+        the column span of B. Cached per step.
+
+        One fraction-free elimination of [B | I_n] serves every node: its
+        rows are d * [E B | E] with E B in reduced echelon form, so e_j is
+        in the span iff column j of the E part vanishes on the rows
+        without a pivot in B, and then the solution x with free entries
+        zero has x * d = that column at the pivot columns of B. beta is
+        the primitive integer multiple of (x * d, d) with positive last
+        entry, stripped of that entry.
+        """
+        s %= self.period
+        cached = self._rays.get(s)
+        if cached is None:
+            n, size = self.exchange.n, self.exchange.size
+            rows, pivots, d, _ = rref([
+                row + tuple(int(i == j) for j in range(n))
+                for i, row in enumerate(self.step(s).matrix[:n])
+            ])
+            rank = sum(pc < size for pc in pivots)
+            cached = []
+            for j in range(size, size + n):
+                if any(row[j] for row in rows[rank:]):
+                    cached.append(None)
+                    continue
+                v = [0] * size
+                for row, pc in zip(rows, pivots[:rank]):
+                    v[pc] = row[j]
+                g = gcd(d, *v)
+                if d < 0:
+                    g = -g
+                cached.append(tuple(x // g for x in v))
+            self._rays[s] = cached
+        return cached
+
     def value_walk(
         self, point: Sequence[Fraction | int], start_step: int = 0
     ) -> dict[int, Fraction]:
@@ -630,16 +671,26 @@ class BipartiteBelt:
             raise ValueError("need one exponent per node")
         return self._walk(_VALUATIONS, list(beta), start_step)
 
-    def weight_walk(self, alpha: Sequence[int | Fraction]) -> dict[int, Fraction]:
+    def weight_walk(
+        self, alpha: Sequence[int | Fraction]
+    ) -> dict[int, int | Fraction]:
         """Torus weights of every registry variable for a kernel functional.
 
         alpha assigns weights to the initial cluster (by node). Raises
         ValueError if some exchange relation is not homogeneous, i.e. alpha
         is not in the kernel of the extended exchange matrix.
+
+        An integral alpha (kernel vectors and column contents are) is
+        walked over ints and gives int weights; any other alpha, such as
+        one read from a certificate, is walked over Fractions. Both are
+        exact, so the weights are equal as numbers either way.
         """
         if len(alpha) != self.exchange.size:
             raise ValueError("need one weight per node")
-        return self._walk(_WEIGHTS, [Fraction(a) for a in alpha], 0)
+        values = [Fraction(a) for a in alpha]
+        if all(v.denominator == 1 for v in values):
+            values = [v.numerator for v in values]
+        return self._walk(_WEIGHTS, values, 0)
 
     # compatibility
 

@@ -24,7 +24,6 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib.resources import files as _resource_files
 from typing import Iterable, Sequence
@@ -1085,6 +1084,10 @@ def _gr48_evaluate(monomials, points, jobs: int = 1) -> tuple[bool, int, int, tu
     result, argmax included, does not depend on `jobs`.
     """
     if jobs > 1:
+        # imported here: it loads multiprocessing, which every other
+        # command and a one-worker run would pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         step = max(1, (len(monomials) + jobs - 1) // jobs)
         chunks = [
             (monomials[off:off + step], points)

@@ -24,7 +24,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .laurent import LaurentPolynomial
+from .laurent import EXP_LIMIT, LaurentPolynomial
 from .linalg import rank, right_kernel_basis
 
 __all__ = [
@@ -130,29 +130,34 @@ def _exchange(ring: _Ring, values, pos, neg, old) -> object:
 def mutate_matrix(
     matrix: Sequence[Sequence[int]], k: int, n: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Matrix mutation at mutable index k (k < n). Frozen-frozen entries kept."""
-    size = len(matrix)
+    """Matrix mutation at mutable index k (k < n). Frozen-frozen entries kept.
+
+    b'_ij = -b_ij if i or j is k; otherwise b'_ij = b_ij + |b_ik| b_kj when
+    b_ik and b_kj have the same sign, and b_ij when they do not. A row
+    with b_ik = 0 does not change and is reused as it is.
+    """
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} is not mutable")
+    # (j, |b_kj|) for the positive and the negative entries of row k: a row
+    # with b_ik != 0 gains b_ik * |b_kj| at the entries of b_ik's sign, and
+    # a frozen row only in mutable columns
+    pos, neg = _split(enumerate(matrix[k]))
+    frozen_terms = (pos, neg) if len(matrix) == n else (
+        tuple(t for t in pos if t[0] < n), tuple(t for t in neg if t[0] < n))
     out = []
-    for i in range(size):
-        row = list(matrix[i])
+    for i, row in enumerate(matrix):
+        bik = row[k]
         if i == k:
-            out.append(tuple(-x for x in row))
-            continue
-        bik = matrix[i][k]
-        for j in range(size):
-            if j == k:
-                row[j] = -row[j]
-            elif i >= n and j >= n:
-                continue
-            else:
-                bkj = matrix[k][j]
-                if bik > 0 and bkj > 0:
-                    row[j] += bik * bkj
-                elif bik < 0 and bkj < 0:
-                    row[j] -= bik * bkj
-        out.append(tuple(row))
+            out.append(tuple(map(operator.neg, row)))
+        elif not bik:
+            out.append(tuple(row))
+        else:
+            row = list(row)
+            row[k] = -bik
+            terms = (pos, neg) if i < n else frozen_terms
+            for j, b in terms[bik < 0]:
+                row[j] += bik * b
+            out.append(tuple(row))
     return tuple(out)
 
 
@@ -356,7 +361,9 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     Format: {"nodes": [{"name": str, "frozen": bool, "weight": int}, ...],
     "arrows": [{"from": name, "to": name, "mult": int}, ...]}. Arrows point
     from i to j with B[i][j] = mult > 0; the opposite entry is filled in
-    from the weights and must come out integral. Mutable nodes are
+    from the weights and must come out integral. Entries of magnitude
+    laurent.EXP_LIMIT or more are rejected, naming the arrow: exchange
+    polynomials could not hold such exponents. Mutable nodes are
     reordered before frozen ones, preserving relative order.
     """
     if isinstance(source, str):
@@ -392,17 +399,24 @@ def load_seed_file(source: str | dict) -> ExchangeData:
         mat[i][j] += mult
         seen.add((i, j))
     for i, j in list(seen):
+        arrow = f"arrow {names[i]} -> {names[j]}"
         if (j, i) in seen:
             raise ValueError(
                 f"two-cycle between {names[i]} and {names[j]} in seed file"
+            )
+        if mat[i][j] >= EXP_LIMIT:
+            raise ValueError(
+                f"{arrow}: multiplicity {mat[i][j]} is above the limit {EXP_LIMIT - 1}"
             )
         if i >= n and j >= n:
             mat[j][i] = -mat[i][j]
             continue
         back = Fraction(mat[i][j] * weights[i], weights[j])
         if back.denominator != 1:
+            raise ValueError(f"{arrow}: weights do not symmetrize")
+        if back >= EXP_LIMIT:
             raise ValueError(
-                f"arrow {names[i]} -> {names[j]}: weights do not symmetrize"
+                f"{arrow}: opposite entry -{back} is below the limit -{EXP_LIMIT - 1}"
             )
         mat[j][i] = -int(back)
     return ExchangeData(n, m, mat, weights, names)

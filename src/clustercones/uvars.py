@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .finite_type import BipartiteBelt
-from .linalg import primitive_vector, solve
 from .seeds import _laurent_ring, _monomial, _split
 
 __all__ = [
@@ -48,16 +47,21 @@ class WeightFunctional:
     functional, since rescaling the initial cluster by t^alpha moves any
     positive point to another positive point while scaling the ratio by
     t^weight.
+
+    alpha is a tuple of Fractions; the weights are ints when alpha is
+    integral and Fractions otherwise (see BipartiteBelt.weight_walk), and
+    so is of_vector.
     """
 
     __slots__ = ("alpha", "weights")
 
-    def __init__(self, alpha: tuple[Fraction, ...], weights: dict[int, Fraction]):
+    def __init__(self, alpha: tuple[Fraction, ...],
+                 weights: dict[int, int | Fraction]):
         self.alpha = alpha
         self.weights = weights
 
-    def of_vector(self, vector: dict[int, int]) -> Fraction:
-        return sum((e * self.weights[id] for id, e in vector.items()), Fraction(0))
+    def of_vector(self, vector: dict[int, int]) -> int | Fraction:
+        return sum(e * self.weights[id] for id, e in vector.items())
 
 
 def weight_table(belt: BipartiteBelt, alpha: Sequence[int | Fraction]) -> WeightFunctional:
@@ -146,6 +150,8 @@ class DegenerationRay:
     extended exchange matrix sends it to c * e_node, c > 0: every exchange
     relation there stays balanced except gamma's own, whose out-monomial
     vanishes faster than its frozen in-monomial, so u_gamma ~ t^c -> 0.
+    The betas of all u-variables sourced at one step come from one
+    fraction-free elimination of that step's matrix, not one solve each.
     valuation is the valuation of one ratio along the curve (None until a
     certificate sets it); a negative valuation proves the ratio unbounded.
     BipartiteBelt.valuation_walk(beta, step) gives every variable's.
@@ -171,24 +177,21 @@ class DegenerationRay:
 def degeneration_ray(belt: BipartiteBelt, gamma: int) -> DegenerationRay:
     """The degeneration curve of gamma's u-variable.
 
-    Needs the extended exchange matrix to have full rank; raises
-    ValueError otherwise.
+    beta is the primitive integer vector with B beta = c * e_node, c > 0,
+    for the extended exchange matrix B of gamma's source step. Every
+    u-variable sourced at one step shares one fraction-free elimination
+    of [B | I_n], which the belt caches (BipartiteBelt._degenerations).
+    Needs e_node in the column span of B, which full rank guarantees;
+    raises ValueError otherwise.
     """
     s, node = belt.entries[gamma].source_pos
-    st = belt.step(s)
-    n = belt.exchange.n
-    extended = [st.matrix[i] for i in range(n)]
-    beta = solve(extended, [Fraction(int(i == node)) for i in range(n)])
+    beta = belt._degenerations(s)[node]
     if beta is None:
         raise ValueError(
             "extended exchange matrix does not have full rank; "
             "no degeneration ray exists"
         )
-    # the primitive integer multiple of beta with a positive scale c
-    *beta, scale = primitive_vector(beta + [Fraction(1)])
-    if scale < 0:
-        beta = [-b for b in beta]
-    return DegenerationRay(gamma, s, beta)
+    return DegenerationRay(gamma, s, list(beta))
 
 
 def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = None):

@@ -6,10 +6,15 @@ JSON; text assertions pass --format text explicitly.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import clustercones
 from clustercones.cli import main
 
 
@@ -343,6 +348,44 @@ def test_cone_gr38_json_is_golden(capsys, subset):
     assert hashlib.sha256(out.encode()).hexdigest() == CONE_GR38_GOLDEN[subset]
 
 
+# sha256 of the JSON of three certificates, computed before the degeneration
+# rays came from one elimination per belt step and integral torus weights
+# were walked over ints: a bounded and an unbounded Gr(3,8) ratio (the
+# latter carries the ray's beta and valuation) and the A3+1 weight
+# obstruction (alpha and weight)
+CHECK_GOLDEN = {
+    "gr38-bounded": (
+        ["--gr", "3", "8", "--ratio", "p[145]*p[235]/(p[135]*p[245])"], 0,
+        "9e1b18bbc27b18ee8ccdcdb2b426d44d783cacdd78c370aa919a6e366f66b4e3"),
+    "gr38-unbounded": (
+        ["--gr", "3", "8", "--ratio", "p[135]*p[245]/(p[145]*p[235])"], 1,
+        "f2897623ed309d2d6acceca2f7ebe381066066e63b372c1d11ef11802f495725"),
+    "a3-not-weight-zero": (
+        ["--type", "A3", "--frozen", "1", "--ratio", "x1/x2"], 1,
+        "6e2dd9cecafa97eb95e390a88254bbf4874cbcf05298fe52468af315afc68796"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
+def test_check_json_is_golden(capsys, case):
+    args, want_code, digest = CHECK_GOLDEN[case]
+    code, out, err = run(capsys, ["check", *args, "--format", "json"])
+    assert code == want_code and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_importing_the_cli_does_not_load_the_process_pool():
+    # only `verify --suite gr48 --jobs N` with N > 1 needs it
+    src = Path(clustercones.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import sys, clustercones.cli; "
+             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+             "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def test_cone_ignores_a_cone_cache_variable(capsys, tmp_path, monkeypatch):
     # CLUSTER_CONE_CACHE once named a cache directory; cone must neither
     # read nor write it
@@ -481,21 +524,32 @@ def test_usage_errors_exit_two(capsys, argv, needle):
     assert needle in err
 
 
-@pytest.mark.parametrize("content", [
-    '"seed.json"',
-    '{"nodes": [{"name": "a", "weight": Infinity}, {"name": "b"}],'
-    ' "arrows": [{"from": "a", "to": "b"}]}',
-    '{"nodes": [{"name": "a"}, {"name": "b"}, {"name": "f", "frozen": true}],'
-    ' "arrows": [{"from": "a", "to": "b"},'
-    ' {"from": "f", "to": "a", "mult": 1000000000000000000000000000000}]}',
-], ids=["string", "infinite-weight", "huge-frozen-multiplicity"])
-def test_malformed_seed_file_is_a_usage_error(capsys, tmp_path, content):
+@pytest.mark.parametrize("content,needle", [
+    ('"seed.json"', "not an object"),
+    ('{"nodes": [{"name": "a", "weight": Infinity}, {"name": "b"}],'
+     ' "arrows": [{"from": "a", "to": "b"}]}', "error: "),
+    ('{"nodes": [{"name": "a"}, {"name": "b"}, {"name": "f", "frozen": true}],'
+     ' "arrows": [{"from": "a", "to": "b"},'
+     ' {"from": "f", "to": "a", "mult": 1000000000000000000000000000000}]}',
+     "arrow f -> a: multiplicity"),
+    ('{"nodes": [{"name": "a"}, {"name": "b"}, {"name": "f", "frozen": true}],'
+     ' "arrows": [{"from": "a", "to": "b"}, {"from": "f", "to": "a", "mult": 8192}]}',
+     "arrow f -> a: multiplicity 8192"),
+    ('{"nodes": [{"name": "a", "weight": 2}, {"name": "b"},'
+     ' {"name": "f", "frozen": true}],'
+     ' "arrows": [{"from": "a", "to": "b"}, {"from": "a", "to": "f", "mult": 4096}]}',
+     "arrow a -> f: opposite entry -8192"),
+], ids=["string", "infinite-weight", "huge-frozen-multiplicity",
+        "multiplicity-at-the-exponent-limit", "opposite-entry-at-the-exponent-limit"])
+def test_malformed_seed_file_is_a_usage_error(capsys, tmp_path, content, needle):
     path = tmp_path / "seed.json"
     path.write_text(content)
     code, out, err = run(capsys, ["uvars", "--seed-file", str(path)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert needle in err
+
 
 
 def test_ratio_error_is_annotated(capsys):

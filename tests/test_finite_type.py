@@ -104,6 +104,26 @@ def test_sources_and_bipartite():
     assert sources_of(((0,),), 1) == (0,)
 
 
+def test_mixed_nodes_match_their_definition():
+    """A node is mixed when its mutable row has a positive and a negative
+    entry; frozen columns and frozen rows do not count."""
+    rng = random.Random(8)
+    mixed = 0
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(0, 3)
+        mat = [[rng.randint(-2, 2) for _ in range(n + m)] for _ in range(n + m)]
+        for i in range(n):
+            mat[i][i] = 0
+        want = sum(
+            any(row[j] > 0 for j in range(n)) and any(row[j] < 0 for j in range(n))
+            for row in mat[:n]
+        )
+        assert finite_type._mixed_nodes(mat, n) == want
+        assert is_bipartite_orientation(mat, n) == (want == 0)
+        mixed += want
+    assert mixed > 100
+
+
 def test_find_bipartite_seed_path():
     path_ex = ExchangeData(3, 0, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
     path = find_bipartite_seed_path(path_ex)

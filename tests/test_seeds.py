@@ -1,6 +1,7 @@
 """Exchange data, cluster mutation, y-dynamics, seed files."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -65,6 +66,65 @@ def test_frozen_frozen_entries_survive_mutation_untouched():
     mut = ex.mutate(0)
     assert mut.matrix[1][2] == 7
     assert mut.matrix[1][0] == 1 and mut.matrix[0][1] == -1
+
+
+def textbook_mutation(matrix, k, n):
+    """b'_ij = -b_ij if i or j is k, b_ij for two frozen indices, and
+    b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 otherwise."""
+    size = len(matrix)
+    out = [list(row) for row in matrix]
+    for i in range(size):
+        for j in range(size):
+            b_ij, b_ik, b_kj = matrix[i][j], matrix[i][k], matrix[k][j]
+            if k in (i, j):
+                out[i][j] = -b_ij
+            elif i < n or j < n:
+                out[i][j] = b_ij + (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
+    return tuple(tuple(row) for row in out)
+
+
+def _random_extended_exchange(rng):
+    """Random skew-symmetrizable matrix with 1-4 mutable and 0-3 frozen
+    indices, weights in 1..3, and arbitrary frozen-frozen entries."""
+    n, m = rng.randint(1, 4), rng.randint(0, 3)
+    size = n + m
+    weights = [rng.randint(1, 3) for _ in range(size)]
+    mat = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + 1, size):
+            if i >= n:
+                mat[i][j], mat[j][i] = rng.randint(-3, 3), rng.randint(-3, 3)
+                continue
+            g = gcd(weights[i], weights[j])
+            c = rng.choice((0, 0, 1, -1, 2, -2))
+            mat[i][j], mat[j][i] = c * weights[j] // g, -c * weights[i] // g
+    return ExchangeData(n, m, mat, weights)
+
+
+def test_matrix_mutation_matches_the_textbook_rule():
+    rng = random.Random(41)
+    reused = changed = 0
+    for _ in range(150):
+        ex = _random_extended_exchange(rng)
+        n, mat = ex.n, ex.matrix
+        for _ in range(6):
+            k = rng.randrange(n)
+            got = mutate_matrix(mat, k, n)
+            assert got == textbook_mutation(mat, k, n)
+            # list rows give the same tuples
+            assert mutate_matrix([list(row) for row in mat], k, n) == got
+            for i, row in enumerate(mat):
+                if i >= n:
+                    assert got[i][n:] == row[n:]
+                if i != k and not row[k]:
+                    assert got[i] is row
+                    reused += 1
+                else:
+                    changed += 1
+            # the result is again skew-symmetrizable with the same weights
+            ex = ExchangeData(n, ex.m, got, ex.weights)
+            mat = ex.matrix
+    assert reused > 500 and changed > 500
 
 
 def test_c2_cluster_variable_sequence():
@@ -192,3 +252,14 @@ def test_seed_file_rejects_bad_input():
                 "arrows": [{"from": "a", "to": "b", "mult": 2}],
             }
         )
+
+
+def test_entries_just_below_the_exponent_limit_are_accepted():
+    data = {"nodes": [{"name": "a", "weight": 2}, {"name": "f", "frozen": True}],
+            "arrows": [{"from": "f", "to": "a", "mult": 8190}]}
+    assert load_seed_file(data).matrix == ((0, -4095), (8190, 0))
+    data["arrows"][0]["mult"] = 8191
+    with pytest.raises(ValueError, match="weights do not symmetrize"):
+        load_seed_file(data)
+    data["nodes"][0]["weight"] = 1
+    assert load_seed_file(data).matrix == ((0, -8191), (8191, 0))

@@ -8,8 +8,14 @@ import pytest
 from conftest import GR26_SEED, ratio_value
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.laurent import LaurentPolynomial
-from clustercones.linalg import rank
-from clustercones.seeds import _laurent_ring, _monomial, _split, load_seed_file
+from clustercones.linalg import primitive_vector, rank
+from clustercones.seeds import (
+    _WEIGHTS,
+    _laurent_ring,
+    _monomial,
+    _split,
+    load_seed_file,
+)
 from clustercones.uvars import (
     UVariable,
     build_u_variables,
@@ -240,6 +246,143 @@ def test_degeneration_ray_c2_halving_decay():
     # limit); every other u-variable tends to a positive constant
     assert u_valuations(belt, uvars, ray) == {
         u.gamma: int(u.gamma == 0) for u in uvars}
+
+
+def fraction_solve(matrix, rhs):
+    """One solution of matrix @ x = rhs with its free entries zero, by
+    textbook Gauss-Jordan elimination over Fractions; None if there is
+    none."""
+    rows = [[Fraction(x) for x in row] + [Fraction(b)]
+            for row, b in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [x - row[c] * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
+    return x
+
+
+def oracle_ray(belt, gamma):
+    """beta of gamma's degeneration ray by one Fraction solve of
+    B beta = e_node at its source step, scaled to the primitive integer
+    multiple of (beta, 1) with positive last entry; None when e_node is
+    outside the column span of B."""
+    s, node = belt.entries[gamma].source_pos
+    n = belt.exchange.n
+    beta = fraction_solve(belt.step(s).matrix[:n],
+                          [int(i == node) for i in range(n)])
+    if beta is None:
+        return None
+    *beta, scale = primitive_vector(beta + [Fraction(1)])
+    return [-b for b in beta] if scale < 0 else beta
+
+
+@pytest.mark.parametrize("context", ["catalog", "gr26", "gr36", "gr37", "gr38"])
+def test_degeneration_rays_match_a_fraction_solve(context, request):
+    """One elimination per belt step gives every variable the ray a solve
+    per variable gives, and fails exactly where that solve has no
+    solution (rank-deficient steps can still reach some nodes)."""
+    if context == "catalog":
+        belts = [
+            BipartiteBelt(catalog_exchange(DynkinType.from_name(name), f),
+                          symbolic=False)
+            for name, rank_ in (("A1", 1), ("A2", 2), ("A3", 3), ("A4", 4),
+                                ("A5", 5), ("B2", 2), ("B3", 3), ("C3", 3),
+                                ("D4", 4), ("D5", 5), ("E6", 6), ("F4", 4),
+                                ("G2", 2))
+            for f in sorted({0, 1, rank_ - 1, rank_})
+        ] + [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), f),
+                           symbolic=False) for name, f in (("E7", 7), ("E8", 8))]
+    else:
+        belts = [request.getfixturevalue(context).belt]
+    rays = missing = partial = 0
+    for belt in belts:
+        found = {gamma: oracle_ray(belt, gamma) for gamma in belt.mutable_ids}
+        partial += None in found.values() and any(found.values())
+        for gamma, want in found.items():
+            if want is None:
+                missing += 1
+                with pytest.raises(ValueError, match="full rank"):
+                    degeneration_ray(belt, gamma)
+                continue
+            rays += 1
+            ray = degeneration_ray(belt, gamma)
+            assert ray.beta == want, (belt, belt.name(gamma))
+            assert ray.step == belt.entries[gamma].source_pos[0]
+            assert type(ray.beta) is list
+            assert all(type(b) is int for b in ray.beta)
+    assert rays
+    if context == "catalog":
+        assert missing and partial and rays > 800
+    else:
+        assert not missing
+
+
+def fraction_weight_walk(belt, alpha):
+    """Torus weights by a walk over Fractions only."""
+    return belt._walk(_WEIGHTS, [Fraction(a) for a in alpha], 0)
+
+
+@pytest.mark.parametrize("context", ["catalog", "gr36", "gr38"])
+def test_integer_weight_walks_match_fraction_walks(context, request):
+    """Integral alphas walk over ints, others over Fractions; both agree
+    with an all-Fraction walk, exactly, and refuse the same alphas."""
+    rng = random.Random(29)
+    if context == "catalog":
+        belts = [belt_of(name, frozen=f, symbolic=False) for name, f in (
+            ("A3", 1), ("A4", 4), ("B3", 3), ("C3", 2), ("D4", 4),
+            ("E6", 6), ("F4", 4), ("G2", 2))]
+    else:
+        belts = [request.getfixturevalue(context).belt]
+    halves = refused = 0
+    for belt in belts:
+        size = belt.exchange.size
+        basis = belt.exchange.kernel_basis()
+        alphas = list(basis) + [
+            [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(size)]
+            for coeffs in ([rng.randint(-3, 3) for _ in basis] for _ in range(3))
+        ]
+        for alpha in alphas:
+            ints = belt.weight_walk(alpha)
+            assert all(type(w) is int for w in ints.values())
+            assert ints == fraction_weight_walk(belt, alpha)
+            w = weight_table(belt, alpha)
+            assert w.weights == ints
+            assert all(type(a) is Fraction for a in w.alpha)
+            half = [Fraction(a, 2) for a in alpha]
+            if all(a.denominator == 1 for a in half):
+                continue
+            halves += 1
+            got = belt.weight_walk(half)
+            assert got == fraction_weight_walk(belt, half)
+            assert got == {id: Fraction(v, 2) for id, v in ints.items()}
+            assert any(type(v) is Fraction and v.denominator == 2
+                       for v in got.values())
+        for _ in range(4):
+            alpha = [rng.randint(-2, 2) for _ in range(size)]
+            if all(sum(b * a for b, a in zip(row, alpha)) == 0
+                   for row in belt.exchange.extended_matrix()):
+                continue
+            refused += 1
+            for walk in (belt.weight_walk, lambda a: fraction_weight_walk(belt, a)):
+                with pytest.raises(ValueError):
+                    walk(alpha)
+                with pytest.raises(ValueError):
+                    walk([Fraction(a, 2) for a in alpha])
+    assert halves and refused
 
 
 def test_u_equations_hold():
