@@ -12,20 +12,23 @@ Every verdict rests on the dual basis G of the u-variables: one row of
 valuations per u-variable, from one min-plus walk along its degeneration
 ray, with G U = diag(c) and c > 0 (the extreme-ray theorem, per context).
 A ratio's u-exponents are lam = G v / c, confirmed by the exact residual
-U lam = v. Nonnegative lam proves the ratio bounded; a negative entry
-lam_gamma means the ratio has valuation c_gamma lam_gamma < 0 along
-gamma's ray, so it grows like t^val as t -> 0, which the replay confirms
-with one min-plus walk. A bounded ratio with integral lam is a product of
-u-variables, and a structural check of each factor against its exchange
-relation proves the telescoping identity behind subtraction-freeness.
+U lam = v. As c > 0, lam has the signs of the integers G v, so
+membership and the replay of lam run on integers. Nonnegative lam proves
+the ratio bounded; a negative entry lam_gamma means the ratio has
+valuation c_gamma lam_gamma < 0 along gamma's ray, so it grows like t^val
+as t -> 0, which the replay confirms with one min-plus walk. A bounded
+ratio with integral lam is a product of u-variables, and a structural
+check of each distinct factor against its exchange relation proves the
+telescoping identity behind subtraction-freeness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
@@ -75,9 +78,11 @@ class UMatrix:
     defining variable. Columns are independent exactly when the extended
     exchange matrix has full rank, which build_u_matrix enforces.
 
-    Column j's u-variable has a degeneration ray rays[j]; dual[j] holds
-    the nonzero valuations of the registry variables along it (the row
-    g_j of G, by registry id) and scales[j] = g_j . u_j = c_j > 0.
+    Column j's u-variable has a degeneration ray rays[j]. The dual basis
+    G is kept by registry id, in the form solve reads: dual_columns[id] is
+    the dense column of G at that variable, whose entry j is the
+    variable's valuation along rays[j]; the row g_j of G is entry j of
+    every column. scales[j] = g_j . u_j = c_j > 0.
     """
 
     def __init__(self, belt: BipartiteBelt, uvars: list[UVariable],
@@ -91,12 +96,14 @@ class UMatrix:
         ]
         self.functionals = functionals
         self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
-        self.dual = [
-            {id: v for id, v in belt.valuation_walk(ray.beta, ray.step).items()
-             if v}
-            for ray in self.rays
+        by_id = itemgetter(*range(len(belt.entries)))
+        self.dual_columns: list[list[int]] = list(map(list, zip(*(
+            by_id(belt.valuation_walk(ray.beta, ray.step)) for ray in self.rays
+        ))))
+        self.scales = [
+            sum(b * self.dual_columns[id][j] for id, b in u.vector.items())
+            for j, u in enumerate(uvars)
         ]
-        self.scales = [_pair(g, u.vector) for g, u in zip(self.dual, uvars)]
 
     @property
     def num_rows(self) -> int:
@@ -115,44 +122,43 @@ class UMatrix:
 
     def solve(self, vector: dict[int, int]) -> list[Fraction] | None:
         """The u-exponents lam with U lam = vector, or None when vector is
-        outside the u-span: lam = G vector / c, kept only if the exact
-        residual U lam - vector is zero.
+        outside the u-span: lam = G vector / c (see _valuations)."""
+        nums = self._valuations(vector)
+        return None if nums is None else _fractions(nums, self.scales)
 
-        The residual is checked times L, the lcm of the scales c_j of the
-        nonzero powers, so it stays in integers; it can be nonzero only on
-        the rows those powers touch and on the vector's support, so only
-        they are summed. This is the same check as
-        combine(lam) == dense(vector).
+    def _valuations(self, vector: dict[int, int]) -> list[int] | None:
+        """G vector, the ratio's valuations along the rays (c_j lam_j), or
+        None when vector is outside the u-span.
+
+        G vector sums the vector's columns of G times their exponents, one
+        elementwise pass per entry of vector. It is kept only if the exact
+        residual U lam - vector is zero, checked times L, the lcm of the
+        scales c_j of the nonzero valuations, so it stays in integers.
         """
-        nums = [_pair(g, vector) for g in self.dual]
-        scale = lcm(*(c for v, c in zip(nums, self.scales) if v))
-        residual = {id: -scale * e for id, e in vector.items()}
-        for v, c, u in compress(zip(nums, self.scales, self.uvars), nums):
-            f = v * (scale // c)
-            for id, b in u.vector.items():
-                residual[id] = residual.get(id, 0) + f * b
-        if any(residual.values()):
-            return None
-        return [Fraction(v, c) if v else _ZERO for v, c in zip(nums, self.scales)]
-
-    def combine(self, lam: Sequence[int | Fraction]) -> list[int | Fraction]:
-        """Row-order exponent vector of the u-monomial with powers lam.
-
-        Only the u-variables with a nonzero power contribute, each through
-        its own sparse exponent vector. The entries are Fractions if lam
-        holds one, integers otherwise.
-        """
-        zero = _ZERO if Fraction in map(type, lam) else 0
-        out = [zero] * len(self.row_ids)
-        for l, u in compress(zip(lam, self.uvars), lam):
-            for id, c in u.vector.items():
-                out[self.row_index[id]] += l * c
-        return out
+        columns = self.dual_columns
+        nums = [0] * len(self.uvars)
+        for id, e in vector.items():
+            nums = list(map(add, nums, map(mul, columns[id], repeat(e))))
+        scale = lcm(*compress(self.scales, nums))
+        terms = ((v * (scale // c), u) for v, c, u in
+                 compress(zip(nums, self.scales, self.uvars), nums))
+        return nums if _spans(terms, scale, vector) else None
 
 
-def _pair(valuations: dict[int, int], vector: dict[int, int]) -> int:
-    """Valuation of the ratio vector given its variables' valuations."""
-    return sum(e * valuations.get(id, 0) for id, e in vector.items())
+def _fractions(nums: list[int], scales: list[int]) -> list[Fraction]:
+    """The u-exponents nums[j] / c_j of valuations nums."""
+    return [Fraction(v, c) if v else _ZERO for v, c in zip(nums, scales)]
+
+
+def _spans(terms, scale: int, vector: dict[int, int]) -> bool:
+    """Whether the sum of f * u.vector over the (f, u) terms is scale *
+    vector. It can differ only on the rows the terms' u-variables touch
+    and on the vector's support, so only they are summed."""
+    residual = {id: -scale * e for id, e in vector.items()}
+    for f, u in terms:
+        for id, b in u.vector.items():
+            residual[id] = residual.get(id, 0) + f * b
+    return not any(residual.values())
 
 
 def build_u_matrix(belt: BipartiteBelt, uvars: list[UVariable] | None = None) -> UMatrix:
@@ -222,8 +228,9 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
 
     Weight-zero failure short-circuits with the violating functional.
     Otherwise the unique u-exponent solution lam exists (the weight
-    functionals span the left kernel of U); nonnegative lam certifies
-    boundedness. A negative entry lam_gamma (the least, first on ties)
+    functionals span the left kernel of U). Its signs are those of the
+    integer valuations G vector, as every scale c_j > 0: none negative
+    certifies boundedness. Otherwise the least lam_gamma, first on ties,
     yields gamma's degeneration ray, along which the ratio has valuation
     c_gamma * lam_gamma < 0 and so blows up.
     """
@@ -232,26 +239,31 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
         if val != 0:
             return Certificate(vector, "not-weight-zero",
                                alpha=w.alpha, weight=val)
-    lam = U.solve(vector)
-    if lam is None:
+    nums = U._valuations(vector)
+    if nums is None:
         raise RuntimeError(
             "ratio has weight zero but is outside the u-span; "
             "weight functionals failed to span the left kernel"
         )
-    if all(l >= 0 for l in lam):
+    lam = _fractions(nums, U.scales)
+    if min(nums, default=0) >= 0:
         return Certificate(vector, "bounded", lam=lam)
-    j = min(range(len(lam)), key=lambda i: lam[i])
+    j = min((j for j, v in enumerate(nums) if v < 0), key=lam.__getitem__)
     ray = U.rays[j]
     return Certificate(vector, "unbounded", lam=lam, ray=DegenerationRay(
-        ray.gamma, ray.step, ray.beta, _pair(U.dual[j], vector)))
+        ray.gamma, ray.step, ray.beta, nums[j]))
 
 
 def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
     """Replay a certificate's evidence without re-deciding membership.
 
     Fields read from a file are taken as they stand: a ratio exponent,
-    step, beta entry or valuation that is not an integer, a beta of the
-    wrong length, or a missing ray fails the replay instead of raising.
+    step, beta entry or valuation that is not an integer, a lam entry that
+    is neither an integer nor a Fraction, a beta of the wrong length, or a
+    missing ray fails the replay instead of raising.
+    lam is replayed in integers: with L the lcm of its denominators, the
+    sum of (L lam_j) u_j must be L times the ratio, and the signs of lam
+    are those of the numerators L lam_j.
     The unbounded proof is one min-plus walk along the ray: the ratio's
     valuation there must be the certificate's, and negative, so the ratio
     is C * t^val (1 + o(1)) with C > 0 and grows without bound as t -> 0.
@@ -270,13 +282,17 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
         except ValueError:  # wrong length, or outside the exchange kernel
             return False
         return w.of_vector(vector) == cert.weight != 0
-    if cert.lam is None or len(cert.lam) != U.num_cols:
+    lam = cert.lam
+    if (lam is None or len(lam) != U.num_cols
+            or not all(type(l) in (int, Fraction) for l in lam)):
         return False
-    if U.combine(cert.lam) != U.dense(vector):
+    scale = lcm(*(l.denominator for l in lam))
+    nums = [l.numerator * (scale // l.denominator) for l in lam]
+    if not _spans(compress(zip(nums, U.uvars), nums), scale, vector):
         return False
     if cert.verdict == "bounded":
-        return all(l >= 0 for l in cert.lam)
-    if cert.verdict != "unbounded" or all(l >= 0 for l in cert.lam):
+        return min(nums, default=0) >= 0
+    if cert.verdict != "unbounded" or min(nums, default=0) >= 0:
         return False
     ray = cert.ray
     if not (
@@ -289,7 +305,8 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
     ):
         return False
     valuations = belt.valuation_walk(ray.beta, ray.step)
-    return _pair(valuations, vector) == ray.valuation < 0
+    valuation = sum(e * valuations.get(id, 0) for id, e in vector.items())
+    return valuation == ray.valuation < 0
 
 
 # double description over exact integers
@@ -623,9 +640,10 @@ def _verify_chain(belt: BipartiteBelt, factors: list[UVariable]) -> bool:
     sum_i q_1..q_{i-1} (q_i - p_i) p_{i+1}..p_r, formally in any
     commutative ring, and q_i - p_i = f_i: every term is a product of
     cluster and frozen variables. The check is exact on symbolic and
-    tropical belts alike.
+    tropical belts alike. A factor repeated as the same object is checked
+    once; a changed copy is a distinct object and is checked on its own.
     """
-    for u in factors:
+    for u in dict.fromkeys(factors):
         if u.node not in belt.step(u.step).sources:
             return False
         exact = _u_variable_at(belt, u.step, u.node)

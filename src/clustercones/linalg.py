@@ -8,7 +8,7 @@ exact because every entry stays, up to sign, a minor of the input
 (Nakos, Turner and Williams 1997). All pivots end equal to one scale d,
 so the reduced row echelon form is the integer result divided by d, and
 no Fraction is built during elimination. Rational input is scaled row by
-row to integers first.
+row to integers first; integer rows are taken as they are.
 
 At each column the pivot is the nonzero entry of smallest magnitude
 among the rows not yet used, the first such row on ties. The choice of
@@ -43,7 +43,10 @@ __all__ = [
 
 
 def _integral(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the lcm of its denominators."""
+    """The row times the lcm of its denominators; an all-int row is copied
+    as it is."""
+    if set(map(type, row)) <= {int}:
+        return list(row)
     den = lcm(*(x.denominator for x in row))
     return [int(x * den) for x in row]
 

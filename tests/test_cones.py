@@ -43,6 +43,31 @@ def coeff_vec(U, coeffs):
     return {id: c for id, c in zip(U.row_ids, coeffs) if c}
 
 
+def combine(U, lam):
+    """Row-order exponent vector of the u-monomial with powers lam, in
+    Fractions if lam holds one and in integers otherwise: the oracle for
+    U lam that the integer residual and replay checks are held to."""
+    zero = Fraction(0) if Fraction in map(type, lam) else 0
+    out = [zero] * U.num_rows
+    for l, u in zip(lam, U.uvars):
+        if l:
+            for id, c in u.vector.items():
+                out[U.row_index[id]] += l * c
+    return out
+
+
+def dual_rows(U):
+    """The rows g_j of the dual basis G, as {id: valuation} dicts of the
+    nonzero entries, read off U's columns of G."""
+    return [{id: col[j] for id, col in enumerate(U.dual_columns) if col[j]}
+            for j in range(U.num_cols)]
+
+
+def pair(valuations, vector):
+    """Valuation of the ratio vector given its variables' valuations."""
+    return sum(e * valuations.get(id, 0) for id, e in vector.items())
+
+
 def test_a1_frozen_u_matrix():
     U = build_u_matrix(belt_of("A1", frozen=1))
     assert U.rows == [[-1, -1], [-1, -1], [0, 1]]
@@ -331,7 +356,7 @@ def test_ray_powers_are_the_nonzero_lam_entries(request, context):
         lam = r.lam
         assert len(lam) == U.num_cols == r.num_cols
         assert [(j, l) for j, l in enumerate(lam) if l] == list(r.powers)
-        assert U.combine(lam) == U.dense(r.vector)
+        assert combine(U, lam) == U.dense(r.vector)
         assert cone.ray_index[frozenset(r.vector.items())] == i
     assert len(cone.ray_index) == len(cone)
     with pytest.raises(AttributeError):
@@ -353,7 +378,7 @@ def test_combine_is_the_dense_product(request, context):
             lam = [Fraction(l, rng.randint(1, 6)) for l in lam]
         dense = [sum((l * c for l, c in zip(lam, row)), lam[0] * 0)
                  for row in U.rows]
-        got = U.combine(lam)
+        got = combine(U, lam)
         assert got == dense
         assert [type(x) for x in got] == [type(x) for x in dense]
 
@@ -455,15 +480,14 @@ def test_dual_basis_inverts_u(request, context):
     # positive on its own
     U = u_matrix_of(request, context)
     assert all(c > 0 for c in U.scales)
-    for j, g in enumerate(U.dual):
-        row = [sum(e * g.get(id, 0) for id, e in u.vector.items())
-               for u in U.uvars]
+    for j, g in enumerate(dual_rows(U)):
+        row = [pair(g, u.vector) for u in U.uvars]
         assert row == [U.scales[j] if k == j else 0 for k in range(U.num_cols)]
     oracle = ExactSolver(U.rows)
     rng = random.Random(83)
     for _ in range(50):
         lam = [rng.choice((-2, -1, 0, 0, 0, 1, 3)) for _ in range(U.num_cols)]
-        dense = U.combine(lam)
+        dense = combine(U, lam)
         vector = {id: e for id, e in zip(U.row_ids, dense) if e}
         assert U.solve(vector) == lam == oracle.solve(dense)
     # off the u-span the residual check refuses, as the oracle does
@@ -530,7 +554,7 @@ def test_tampered_certificates_never_raise_and_never_lie(request, context):
     certs = []
     for _ in range(12):
         lam = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(U.num_cols)]
-        vector = {id: e for id, e in zip(U.row_ids, U.combine(lam)) if e}
+        vector = {id: e for id, e in zip(U.row_ids, combine(U, lam)) if e}
         if vector:
             certs.append(membership(vector, U))
     for _ in range(6):
@@ -569,12 +593,160 @@ def test_unbounded_replay_needs_a_negative_valuation(gr36):
     cert = membership({id: e for id, e in vector.items() if e}, U)
     assert cert.verdict == "unbounded"
     signs = set()
-    for ray, g in zip(U.rays, U.dual):
-        valuation = sum(e * g.get(id, 0) for id, e in cert.vector.items())
+    for ray, g in zip(U.rays, dual_rows(U)):
+        valuation = pair(g, cert.vector)
         cert.ray = DegenerationRay(ray.gamma, ray.step, ray.beta, valuation)
         assert verify_certificate(U, cert) is (valuation < 0)
         signs.add((valuation > 0) - (valuation < 0))
     assert signs == {-1, 0}
+
+
+# integer membership and replay against Fraction references
+
+
+def reference_certificate(U, vector):
+    """(verdict, lam, ray column, valuation) of a weight-zero vector by the
+    Fraction route: the valuations pair each row of G with the vector,
+    lam = G vector / c must pass combine, and the least lam_j, first on
+    ties, names the ray of an unbounded ratio."""
+    nums = [pair(g, vector) for g in dual_rows(U)]
+    lam = [Fraction(v, c) for v, c in zip(nums, U.scales)]
+    assert combine(U, lam) == U.dense(vector)
+    j = min(range(len(lam)), key=lambda i: lam[i])
+    if lam[j] >= 0:
+        return "bounded", lam, None, None
+    return "unbounded", lam, j, nums[j]
+
+
+def oracle_vectors(request, context, rng, count):
+    """U and seeded weight-zero ratio vectors of both verdicts. On C2 (no
+    frozen variables, so every vector has weight zero) they are small
+    random vectors and integral U lam for lam >= 0 in halves, so lam has
+    halves; on a Grassmannian, products of one to four primitive ratios,
+    their inverses, and quotients of two such products."""
+    if context == "C2":
+        U = build_u_matrix(belt_of("C2"))
+        vectors = [
+            {id: rng.choice((-2, -1, 1, 2))
+             for id in rng.sample(U.row_ids, rng.randint(1, 3))}
+            for _ in range(2 * count)
+        ]
+        while len(vectors) < 3 * count:
+            dense = combine(U, [Fraction(rng.randint(0, 3), 2)
+                                for _ in range(U.num_cols)])
+            if all(e.denominator == 1 for e in dense) and any(dense):
+                vectors.append(coeff_vec(U, [int(e) for e in dense]))
+        return U, vectors
+    grass = request.getfixturevalue(context)
+    prims = [p.vector for p in grass.primitive_ratios()]
+
+    def product(sign):
+        total = {}
+        for v in rng.choices(prims, k=rng.randint(1, 4)):
+            for id, e in v.items():
+                total[id] = total.get(id, 0) + sign * e
+        return total
+
+    vectors = []
+    for _ in range(count):
+        p, q = product(1), product(-1)
+        vectors.append({id: e for id, e in p.items() if e})
+        vectors.append({id: -e for id, e in p.items() if e})
+        for id, e in q.items():
+            p[id] = p.get(id, 0) + e
+        if any(p.values()):
+            vectors.append({id: e for id, e in p.items() if e})
+    return grass.U, vectors
+
+
+@pytest.mark.parametrize("context", ["C2", "gr36", "gr38"])
+def test_membership_matches_the_fraction_reference(request, context):
+    rng = random.Random(131)
+    U, vectors = oracle_vectors(request, context, rng, 15)
+    verdicts = set()
+    ties = halves = 0
+    for vector in vectors:
+        cert = membership(vector, U)
+        verdict, lam, j, valuation = reference_certificate(U, vector)
+        assert cert.verdict == verdict
+        assert cert.lam == lam
+        assert all(type(l) is Fraction for l in cert.lam)
+        if j is None:
+            assert cert.ray is None
+        else:
+            ray = U.rays[j]
+            assert (cert.ray.gamma, cert.ray.step, cert.ray.beta,
+                    cert.ray.valuation) == (ray.gamma, ray.step, ray.beta,
+                                            valuation)
+            ties += lam.count(lam[j]) > 1
+        assert verify_certificate(U, cert)
+        verdicts.add(verdict)
+        halves += any(l.denominator == 2 for l in lam)
+    assert verdicts == {"bounded", "unbounded"}
+    assert ties > 0
+    assert halves > 0 if context == "C2" else halves == 0
+
+
+def _tamper_lam(lam, vector, U, rng):
+    """A changed copy of lam and the name of the change."""
+    lam = list(lam)
+    kind = rng.choice(["non-integral", "sign-flip", "int-entries",
+                       "off-support", "off-by-one"])
+    nonzero = [j for j, l in enumerate(lam) if l]
+    if kind == "non-integral":
+        j = rng.randrange(len(lam))
+        lam[j] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 6)))
+    elif kind == "sign-flip":
+        if rng.random() < 0.5:
+            lam = [-l for l in lam]
+        else:
+            j = rng.choice(nonzero)
+            lam[j] = -lam[j]
+    elif kind == "int-entries":
+        lam = [int(l) if l.denominator == 1 else l for l in lam]
+        if rng.random() < 0.5:
+            lam[rng.randrange(len(lam))] += rng.choice((-1, 1))
+    elif kind == "off-support":
+        # a power on a u-variable that touches no variable of the ratio
+        outside = [j for j, u in enumerate(U.uvars)
+                   if vector.keys().isdisjoint(u.vector)]
+        j = rng.choice(outside or range(len(lam)))  # C2: no such column
+        lam[j] += rng.choice((-1, 1, Fraction(1, 2)))
+    else:
+        lam[rng.choice(nonzero)] += rng.choice((-1, 1))
+    return lam, kind
+
+
+@pytest.mark.parametrize("context", ["C2", "gr36", "gr38"])
+def test_integer_replay_agrees_with_the_fraction_check(request, context):
+    rng = random.Random(137)
+    U, vectors = oracle_vectors(request, context, rng, 6)
+    certs = [membership(v, U) for v in vectors]
+    accepted = rejected = 0
+    kinds = set()
+    for trial in range(300):
+        cert = copy.deepcopy(rng.choice(certs))
+        cert.lam, kind = _tamper_lam(cert.lam, cert.vector, U, rng)
+        kinds.add(kind)
+        # the ray is untouched, and valid if there is one, so only lam and
+        # the claimed verdict decide; every fourth trial swaps the verdict
+        has_ray = cert.ray is not None
+        if trial % 4 == 0:
+            cert.verdict = "unbounded" if cert.bounded else "bounded"
+        want = combine(U, cert.lam) == U.dense(cert.vector) and (
+            min(cert.lam) >= 0 if cert.bounded
+            else min(cert.lam) < 0 and has_ray)
+        assert verify_certificate(U, cert) is want, kind
+        accepted += want
+        rejected += not want
+    assert len(kinds) == 5
+    assert accepted > 0 and rejected > 0
+    # a lam entry of any other type fails the replay without raising
+    for bad in (1.0, True, "1", None, [1]):
+        cert = copy.deepcopy(rng.choice(certs))
+        cert.lam = list(cert.lam)
+        cert.lam[rng.randrange(len(cert.lam))] = bad
+        assert verify_certificate(U, cert) is False
 
 
 # the structural chain check against the telescoping identity
@@ -611,7 +783,7 @@ def test_structural_chain_check_matches_telescoping_identity(context):
         lam = [0] * U.num_cols
         for j in rng.choices(range(U.num_cols), k=rng.randint(1, 3)):
             lam[j] += 1
-        vector = {id: e for id, e in zip(U.row_ids, U.combine(lam)) if e}
+        vector = {id: e for id, e in zip(U.row_ids, combine(U, lam)) if e}
         cert = membership(vector, U)
         report = subtraction_free_check(cert, U)
         assert report.kind == "chain" and report.verified
@@ -644,3 +816,27 @@ def test_structural_chain_check_matches_telescoping_identity(context):
         bad_U = copy.copy(U)
         bad_U.uvars = [bad if v is u else v for v in U.uvars]
         assert not subtraction_free_check(cert, bad_U).verified
+
+
+def test_chain_check_rejects_a_tampered_repeated_factor(gr36):
+    # the chain check reads each distinct factor once, so a changed copy
+    # of a repeated factor must still be read
+    U, belt = gr36.U, gr36.belt
+    rng = random.Random(139)
+    for _ in range(20):
+        lam = [rng.choice((0, 0, 0, 0, 1, 2, 3)) for _ in range(U.num_cols)]
+        factors = [u for u, l in zip(U.uvars, lam) for _ in range(l)]
+        rng.shuffle(factors)
+        assert _verify_chain(belt, factors)
+        repeats = [i for i, u in enumerate(factors) if u in factors[:i]]
+        pos = rng.choice(repeats)
+        u = factors[pos]
+        assert _verify_chain(belt, factors[:pos] + [copy.copy(u)]
+                             + factors[pos + 1:])
+        numerator = dict(u.numerator)
+        id = rng.choice(sorted(numerator) or range(len(belt.entries)))
+        numerator[id] = numerator.get(id, 0) + 1
+        bad = UVariable(u.gamma, u.partner, u.step, u.node, numerator,
+                        u.frozen_in, u.vector)
+        assert not _verify_chain(belt, factors[:pos] + [bad]
+                                 + factors[pos + 1:])
