@@ -622,10 +622,8 @@ def _suite_gr48(args) -> int:
     points = args.samples if args.samples is not None else 1000
     if points < 1:
         raise UsageError(f"--samples must be at least 1, got {points}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     seed = args.sample_seed if args.sample_seed is not None else 97
-    report = verify_gr48_table(points=points, seed=seed, jobs=args.jobs)
+    report = verify_gr48_table(points=points, seed=seed)
     payload = {"command": "verify", "suite": "gr48", "seed": seed}
     payload.update(report.to_dict())
     payload["ok"] = report.ok and report.strictly_below_one
@@ -701,6 +699,9 @@ def _text_suite_appendix(payload):
 def cmd_verify(args) -> int:
     if bool(args.suite) == bool(args.certificate):
         raise UsageError("pick exactly one of --suite, --certificate")
+    for flag, value in (("--samples", args.samples), ("--sample-seed", args.sample_seed)):
+        if value is not None and args.suite != "gr48":
+            raise UsageError(f"{flag} only applies to --suite gr48")
     if args.certificate:
         return _verify_certificate(args)
     runner = {
@@ -801,9 +802,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sample-seed", type=int, help="sampling seed for gr48",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for gr48",
     )
     p.set_defaults(func=cmd_verify)
     return parser

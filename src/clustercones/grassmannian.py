@@ -959,37 +959,26 @@ def load_gr48_ratios() -> list[dict[tuple[int, ...], int]]:
 
 
 def _gr48_symmetries() -> list[dict[tuple[int, ...], tuple[int, ...]]]:
-    """Closure of rotation, reflection, and complement on column 4-sets."""
+    """The 32 symmetries of the column 4-sets: a rotation j -> j + r
+    (mod 8), then optionally the reflection j -> 9 - j, then optionally
+    the complement J -> {1..8} - J."""
+    cols = set(range(1, 9))
     Js = list(itertools.combinations(range(1, 9), 4))
-
-    def submap(f):
-        return {J: tuple(sorted(f(j) for j in J)) for J in Js}
-
-    gens = [
-        submap(lambda j: j % 8 + 1),
-        submap(lambda j: 9 - j),
-        {J: tuple(sorted(set(range(1, 9)) - set(J))) for J in Js},
-    ]
-    ident = {J: J for J in Js}
-    seen = {tuple(ident[J] for J in Js): ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for g in frontier:
-            for gen in gens:
-                comp = {J: gen[g[J]] for J in Js}
-                key = tuple(comp[J] for J in Js)
-                if key not in seen:
-                    seen[key] = comp
-                    new.append(comp)
-        frontier = new
-    return list(seen.values())
+    maps = []
+    for r, reflect, complement in itertools.product(range(8), (False, True), (False, True)):
+        perm = {j: (j - 1 + r) % 8 + 1 for j in cols}
+        if reflect:
+            perm = {j: 9 - c for j, c in perm.items()}
+        g = {}
+        for J in Js:
+            image = {perm[j] for j in J}
+            g[J] = tuple(sorted(cols - image if complement else image))
+        maps.append(g)
+    return maps
 
 
 def _gr48_images(ratios) -> list[dict[tuple[int, ...], int]]:
     group = _gr48_symmetries()
-    if len(group) != 32:
-        raise RatioTableError(f"symmetry closure has order {len(group)}, expected 32")
     images = {}
     for ratio in ratios:
         for g in group:
@@ -1015,14 +1004,14 @@ def _integer_points(n: int, count: int, seed: int) -> list[list[int]]:
     return pts
 
 
-def _gr48_monomials(images) -> list[tuple[int, tuple, tuple]]:
+def _gr48_monomials(images) -> list[tuple[tuple, tuple]]:
     """The distinct difference monomials of the images, in image order.
 
     Image prod_J P_J^{e_J} equals prod_{a<b} (t_b - t_a)^{d_ab} at every
     Vandermonde point, with d_ab the sum of e_J over the 4-sets J holding
-    both a and b. Each entry is (first image index with these d, numerator
-    terms, denominator terms); a term is (pair index, positive exponent),
-    pairs listed as `itertools.combinations` lists them.
+    both a and b. Each entry is (numerator terms, denominator terms); a
+    term is (pair index, positive exponent), pairs listed as
+    `itertools.combinations` lists them.
     """
     pair_index = {
         pair: i for i, pair in enumerate(itertools.combinations(range(1, 9), 2))
@@ -1031,37 +1020,31 @@ def _gr48_monomials(images) -> list[tuple[int, tuple, tuple]]:
         J: tuple(pair_index[pair] for pair in itertools.combinations(J, 2))
         for J in itertools.combinations(range(1, 9), 4)
     }
-    first: dict[tuple[int, ...], int] = {}
-    for ii, image in enumerate(images):
+    distinct: dict[tuple[int, ...], None] = {}
+    for image in images:
         d = [0] * len(pair_index)
         for J, e in image.items():
             for i in pairs_of[J]:
                 d[i] += e
-        first.setdefault(tuple(d), ii)
+        distinct[tuple(d)] = None
     return [
         (
-            ii,
             tuple((i, e) for i, e in enumerate(d) if e > 0),
             tuple((i, -e) for i, e in enumerate(d) if e < 0),
         )
-        for d, ii in first.items()
+        for d in distinct
     ]
 
 
-def _gr48_eval_chunk(args) -> tuple[bool, int, int, tuple[int, int]]:
-    """Worst (largest) value of the given monomials over the given points.
-
-    Returns (all_bounded, num, den, (image index, point index)); num/den
-    is the maximum of the exact values, tracked by cross-multiplication.
-    Ties go to the earliest point, then the earliest image.
-    """
-    monomials, points = args
+def _gr48_evaluate(monomials, points) -> tuple[bool, int, int]:
+    """Largest value of the difference monomials of `_gr48_monomials`
+    over the points: (every value at most 1, num, den), with num/den the
+    exact maximum, tracked by cross-multiplication."""
     best_num, best_den = 0, 1
-    best_at = (-1, -1)
     ok = True
-    for pi, ts in enumerate(points):
+    for ts in points:
         diffs = [b - a for a, b in itertools.combinations(ts, 2)]
-        for ii, up, down in monomials:
+        for up, down in monomials:
             num = 1
             for i, e in up:
                 num *= diffs[i] ** e
@@ -1072,52 +1055,21 @@ def _gr48_eval_chunk(args) -> tuple[bool, int, int, tuple[int, int]]:
                 ok = False
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
-                best_at = (ii, pi)
-    return ok, best_num, best_den, best_at
-
-
-def _gr48_evaluate(monomials, points, jobs: int = 1) -> tuple[bool, int, int, tuple[int, int]]:
-    """Evaluate the difference monomials of `_gr48_monomials` at every
-    point, split over `jobs` processes.
-
-    Returns what `_gr48_eval_chunk` returns for the whole list: the
-    result, argmax included, does not depend on `jobs`.
-    """
-    if jobs > 1:
-        # imported here: it loads multiprocessing, which every other
-        # command and a one-worker run would pay for at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = max(1, (len(monomials) + jobs - 1) // jobs)
-        chunks = [
-            (monomials[off:off + step], points)
-            for off in range(0, len(monomials), step)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_gr48_eval_chunk, chunks))
-    else:
-        results = [_gr48_eval_chunk((monomials, points))]
-    ok = all(r[0] for r in results)
-    best_num, best_den, best_at = 0, 1, (-1, -1)
-    # ties between chunks go as within one: earliest point, then image
-    for _, num, den, at in results:
-        if num * best_den > best_num * den or (
-            num * best_den == best_num * den and at[::-1] < best_at[::-1]
-        ):
-            best_num, best_den, best_at = num, den, at
-    return ok, best_num, best_den, best_at
+    return ok, best_num, best_den
 
 
 class Gr48Report:
-    """Outcome of checking the stored 4x8 ratios and their symmetry images."""
+    """Outcome of checking the stored 4x8 ratios and their symmetry images:
+    the counts, whether every image has weight zero, whether every value
+    seen was at most 1, and the exact largest value max_num / max_den."""
 
     __slots__ = (
         "num_ratios", "num_images", "num_points",
-        "weight_zero", "all_bounded", "max_num", "max_den", "argmax",
+        "weight_zero", "all_bounded", "max_num", "max_den",
     )
 
     def __init__(self, num_ratios, num_images, num_points,
-                 weight_zero, all_bounded, max_num, max_den, argmax):
+                 weight_zero, all_bounded, max_num, max_den):
         self.num_ratios = num_ratios
         self.num_images = num_images
         self.num_points = num_points
@@ -1125,7 +1077,6 @@ class Gr48Report:
         self.all_bounded = all_bounded
         self.max_num = max_num
         self.max_den = max_den
-        self.argmax = argmax
 
     @property
     def max_value(self) -> Fraction:
@@ -1154,7 +1105,7 @@ class Gr48Report:
 
 
 @functools.cache
-def _gr48_compiled() -> tuple[int, int, bool, tuple[tuple[int, tuple, tuple], ...]]:
+def _gr48_compiled() -> tuple[int, int, bool, tuple[tuple[tuple, tuple], ...]]:
     """What verify_gr48_table needs of the stored table, built once per
     process: (number of ratios, number of symmetry images, whether every
     image has weight zero, the images' difference monomials). All of it
@@ -1187,16 +1138,21 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     point is chosen: an image has about 21 Plucker factors but about 10
     nonzero difference exponents. Images with equal difference exponents
     take equal values at every Vandermonde point, so each distinct
-    monomial is evaluated once and stands for its images exactly; it
-    reports the first of them as argmax. `num_images` still counts every
-    image (316), and `jobs` splits the distinct monomials over processes.
+    monomial (114 of them) is evaluated once, in this process, and stands
+    for its images exactly; `num_images` still counts every image (316).
+
+    `jobs` accepts only 1 and raises ValueError otherwise: the check runs
+    in this process, and the keyword stays only because the benchmark's
+    gr48 workload passes `jobs=1`.
     """
+    if jobs != 1:
+        raise ValueError(f"the gr48 check runs in one process; jobs must be 1, got {jobs}")
     if points < 1:
         raise ValueError(f"need at least one sample point, got {points}")
     num_ratios, num_images, weight_zero, monomials = _gr48_compiled()
     pts = _integer_points(8, points, seed)
-    ok, best_num, best_den, best_at = _gr48_evaluate(monomials, pts, jobs)
+    ok, best_num, best_den = _gr48_evaluate(monomials, pts)
     return Gr48Report(
         num_ratios, num_images, len(pts),
-        weight_zero, ok, best_num, best_den, best_at,
+        weight_zero, ok, best_num, best_den,
     )

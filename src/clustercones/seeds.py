@@ -258,19 +258,13 @@ class ExchangeData:
 class Seed:
     """Exchange data plus a cluster of Laurent polynomials."""
 
-    __slots__ = ("exchange", "cluster", "history")
+    __slots__ = ("exchange", "cluster")
 
-    def __init__(
-        self,
-        exchange: ExchangeData,
-        cluster: Sequence[LaurentPolynomial],
-        history: tuple[int, ...] = (),
-    ):
+    def __init__(self, exchange: ExchangeData, cluster: Sequence[LaurentPolynomial]):
         if len(cluster) != exchange.size:
             raise ValueError("cluster length mismatch")
         self.exchange = exchange
         self.cluster = tuple(cluster)
-        self.history = history
 
     @classmethod
     def initial(cls, exchange: ExchangeData) -> "Seed":
@@ -288,10 +282,10 @@ class Seed:
         cluster[k] = _exchange(
             _laurent_ring(ex.size), self.cluster, pos, neg, self.cluster[k]
         )
-        return Seed(ex.mutate(k), cluster, self.history + (k,))
+        return Seed(ex.mutate(k), cluster)
 
     def __repr__(self) -> str:
-        return f"<Seed n={self.exchange.n} m={self.exchange.m} depth={len(self.history)}>"
+        return f"<Seed n={self.exchange.n} m={self.exchange.m}>"
 
 
 class YSeed:
@@ -302,19 +296,17 @@ class YSeed:
     decided by cross-multiplication, so pairs need not be reduced.
     """
 
-    __slots__ = ("exchange", "values", "history")
+    __slots__ = ("exchange", "values")
 
     def __init__(
         self,
         exchange: ExchangeData,
         values: Sequence[tuple[LaurentPolynomial, LaurentPolynomial]],
-        history: tuple[int, ...] = (),
     ):
         if len(values) != exchange.n:
             raise ValueError("one y-value per mutable index required")
         self.exchange = exchange
         self.values = tuple(values)
-        self.history = history
 
     def mutate(self, k: int) -> "YSeed":
         ex = self.exchange
@@ -334,7 +326,7 @@ class YSeed:
                 gain, loss = (yk_num, total) if b > 0 else (total, yk_den)
                 num, den = num * gain ** abs(b), den * loss ** abs(b)
             new_values.append((num, den))
-        return YSeed(ex.mutate(k), new_values, self.history + (k,))
+        return YSeed(ex.mutate(k), new_values)
 
     def value_equal(self, i: int, other: tuple[LaurentPolynomial, LaurentPolynomial]) -> bool:
         num, den = self.values[i]
@@ -355,16 +347,27 @@ def y_seed_from_cluster(seed: Seed) -> YSeed:
     return YSeed(ex, values)
 
 
+def _positive_int(value, what: str) -> int:
+    """value itself if it is a positive int; ValueError otherwise (JSON
+    floats and booleans included: int() would truncate 1.9 and true to 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{what} must be a positive integer, got {json.dumps(value)}")
+    return value
+
+
 def load_seed_file(source: str | dict) -> ExchangeData:
     """Read exchange data from a JSON seed description.
 
     Format: {"nodes": [{"name": str, "frozen": bool, "weight": int}, ...],
     "arrows": [{"from": name, "to": name, "mult": int}, ...]}. Arrows point
     from i to j with B[i][j] = mult > 0; the opposite entry is filled in
-    from the weights and must come out integral. Entries of magnitude
-    laurent.EXP_LIMIT or more are rejected, naming the arrow: exchange
-    polynomials could not hold such exponents. Mutable nodes are
-    reordered before frozen ones, preserving relative order.
+    from the weights and must come out integral. A name must be a
+    non-empty string, "frozen" (default false) a boolean, and "weight" and
+    "mult" (default 1) positive integers; anything else is rejected,
+    naming the node or arrow. Entries of magnitude laurent.EXP_LIMIT or
+    more are rejected, naming the arrow: exchange polynomials could not
+    hold such exponents. Mutable nodes are reordered before frozen ones,
+    preserving relative order.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
@@ -372,6 +375,15 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     else:
         data = source
     nodes = data["nodes"]
+    for nd in nodes:
+        name = nd["name"]
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"node name {json.dumps(name)} is not a non-empty string")
+        if not isinstance(nd.get("frozen", False), bool):
+            raise ValueError(
+                f"node {name}: frozen must be true or false, got {json.dumps(nd['frozen'])}"
+            )
+        _positive_int(nd.get("weight", 1), f"node {name}: weight")
     names_in = [nd["name"] for nd in nodes]
     if len(set(names_in)) != len(names_in):
         raise ValueError("duplicate node names in seed file")
@@ -381,7 +393,7 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     n = sum(1 for nd in nodes if not nd.get("frozen"))
     m = len(nodes) - n
     index = {nodes[old]["name"]: new for new, old in enumerate(order)}
-    weights = [int(nodes[old].get("weight", 1)) for old in order]
+    weights = [nodes[old].get("weight", 1) for old in order]
     names = [nodes[old]["name"] for old in order]
     size = n + m
     mat = [[0] * size for _ in range(size)]
@@ -391,9 +403,9 @@ def load_seed_file(source: str | dict) -> ExchangeData:
             i, j = index[arrow["from"]], index[arrow["to"]]
         except KeyError as exc:
             raise ValueError(f"arrow references unknown node {exc}") from None
-        mult = int(arrow.get("mult", 1))
-        if mult <= 0:
-            raise ValueError("arrow multiplicity must be positive")
+        mult = _positive_int(
+            arrow.get("mult", 1), f"arrow {arrow['from']} -> {arrow['to']}: multiplicity"
+        )
         if i == j:
             raise ValueError("loops are not allowed")
         mat[i][j] += mult

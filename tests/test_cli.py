@@ -375,7 +375,8 @@ def test_check_json_is_golden(capsys, case):
 
 
 def test_importing_the_cli_does_not_load_the_process_pool():
-    # only `verify --suite gr48 --jobs N` with N > 1 needs it
+    # no command starts worker processes, so none of them may pay for
+    # loading the pool at start-up
     src = Path(clustercones.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = ("import sys, clustercones.cli; "
@@ -482,15 +483,34 @@ def test_verify_gr48_suite_is_labelled_sampled(capsys):
     assert "sampled at 3 totally positive points" in out
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--samples", "0"), ("--samples", "-5"), ("--jobs", "0"), ("--jobs", "-3"),
-])
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-5")])
 def test_verify_gr48_refuses_nonpositive_counts(capsys, flag, value):
     # zero points used to pass with "points": 0 and nothing checked
     argv = ["verify", "--suite", "gr48", "--samples", "1", flag, value]
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert f"{flag} must be at least 1" in err
+
+
+# sha256 of the JSON, computed before the gr48 check became one loop in
+# one process
+GR48_SAMPLED_GOLDEN = "4cc4ee934b9d36e1c05c24b323a8c6e76b49d0c186654cb8c428df7aafa4a3be"
+
+
+def test_verify_gr48_json_is_golden(capsys):
+    argv = ["verify", "--suite", "gr48", "--samples", "15", "--sample-seed", "5",
+            "--format", "json"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GR48_SAMPLED_GOLDEN
+
+
+def test_verify_has_no_jobs_option(capsys):
+    # the gr48 check runs in one process; --jobs is an unknown option
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "gr48", "--jobs", "2"])
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_verify_appendix_suite(capsys):
@@ -517,11 +537,43 @@ def test_verify_appendix_suite(capsys):
     (["factor", "--gr", "3", "6", "--ratio", "q[124|356]/p[135]"], "not a minor"),
     (["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*x2",
       "--certificate-out", "/nonexistent/dir/c.json"], "cannot write"),
+    (["verify", "--suite", "appendix", "--samples", "5", "--sample-seed", "3"],
+     "--samples only applies to --suite gr48"),
+    (["verify", "--suite", "u-equations", "--sample-seed", "3"],
+     "--sample-seed only applies to --suite gr48"),
+    (["verify", "--certificate", "c.json", "--samples", "5"],
+     "--samples only applies to --suite gr48"),
 ])
 def test_usage_errors_exit_two(capsys, argv, needle):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert needle in err
+
+
+def a2(a=(), b=(), arrow=()):
+    """An A2 seed description, with fields of node a, node b or the arrow
+    replaced."""
+    return {"nodes": [{"name": "a", **dict(a)}, {"name": "b", **dict(b)}],
+            "arrows": [{"from": "a", "to": "b", **dict(arrow)}]}
+
+
+# one bad field each; names used to end in a traceback, "no" read as
+# frozen, and 1.9, 1.5 and true were truncated to 1
+BAD_SEED_FIELDS = {
+    "name-number": (a2(a={"name": 5}), "node name 5 "),
+    "name-null": (a2(a={"name": None}), "node name null "),
+    "name-empty": (a2(a={"name": ""}), 'node name ""'),
+    "frozen-string": (a2(a={"frozen": "no"}),
+                      'node a: frozen must be true or false, got "no"'),
+    "weight-float": (a2(a={"weight": 1.5}),
+                     "node a: weight must be a positive integer, got 1.5"),
+    "weight-zero": (a2(b={"weight": 0}),
+                    "node b: weight must be a positive integer, got 0"),
+    "mult-float": (a2(arrow={"mult": 1.9}),
+                   "arrow a -> b: multiplicity must be a positive integer, got 1.9"),
+    "mult-bool": (a2(arrow={"mult": True}),
+                  "arrow a -> b: multiplicity must be a positive integer, got true"),
+}
 
 
 @pytest.mark.parametrize("content,needle", [
@@ -539,8 +591,10 @@ def test_usage_errors_exit_two(capsys, argv, needle):
      ' {"name": "f", "frozen": true}],'
      ' "arrows": [{"from": "a", "to": "b"}, {"from": "a", "to": "f", "mult": 4096}]}',
      "arrow a -> f: opposite entry -8192"),
+    *[(json.dumps(seed), needle) for seed, needle in BAD_SEED_FIELDS.values()],
 ], ids=["string", "infinite-weight", "huge-frozen-multiplicity",
-        "multiplicity-at-the-exponent-limit", "opposite-entry-at-the-exponent-limit"])
+        "multiplicity-at-the-exponent-limit", "opposite-entry-at-the-exponent-limit",
+        *BAD_SEED_FIELDS])
 def test_malformed_seed_file_is_a_usage_error(capsys, tmp_path, content, needle):
     path = tmp_path / "seed.json"
     path.write_text(content)
@@ -550,6 +604,23 @@ def test_malformed_seed_file_is_a_usage_error(capsys, tmp_path, content, needle)
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert needle in err
 
+
+@pytest.mark.parametrize("case", sorted(BAD_SEED_FIELDS))
+def test_certificate_seed_field_types_are_checked(capsys, tmp_path, case):
+    # a certificate's seed context goes through the same checks
+    seed, needle = BAD_SEED_FIELDS[case]
+    seed_path, cert_path = tmp_path / "seed.json", tmp_path / "cert.json"
+    seed_path.write_text(json.dumps(a2()))
+    code, _, _ = run(capsys, ["check", "--seed-file", str(seed_path), "--ratio",
+                              "a*b", "--certificate-out", str(cert_path)])
+    assert code == 1
+    record = json.loads(cert_path.read_text())
+    record["context"]["seed"] = seed
+    cert_path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["verify", "--certificate", str(cert_path)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert needle in err
 
 
 def test_ratio_error_is_annotated(capsys):

@@ -739,6 +739,14 @@ def test_gr48_table_shape_and_weights():
 def test_gr48_symmetry_closure():
     syms = _gr48_symmetries()
     assert len(syms) == 32
+    # 32 distinct maps, closed under composition: the listed maps are the
+    # whole group the rotation, reflection and complement generate
+    Js = sorted(syms[0])
+    keys = {tuple(g[J] for J in Js) for g in syms}
+    assert len(keys) == 32
+    for g in syms:
+        for h in syms:
+            assert tuple(h[g[J]] for J in Js) in keys
     images = _gr48_images(load_gr48_ratios())
     # 19 rows, a few fixed by part of the group: measured once, frozen
     assert len(images) == 316
@@ -766,7 +774,7 @@ def test_gr48_verification_repeats_itself():
     first = verify_gr48_table(points=5, seed=17)
     second = verify_gr48_table(points=5, seed=17)
     assert second.to_dict() == first.to_dict()
-    assert second.argmax == first.argmax
+    assert (second.max_num, second.max_den) == (first.max_num, first.max_den)
 
 
 # one displayed ratio is a product of two others; it is dropped from the
@@ -816,19 +824,17 @@ def test_gr48_composite_ratio_is_bounded():
 
 
 def per_minor_evaluate(images, points):
-    """Reference: every Plucker factor of every image at every point, in
-    point-major order, ties kept by the first (point, image) seen.
+    """Reference: every Plucker factor of every image at every point.
 
-    Returns (all_bounded, maximum value, (image index, point index)).
+    Returns (all_bounded, maximum value).
     """
     best_num, best_den = 0, 1
-    best_at = (-1, -1)
     ok = True
     items = [sorted(image.items()) for image in images]
-    for pi, ts in enumerate(points):
+    for ts in points:
         pt = TotallyPositivePoint(4, ts)
         minors = {J: pt.minor(J) for J in itertools.combinations(range(1, 9), 4)}
-        for ii, ratio in enumerate(items):
+        for ratio in items:
             num = 1
             den = 1
             for J, e in ratio:
@@ -840,13 +846,12 @@ def per_minor_evaluate(images, points):
                 ok = False
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
-                best_at = (ii, pi)
-    return ok, Fraction(best_num, best_den), best_at
+    return ok, Fraction(best_num, best_den)
 
 
 def compiled_evaluate(images, points):
-    ok, num, den, at = _gr48_evaluate(_gr48_monomials(images), points)
-    return ok, Fraction(num, den), at
+    ok, num, den = _gr48_evaluate(_gr48_monomials(images), points)
+    return ok, Fraction(num, den)
 
 
 @pytest.fixture(scope="module")
@@ -857,10 +862,7 @@ def gr48_images():
 def test_gr48_images_share_114_difference_monomials(gr48_images):
     # measured once, frozen; complement maps a weight-zero ratio to the
     # same difference monomial, which is part of why so many coincide
-    monomials = _gr48_monomials(gr48_images)
-    assert len(monomials) == 114
-    assert monomials[0][0] == 0
-    assert [m[0] for m in monomials] == sorted(m[0] for m in monomials)
+    assert len(_gr48_monomials(gr48_images)) == 114
 
 
 @pytest.mark.parametrize("count", [1, 7, 40])
@@ -901,9 +903,8 @@ def test_gr48_compiled_evaluator_matches_reference_on_altered_images(gr48_images
     assert {("moved alone", True), ("moved alone", False)} <= seen
 
 
-@pytest.mark.parametrize("seed", [3, 311, 4096])
-def test_gr48_two_workers_match_one(seed):
-    one = verify_gr48_table(points=40, seed=seed, jobs=1)
-    two = verify_gr48_table(points=40, seed=seed, jobs=2)
-    assert two.to_dict() == one.to_dict()
-    assert two.argmax == one.argmax
+def test_gr48_check_runs_in_one_process():
+    # one process: jobs is a keyword that takes only 1
+    assert verify_gr48_table(points=5, jobs=1).ok
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        verify_gr48_table(points=5, jobs=2)
