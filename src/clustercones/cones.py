@@ -320,9 +320,16 @@ def double_description(
     Equalities are inserted one at a time into the positive orthant, in
     the order given; the result does not depend on that order, but the
     number of intermediate rays, and so the cost, does. Each
-    row is read as its (column, coefficient) pairs, so a ray's dot product
-    touches only the row's nonzero columns. Every ray carries its support
-    as a bit mask and as a tuple of indices. A new ray is
+    row is read as its (column, coefficient) pairs. The current rays live
+    in a dict keyed by ray id, each as its sparse {column: value} and its
+    support as a bit mask; ids are handed out in increasing order and
+    renumbered 0, 1, ... (in the same order) once they run past twice the
+    number of current rays, so the bitsets below stay short. nz[i] is the
+    bitset of the ids of the current rays whose support holds i, kept up
+    to date: a row visits only the rays in the union of nz over its
+    columns (every other ray has dot product 0 and stays), the rays it
+    makes positive or negative leave the dict and nz, and the new rays
+    enter both after the row's pair loop. A new ray is
     s_p * r_n - s_n * r_p with s_p > 0 > s_n and r_p, r_n >= 0, so nothing
     cancels and its support is exactly S = S_p | S_n.
 
@@ -332,61 +339,55 @@ def double_description(
     dim - 2; each row processed so far gives at most one of it, so a pair
     with |S| > processed + 2 is skipped at once. Otherwise a
     blocker is sought only among the rays that meet both S_p - S_n and
-    S_n - S_p, read off per-coordinate bitsets of ray indices (nz below).
-    That loses no blocker. The current rays are the distinct primitive
-    extreme rays of a pointed cone, and a point of the cone whose zero set
-    contains an extreme ray's zero set is a multiple of that ray, so the
-    rays' zero sets are pairwise incomparable. A ray with support inside S
-    that misses S_p - S_n therefore lies inside S_n and is n itself, and
-    likewise for p. Nor are p and n candidates: p misses S_n - S_p and n
-    misses S_p - S_n. A new ray lies in the relative interior of the
-    2-face of its pair, and distinct faces have disjoint relative
+    S_n - S_p, read off nz. That loses no blocker. The current rays are
+    the distinct primitive extreme rays of a pointed cone, and a point of
+    the cone whose zero set contains an extreme ray's zero set is a
+    multiple of that ray, so the rays' zero sets are pairwise
+    incomparable. A ray with support inside S that misses S_p - S_n
+    therefore lies inside S_n and is n itself, and likewise for p. Nor
+    are p and n candidates: p misses S_n - S_p and n misses S_p - S_n.
+    Nor is a deleted ray: it left the cone with the row that made it
+    nonzero, so it could wrongly block an adjacent pair, but its bits
+    leave nz with it, before any new ray takes an id, so every id read
+    off nz names a current ray. A new ray lies in the relative interior
+    of the 2-face of its pair, and distinct faces have disjoint relative
     interiors, so the new rays differ from each other and from the kept
-    (extreme) ones: no deduplication is needed. Output sorted
+    (extreme) ones: no deduplication is needed. Output dense and sorted
     lexicographically.
     """
-    zeros = (0,) * dim
-    rays = [(zeros[:i] + (1,) + zeros[i + 1:], 1 << i, (i,))
-            for i in range(dim)]
+    rays = {i: ({i: 1}, 1 << i) for i in range(dim)}
+    nz = [1 << i for i in range(dim)]  # nz[i]: ids of the rays holding i
+    next_id = dim
     for processed, row in enumerate(equalities):
         if len(row) != dim:
             raise ValueError("equality row has wrong length")
         terms = [(c, a) for c, a in enumerate(row) if a]
-        row_mask = sum(1 << c for c, _ in terms)
-        pos: list[tuple[int, int]] = []
-        neg: list[tuple[int, int]] = []
-        kept = []
-        for k, ray in enumerate(rays):
-            vec, mask, _ = ray
-            s = sum(a * vec[c] for c, a in terms) if mask & row_mask else 0
+        touched = 0
+        for c, _ in terms:
+            touched |= nz[c]
+        pos = []
+        neg = []
+        while touched:
+            low = touched & -touched
+            touched ^= low
+            k = low.bit_length() - 1
+            vec, mask = rays[k]
+            s = sum(a * vec[c] for c, a in terms if c in vec)
             if s > 0:
-                pos.append((k, s))
+                pos.append((k, s, vec, mask))
             elif s < 0:
-                neg.append((k, s))
-            else:
-                kept.append(ray)
-        if not pos or not neg:
-            rays = kept
-            if not rays:
-                return []
-            continue
-        nz = [0] * dim  # nz[i]: bitset of the rays whose support holds i
-        for k, (_, _, support) in enumerate(rays):
-            bit = 1 << k
-            for i in support:
-                nz[i] |= bit
-        for p, sp in pos:
-            vp, mp, sup_p = rays[p]
-            for n, sn in neg:
-                vn, mn, sup_n = rays[n]
+                neg.append((k, s, vec, mask))
+        new = []
+        for _, sp, vp, mp in pos:
+            for _, sn, vn, mn in neg:
                 both = mp | mn
                 if both.bit_count() > processed + 2:
                     continue
                 from_p = from_n = 0
-                for i in sup_p:
+                for i in vp:
                     if not mn >> i & 1:
                         from_p |= nz[i]
-                for i in sup_n:
+                for i in vn:
                     if not mp >> i & 1:
                         from_n |= nz[i]
                 blockers = from_p & from_n
@@ -396,15 +397,42 @@ def double_description(
                         break
                     blockers ^= low
                 else:  # no blocker: p and n are adjacent
-                    support = tuple(sorted(set(sup_p).union(sup_n)))
-                    vals = [sp * vn[i] - sn * vp[i] for i in support]
-                    g = gcd(*vals)
-                    vec = [0] * dim
-                    for i, v in zip(support, vals):
-                        vec[i] = v // g
-                    kept.append((tuple(vec), both, support))
-        rays = kept
-    return sorted(vec for vec, _, _ in rays)
+                    vec = {i: -sn * v for i, v in vp.items()}
+                    for i, v in vn.items():
+                        vec[i] = vec.get(i, 0) + sp * v
+                    g = gcd(*vec.values())
+                    new.append(({i: v // g for i, v in vec.items()}, both))
+        for k, _, vec, _ in pos + neg:
+            del rays[k]
+            bit = ~(1 << k)
+            for i in vec:
+                nz[i] &= bit
+        for ray in new:
+            rays[next_id] = ray
+            bit = 1 << next_id
+            for i in ray[0]:
+                nz[i] |= bit
+            next_id += 1
+        if not rays:
+            return []
+        if next_id > 2 * len(rays):
+            # blockers are tried lowest id, so oldest ray, first; that
+            # takes fewer tests than newest first, and renumbering in id
+            # order keeps it
+            rays = dict(enumerate(rays.values()))
+            nz = [0] * dim
+            for k, (vec, _) in rays.items():
+                for i in vec:
+                    nz[i] |= 1 << k
+            next_id = len(rays)
+    out = []
+    for vec, _ in rays.values():
+        dense = [0] * dim
+        for i, v in vec.items():
+            dense[i] = v
+        out.append(tuple(dense))
+    out.sort()
+    return out
 
 
 # cones of bounded ratios supported on a subset of variables

@@ -355,6 +355,18 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
+def _objects(data: dict, field: str, what: str) -> list[dict]:
+    """data[field] (empty if absent) if it is a list of JSON objects;
+    ValueError naming the field, or the first item that is no object."""
+    items = data.get(field, [])
+    if not isinstance(items, list):
+        raise ValueError(f'"{field}" must be a list of {what} objects')
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ValueError(f"{what} {k} is not an object")
+    return items
+
+
 def load_seed_file(source: str | dict) -> ExchangeData:
     """Read exchange data from a JSON seed description.
 
@@ -364,18 +376,23 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     from the weights and must come out integral. A name must be a
     non-empty string, "frozen" (default false) a boolean, and "weight" and
     "mult" (default 1) positive integers; anything else is rejected,
-    naming the node or arrow. Entries of magnitude laurent.EXP_LIMIT or
-    more are rejected, naming the arrow: exchange polynomials could not
-    hold such exponents. Mutable nodes are reordered before frozen ones,
-    preserving relative order.
+    naming the node or arrow. "nodes" and "arrows" (default empty) must be
+    lists of objects, a node needs a name, an arrow needs both ends, each
+    the name of a node, and a seed needs a mutable node; a breach is
+    rejected naming the field, or the node or arrow by its index. Entries
+    of magnitude laurent.EXP_LIMIT or more are rejected, naming the arrow:
+    exchange polynomials could not hold such exponents. Mutable nodes are
+    reordered before frozen ones, preserving relative order.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     else:
         data = source
-    nodes = data["nodes"]
-    for nd in nodes:
+    nodes = _objects(data, "nodes", "node")
+    for k, nd in enumerate(nodes):
+        if "name" not in nd:
+            raise ValueError(f"node {k} has no name")
         name = nd["name"]
         if not isinstance(name, str) or not name:
             raise ValueError(f"node name {json.dumps(name)} is not a non-empty string")
@@ -391,6 +408,8 @@ def load_seed_file(source: str | dict) -> ExchangeData:
         i for i, nd in enumerate(nodes) if nd.get("frozen")
     ]
     n = sum(1 for nd in nodes if not nd.get("frozen"))
+    if not n:
+        raise ValueError("seed has no mutable node")
     m = len(nodes) - n
     index = {nodes[old]["name"]: new for new, old in enumerate(order)}
     weights = [nodes[old].get("weight", 1) for old in order]
@@ -398,11 +417,17 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     size = n + m
     mat = [[0] * size for _ in range(size)]
     seen: set[tuple[int, int]] = set()
-    for arrow in data.get("arrows", []):
-        try:
-            i, j = index[arrow["from"]], index[arrow["to"]]
-        except KeyError as exc:
-            raise ValueError(f"arrow references unknown node {exc}") from None
+    for k, arrow in enumerate(_objects(data, "arrows", "arrow")):
+        ends = []
+        for end in ("from", "to"):
+            if end not in arrow:
+                raise ValueError(f'arrow {k} has no "{end}" node')
+            name = arrow[end]
+            if not isinstance(name, str) or name not in index:
+                raise ValueError(
+                    f"arrow {k} references unknown node {json.dumps(name)}")
+            ends.append(index[name])
+        i, j = ends
         mult = _positive_int(
             arrow.get("mult", 1), f"arrow {arrow['from']} -> {arrow['to']}: multiplicity"
         )

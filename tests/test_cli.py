@@ -576,6 +576,49 @@ BAD_SEED_FIELDS = {
 }
 
 
+# one bad shape each; these exited 2 with Python's own words: an arrow
+# without "to" named an unknown node 'to', a string where an object or a
+# list belongs gave "string indices must be integers", a list as an end
+# "unhashable type", and no nodes "not a Dynkin orientation"
+BAD_SEED_SHAPES = {
+    "arrow-without-to": ({"nodes": [{"name": "a"}, {"name": "b"}],
+                          "arrows": [{"from": "a"}]}, 'arrow 0 has no "to"'),
+    "arrow-without-from": ({"nodes": [{"name": "a"}, {"name": "b"}],
+                            "arrows": [{"from": "a", "to": "b"}, {"to": "a"}]},
+                           'arrow 1 has no "from"'),
+    "arrow-string": ({**a2(), "arrows": ["a -> b"]}, "arrow 0 is not an object"),
+    "arrows-string": ({**a2(), "arrows": "a -> b"},
+                      '"arrows" must be a list of arrow objects'),
+    "arrows-object": ({**a2(), "arrows": {"from": "a", "to": "b"}},
+                      '"arrows" must be a list of arrow objects'),
+    "nodes-string": ({**a2(), "nodes": "ab"},
+                     '"nodes" must be a list of node objects'),
+    "nodes-object": ({**a2(), "nodes": {"name": "a"}},
+                     '"nodes" must be a list of node objects'),
+    "node-string": ({**a2(), "nodes": [{"name": "a"}, "b"]},
+                    "node 1 is not an object"),
+    "node-without-name": ({**a2(), "nodes": [{"name": "a"}, {}]},
+                          "node 1 has no name"),
+    "end-list": (a2(arrow={"from": ["a"]}),
+                 'arrow 0 references unknown node ["a"]'),
+    "end-unknown": (a2(arrow={"to": "c"}), 'arrow 0 references unknown node "c"'),
+    "no-nodes": ({"nodes": [], "arrows": []}, "seed has no mutable node"),
+    "only-frozen": ({"nodes": [{"name": "f", "frozen": True}]},
+                    "seed has no mutable node"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SEED_SHAPES))
+def test_malformed_seed_shape_is_a_usage_error(capsys, tmp_path, case):
+    seed, needle = BAD_SEED_SHAPES[case]
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(seed))
+    code, out, err = run(capsys, ["enumerate", "--seed-file", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert needle in err
+
+
 @pytest.mark.parametrize("content,needle", [
     ('"seed.json"', "not an object"),
     ('{"nodes": [{"name": "a", "weight": Infinity}, {"name": "b"}],'
@@ -605,10 +648,10 @@ def test_malformed_seed_file_is_a_usage_error(capsys, tmp_path, content, needle)
     assert needle in err
 
 
-@pytest.mark.parametrize("case", sorted(BAD_SEED_FIELDS))
+@pytest.mark.parametrize("case", sorted(BAD_SEED_FIELDS) + sorted(BAD_SEED_SHAPES))
 def test_certificate_seed_field_types_are_checked(capsys, tmp_path, case):
     # a certificate's seed context goes through the same checks
-    seed, needle = BAD_SEED_FIELDS[case]
+    seed, needle = {**BAD_SEED_FIELDS, **BAD_SEED_SHAPES}[case]
     seed_path, cert_path = tmp_path / "seed.json", tmp_path / "cert.json"
     seed_path.write_text(json.dumps(a2()))
     code, _, _ = run(capsys, ["check", "--seed-file", str(seed_path), "--ratio",

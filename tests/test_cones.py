@@ -3,6 +3,7 @@ unimodular minors, subtraction-freeness."""
 
 import copy
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -301,22 +302,29 @@ def test_double_description_matches_rank_oracle_on_sparse_degenerate_rows():
     assert any(r == d - 1 for d, r in ranks)
 
 
+def subset_rows(g, subset):
+    """The equality rows subset_cone feeds double description, in belt
+    order: one per variable outside the Pluecker or degree <= 2 subset."""
+    U = g.U
+    keep = set(g.degree_one_ids() if subset == "pluecker"
+               else g.ids_with_degree_at_most(2))
+    return [row for id, row in zip(U.row_ids, U.rows) if id not in keep]
+
+
 @pytest.mark.parametrize("context,subset,shuffles,count", [
     ("gr37", "pluecker", 4, 42),
     ("gr38", "deg2", 3, 168),
-    # seeded shuffles of these 80 rows cost up to 0.6 s each: reversed only
-    ("gr38", "pluecker", 0, 80),
+    # one seeded shuffle of these 80 rows takes 70-90 ms on a shared
+    # 2-vCPU VM (belt order 6-10 ms): two shuffles
+    ("gr38", "pluecker", 2, 80),
 ])
 def test_double_description_ignores_row_order(request, context, subset,
                                               shuffles, count):
     # subset_cone feeds the rows in belt order because it is the cheap
     # one; every other order must still give the same rays
     g = request.getfixturevalue(context)
-    U = g.U
-    keep = set(g.degree_one_ids() if subset == "pluecker"
-               else g.ids_with_degree_at_most(2))
-    rows = [row for id, row in zip(U.row_ids, U.rows) if id not in keep]
-    want = double_description(rows, U.num_cols)
+    rows = subset_rows(g, subset)
+    want = double_description(rows, g.U.num_cols)
     assert len(want) == count
     orders = [rows[::-1]]
     rng = random.Random(f"dd-order-{context}-{subset}")
@@ -325,7 +333,120 @@ def test_double_description_ignores_row_order(request, context, subset,
         rng.shuffle(order)
         orders.append(order)
     for order in orders:
-        assert double_description(order, U.num_cols) == want
+        assert double_description(order, g.U.num_cols) == want
+
+
+def dense_double_description(equalities, dim):
+    """Double description on a plain list of dense ray tuples, rebuilding
+    the per-coordinate bitsets of ray positions for every row that pairs
+    rays: the adjacency test of cones.double_description without its
+    id-keyed index, kept as its oracle."""
+    zeros = (0,) * dim
+    rays = [(zeros[:i] + (1,) + zeros[i + 1:], 1 << i, (i,))
+            for i in range(dim)]
+    for processed, row in enumerate(equalities):
+        if len(row) != dim:
+            raise ValueError("equality row has wrong length")
+        terms = [(c, a) for c, a in enumerate(row) if a]
+        row_mask = sum(1 << c for c, _ in terms)
+        pos, neg, kept = [], [], []
+        for k, ray in enumerate(rays):
+            vec, mask, _ = ray
+            s = sum(a * vec[c] for c, a in terms) if mask & row_mask else 0
+            if s > 0:
+                pos.append((k, s))
+            elif s < 0:
+                neg.append((k, s))
+            else:
+                kept.append(ray)
+        if not pos or not neg:
+            rays = kept
+            if not rays:
+                return []
+            continue
+        nz = [0] * dim  # nz[i]: bitset of the rays whose support holds i
+        for k, (_, _, support) in enumerate(rays):
+            for i in support:
+                nz[i] |= 1 << k
+        for p, sp in pos:
+            vp, mp, sup_p = rays[p]
+            for n, sn in neg:
+                vn, mn, sup_n = rays[n]
+                both = mp | mn
+                if both.bit_count() > processed + 2:
+                    continue
+                from_p = from_n = 0
+                for i in sup_p:
+                    if not mn >> i & 1:
+                        from_p |= nz[i]
+                for i in sup_n:
+                    if not mp >> i & 1:
+                        from_n |= nz[i]
+                blockers = from_p & from_n
+                while blockers:
+                    low = blockers & -blockers
+                    if rays[low.bit_length() - 1][1] | both == both:
+                        break
+                    blockers ^= low
+                else:
+                    support = tuple(sorted(set(sup_p).union(sup_n)))
+                    vals = [sp * vn[i] - sn * vp[i] for i in support]
+                    g = math.gcd(*vals)
+                    vec = [0] * dim
+                    for i, v in zip(support, vals):
+                        vec[i] = v // g
+                    kept.append((tuple(vec), both, support))
+        rays = kept
+    return sorted(vec for vec, _, _ in rays)
+
+
+@pytest.mark.parametrize("subset", ["pluecker", "deg2"])
+@pytest.mark.parametrize("context", ["gr36", "gr37", "gr38"])
+def test_double_description_matches_dense_oracle(request, context, subset):
+    g = request.getfixturevalue(context)
+    rows = subset_rows(g, subset)
+    shuffled = list(rows)
+    random.Random(f"dd-dense-{context}-{subset}").shuffle(shuffled)
+    for order in (rows, rows[::-1], shuffled):
+        assert double_description(order, g.U.num_cols) == (
+            dense_double_description(order, g.U.num_cols))
+
+
+# Rows 1 and 2 leave the simplicial cone on a = e0 + e3, b = e1 + e4 and
+# d = e0 + e1 + e2 (e5, where present, stays). Row 3 meets d (and e5) with
+# one sign only, so it deletes them and pairs nothing. Row 4 (x3 = x4) pairs
+# a with b, and their blocker search reads nz at columns 0 and 3 against 1
+# and 4, where d's bits were set, without touching d through its own
+# columns. The cone ends as the one ray a + b.
+DELETING_ROWS = [
+    ([[1, 0, -1, -1, 0], [0, 1, -1, 0, -1], [0, 0, 1, 0, 0],
+      [0, 0, 0, 1, -1]], 5, [(1, 1, 0, 1, 1)]),
+    ([[1, 0, -1, -1, 0, 0], [0, 1, -1, 0, -1, 0], [0, 0, -2, 0, 0, -1],
+      [0, 0, 0, 1, -1, 0]], 6, [(1, 1, 0, 1, 1, 0)]),
+    ([[1, 0, -1, -1, 0, 0], [0, 1, -1, 0, -1, 0], [0, 0, 1, 0, 0, 3],
+      [0, 0, 0, -1, 1, 0], [1, -1, 0, 0, 0, 0]], 6, [(1, 1, 0, 1, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize("eqs,dim,want", DELETING_ROWS)
+def test_rays_deleted_by_a_one_signed_row_leave_the_index(eqs, dim, want):
+    d = tuple(int(i < 3) for i in range(dim))
+    assert d in double_description(eqs[:2], dim)
+    assert double_description(eqs, dim) == rank_test_rays(eqs, dim) == want
+    assert dense_double_description(eqs, dim) == want
+
+
+def test_double_description_empty_cone_and_row_length():
+    # each row meets the rays it touches with one sign and deletes them;
+    # none is left after the third, and the rows after it change nothing
+    rows = [[1, 2, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1], [1, -1, 1, -1]]
+    assert double_description(rows[:2], 4) == [(0, 0, 0, 1)]
+    for k in (3, 4):
+        assert double_description(rows[:k], 4) == rank_test_rays(rows[:k], 4) == []
+    with pytest.raises(ValueError):
+        double_description([[1, -1, 0], [1, 0]], 3)
+    with pytest.raises(ValueError):
+        double_description([[1, -1, 0, 0]], 3)
 
 
 def test_gr37_pluecker_rays_replay_through_membership(gr37):
