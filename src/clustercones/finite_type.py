@@ -23,9 +23,14 @@ coefficients, so the min-plus walk computes them exactly. In finite type
 the mutable part of that vector (the negated denominator vector) is a
 complete invariant, which is what makes the tropical mode sound; symbolic
 mode also carries the full Laurent expansions and cross-checks the
-deduplication against them: a new variable is proved Laurent by exact
-division, and a revisited one by a single product with the stored
-expansion. Every exchange then compares the expansion's min exponents
+deduplication against them, proving every distinct exchange relation
+once: a new variable is proved Laurent by exact division, and a revisited
+one by a single product with the stored expansion. Where the seed comes
+back relabeled before the belt closes (A_n, D_odd and E6, at step h+2),
+the rest of the belt repeats those relations relabeled, so it carries the
+expansions of the first half over instead of multiplying them again, and
+checks each against the min-plus vector and against the registry entry
+that vector names. Every exchange compares the expansion's min exponents
 with the min-plus vector. The expansion's corners come out of the Laurent
 arithmetic itself, which carries them exactly through products, sums in
 which nothing cancels and exact quotients (see `laurent`), so no
@@ -395,19 +400,50 @@ def _confirm_quotient(quotient: LaurentPolynomial, numerator: LaurentPolynomial,
     return quotient
 
 
+def _relabeling(state: tuple, state0: tuple, n: int) -> tuple[int, ...] | None:
+    """The position permutation pi under which state is state0 relabeled,
+    or None if there is none.
+
+    A state is (extended matrix, cluster ids by node). pi sends each node
+    to the node of state0 that holds the same id, so it fixes the frozen
+    nodes; it is a relabeling when the frozen ids are unchanged, the
+    mutable ids are a permutation of state0's, and matrix[i][j] ==
+    matrix0[pi[i]][pi[j]] on the whole matrix, frozen rows included.
+    """
+    matrix, ids = state
+    matrix0, ids0 = state0
+    if ids[n:] != ids0[n:] or sorted(ids[:n]) != sorted(ids0[:n]):
+        return None
+    node0 = {id: i for i, id in enumerate(ids0)}
+    pi = tuple(node0[id] for id in ids)
+    if matrix != tuple(tuple(matrix0[p][q] for q in pi) for p in pi):
+        return None
+    return pi
+
+
 class BipartiteBelt:
     """The source-mutation orbit of a bipartite finite-type seed.
 
     symbolic=None picks symbolic Laurent bookkeeping for small types
     (at most 50 belt variables) and tropical bookkeeping beyond that.
 
-    In symbolic mode every exchange is checked exactly. When the min-plus
-    walk lands on a variable not yet registered, its expansion is the
-    exact quotient of the exchange relation. When it lands on a registered
-    one (the second half of a 2(h+2) belt, and the initial cluster at the
-    end of every belt), the stored expansion P is confirmed by testing
-    P * old == numerator, one product in place of a division; the quotient
-    in a domain is unique, so this is the same proof.
+    In symbolic mode every distinct exchange relation is proved exactly
+    once. When the min-plus walk lands on a variable not yet registered,
+    its expansion is the exact quotient of the exchange relation. When it
+    lands on a registered one (the initial cluster at the end of an h+2
+    belt), the stored expansion P is confirmed by testing P * old ==
+    numerator, one product in place of a division; the quotient in a
+    domain is unique, so this is the same proof.
+
+    A 2(h+2) belt meets state0 relabeled at step s0 = h+2: same frozen
+    ids, mutable ids permuted, and the matrix conjugated by that position
+    permutation pi (see _relabeling). The walk is a function of the
+    labeled seed, so step s0 + t is step t relabeled by pi and the same
+    variables meet in the same, already proved, exchange relations. From
+    s0 on the belt does no Laurent arithmetic: node k takes the expansion
+    node pi[k] got at step s - s0, which must have the min exponents of
+    the min-plus vector and equal the registry expansion of the id that
+    vector names.
     """
 
     def __init__(self, exchange: ExchangeData, symbolic: bool | None = None):
@@ -448,6 +484,10 @@ class BipartiteBelt:
         state0 = (matrix, tuple(ids))
         steps: list[BeltStep] = []
         moves: list[list[tuple[int, tuple, tuple]]] = []
+        # symbolic only: the expansions by node at the start of each step,
+        # and (s0, pi) once step s0 is found to be state0 relabeled by pi
+        snapshots: list[tuple[LaurentPolynomial, ...]] = []
+        relabel: tuple[int, tuple[int, ...]] | None = None
         total = 2 * (self.h + 2)
         s = 0
         while True:
@@ -460,6 +500,12 @@ class BipartiteBelt:
                     f"belt did not close after {total} steps; "
                     "input is not finite type"
                 )
+            if symbolic:
+                if relabel is None and s > 0:
+                    pi = _relabeling(state, state0, n)
+                    if pi is not None:
+                        relabel = (s, pi)
+                snapshots.append(tuple(polys))
             srcs = sources_of(matrix, n)
             steps.append(BeltStep(matrix, tuple(ids), srcs))
             # sources are pairwise unlinked, so mutating one leaves the
@@ -470,11 +516,21 @@ class BipartiteBelt:
                 new_poly = None
                 if symbolic:
                     known = self._by_minexp.get(new_minexp)
-                    ring = laurent if known is None else laurent._replace(
-                        div=partial(_confirm_quotient, self.entries[known].poly))
-                    new_poly = _exchange(ring, polys, pos, neg, polys[k])
+                    if relabel is None:
+                        ring = laurent if known is None else laurent._replace(
+                            div=partial(_confirm_quotient, self.entries[known].poly))
+                        new_poly = _exchange(ring, polys, pos, neg, polys[k])
+                    else:
+                        # step s is step s - s0 relabeled by pi, so node k
+                        # gets what node pi[k] got there, by a relation
+                        # already proved
+                        s0, pi = relabel
+                        new_poly = snapshots[s - s0 + 1][pi[k]]
                     if new_poly.min_exponents() != new_minexp:
                         raise BeltError("tropical min-exponent bookkeeping diverged")
+                    if relabel is not None and (
+                            known is None or self.entries[known].poly != new_poly):
+                        raise BeltError("two distinct variables share a denominator vector")
                 gamma = ids[k]
                 new_id = self._register(new_poly, new_minexp, False, (s + 1, k))
                 entry = self.entries[gamma]

@@ -367,6 +367,16 @@ def _objects(data: dict, field: str, what: str) -> list[dict]:
     return items
 
 
+def _known_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    """ValueError naming where and the first key of obj outside allowed: a
+    misspelt key ("frozn", "mul") would otherwise read as its default."""
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(
+                f"{where}: unknown key {json.dumps(key)} "
+                f"(allowed: {', '.join(allowed)})")
+
+
 def load_seed_file(source: str | dict) -> ExchangeData:
     """Read exchange data from a JSON seed description.
 
@@ -379,16 +389,19 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     naming the node or arrow. "nodes" and "arrows" (default empty) must be
     lists of objects, a node needs a name, an arrow needs both ends, each
     the name of a node, and a seed needs a mutable node; a breach is
-    rejected naming the field, or the node or arrow by its index. Entries
-    of magnitude laurent.EXP_LIMIT or more are rejected, naming the arrow:
-    exchange polynomials could not hold such exponents. Mutable nodes are
-    reordered before frozen ones, preserving relative order.
+    rejected naming the field, or the node or arrow by its index. A key
+    outside those listed is rejected, naming it and its node, its arrow or
+    the top level. Entries of magnitude laurent.EXP_LIMIT or more are
+    rejected, naming the arrow: exchange polynomials could not hold such
+    exponents. Mutable nodes are reordered before frozen ones, preserving
+    relative order.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     else:
         data = source
+    _known_keys(data, ("nodes", "arrows"), "top level")
     nodes = _objects(data, "nodes", "node")
     for k, nd in enumerate(nodes):
         if "name" not in nd:
@@ -401,6 +414,7 @@ def load_seed_file(source: str | dict) -> ExchangeData:
                 f"node {name}: frozen must be true or false, got {json.dumps(nd['frozen'])}"
             )
         _positive_int(nd.get("weight", 1), f"node {name}: weight")
+        _known_keys(nd, ("name", "frozen", "weight"), f"node {name}")
     names_in = [nd["name"] for nd in nodes]
     if len(set(names_in)) != len(names_in):
         raise ValueError("duplicate node names in seed file")
@@ -428,9 +442,9 @@ def load_seed_file(source: str | dict) -> ExchangeData:
                     f"arrow {k} references unknown node {json.dumps(name)}")
             ends.append(index[name])
         i, j = ends
-        mult = _positive_int(
-            arrow.get("mult", 1), f"arrow {arrow['from']} -> {arrow['to']}: multiplicity"
-        )
+        where = f"arrow {arrow['from']} -> {arrow['to']}"
+        mult = _positive_int(arrow.get("mult", 1), f"{where}: multiplicity")
+        _known_keys(arrow, ("from", "to", "mult"), where)
         if i == j:
             raise ValueError("loops are not allowed")
         mat[i][j] += mult

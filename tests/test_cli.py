@@ -558,7 +558,8 @@ def a2(a=(), b=(), arrow=()):
 
 
 # one bad field each; names used to end in a traceback, "no" read as
-# frozen, and 1.9, 1.5 and true were truncated to 1
+# frozen, 1.9, 1.5 and true were truncated to 1, and a misspelt key was
+# read as its default (an A2 belt, exit 0)
 BAD_SEED_FIELDS = {
     "name-number": (a2(a={"name": 5}), "node name 5 "),
     "name-null": (a2(a={"name": None}), "node name null "),
@@ -573,13 +574,16 @@ BAD_SEED_FIELDS = {
                    "arrow a -> b: multiplicity must be a positive integer, got 1.9"),
     "mult-bool": (a2(arrow={"mult": True}),
                   "arrow a -> b: multiplicity must be a positive integer, got true"),
+    "key-frozn": (a2(a={"frozn": True}), 'node a: unknown key "frozn"'),
+    "key-mul": (a2(arrow={"mul": 2}), 'arrow a -> b: unknown key "mul"'),
 }
 
 
 # one bad shape each; these exited 2 with Python's own words: an arrow
 # without "to" named an unknown node 'to', a string where an object or a
 # list belongs gave "string indices must be integers", a list as an end
-# "unhashable type", and no nodes "not a Dynkin orientation"
+# "unhashable type", and no nodes or "arows" for "arrows" "not a Dynkin
+# orientation"
 BAD_SEED_SHAPES = {
     "arrow-without-to": ({"nodes": [{"name": "a"}, {"name": "b"}],
                           "arrows": [{"from": "a"}]}, 'arrow 0 has no "to"'),
@@ -603,6 +607,8 @@ BAD_SEED_SHAPES = {
                  'arrow 0 references unknown node ["a"]'),
     "end-unknown": (a2(arrow={"to": "c"}), 'arrow 0 references unknown node "c"'),
     "no-nodes": ({"nodes": [], "arrows": []}, "seed has no mutable node"),
+    "key-arows": ({"nodes": a2()["nodes"], "arows": a2()["arrows"]},
+                  'top level: unknown key "arows"'),
     "only-frozen": ({"nodes": [{"name": "f", "frozen": True}]},
                     "seed has no mutable node"),
 }

@@ -275,10 +275,12 @@ def test_frames_agree_with_value_walks_from_every_step(name, frozen):
 
 @pytest.mark.parametrize("name,target", [("A3", (1, 0)), ("C2", (0, 0))])
 def test_revisit_is_checked_against_the_stored_expansion(monkeypatch, name, target):
-    # A3's labeled period is 2(h+2): its second half produces the variable
-    # first met at node 0 of step 1 again. C2 closes after h+2 steps and
-    # revisits only its initial cluster, at the end. The stored expansion
-    # is made wrong after it was registered and before its revisit.
+    # A3's labeled period is 2(h+2): its second half, the first half
+    # relabeled, carries the variable first met at node 0 of step 1 over
+    # and compares it with the registry expansion. C2 closes after h+2
+    # steps and revisits only its initial cluster, at the end, by a
+    # confirming product. The stored expansion is made wrong after it was
+    # registered and before its revisit.
     register = BipartiteBelt._register
     corrupted = []
 
@@ -293,6 +295,93 @@ def test_revisit_is_checked_against_the_stored_expansion(monkeypatch, name, targ
     with pytest.raises(BeltError, match="two distinct variables share a denominator vector"):
         BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
     assert corrupted
+
+
+def spy_relabelings(monkeypatch):
+    """Record, per call of the relabeling finder during a belt build, what
+    it found; the call for step s is the s-th, until one finds pi."""
+    found = []
+    relabeling = finite_type._relabeling
+
+    def spy(state, state0, n):
+        pi = relabeling(state, state0, n)
+        found.append(pi)
+        return pi
+
+    monkeypatch.setattr(finite_type, "_relabeling", spy)
+    return found
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("name,relabeled", [
+    ("A2", True), ("A3", True), ("A5", True), ("D5", True), ("E6", True),
+    ("A1", False), ("C2", False), ("D4", False), ("G2", False), ("F4", False),
+])
+def test_relabeling_is_found_at_h_plus_2_exactly_on_2h_plus_4_belts(
+        monkeypatch, name, relabeled, frozen):
+    dynkin = DynkinType.from_name(name)
+    found = spy_relabelings(monkeypatch)
+    belt = BipartiteBelt(catalog_exchange(dynkin, dynkin.rank if frozen else 0))
+    assert belt.symbolic
+    h = dynkin.coxeter_number
+    assert (belt.period == 2 * (h + 2)) == relabeled
+    hits = [s + 1 for s, pi in enumerate(found) if pi is not None]
+    assert hits == ([h + 2] if relabeled else [])
+    if relabeled:
+        pi = found[-1]
+        # a nontrivial permutation of the mutable nodes; frozen ones fixed
+        assert sorted(pi[:dynkin.rank]) == list(range(dynkin.rank))
+        assert pi[:dynkin.rank] != tuple(range(dynkin.rank))
+        assert pi[dynkin.rank:] == tuple(range(dynkin.rank, len(pi)))
+
+
+def belt_record(belt):
+    return (
+        [(e.id, e.poly, e.minexp, e.frozen, e.first_pos, e.source_pos, e.partner)
+         for e in belt.entries],
+        belt.steps, belt._schedule, belt.period, belt.mutable_ids, belt.frozen_ids,
+    )
+
+
+@pytest.mark.parametrize("name,frozen", [("A5", 0), ("D5", 5), ("E6", 6)])
+def test_relabeled_half_equals_the_recomputed_one(monkeypatch, name, frozen):
+    # oracle: with the finder made to report nothing, every exchange of
+    # the second half is divided or confirmed by a product again
+    exchange = catalog_exchange(DynkinType.from_name(name), frozen)
+    found = spy_relabelings(monkeypatch)
+    carried = BipartiteBelt(exchange)
+    assert any(pi is not None for pi in found)
+    monkeypatch.setattr(finite_type, "_relabeling", lambda state, state0, n: None)
+    recomputed = BipartiteBelt(exchange)
+    assert belt_record(carried) == belt_record(recomputed)
+
+
+def test_relabeling_needs_the_conjugate_matrix_frozen_rows_included():
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name("A3"), 3))
+    n = belt.n
+    state0 = (belt.step(0).matrix, belt.step(0).cluster_ids)
+    step = belt.step(6)
+    state = (step.matrix, step.cluster_ids)
+    assert finite_type._relabeling(state, state0, n) == (2, 1, 0, 3, 4, 5)
+    assert finite_type._relabeling(state0, state0, n) == tuple(range(6))
+    # the same permuted ids with a matrix that is not the conjugate: the
+    # initial one, whose frozen arrows f_i -> x_i pi does not preserve
+    assert state0[0] != step.matrix
+    assert finite_type._relabeling((state0[0], step.cluster_ids), state0, n) is None
+    # the conjugate except for one entry of a frozen row
+    rows = [list(row) for row in step.matrix]
+    rows[4][0] += 1
+    tampered = tuple(tuple(row) for row in rows)
+    assert finite_type._relabeling((tampered, step.cluster_ids), state0, n) is None
+    # a cluster that is not the initial one, and frozen ids moved
+    other = belt.step(1)
+    assert finite_type._relabeling((other.matrix, other.cluster_ids), state0, n) is None
+    moved = step.cluster_ids[:3] + (4, 3, 5)
+    assert finite_type._relabeling((step.matrix, moved), state0, n) is None
+    # state0 relabeled by a permutation that moves frozen nodes as well
+    sigma = (2, 1, 0, 5, 4, 3)
+    conjugate = tuple(tuple(state0[0][p][q] for q in sigma) for p in sigma)
+    assert finite_type._relabeling((conjugate, sigma), state0, n) is None
 
 
 @pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN + [("E6", 6)])
