@@ -97,9 +97,6 @@ class Context:
                 ) from exc
         return self._U
 
-    def resolve(self, name: str):
-        return self.belt.id_by_name(name)
-
     def legend(self) -> dict:
         belt = self.belt
         return {
@@ -149,7 +146,6 @@ def _object(value, what: str) -> dict:
 
 def _seed_context(data: dict, label: str) -> Context:
     try:
-        # a string would be opened as a path by load_seed_file
         exchange = load_seed_file(_object(data, "seed description"))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad seed description: {exc}") from exc
@@ -347,7 +343,7 @@ def _text_uvars(payload):
 def cmd_check(args) -> int:
     ctx = _context_from_args(args)
     belt = ctx.belt
-    vector = parse_ratio(args.ratio, ctx.resolve)
+    vector = parse_ratio(args.ratio, belt.id_by_name)
     U = ctx.U
     cert = membership(vector, U)
     payload = {
@@ -473,7 +469,7 @@ def cmd_factor(args) -> int:
     if ctx.grass is None:
         raise UsageError("factor needs a --gr context")
     grass = ctx.grass
-    vector = parse_ratio(args.ratio, ctx.resolve)
+    vector = parse_ratio(args.ratio, ctx.belt.id_by_name)
     payload = {
         "command": "factor",
         "context": ctx.label,
@@ -526,7 +522,7 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
     belt = ctx.belt
 
     def rid(name: str) -> int:
-        id = ctx.resolve(name)
+        id = belt.id_by_name(name)
         if id is None:
             raise UsageError(f"certificate names unknown variable {name!r}")
         return id

@@ -322,16 +322,37 @@ def is_bipartite_orientation(matrix: Sequence[Sequence[int]], n: int) -> bool:
     return _mixed_nodes(matrix, n) == 0
 
 
-def find_bipartite_seed_path(
-    exchange: ExchangeData, cap: int = 500_000
-) -> tuple[int, ...]:
+def _not_2_finite(matrix: Sequence[Sequence[int]]) -> tuple[int, int] | None:
+    """A pair (i, j) with |b_ij * b_ji| > 3, or None if the matrix is
+    2-finite. Entries in {-1, 0, 1} pass without the pairwise test."""
+    if max(map(max, matrix)) <= 1 and min(map(min, matrix)) >= -1:
+        return None
+    for i, row in enumerate(matrix):
+        for j in range(i + 1, len(row)):
+            if abs(row[j] * matrix[j][i]) > 3:
+                return i, j
+    return None
+
+
+def find_bipartite_seed_path(exchange: ExchangeData) -> tuple[int, ...]:
     """Mutation sequence from the given seed to a bipartite Dynkin seed.
 
     Best-first search on mutable exchange matrices, ordered by the number
     of nodes that are neither source nor sink; ties by path length, then
-    discovery order, so the result is deterministic. Raises
-    NotFiniteTypeError when the search space is exhausted or the cap is
-    hit without finding one.
+    discovery order, so the result is deterministic.
+
+    Finite type is decided exactly, by the criterion of Fomin and
+    Zelevinsky (Cluster algebras II, 2003): the seed is of finite type iff
+    every matrix in its mutation class is 2-finite, |b_ij * b_ji| <= 3
+    for all i, j. Each matrix is tested when it is popped, and one that
+    fails raises NotFiniteTypeError. The search only expands matrices
+    that pass, and a 2-finite matrix has entries of magnitude at most 3,
+    so there are finitely many of them and the search ends. A bipartite
+    orientation that recognize_dynkin does not read as one Dynkin diagram
+    raises too: it is of infinite type, or a disjoint union of types,
+    which is not supported. The final raise, a class exhausted with no
+    bipartite seed, cannot happen: a class that passed the test
+    throughout is of finite type and so has a bipartite orientation.
     """
     n = exchange.n
     weights = exchange.weights[:n]
@@ -343,6 +364,15 @@ def find_bipartite_seed_path(
     ]
     while heap:
         d, depth, _, mat, path = heapq.heappop(heap)
+        bad = _not_2_finite(mat)
+        if bad is not None:
+            i, j = bad
+            raise NotFiniteTypeError(
+                f"not of finite type: after mutations {list(path)} the "
+                f"exchange matrix is not 2-finite, |b_ij * b_ji| = "
+                f"{abs(mat[i][j] * mat[j][i])} > 3 at nodes "
+                f"{exchange.names[i]}, {exchange.names[j]}"
+            )
         if d == 0:
             if recognize_dynkin(mat, weights) is None:
                 raise NotFiniteTypeError(
@@ -354,11 +384,6 @@ def find_bipartite_seed_path(
             if nxt in visited:
                 continue
             visited.add(nxt)
-            if len(visited) > cap:
-                raise NotFiniteTypeError(
-                    f"no bipartite seed within {cap} matrices; "
-                    "the mutation class looks infinite"
-                )
             counter += 1
             heapq.heappush(
                 heap, (_mixed_nodes(nxt, n), depth + 1, counter, nxt, path + (k,)))
@@ -374,7 +399,7 @@ class BeltStep(NamedTuple):
 class RegistryEntry:
     """One cluster variable met on the belt."""
 
-    __slots__ = ("id", "poly", "minexp", "frozen", "first_pos", "source_pos", "partner")
+    __slots__ = ("id", "poly", "minexp", "frozen", "first_pos", "source_pos")
 
     def __init__(self, id: int, poly: LaurentPolynomial | None, minexp: tuple[int, ...], frozen: bool, first_pos: tuple[int, int]):
         self.id = id
@@ -383,7 +408,6 @@ class RegistryEntry:
         self.frozen = frozen
         self.first_pos = first_pos
         self.source_pos: tuple[int, int] | None = None
-        self.partner: int | None = None
 
 
 class BeltError(RuntimeError):
@@ -531,13 +555,10 @@ class BipartiteBelt:
                     if relabel is not None and (
                             known is None or self.entries[known].poly != new_poly):
                         raise BeltError("two distinct variables share a denominator vector")
-                gamma = ids[k]
-                new_id = self._register(new_poly, new_minexp, False, (s + 1, k))
-                entry = self.entries[gamma]
+                entry = self.entries[ids[k]]
                 if entry.source_pos is None:
                     entry.source_pos = (s, k)
-                    entry.partner = new_id
-                ids[k] = new_id
+                ids[k] = self._register(new_poly, new_minexp, False, (s + 1, k))
                 minexps[k] = new_minexp
                 polys[k] = new_poly
                 matrix = mutate_matrix(matrix, k, n)

@@ -795,11 +795,15 @@ def _token_groups(name: str) -> tuple[tuple[int, ...], ...]:
     return tuple(groups)
 
 
+# name assignments a table row may leave open before check_ray_table
+# refuses to go on, rather than drop some
+_ASSIGNMENT_CAP = 4096
+
+
 def check_ray_table(
     grass: GrassmannianCluster,
     rows: Sequence[tuple[dict[str, int], list[str]]],
     cone: ConeDescription,
-    cap: int = 4096,
 ) -> tuple[dict[str, int], list[int]]:
     """Verify factorization rows whose non-minor names are ambiguous.
 
@@ -814,8 +818,8 @@ def check_ray_table(
     (build_u_matrix enforces it), so a ratio's u-exponents are unique and
     the ratio is that product exactly when its powers are the multiset.
     Returns the chosen assignment and the ray index of each row; raises
-    RatioTableError when no assignment survives, or when more than cap
-    do after some row.
+    RatioTableError when no assignment survives, or when more than
+    _ASSIGNMENT_CAP do after some row.
     """
     n = grass.n
     gammas = [u.gamma for u in cone.umatrix.uvars]
@@ -855,16 +859,6 @@ def check_ray_table(
             [canon(nm) for nm in rhs],
         ))
 
-    def row_tokens(row):
-        seen = []
-        for tok, _ in row[0]:
-            if tok[0] == "cls" and tok not in seen:
-                seen.append(tok)
-        for tok in row[1]:
-            if tok[0] == "cls" and tok not in seen:
-                seen.append(tok)
-        return seen
-
     def resolve(tok, asg):
         return tok[1] if tok[0] == "id" else asg[tok[2]]
 
@@ -881,57 +875,47 @@ def check_ray_table(
         powers = {gammas[j]: l for j, l in cone.rays[i].powers}
         return i if named == powers else None
 
-    assignments: list[dict[str, int]] = [{}]
-    content_of_name: dict[str, tuple[int, ...]] = {}
+    # each survivor carries the ray index of every row it has passed;
+    # extensions of distinct assignments differ, so none repeats
+    assignments: list[tuple[dict[str, int], list[int]]] = [({}, [])]
     for ridx, row in enumerate(parsed):
-        for tok in row_tokens(row):
-            content_of_name[tok[2]] = tok[1]
+        # the row's content-pinned names, first seen first
+        pinned = list(dict.fromkeys(
+            tok for tok in [t for t, _ in row[0]] + row[1] if tok[0] == "cls"))
         survivors = []
-        survivor_keys = set()
-        for asg in assignments:
+        for asg, indices in assignments:
             pending: dict[tuple[int, ...], list[str]] = {}
-            for tok in row_tokens(row):
-                if tok[2] not in asg:
-                    pending.setdefault(tok[1], []).append(tok[2])
-            option_sets = []
-            for content, names in sorted(pending.items()):
-                used = {
-                    id for nm, id in asg.items()
-                    if content_of_name[nm] == content
-                }
-                avail = [id for id in class_ids[content] if id not in used]
-                option_sets.append(
-                    (names, list(itertools.permutations(avail, len(names))))
-                )
+            for _, content, key in pinned:
+                if key not in asg:
+                    pending.setdefault(content, []).append(key)
+            # an id has one content, so dropping every assigned id leaves
+            # the free ids of each content
+            used = set(asg.values())
+            option_sets = [
+                (names, list(itertools.permutations(
+                    [id for id in class_ids[content] if id not in used],
+                    len(names))))
+                for content, names in sorted(pending.items())
+            ]
             for combo in itertools.product(*(opts for _, opts in option_sets)):
                 ext = dict(asg)
                 for (names, _), perm in zip(option_sets, combo):
-                    for nm, id in zip(names, perm):
-                        ext[nm] = id
-                if row_ray(row, ext) is None:
+                    ext.update(zip(names, perm))
+                i = row_ray(row, ext)
+                if i is None:
                     continue
-                key = tuple(sorted(ext.items()))
-                if key not in survivor_keys:
-                    if len(survivors) == cap:
-                        raise RatioTableError(
-                            f"table row {ridx + 1}: more than cap={cap} name "
-                            "assignments survive"
-                        )
-                    survivor_keys.add(key)
-                    survivors.append(ext)
+                if len(survivors) == _ASSIGNMENT_CAP:
+                    raise RatioTableError(
+                        f"table row {ridx + 1}: more than "
+                        f"cap={_ASSIGNMENT_CAP} name assignments survive"
+                    )
+                survivors.append((ext, indices + [i]))
         if not survivors:
             raise RatioTableError(
                 f"table row {ridx + 1}: no name assignment verifies the factorization"
             )
         assignments = survivors
-    chosen = assignments[0]
-    indices = []
-    for row in parsed:
-        i = row_ray(row, chosen)
-        if i is None:
-            raise RatioTableError("chosen assignment fails on re-verification")
-        indices.append(i)
-    return chosen, indices
+    return assignments[0]
 
 
 # the 4x8 ratio table

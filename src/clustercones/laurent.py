@@ -267,6 +267,10 @@ class LaurentPolynomial:
             raise ValueError("operands live in different variable sets")
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        """When no key cancels, the support of the sum is the union of the
+        operands' supports, so it gets the componentwise min and max of
+        their corners where both carry them (a zero operand contributes
+        no terms, and no corner)."""
         self._check_compat(other)
         out = dict(self._terms)
         cancelled = False
@@ -277,32 +281,6 @@ class LaurentPolynomial:
             elif key in out:
                 del out[key]
                 cancelled = True
-        return self._union(other, out, cancelled)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        neg = LaurentPolynomial(self.nvars, {k: -c for k, c in self._terms.items()})
-        neg._min, neg._max = self._min, self._max
-        return neg
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        self._check_compat(other)
-        out = dict(self._terms)
-        cancelled = False
-        for key, coeff in other._terms.items():
-            c = out.get(key, 0) - coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-                cancelled = True
-        return self._union(other, out, cancelled)
-
-    def _union(self, other: "LaurentPolynomial", out: dict[int, int],
-               cancelled: bool) -> "LaurentPolynomial":
-        """The sum or difference with terms out. When no key cancelled,
-        its support is the union of the operands' supports, so it gets
-        the componentwise min and max of their corners where both carry
-        them (a zero operand contributes no terms, and no corner)."""
         total = LaurentPolynomial(self.nvars, out)
         if cancelled:
             return total
@@ -317,6 +295,16 @@ class LaurentPolynomial:
             if hi is not None and ohi is not None:
                 total._max = tuple([x if x > y else y for x, y in zip(hi, ohi)])
         return total
+
+    def __neg__(self) -> "LaurentPolynomial":
+        neg = LaurentPolynomial(self.nvars, {k: -c for k, c in self._terms.items()})
+        neg._min, neg._max = self._min, self._max
+        return neg
+
+    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
+        # negation keeps the corners, so the sum's terms and corners are
+        # the difference's
+        return self + -other
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check_compat(other)

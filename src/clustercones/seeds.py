@@ -377,8 +377,8 @@ def _known_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
                 f"(allowed: {', '.join(allowed)})")
 
 
-def load_seed_file(source: str | dict) -> ExchangeData:
-    """Read exchange data from a JSON seed description.
+def load_seed_file(data: dict) -> ExchangeData:
+    """Exchange data from a seed description, a dict decoded from JSON.
 
     Format: {"nodes": [{"name": str, "frozen": bool, "weight": int}, ...],
     "arrows": [{"from": name, "to": name, "mult": int}, ...]}. Arrows point
@@ -396,11 +396,6 @@ def load_seed_file(source: str | dict) -> ExchangeData:
     exponents. Mutable nodes are reordered before frozen ones, preserving
     relative order.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = source
     _known_keys(data, ("nodes", "arrows"), "top level")
     nodes = _objects(data, "nodes", "node")
     for k, nd in enumerate(nodes):

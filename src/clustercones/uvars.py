@@ -100,10 +100,12 @@ class UVariable:
 def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     """One u-variable per mutable registry variable, in registry order.
 
-    The exchange relation gamma * partner = out-product + in-product has
-    already been verified while the belt was built (by exact division, or
-    by one product for a revisited variable), so the
-    denominator-minus-numerator factorization needs no symbolic work here.
+    The u-variable is the out-part of gamma's source row over gamma times
+    its exchange partner, read off the belt's matrices and ids. On a
+    symbolic belt the exchange relation gamma * partner = out-product +
+    in-product is multiplied out once more from the registry expansions,
+    and a mismatch raises RuntimeError; a tropical belt has no expansions
+    to check.
     """
     out = []
     if belt.symbolic:

@@ -453,6 +453,20 @@ def test_enumerate_non_bipartite_seed_file(capsys, tmp_path):
     assert "a'" in out
 
 
+def test_enumerate_refuses_a_seed_file_that_is_not_2_finite(capsys, tmp_path):
+    # the triple-arrow 3-cycle: b_ab * b_ba = -9 in the seed itself
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({
+        "nodes": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+        "arrows": [{"from": "a", "to": "b", "mult": 3},
+                   {"from": "b", "to": "c", "mult": 3},
+                   {"from": "c", "to": "a", "mult": 3}],
+    }))
+    code, out, err = run(capsys, ["enumerate", "--seed-file", str(path)])
+    assert code == 2 and out == ""
+    assert "2-finite" in err
+
+
 def test_verify_u_equation_suite(capsys):
     code, payload = run_json(capsys, ["verify", "--suite", "u-equations"])
     assert code == 0
@@ -521,6 +535,17 @@ def test_verify_appendix_suite(capsys):
     assert sections["pluecker"]["orbits_hit"] == 10
     assert sections["degree2"]["rows"] == 14
     assert sections["degree2"]["orbits_hit"] == 14
+
+
+# sha256 of the JSON, computed before the ray-table search lost its
+# re-verification pass and its assignment dedupe
+APPENDIX_GOLDEN = "91e48cc11e4e6c7d8fe52897f264608643761bbc6f1a349ae3cf67d832c07c25"
+
+
+def test_verify_appendix_json_is_golden(capsys):
+    code, out, err = run(capsys, ["verify", "--suite", "appendix", "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == APPENDIX_GOLDEN
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -1,6 +1,7 @@
 """Dynkin catalog, recognition, belts, compatibility degrees."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -137,8 +138,41 @@ def test_find_bipartite_seed_path():
 
 def test_find_bipartite_seed_path_rejects_infinite_type():
     markov = ExchangeData(3, 0, [[0, 2, -2], [-2, 0, 2], [2, -2, 0]])
-    with pytest.raises(NotFiniteTypeError):
-        find_bipartite_seed_path(markov, cap=2000)
+    with pytest.raises(NotFiniteTypeError, match="2-finite"):
+        find_bipartite_seed_path(markov)
+
+
+@pytest.mark.parametrize("matrix,path", [
+    # the triple-arrow 3-cycle fails the criterion at the start
+    ([[0, 3, -3], [-3, 0, 3], [3, -3, 0]], "[]"),
+    # the acyclic triangle (affine A2) passes at the start; mutating its
+    # middle node doubles the arrow between the other two
+    ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], "[1]"),
+])
+def test_find_bipartite_seed_path_applies_the_2_finite_criterion(matrix, path):
+    with pytest.raises(NotFiniteTypeError,
+                       match=rf"after mutations {re.escape(path)} .* not 2-finite"):
+        find_bipartite_seed_path(ExchangeData(3, 0, matrix))
+
+
+CATALOG = ["A1", "A2", "A3", "A5", "B3", "C2", "C3", "D4", "D5", "E6", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_find_bipartite_seed_path_returns_to_the_same_type(name):
+    rng = random.Random(name)
+    dynkin = DynkinType.from_name(name)
+    for frozen in (0, dynkin.rank):
+        for _ in range(4):
+            exchange = catalog_exchange(dynkin, frozen)
+            for _ in range(rng.randrange(26)):
+                exchange = exchange.mutate(rng.randrange(exchange.n))
+            for k in find_bipartite_seed_path(exchange):
+                exchange = exchange.mutate(k)
+            n = exchange.n
+            assert is_bipartite_orientation(exchange.mutable_matrix(), n)
+            assert recognize_dynkin(
+                exchange.mutable_matrix(), exchange.weights[:n]) == dynkin
 
 
 A3_GOLDEN = {
@@ -337,7 +371,7 @@ def test_relabeling_is_found_at_h_plus_2_exactly_on_2h_plus_4_belts(
 
 def belt_record(belt):
     return (
-        [(e.id, e.poly, e.minexp, e.frozen, e.first_pos, e.source_pos, e.partner)
+        [(e.id, e.poly, e.minexp, e.frozen, e.first_pos, e.source_pos)
          for e in belt.entries],
         belt.steps, belt._schedule, belt.period, belt.mutable_ids, belt.frozen_ids,
     )

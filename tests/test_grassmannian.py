@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import GR26_SEED, GR37_ORBIT_TABLE, ratio_value
+from clustercones import grassmannian
 from clustercones.cones import (
     membership,
     subset_cone,
@@ -600,10 +601,28 @@ def test_gr38_full_cone_is_simplicial(gr38):
 # packaged factorization tables
 
 
+def assert_rows_name_their_rays(grass, rows, cone, assignment, ray_rows):
+    # oracle: each row's left ratio, with its names read through the
+    # returned assignment, is the ray the search reports for that row;
+    # distinct names of one content take distinct variables
+    assert len(set(assignment.values())) == len(assignment)
+    assert len(ray_rows) == len(rows)
+    for (lhs, _), i in zip(rows, ray_rows):
+        vec = {}
+        for name, e in lhs.items():
+            key = name[name.index("[") + 1:-1]
+            id = assignment.get(key)
+            if id is None:
+                id = grass.minor_id[tuple(sorted(int(c) for c in key))]
+            vec[id] = vec.get(id, 0) + e
+        assert cone.ray_index[frozenset((id, e) for id, e in vec.items() if e)] == i
+
+
 def test_gr37_orbit_table(gr37):
     cone = gr37.pluecker_cone()
     rows = load_ray_table(GR37_ORBIT_TABLE)["pluecker"]
     assignment, ray_rows = check_ray_table(gr37, rows, cone)
+    assert_rows_name_their_rays(gr37, rows, cone, assignment, ray_rows)
     orbits = gr37.ray_orbits(cone)
     owner = {i: t for t, orbit in enumerate(orbits) for i in orbit}
     assert sorted(owner[i] for i in ray_rows) == list(range(len(orbits)))
@@ -615,12 +634,14 @@ def test_gr38_appendix_tables(gr38):
     tables = load_ray_table(packaged_table("gr38_appendix.txt"))
     pcone = gr38.pluecker_cone()
     assignment, prows = check_ray_table(gr38, tables["pluecker"], pcone)
+    assert_rows_name_their_rays(gr38, tables["pluecker"], pcone, assignment, prows)
     orbits = gr38.ray_orbits(pcone)
     owner = {i: t for t, orbit in enumerate(orbits) for i in orbit}
     assert sorted(owner[i] for i in prows) == list(range(10))
 
     dcone = gr38.degree_filtered_cone(2)
     assignment2, drows = check_ray_table(gr38, tables["degree2"], dcone)
+    assert_rows_name_their_rays(gr38, tables["degree2"], dcone, assignment2, drows)
     dorbits = gr38.ray_orbits(dcone)
     downer = {i: t for t, orbit in enumerate(dorbits) for i in orbit}
     composite_orbits = {
@@ -664,16 +685,31 @@ def test_gr38_degree2_table_rejects_tampered_rows(gr38, how):
         check_ray_table(gr38, rows, cone)
 
 
-def test_ray_table_search_refuses_to_truncate(gr37):
+def test_ray_table_search_refuses_to_truncate(gr37, monkeypatch):
     cone = gr37.pluecker_cone()
     # the row holds whichever of the two variables of content 0111111 the
     # exponent-zero name takes, so two assignments survive it
     rows = [({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1,
               "q[234|567]": 0}, ["v[124]"])]
+    monkeypatch.setattr(grassmannian, "_ASSIGNMENT_CAP", 1)
     with pytest.raises(RatioTableError, match=r"table row 1: more than cap=1 "):
-        check_ray_table(gr37, rows, cone, cap=1)
-    assignment, ray_rows = check_ray_table(gr37, rows, cone, cap=2)
+        check_ray_table(gr37, rows, cone)
+    monkeypatch.setattr(grassmannian, "_ASSIGNMENT_CAP", 2)
+    assignment, ray_rows = check_ray_table(gr37, rows, cone)
     assert list(assignment) == ["234|567"] and len(ray_rows) == 1
+
+
+def test_ray_table_names_of_one_content_take_distinct_variables(gr37, monkeypatch):
+    cone = gr37.pluecker_cone()
+    # two names of content 0111111, which two variables share, in two
+    # rows: two injective assignments, where four maps would verify both
+    row = ({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1}, ["v[124]"])
+    rows = [({**row[0], "q[234|567]": 0}, row[1]),
+            ({**row[0], "q[256|347]": 0}, row[1])]
+    monkeypatch.setattr(grassmannian, "_ASSIGNMENT_CAP", 2)
+    assignment, _ = check_ray_table(gr37, rows, cone)
+    assert sorted(assignment) == ["234|567", "256|347"]
+    assert assignment["234|567"] != assignment["256|347"]
 
 
 def test_ray_table_parse_and_check_errors(gr36):
