@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, mul
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt
@@ -96,10 +96,8 @@ class UMatrix:
         ]
         self.functionals = functionals
         self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
-        by_id = itemgetter(*range(len(belt.entries)))
-        self.dual_columns: list[list[int]] = list(map(list, zip(*(
-            by_id(belt.valuation_walk(ray.beta, ray.step)) for ray in self.rays
-        ))))
+        self.dual_columns: list[list[int]] = belt.valuation_columns(
+            [(ray.beta, ray.step) for ray in self.rays])
         self.scales = [
             sum(b * self.dual_columns[id][j] for id, b in u.vector.items())
             for j, u in enumerate(uvars)

@@ -9,12 +9,16 @@ at each source; the belt compiles its steps once into a schedule of
 runs that schedule over any of the rings in `seeds`:
 
 - Laurent polynomials, for the registry expansions;
-- exact Fractions, for value_walk at positive points;
 - min-plus exponent vectors, for the deduplication key and for the
   frames that compatibility degrees are read from;
-- min-plus integers, for valuation_walk along a curve x = t^beta;
+- min-plus integers, for valuation_walk along a curve x = t^beta, and
+  many of them packed into one int, for valuation_columns along many
+  curves in one walk;
 - additive torus weights, for weight_walk, where an inhomogeneous
   exchange relation raises.
+
+Values at positive points are walked by `grassmannian`, over its own
+ring of exact integers.
 
 Variables are deduplicated by their componentwise minimum exponent vector
 in the initial frame: min exponents are additive under multiplication
@@ -47,22 +51,24 @@ and numeric walks.
 from __future__ import annotations
 
 import heapq
+import struct
 from collections import deque
-from functools import partial
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
 from .linalg import rref
 from .seeds import (
-    _FRACTIONS,
     _VALUATIONS,
     _WEIGHTS,
     ExchangeData,
     _exchange,
+    _LaneOverflow,
     _laurent_ring,
     _minplus_ring,
+    _packed_valuations,
     _Ring,
     _split,
     mutate_matrix,
@@ -292,6 +298,53 @@ def recognize_dynkin(
     return None
 
 
+def _components(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The node sets of the connected components of a square matrix's
+    diagram (i ~ j when b_ij != 0), each sorted, ordered by first node."""
+    parts: list[list[int]] = []
+    seen: set[int] = set()
+    for root in range(len(matrix)):
+        if root in seen:
+            continue
+        seen.add(root)
+        part, stack = [], [root]
+        while stack:
+            i = stack.pop()
+            part.append(i)
+            for j, b in enumerate(matrix[i]):
+                if b and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        parts.append(sorted(part))
+    return parts
+
+
+def _dynkin_type(mutable_matrix: Sequence[Sequence[int]], exchange: ExchangeData,
+                 message: str) -> DynkinType:
+    """recognize_dynkin on a bipartite mutable matrix of the exchange
+    data's nodes, or NotFiniteTypeError. A diagram in several components
+    is a product of Dynkin types, which is not supported; the error names
+    each component's nodes, and its type where it has one. Any other
+    diagram raises with message."""
+    weights = exchange.weights[:exchange.n]
+    dynkin = recognize_dynkin(mutable_matrix, weights)
+    if dynkin is not None:
+        return dynkin
+    parts = _components(mutable_matrix)
+    if len(parts) == 1:
+        raise NotFiniteTypeError(message)
+    described = []
+    for part in parts:
+        sub = recognize_dynkin([[mutable_matrix[i][j] for j in part] for i in part],
+                               [weights[i] for i in part])
+        nodes = "{" + ", ".join(exchange.names[i] for i in part) + "}"
+        described.append(nodes if sub is None else f"{nodes} ({sub})")
+    raise NotFiniteTypeError(
+        f"the mutable nodes form {len(parts)} components, {', '.join(described)}; "
+        "products of Dynkin types are not supported"
+    )
+
+
 def sources_of(matrix: Sequence[Sequence[int]], n: int) -> tuple[int, ...]:
     """Mutable nodes with no incoming arrows from mutable nodes.
 
@@ -350,12 +403,12 @@ def find_bipartite_seed_path(exchange: ExchangeData) -> tuple[int, ...]:
     so there are finitely many of them and the search ends. A bipartite
     orientation that recognize_dynkin does not read as one Dynkin diagram
     raises too: it is of infinite type, or a disjoint union of types,
-    which is not supported. The final raise, a class exhausted with no
-    bipartite seed, cannot happen: a class that passed the test
-    throughout is of finite type and so has a bipartite orientation.
+    which is not supported and is named component by component (see
+    _dynkin_type). The final raise, a class exhausted with no bipartite
+    seed, cannot happen: a class that passed the test throughout is of
+    finite type and so has a bipartite orientation.
     """
     n = exchange.n
-    weights = exchange.weights[:n]
     start = exchange.mutable_matrix()
     visited = {start}
     counter = 0
@@ -374,10 +427,8 @@ def find_bipartite_seed_path(exchange: ExchangeData) -> tuple[int, ...]:
                 f"{exchange.names[i]}, {exchange.names[j]}"
             )
         if d == 0:
-            if recognize_dynkin(mat, weights) is None:
-                raise NotFiniteTypeError(
-                    "reached a bipartite orientation that is not a Dynkin diagram"
-                )
+            _dynkin_type(mat, exchange,
+                         "reached a bipartite orientation that is not a Dynkin diagram")
             return path
         for k in range(n):
             nxt = mutate_matrix(mat, k, n)
@@ -388,6 +439,19 @@ def find_bipartite_seed_path(exchange: ExchangeData) -> tuple[int, ...]:
             heapq.heappush(
                 heap, (_mixed_nodes(nxt, n), depth + 1, counter, nxt, path + (k,)))
     raise NotFiniteTypeError("mutation class exhausted without a bipartite seed")
+
+
+@cache
+def _lane_unpacker(width: int, lanes: int):
+    """Splitter of the big-endian bytes of `lanes` two's complement
+    width-bit fields into their values, most significant first; a cached
+    struct for 16, 32 and 64 bits, as laurent._fields."""
+    code = {16: "h", 32: "i", 64: "q"}.get(width)
+    if code is not None:
+        return struct.Struct(f">{lanes}{code}").unpack
+    step = width // 8
+    return lambda raw: [int.from_bytes(raw[i:i + step], "big", signed=True)
+                        for i in range(0, len(raw), step)]
 
 
 class BeltStep(NamedTuple):
@@ -477,9 +541,7 @@ class BipartiteBelt:
             raise NotFiniteTypeError(
                 "seed is not bipartite; mutate to a bipartite seed first"
             )
-        dynkin = recognize_dynkin(mut, exchange.weights[:n])
-        if dynkin is None:
-            raise NotFiniteTypeError("bipartite seed is not a Dynkin orientation")
+        dynkin = _dynkin_type(mut, exchange, "bipartite seed is not a Dynkin orientation")
         self.exchange = exchange
         self.dynkin = dynkin
         self.h = dynkin.coxeter_number
@@ -725,15 +787,6 @@ class BipartiteBelt:
             self._rays[s] = cached
         return cached
 
-    def value_walk(
-        self, point: Sequence[Fraction | int], start_step: int = 0
-    ) -> dict[int, Fraction]:
-        """Exact values of every registry variable, given positive values
-        for the cluster of belt step start_step (indexed by node)."""
-        if len(point) != self.exchange.size:
-            raise ValueError("need one value per node")
-        return self._walk(_FRACTIONS, [Fraction(v) for v in point], start_step)
-
     def valuation_walk(
         self, beta: Sequence[int], start_step: int = 0
     ) -> dict[int, int]:
@@ -747,6 +800,70 @@ class BipartiteBelt:
         if len(beta) != self.exchange.size:
             raise ValueError("need one exponent per node")
         return self._walk(_VALUATIONS, list(beta), start_step)
+
+    def valuation_columns(
+        self, rays: Sequence[tuple[Sequence[int], int]]
+    ) -> list[list[int]]:
+        """valuation_walk along many rays (beta, start_step) in one walk:
+        entry r of column id is valuation_walk(*rays[r])[id], one column
+        per registry id.
+
+        Each ray gets a lane of one packed int (seeds._packed_valuations).
+        A lane is 0 until the walk reaches its ray's start step, where its
+        beta is added; zeros stay zero under min-plus, so one walk from
+        the first start step to one period past the last serves every ray,
+        and its last period, where every lane has started, produces every
+        mutable variable. Lanes are 16 bits wide to begin with, wider if a
+        beta needs it, and the walk reruns at twice the width whenever a
+        lane leaves its checked range, so no lane ever wraps.
+        """
+        size, p, lanes = self.exchange.size, self.period, len(rays)
+        if any(len(beta) != size for beta, _ in rays):
+            raise ValueError("need one exponent per node")
+        if not rays:
+            return [[] for _ in self.entries]
+        headroom = max(
+            sum(b for _, b in pos + neg)
+            for moves in self._schedule for _, pos, neg, _ in moves
+        ).bit_length()
+        largest = max(max(map(abs, beta)) for beta, _ in rays)
+        starts = [s % p for _, s in rays]
+        first, last = min(starts), max(starts)
+        width = 16
+        while largest >= 1 << (width - 2 - headroom):
+            width *= 2
+        while True:
+            # per start step, (node, packed betas) of the rays starting
+            # there; lane r sits at bit width * (lanes - 1 - r), so the
+            # big-endian bytes of a packed int list its lanes in ray order
+            added: dict[int, dict[int, int]] = {}
+            for r, ((beta, _), s) in enumerate(zip(rays, starts)):
+                at = added.setdefault(s, {})
+                shift = width * (lanes - 1 - r)
+                for j, b in enumerate(beta):
+                    if b:
+                        at[j] = at.get(j, 0) + (b << shift)
+            ring = _packed_valuations(width, lanes, headroom)
+            values = [0] * size
+            try:
+                for s in range(first, last):
+                    for j, b in added.get(s, {}).items():
+                        values[j] += b
+                    for k, pos, neg, _ in self._schedule[s % p]:
+                        values[k] = _exchange(ring, values, pos, neg, values[k])
+                for j, b in added[last].items():
+                    values[j] += b
+                out = self._walk(ring, values, last)
+                break
+            except _LaneOverflow:
+                width *= 2
+        # adding 2**(width-1) to every lane v makes it the field v + 2**(width-1)
+        # in [0, 2**width), and flipping that field's top bit makes it v's
+        # two's complement
+        tops = ((1 << width * lanes) - 1) // ((1 << width) - 1) << (width - 1)
+        unpack, nbytes = _lane_unpacker(width, lanes), width * lanes // 8
+        return [list(unpack(((out[e.id] + tops) ^ tops).to_bytes(nbytes, "big")))
+                for e in self.entries]
 
     def weight_walk(
         self, alpha: Sequence[int | Fraction]

@@ -7,8 +7,12 @@ seed so the mutation belt can enumerate every cluster variable
 tropically. Belt variables are then identified against actual minors by
 combining two exact invariants: the torus content (one weight per matrix
 column, transported along the belt) and evaluation at three totally
-positive points, where each minor is a Vandermonde product. Variables
-that are not minors are named by their content multiset.
+positive points, where each minor is a Vandermonde product. The points
+have integer parameters, so every minor is an integer, and so is every
+cluster variable (a polynomial in the minors, Scott 2006): the values
+are walked over ints, and an exchange that does not divide exactly
+raises IdentificationError. Variables that are not minors are named by
+their content multiset.
 
 On top of the identification sit the cone computations: the bounded-ratio
 cone restricted to Plucker coordinates or to variables of bounded degree,
@@ -23,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from importlib.resources import files as _resource_files
@@ -33,7 +38,6 @@ from .expressions import parse_ratio
 from .finite_type import BipartiteBelt, NotFiniteTypeError, find_bipartite_seed_path
 from .linalg import rank, solve
 from .seeds import (
-    _FRACTIONS,
     _WEIGHTS,
     ExchangeData,
     _exchange,
@@ -247,6 +251,27 @@ def tp_sample(k: int, n: int, seed: int = 7) -> TotallyPositivePoint:
     return TotallyPositivePoint(k, ts)
 
 
+def _integral(point: TotallyPositivePoint) -> TotallyPositivePoint:
+    """The same point of Gr(k, n) with integer parameters: the parameters
+    times the lcm D of their denominators. That multiplies the matrix's
+    row i by D**i, so every minor by D**(k(k-1)/2), a common factor."""
+    scale = math.lcm(*(Fraction(t).denominator for t in point.ts))
+    return TotallyPositivePoint(point.k, [int(t * scale) for t in point.ts])
+
+
+def _divide_exactly(a: int, b: int) -> int:
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise IdentificationError(
+            f"an exchange relation does not divide at an integral point ({a} / {b})")
+    return quotient
+
+
+# exact values at an integral point of the cone over Gr(k, n), where every
+# cluster variable is an integer, so each exchange must divide exactly
+_INTEGERS = _Ring(lambda: 1, operator.mul, operator.pow, operator.add, _divide_exactly)
+
+
 # the cluster structure
 
 
@@ -303,7 +328,7 @@ class GrassmannianCluster:
         self.grid = grid_seed(k, n)
         contents, _, _ = _grid_layout(k, n)
         self._grid_sets = contents  # column subsets, node order of self.grid
-        self.points = tuple(tp_sample(k, n, s) for s in (11, 12, 13))
+        self.points = tuple(_integral(tp_sample(k, n, s)) for s in (11, 12, 13))
         self.path = find_bipartite_seed_path(self.grid)
 
         # the exchange terms of every re-basing step, so any value system
@@ -377,12 +402,12 @@ class GrassmannianCluster:
             vals[node] = _exchange(ring, vals, pos, neg, vals[node])
         return vals
 
-    def _walk_values(self, points, minor_of) -> list[dict[int, Fraction]]:
-        """Registry values when each grid node J is seeded with minor_of(J)."""
+    def _walk_values(self, points, minor_of) -> list[dict[int, int]]:
+        """Registry values when each grid node J is seeded with the integer
+        minor_of(pt, J), walked over ints along the path and the belt."""
         return [
-            self.belt.value_walk(self._replay(
-                _FRACTIONS, [Fraction(minor_of(pt, J)) for J in self._grid_sets]
-            ))
+            self.belt._walk(_INTEGERS, self._replay(
+                _INTEGERS, [minor_of(pt, J) for J in self._grid_sets]), 0)
             for pt in points
         ]
 
@@ -458,12 +483,9 @@ class GrassmannianCluster:
             B = tuple(sorted(set(range(1, 7)) - set(A)))
             if all(a <= b for a, b in zip(A, B)):
                 standard.append((A, B))
-        pts = [tp_sample(3, 6, s) for s in range(21, 29)]
+        pts = [_integral(tp_sample(3, 6, s)) for s in range(21, 29)]
         walked = self._walk_values(pts, TotallyPositivePoint.minor)
-        matrix = [
-            [Fraction(pt.minor(A) * pt.minor(B)) for A, B in standard]
-            for pt in pts
-        ]
+        matrix = [[pt.minor(A) * pt.minor(B) for A, B in standard] for pt in pts]
         out = {}
         for id in exotic:
             rhs = [walked[p][id] for p in range(len(pts))]
@@ -490,10 +512,6 @@ class GrassmannianCluster:
 
     def name(self, id: int) -> str:
         return self.belt.name(id)
-
-    def registry_values(self, point: TotallyPositivePoint) -> dict[int, Fraction]:
-        """Exact value of every registry variable at a totally positive point."""
-        return self._walk_values([point], TotallyPositivePoint.minor)[0]
 
     @property
     def uvars(self):

@@ -12,9 +12,10 @@ a Laurent polynomial; a division failure here means the input matrix was
 not what it claimed to be.
 
 The exchange relation x' = (prod out^b + prod in^b) / x is written once,
-in _exchange, over a _Ring: Laurent polynomials, exact Fractions, min-plus
-exponent vectors, min-plus valuations, or additive torus weights. Every
-cluster mutation and belt walk in the package goes through it.
+in _exchange, over a _Ring: Laurent polynomials, min-plus exponent
+vectors, min-plus valuations (one at a time, or many packed into one
+int), or additive torus weights; grassmannian adds exact integers.
+Every cluster mutation and belt walk in the package goes through it.
 """
 
 from __future__ import annotations
@@ -67,11 +68,6 @@ def _laurent_ring(nvars: int) -> _Ring:
     )
 
 
-_FRACTIONS = _Ring(
-    lambda: Fraction(1), operator.mul, operator.pow, operator.add, operator.truediv
-)
-
-
 def _minplus_ring(nvars: int) -> _Ring:
     """Componentwise minimum exponents: additive under products, and the
     minimum under sums of positive-coefficient polynomials."""
@@ -87,6 +83,55 @@ def _minplus_ring(nvars: int) -> _Ring:
 # valuations at t -> 0 along x = t^beta: a sum of positive-coefficient
 # terms c * t^a + d * t^b has valuation min(a, b), and nothing cancels
 _VALUATIONS = _Ring(lambda: 0, operator.add, operator.mul, min, operator.sub)
+
+
+class _LaneOverflow(ArithmeticError):
+    """A lane of a packed valuation walk left its checked range."""
+
+
+def _packed_valuations(width: int, lanes: int, headroom: int) -> _Ring:
+    """_VALUATIONS on `lanes` valuations at once, packed into one int.
+
+    The int is sum v_r * 2**(width * r) over the lanes r, each v_r a
+    signed valuation, so sums, differences and multiples by an exponent
+    are plain int ones. The lane-wise min reads signs off x = a - b +
+    tops, tops the top bit 2**(width-1) of every lane: lane r of x is
+    a_r - b_r + 2**(width-1), a field in [0, 2**width) while |a_r - b_r|
+    < 2**(width-1), with its top bit set iff a_r >= b_r. neg = tops & ~x
+    keeps the top bits of the lanes where a_r < b_r, and there the min
+    adds x's field to b and takes neg off again, leaving a_r.
+
+    No lane may wrap. div, the last operation of every exchange, checks
+    with one addition and one AND that every lane of its result lies in
+    [-M, M), M = 2**(width-2-headroom), and raises _LaneOverflow if one
+    does not. If every input lane lies in that range and 2**headroom
+    exceeds the total exponent of the exchange relation (its out- and
+    in-exponents summed), the two monomials differ by less than
+    2**(width-2) in every lane, so the min is exact, and every lane of
+    the result lies in [-2**(width-2), 2**(width-2)], where a lane outside
+    [-M, M) cannot hide behind a borrow from the lane below it.
+    """
+    field = (1 << width) - 1
+    low = 1 << (width - 2 - headroom)  # M
+    tops = half = guards = 0
+    for _ in range(lanes):
+        tops = (tops << width) | (1 << (width - 1))
+        half = (half << width) | low
+        guards = (guards << width) | (field ^ (2 * low - 1))
+    shift = width - 1
+
+    def lane_min(a: int, b: int) -> int:
+        x = a - b + tops
+        neg = tops & ~x
+        return b + (x & ((neg >> shift) * field)) - neg
+
+    def checked_sub(a: int, b: int) -> int:
+        c = a - b
+        if (c + half) & guards:
+            raise _LaneOverflow(f"a valuation left its {width}-bit lane")
+        return c
+
+    return _Ring(lambda: 0, operator.add, operator.mul, lane_min, checked_sub)
 
 
 def _balanced(a, b):

@@ -1,13 +1,41 @@
 """Shared test fixtures: seed-file dicts and cluster structures used by several suites."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 
 
+def fraction_ring():
+    """The exchange relation's operations over exact Fractions."""
+    from clustercones.seeds import _Ring
+
+    return _Ring(lambda: Fraction(1), operator.mul, operator.pow,
+                 operator.add, operator.truediv)
+
+
+def value_walk(belt, point, start_step=0):
+    """Exact values of every registry variable, given positive values for
+    the cluster of belt step start_step (by node): one walk of the belt
+    over Fractions, the oracle for the package's integer and min-plus
+    walks."""
+    if len(point) != belt.exchange.size:
+        raise ValueError("need one value per node")
+    return belt._walk(fraction_ring(), [Fraction(v) for v in point], start_step)
+
+
+def registry_values(grass, point):
+    """Exact value of every registry variable of a GrassmannianCluster at a
+    totally positive point, rational parameters allowed: the grid seeded
+    with the point's minors, walked over Fractions along the re-basing
+    path and then the belt."""
+    vals = [Fraction(point.minor(J)) for J in grass._grid_sets]
+    return value_walk(grass.belt, grass._replay(fraction_ring(), vals))
+
+
 def ratio_value(vector, values):
     """Value of a ratio vector {id: exponent} at exact registry values, as
-    BipartiteBelt.value_walk returns them."""
+    value_walk returns them."""
     acc = Fraction(1)
     for id, e in vector.items():
         acc *= values[id] ** e

@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import GR26_SEED, GR37_ORBIT_TABLE
+from conftest import GR26_SEED, GR37_ORBIT_TABLE, value_walk
 from test_cones import brute_force_rays, rank_test_rays
 from test_grassmannian import (
     GR36_EXCERPT_COLUMNS,
@@ -471,7 +471,7 @@ def test_criterion_11():
                     Fraction(rng.randint(1, 9), rng.randint(1, 9))
                     for _ in range(size)
                 ]
-                values = belt.value_walk(point)
+                values = value_walk(belt, point)
                 for ray in rays:
                     acc = Fraction(1)
                     for id, e in ray.vector.items():

@@ -374,6 +374,23 @@ def test_check_json_is_golden(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the JSON, computed before the dual basis came from one packed
+# walk and the sample values were walked over integers: the names the
+# identification gives every Gr(3,8) variable, and the u-variables read
+# with them
+GR38_NAMES_GOLDEN = {
+    "enumerate": "177f268f257bef08eeb409aa3d9c86bad664fb46090ec4a18804d0e07d6313d8",
+    "uvars": "7e63d7b74c0c87307fbdfabf69ac50d91696360ec40a063cc7209514c932a040",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GR38_NAMES_GOLDEN))
+def test_gr38_names_json_is_golden(capsys, command):
+    code, out, err = run(capsys, [command, "--gr", "3", "8", "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GR38_NAMES_GOLDEN[command]
+
+
 def test_importing_the_cli_does_not_load_the_process_pool():
     # no command starts worker processes, so none of them may pay for
     # loading the pool at start-up
@@ -465,6 +482,28 @@ def test_enumerate_refuses_a_seed_file_that_is_not_2_finite(capsys, tmp_path):
     code, out, err = run(capsys, ["enumerate", "--seed-file", str(path)])
     assert code == 2 and out == ""
     assert "2-finite" in err
+
+
+# disconnected seeds: the mutable part is a product of Dynkin types
+PRODUCT_SEEDS = {
+    "A1xA1": ({"nodes": [{"name": "a"}, {"name": "b"}], "arrows": []},
+              "2 components, {a} (A1), {b} (A1)"),
+    "A2xA1": ({"nodes": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+               "arrows": [{"from": "a", "to": "b"}]},
+              "2 components, {a, b} (A2), {c} (A1)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_SEEDS))
+def test_enumerate_names_the_components_of_a_product_seed(capsys, tmp_path, case):
+    data, components = PRODUCT_SEEDS[case]
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["enumerate", "--seed-file", str(path)])
+    assert code == 2 and out == ""
+    assert components in err
+    assert "products of Dynkin types are not supported" in err
+    assert "Dynkin orientation" not in err
 
 
 def test_verify_u_equation_suite(capsys):

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GR26_SEED
+from conftest import GR26_SEED, value_walk
 from test_linalg import ExactSolver
 from clustercones.cones import (
     NotFullRankError,
@@ -23,6 +23,7 @@ from clustercones.cones import (
     unimodular_minor_search,
     verify_certificate,
 )
+from clustercones import finite_type
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.grassmannian import GrassmannianCluster
 from clustercones.linalg import (
@@ -570,7 +571,7 @@ def test_bounded_rays_evaluate_at_most_one():
     for _ in range(20):
         point = [Fraction(rng.randint(1, 9), rng.randint(1, 9))
                  for _ in range(size)]
-        values = belt.value_walk(point)
+        values = value_walk(belt, point)
         for r in cone.rays:
             acc = Fraction(1)
             for id, e in r.vector.items():
@@ -618,6 +619,72 @@ def test_dual_basis_inverts_u(request, context):
         assert got == oracle.solve(U.dense({id: 1}))
         refused += got is None
     assert refused > 0
+
+
+def scalar_columns(belt, rays):
+    """valuation_columns from one scalar valuation_walk per ray: the
+    oracle for the packed walk."""
+    walks = [belt.valuation_walk(beta, step) for beta, step in rays]
+    return [[walk[e.id] for walk in walks] for e in belt.entries]
+
+
+@pytest.mark.parametrize("context", [
+    "gr25", "gr26", "gr27", "gr28", "gr36", "gr37", "gr38", "gr47", "gr58",
+    "E6+6", "D5+5", "F4+4", "G2+2", "B3+3", "C3+3", "A5+5", "A1+1", "D4+3",
+])
+def test_packed_dual_columns_match_scalar_walks(request, context):
+    U = u_matrix_of(request, context)
+    rays = [(ray.beta, ray.step) for ray in U.rays]
+    assert U.dual_columns == scalar_columns(U.belt, rays)
+
+
+@pytest.fixture()
+def lane_widths(monkeypatch):
+    """The lane width of every packed walk started while the test runs."""
+    widths = []
+    packed = finite_type._packed_valuations
+
+    def spy(width, lanes, headroom):
+        widths.append(width)
+        return packed(width, lanes, headroom)
+
+    monkeypatch.setattr(finite_type, "_packed_valuations", spy)
+    return widths
+
+
+@pytest.mark.parametrize("scale,widths", [
+    (1, [16]), (1000, [16, 32]), (-1000, [16, 32]), (2**57, [64, 128]),
+])
+def test_packed_walk_reruns_wider_when_a_lane_overflows(gr38, lane_widths, scale, widths):
+    # Gr(3,8) valuations reach 3 along its rays: scaled by 1000 they leave
+    # the 16-bit lanes' range [-2**10, 2**10) mid-walk, and scaled by 2**57
+    # the 64-bit lanes', so the walk reruns at twice the width; 128 bits
+    # are unpacked without a struct
+    belt = gr38.belt
+    rays = [([b * scale for b in ray.beta], ray.step) for ray in gr38.U.rays]
+    assert belt.valuation_columns(rays) == scalar_columns(belt, rays)
+    assert lane_widths == widths
+
+
+def test_packed_walk_widens_for_large_frozen_multiplicities(lane_widths):
+    # an exchange with total exponent 8001 leaves no room in 16-bit lanes
+    belt = BipartiteBelt(load_seed_file({
+        "nodes": [{"name": "a"}, {"name": "b"},
+                  {"name": "f", "frozen": True}, {"name": "g", "frozen": True}],
+        "arrows": [{"from": "a", "to": "b"},
+                   {"from": "f", "to": "a", "mult": 8000},
+                   {"from": "b", "to": "g", "mult": 8191}],
+    }))
+    U = build_u_matrix(belt)
+    assert U.dual_columns == scalar_columns(belt, [(r.beta, r.step) for r in U.rays])
+    assert lane_widths == [32]
+
+
+def test_packed_walk_of_no_rays_and_of_a_wrong_beta(gr26):
+    belt = gr26.belt
+    assert belt.valuation_columns([]) == [[] for _ in belt.entries]
+    with pytest.raises(ValueError, match="one exponent per node"):
+        belt.valuation_columns([([1], 0)])
 
 
 # replay of tampered certificates

@@ -9,13 +9,14 @@ inline next to the assertion.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import GR26_SEED, GR37_ORBIT_TABLE, ratio_value
+from conftest import GR26_SEED, GR37_ORBIT_TABLE, ratio_value, registry_values
 from clustercones import grassmannian
 from clustercones.cones import (
     membership,
@@ -230,11 +231,43 @@ def test_gr37_quadratic_names_pair_up_by_content(gr37):
 
 def test_registry_values_track_fresh_point(gr36):
     pt = tp_sample(3, 6, seed=31)
-    vals = gr36.registry_values(pt)
+    vals = registry_values(gr36, pt)
     for J, id in gr36.minor_id.items():
         assert vals[id] == pt.minor(J)
     for id in gr36.belt.row_order:
         assert vals[id] > 0
+
+
+@pytest.mark.parametrize("fixture", ["gr26", "gr36", "gr37", "gr38"])
+def test_integer_sample_values_match_the_fraction_walk(request, fixture):
+    # the sample points are tp_sample's with parameters scaled by the lcm
+    # D of their denominators: every minor scales by D**(k(k-1)/2), so a
+    # variable of degree d by D**(d k(k-1)/2)
+    g = request.getfixturevalue(fixture)
+    k, n = g.k, g.n
+    for p, seed in enumerate((11, 12, 13)):
+        pt = tp_sample(k, n, seed)
+        assert all(type(t) is int for t in g.points[p].ts)
+        scale = math.lcm(*(t.denominator for t in pt.ts))
+        assert scale > 1
+        assert g.points[p].ts == tuple(t * scale for t in pt.ts)
+        oracle = registry_values(g, pt)
+        walked = g.values[p]
+        assert set(walked) == set(oracle)
+        for id, value in walked.items():
+            assert type(value) is int
+            assert value == oracle[id] * scale ** (g.degree[id] * k * (k - 1) // 2)
+
+
+def test_integer_walk_refuses_a_start_that_leaves_the_integers(gr36):
+    # distinct primes on the grid nodes are no point of the Grassmannian:
+    # some exchange relation stops dividing
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    prime_of = dict(zip(gr36._grid_sets, primes))
+    with pytest.raises(IdentificationError, match="does not divide"):
+        gr36._walk_values(gr36.points[:1], lambda pt, J: prime_of[J])
+    # the same walk from the point's own minors divides throughout
+    assert gr36._walk_values(gr36.points[:1], TotallyPositivePoint.minor) == gr36.values[:1]
 
 
 # the 3x6 structure: full cone, reduction matrix, Plucker cone

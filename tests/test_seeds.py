@@ -9,6 +9,8 @@ from conftest import GR26_SEED
 
 from clustercones.laurent import LaurentPolynomial
 from clustercones.seeds import (
+    _LaneOverflow,
+    _packed_valuations,
     ExchangeData,
     Seed,
     YSeed,
@@ -263,3 +265,50 @@ def test_entries_just_below_the_exponent_limit_are_accepted():
         load_seed_file(data)
     data["nodes"][0]["weight"] = 1
     assert load_seed_file(data).matrix == ((0, -8191), (8191, 0))
+
+
+def _pack(values, width):
+    """sum v_r 2**(width r), lane 0 lowest."""
+    return sum(v << width * r for r, v in enumerate(values))
+
+
+def _unpack(packed, width, lanes):
+    top = 1 << (width - 1)
+    packed += sum(top << width * r for r in range(lanes))
+    return [(packed >> width * r & ((1 << width) - 1)) - top for r in range(lanes)]
+
+
+@pytest.mark.parametrize("width,headroom", [(16, 2), (16, 4), (32, 3), (24, 1)])
+def test_packed_valuations_are_lanewise_min_plus(width, headroom):
+    rng = random.Random(width * 10 + headroom)
+    lanes = 9
+    ring = _packed_valuations(width, lanes, headroom)
+    bound = 1 << (width - 2 - headroom)  # the checked range [-M, M)
+    for _ in range(300):
+        a = [rng.randrange(-bound, bound) for _ in range(lanes)]
+        b = [rng.randrange(-bound, bound) for _ in range(lanes)]
+        a[0], b[0] = -bound, bound - 1  # the ends of the range
+        pa, pb = _pack(a, width), _pack(b, width)
+        assert _unpack(ring.add(pa, pb), width, lanes) == list(map(min, a, b))
+        assert _unpack(ring.mul(pa, pb), width, lanes) == [x + y for x, y in zip(a, b)]
+        assert _unpack(ring.pow(pa, 3), width, lanes) == [3 * x for x in a]
+        assert ring.one() == 0
+        diff = [x - y for x, y in zip(a, b)]
+        if all(-bound <= d < bound for d in diff):
+            assert _unpack(ring.div(pa, pb), width, lanes) == diff
+        else:
+            with pytest.raises(_LaneOverflow):
+                ring.div(pa, pb)
+
+
+def test_packed_division_refuses_each_lane_just_outside_its_range():
+    width, headroom, lanes = 16, 3, 5
+    ring = _packed_valuations(width, lanes, headroom)
+    bound = 1 << (width - 2 - headroom)
+    for r in range(lanes):
+        for v in (bound - 1, -bound):
+            inside = _pack([v if i == r else 0 for i in range(lanes)], width)
+            assert ring.div(inside, 0) == inside
+        for v in (bound, -bound - 1, 3 * bound, -3 * bound):
+            with pytest.raises(_LaneOverflow):
+                ring.div(_pack([v if i == r else 1 for i in range(lanes)], width), 0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GR26_SEED, ratio_value
+from conftest import GR26_SEED, ratio_value, value_walk
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.laurent import LaurentPolynomial
 from clustercones.linalg import primitive_vector, rank
@@ -199,7 +199,7 @@ def test_u_values_land_strictly_inside_unit_interval():
                 Fraction(rng.randint(1, 12), rng.randint(1, 12))
                 for _ in range(size)
             ]
-            values = belt.value_walk(point)
+            values = value_walk(belt, point)
             for u in uvars:
                 v = ratio_value(u.vector, values)
                 assert 0 < v < 1
