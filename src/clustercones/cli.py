@@ -628,9 +628,11 @@ def _suite_gr48(args) -> int:
 
 
 def _text_suite_gr48(payload):
+    points = payload["points"]
     yield (
         f"{payload['ratios']} stored ratios, {payload['images']} symmetry "
-        f"images, sampled at {payload['points']} totally positive points"
+        f"images, sampled at {points} totally positive "
+        f"point{'' if points == 1 else 's'}"
     )
     yield (
         f"weight zero: {payload['weight_zero']}, "

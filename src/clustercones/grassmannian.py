@@ -31,7 +31,7 @@ import operator
 import random
 from fractions import Fraction
 from importlib.resources import files as _resource_files
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cones import ConeDescription, UMatrix, build_u_matrix, membership, subset_cone
 from .expressions import parse_ratio
@@ -1038,21 +1038,50 @@ def _gr48_monomials(images) -> list[tuple[tuple, tuple]]:
     ]
 
 
-def _gr48_evaluate(monomials, points) -> tuple[bool, int, int]:
-    """Largest value of the difference monomials of `_gr48_monomials`
-    over the points: (every value at most 1, num, den), with num/den the
-    exact maximum, tracked by cross-multiplication."""
+def _gr48_kernel(monomials) -> Callable[..., tuple[tuple[int, int], ...]]:
+    """Compile the difference monomials of `_gr48_monomials` into one
+    function `values(t0, ..., t7)`.
+
+    Its body is straight-line integer code: the 28 differences
+    d_i = t_b - t_a (pairs in `itertools.combinations` order), then one
+    tuple of (numerator, denominator) products of those differences, one
+    pair per monomial, in monomial order; an empty side is 1. The source
+    embeds only ints checked here, a pair index in 0..27 and an exponent
+    of at least 1, and anything else raises ValueError before any code is
+    compiled.
+    """
+    pairs = list(itertools.combinations(range(8), 2))
+
+    def product(terms):
+        factors = []
+        for i, e in terms:
+            if type(i) is not int or not 0 <= i < len(pairs):
+                raise ValueError(f"difference index must be an int in 0..27, got {i!r}")
+            if type(e) is not int or e < 1:
+                raise ValueError(f"exponent must be an int of at least 1, got {e!r}")
+            factors += [f"d{i}"] * e
+        return "*".join(factors) or "1"
+
+    values = "".join(
+        f"({product(up)}, {product(down)}), " for up, down in monomials)
+    source = (
+        "def values(" + ", ".join(f"t{j}" for j in range(8)) + "):\n"
+        + "".join(f"    d{i} = t{b} - t{a}\n" for i, (a, b) in enumerate(pairs))
+        + f"    return ({values})\n"
+    )
+    scope = {"__builtins__": {}}
+    exec(compile(source, "<gr48 kernel>", "exec"), scope)
+    return scope["values"]
+
+
+def _gr48_evaluate(kernel, points) -> tuple[bool, int, int]:
+    """Largest value of the monomials compiled into `kernel` (see
+    `_gr48_kernel`) over the points: (every value at most 1, num, den),
+    with num/den the exact maximum, tracked by cross-multiplication."""
     best_num, best_den = 0, 1
     ok = True
     for ts in points:
-        diffs = [b - a for a, b in itertools.combinations(ts, 2)]
-        for up, down in monomials:
-            num = 1
-            for i, e in up:
-                num *= diffs[i] ** e
-            den = 1
-            for i, e in down:
-                den *= diffs[i] ** e
+        for num, den in kernel(*ts):
             if num > den:
                 ok = False
             if num * best_den > best_num * den:
@@ -1107,11 +1136,11 @@ class Gr48Report:
 
 
 @functools.cache
-def _gr48_compiled() -> tuple[int, int, bool, tuple[tuple[tuple, tuple], ...]]:
+def _gr48_compiled() -> tuple[int, int, bool, Callable[..., tuple[tuple[int, int], ...]]]:
     """What verify_gr48_table needs of the stored table, built once per
     process: (number of ratios, number of symmetry images, whether every
-    image has weight zero, the images' difference monomials). All of it
-    is immutable, so every caller may share it."""
+    image has weight zero, the `_gr48_kernel` of the images' difference
+    monomials). None of it changes, so every caller may share it."""
     ratios = load_gr48_ratios()
     images = _gr48_images(ratios)
     weight_zero = True
@@ -1122,7 +1151,7 @@ def _gr48_compiled() -> tuple[int, int, bool, tuple[tuple[tuple, tuple], ...]]:
                 weight[c - 1] += e
         if any(weight):
             weight_zero = False
-    return len(ratios), len(images), weight_zero, tuple(_gr48_monomials(images))
+    return len(ratios), len(images), weight_zero, _gr48_kernel(_gr48_monomials(images))
 
 
 def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48Report:
@@ -1140,8 +1169,16 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     point is chosen: an image has about 21 Plucker factors but about 10
     nonzero difference exponents. Images with equal difference exponents
     take equal values at every Vandermonde point, so each distinct
-    monomial (114 of them) is evaluated once, in this process, and stands
-    for its images exactly; `num_images` still counts every image (316).
+    monomial (114 of them) is evaluated once and stands for its images
+    exactly; `num_images` still counts every image (316).
+
+    The 114 monomials are compiled once per process into one function of
+    straight-line integer code (`_gr48_kernel`): per point it takes the
+    28 differences and returns each monomial's numerator and denominator
+    as products of them. Building it costs a few milliseconds, paid by the
+    first call in a process. The comparisons stay outside it and exact:
+    a numerator above its denominator clears `all_bounded`, and the
+    maximum is tracked by cross-multiplication, never through floats.
 
     `jobs` accepts only 1 and raises ValueError otherwise: the check runs
     in this process, and the keyword stays only because the benchmark's
@@ -1151,9 +1188,9 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
         raise ValueError(f"the gr48 check runs in one process; jobs must be 1, got {jobs}")
     if points < 1:
         raise ValueError(f"need at least one sample point, got {points}")
-    num_ratios, num_images, weight_zero, monomials = _gr48_compiled()
+    num_ratios, num_images, weight_zero, kernel = _gr48_compiled()
     pts = _integer_points(8, points, seed)
-    ok, best_num, best_den = _gr48_evaluate(monomials, pts)
+    ok, best_num, best_den = _gr48_evaluate(kernel, pts)
     return Gr48Report(
         num_ratios, num_images, len(pts),
         weight_zero, ok, best_num, best_den,

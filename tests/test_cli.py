@@ -558,6 +558,22 @@ def test_verify_gr48_json_is_golden(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GR48_SAMPLED_GOLDEN
 
 
+# sha256 of `verify --suite gr48 --samples 1 --sample-seed 7 --format json`,
+# computed before the monomials were compiled into one kernel
+GR48_ONE_POINT_GOLDEN = "da1c47651e828e26ec19de6b71fcdd38fd9b7aac610d1e6a2e6e5d0bf5b184ad"
+
+
+def test_verify_gr48_at_one_point(capsys):
+    argv = ["verify", "--suite", "gr48", "--samples", "1", "--sample-seed", "7"]
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GR48_ONE_POINT_GOLDEN
+    code, out, _ = run(capsys, argv + ["--format", "text"])
+    assert code == 0
+    assert "sampled at 1 totally positive point\n" in out
+    assert "points" not in out
+
+
 def test_verify_has_no_jobs_option(capsys):
     # the gr48 check runs in one process; --jobs is an unknown option
     with pytest.raises(SystemExit) as info:

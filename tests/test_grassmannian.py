@@ -34,6 +34,7 @@ from clustercones.grassmannian import (
     UnboundedRatioError,
     _gr48_evaluate,
     _gr48_images,
+    _gr48_kernel,
     _gr48_monomials,
     _gr48_symmetries,
     _integer_points,
@@ -889,7 +890,8 @@ def test_gr48_composite_ratio_is_bounded():
         assert num < den
 
 
-# the compiled 4x8 evaluator against the per-minor one it replaced
+# the 4x8 evaluation kernel against the scalar term loop it replaced and
+# the per-minor evaluation before that
 
 
 def per_minor_evaluate(images, points):
@@ -918,8 +920,35 @@ def per_minor_evaluate(images, points):
     return ok, Fraction(best_num, best_den)
 
 
-def compiled_evaluate(images, points):
-    ok, num, den = _gr48_evaluate(_gr48_monomials(images), points)
+def scalar_evaluate(monomials, points):
+    """Reference: the difference monomials of `_gr48_monomials`, one
+    (pair index, exponent) term at a time. Returns (all_bounded, num, den)
+    with num/den the first largest value seen."""
+    best_num, best_den = 0, 1
+    ok = True
+    for ts in points:
+        diffs = [b - a for a, b in itertools.combinations(ts, 2)]
+        for up, down in monomials:
+            num = 1
+            for i, e in up:
+                num *= diffs[i] ** e
+            den = 1
+            for i, e in down:
+                den *= diffs[i] ** e
+            if num > den:
+                ok = False
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    return ok, best_num, best_den
+
+
+def kernel_evaluate(images, points):
+    """The kernel's (all_bounded, num, den), checked against the scalar
+    loop on the same monomials, with the maximum as a Fraction."""
+    monomials = _gr48_monomials(images)
+    got = _gr48_evaluate(_gr48_kernel(monomials), points)
+    assert got == scalar_evaluate(monomials, points)
+    ok, num, den = got
     return ok, Fraction(num, den)
 
 
@@ -936,10 +965,14 @@ def test_gr48_images_share_114_difference_monomials(gr48_images):
 
 @pytest.mark.parametrize("count", [1, 7, 40])
 def test_gr48_compiled_evaluator_matches_per_minor_reference(gr48_images, count):
+    monomials = _gr48_monomials(gr48_images)
+    kernel = _gr48_kernel(monomials)
     for seed in range(30):
         pts = _integer_points(8, count, 1000 + seed)
+        got = _gr48_evaluate(kernel, pts)
+        assert got == scalar_evaluate(monomials, pts), seed
         want = per_minor_evaluate(gr48_images, pts)
-        assert compiled_evaluate(gr48_images, pts) == want, seed
+        assert (got[0], Fraction(got[1], got[2])) == want, seed
         assert want[0] and want[1] < 1
 
 
@@ -964,12 +997,72 @@ def test_gr48_compiled_evaluator_matches_reference_on_altered_images(gr48_images
         pts = _integer_points(8, 7, 2000 + seed)
         for kind, images in _altered_image_lists(gr48_images, rng):
             want = per_minor_evaluate(images, pts)
-            assert compiled_evaluate(images, pts) == want, (kind, seed)
+            assert kernel_evaluate(images, pts) == want, (kind, seed)
             if kind.startswith("inverse"):
                 assert not want[0] and want[1] > 1
             seen.add((kind, want[0]))
     # the moved exponents reach both verdicts
     assert {("moved alone", True), ("moved alone", False)} <= seen
+
+
+GR48_TS = (1, 2, 4, 7, 11, 16, 22, 29)
+
+
+def gr48_diffs(ts):
+    return [b - a for a, b in itertools.combinations(ts, 2)]
+
+
+def test_gr48_kernel_sides_and_exponents():
+    d = gr48_diffs(GR48_TS)
+    monomials = [
+        ((), ((0, 1),)),                    # empty numerator
+        (((27, 2), (3, 1)), ()),            # empty denominator
+        (((5, 3), (7, 1)), ((2, 4),)),      # exponents of 3 and more
+        (((0, 1),), ((1, 1),)),
+        ((), ()),                           # the empty monomial is 1
+    ]
+    assert _gr48_kernel(monomials)(*GR48_TS) == (
+        (1, d[0]),
+        (d[27] ** 2 * d[3], 1),
+        (d[5] ** 3 * d[7], d[2] ** 4),
+        (d[0], d[1]),
+        (1, 1),
+    )
+    pts = _integer_points(8, 9, 61)
+    got = _gr48_evaluate(_gr48_kernel(monomials), pts)
+    assert got == scalar_evaluate(monomials, pts)
+    # (t_8 - t_7)^2 (t_5 - t_1) exceeds 1 at every point
+    assert got[0] is False
+
+
+def test_gr48_kernel_of_one_monomial_and_of_none():
+    monomials = [(((0, 1), (9, 5)), ((1, 3), (27, 1)))]
+    d = gr48_diffs(GR48_TS)
+    assert _gr48_kernel(monomials)(*GR48_TS) == (
+        (d[0] * d[9] ** 5, d[1] ** 3 * d[27]),)
+    pts = _integer_points(8, 5, 62)
+    assert _gr48_evaluate(_gr48_kernel(monomials), pts) == scalar_evaluate(monomials, pts)
+    assert _gr48_kernel([])(*GR48_TS) == ()
+    assert _gr48_evaluate(_gr48_kernel([]), pts) == (True, 0, 1)
+    # a value of exactly 1 is at most 1
+    assert _gr48_evaluate(_gr48_kernel([((), ())]), pts) == (True, 1, 1)
+
+
+@pytest.mark.parametrize("term", [
+    (1.0, 1), ("3", 1), (True, 1), (-1, 1), (28, 1),
+    (3, 2.0), (3, "2"), (3, True), (3, 0), (3, -1),
+    ("0) or (1", 1),
+])
+def test_gr48_kernel_refuses_a_bad_term_before_compiling(monkeypatch, term):
+    compiled = []
+    monkeypatch.setattr(grassmannian, "compile", lambda *a: compiled.append(a),
+                        raising=False)
+    good = (((0, 1),), ((1, 1),))
+    with pytest.raises(ValueError, match="difference index|exponent"):
+        _gr48_kernel([good, (((2, 1),), (term,))])
+    with pytest.raises(ValueError, match="difference index|exponent"):
+        _gr48_kernel([(((2, 1), term), ()), good])
+    assert compiled == []
 
 
 def test_gr48_check_runs_in_one_process():
