@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,7 @@ from clustercones.grassmannian import (
     _gr48_monomials,
     _gr48_symmetries,
     _integer_points,
+    _shared_pairs,
     _zigzag_diagonals,
     check_ray_table,
     grid_seed,
@@ -829,6 +831,62 @@ def test_gr48_verification_needs_a_point(points):
         verify_gr48_table(points=points)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("points", True), ("points", 2.5), ("points", None), ("points", "5"),
+    ("seed", None), ("seed", False), ("seed", 7.0), ("seed", "7"),
+])
+def test_gr48_verification_takes_int_arguments(name, value):
+    # seed=None seeded from OS entropy, a verdict nobody could replay;
+    # points=True read as one point, and points=2.5 failed inside range
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        verify_gr48_table(**{"points": 3, "seed": 5, name: value})
+
+
+def randint_points(n, count, seed):
+    """Reference: the `randint` loop that `_integer_points` replaced."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(count):
+        t = rng.randint(1, 4)
+        ts = []
+        for _ in range(n):
+            ts.append(t)
+            t += rng.randint(1, 9)
+        pts.append(ts)
+    return pts
+
+
+def test_integer_points_are_those_of_the_randint_loop():
+    # the CLI digests pin these integers, on every Python version CI runs
+    for seed in [*range(60), 97, 2**31 - 1, 2**64 + 3]:
+        assert list(_integer_points(8, 300, seed)) == randint_points(8, 300, seed), seed
+    assert list(_integer_points(3, 50, 11)) == randint_points(3, 50, 11)
+    assert list(_integer_points(8, 0, 11)) == []
+
+
+def test_gr48_points_are_streamed(monkeypatch):
+    # the points are drawn as the evaluation consumes them, so the check
+    # holds one at a time, where a list of 2,000 takes about 250 KB; a
+    # kernel of one monomial stands in for the table's 114, whose 2,000
+    # calls tracemalloc slows over a hundredfold
+    monkeypatch.setattr(grassmannian, "_gr48_compiled",
+                        lambda: (19, 316, True, lambda *ts: ((ts[0], ts[7]),)))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    report, streamed = peak(lambda: verify_gr48_table(points=2000, seed=3))
+    assert report.num_points == 2000 and report.ok
+    _, listed = peak(lambda: list(_integer_points(8, 2000, 3)))
+    assert listed > 200_000
+    assert streamed < 10_000
+
+
 def test_gr48_verification_run():
     report = verify_gr48_table(points=40, seed=311)
     assert report.num_ratios == 19
@@ -968,7 +1026,7 @@ def test_gr48_compiled_evaluator_matches_per_minor_reference(gr48_images, count)
     monomials = _gr48_monomials(gr48_images)
     kernel = _gr48_kernel(monomials)
     for seed in range(30):
-        pts = _integer_points(8, count, 1000 + seed)
+        pts = list(_integer_points(8, count, 1000 + seed))
         got = _gr48_evaluate(kernel, pts)
         assert got == scalar_evaluate(monomials, pts), seed
         want = per_minor_evaluate(gr48_images, pts)
@@ -994,7 +1052,7 @@ def test_gr48_compiled_evaluator_matches_reference_on_altered_images(gr48_images
     rng = random.Random(53)
     seen = set()
     for seed in range(3):
-        pts = _integer_points(8, 7, 2000 + seed)
+        pts = list(_integer_points(8, 7, 2000 + seed))
         for kind, images in _altered_image_lists(gr48_images, rng):
             want = per_minor_evaluate(images, pts)
             assert kernel_evaluate(images, pts) == want, (kind, seed)
@@ -1028,7 +1086,7 @@ def test_gr48_kernel_sides_and_exponents():
         (d[0], d[1]),
         (1, 1),
     )
-    pts = _integer_points(8, 9, 61)
+    pts = list(_integer_points(8, 9, 61))
     got = _gr48_evaluate(_gr48_kernel(monomials), pts)
     assert got == scalar_evaluate(monomials, pts)
     # (t_8 - t_7)^2 (t_5 - t_1) exceeds 1 at every point
@@ -1040,7 +1098,7 @@ def test_gr48_kernel_of_one_monomial_and_of_none():
     d = gr48_diffs(GR48_TS)
     assert _gr48_kernel(monomials)(*GR48_TS) == (
         (d[0] * d[9] ** 5, d[1] ** 3 * d[27]),)
-    pts = _integer_points(8, 5, 62)
+    pts = list(_integer_points(8, 5, 62))
     assert _gr48_evaluate(_gr48_kernel(monomials), pts) == scalar_evaluate(monomials, pts)
     assert _gr48_kernel([])(*GR48_TS) == ()
     assert _gr48_evaluate(_gr48_kernel([]), pts) == (True, 0, 1)
@@ -1063,6 +1121,138 @@ def test_gr48_kernel_refuses_a_bad_term_before_compiling(monkeypatch, term):
     with pytest.raises(ValueError, match="difference index|exponent"):
         _gr48_kernel([(((2, 1), term), ()), good])
     assert compiled == []
+
+
+def direct_values(monomials, ts):
+    """Each monomial's (numerator, denominator) as powers of differences."""
+    d = gr48_diffs(ts)
+    return tuple(
+        (math.prod(d[i] ** e for i, e in up), math.prod(d[i] ** e for i, e in down))
+        for up, down in monomials)
+
+
+def kernel_source(monkeypatch, monomials):
+    """The kernel of `monomials` and the source it was compiled from."""
+    sources = []
+
+    def record(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(grassmannian, "compile", record, raising=False)
+    kernel = _gr48_kernel(monomials)
+    [source] = sources
+    return kernel, source
+
+
+def test_gr48_stored_kernel_shares_products(monkeypatch, gr48_images):
+    monomials = _gr48_monomials(gr48_images)
+    # left to right, the 228 products of differences take 1,452
+    # multiplications per point
+    factors = sum(e for monomial in monomials for side in monomial for _, e in side)
+    assert factors - 2 * len(monomials) == 1452
+    kernel, source = kernel_source(monkeypatch, monomials)
+    assert source.count("*") <= 600
+    assert kernel_source(monkeypatch, monomials)[1] == source
+    # only generated names, ints and products
+    head, *body, tail = source.splitlines()
+    assert head == "def values(t0, t1, t2, t3, t4, t5, t6, t7):"
+    for line in body:
+        assert re.fullmatch(r"    (d\d+ = t\d - t\d|s\d+ = [ds]\d+\*[ds]\d+)", line), line
+    product = r"(1|[ds]\d+(\*[ds]\d+)*)"
+    assert re.fullmatch(rf"    return \((\({product}, {product}\), )*\)", tail)
+    pts = list(_integer_points(8, 7, 71))
+    assert _gr48_evaluate(kernel, pts) == scalar_evaluate(monomials, pts)
+
+
+@pytest.mark.parametrize("monomials, shared, products", [
+    # a factor that repeats within one product: d5**4 is (d5*d5)*(d5*d5)
+    ([(((5, 4),), ())], ["s0 = d5*d5"], "((s0*s0, 1), )"),
+    # a pair shared between a numerator and another monomial's denominator
+    ([(((0, 1), (1, 1)), ((2, 1),)), (((3, 1),), ((1, 1), (0, 1)))],
+     ["s0 = d0*d1"], "((s0, d2), (d3, s0), )"),
+    # a shared product of a shared product
+    ([(((0, 1), (1, 1), (2, 1)), ()), (((2, 1), (0, 1), (1, 1)), ((9, 1),)),
+      (((7, 1),), ((0, 1), (1, 1), (2, 1)))],
+     ["s0 = d0*d1", "s1 = d2*s0"], "((s1, 1), (s1, d9), (d7, s1), )"),
+    # monomials that share nothing stay products of differences
+    ([(((0, 1), (1, 1)), ((2, 1), (3, 1))), (((4, 1), (5, 1)), ((6, 2),))],
+     [], "((d0*d1, d2*d3), (d4*d5, d6*d6), )"),
+])
+def test_gr48_kernel_shares_hand_checked_products(monkeypatch, monomials, shared, products):
+    kernel, source = kernel_source(monkeypatch, monomials)
+    lines = source.splitlines()
+    assert len(lines) == 1 + 28 + len(shared) + 1
+    assert lines[29:] == [f"    {line}" for line in shared] + [f"    return {products}"]
+    for ts in list(_integer_points(8, 5, 63)) + [GR48_TS]:
+        assert kernel(*ts) == direct_values(monomials, ts)
+
+
+def random_monomials(rng, count):
+    """Monomials over a few differences, with repeats and exponents up to
+    6, so the kernel shares products of products and squares."""
+    pool = rng.sample(range(28), 6)
+
+    def side():
+        return tuple((rng.choice(pool), rng.randint(1, 6)) for _ in range(rng.randint(0, 4)))
+
+    return [(side(), side()) for _ in range(count)]
+
+
+def test_gr48_kernel_of_random_monomials_matches_the_scalar_loop():
+    rng = random.Random(43)
+    pts = list(_integer_points(8, 4, 64))
+    for trial in range(40):
+        monomials = random_monomials(rng, rng.randint(1, 12))
+        kernel = _gr48_kernel(monomials)
+        for ts in pts:
+            assert kernel(*ts) == direct_values(monomials, ts), (trial, monomials)
+        assert _gr48_evaluate(kernel, pts) == scalar_evaluate(monomials, pts)
+
+
+def recount_pairs(sides, first):
+    """Reference for `_shared_pairs`: the same greedy, recounting every
+    pair of every side before each step. Returns (pairs, sides)."""
+    sides = [dict(side) for side in sides]
+    made = []
+    while True:
+        count = {}
+        for side in sides:
+            for x, y in itertools.combinations_with_replacement(sorted(side), 2):
+                n = side[x] // 2 if x == y else min(side[x], side[y])
+                if n:
+                    count[x, y] = count.get((x, y), 0) + n
+        best = min(count, key=lambda q: (-count[q], q), default=None)
+        if best is None or count[best] < 2:
+            return made, sides
+        x, y = best
+        s = first + len(made)
+        made.append(best)
+        for side in sides:
+            k = side.get(x, 0) // 2 if x == y else min(side.get(x, 0), side.get(y, 0))
+            if k:
+                side[x] -= k
+                side[y] -= k
+                for w in {x, y}:
+                    if not side[w]:
+                        del side[w]
+                side[s] = k
+
+
+def test_shared_pairs_match_a_full_recount(gr48_images):
+    rng = random.Random(29)
+    for trial in range(300):
+        sides = [{rng.randrange(6): rng.randint(1, 5) for _ in range(rng.randint(0, 5))}
+                 for _ in range(rng.randint(1, 8))]
+        want = recount_pairs(sides, 40)
+        got = [dict(side) for side in sides]
+        assert (_shared_pairs(got, 40), got) == want, sides
+    sides = [dict(terms) for monomial in _gr48_monomials(gr48_images) for terms in monomial]
+    want = recount_pairs(sides, 28)
+    assert (_shared_pairs(sides, 28), sides) == want
+    # 178 shared products, and 439 multiplications per point in all
+    assert len(want[0]) == 178
+    assert 178 + sum(sum(side.values()) - 1 for side in sides) == 439
 
 
 def test_gr48_check_runs_in_one_process():
