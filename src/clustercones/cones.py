@@ -25,7 +25,7 @@ telescoping identity behind subtraction-freeness.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -83,6 +83,10 @@ class UMatrix:
     the dense column of G at that variable, whose entry j is the
     variable's valuation along rays[j]; the row g_j of G is entry j of
     every column. scales[j] = g_j . u_j = c_j > 0.
+
+    U is kept as the sparse u-vectors. Its rows, dense or sparse (as
+    (column, coefficient) pairs, which subset_cone reads), are built on
+    request, once each.
     """
 
     def __init__(self, belt: BipartiteBelt, uvars: list[UVariable],
@@ -91,9 +95,6 @@ class UMatrix:
         self.uvars = uvars
         self.row_ids: list[int] = belt.row_order
         self.row_index = {id: i for i, id in enumerate(self.row_ids)}
-        self.rows: list[list[int]] = [
-            [u.vector.get(id, 0) for u in uvars] for id in self.row_ids
-        ]
         self.functionals = functionals
         self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
         self.dual_columns: list[list[int]] = belt.valuation_columns(
@@ -103,9 +104,21 @@ class UMatrix:
             for j, u in enumerate(uvars)
         ]
 
+    @cached_property
+    def _sparse_rows(self) -> list[list[tuple[int, int]]]:
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.row_ids]
+        for j, u in enumerate(self.uvars):
+            for id, b in u.vector.items():
+                rows[self.row_index[id]].append((j, b))
+        return rows
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        return [[u.vector.get(id, 0) for u in self.uvars] for id in self.row_ids]
+
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_ids)
 
     @property
     def num_cols(self) -> int:
@@ -313,12 +326,26 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
 def double_description(
     equalities: Sequence[Sequence[int]], dim: int
 ) -> list[tuple[int, ...]]:
-    """Extreme rays of {x >= 0, Ex = 0} as primitive integer tuples.
+    """Extreme rays of {x >= 0, Ex = 0} as primitive integer tuples,
+    sorted lexicographically: _double_description on the rows'
+    (column, coefficient) pairs, its rays made dense."""
+    if any(len(row) != dim for row in equalities):
+        raise ValueError("equality row has wrong length")
+    rays = _double_description(
+        [[(c, a) for c, a in enumerate(row) if a] for row in equalities], dim)
+    return sorted(tuple(ray.get(i, 0) for i in range(dim)) for ray in rays)
+
+
+def _double_description(
+    equalities: Sequence[Sequence[tuple[int, int]]], dim: int
+) -> list[dict[int, int]]:
+    """Extreme rays of {x >= 0, Ex = 0} as primitive integer vectors, each
+    as its sparse {column: value}, in no particular order.
 
     Equalities are inserted one at a time into the positive orthant, in
     the order given; the result does not depend on that order, but the
     number of intermediate rays, and so the cost, does. Each
-    row is read as its (column, coefficient) pairs. The current rays live
+    row is given as its (column, coefficient) pairs. The current rays live
     in a dict keyed by ray id, each as its sparse {column: value} and its
     support as a bit mask; ids are handed out in increasing order and
     renumbered 0, 1, ... (in the same order) once they run past twice the
@@ -350,16 +377,12 @@ def double_description(
     off nz names a current ray. A new ray lies in the relative interior
     of the 2-face of its pair, and distinct faces have disjoint relative
     interiors, so the new rays differ from each other and from the kept
-    (extreme) ones: no deduplication is needed. Output dense and sorted
-    lexicographically.
+    (extreme) ones: no deduplication is needed.
     """
     rays = {i: ({i: 1}, 1 << i) for i in range(dim)}
     nz = [1 << i for i in range(dim)]  # nz[i]: ids of the rays holding i
     next_id = dim
-    for processed, row in enumerate(equalities):
-        if len(row) != dim:
-            raise ValueError("equality row has wrong length")
-        terms = [(c, a) for c, a in enumerate(row) if a]
+    for processed, terms in enumerate(equalities):
         touched = 0
         for c, _ in terms:
             touched |= nz[c]
@@ -423,14 +446,7 @@ def double_description(
                 for i in vec:
                     nz[i] |= 1 << k
             next_id = len(rays)
-    out = []
-    for vec, _ in rays.values():
-        dense = [0] * dim
-        for i, v in vec.items():
-            dense[i] = v
-        out.append(tuple(dense))
-    out.sort()
-    return out
+    return [vec for vec, _ in rays.values()]
 
 
 # cones of bounded ratios supported on a subset of variables
@@ -505,7 +521,8 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     Inside u-exponent space the constraint is linear: the combined ratio
     must have exponent zero on every variable outside the subset. Double
     description over those equality rows gives the lambda-rays, which map
-    through U to the ratio vectors themselves. Each ray is built from the
+    through U to the ratio vectors themselves. U's rows go in sparse and
+    the lambda-rays come out sparse, and each ray is built from the
     nonzero entries of its lambda-ray alone: the sparse u-vectors of those
     columns are summed and divided by the gcd of the sum, which leaves the
     ray's sparse powers (see ExtremeRay).
@@ -517,13 +534,12 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     # this order sweeps the band and each row meets only the rays the
     # previous rows just made (Gr(3,8) Pluecker: at most 129 rays on the
     # way to 80, against 600 with the sparsest rows first).
-    eq_rows = [row for id, row in zip(U.row_ids, U.rows) if id not in subset]
-    columns = range(U.num_cols)
+    eq_rows = [row for id, row in zip(U.row_ids, U._sparse_rows) if id not in subset]
     uvectors = [u.vector for u in U.uvars]
     fraction = cache(Fraction)  # the rays share a few distinct powers
     rays = []
-    for ell in double_description(eq_rows, U.num_cols):
-        support = list(compress(columns, ell))
+    for ell in _double_description(eq_rows, U.num_cols):
+        support = sorted(ell)
         total: dict[int, int] = {}
         for j in support:
             l = ell[j]

@@ -15,7 +15,8 @@ runs that schedule over any of the rings in `seeds`:
   many of them packed into one int, for valuation_columns along many
   curves in one walk;
 - additive torus weights, for weight_walk, where an inhomogeneous
-  exchange relation raises.
+  exchange relation raises, and many of them packed into one int, for
+  weight_walks.
 
 Values at positive points are walked by `grassmannian`, over its own
 ring of exact integers.
@@ -54,7 +55,7 @@ import heapq
 import struct
 from collections import deque
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import gcd
 from typing import NamedTuple, Sequence
 
@@ -69,6 +70,7 @@ from .seeds import (
     _laurent_ring,
     _minplus_ring,
     _packed_valuations,
+    _packed_weights,
     _Ring,
     _split,
     mutate_matrix,
@@ -454,6 +456,31 @@ def _lane_unpacker(width: int, lanes: int):
                         for i in range(0, len(raw), step)]
 
 
+def _degeneration_rays(matrix: tuple[tuple[int, ...], ...], n: int,
+                       size: int) -> tuple[list[tuple[int, ...] | None], int]:
+    """The betas of BipartiteBelt._degenerations from one elimination of
+    [matrix | I_n], padded with zeros to size entries, and the rank of
+    matrix."""
+    width = len(matrix[0])
+    rows, pivots, d, _ = rref([
+        row + tuple(int(i == j) for j in range(n)) for i, row in enumerate(matrix)
+    ])
+    rank = sum(pc < width for pc in pivots)
+    rays = []
+    for j in range(width, width + n):
+        if any(row[j] for row in rows[rank:]):
+            rays.append(None)
+            continue
+        v = [0] * size
+        for row, pc in zip(rows, pivots[:rank]):
+            v[pc] = row[j]
+        g = gcd(d, *v)
+        if d < 0:
+            g = -g
+        rays.append(tuple(x // g for x in v))
+    return rays, rank
+
+
 class BeltStep(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
     cluster_ids: tuple[int, ...]
@@ -592,7 +619,9 @@ class BipartiteBelt:
                     if pi is not None:
                         relabel = (s, pi)
                 snapshots.append(tuple(polys))
-            srcs = sources_of(matrix, n)
+            # mutating every source of a bipartite block negates it, so the
+            # blocks, and with them the sources, alternate from step to step
+            srcs = steps[s - 2].sources if s >= 2 else sources_of(matrix, n)
             steps.append(BeltStep(matrix, tuple(ids), srcs))
             # sources are pairwise unlinked, so mutating one leaves the
             # rows of the others as they are in this step's matrix
@@ -654,7 +683,9 @@ class BipartiteBelt:
         for i in range(size):
             self.display_names[i] = exchange.names[i]
         self._frames: dict[int, dict[int, tuple[int, ...]]] = {}
-        self._rays: dict[int, list[tuple[int, ...] | None]] = {}
+        # degeneration rays by belt step, and by nonsingular mutable block
+        # (see _degenerations)
+        self._rays: dict[int | tuple, list[tuple[int, ...] | None]] = {}
 
     # registry helpers
 
@@ -753,7 +784,7 @@ class BipartiteBelt:
         """Per mutable node j of belt step s, the primitive integer beta
         with B beta = c * e_j for some c > 0, B the step's extended
         exchange matrix (its n mutable rows); None where e_j is outside
-        the column span of B. Cached per step.
+        the column span of B.
 
         One fraction-free elimination of [B | I_n] serves every node: its
         rows are d * [E B | E] with E B in reduced echelon form, so e_j is
@@ -762,30 +793,34 @@ class BipartiteBelt:
         zero has x * d = that column at the pivot columns of B. beta is
         the primitive integer multiple of (x * d, d) with positive last
         entry, stripped of that entry.
+
+        The frozen columns of B come after its mutable block B_mut, and
+        rref works column by column, so on the columns of [B_mut | I_n]
+        it does exactly what it does on them inside [B | I_n]. When B_mut
+        is nonsingular, its n columns take all n pivots, the frozen
+        columns are free and beta is zero there: the rays depend on B_mut
+        alone, and the elimination of [B_mut | I_n] is cached by the
+        block. A bipartite belt alternates B_mut between two blocks, B0
+        and -B0, so a nonsingular type (E8 = Gr(3,8): 32 steps) needs two
+        eliminations. Only a singular block (A_n, B_n and C_n for odd n,
+        every D_n, and E7) takes the elimination of the whole [B | I_n],
+        once per step.
         """
         s %= self.period
-        cached = self._rays.get(s)
-        if cached is None:
+        rays = self._rays.get(s)
+        if rays is None:
             n, size = self.exchange.n, self.exchange.size
-            rows, pivots, d, _ = rref([
-                row + tuple(int(i == j) for j in range(n))
-                for i, row in enumerate(self.step(s).matrix[:n])
-            ])
-            rank = sum(pc < size for pc in pivots)
-            cached = []
-            for j in range(size, size + n):
-                if any(row[j] for row in rows[rank:]):
-                    cached.append(None)
-                    continue
-                v = [0] * size
-                for row, pc in zip(rows, pivots[:rank]):
-                    v[pc] = row[j]
-                g = gcd(d, *v)
-                if d < 0:
-                    g = -g
-                cached.append(tuple(x // g for x in v))
-            self._rays[s] = cached
-        return cached
+            matrix = self.step(s).matrix[:n]
+            block = tuple(row[:n] for row in matrix)
+            rays = self._rays.get(block)
+            if rays is None:
+                rays, rank = _degeneration_rays(block, n, size)
+                if rank < n < size:
+                    rays = _degeneration_rays(matrix, n, size)[0]
+                elif rank == n:
+                    self._rays[block] = rays
+            self._rays[s] = rays
+        return rays
 
     def valuation_walk(
         self, beta: Sequence[int], start_step: int = 0
@@ -817,15 +852,26 @@ class BipartiteBelt:
         beta needs it, and the walk reruns at twice the width whenever a
         lane leaves its checked range, so no lane ever wraps.
         """
+        return self._packed_columns(rays, _packed_valuations)
+
+    @cached_property
+    def _headroom(self) -> int:
+        """Bits of the largest total exponent of an exchange relation: the
+        headroom every packed walk leaves in its lanes."""
+        return max(sum(b for _, b in pos + neg)
+                   for moves in self._schedule for _, pos, neg, _ in moves
+                   ).bit_length()
+
+    def _packed_columns(self, rays, packed) -> list[list[int]]:
+        """valuation_columns over the packed ring packed(width, lanes,
+        headroom): seeds._packed_valuations, or seeds._packed_weights for
+        weight_walks."""
         size, p, lanes = self.exchange.size, self.period, len(rays)
         if any(len(beta) != size for beta, _ in rays):
             raise ValueError("need one exponent per node")
         if not rays:
             return [[] for _ in self.entries]
-        headroom = max(
-            sum(b for _, b in pos + neg)
-            for moves in self._schedule for _, pos, neg, _ in moves
-        ).bit_length()
+        headroom = self._headroom
         largest = max(max(map(abs, beta)) for beta, _ in rays)
         starts = [s % p for _, s in rays]
         first, last = min(starts), max(starts)
@@ -843,7 +889,7 @@ class BipartiteBelt:
                 for j, b in enumerate(beta):
                     if b:
                         at[j] = at.get(j, 0) + (b << shift)
-            ring = _packed_valuations(width, lanes, headroom)
+            ring = packed(width, lanes, headroom)
             values = [0] * size
             try:
                 for s in range(first, last):
@@ -885,6 +931,31 @@ class BipartiteBelt:
         if all(v.denominator == 1 for v in values):
             values = [v.numerator for v in values]
         return self._walk(_WEIGHTS, values, 0)
+
+    def weight_walks(
+        self, alphas: Sequence[Sequence[int | Fraction]]
+    ) -> list[dict[int, int | Fraction]]:
+        """[weight_walk(alpha) for alpha in alphas], in one walk when every
+        entry of every alpha is an int.
+
+        Each alpha gets a lane of one packed int (seeds._packed_weights),
+        as the rays of valuation_columns do, all starting at step 0. No
+        lane wraps, so a sum's two sides are equal as packed ints iff they
+        are in every lane, and the packed walk raises iff some alpha's own
+        walk would. Then each alpha is walked alone, so the ValueError
+        raised is that of the first alpha whose walk fails. Other alphas,
+        such as a certificate's, are walked alone, over Fractions if they
+        are not integral.
+        """
+        if not all(type(a) is int for alpha in alphas for a in alpha):
+            return [self.weight_walk(alpha) for alpha in alphas]
+        try:
+            columns = self._packed_columns([(alpha, 0) for alpha in alphas],
+                                           _packed_weights)
+        except ValueError:
+            return [self.weight_walk(alpha) for alpha in alphas]
+        ids = [e.id for e in self.entries]
+        return [dict(zip(ids, lane)) for lane in zip(*columns)]
 
     # compatibility
 

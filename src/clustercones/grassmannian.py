@@ -45,6 +45,7 @@ from .seeds import (
     _Ring,
     _split,
     load_seed_file,
+    mutate_matrix,
 )
 
 __all__ = [
@@ -333,47 +334,49 @@ class GrassmannianCluster:
         self.path = find_bipartite_seed_path(self.grid)
 
         # the exchange terms of every re-basing step, so any value system
-        # (the rotated minors, say) can replay the path later
+        # (the rotated minors, say) can replay the path later; mutation
+        # keeps the matrix skew-symmetrizable, so only the end is checked
         ex = self.grid
+        matrix = ex.matrix
         self._path_moves: list[tuple[int, tuple, tuple]] = []
         for step in self.path:
-            self._path_moves.append((step, *_split(enumerate(ex.matrix[step]))))
-            ex = ex.mutate(step)
-        size = self.grid.size
+            self._path_moves.append((step, *_split(enumerate(matrix[step]))))
+            matrix = mutate_matrix(matrix, step, ex.n)
         names = [
             ex.names[i] if i not in set(self.path) else f"node{i}"
-            for i in range(size)
+            for i in range(ex.size)
         ]
-        base = ExchangeData(ex.n, ex.m, ex.matrix, ex.weights, names)
+        base = ExchangeData(ex.n, ex.m, matrix, ex.weights, names)
         self.belt = BipartiteBelt(base, symbolic=False)
 
         # the content of each column is a torus weight: walking it along
         # the path and then the belt checks every exchange relation for
-        # homogeneity and covers every registry variable
-        functionals = []
-        per_column = []
-        for c in range(1, n + 1):
-            try:
-                alpha = self._replay(_WEIGHTS, [int(c in J) for J in contents])
-                per_column.append(self.belt.weight_walk(alpha))
-            except ValueError as exc:
-                raise IdentificationError(
-                    f"column {c} content is not an exchange weight: {exc}"
-                ) from exc
-            functionals.append(alpha)
+        # homogeneity and covers every registry variable. The belt walks
+        # all columns at once; if anything fails, each column is walked
+        # alone to name the first one that is not a weight.
+        columns = [[int(c in J) for J in contents] for c in range(1, n + 1)]
+        try:
+            functionals = [self._replay(_WEIGHTS, list(a)) for a in columns]
+            per_column = self.belt.weight_walks(functionals)
+        except ValueError:
+            for c, alpha in enumerate(columns, 1):
+                try:
+                    self.belt.weight_walk(self._replay(_WEIGHTS, alpha))
+                except ValueError as exc:
+                    raise IdentificationError(
+                        f"column {c} content is not an exchange weight: {exc}"
+                    ) from exc
+            raise
         if rank(functionals) != n:
             raise IdentificationError("column functionals do not have full rank")
+        # integral columns walk over ints, so every content is integral
         self.content: dict[int, tuple[int, ...]] = {}
         for id in self.belt.row_order:
-            vec = []
-            for c in range(n):
-                w = per_column[c][id]
-                if w.denominator != 1 or w < 0:
-                    raise IdentificationError(
-                        f"variable {id} has non-integral content {w} in column {c + 1}"
-                    )
-                vec.append(int(w))
-            self.content[id] = tuple(vec)
+            vec = self.content[id] = tuple(walk[id] for walk in per_column)
+            if min(vec) < 0:
+                c = next(c for c, w in enumerate(vec) if w < 0)
+                raise IdentificationError(
+                    f"variable {id} has negative content {vec[c]} in column {c + 1}")
         self.degree: dict[int, int] = {}
         for id, vec in self.content.items():
             total = sum(vec)

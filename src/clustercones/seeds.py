@@ -13,8 +13,8 @@ not what it claimed to be.
 
 The exchange relation x' = (prod out^b + prod in^b) / x is written once,
 in _exchange, over a _Ring: Laurent polynomials, min-plus exponent
-vectors, min-plus valuations (one at a time, or many packed into one
-int), or additive torus weights; grassmannian adds exact integers.
+vectors, min-plus valuations or additive torus weights (one at a time,
+or many packed into one int); grassmannian adds exact integers.
 Every cluster mutation and belt walk in the package goes through it.
 """
 
@@ -143,6 +143,14 @@ def _balanced(a, b):
 # torus weights: a sum is defined only between equal weights, so walking
 # a weight vector checks that every exchange relation is homogeneous
 _WEIGHTS = _Ring(lambda: 0, operator.add, operator.mul, _balanced, operator.sub)
+
+
+def _packed_weights(width: int, lanes: int, headroom: int) -> _Ring:
+    """_WEIGHTS on `lanes` weights at once, packed into one int as in
+    _packed_valuations, whose bounds keep every lane from wrapping; two
+    packed ints that do not wrap are equal iff every lane is, so the
+    one comparison of _balanced checks every lane's homogeneity."""
+    return _packed_valuations(width, lanes, headroom)._replace(add=_balanced)
 
 
 def _split(pairs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:

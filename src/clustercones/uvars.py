@@ -78,8 +78,12 @@ def weight_table(belt: BipartiteBelt, alpha: Sequence[int | Fraction]) -> Weight
 
 
 def kernel_functionals(belt: BipartiteBelt) -> list[WeightFunctional]:
-    """Weight functionals for a basis of the extended exchange kernel."""
-    return [weight_table(belt, a) for a in belt.exchange.kernel_basis()]
+    """Weight functionals for a basis of the extended exchange kernel, as
+    weight_table gives them, from one packed walk of the integral basis
+    (BipartiteBelt.weight_walks)."""
+    basis = belt.exchange.kernel_basis()
+    return [WeightFunctional(tuple(map(Fraction, alpha)), weights)
+            for alpha, weights in zip(basis, belt.weight_walks(basis))]
 
 
 class UVariable:

@@ -2,6 +2,7 @@
 unimodular minors, subtraction-freeness."""
 
 import copy
+import hashlib
 import json
 import math
 import random
@@ -14,6 +15,7 @@ from conftest import GR26_SEED, value_walk
 from test_linalg import ExactSolver
 from clustercones.cones import (
     NotFullRankError,
+    _double_description,
     _verify_chain,
     build_u_matrix,
     double_description,
@@ -337,6 +339,25 @@ def test_double_description_ignores_row_order(request, context, subset,
         assert double_description(order, g.U.num_cols) == want
 
 
+def test_double_description_is_the_sparse_core_made_dense(gr38):
+    # subset_cone hands U's sparse rows to the core and reads its sparse
+    # rays; the public function gives the same rays, dense and sorted
+    U = gr38.U
+    rows = subset_rows(gr38, "deg2")
+    keep = set(gr38.ids_with_degree_at_most(2))
+    sparse = [row for id, row in zip(U.row_ids, U._sparse_rows) if id not in keep]
+    assert sparse == [[(j, b) for j, b in enumerate(row) if b] for row in rows]
+    core = _double_description(sparse, U.num_cols)
+    dense = double_description(rows, U.num_cols)
+    assert sorted(tuple(ray.get(j, 0) for j in range(U.num_cols))
+                  for ray in core) == dense
+    cone = gr38.degree_filtered_cone(2)
+    assert sorted(tuple(j for j, _ in r.powers) for r in cone.rays) == sorted(
+        tuple(sorted(ray)) for ray in core)
+    with pytest.raises(ValueError, match="wrong length"):
+        double_description(rows[:3] + [rows[3][:-1]], U.num_cols)
+
+
 def dense_double_description(equalities, dim):
     """Double description on a plain list of dense ray tuples, rebuilding
     the per-coordinate bitsets of ray positions for every row that pairs
@@ -619,6 +640,40 @@ def test_dual_basis_inverts_u(request, context):
         assert got == oracle.solve(U.dense({id: 1}))
         refused += got is None
     assert refused > 0
+
+
+def test_gr38_u_rows_are_built_on_request_only():
+    g = GrassmannianCluster(3, 8)
+    U = g.U
+    g.rotation()
+    g.pluecker_cone()
+    # neither set-up nor the double description builds a dense row
+    assert "rows" not in vars(U)
+    assert (U.num_rows, U.num_cols) == (136, 128)
+    dense = [[0] * U.num_cols for _ in U.row_ids]
+    for j, u in enumerate(U.uvars):
+        for id, b in u.vector.items():
+            dense[U.row_index[id]][j] += b
+    assert U.rows == dense and U.rows is U.rows
+    assert sum(1 for row in U.rows for x in row if x) == 488
+    assert U._sparse_rows == [[(j, b) for j, b in enumerate(row) if b]
+                              for row in dense]
+
+
+# sha256 of the JSON list of the rows unimodular_minor_search picks from
+# U.rows, computed while set-up still filled the dense rows of U
+UNIMODULAR_ROWS_GOLDEN = {
+    "gr36": (16, "2899fe691879bc3ce0194d775558467d35d9b44319fc175d67eafde1a27f0656"),
+    "gr37": (42, "6746ce25aa9fde9163cf210fac8516afbaff17295abbf33082b566106df88976"),
+    "gr38": (128, "3ce0ca491e412e8041637b6305c34b132ee27b502ab0803ecb4f9ee1a798fab6"),
+}
+
+
+@pytest.mark.parametrize("context", sorted(UNIMODULAR_ROWS_GOLDEN))
+def test_unimodular_minor_search_on_rows_built_on_request(request, context):
+    chosen = unimodular_minor_search(u_matrix_of(request, context).rows)
+    digest = hashlib.sha256(json.dumps(chosen).encode()).hexdigest()
+    assert (len(chosen), digest) == UNIMODULAR_ROWS_GOLDEN[context]
 
 
 def scalar_columns(belt, rays):

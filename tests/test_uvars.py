@@ -2,13 +2,22 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import GR26_SEED, ratio_value, value_walk
-from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
+from clustercones import finite_type
+from clustercones.cones import build_u_matrix
+from clustercones.finite_type import (
+    BipartiteBelt,
+    DynkinType,
+    catalog_exchange,
+    sources_of,
+)
+from clustercones.grassmannian import GrassmannianCluster, IdentificationError
 from clustercones.laurent import LaurentPolynomial
-from clustercones.linalg import primitive_vector, rank
+from clustercones.linalg import primitive_vector, rank, rref
 from clustercones.seeds import (
     _WEIGHTS,
     _laurent_ring,
@@ -329,6 +338,164 @@ def test_degeneration_rays_match_a_fraction_solve(context, request):
         assert missing and partial and rays > 800
     else:
         assert not missing
+
+
+def full_elimination_rays(belt, s):
+    """The degeneration betas of belt step s from one elimination of the
+    whole [B | I_n], frozen columns included, whatever the mutable block:
+    the oracle for BipartiteBelt._degenerations."""
+    n, size = belt.exchange.n, belt.exchange.size
+    rows, pivots, d, _ = rref([
+        row + tuple(int(i == j) for j in range(n))
+        for i, row in enumerate(belt.step(s).matrix[:n])
+    ])
+    rank_ = sum(pc < size for pc in pivots)
+    out = []
+    for j in range(size, size + n):
+        if any(row[j] for row in rows[rank_:]):
+            out.append(None)
+            continue
+        v = [0] * size
+        for row, pc in zip(rows, pivots[:rank_]):
+            v[pc] = row[j]
+        g = gcd(d, *v)
+        if d < 0:
+            g = -g
+        out.append(tuple(x // g for x in v))
+    return out
+
+
+def catalog_belts(names, frozen):
+    """Tropical catalog belts of the named types, each with the frozen
+    counts frozen(rank) gives."""
+    return [BipartiteBelt(catalog_exchange(t, f), symbolic=False)
+            for t in map(DynkinType.from_name, names) for f in frozen(t.rank)]
+
+
+@pytest.mark.parametrize("context", [
+    "gr25", "gr26", "gr27", "gr36", "gr37", "gr38", "catalog"])
+def test_block_degenerations_match_the_full_elimination(context, request):
+    """Rays from [B_mut | I_n] (nonsingular blocks) or [B | I_n] (the
+    rest) equal those of the whole [B | I_n] at every belt step."""
+    if context == "catalog":
+        belts = catalog_belts(
+            ("A3", "A5", "B3", "C3", "D4", "D5", "E6", "E7", "F4", "G2"),
+            lambda rank_: (0, 1, rank_))
+    elif context in ("gr26", "gr36", "gr37", "gr38"):
+        belts = [request.getfixturevalue(context).belt]
+    else:
+        belts = [GrassmannianCluster(int(context[2]), int(context[3])).belt]
+    blocks = set()
+    for belt in belts:
+        n = belt.exchange.n
+        for s in range(belt.period):
+            assert belt._degenerations(s) == full_elimination_rays(belt, s), (belt, s)
+            matrix = belt.step(s).matrix
+            blocks.add(rank([row[:n] for row in matrix[:n]]) == n)
+            # the belt reuses the sources of step s - 2, whose block is the same
+            assert belt.step(s).sources == sources_of(matrix, n)
+            assert [row[:n] for row in matrix[:n]] == [
+                tuple(-b for b in row[:n]) for row in belt.step(s + 1).matrix[:n]]
+    # A3 = Gr(2,6), A5, B3, C3, D4 = Gr(3,6), D5 and E7 have singular
+    # blocks, the others not
+    assert blocks == ({True, False} if context == "catalog" else
+                      {context not in ("gr26", "gr36")})
+
+
+def test_gr38_degenerations_take_two_eliminations(gr38, monkeypatch):
+    # the belt alternates the E8 block between B and -B, both nonsingular
+    calls = []
+    spy = lambda matrix: calls.append(len(matrix[0])) or rref(matrix)
+    monkeypatch.setattr(finite_type, "rref", spy)
+    belt = BipartiteBelt(gr38.belt.exchange, symbolic=False)
+    U = build_u_matrix(belt)
+    assert [ray.beta for ray in U.rays] == [ray.beta for ray in gr38.U.rays]
+    assert belt.period == 32 and calls == [16, 16]
+
+
+def grassmannian_weights(g):
+    """The column contents of g, walked along its re-basing path, and the
+    kernel basis of its belt: every alpha a Grassmannian set-up walks."""
+    contents = [g._replay(_WEIGHTS, [int(c in J) for J in g._grid_sets])
+                for c in range(1, g.n + 1)]
+    return contents + g.belt.exchange.kernel_basis()
+
+
+@pytest.mark.parametrize("context", ["gr36", "gr37", "gr38", "catalog"])
+def test_packed_weight_walks_match_single_walks(context, request):
+    if context == "catalog":
+        belts = catalog_belts(("A3", "B3", "C3", "D4", "E6", "E7", "F4", "G2"),
+                              lambda rank_: (1, rank_))
+        batches = [(b, b.exchange.kernel_basis()) for b in belts]
+    else:
+        g = request.getfixturevalue(context)
+        batches = [(g.belt, grassmannian_weights(g))]
+        assert [g.content[id] for id in g.belt.row_order] == [
+            tuple(g.belt.weight_walk(a)[id] for a in batches[0][1][:g.n])
+            for id in g.belt.row_order]
+    for belt, alphas in batches:
+        single = [belt.weight_walk(alpha) for alpha in alphas]
+        assert belt.weight_walks(alphas) == single
+        assert all(type(w) is int for walk in single for w in walk.values())
+        assert [f.weights for f in kernel_functionals(belt)] == [
+            weight_table(belt, a).weights for a in belt.exchange.kernel_basis()]
+        # a non-integral alpha is walked over Fractions, alone
+        half = [Fraction(a, 2) for a in alphas[0]]
+        assert belt.weight_walks(alphas + [half])[-1] == belt.weight_walk(half)
+    assert belt.weight_walks([]) == []
+
+
+def test_packed_weight_walk_reruns_wider(gr38, monkeypatch):
+    # Gr(3,8) exchanges have total exponent up to 4, so 16-bit lanes hold
+    # [-2**10, 2**10): the column contents that are 0 or 1 at every node
+    # after the re-basing path, times 600, fit; their weights (up to 1200)
+    # do not, and the walk reruns at 32 bits
+    widths = []
+    packed = finite_type._packed_weights
+    monkeypatch.setattr(finite_type, "_packed_weights",
+                        lambda w, lanes, h: widths.append(w) or packed(w, lanes, h))
+    alphas = [[600 * a for a in alpha] for alpha in grassmannian_weights(gr38)[:8]
+              if max(alpha) == 1]
+    assert len(alphas) == 7
+    assert gr38.belt.weight_walks(alphas) == [gr38.belt.weight_walk(a) for a in alphas]
+    assert widths == [16, 32]
+
+
+def test_inhomogeneous_alpha_in_a_batch_raises_its_own_error(gr37):
+    belt = gr37.belt
+    basis = belt.exchange.kernel_basis()
+    bad = list(basis[0])
+    bad[0] += 1
+    with pytest.raises(ValueError) as alone:
+        belt.weight_walk(bad)
+    with pytest.raises(ValueError) as batch:
+        belt.weight_walks([basis[1], bad, basis[0]])
+    assert str(batch.value) == str(alone.value)
+    with pytest.raises(ValueError, match="one weight per node"):
+        belt.weight_walks([basis[0], [1]])
+
+
+@pytest.mark.parametrize("perturb,message", [
+    # no longer a weight of the belt: the packed walk fails and each
+    # column's own walk names the first that fails
+    (lambda a: [a[0] + 1] + a[1:],
+     "column 3 content is not an exchange weight: "
+     "exchange relation is not homogeneous"),
+    # still a weight, with negative weights
+    (lambda a: [-x for x in a], "has negative content -1 in column 3"),
+])
+def test_a_bad_column_content_is_named(monkeypatch, perturb, message):
+    # column 3's content is perturbed after the re-basing path
+    replay = GrassmannianCluster._replay
+
+    def perturbed(self, ring, vals):
+        third = ring is _WEIGHTS and vals == [int(3 in J) for J in self._grid_sets]
+        out = replay(self, ring, vals)
+        return perturb(out) if third else out
+
+    monkeypatch.setattr(GrassmannianCluster, "_replay", perturbed)
+    with pytest.raises(IdentificationError, match=message):
+        GrassmannianCluster(3, 6)
 
 
 def fraction_weight_walk(belt, alpha):
