@@ -195,14 +195,32 @@ def _context_from_args(args) -> Context:
     return _seed_context(data, os.path.basename(args.seed_file))
 
 
+def _int(value, what: str) -> int:
+    """value itself if it is a JSON integer; TypeError naming what
+    otherwise (int() would truncate 1.9, true and "1" to 1)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _exact(value, what: str) -> Fraction:
+    """Fraction(value) for a JSON integer or string such as "-1/2";
+    TypeError naming what for anything else (Fraction() reads true as 1
+    and a float as its binary value)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(
+            f"{what} must be an integer or a string, got {json.dumps(value)}")
+    return Fraction(value)
+
+
 def _context_from_key(key: dict) -> Context:
     """The context a certificate names; TypeError, KeyError and
     ValueError mean the key is malformed."""
     kind = _object(key, "context").get("kind")
     if kind == "catalog":
-        return _catalog_context(key["type"], int(key.get("frozen", 0)))
+        return _catalog_context(key["type"], _int(key.get("frozen", 0), '"frozen"'))
     if kind == "grassmannian":
-        return _grassmannian_context(int(key["k"]), int(key["n"]))
+        return _grassmannian_context(_int(key["k"], '"k"'), _int(key["n"], '"n"'))
     if kind == "seed":
         return _seed_context(_object(key["seed"], "seed"), "seed file")
     raise UsageError(f"certificate names unknown context kind {kind!r}")
@@ -527,19 +545,37 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
             raise UsageError(f"certificate names unknown variable {name!r}")
         return id
 
+    def by_id(field: str) -> dict:
+        """The object data[field] keyed by the ids its names resolve to. A
+        variable named twice (by its name and its root label, say) is
+        refused: one of its two entries would be dropped unread."""
+        out = {}
+        for name, value in _object(data[field], field).items():
+            id = rid(name)
+            if id in out:
+                raise UsageError(
+                    f"certificate {field} names variable {belt.name(id)!r} twice")
+            out[id] = value
+        return out
+
     _object(data, "certificate")
-    vector = {rid(nm): e for nm, e in _object(data["ratio"], "ratio").items()}
+    vector = by_id("ratio")
     lam = None
     if "lambda" in data:
-        by_name = {
-            nm: Fraction(v)
-            for nm, v in _object(data["lambda"], "lambda").items()
-        }
-        lam = tuple(
-            by_name.get(belt.name(u.gamma), Fraction(0)) for u in ctx.U.uvars
-        )
-    alpha = [Fraction(a) for a in data["alpha"]] if "alpha" in data else None
-    weight = Fraction(data["weight"]) if "weight" in data else None
+        entries = by_id("lambda")
+        lam = tuple(_exact(entries.pop(u.gamma, 0), '"lambda" entry')
+                    for u in ctx.U.uvars)
+        if entries:
+            name = belt.name(next(iter(entries)))
+            raise UsageError(
+                f"certificate lambda names {name!r}, which has no u-variable")
+    alpha = weight = None
+    if "alpha" in data:
+        if not isinstance(data["alpha"], list):
+            raise TypeError('"alpha" must be a list')
+        alpha = [_exact(a, '"alpha" entry') for a in data["alpha"]]
+    if "weight" in data:
+        weight = _exact(data["weight"], '"weight"')
     ray = None
     if "ray" in data:
         rd = _object(data["ray"], "ray")

@@ -13,10 +13,9 @@ runs that schedule over any of the rings in `seeds`:
   frames that compatibility degrees are read from;
 - min-plus integers, for valuation_walk along a curve x = t^beta, and
   many of them packed into one int, for valuation_columns along many
-  curves in one walk;
-- additive torus weights, for weight_walk, where an inhomogeneous
-  exchange relation raises, and many of them packed into one int, for
-  weight_walks.
+  curves in one walk. Along a grading alpha (see
+  seeds.ExchangeData.grading_defect) every exchange relation is
+  homogeneous, so the valuations along alpha are the torus weights.
 
 Values at positive points are walked by `grassmannian`, over its own
 ring of exact integers.
@@ -63,14 +62,12 @@ from .laurent import LaurentPolynomial
 from .linalg import rref
 from .seeds import (
     _VALUATIONS,
-    _WEIGHTS,
     ExchangeData,
     _exchange,
     _LaneOverflow,
     _laurent_ring,
     _minplus_ring,
     _packed_valuations,
-    _packed_weights,
     _Ring,
     _split,
     mutate_matrix,
@@ -823,14 +820,15 @@ class BipartiteBelt:
         return rays
 
     def valuation_walk(
-        self, beta: Sequence[int], start_step: int = 0
-    ) -> dict[int, int]:
+        self, beta: Sequence[int | Fraction], start_step: int = 0
+    ) -> dict[int, int | Fraction]:
         """Valuations at t -> 0 of every registry variable when the cluster
         of belt step start_step is x_j = t^beta_j (indexed by node).
 
         Every variable is a Laurent polynomial with positive coefficients
         in that cluster, so along the curve it is C * t^val * (1 + o(1))
-        with C > 0, and the min-plus walk computes val exactly.
+        with C > 0, and the min-plus walk computes val exactly: over ints
+        for an integral beta, over Fractions for any other.
         """
         if len(beta) != self.exchange.size:
             raise ValueError("need one exponent per node")
@@ -852,20 +850,6 @@ class BipartiteBelt:
         beta needs it, and the walk reruns at twice the width whenever a
         lane leaves its checked range, so no lane ever wraps.
         """
-        return self._packed_columns(rays, _packed_valuations)
-
-    @cached_property
-    def _headroom(self) -> int:
-        """Bits of the largest total exponent of an exchange relation: the
-        headroom every packed walk leaves in its lanes."""
-        return max(sum(b for _, b in pos + neg)
-                   for moves in self._schedule for _, pos, neg, _ in moves
-                   ).bit_length()
-
-    def _packed_columns(self, rays, packed) -> list[list[int]]:
-        """valuation_columns over the packed ring packed(width, lanes,
-        headroom): seeds._packed_valuations, or seeds._packed_weights for
-        weight_walks."""
         size, p, lanes = self.exchange.size, self.period, len(rays)
         if any(len(beta) != size for beta, _ in rays):
             raise ValueError("need one exponent per node")
@@ -889,7 +873,7 @@ class BipartiteBelt:
                 for j, b in enumerate(beta):
                     if b:
                         at[j] = at.get(j, 0) + (b << shift)
-            ring = packed(width, lanes, headroom)
+            ring = _packed_valuations(width, lanes, headroom)
             values = [0] * size
             try:
                 for s in range(first, last):
@@ -911,51 +895,13 @@ class BipartiteBelt:
         return [list(unpack(((out[e.id] + tops) ^ tops).to_bytes(nbytes, "big")))
                 for e in self.entries]
 
-    def weight_walk(
-        self, alpha: Sequence[int | Fraction]
-    ) -> dict[int, int | Fraction]:
-        """Torus weights of every registry variable for a kernel functional.
-
-        alpha assigns weights to the initial cluster (by node). Raises
-        ValueError if some exchange relation is not homogeneous, i.e. alpha
-        is not in the kernel of the extended exchange matrix.
-
-        An integral alpha (kernel vectors and column contents are) is
-        walked over ints and gives int weights; any other alpha, such as
-        one read from a certificate, is walked over Fractions. Both are
-        exact, so the weights are equal as numbers either way.
-        """
-        if len(alpha) != self.exchange.size:
-            raise ValueError("need one weight per node")
-        values = [Fraction(a) for a in alpha]
-        if all(v.denominator == 1 for v in values):
-            values = [v.numerator for v in values]
-        return self._walk(_WEIGHTS, values, 0)
-
-    def weight_walks(
-        self, alphas: Sequence[Sequence[int | Fraction]]
-    ) -> list[dict[int, int | Fraction]]:
-        """[weight_walk(alpha) for alpha in alphas], in one walk when every
-        entry of every alpha is an int.
-
-        Each alpha gets a lane of one packed int (seeds._packed_weights),
-        as the rays of valuation_columns do, all starting at step 0. No
-        lane wraps, so a sum's two sides are equal as packed ints iff they
-        are in every lane, and the packed walk raises iff some alpha's own
-        walk would. Then each alpha is walked alone, so the ValueError
-        raised is that of the first alpha whose walk fails. Other alphas,
-        such as a certificate's, are walked alone, over Fractions if they
-        are not integral.
-        """
-        if not all(type(a) is int for alpha in alphas for a in alpha):
-            return [self.weight_walk(alpha) for alpha in alphas]
-        try:
-            columns = self._packed_columns([(alpha, 0) for alpha in alphas],
-                                           _packed_weights)
-        except ValueError:
-            return [self.weight_walk(alpha) for alpha in alphas]
-        ids = [e.id for e in self.entries]
-        return [dict(zip(ids, lane)) for lane in zip(*columns)]
+    @cached_property
+    def _headroom(self) -> int:
+        """Bits of the largest total exponent of an exchange relation: the
+        headroom every packed walk leaves in its lanes."""
+        return max(sum(b for _, b in pos + neg)
+                   for moves in self._schedule for _, pos, neg, _ in moves
+                   ).bit_length()
 
     # compatibility
 

@@ -39,7 +39,7 @@ from .expressions import parse_ratio
 from .finite_type import BipartiteBelt, NotFiniteTypeError, find_bipartite_seed_path
 from .linalg import rank, solve
 from .seeds import (
-    _WEIGHTS,
+    _VALUATIONS,
     ExchangeData,
     _exchange,
     _Ring,
@@ -349,30 +349,24 @@ class GrassmannianCluster:
         base = ExchangeData(ex.n, ex.m, matrix, ex.weights, names)
         self.belt = BipartiteBelt(base, symbolic=False)
 
-        # the content of each column is a torus weight: walking it along
-        # the path and then the belt checks every exchange relation for
-        # homogeneity and covers every registry variable. The belt walks
-        # all columns at once; if anything fails, each column is walked
-        # alone to name the first one that is not a weight.
+        # the content of each column is a grading of the grid seed, and
+        # mutation carries it to a grading of every seed after (see
+        # ExchangeData.grading_defect): checked once at the grid, it is
+        # carried along the path as valuations, and its valuations on the
+        # belt, walked for all columns at once, are the contents
         columns = [[int(c in J) for J in contents] for c in range(1, n + 1)]
-        try:
-            functionals = [self._replay(_WEIGHTS, list(a)) for a in columns]
-            per_column = self.belt.weight_walks(functionals)
-        except ValueError:
-            for c, alpha in enumerate(columns, 1):
-                try:
-                    self.belt.weight_walk(self._replay(_WEIGHTS, alpha))
-                except ValueError as exc:
-                    raise IdentificationError(
-                        f"column {c} content is not an exchange weight: {exc}"
-                    ) from exc
-            raise
+        for c, alpha in enumerate(columns, 1):
+            reason = self.grid.grading_defect(alpha)
+            if reason is not None:
+                raise IdentificationError(
+                    f"column {c} content is not an exchange weight: {reason}")
+        functionals = [self._replay(_VALUATIONS, a) for a in columns]
+        per_column = self.belt.valuation_columns([(a, 0) for a in functionals])
         if rank(functionals) != n:
             raise IdentificationError("column functionals do not have full rank")
-        # integral columns walk over ints, so every content is integral
         self.content: dict[int, tuple[int, ...]] = {}
         for id in self.belt.row_order:
-            vec = self.content[id] = tuple(walk[id] for walk in per_column)
+            vec = self.content[id] = tuple(per_column[id])
             if min(vec) < 0:
                 c = next(c for c, w in enumerate(vec) if w < 0)
                 raise IdentificationError(

@@ -13,9 +13,10 @@ not what it claimed to be.
 
 The exchange relation x' = (prod out^b + prod in^b) / x is written once,
 in _exchange, over a _Ring: Laurent polynomials, min-plus exponent
-vectors, min-plus valuations or additive torus weights (one at a time,
-or many packed into one int); grassmannian adds exact integers.
-Every cluster mutation and belt walk in the package goes through it.
+vectors, or min-plus valuations (one at a time, or many packed into one
+int); grassmannian adds exact integers. Every cluster mutation and belt
+walk in the package goes through it. Torus weights need no ring of their
+own: they are the valuations along a grading (ExchangeData.grading_defect).
 """
 
 from __future__ import annotations
@@ -132,25 +133,6 @@ def _packed_valuations(width: int, lanes: int, headroom: int) -> _Ring:
         return c
 
     return _Ring(lambda: 0, operator.add, operator.mul, lane_min, checked_sub)
-
-
-def _balanced(a, b):
-    if a != b:
-        raise ValueError(f"exchange relation is not homogeneous ({a} != {b})")
-    return a
-
-
-# torus weights: a sum is defined only between equal weights, so walking
-# a weight vector checks that every exchange relation is homogeneous
-_WEIGHTS = _Ring(lambda: 0, operator.add, operator.mul, _balanced, operator.sub)
-
-
-def _packed_weights(width: int, lanes: int, headroom: int) -> _Ring:
-    """_WEIGHTS on `lanes` weights at once, packed into one int as in
-    _packed_valuations, whose bounds keep every lane from wrapping; two
-    packed ints that do not wrap are equal iff every lane is, so the
-    one comparison of _balanced checks every lane's homogeneity."""
-    return _packed_valuations(width, lanes, headroom)._replace(add=_balanced)
 
 
 def _split(pairs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:
@@ -282,6 +264,28 @@ class ExchangeData:
 
     def is_full_rank(self) -> bool:
         return self.extended_rank() == self.n
+
+    def grading_defect(self, alpha: Sequence[int | Fraction]) -> str | None:
+        """None if alpha, one degree per node, is a grading: B alpha = 0 for
+        the extended matrix B. Otherwise the reason it is not, naming the
+        first mutable node whose exchange relation is not homogeneous.
+
+        (B alpha)_k is the out-monomial's degree minus the in-monomial's at
+        node k, so B alpha = 0 says every exchange relation of this seed is
+        homogeneous. Mutation at k carries a grading to a grading, alpha_k
+        becoming the relation's degree minus alpha_k (Grabowski, Graded
+        cluster algebras, 2015), so this one check covers every seed
+        mutation reaches from here: every cluster variable is homogeneous,
+        of the degree the exchange relations carry along.
+        """
+        if len(alpha) != self.size:
+            return "need one weight per node"
+        for k, row in enumerate(self.extended_matrix()):
+            gap = sum(b * a for b, a in zip(row, alpha) if b)
+            if gap:
+                return (f"exchange relation is not homogeneous at "
+                        f"{self.names[k]} (degree gap {gap})")
+        return None
 
     def kernel_basis(self) -> list[tuple[int, ...]]:
         """Primitive integral basis of the right kernel of the extended matrix.

@@ -48,9 +48,14 @@ class WeightFunctional:
     positive point to another positive point while scaling the ratio by
     t^weight.
 
+    A kernel vector alpha grades the belt's initial seed, and mutation
+    carries a grading to a grading (seeds.ExchangeData.grading_defect), so
+    every exchange relation on the belt is homogeneous. A variable's
+    Laurent terms then share one alpha-degree, which is its valuation
+    along x = t^alpha: the weights are BipartiteBelt.valuation_walk(alpha).
+
     alpha is a tuple of Fractions; the weights are ints when alpha is
-    integral and Fractions otherwise (see BipartiteBelt.weight_walk), and
-    so is of_vector.
+    integral and Fractions otherwise, and so is of_vector.
     """
 
     __slots__ = ("alpha", "weights")
@@ -67,23 +72,30 @@ class WeightFunctional:
 def weight_table(belt: BipartiteBelt, alpha: Sequence[int | Fraction]) -> WeightFunctional:
     """Weights of all registry variables under a kernel functional alpha.
 
-    Symbolic and tropical belts alike read them off one walk of the belt,
-    BipartiteBelt.weight_walk: each exchange relation must be homogeneous
-    of one alpha-degree, which makes every variable's Laurent terms share
-    it, and an inhomogeneous relation means alpha is outside the kernel
-    and raises ValueError, as does an alpha of the wrong length.
+    One check of B alpha = 0 at the belt's initial seed proves every
+    exchange relation on the belt homogeneous (see WeightFunctional), so
+    the weights are read off one valuation walk along alpha, on symbolic
+    and tropical belts alike. An alpha outside the kernel, or of the wrong
+    length, raises ValueError with the reason the check gives.
     """
     alpha = tuple(Fraction(a) for a in alpha)
-    return WeightFunctional(alpha, belt.weight_walk(alpha))
+    integral = all(a.denominator == 1 for a in alpha)
+    beta = [a.numerator for a in alpha] if integral else alpha
+    reason = belt.exchange.grading_defect(beta)
+    if reason is not None:
+        raise ValueError(reason)
+    return WeightFunctional(alpha, belt.valuation_walk(beta))
 
 
 def kernel_functionals(belt: BipartiteBelt) -> list[WeightFunctional]:
     """Weight functionals for a basis of the extended exchange kernel, as
-    weight_table gives them, from one packed walk of the integral basis
-    (BipartiteBelt.weight_walks)."""
+    weight_table gives them, from one packed valuation walk of the
+    integral basis (BipartiteBelt.valuation_columns)."""
     basis = belt.exchange.kernel_basis()
-    return [WeightFunctional(tuple(map(Fraction, alpha)), weights)
-            for alpha, weights in zip(basis, belt.weight_walks(basis))]
+    columns = belt.valuation_columns([(alpha, 0) for alpha in basis])
+    ids = [e.id for e in belt.entries]
+    return [WeightFunctional(tuple(map(Fraction, alpha)), dict(zip(ids, lane)))
+            for alpha, lane in zip(basis, zip(*columns))]
 
 
 class UVariable:

@@ -24,6 +24,46 @@ def value_walk(belt, point, start_step=0):
     return belt._walk(fraction_ring(), [Fraction(v) for v in point], start_step)
 
 
+def _balanced(a, b):
+    if a != b:
+        raise ValueError(f"exchange relation is not homogeneous ({a} != {b})")
+    return a
+
+
+def weight_ring():
+    """Additive torus weights, where a sum is defined only between equal
+    weights, so a walk over it checks every exchange relation it meets
+    for homogeneity: the oracle for ExchangeData.grading_defect and for
+    the valuation walks that give the package's weights."""
+    from clustercones.seeds import _Ring
+
+    return _Ring(lambda: 0, operator.add, operator.mul, _balanced, operator.sub)
+
+
+def weight_walk(belt, alpha):
+    """Torus weights of every registry variable for the weights alpha of
+    the belt's initial cluster (by node), by one walk over weight_ring:
+    over ints if alpha is integral and over Fractions otherwise. Raises
+    ValueError at the first exchange relation that is not homogeneous."""
+    if len(alpha) != belt.exchange.size:
+        raise ValueError("need one weight per node")
+    values = [Fraction(a) for a in alpha]
+    if all(v.denominator == 1 for v in values):
+        values = [v.numerator for v in values]
+    return belt._walk(weight_ring(), values, 0)
+
+
+def content_walks(grass):
+    """The column contents of a GrassmannianCluster by the oracle: each
+    column's 0/1 vector on the grid walked over weight_ring along the
+    re-basing path, then along the belt. Returns the column vectors the
+    path ends with and {registry id: content}."""
+    alphas = [grass._replay(weight_ring(), [int(c in J) for J in grass._grid_sets])
+              for c in range(1, grass.n + 1)]
+    walks = [weight_walk(grass.belt, alpha) for alpha in alphas]
+    return alphas, {id: tuple(w[id] for w in walks) for id in grass.belt.row_order}
+
+
 def registry_values(grass, point):
     """Exact value of every registry variable of a GrassmannianCluster at a
     totally positive point, rational parameters allowed: the grid seeded

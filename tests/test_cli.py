@@ -210,6 +210,76 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
     assert len(err.splitlines()) == 1
 
 
+NWZ_CHECK = ["check", "--type", "A3", "--frozen", "1", "--ratio", "x1/x2"]
+GR25_CHECK = ["check", "--gr", "2", "5", "--ratio", "p[13]/p[14]"]
+BOUNDED_CHECK = ["check", "--type", "A1", "--frozen", "1", "--ratio", "1/(x1*x2)"]
+
+
+@pytest.mark.parametrize("check,tamper,field", [
+    (NWZ_CHECK, lambda r: r["certificate"].update(
+        alpha={"1": 0, "0": 0, "-1": 0, "00": 0}), '"alpha" must be a list'),
+    (NWZ_CHECK, lambda r: r["certificate"].update(alpha="1234"),
+     '"alpha" must be a list'),
+    (NWZ_CHECK, lambda r: r["certificate"]["alpha"].__setitem__(0, True),
+     '"alpha" entry must be'),
+    (NWZ_CHECK, lambda r: r["certificate"]["alpha"].__setitem__(0, 1.0),
+     '"alpha" entry must be'),
+    (NWZ_CHECK, lambda r: r["certificate"].update(weight=True), '"weight" must be'),
+    (NWZ_CHECK, lambda r: r["certificate"].update(weight=[1]), '"weight" must be'),
+    (NWZ_CHECK, lambda r: r["context"].update(frozen=1.9), '"frozen" must be'),
+    (NWZ_CHECK, lambda r: r["context"].update(frozen=True), '"frozen" must be'),
+    (NWZ_CHECK, lambda r: r["context"].update(frozen="1"), '"frozen" must be'),
+    (GR25_CHECK, lambda r: r["context"].update(k=2.5), '"k" must be'),
+    (GR25_CHECK, lambda r: r["context"].update(n="5"), '"n" must be'),
+    (BOUNDED_CHECK, lambda r: r["certificate"]["lambda"].update(x1=True),
+     '"lambda" entry must be'),
+    (BOUNDED_CHECK, lambda r: r["certificate"]["lambda"].update(x1=1.0),
+     '"lambda" entry must be'),
+], ids=["alpha-object", "alpha-string", "alpha-entry-bool", "alpha-entry-float",
+        "weight-bool", "weight-list", "frozen-float", "frozen-bool",
+        "frozen-string", "k-float", "n-string", "lambda-entry-bool",
+        "lambda-entry-float"])
+def test_malformed_certificate_field_is_named(capsys, tmp_path, check, tamper, field):
+    # int() and Fraction() used to read these: an object alpha as its
+    # keys (and replayed true), a string alpha character by character,
+    # and true, 1.9 or "1" as 1; a well-formed file still replays
+    path = tmp_path / "cert.json"
+    run(capsys, [*check, "--certificate-out", str(path)])
+    code, _ = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert code == 0
+    record = json.loads(path.read_text())
+    tamper(record)
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed certificate (TypeError: ")
+    assert field in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("check,tamper,needle", [
+    (["check", "--type", "A1", "--frozen", "1", "--ratio", "x1*f1"],
+     lambda c: c.update(ratio={"x1": 7, "f1": 1, "x[-1]": 1}),
+     "certificate ratio names variable 'x1' twice"),
+    (BOUNDED_CHECK, lambda c: c["lambda"].update({"x[-1]": "5"}),
+     "certificate lambda names variable 'x1' twice"),
+    (BOUNDED_CHECK, lambda c: c["lambda"].update(f1="5"),
+     "certificate lambda names 'f1', which has no u-variable"),
+], ids=["ratio-root-label", "lambda-root-label", "lambda-frozen"])
+def test_certificate_entry_that_would_be_dropped_is_refused(capsys, tmp_path, check,
+                                                             tamper, needle):
+    # x[-1] is x1's root label: the ratio used to keep only the later of
+    # the two entries, so this x1^8 * f1 replayed as the weight-1 x1 * f1,
+    # and a lambda entry for a root label or a frozen variable was ignored
+    path = tmp_path / "cert.json"
+    run(capsys, [*check, "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    tamper(record["certificate"])
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {needle}\n"
+
+
 def test_null_certificate_file_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "null.json"
     path.write_text("null")
@@ -352,8 +422,12 @@ def test_cone_gr38_json_is_golden(capsys, subset):
 # rays came from one elimination per belt step and integral torus weights
 # were walked over ints: a bounded and an unbounded Gr(3,8) ratio (the
 # latter carries the ray's beta and valuation) and the A3+1 weight
-# obstruction (alpha and weight)
+# obstruction (alpha and weight); and the Gr(3,8) weight obstruction,
+# computed before torus weights were read as valuations along kernel vectors
 CHECK_GOLDEN = {
+    "gr38-not-weight-zero": (
+        ["--gr", "3", "8", "--ratio", "p[123]/p[124]"], 1,
+        "d75361996e636ef311ae5f801ff46793c9fccdd6042184d6141c0e1b92d9683a"),
     "gr38-bounded": (
         ["--gr", "3", "8", "--ratio", "p[145]*p[235]/(p[135]*p[245])"], 0,
         "9e1b18bbc27b18ee8ccdcdb2b426d44d783cacdd78c370aa919a6e366f66b4e3"),
@@ -372,6 +446,17 @@ def test_check_json_is_golden(capsys, case):
     code, out, err = run(capsys, ["check", *args, "--format", "json"])
     assert code == want_code and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_weight_obstruction_certificate_file_is_golden(capsys, tmp_path):
+    # sha256 of the file, computed before torus weights were read as
+    # valuations along kernel vectors; it carries alpha and weight
+    path = tmp_path / "nwz.json"
+    code, _, _ = run(capsys, ["check", "--type", "A3", "--frozen", "1", "--ratio",
+                              "x1/x2", "--certificate-out", str(path)])
+    assert code == 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "ceec59a0cbb3752ab26168f523db3ff6cbe0288e912096cff3a38b7a906b4f39")
 
 
 # sha256 of the JSON, computed before the dual basis came from one packed

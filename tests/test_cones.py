@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GR26_SEED, value_walk
+from conftest import GR26_SEED, value_walk, weight_walk
 from test_linalg import ExactSolver
 from clustercones.cones import (
     NotFullRankError,
@@ -732,7 +732,10 @@ def test_packed_walk_widens_for_large_frozen_multiplicities(lane_widths):
     }))
     U = build_u_matrix(belt)
     assert U.dual_columns == scalar_columns(belt, [(r.beta, r.step) for r in U.rays])
-    assert lane_widths == [32]
+    assert [w.weights for w in U.functionals] == [
+        weight_walk(belt, alpha) for alpha in belt.exchange.kernel_basis()]
+    # one walk for the kernel functionals, one for the dual basis
+    assert lane_widths == [32, 32]
 
 
 def test_packed_walk_of_no_rays_and_of_a_wrong_beta(gr26):

@@ -473,14 +473,18 @@ def test_seed_mutation_along_the_belt_reproduces_the_registry(name, frozen):
 
 
 def test_weight_walk_homogeneity():
+    # a grading of the initial seed makes every exchange homogeneous, and
+    # the weights are the valuations along it
     ex = catalog_exchange(DynkinType("A", 1), frozen_count=1)
     belt = BipartiteBelt(ex)
-    wts = belt.weight_walk([-1, 0])
+    assert ex.grading_defect([-1, 0]) is None
+    wts = belt.valuation_walk([-1, 0])
     assert wts[belt.mutable_ids[0]] == -1
     assert wts[belt.mutable_ids[1]] == 1
     assert wts[belt.frozen_ids[0]] == 0
-    with pytest.raises(ValueError):
-        belt.weight_walk([1, 1])
+    assert ex.grading_defect([1, 1]).startswith(
+        "exchange relation is not homogeneous at x1 (degree gap")
+    assert ex.grading_defect([1]) == "need one weight per node"
 
 
 def test_e8_belt_tropical_is_fast():

@@ -154,6 +154,26 @@ def test_exchange_relation_with_frozen_coefficients():
     assert seed.cluster[0] == P(2, "x1^-1*x2 + x1^-1")
 
 
+def test_mutation_carries_a_grading_to_a_grading():
+    # the lemma behind ExchangeData.grading_defect: a grading of a seed,
+    # with alpha_k replaced by the degree of the exchange relation at k
+    # minus alpha_k, is a grading of its mutation at k
+    rng = random.Random(43)
+    walked = 0
+    for _ in range(150):
+        start = _random_extended_exchange(rng)
+        for alpha in start.kernel_basis():
+            ex, alpha = start, list(alpha)
+            for _ in range(6):
+                assert ex.grading_defect(alpha) is None
+                k = rng.randrange(ex.n)
+                degree = sum(b * a for b, a in zip(ex.matrix[k], alpha) if b > 0)
+                alpha[k] = degree - alpha[k]
+                ex = ex.mutate(k)
+            walked += 1
+    assert walked > 100
+
+
 def test_laurent_phenomenon_random_walks():
     # mutation in random directions always divides exactly
     rng = random.Random(17)

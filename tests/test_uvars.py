@@ -6,7 +6,14 @@ from math import gcd
 
 import pytest
 
-from conftest import GR26_SEED, ratio_value, value_walk
+from conftest import (
+    GR26_SEED,
+    content_walks,
+    ratio_value,
+    value_walk,
+    weight_ring,
+    weight_walk,
+)
 from clustercones import finite_type
 from clustercones.cones import build_u_matrix
 from clustercones.finite_type import (
@@ -15,11 +22,11 @@ from clustercones.finite_type import (
     catalog_exchange,
     sources_of,
 )
-from clustercones.grassmannian import GrassmannianCluster, IdentificationError
+from clustercones.grassmannian import GrassmannianCluster, IdentificationError, _grid_layout
 from clustercones.laurent import LaurentPolynomial
 from clustercones.linalg import primitive_vector, rank, rref
 from clustercones.seeds import (
-    _WEIGHTS,
+    ExchangeData,
     _laurent_ring,
     _monomial,
     _split,
@@ -413,36 +420,42 @@ def test_gr38_degenerations_take_two_eliminations(gr38, monkeypatch):
     assert belt.period == 32 and calls == [16, 16]
 
 
-def grassmannian_weights(g):
-    """The column contents of g, walked along its re-basing path, and the
-    kernel basis of its belt: every alpha a Grassmannian set-up walks."""
-    contents = [g._replay(_WEIGHTS, [int(c in J) for J in g._grid_sets])
-                for c in range(1, g.n + 1)]
-    return contents + g.belt.exchange.kernel_basis()
+def grassmannian_of(context, request):
+    """The GrassmannianCluster a context such as "gr37" names."""
+    if context in ("gr26", "gr36", "gr37", "gr38"):
+        return request.getfixturevalue(context)
+    return GrassmannianCluster(int(context[2]), int(context[3]))
 
 
-@pytest.mark.parametrize("context", ["gr36", "gr37", "gr38", "catalog"])
+def lane_dicts(belt, columns):
+    """The per-ray dicts {id: value} of valuation_columns' columns."""
+    ids = [e.id for e in belt.entries]
+    return [dict(zip(ids, lane)) for lane in zip(*columns)]
+
+
+@pytest.mark.parametrize("context", [
+    "gr25", "gr26", "gr27", "gr36", "gr37", "gr38", "catalog"])
 def test_packed_weight_walks_match_single_walks(context, request):
+    """Weights computed as valuations equal the oracle's walk, which checks
+    every exchange for homogeneity: kernel_functionals' packed walk,
+    weight_table's single walks, and the Grassmannian column contents,
+    checked at the grid seed and walked packed along the belt."""
     if context == "catalog":
-        belts = catalog_belts(("A3", "B3", "C3", "D4", "E6", "E7", "F4", "G2"),
-                              lambda rank_: (1, rank_))
-        batches = [(b, b.exchange.kernel_basis()) for b in belts]
+        batches = [(belt, []) for belt in catalog_belts(
+            ("A3", "A5", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2"),
+            lambda rank_: (0, 1, rank_))]
     else:
-        g = request.getfixturevalue(context)
-        batches = [(g.belt, grassmannian_weights(g))]
-        assert [g.content[id] for id in g.belt.row_order] == [
-            tuple(g.belt.weight_walk(a)[id] for a in batches[0][1][:g.n])
-            for id in g.belt.row_order]
-    for belt, alphas in batches:
-        single = [belt.weight_walk(alpha) for alpha in alphas]
-        assert belt.weight_walks(alphas) == single
-        assert all(type(w) is int for walk in single for w in walk.values())
-        assert [f.weights for f in kernel_functionals(belt)] == [
-            weight_table(belt, a).weights for a in belt.exchange.kernel_basis()]
-        # a non-integral alpha is walked over Fractions, alone
-        half = [Fraction(a, 2) for a in alphas[0]]
-        assert belt.weight_walks(alphas + [half])[-1] == belt.weight_walk(half)
-    assert belt.weight_walks([]) == []
+        g = grassmannian_of(context, request)
+        contents, by_id = content_walks(g)
+        assert g.content == by_id
+        batches = [(g.belt, contents)]
+    for belt, contents in batches:
+        alphas = contents + belt.exchange.kernel_basis()
+        oracle = [weight_walk(belt, alpha) for alpha in alphas]
+        assert all(type(w) is int for walk in oracle for w in walk.values())
+        assert [weight_table(belt, a).weights for a in alphas] == oracle
+        assert lane_dicts(belt, belt.valuation_columns([(a, 0) for a in alphas])) == oracle
+        assert [f.weights for f in kernel_functionals(belt)] == oracle[len(contents):]
 
 
 def test_packed_weight_walk_reruns_wider(gr38, monkeypatch):
@@ -451,62 +464,75 @@ def test_packed_weight_walk_reruns_wider(gr38, monkeypatch):
     # after the re-basing path, times 600, fit; their weights (up to 1200)
     # do not, and the walk reruns at 32 bits
     widths = []
-    packed = finite_type._packed_weights
-    monkeypatch.setattr(finite_type, "_packed_weights",
+    packed = finite_type._packed_valuations
+    monkeypatch.setattr(finite_type, "_packed_valuations",
                         lambda w, lanes, h: widths.append(w) or packed(w, lanes, h))
-    alphas = [[600 * a for a in alpha] for alpha in grassmannian_weights(gr38)[:8]
+    alphas = [[600 * a for a in alpha] for alpha in content_walks(gr38)[0]
               if max(alpha) == 1]
     assert len(alphas) == 7
-    assert gr38.belt.weight_walks(alphas) == [gr38.belt.weight_walk(a) for a in alphas]
+    columns = gr38.belt.valuation_columns([(a, 0) for a in alphas])
+    assert lane_dicts(gr38.belt, columns) == [weight_walk(gr38.belt, a) for a in alphas]
     assert widths == [16, 32]
 
 
 def test_inhomogeneous_alpha_in_a_batch_raises_its_own_error(gr37):
+    """An alpha outside the kernel is refused with the reason the check at
+    the belt's initial seed gives: the first mutable node k whose exchange
+    relation is not homogeneous, and the degree gap (B alpha)_k there. The
+    oracle walk refuses it too, and a wrong length is named as such."""
     belt = gr37.belt
-    basis = belt.exchange.kernel_basis()
+    ex = belt.exchange
+    basis = ex.kernel_basis()
+    assert all(ex.grading_defect(alpha) is None for alpha in basis)
     bad = list(basis[0])
     bad[0] += 1
-    with pytest.raises(ValueError) as alone:
-        belt.weight_walk(bad)
-    with pytest.raises(ValueError) as batch:
-        belt.weight_walks([basis[1], bad, basis[0]])
-    assert str(batch.value) == str(alone.value)
+    k, gap = next((k, row[0]) for k, row in enumerate(ex.extended_matrix()) if row[0])
+    reason = f"exchange relation is not homogeneous at {ex.names[k]} (degree gap {gap})"
+    assert ex.grading_defect(bad) == reason
+    with pytest.raises(ValueError) as exc:
+        weight_table(belt, bad)
+    assert str(exc.value) == reason
+    with pytest.raises(ValueError, match="not homogeneous"):
+        weight_walk(belt, bad)
     with pytest.raises(ValueError, match="one weight per node"):
-        belt.weight_walks([basis[0], [1]])
+        weight_table(belt, basis[0][:-1])
 
 
 @pytest.mark.parametrize("perturb,message", [
-    # no longer a weight of the belt: the packed walk fails and each
-    # column's own walk names the first that fails
+    # no longer a grading of the grid seed: the check there names the column
     (lambda a: [a[0] + 1] + a[1:],
      "column 3 content is not an exchange weight: "
      "exchange relation is not homogeneous"),
-    # still a weight, with negative weights
+    # still a grading, with negative weights
     (lambda a: [-x for x in a], "has negative content -1 in column 3"),
 ])
 def test_a_bad_column_content_is_named(monkeypatch, perturb, message):
-    # column 3's content is perturbed after the re-basing path
-    replay = GrassmannianCluster._replay
+    # column 3's content is perturbed at the grid seed, where it is
+    # checked; the set-up walks the vector it checked
+    third = [int(3 in J) for J in _grid_layout(3, 6)[0]]
+    check = ExchangeData.grading_defect
 
-    def perturbed(self, ring, vals):
-        third = ring is _WEIGHTS and vals == [int(3 in J) for J in self._grid_sets]
-        out = replay(self, ring, vals)
-        return perturb(out) if third else out
+    def perturbed(self, alpha):
+        if alpha == third:
+            alpha[:] = perturb(alpha)
+        return check(self, alpha)
 
-    monkeypatch.setattr(GrassmannianCluster, "_replay", perturbed)
+    monkeypatch.setattr(ExchangeData, "grading_defect", perturbed)
     with pytest.raises(IdentificationError, match=message):
         GrassmannianCluster(3, 6)
 
 
 def fraction_weight_walk(belt, alpha):
-    """Torus weights by a walk over Fractions only."""
-    return belt._walk(_WEIGHTS, [Fraction(a) for a in alpha], 0)
+    """Torus weights by an oracle walk over Fractions only."""
+    return belt._walk(weight_ring(), [Fraction(a) for a in alpha], 0)
 
 
 @pytest.mark.parametrize("context", ["catalog", "gr36", "gr38"])
 def test_integer_weight_walks_match_fraction_walks(context, request):
-    """Integral alphas walk over ints, others over Fractions; both agree
-    with an all-Fraction walk, exactly, and refuse the same alphas."""
+    """weight_table gives int weights for integral alphas and Fraction
+    weights for others; both equal an all-Fraction oracle walk exactly,
+    half a kernel vector gives half its weights, and weight_table refuses
+    the alphas the oracle refuses."""
     rng = random.Random(29)
     if context == "catalog":
         belts = [belt_of(name, frozen=f, symbolic=False) for name, f in (
@@ -523,19 +549,17 @@ def test_integer_weight_walks_match_fraction_walks(context, request):
             for coeffs in ([rng.randint(-3, 3) for _ in basis] for _ in range(3))
         ]
         for alpha in alphas:
-            ints = belt.weight_walk(alpha)
-            assert all(type(w) is int for w in ints.values())
-            assert ints == fraction_weight_walk(belt, alpha)
             w = weight_table(belt, alpha)
-            assert w.weights == ints
+            assert all(type(v) is int for v in w.weights.values())
+            assert w.weights == fraction_weight_walk(belt, alpha)
             assert all(type(a) is Fraction for a in w.alpha)
             half = [Fraction(a, 2) for a in alpha]
             if all(a.denominator == 1 for a in half):
                 continue
             halves += 1
-            got = belt.weight_walk(half)
+            got = weight_table(belt, half).weights
             assert got == fraction_weight_walk(belt, half)
-            assert got == {id: Fraction(v, 2) for id, v in ints.items()}
+            assert got == {id: Fraction(v, 2) for id, v in w.weights.items()}
             assert any(type(v) is Fraction and v.denominator == 2
                        for v in got.values())
         for _ in range(4):
@@ -544,12 +568,45 @@ def test_integer_weight_walks_match_fraction_walks(context, request):
                    for row in belt.exchange.extended_matrix()):
                 continue
             refused += 1
-            for walk in (belt.weight_walk, lambda a: fraction_weight_walk(belt, a)):
-                with pytest.raises(ValueError):
-                    walk(alpha)
-                with pytest.raises(ValueError):
-                    walk([Fraction(a, 2) for a in alpha])
+            for a in (alpha, [Fraction(x, 2) for x in alpha]):
+                for walk in (lambda a: weight_table(belt, a),
+                             lambda a: fraction_weight_walk(belt, a)):
+                    with pytest.raises(ValueError):
+                        walk(a)
     assert halves and refused
+
+
+@pytest.mark.parametrize("context", [
+    "gr25", "gr26", "gr27", "gr36", "gr37", "gr38", "catalog"])
+def test_grading_check_refuses_what_the_weight_walk_refuses(context, request):
+    """One check of B alpha = 0 at the belt's initial seed refuses exactly
+    the alphas whose oracle walk meets an inhomogeneous exchange relation:
+    random alphas, and kernel vectors moved off the kernel at one node."""
+    rng = random.Random(31)
+    if context == "catalog":
+        belts = catalog_belts(
+            ("A3", "A5", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2"),
+            lambda rank_: (0, 1, rank_))
+    else:
+        belts = [grassmannian_of(context, request).belt]
+    refused = 0
+    for belt in belts:
+        ex = belt.exchange
+        alphas = [[rng.randint(-2, 2) for _ in range(ex.size)] for _ in range(8)]
+        for alpha in ex.kernel_basis():
+            moved = list(alpha)
+            moved[rng.randrange(ex.size)] += rng.choice((-1, 1))
+            alphas.append(moved)
+        for alpha in alphas:
+            defect = ex.grading_defect(alpha)
+            try:
+                weight_walk(belt, alpha)
+            except ValueError:
+                refused += 1
+                assert defect is not None and "not homogeneous" in defect
+            else:
+                assert defect is None
+    assert refused
 
 
 def test_u_equations_hold():
