@@ -559,6 +559,10 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
         return out
 
     _object(data, "certificate")
+    verdict = data["verdict"]
+    if verdict not in ("bounded", "unbounded", "not-weight-zero"):
+        raise ValueError('"verdict" must be "bounded", "unbounded" or '
+                         f'"not-weight-zero", got {json.dumps(verdict)}')
     vector = by_id("ratio")
     lam = None
     if "lambda" in data:
@@ -583,14 +587,8 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
         # on as read: the replay rejects anything but integers
         ray = DegenerationRay(rid(rd["gamma"]), rd["step"], rd["beta"],
                               rd["valuation"])
-    return Certificate(
-        vector,
-        data["verdict"],
-        lam=lam,
-        alpha=alpha,
-        weight=weight,
-        ray=ray,
-    )
+    return Certificate(vector, verdict, lam=lam, alpha=alpha, weight=weight,
+                       ray=ray)
 
 
 def _verify_certificate(args) -> int:

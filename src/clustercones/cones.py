@@ -13,7 +13,9 @@ valuations per u-variable, from one min-plus walk along its degeneration
 ray, with G U = diag(c) and c > 0 (the extreme-ray theorem, per context).
 A ratio's u-exponents are lam = G v / c, confirmed by the exact residual
 U lam = v. As c > 0, lam has the signs of the integers G v, so
-membership and the replay of lam run on integers. Nonnegative lam proves
+membership and the replay of lam run on integers: G v (and the torus
+weights) is one packed sum, and lam travels as its nonzero entries, so
+each later step costs what the ratio touches. Nonnegative lam proves
 the ratio bounded; a negative entry lam_gamma means the ratio has
 valuation c_gamma lam_gamma < 0 along gamma's ray, so it grows like t^val
 as t -> 0, which the replay confirms with one min-plus walk. A bounded
@@ -25,13 +27,13 @@ telescoping identity behind subtraction-freeness.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import compress, repeat
+from functools import cache, cached_property, reduce
+from itertools import compress
 from math import gcd, lcm
-from operator import add, mul
+from operator import itemgetter
 from typing import Sequence
 
-from .finite_type import BeltError, BipartiteBelt
+from .finite_type import BeltError, BipartiteBelt, _lane_unpacker
 from .linalg import det_bareiss, rref
 # unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
 from .linalg import rank  # noqa: F401
@@ -79,10 +81,13 @@ class UMatrix:
     exchange matrix has full rank, which build_u_matrix enforces.
 
     Column j's u-variable has a degeneration ray rays[j]. The dual basis
-    G is kept by registry id, in the form solve reads: dual_columns[id] is
-    the dense column of G at that variable, whose entry j is the
-    variable's valuation along rays[j]; the row g_j of G is entry j of
-    every column. scales[j] = g_j . u_j = c_j > 0.
+    G is kept by registry id: packed[id] holds the variable's weights under
+    the functionals, then its column of G, whose entry j is the variable's
+    valuation along rays[j], as the width-bit lanes of one int from one
+    packed walk (see _solve). The row g_j of G is entry j of every column,
+    and scales[j] = g_j . u_j = c_j > 0. bound is the least 2**b with all
+    lanes in [-2**b, 2**b), tested per int by adding 2**b to every lane and
+    masking the field bits above b, as seeds._packed_valuations does.
 
     U is kept as the sparse u-vectors. Its rows, dense or sparse (as
     (column, coefficient) pairs, which subset_cone reads), are built on
@@ -97,12 +102,18 @@ class UMatrix:
         self.row_index = {id: i for i, id in enumerate(self.row_ids)}
         self.functionals = functionals
         self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
-        self.dual_columns: list[list[int]] = belt.valuation_columns(
-            [(ray.beta, ray.step) for ray in self.rays])
-        self.scales = [
-            sum(b * self.dual_columns[id][j] for id, b in u.vector.items())
-            for j, u in enumerate(uvars)
-        ]
+        k, n = len(functionals), len(functionals) + len(uvars)
+        width, self.packed = belt._packed_columns(
+            [([int(a) for a in w.alpha], 0) for w in functionals]
+            + [(ray.beta, ray.step) for ray in self.rays])
+        lanes = list(map(_lane_unpacker(width, n), self.packed))
+        self.scales = [sum(b * lanes[id][k + j] for id, b in u.vector.items())
+                       for j, u in enumerate(uvars)]
+        ones, b = ((1 << width * n) - 1) // ((1 << width) - 1), 0
+        while any((p + (ones << b)) & ((ones << width) - (ones << b + 1))
+                  for p in self.packed):
+            b += 1
+        self.width, self.bound = width, 1 << b
 
     @cached_property
     def _sparse_rows(self) -> list[list[tuple[int, int]]]:
@@ -133,43 +144,60 @@ class UMatrix:
 
     def solve(self, vector: dict[int, int]) -> list[Fraction] | None:
         """The u-exponents lam with U lam = vector, or None when vector is
-        outside the u-span: lam = G vector / c (see _valuations)."""
-        nums = self._valuations(vector)
-        return None if nums is None else _fractions(nums, self.scales)
+        outside the u-span (see _solve)."""
+        powers = self._solve(vector)[1]
+        return None if powers is None else _dense(powers, self.num_cols)
 
-    def _valuations(self, vector: dict[int, int]) -> list[int] | None:
-        """G vector, the ratio's valuations along the rays (c_j lam_j), or
-        None when vector is outside the u-span.
+    def _solve(self, vector: dict[int, int]):
+        """(weights, powers, G vector) of a ratio: its weights under the
+        functionals, the (column, Fraction) pairs of its nonzero lam_j =
+        (G vector)_j / c_j in column order (None unless U lam = vector, see
+        _numerators), and G vector, its valuations c_j lam_j along the rays.
 
-        G vector sums the vector's columns of G times their exponents, one
-        elementwise pass per entry of vector. It is kept only if the exact
-        residual U lam - vector is zero, checked times L, the lcm of the
-        scales c_j of the nonzero valuations, so it stays in integers.
+        The weights and G vector are the lanes of sum e * packed[id],
+        unpacked once. No lane of it exceeds sum |e| * bound in absolute
+        value; where that could reach 2**(width-1), the vector's columns
+        are repacked at twice the width, or more, so no lane wraps.
         """
-        columns = self.dual_columns
-        nums = [0] * len(self.uvars)
-        for id, e in vector.items():
-            nums = list(map(add, nums, map(mul, columns[id], repeat(e))))
-        scale = lcm(*compress(self.scales, nums))
-        terms = ((v * (scale // c), u) for v, c, u in
-                 compress(zip(nums, self.scales, self.uvars), nums))
-        return nums if _spans(terms, scale, vector) else None
+        width, packed, k = self.width, self.packed, len(self.functionals)
+        n = k + len(self.uvars)
+        need = self.bound * sum(map(abs, vector.values()))
+        if need >= 1 << (width - 1):
+            unpack = _lane_unpacker(width, n)
+            while need >= 1 << (width - 1):
+                width *= 2
+            packed = {id: reduce(lambda out, v: (out << width) + v,
+                                 unpack(packed[id]), 0) for id in vector}
+        out = _lane_unpacker(width, n)(
+            sum(e * packed[id] for id, e in vector.items()))
+        weights, nums = out[:k], out[k:]
+        if not any(weights):
+            powers = tuple((j, Fraction(nums[j], self.scales[j]))
+                           for j in compress(range(len(nums)), nums))
+            if _numerators(self, powers, vector) is not None:
+                return weights, powers, nums
+        return weights, None, nums
 
 
-def _fractions(nums: list[int], scales: list[int]) -> list[Fraction]:
-    """The u-exponents nums[j] / c_j of valuations nums."""
-    return [Fraction(v, c) if v else _ZERO for v, c in zip(nums, scales)]
+def _dense(powers, num_cols: int) -> list:
+    """lam over all num_cols columns from its nonzero (column, power) pairs."""
+    nonzero = dict(powers)
+    return [nonzero.get(j, _ZERO) for j in range(num_cols)]
 
 
-def _spans(terms, scale: int, vector: dict[int, int]) -> bool:
-    """Whether the sum of f * u.vector over the (f, u) terms is scale *
-    vector. It can differ only on the rows the terms' u-variables touch
-    and on the vector's support, so only they are summed."""
+def _numerators(U: "UMatrix", powers, vector: dict[int, int]) -> list[int] | None:
+    """The integers L lam_j of the powers (j, lam_j), L the lcm of their
+    denominators, if U lam is the ratio vector, else None. The residual
+    sum of (L lam_j) u_j - L vector is in integers and can be nonzero only
+    on the rows the powers touch and the vector's support, summed alone."""
+    scale = lcm(*(l.denominator for _, l in powers))
     residual = {id: -scale * e for id, e in vector.items()}
-    for f, u in terms:
-        for id, b in u.vector.items():
+    nums = []
+    for j, l in powers:
+        nums.append(f := l.numerator * (scale // l.denominator))
+        for id, b in U.uvars[j].vector.items():
             residual[id] = residual.get(id, 0) + f * b
-    return not any(residual.values())
+    return None if any(residual.values()) else nums
 
 
 def build_u_matrix(belt: BipartiteBelt, uvars: list[UVariable] | None = None) -> UMatrix:
@@ -190,18 +218,32 @@ class Certificate:
     carries the u-exponents lam; unbounded carries lam plus a degeneration
     ray with the ratio's negative valuation along it; not-weight-zero
     carries the violating torus functional.
+
+    lam is kept as powers, its (column, entry) pairs in column order less
+    the int and Fraction zeros, and num_cols, its length; every step after
+    membership reads powers alone. Reading lam builds a new dense list (as
+    ExtremeRay.lam does); setting it keeps other types for the replay to refuse.
     """
 
-    __slots__ = ("vector", "verdict", "lam", "alpha", "weight", "ray")
+    __slots__ = ("vector", "verdict", "powers", "num_cols", "alpha", "weight", "ray")
 
     def __init__(self, vector, verdict, lam=None, alpha=None, weight=None,
-                 ray=None):
-        self.vector = vector
-        self.verdict = verdict
-        self.lam = lam
-        self.alpha = alpha
-        self.weight = weight
-        self.ray = ray
+                 ray=None, powers=None, num_cols=None):
+        self.vector, self.verdict, self.ray = vector, verdict, ray
+        self.alpha, self.weight = alpha, weight
+        self.powers, self.num_cols = powers, num_cols
+        if lam is not None:
+            self.lam = lam
+
+    @property
+    def lam(self) -> list | None:
+        return None if self.powers is None else _dense(self.powers, self.num_cols)
+
+    @lam.setter
+    def lam(self, lam) -> None:
+        self.powers = None if lam is None else tuple(
+            (j, l) for j, l in enumerate(lam) if type(l) not in (int, Fraction) or l)
+        self.num_cols = None if lam is None else len(lam)
 
     @property
     def bounded(self) -> bool:
@@ -209,9 +251,8 @@ class Certificate:
 
     @property
     def integral(self) -> bool | None:
-        if self.lam is None:
-            return None
-        return all(l.denominator == 1 for l in self.lam)
+        return None if self.powers is None else all(
+            l.denominator == 1 for _, l in self.powers)
 
     def to_dict(self, U: "UMatrix") -> dict:
         belt = U.belt
@@ -219,12 +260,9 @@ class Certificate:
             "verdict": self.verdict,
             "ratio": {belt.name(id): e for id, e in sorted(self.vector.items())},
         }
-        if self.lam is not None:
-            out["lambda"] = {
-                belt.name(u.gamma): str(l)
-                for u, l in zip(U.uvars, self.lam)
-                if l
-            }
+        if self.powers is not None:
+            out["lambda"] = {belt.name(U.uvars[j].gamma): str(l)
+                             for j, l in self.powers}
             out["integral"] = self.integral
         if self.alpha is not None:
             out["alpha"] = [str(a) for a in self.alpha]
@@ -237,32 +275,31 @@ class Certificate:
 def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
     """Decide whether a ratio vector lies in the bounded cone.
 
-    Weight-zero failure short-circuits with the violating functional.
-    Otherwise the unique u-exponent solution lam exists (the weight
-    functionals span the left kernel of U). Its signs are those of the
-    integer valuations G vector, as every scale c_j > 0: none negative
+    Weight-zero failure short-circuits with the first violating
+    functional. Otherwise the unique u-exponent solution lam exists (the
+    weight functionals span the left kernel of U). Its signs are those of
+    the integer valuations G vector, as every scale c_j > 0: none negative
     certifies boundedness. Otherwise the least lam_gamma, first on ties,
     yields gamma's degeneration ray, along which the ratio has valuation
-    c_gamma * lam_gamma < 0 and so blows up.
+    c_gamma * lam_gamma < 0 and so blows up. All of it is read off one
+    packed sum (UMatrix._solve).
     """
-    for w in U.functionals:
-        val = w.of_vector(vector)
-        if val != 0:
+    weights, powers, nums = U._solve(vector)
+    for w, weight in zip(U.functionals, weights):
+        if weight:
             return Certificate(vector, "not-weight-zero",
-                               alpha=w.alpha, weight=val)
-    nums = U._valuations(vector)
-    if nums is None:
+                               alpha=w.alpha, weight=weight)
+    if powers is None:
         raise RuntimeError(
             "ratio has weight zero but is outside the u-span; "
             "weight functionals failed to span the left kernel"
         )
-    lam = _fractions(nums, U.scales)
     if min(nums, default=0) >= 0:
-        return Certificate(vector, "bounded", lam=lam)
-    j = min((j for j, v in enumerate(nums) if v < 0), key=lam.__getitem__)
+        return Certificate(vector, "bounded", powers=powers, num_cols=U.num_cols)
+    j = min(powers, key=itemgetter(1))[0]
     ray = U.rays[j]
-    return Certificate(vector, "unbounded", lam=lam, ray=DegenerationRay(
-        ray.gamma, ray.step, ray.beta, nums[j]))
+    return Certificate(vector, "unbounded", powers=powers, num_cols=U.num_cols,
+                       ray=DegenerationRay(ray.gamma, ray.step, ray.beta, nums[j]))
 
 
 def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
@@ -270,11 +307,12 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
 
     Fields read from a file are taken as they stand: a ratio exponent,
     step, beta entry or valuation that is not an integer, a lam entry that
-    is neither an integer nor a Fraction, a beta of the wrong length, or a
-    missing ray fails the replay instead of raising.
-    lam is replayed in integers: with L the lcm of its denominators, the
-    sum of (L lam_j) u_j must be L times the ratio, and the signs of lam
-    are those of the numerators L lam_j.
+    is neither an integer nor a Fraction, a lam of the wrong length, a
+    beta of the wrong length, or a missing ray fails the replay instead of
+    raising.
+    lam is replayed in integers from its powers: with L the lcm of their
+    denominators, the sum of (L lam_j) u_j must be L times the ratio, and
+    the signs of lam are those of the numerators L lam_j.
     The unbounded proof is one min-plus walk along the ray: the ratio's
     valuation there must be the certificate's, and negative, so the ratio
     is C * t^val (1 + o(1)) with C > 0 and grows without bound as t -> 0.
@@ -293,17 +331,17 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
         except ValueError:  # wrong length, or outside the exchange kernel
             return False
         return w.of_vector(vector) == cert.weight != 0
-    lam = cert.lam
-    if (lam is None or len(lam) != U.num_cols
-            or not all(type(l) in (int, Fraction) for l in lam)):
+    powers = cert.powers
+    if (powers is None or cert.num_cols != U.num_cols
+            or not all(type(l) in (int, Fraction) for _, l in powers)):
         return False
-    scale = lcm(*(l.denominator for l in lam))
-    nums = [l.numerator * (scale // l.denominator) for l in lam]
-    if not _spans(compress(zip(nums, U.uvars), nums), scale, vector):
+    nums = _numerators(U, powers, vector)
+    if nums is None:
         return False
+    least = min(nums, default=0)
     if cert.verdict == "bounded":
-        return min(nums, default=0) >= 0
-    if cert.verdict != "unbounded" or min(nums, default=0) >= 0:
+        return least >= 0
+    if cert.verdict != "unbounded" or least >= 0:
         return False
     ray = cert.ray
     if not (
@@ -471,10 +509,7 @@ class ExtremeRay:
 
     @property
     def lam(self) -> tuple[Fraction, ...]:
-        lam = [_ZERO] * self.num_cols
-        for j, l in self.powers:
-            lam[j] = l
-        return tuple(lam)
+        return tuple(_dense(self.powers, self.num_cols))
 
 
 class ConeDescription:
@@ -641,12 +676,12 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
     belt = U.belt
     if cert.integral:
         factors: list[UVariable] = []
-        for u, l in zip(U.uvars, cert.lam):
-            factors.extend([u] * int(l))
+        for j, l in cert.powers:
+            factors.extend([U.uvars[j]] * int(l))
         return SubtractionFreeReport(
             "chain", chain=[u.gamma for u in factors],
             verified=_verify_chain(belt, factors))
-    denoms = lcm(*(l.denominator for l in cert.lam))
+    denoms = lcm(*(l.denominator for _, l in cert.powers))
     if not belt.symbolic:
         raise BeltError(
             "expansion check needs symbolic mode; only integral "

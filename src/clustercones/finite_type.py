@@ -442,15 +442,18 @@ def find_bipartite_seed_path(exchange: ExchangeData) -> tuple[int, ...]:
 
 @cache
 def _lane_unpacker(width: int, lanes: int):
-    """Splitter of the big-endian bytes of `lanes` two's complement
-    width-bit fields into their values, most significant first; a cached
-    struct for 16, 32 and 64 bits, as laurent._fields."""
+    """Splitter of a packed int sum v_r * 2**(width * (lanes - 1 - r)),
+    every v_r in [-2**(width-1), 2**(width-1)), into the tuple of its
+    lanes v_r in lane order r. Adding 2**(width-1) to every lane makes it
+    the field v_r + 2**(width-1) in [0, 2**width), and flipping that
+    field's top bit makes it v_r's two's complement, which a cached
+    struct splits for 16, 32 and 64 bits, as laurent._fields."""
+    tops = ((1 << width * lanes) - 1) // ((1 << width) - 1) << (width - 1)
+    nbytes, step = width * lanes // 8, width // 8
     code = {16: "h", 32: "i", 64: "q"}.get(width)
-    if code is not None:
-        return struct.Struct(f">{lanes}{code}").unpack
-    step = width // 8
-    return lambda raw: [int.from_bytes(raw[i:i + step], "big", signed=True)
-                        for i in range(0, len(raw), step)]
+    split = struct.Struct(f">{lanes}{code}").unpack if code else lambda raw: tuple(
+        int.from_bytes(raw[i:i + step], "big", signed=True) for i in range(0, nbytes, step))
+    return lambda packed: split(((packed + tops) ^ tops).to_bytes(nbytes, "big"))
 
 
 def _degeneration_rays(matrix: tuple[tuple[int, ...], ...], n: int,
@@ -839,9 +842,19 @@ class BipartiteBelt:
     ) -> list[list[int]]:
         """valuation_walk along many rays (beta, start_step) in one walk:
         entry r of column id is valuation_walk(*rays[r])[id], one column
-        per registry id.
+        per registry id. These are the lanes of _packed_columns."""
+        width, packed = self._packed_columns(rays)
+        unpack = _lane_unpacker(width, len(rays))
+        return [list(unpack(p)) for p in packed]
 
-        Each ray gets a lane of one packed int (seeds._packed_valuations).
+    def _packed_columns(
+        self, rays: Sequence[tuple[Sequence[int], int]]
+    ) -> tuple[int, list[int]]:
+        """The lane width, and per registry id one int packing the
+        variable's valuations along the rays, lane r at bit width * (lanes
+        - 1 - r) (seeds._packed_valuations), so that the big-endian bytes
+        of a packed int list its lanes in ray order.
+
         A lane is 0 until the walk reaches its ray's start step, where its
         beta is added; zeros stay zero under min-plus, so one walk from
         the first start step to one period past the last serves every ray,
@@ -854,7 +867,7 @@ class BipartiteBelt:
         if any(len(beta) != size for beta, _ in rays):
             raise ValueError("need one exponent per node")
         if not rays:
-            return [[] for _ in self.entries]
+            return 16, [0] * len(self.entries)
         headroom = self._headroom
         largest = max(max(map(abs, beta)) for beta, _ in rays)
         starts = [s % p for _, s in rays]
@@ -863,9 +876,7 @@ class BipartiteBelt:
         while largest >= 1 << (width - 2 - headroom):
             width *= 2
         while True:
-            # per start step, (node, packed betas) of the rays starting
-            # there; lane r sits at bit width * (lanes - 1 - r), so the
-            # big-endian bytes of a packed int list its lanes in ray order
+            # per start step, (node, packed betas) of the rays starting there
             added: dict[int, dict[int, int]] = {}
             for r, ((beta, _), s) in enumerate(zip(rays, starts)):
                 at = added.setdefault(s, {})
@@ -884,16 +895,9 @@ class BipartiteBelt:
                 for j, b in added[last].items():
                     values[j] += b
                 out = self._walk(ring, values, last)
-                break
+                return width, [out[e.id] for e in self.entries]
             except _LaneOverflow:
                 width *= 2
-        # adding 2**(width-1) to every lane v makes it the field v + 2**(width-1)
-        # in [0, 2**width), and flipping that field's top bit makes it v's
-        # two's complement
-        tops = ((1 << width * lanes) - 1) // ((1 << width) - 1) << (width - 1)
-        unpack, nbytes = _lane_unpacker(width, lanes), width * lanes // 8
-        return [list(unpack(((out[e.id] + tops) ^ tops).to_bytes(nbytes, "big")))
-                for e in self.entries]
 
     @cached_property
     def _headroom(self) -> int:

@@ -17,9 +17,9 @@ their content multiset.
 On top of the identification sit the cone computations: the bounded-ratio
 cone restricted to Plucker coordinates or to variables of bounded degree,
 the cyclic rotation acting on extreme rays, factorization of bounded
-Plucker ratios into primitive crossing ratios, a staircase row selection
-with unit determinant for k = 2, and checkers for stored ratio tables,
-including the 4x8 table whose cluster structure is not of finite type.
+Plucker ratios into primitive crossing ratios, and checkers for stored
+ratio tables, including the 4x8 table whose cluster structure is not of
+finite type.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib.resources import files as _resource_files
 from typing import Callable, Iterable, Iterator, Sequence
@@ -708,11 +709,11 @@ class GrassmannianCluster:
                 lam_p = self.U.solve(p.vector)
                 if lam_p is None or any(l < 0 or l.denominator != 1 for l in lam_p):
                     raise RatioTableError(f"u-exponents of {p!r} are not all nonnegative integers")
-                lams.append({col: int(l) for col, l in enumerate(lam_p) if l})
+                lams.append(Counter({col: int(l) for col, l in enumerate(lam_p) if l}))
             self._primitive_lams = lams
-        lam = [int(l) for l in cert.lam]
+        lam = Counter({col: int(l) for col, l in cert.powers})
         out = []
-        while any(lam):
+        while lam:
             for prim, lam_p in zip(self.primitive_ratios(), self._primitive_lams):
                 if all(lam[col] >= e for col, e in lam_p.items()):
                     break
@@ -722,44 +723,11 @@ class GrassmannianCluster:
                     "a bounded minor ratio without a primitive factorization"
                 )
             out.append(prim)
-            for col, e in lam_p.items():
-                lam[col] -= e
+            lam -= lam_p  # drops the columns that reach 0
         check = _ratio_product(t for prim in out for t in prim.vector.items())
         if check != {id: e for id, e in vector.items() if e}:
             raise RatioTableError("primitive factors do not multiply back to the input")
         return out
-
-    # staircase minor (k = 2)
-
-    def staircase_rows(self) -> list[int]:
-        """Variable ids P_ij with i < j-1 and j >= 4, in peeling order."""
-        if self.k != 2:
-            raise ValueError("the staircase selection is specific to k = 2")
-        ids = []
-        for m in range(4, self.n + 1):
-            for i in range(m - 2, 0, -1):
-                ids.append(self.minor_id[(i, m)])
-        return ids
-
-    def staircase_columns(self) -> list[int]:
-        """u-columns by defining variable, matching the row peeling order."""
-        if self.k != 2:
-            raise ValueError("the staircase selection is specific to k = 2")
-        ids = []
-        for m in range(4, self.n + 1):
-            ids.append(self.minor_id[(1, m - 1)])
-            for j in range(m - 2, 1, -1):
-                ids.append(self.minor_id[(j, m)])
-        return ids
-
-    def staircase_matrix(self) -> tuple[list[int], list[int], list[list[int]]]:
-        rows = self.staircase_rows()
-        cols = self.staircase_columns()
-        by_gamma = {u.gamma: u.vector for u in self.uvars}
-        matrix = [
-            [by_gamma[g].get(rid, 0) for g in cols] for rid in rows
-        ]
-        return rows, cols, matrix
 
 
 # stored ratio tables

@@ -385,11 +385,6 @@ class YSeed:
             new_values.append((num, den))
         return YSeed(ex.mutate(k), new_values)
 
-    def value_equal(self, i: int, other: tuple[LaurentPolynomial, LaurentPolynomial]) -> bool:
-        num, den = self.values[i]
-        onum, oden = other
-        return num * oden == onum * den
-
 
 def y_seed_from_cluster(seed: Seed) -> YSeed:
     """The y-values attached to a seed: y_i = prod_j cluster_j ^ B[i][j]."""

@@ -20,9 +20,10 @@ from test_grassmannian import (
     GR36_EXCERPT_COLUMNS,
     GR36_EXCERPT_ROWS,
     GR36_RAY_FIGURE,
+    staircase_matrix,
     uvec,
 )
-from test_seeds import _random_exchange
+from test_seeds import _random_exchange, y_value_equal
 
 from clustercones.cones import (
     build_u_matrix,
@@ -291,7 +292,7 @@ def test_criterion_08():
             assert abs(det_bareiss([U.rows[i] for i in chosen])) == 1
         for n in range(5, 11):
             g = GrassmannianCluster(2, n)
-            rows, cols, M = g.staircase_matrix()
+            rows, cols, M = staircase_matrix(g)
             assert len(rows) == len(cols) == len(g.uvars)
             assert abs(det_bareiss(M)) == 1
 
@@ -361,7 +362,7 @@ def test_criterion_11():
             back = y.mutate(k).mutate(k)
             assert back.exchange.matrix == ex.matrix
             for i in range(n):
-                assert y.value_equal(i, back.values[i])
+                assert y_value_equal(y, i, back.values[i])
 
         # every division along depth-8 random-direction walks is exact;
         # wild weighted quivers blow up doubly exponentially well before
@@ -410,7 +411,7 @@ def test_criterion_11():
                 rhs = y_seed_from_cluster(seed).mutate(k)
                 assert lhs.exchange.matrix == rhs.exchange.matrix
                 for i in range(ex.n):
-                    assert lhs.value_equal(i, rhs.values[i])
+                    assert y_value_equal(lhs, i, rhs.values[i])
                 seed = mutated
 
         # ray enumeration agrees with support enumeration, 200 instances

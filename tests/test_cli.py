@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import clustercones
-from clustercones.cli import main
+from clustercones.cli import _context_from_key, main
 
 
 @pytest.fixture()
@@ -211,6 +211,8 @@ def test_malformed_certificate_is_a_usage_error(capsys, tmp_path, tamper):
 
 
 NWZ_CHECK = ["check", "--type", "A3", "--frozen", "1", "--ratio", "x1/x2"]
+GR38_BOUNDED_CHECK = ["check", "--gr", "3", "8", "--ratio", "p[145]*p[235]/(p[135]*p[245])"]
+GR38_UNBOUNDED_CHECK = ["check", "--gr", "3", "8", "--ratio", "p[135]*p[245]/(p[145]*p[235])"]
 GR25_CHECK = ["check", "--gr", "2", "5", "--ratio", "p[13]/p[14]"]
 BOUNDED_CHECK = ["check", "--type", "A1", "--frozen", "1", "--ratio", "1/(x1*x2)"]
 
@@ -235,10 +237,14 @@ BOUNDED_CHECK = ["check", "--type", "A1", "--frozen", "1", "--ratio", "1/(x1*x2)
      '"lambda" entry must be'),
     (BOUNDED_CHECK, lambda r: r["certificate"]["lambda"].update(x1=1.0),
      '"lambda" entry must be'),
+    (BOUNDED_CHECK, lambda r: r["certificate"]["lambda"].update(x2=None),
+     '"lambda" entry must be'),
+    (BOUNDED_CHECK, lambda r: r["certificate"]["lambda"].update(x2=False),
+     '"lambda" entry must be'),
 ], ids=["alpha-object", "alpha-string", "alpha-entry-bool", "alpha-entry-float",
         "weight-bool", "weight-list", "frozen-float", "frozen-bool",
         "frozen-string", "k-float", "n-string", "lambda-entry-bool",
-        "lambda-entry-float"])
+        "lambda-entry-float", "lambda-entry-null", "lambda-entry-false"])
 def test_malformed_certificate_field_is_named(capsys, tmp_path, check, tamper, field):
     # int() and Fraction() used to read these: an object alpha as its
     # keys (and replayed true), a string alpha character by character,
@@ -254,6 +260,47 @@ def test_malformed_certificate_field_is_named(capsys, tmp_path, check, tamper, f
     assert code == 2 and out == ""
     assert err.startswith("error: malformed certificate (TypeError: ")
     assert field in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verdict", [["bounded"], "Bounded", 5, None, "proved"],
+                         ids=["list", "capitalised", "number", "null", "unknown"])
+def test_certificate_verdict_must_be_one_of_the_three(capsys, tmp_path, verdict):
+    # the verdict used to be passed on as read, so the replay printed it
+    # back and exited 1 instead of naming the field
+    path = tmp_path / "cert.json"
+    run(capsys, [*BOUNDED_CHECK, "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    record["certificate"]["verdict"] = verdict
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, ["verify", "--certificate", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed certificate (ValueError: ")
+    assert '"verdict"' in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("check", [BOUNDED_CHECK, GR38_BOUNDED_CHECK, GR38_UNBOUNDED_CHECK],
+                         ids=["a1-bounded", "gr38-bounded", "gr38-unbounded"])
+def test_explicit_zero_lambda_entries_replay_as_before(capsys, tmp_path, check):
+    # a "0" (or 0, or "0/7") for every u-variable the certificate leaves
+    # out is a zero power: the file still replays, and a tampered power
+    # among the zeros still fails
+    path = tmp_path / "cert.json"
+    run(capsys, [*check, "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    lam = record["certificate"]["lambda"]
+    ctx = _context_from_key(record["context"])
+    names = [ctx.belt.name(u.gamma) for u in ctx.U.uvars]
+    zeros = ("0", 0, "0/7")
+    for i, name in enumerate(n for n in names if n not in lam):
+        lam[name] = zeros[i % 3]
+    assert len(lam) == len(names)
+    path.write_text(json.dumps(record))
+    code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert (code, payload["replayed"]) == (0, True)
+    lam[next(n for n in names if lam[n] in zeros)] = "1/2"
+    path.write_text(json.dumps(record))
+    code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
+    assert (code, payload["replayed"]) == (1, False)
 
 
 @pytest.mark.parametrize("check,tamper,needle", [

@@ -13,7 +13,9 @@ import pytest
 
 from conftest import GR26_SEED, value_walk, weight_walk
 from test_linalg import ExactSolver
+from clustercones import cones
 from clustercones.cones import (
+    Certificate,
     NotFullRankError,
     _double_description,
     _verify_chain,
@@ -60,10 +62,18 @@ def combine(U, lam):
     return out
 
 
+def dual_columns(U):
+    """The dense columns of the dual basis G by registry id: the lanes of
+    U's packed ints that follow the weights."""
+    k = len(U.functionals)
+    unpack = cones._lane_unpacker(U.width, k + U.num_cols)
+    return [list(unpack(p)[k:]) for p in U.packed]
+
+
 def dual_rows(U):
     """The rows g_j of the dual basis G, as {id: valuation} dicts of the
     nonzero entries, read off U's columns of G."""
-    return [{id: col[j] for id, col in enumerate(U.dual_columns) if col[j]}
+    return [{id: col[j] for id, col in enumerate(dual_columns(U)) if col[j]}
             for j in range(U.num_cols)]
 
 
@@ -690,7 +700,7 @@ def scalar_columns(belt, rays):
 def test_packed_dual_columns_match_scalar_walks(request, context):
     U = u_matrix_of(request, context)
     rays = [(ray.beta, ray.step) for ray in U.rays]
-    assert U.dual_columns == scalar_columns(U.belt, rays)
+    assert dual_columns(U) == scalar_columns(U.belt, rays)
 
 
 @pytest.fixture()
@@ -731,7 +741,7 @@ def test_packed_walk_widens_for_large_frozen_multiplicities(lane_widths):
                    {"from": "b", "to": "g", "mult": 8191}],
     }))
     U = build_u_matrix(belt)
-    assert U.dual_columns == scalar_columns(belt, [(r.beta, r.step) for r in U.rays])
+    assert dual_columns(U) == scalar_columns(belt, [(r.beta, r.step) for r in U.rays])
     assert [w.weights for w in U.functionals] == [
         weight_walk(belt, alpha) for alpha in belt.exchange.kernel_basis()]
     # one walk for the kernel functionals, one for the dual basis
@@ -763,8 +773,10 @@ def _tamper(cert, U, rng):
         if not out.vector[id]:
             del out.vector[id]
     elif kind == "lambda-entry" and out.lam is not None:
-        i = rng.randrange(len(out.lam))
-        out.lam[i] += rng.choice((-1, 1, Fraction(1, 2)))
+        # lam is a new list on every read: change a copy, then set it
+        lam = out.lam
+        lam[rng.randrange(len(lam))] += rng.choice((-1, 1, Fraction(1, 2)))
+        out.lam = lam
     elif kind == "drop":
         fields = [f for f in ("lam", "ray", "alpha", "weight")
                   if getattr(out, f) is not None]
@@ -990,9 +1002,161 @@ def test_integer_replay_agrees_with_the_fraction_check(request, context):
     # a lam entry of any other type fails the replay without raising
     for bad in (1.0, True, "1", None, [1]):
         cert = copy.deepcopy(rng.choice(certs))
-        cert.lam = list(cert.lam)
-        cert.lam[rng.randrange(len(cert.lam))] = bad
+        lam = cert.lam
+        lam[rng.randrange(len(lam))] = bad
+        cert.lam = lam
         assert verify_certificate(U, cert) is False
+
+
+# sparse certificates and the packed dual basis
+
+
+def seeded_ratios(U, rng, count):
+    """count products of one to four u-variables each, their inverses,
+    and count quotients of two registry variables (most of nonzero
+    weight where there are frozen variables)."""
+    vectors = []
+    for _ in range(count):
+        lam = [0] * U.num_cols
+        for j in rng.choices(range(U.num_cols), k=rng.randint(1, 4)):
+            lam[j] += 1
+        vector = {id: e for id, e in zip(U.row_ids, combine(U, lam)) if e}
+        vectors += [vector, {id: -e for id, e in vector.items()}]
+        a, b = rng.sample(U.row_ids, 2)
+        vectors.append({a: 1, b: -1})
+    return vectors
+
+
+@pytest.mark.parametrize("context", ["A3+1", "C2+2", "G2+2", "gr36", "gr37", "gr38"])
+def test_sparse_certificates_match_solve_and_the_scalar_weight_loop(request, context):
+    U = u_matrix_of(request, context)
+    verdicts = set()
+    for vector in seeded_ratios(U, random.Random(211), 12):
+        cert = membership(vector, U)
+        verdicts.add(cert.verdict)
+        # the first functional with a nonzero weight, found one at a time
+        first = next(((w.alpha, w.of_vector(vector)) for w in U.functionals
+                      if w.of_vector(vector)), None)
+        if first is not None:
+            assert cert.verdict == "not-weight-zero"
+            assert (cert.alpha, cert.weight) == first
+            assert cert.powers is None and U.solve(vector) is None
+            continue
+        assert cert.lam == U.solve(vector)
+        assert cert.num_cols == U.num_cols
+        assert list(cert.powers) == [(j, l) for j, l in enumerate(cert.lam) if l]
+        assert verify_certificate(U, cert)
+    assert verdicts == {"bounded", "unbounded", "not-weight-zero"}
+
+
+@pytest.mark.parametrize("context", ["A1+1", "C2+2", "G2+2", "D4+3", "gr36", "gr38"])
+def test_packed_columns_lead_with_the_weights(request, context):
+    # the dual columns that follow are checked against scalar walks above
+    U = u_matrix_of(request, context)
+    k = len(U.functionals)
+    unpack = cones._lane_unpacker(U.width, k + U.num_cols)
+    lanes = [list(unpack(p)) for p in U.packed]
+    assert len(lanes) == len(U.belt.entries)
+    for id, lane in enumerate(lanes):
+        assert lane[:k] == [w.weights[id] for w in U.functionals]
+    # bound is the least power of two 2**b with every lane in [-2**b, 2**b)
+    values = [x for lane in lanes for x in lane]
+    assert all(-U.bound <= x < U.bound for x in values)
+    assert U.bound == 1 or not all(-U.bound // 2 <= x < U.bound // 2 for x in values)
+    assert U.bound < 2 ** (U.width - 1)
+
+
+@pytest.fixture()
+def unpack_widths(monkeypatch):
+    """The lane width of every unpacker cones asks for while the test runs."""
+    widths = []
+    unpacker = cones._lane_unpacker
+
+    def spy(width, lanes):
+        widths.append(width)
+        return unpacker(width, lanes)
+
+    monkeypatch.setattr(cones, "_lane_unpacker", spy)
+    return widths
+
+
+@pytest.mark.parametrize("power,width", [
+    (1, 16), (-1, 16), (10**6, 32), (-10**6, 32), (10**12, 64), (-10**12, 64),
+])
+def test_large_powers_widen_the_lanes_and_scale_lam_exactly(gr38, unpack_widths, power, width):
+    # Gr(3,8) lanes lie in [-4, 4) and a primitive ratio has six exponents
+    # of size 1, so 16-bit lanes could wrap from about 10**3 on
+    U = gr38.U
+    assert (U.width, U.bound) == (16, 4)
+    prim = gr38.primitive_ratios()[0].vector
+    base = membership(prim if power > 0 else {id: -e for id, e in prim.items()}, U)
+    unpack_widths.clear()
+    cert = membership({id: power * e for id, e in prim.items()}, U)
+    assert unpack_widths[-1] == width
+    assert cert.verdict == base.verdict == ("bounded" if power > 0 else "unbounded")
+    scale = abs(power)
+    assert cert.powers == tuple((j, scale * l) for j, l in base.powers)
+    assert cert.lam == U.solve(cert.vector)
+    if cert.ray is not None:
+        assert cert.ray.gamma == base.ray.gamma
+        assert cert.ray.valuation == scale * base.ray.valuation
+    assert verify_certificate(U, cert)
+
+
+def test_large_weights_widen_the_lanes_and_name_the_first_functional(unpack_widths):
+    # an exchange with total exponent 8001 walks in 32-bit lanes, and the
+    # weights reach 8191 there: a ratio to the power 10**9 needs 64 bits
+    belt = BipartiteBelt(load_seed_file({
+        "nodes": [{"name": "a"}, {"name": "b"},
+                  {"name": "f", "frozen": True}, {"name": "g", "frozen": True}],
+        "arrows": [{"from": "a", "to": "b"},
+                   {"from": "f", "to": "a", "mult": 8000},
+                   {"from": "b", "to": "g", "mult": 8191}],
+    }))
+    U = build_u_matrix(belt)
+    assert (U.width, U.bound) == (32, 8192)
+    verdicts = set()
+    for vector in seeded_ratios(U, random.Random(223), 10):
+        for power in (1, 10**9):
+            scaled = {id: power * e for id, e in vector.items()}
+            unpack_widths.clear()
+            cert = membership(scaled, U)
+            verdicts.add(cert.verdict)
+            assert unpack_widths[-1] == (32 if power == 1 else 64)
+            first = next(((w.alpha, w.of_vector(scaled)) for w in U.functionals
+                          if w.of_vector(scaled)), None)
+            if first is None:
+                assert cert.lam == U.solve(scaled)
+                assert verify_certificate(U, cert)
+            else:
+                assert (cert.verdict, cert.alpha, cert.weight) == (
+                    "not-weight-zero", *first)
+    assert verdicts == {"bounded", "unbounded", "not-weight-zero"}
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_lam_setter_drops_only_int_and_fraction_zeros(gr36, zero):
+    U = gr36.U
+    vector = U.uvars[3].vector
+    cert = membership(vector, U)
+    lam = cert.lam
+    assert lam[0] == 0
+    lam[0] = zero
+    explicit = Certificate(vector, "bounded", lam=lam)
+    assert explicit.powers == cert.powers and explicit.num_cols == U.num_cols
+    assert verify_certificate(U, explicit)
+    # any other type is kept as an entry, a zero of it included, and refused
+    for bad in (False, 0.0, "0", None, True, 1.0):
+        lam[0] = bad
+        tampered = Certificate(vector, "bounded", lam=lam)
+        assert tampered.powers[0] == (0, bad)
+        assert verify_certificate(U, tampered) is False
+    # a lam of the wrong length fails, however its entries read
+    for short in (cert.lam[:-1], cert.lam + [Fraction(0)]):
+        assert verify_certificate(U, Certificate(vector, "bounded", lam=short)) is False
+    cert.lam = None
+    assert (cert.powers, cert.num_cols, cert.integral) == (None, None, None)
+    assert verify_certificate(U, cert) is False
 
 
 # the structural chain check against the telescoping identity

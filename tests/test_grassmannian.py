@@ -431,16 +431,32 @@ def test_gr26_restriction_to_first_five_columns(gr26):
 # staircase minors
 
 
+def staircase_matrix(g):
+    """The k = 2 staircase selection of U, as (row ids, column ids,
+    minor): rows P_ij with i < j-1 and j >= 4 in peeling order, and the
+    u-columns by defining variable in the matching order. Oracle for the
+    unit-determinant row selection."""
+    assert g.k == 2, "the staircase selection is specific to k = 2"
+    rows = [g.minor_id[(i, m)]
+            for m in range(4, g.n + 1) for i in range(m - 2, 0, -1)]
+    cols = []
+    for m in range(4, g.n + 1):
+        cols.append(g.minor_id[(1, m - 1)])
+        cols.extend(g.minor_id[(j, m)] for j in range(m - 2, 1, -1))
+    by_gamma = {u.gamma: u.vector for u in g.uvars}
+    return rows, cols, [[by_gamma[c].get(r, 0) for c in cols] for r in rows]
+
+
 @pytest.mark.parametrize("n", range(5, 11))
 def test_staircase_minor_is_unimodular(n):
     g = GrassmannianCluster(2, n)
-    rows, cols, M = g.staircase_matrix()
+    rows, cols, M = staircase_matrix(g)
     assert len(rows) == len(cols) == len(g.uvars)
     assert abs(det_bareiss(M)) == 1
 
 
 def test_staircase_block_structure(gr26):
-    rows, cols, M = gr26.staircase_matrix()
+    rows, cols, M = staircase_matrix(gr26)
     rowpos = {gr26.name(id): t for t, id in enumerate(rows)}
     colpos = {gr26.name(id): t for t, id in enumerate(cols)}
     M = [list(r) for r in M]

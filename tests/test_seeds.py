@@ -197,6 +197,14 @@ def test_extended_rank_and_kernel():
     assert no_frozen.kernel_basis() == []
 
 
+def y_value_equal(y, i, other):
+    """Whether y-value i of y equals other, both as (numerator,
+    denominator) pairs: cross-multiplied, so no division is needed."""
+    num, den = y.values[i]
+    onum, oden = other
+    return num * oden == onum * den
+
+
 def test_y_mutation_is_an_involution():
     rng = random.Random(29)
     for _ in range(30):
@@ -209,7 +217,7 @@ def test_y_mutation_is_an_involution():
         back = y.mutate(k).mutate(k)
         assert back.exchange.matrix == ex.matrix
         for i in range(n):
-            assert y.value_equal(i, back.values[i])
+            assert y_value_equal(y, i, back.values[i])
 
 
 def test_y_dynamics_intertwines_cluster_mutation():
@@ -227,7 +235,7 @@ def test_y_dynamics_intertwines_cluster_mutation():
             rhs = y_seed_from_cluster(seed).mutate(k)
             assert lhs.exchange.matrix == rhs.exchange.matrix
             for i in range(ex.n):
-                assert lhs.value_equal(i, rhs.values[i])
+                assert y_value_equal(lhs, i, rhs.values[i])
             seed = mutated
 
 
