@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cached_property
 
 from .cones import (
     Certificate,
@@ -72,30 +73,24 @@ class Context:
         self.belt = belt
         self.key = key
         self.grass = grass
-        self._uvars = None
-        self._U = None
 
-    @property
+    @cached_property
     def uvars(self):
         if self.grass is not None:
             return self.grass.uvars
-        if self._uvars is None:
-            self._uvars = build_u_variables(self.belt)
-        return self._uvars
+        return build_u_variables(self.belt)
 
-    @property
+    @cached_property
     def U(self):
         if self.grass is not None:
             return self.grass.U
-        if self._U is None:
-            try:
-                self._U = build_u_matrix(self.belt, self.uvars)
-            except NotFullRankError as exc:
-                raise UsageError(
-                    f"{exc}; attach frozen variables (--frozen) to make "
-                    "the extended matrix full rank"
-                ) from exc
-        return self._U
+        try:
+            return build_u_matrix(self.belt, self.uvars)
+        except NotFullRankError as exc:
+            raise UsageError(
+                f"{exc}; attach frozen variables (--frozen) to make "
+                "the extended matrix full rank"
+            ) from exc
 
     def legend(self) -> dict:
         belt = self.belt

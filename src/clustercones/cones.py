@@ -13,9 +13,10 @@ valuations per u-variable, from one min-plus walk along its degeneration
 ray, with G U = diag(c) and c > 0 (the extreme-ray theorem, per context).
 A ratio's u-exponents are lam = G v / c, confirmed by the exact residual
 U lam = v. As c > 0, lam has the signs of the integers G v, so
-membership and the replay of lam run on integers: G v (and the torus
-weights) is one packed sum, and lam travels as its nonzero entries, so
-each later step costs what the ratio touches. Nonnegative lam proves
+membership and the replay of lam run on integers: G v and the torus
+weights of v under the kernel vectors U.kernel are one packed sum, and
+lam travels as its nonzero entries, so each later step costs what the
+ratio touches. Nonnegative lam proves
 the ratio bounded; a negative entry lam_gamma means the ratio has
 valuation c_gamma lam_gamma < 0 along gamma's ray, so it grows like t^val
 as t -> 0, which the replay confirms with one min-plus walk. A bounded
@@ -41,12 +42,9 @@ from .seeds import _laurent_ring, _monomial, _split
 from .uvars import (
     DegenerationRay,
     UVariable,
-    WeightFunctional,
     _u_variable_at,
     build_u_variables,
     degeneration_ray,
-    kernel_functionals,
-    weight_table,
 )
 
 __all__ = [
@@ -80,31 +78,39 @@ class UMatrix:
     defining variable. Columns are independent exactly when the extended
     exchange matrix has full rank, which build_u_matrix enforces.
 
+    kernel is the primitive integral basis of the right kernel of the
+    extended exchange matrix. A kernel vector alpha grades every seed on
+    the belt (seeds.ExchangeData.grading_defect), so each variable has a
+    torus weight under alpha: its valuation along x = t^alpha. Rescaling
+    the initial cluster by t^alpha keeps a point positive and scales a
+    ratio by t^weight, so a bounded ratio has weight zero under every
+    kernel vector.
+
     Column j's u-variable has a degeneration ray rays[j]. The dual basis
-    G is kept by registry id: packed[id] holds the variable's weights under
-    the functionals, then its column of G, whose entry j is the variable's
-    valuation along rays[j], as the width-bit lanes of one int from one
-    packed walk (see _solve). The row g_j of G is entry j of every column,
-    and scales[j] = g_j . u_j = c_j > 0. bound is the least 2**b with all
-    lanes in [-2**b, 2**b), tested per int by adding 2**b to every lane and
-    masking the field bits above b, as seeds._packed_valuations does.
+    G is kept by registry id: packed[id] holds the variable's weights
+    under the kernel vectors, then its column of G, whose entry j is the
+    variable's valuation along rays[j], as the width-bit lanes of one int
+    from one packed walk along the kernel vectors and the rays (see
+    _solve). The row g_j of G is entry j of every column, and scales[j] =
+    g_j . u_j = c_j > 0. bound is the least 2**b with all lanes in
+    [-2**b, 2**b), tested per int by adding 2**b to every lane and masking
+    the field bits above b, as seeds._packed_valuations does.
 
     U is kept as the sparse u-vectors. Its rows, dense or sparse (as
     (column, coefficient) pairs, which subset_cone reads), are built on
     request, once each.
     """
 
-    def __init__(self, belt: BipartiteBelt, uvars: list[UVariable],
-                 functionals: list[WeightFunctional]):
+    def __init__(self, belt: BipartiteBelt, uvars: list[UVariable]):
         self.belt = belt
         self.uvars = uvars
         self.row_ids: list[int] = belt.row_order
         self.row_index = {id: i for i, id in enumerate(self.row_ids)}
-        self.functionals = functionals
+        self.kernel = belt.exchange.kernel_basis()
         self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
-        k, n = len(functionals), len(functionals) + len(uvars)
+        k, n = len(self.kernel), len(self.kernel) + len(uvars)
         width, self.packed = belt._packed_columns(
-            [([int(a) for a in w.alpha], 0) for w in functionals]
+            [(alpha, 0) for alpha in self.kernel]
             + [(ray.beta, ray.step) for ray in self.rays])
         lanes = list(map(_lane_unpacker(width, n), self.packed))
         self.scales = [sum(b * lanes[id][k + j] for id, b in u.vector.items())
@@ -150,7 +156,7 @@ class UMatrix:
 
     def _solve(self, vector: dict[int, int]):
         """(weights, powers, G vector) of a ratio: its weights under the
-        functionals, the (column, Fraction) pairs of its nonzero lam_j =
+        kernel vectors, the (column, Fraction) pairs of its nonzero lam_j =
         (G vector)_j / c_j in column order (None unless U lam = vector, see
         _numerators), and G vector, its valuations c_j lam_j along the rays.
 
@@ -159,7 +165,7 @@ class UMatrix:
         value; where that could reach 2**(width-1), the vector's columns
         are repacked at twice the width, or more, so no lane wraps.
         """
-        width, packed, k = self.width, self.packed, len(self.functionals)
+        width, packed, k = self.width, self.packed, len(self.kernel)
         n = k + len(self.uvars)
         need = self.bound * sum(map(abs, vector.values()))
         if need >= 1 << (width - 1):
@@ -208,7 +214,7 @@ def build_u_matrix(belt: BipartiteBelt, uvars: list[UVariable] | None = None) ->
         )
     if uvars is None:
         uvars = build_u_variables(belt)
-    return UMatrix(belt, uvars, kernel_functionals(belt))
+    return UMatrix(belt, uvars)
 
 
 class Certificate:
@@ -217,7 +223,8 @@ class Certificate:
     verdict is one of "bounded", "unbounded", "not-weight-zero". Bounded
     carries the u-exponents lam; unbounded carries lam plus a degeneration
     ray with the ratio's negative valuation along it; not-weight-zero
-    carries the violating torus functional.
+    carries a kernel vector alpha of U.kernel and the ratio's nonzero
+    weight under it.
 
     lam is kept as powers, its (column, entry) pairs in column order less
     the int and Fraction zeros, and num_cols, its length; every step after
@@ -275,24 +282,25 @@ class Certificate:
 def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
     """Decide whether a ratio vector lies in the bounded cone.
 
-    Weight-zero failure short-circuits with the first violating
-    functional. Otherwise the unique u-exponent solution lam exists (the
-    weight functionals span the left kernel of U). Its signs are those of
-    the integer valuations G vector, as every scale c_j > 0: none negative
-    certifies boundedness. Otherwise the least lam_gamma, first on ties,
-    yields gamma's degeneration ray, along which the ratio has valuation
+    Weight-zero failure short-circuits with the first vector of U.kernel
+    under which the ratio has nonzero weight. Otherwise the unique
+    u-exponent solution lam exists (the weights under U.kernel span the
+    left kernel of U). Its signs are those of the integer valuations
+    G vector, as every scale c_j > 0: none negative certifies boundedness.
+    Otherwise the least lam_gamma, first on ties, yields gamma's
+    degeneration ray, along which the ratio has valuation
     c_gamma * lam_gamma < 0 and so blows up. All of it is read off one
     packed sum (UMatrix._solve).
     """
     weights, powers, nums = U._solve(vector)
-    for w, weight in zip(U.functionals, weights):
+    for alpha, weight in zip(U.kernel, weights):
         if weight:
             return Certificate(vector, "not-weight-zero",
-                               alpha=w.alpha, weight=weight)
+                               alpha=alpha, weight=weight)
     if powers is None:
         raise RuntimeError(
             "ratio has weight zero but is outside the u-span; "
-            "weight functionals failed to span the left kernel"
+            "the kernel weights failed to span the left kernel"
         )
     if min(nums, default=0) >= 0:
         return Certificate(vector, "bounded", powers=powers, num_cols=U.num_cols)
@@ -317,7 +325,9 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
     valuation there must be the certificate's, and negative, so the ratio
     is C * t^val (1 + o(1)) with C > 0 and grows without bound as t -> 0.
     Any integer beta and step give a positive curve, so nothing else about
-    the ray needs checking.
+    the ray needs checking. The weight obstruction is one check that alpha
+    grades the belt's initial seed, then one valuation walk along
+    x = t^alpha, which gives every variable's weight under alpha.
     """
     belt = U.belt
     vector = cert.vector
@@ -327,10 +337,15 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
         if cert.alpha is None:
             return False
         try:
-            w = weight_table(belt, cert.alpha)
-        except ValueError:  # wrong length, or outside the exchange kernel
+            alpha = [Fraction(a) for a in cert.alpha]
+        except ValueError:
             return False
-        return w.of_vector(vector) == cert.weight != 0
+        if all(a.denominator == 1 for a in alpha):
+            alpha = [a.numerator for a in alpha]  # walked over ints, twice as fast
+        if belt.exchange.grading_defect(alpha) is not None:
+            return False  # wrong length, or outside the exchange kernel
+        weights = belt.valuation_walk(alpha)
+        return sum(e * weights[id] for id, e in vector.items()) == cert.weight != 0
     powers = cert.powers
     if (powers is None or cert.num_cols != U.num_cols
             or not all(type(l) in (int, Fraction) for _, l in powers)):

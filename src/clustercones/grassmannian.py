@@ -48,6 +48,7 @@ from .seeds import (
     load_seed_file,
     mutate_matrix,
 )
+from .uvars import build_u_variables
 
 __all__ = [
     "GrassmannianCluster",
@@ -385,8 +386,6 @@ class GrassmannianCluster:
         self._identify()
         self._name_registry()
 
-        self._uvars = None
-        self._U = None
         self._primitives = None
         self._primitive_lams = None
         self._rotation = None
@@ -512,19 +511,13 @@ class GrassmannianCluster:
     def name(self, id: int) -> str:
         return self.belt.name(id)
 
-    @property
+    @functools.cached_property
     def uvars(self):
-        if self._uvars is None:
-            from .uvars import build_u_variables
+        return build_u_variables(self.belt)
 
-            self._uvars = build_u_variables(self.belt)
-        return self._uvars
-
-    @property
+    @functools.cached_property
     def U(self) -> UMatrix:
-        if self._U is None:
-            self._U = build_u_matrix(self.belt, self.uvars)
-        return self._U
+        return build_u_matrix(self.belt, self.uvars)
 
     # cones
 

@@ -17,11 +17,14 @@ vanish on every other u-variable and are positive on u_gamma: stacked,
 they form the dual basis G of the u-variables, with G U = diag(c), c > 0.
 A ratio whose valuation along some such curve is negative grows without
 bound, which is the whole proof behind an unbounded verdict.
+
+The torus weights, which a bounded ratio must have zero, are not computed
+here: they are the leading lanes of the one packed walk in cones.UMatrix,
+one lane per vector of U.kernel.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .finite_type import BipartiteBelt
@@ -29,73 +32,11 @@ from .seeds import _laurent_ring, _monomial, _split
 
 __all__ = [
     "UVariable",
-    "WeightFunctional",
     "build_u_variables",
-    "kernel_functionals",
-    "weight_table",
     "DegenerationRay",
     "degeneration_ray",
     "verify_u_equations",
 ]
-
-
-class WeightFunctional:
-    """Torus weights induced by one kernel vector of the exchange matrix.
-
-    weights maps every registry id to the common alpha-degree of its
-    Laurent terms. Bounded ratios must have weight zero under every such
-    functional, since rescaling the initial cluster by t^alpha moves any
-    positive point to another positive point while scaling the ratio by
-    t^weight.
-
-    A kernel vector alpha grades the belt's initial seed, and mutation
-    carries a grading to a grading (seeds.ExchangeData.grading_defect), so
-    every exchange relation on the belt is homogeneous. A variable's
-    Laurent terms then share one alpha-degree, which is its valuation
-    along x = t^alpha: the weights are BipartiteBelt.valuation_walk(alpha).
-
-    alpha is a tuple of Fractions; the weights are ints when alpha is
-    integral and Fractions otherwise, and so is of_vector.
-    """
-
-    __slots__ = ("alpha", "weights")
-
-    def __init__(self, alpha: tuple[Fraction, ...],
-                 weights: dict[int, int | Fraction]):
-        self.alpha = alpha
-        self.weights = weights
-
-    def of_vector(self, vector: dict[int, int]) -> int | Fraction:
-        return sum(e * self.weights[id] for id, e in vector.items())
-
-
-def weight_table(belt: BipartiteBelt, alpha: Sequence[int | Fraction]) -> WeightFunctional:
-    """Weights of all registry variables under a kernel functional alpha.
-
-    One check of B alpha = 0 at the belt's initial seed proves every
-    exchange relation on the belt homogeneous (see WeightFunctional), so
-    the weights are read off one valuation walk along alpha, on symbolic
-    and tropical belts alike. An alpha outside the kernel, or of the wrong
-    length, raises ValueError with the reason the check gives.
-    """
-    alpha = tuple(Fraction(a) for a in alpha)
-    integral = all(a.denominator == 1 for a in alpha)
-    beta = [a.numerator for a in alpha] if integral else alpha
-    reason = belt.exchange.grading_defect(beta)
-    if reason is not None:
-        raise ValueError(reason)
-    return WeightFunctional(alpha, belt.valuation_walk(beta))
-
-
-def kernel_functionals(belt: BipartiteBelt) -> list[WeightFunctional]:
-    """Weight functionals for a basis of the extended exchange kernel, as
-    weight_table gives them, from one packed valuation walk of the
-    integral basis (BipartiteBelt.valuation_columns)."""
-    basis = belt.exchange.kernel_basis()
-    columns = belt.valuation_columns([(alpha, 0) for alpha in basis])
-    ids = [e.id for e in belt.entries]
-    return [WeightFunctional(tuple(map(Fraction, alpha)), dict(zip(ids, lane)))
-            for alpha, lane in zip(basis, zip(*columns))]
 
 
 class UVariable:

@@ -53,6 +53,25 @@ def weight_walk(belt, alpha):
     return belt._walk(weight_ring(), values, 0)
 
 
+def packed_lanes(U):
+    """Every registry variable's lanes of a UMatrix's packed ints, by id:
+    its weights under the vectors of U.kernel, then its column of the
+    dual basis G."""
+    from clustercones.finite_type import _lane_unpacker
+
+    unpack = _lane_unpacker(U.width, len(U.kernel) + U.num_cols)
+    return [list(unpack(p)) for p in U.packed]
+
+
+def kernel_weights(U):
+    """The weights of every registry variable under each vector of
+    U.kernel, as one {id: weight} dict per vector, read off the leading
+    lanes of U's packed ints."""
+    lanes = packed_lanes(U)
+    return [{id: lane[i] for id, lane in enumerate(lanes)}
+            for i in range(len(U.kernel))]
+
+
 def content_walks(grass):
     """The column contents of a GrassmannianCluster by the oracle: each
     column's 0/1 vector on the grid walked over weight_ring along the

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
@@ -496,14 +497,27 @@ def test_check_json_is_golden(capsys, case):
 
 
 def test_weight_obstruction_certificate_file_is_golden(capsys, tmp_path):
-    # sha256 of the file, computed before torus weights were read as
-    # valuations along kernel vectors; it carries alpha and weight
-    path = tmp_path / "nwz.json"
-    code, _, _ = run(capsys, ["check", "--type", "A3", "--frozen", "1", "--ratio",
-                              "x1/x2", "--certificate-out", str(path)])
-    assert code == 1
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "ceec59a0cbb3752ab26168f523db3ff6cbe0288e912096cff3a38b7a906b4f39")
+    # sha256 of each file, carrying alpha and weight: the A3+1 one computed
+    # before torus weights were read as valuations along kernel vectors,
+    # the Gr(3,8) one before they were read off the leading lanes of U's
+    # packed walk. Each replays, and fails once alpha leaves the kernel.
+    cases = [
+        (["--type", "A3", "--frozen", "1", "--ratio", "x1/x2"],
+         "ceec59a0cbb3752ab26168f523db3ff6cbe0288e912096cff3a38b7a906b4f39"),
+        (["--gr", "3", "8", "--ratio", "p[123]/p[124]"],
+         "b4065998711d5bdc42c383dd5bdca5463ddf9e4525f04c57eeccebb58a23d7ed"),
+    ]
+    for args, digest in cases:
+        path = tmp_path / "nwz.json"
+        code, _, _ = run(capsys, ["check", *args, "--certificate-out", str(path)])
+        assert code == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert run(capsys, ["verify", "--certificate", str(path)])[0] == 0
+        data = json.loads(path.read_text())
+        alpha = data["certificate"]["alpha"]
+        alpha[0] = str(Fraction(alpha[0]) + 1)
+        path.write_text(json.dumps(data))
+        assert run(capsys, ["verify", "--certificate", str(path)])[0] == 1
 
 
 # sha256 of the JSON, computed before the dual basis came from one packed

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GR26_SEED, value_walk, weight_walk
+from conftest import GR26_SEED, kernel_weights, packed_lanes, value_walk, weight_walk
 from test_linalg import ExactSolver
 from clustercones import cones
 from clustercones.cones import (
@@ -64,10 +64,9 @@ def combine(U, lam):
 
 def dual_columns(U):
     """The dense columns of the dual basis G by registry id: the lanes of
-    U's packed ints that follow the weights."""
-    k = len(U.functionals)
-    unpack = cones._lane_unpacker(U.width, k + U.num_cols)
-    return [list(unpack(p)[k:]) for p in U.packed]
+    U's packed ints that follow the weights under U.kernel."""
+    k = len(U.kernel)
+    return [lane[k:] for lane in packed_lanes(U)]
 
 
 def dual_rows(U):
@@ -742,10 +741,25 @@ def test_packed_walk_widens_for_large_frozen_multiplicities(lane_widths):
     }))
     U = build_u_matrix(belt)
     assert dual_columns(U) == scalar_columns(belt, [(r.beta, r.step) for r in U.rays])
-    assert [w.weights for w in U.functionals] == [
-        weight_walk(belt, alpha) for alpha in belt.exchange.kernel_basis()]
-    # one walk for the kernel functionals, one for the dual basis
-    assert lane_widths == [32, 32]
+    assert kernel_weights(U) == [weight_walk(belt, alpha) for alpha in U.kernel]
+    # one walk, along the kernel vectors and the rays together
+    assert lane_widths == [32]
+
+
+def test_one_packed_walk_per_u_matrix(gr38, monkeypatch):
+    # the weights under U.kernel lead the lanes of the dual-basis walk, so
+    # a Gr(3,8) set-up walks its 8 kernel vectors once
+    calls = []
+    packed_columns = BipartiteBelt._packed_columns
+
+    def spy(belt, rays):
+        calls.append(len(rays))
+        return packed_columns(belt, rays)
+
+    monkeypatch.setattr(BipartiteBelt, "_packed_columns", spy)
+    U = build_u_matrix(gr38.belt, gr38.uvars)
+    assert calls == [8 + U.num_cols]
+    assert len(U.kernel) == 8
 
 
 def test_packed_walk_of_no_rays_and_of_a_wrong_beta(gr26):
@@ -1030,13 +1044,14 @@ def seeded_ratios(U, rng, count):
 @pytest.mark.parametrize("context", ["A3+1", "C2+2", "G2+2", "gr36", "gr37", "gr38"])
 def test_sparse_certificates_match_solve_and_the_scalar_weight_loop(request, context):
     U = u_matrix_of(request, context)
+    walks = [(alpha, weight_walk(U.belt, alpha)) for alpha in U.kernel]
     verdicts = set()
     for vector in seeded_ratios(U, random.Random(211), 12):
         cert = membership(vector, U)
         verdicts.add(cert.verdict)
-        # the first functional with a nonzero weight, found one at a time
-        first = next(((w.alpha, w.of_vector(vector)) for w in U.functionals
-                      if w.of_vector(vector)), None)
+        # the first kernel vector with a nonzero weight, found one at a time
+        first = next(((alpha, pair(walk, vector)) for alpha, walk in walks
+                      if pair(walk, vector)), None)
         if first is not None:
             assert cert.verdict == "not-weight-zero"
             assert (cert.alpha, cert.weight) == first
@@ -1053,12 +1068,12 @@ def test_sparse_certificates_match_solve_and_the_scalar_weight_loop(request, con
 def test_packed_columns_lead_with_the_weights(request, context):
     # the dual columns that follow are checked against scalar walks above
     U = u_matrix_of(request, context)
-    k = len(U.functionals)
-    unpack = cones._lane_unpacker(U.width, k + U.num_cols)
-    lanes = [list(unpack(p)) for p in U.packed]
+    k = len(U.kernel)
+    walks = [weight_walk(U.belt, alpha) for alpha in U.kernel]
+    lanes = packed_lanes(U)
     assert len(lanes) == len(U.belt.entries)
     for id, lane in enumerate(lanes):
-        assert lane[:k] == [w.weights[id] for w in U.functionals]
+        assert lane[:k] == [walk[id] for walk in walks]
     # bound is the least power of two 2**b with every lane in [-2**b, 2**b)
     values = [x for lane in lanes for x in lane]
     assert all(-U.bound <= x < U.bound for x in values)
@@ -1115,6 +1130,7 @@ def test_large_weights_widen_the_lanes_and_name_the_first_functional(unpack_widt
     }))
     U = build_u_matrix(belt)
     assert (U.width, U.bound) == (32, 8192)
+    walks = [(alpha, weight_walk(belt, alpha)) for alpha in U.kernel]
     verdicts = set()
     for vector in seeded_ratios(U, random.Random(223), 10):
         for power in (1, 10**9):
@@ -1123,8 +1139,8 @@ def test_large_weights_widen_the_lanes_and_name_the_first_functional(unpack_widt
             cert = membership(scaled, U)
             verdicts.add(cert.verdict)
             assert unpack_widths[-1] == (32 if power == 1 else 64)
-            first = next(((w.alpha, w.of_vector(scaled)) for w in U.functionals
-                          if w.of_vector(scaled)), None)
+            first = next(((alpha, pair(walk, scaled)) for alpha, walk in walks
+                          if pair(walk, scaled)), None)
             if first is None:
                 assert cert.lam == U.solve(scaled)
                 assert verify_certificate(U, cert)

@@ -9,13 +9,14 @@ import pytest
 from conftest import (
     GR26_SEED,
     content_walks,
+    kernel_weights,
     ratio_value,
     value_walk,
     weight_ring,
     weight_walk,
 )
 from clustercones import finite_type
-from clustercones.cones import build_u_matrix
+from clustercones.cones import Certificate, build_u_matrix, verify_certificate
 from clustercones.finite_type import (
     BipartiteBelt,
     DynkinType,
@@ -36,9 +37,7 @@ from clustercones.uvars import (
     UVariable,
     build_u_variables,
     degeneration_ray,
-    kernel_functionals,
     verify_u_equations,
-    weight_table,
 )
 
 
@@ -77,6 +76,17 @@ def coeff_vec(belt, coeffs):
     return {id: c for id, c in zip(belt.row_order, coeffs) if c}
 
 
+def pair(weights, vector):
+    """Weight of a ratio vector given its variables' weights."""
+    return sum(e * weights[id] for id, e in vector.items())
+
+
+def obstruction(vector, alpha, weight):
+    """A not-weight-zero certificate claiming the ratio has this weight
+    under alpha."""
+    return Certificate(vector, "not-weight-zero", alpha=alpha, weight=weight)
+
+
 def test_c2_u_vectors_match_known_table():
     belt = belt_of("C2")
     uvars = build_u_variables(belt)
@@ -111,15 +121,18 @@ def test_a1_frozen_u_vectors():
 
 def test_a1_frozen_weight_examples():
     belt = belt_of("A1", frozen=1)
-    w = weight_table(belt, (-1, 0))
-    assert [w.weights[id] for id in belt.row_order] == [-1, 1, 0]
-    assert w.of_vector(coeff_vec(belt, (1, 0, 1))) == -1
+    assert belt.exchange.grading_defect((-1, 0)) is None
+    w = belt.valuation_walk((-1, 0))
+    assert [w[id] for id in belt.row_order] == [-1, 1, 0]
+    assert pair(w, coeff_vec(belt, (1, 0, 1))) == -1
 
-    fns = kernel_functionals(belt)
-    assert len(fns) == 1
+    U = build_u_matrix(belt)
+    assert len(U.kernel) == 1
+    walks = [belt.valuation_walk(alpha) for alpha in U.kernel]
+    assert kernel_weights(U) == walks
 
     def weight_zero(coeffs):
-        return all(w.of_vector(coeff_vec(belt, coeffs)) == 0 for w in fns)
+        return all(pair(w, coeff_vec(belt, coeffs)) == 0 for w in walks)
 
     assert weight_zero((-1, -1, 0))
     assert weight_zero((-1, -1, 1))
@@ -129,11 +142,19 @@ def test_a1_frozen_weight_examples():
 
 
 def test_weight_table_rejects_non_kernel_vector():
+    # the grading check refuses an alpha outside the kernel or of the
+    # wrong length, and so does the replay of a weight obstruction, even
+    # where the walk along alpha gives the claimed weight
     belt = belt_of("A1", frozen=1)
-    with pytest.raises(ValueError):
-        weight_table(belt, (1, 1))
-    with pytest.raises(ValueError):
-        weight_table(belt, (1,))
+    U = build_u_matrix(belt)
+    vector = coeff_vec(belt, (1, 0, 1))
+    assert verify_certificate(U, obstruction(vector, (-1, 0), -1))
+    assert belt.exchange.grading_defect((1, 1)) is not None
+    weight = pair(belt.valuation_walk((1, 1)), vector)
+    assert weight == 2
+    assert not verify_certificate(U, obstruction(vector, (1, 1), weight))
+    assert belt.exchange.grading_defect((1,)) == "need one weight per node"
+    assert not verify_certificate(U, obstruction(vector, (1,), -1))
 
 
 def scanned_weights(belt, alpha):
@@ -151,8 +172,9 @@ def scanned_weights(belt, alpha):
 
 
 def test_weight_paths_agree_on_symbolic_belts():
-    """weight_table walks the belt; scanning every variable's terms must
-    give the same weights on kernel alphas and refuse the same others."""
+    """The valuation walk along a kernel alpha gives the weights, and
+    scanning every variable's terms must give the same; the grading check
+    refuses exactly the alphas the scan refuses."""
     rng = random.Random(17)
     inside = outside = 0
     belts = [belt_of(name, frozen=f) for name, f in (
@@ -175,13 +197,13 @@ def test_weight_paths_agree_on_symbolic_belts():
             if all(sum(b * a for b, a in zip(row, alpha)) == 0
                    for row in belt.exchange.extended_matrix()):
                 inside += 1
-                assert weight_table(belt, alpha).weights == scanned_weights(belt, alpha)
+                assert belt.exchange.grading_defect(alpha) is None
+                assert belt.valuation_walk(alpha) == scanned_weights(belt, alpha)
             else:
                 outside += 1
                 with pytest.raises(ValueError):
                     scanned_weights(belt, alpha)
-                with pytest.raises(ValueError):
-                    weight_table(belt, alpha)
+                assert belt.exchange.grading_defect(alpha) is not None
     assert inside > 50 and outside > 100
 
 
@@ -192,9 +214,10 @@ def test_u_vectors_weight_zero_and_independent():
         BipartiteBelt(load_seed_file(GR26_SEED)),
     ):
         uvars = build_u_variables(belt)
-        fns = kernel_functionals(belt)
+        kernel = belt.exchange.kernel_basis()
+        walks = [belt.valuation_walk(alpha) for alpha in kernel]
         for u in uvars:
-            assert all(w.of_vector(u.vector) == 0 for w in fns), (
+            assert all(pair(w, u.vector) == 0 for w in walks), (
                 f"u-variable at {belt.name(u.gamma)} has nonzero weight"
             )
         if belt.exchange.is_full_rank():
@@ -203,6 +226,8 @@ def test_u_vectors_weight_zero_and_independent():
                 for u in uvars
             ]
             assert rank(rows) == len(uvars)
+            U = build_u_matrix(belt, uvars)
+            assert U.kernel == kernel and kernel_weights(U) == walks
 
 
 def test_u_values_land_strictly_inside_unit_interval():
@@ -437,9 +462,10 @@ def lane_dicts(belt, columns):
     "gr25", "gr26", "gr27", "gr36", "gr37", "gr38", "catalog"])
 def test_packed_weight_walks_match_single_walks(context, request):
     """Weights computed as valuations equal the oracle's walk, which checks
-    every exchange for homogeneity: kernel_functionals' packed walk,
-    weight_table's single walks, and the Grassmannian column contents,
-    checked at the grid seed and walked packed along the belt."""
+    every exchange for homogeneity: single walks of graded alphas, the
+    leading lanes of U's packed walk along U.kernel, and the Grassmannian
+    column contents, checked at the grid seed and walked packed along the
+    belt."""
     if context == "catalog":
         batches = [(belt, []) for belt in catalog_belts(
             ("A3", "A5", "B3", "C3", "D4", "D5", "E6", "E7", "E8", "F4", "G2"),
@@ -450,12 +476,17 @@ def test_packed_weight_walks_match_single_walks(context, request):
         assert g.content == by_id
         batches = [(g.belt, contents)]
     for belt, contents in batches:
-        alphas = contents + belt.exchange.kernel_basis()
+        kernel = belt.exchange.kernel_basis()
+        alphas = contents + kernel
         oracle = [weight_walk(belt, alpha) for alpha in alphas]
         assert all(type(w) is int for walk in oracle for w in walk.values())
-        assert [weight_table(belt, a).weights for a in alphas] == oracle
+        assert all(belt.exchange.grading_defect(a) is None for a in alphas)
+        assert [belt.valuation_walk(a) for a in alphas] == oracle
         assert lane_dicts(belt, belt.valuation_columns([(a, 0) for a in alphas])) == oracle
-        assert [f.weights for f in kernel_functionals(belt)] == oracle[len(contents):]
+        if belt.exchange.is_full_rank():
+            U = g.U if contents else build_u_matrix(belt)
+            assert U.kernel == kernel
+            assert kernel_weights(U) == oracle[len(contents):]
 
 
 def test_packed_weight_walk_reruns_wider(gr38, monkeypatch):
@@ -479,7 +510,9 @@ def test_inhomogeneous_alpha_in_a_batch_raises_its_own_error(gr37):
     """An alpha outside the kernel is refused with the reason the check at
     the belt's initial seed gives: the first mutable node k whose exchange
     relation is not homogeneous, and the degree gap (B alpha)_k there. The
-    oracle walk refuses it too, and a wrong length is named as such."""
+    oracle walk refuses it too, a wrong length is named as such, and the
+    replay of a weight obstruction refuses both, though the valuation walk
+    along the moved alpha gives the weight claimed."""
     belt = gr37.belt
     ex = belt.exchange
     basis = ex.kernel_basis()
@@ -489,13 +522,16 @@ def test_inhomogeneous_alpha_in_a_batch_raises_its_own_error(gr37):
     k, gap = next((k, row[0]) for k, row in enumerate(ex.extended_matrix()) if row[0])
     reason = f"exchange relation is not homogeneous at {ex.names[k]} (degree gap {gap})"
     assert ex.grading_defect(bad) == reason
-    with pytest.raises(ValueError) as exc:
-        weight_table(belt, bad)
-    assert str(exc.value) == reason
     with pytest.raises(ValueError, match="not homogeneous"):
         weight_walk(belt, bad)
-    with pytest.raises(ValueError, match="one weight per node"):
-        weight_table(belt, basis[0][:-1])
+    assert ex.grading_defect(basis[0][:-1]) == "need one weight per node"
+    for alpha, replays in ((basis[0], True), (bad, False)):
+        walked = belt.valuation_walk(alpha)
+        id = next(id for id in belt.row_order if walked[id])
+        cert = obstruction({id: 1}, alpha, walked[id])
+        assert verify_certificate(gr37.U, cert) is replays
+    cert.alpha = basis[0][:-1]
+    assert verify_certificate(gr37.U, cert) is False
 
 
 @pytest.mark.parametrize("perturb,message", [
@@ -529,39 +565,49 @@ def fraction_weight_walk(belt, alpha):
 
 @pytest.mark.parametrize("context", ["catalog", "gr36", "gr38"])
 def test_integer_weight_walks_match_fraction_walks(context, request):
-    """weight_table gives int weights for integral alphas and Fraction
-    weights for others; both equal an all-Fraction oracle walk exactly,
-    half a kernel vector gives half its weights, and weight_table refuses
-    the alphas the oracle refuses."""
+    """The valuation walk along a graded integral alpha gives int weights,
+    and along others Fraction weights; both equal an all-Fraction oracle
+    walk exactly. The replay reads an integral alpha as ints or as
+    Fractions alike. Half a kernel vector gives half its weights, which a
+    weight obstruction with alpha / 2 and weight / 2 replays, and the same
+    alpha with the full weight does not. The grading check and the replay
+    refuse the alphas the oracle refuses."""
     rng = random.Random(29)
     if context == "catalog":
-        belts = [belt_of(name, frozen=f, symbolic=False) for name, f in (
+        Us = [build_u_matrix(belt_of(name, frozen=f, symbolic=False)) for name, f in (
             ("A3", 1), ("A4", 4), ("B3", 3), ("C3", 2), ("D4", 4),
             ("E6", 6), ("F4", 4), ("G2", 2))]
     else:
-        belts = [request.getfixturevalue(context).belt]
+        Us = [request.getfixturevalue(context).U]
     halves = refused = 0
-    for belt in belts:
-        size = belt.exchange.size
-        basis = belt.exchange.kernel_basis()
+    for U in Us:
+        belt, size = U.belt, U.belt.exchange.size
+        basis = U.kernel
         alphas = list(basis) + [
             [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(size)]
             for coeffs in ([rng.randint(-3, 3) for _ in basis] for _ in range(3))
         ]
         for alpha in alphas:
-            w = weight_table(belt, alpha)
-            assert all(type(v) is int for v in w.weights.values())
-            assert w.weights == fraction_weight_walk(belt, alpha)
-            assert all(type(a) is Fraction for a in w.alpha)
+            assert belt.exchange.grading_defect(alpha) is None
+            w = belt.valuation_walk(alpha)
+            assert all(type(v) is int for v in w.values())
+            assert w == fraction_weight_walk(belt, alpha)
+            # the replay reads an integral Fraction alpha, as a certificate
+            # file gives it, as the int alpha membership gives
+            id = next(id for id in belt.row_order if w[id])
+            for a in (alpha, [Fraction(x) for x in alpha]):
+                assert verify_certificate(U, obstruction({id: 1}, a, w[id]))
             half = [Fraction(a, 2) for a in alpha]
             if all(a.denominator == 1 for a in half):
                 continue
             halves += 1
-            got = weight_table(belt, half).weights
+            got = belt.valuation_walk(half)
             assert got == fraction_weight_walk(belt, half)
-            assert got == {id: Fraction(v, 2) for id, v in w.weights.items()}
+            assert got == {id: Fraction(v, 2) for id, v in w.items()}
             assert any(type(v) is Fraction and v.denominator == 2
                        for v in got.values())
+            assert verify_certificate(U, obstruction({id: 1}, half, got[id]))
+            assert not verify_certificate(U, obstruction({id: 1}, half, w[id]))
         for _ in range(4):
             alpha = [rng.randint(-2, 2) for _ in range(size)]
             if all(sum(b * a for b, a in zip(row, alpha)) == 0
@@ -569,10 +615,14 @@ def test_integer_weight_walks_match_fraction_walks(context, request):
                 continue
             refused += 1
             for a in (alpha, [Fraction(x, 2) for x in alpha]):
-                for walk in (lambda a: weight_table(belt, a),
-                             lambda a: fraction_weight_walk(belt, a)):
-                    with pytest.raises(ValueError):
-                        walk(a)
+                assert belt.exchange.grading_defect(a) is not None
+                with pytest.raises(ValueError):
+                    fraction_weight_walk(belt, a)
+                # refused by the grading check alone: the walk along a
+                # gives the weight claimed
+                walked = belt.valuation_walk(a)
+                id = next(id for id in belt.row_order if walked[id])
+                assert not verify_certificate(U, obstruction({id: 1}, a, walked[id]))
     assert halves and refused
 
 
