@@ -416,7 +416,8 @@ def _text_check(payload):
         report = payload["subtraction_free"]
         verdict = report["subtraction_free"]
         if verdict is True:
-            chain = len(report.get("chain", ()))
+            # a chain's factors are lam's entries, each to its power
+            chain = sum(int(l) for l in cert["lambda"].values())
             yield f"subtraction-free: yes (telescoping chain of {chain} u-factors)"
         elif verdict is False:
             yield (

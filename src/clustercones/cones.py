@@ -21,8 +21,9 @@ the ratio bounded; a negative entry lam_gamma means the ratio has
 valuation c_gamma lam_gamma < 0 along gamma's ray, so it grows like t^val
 as t -> 0, which the replay confirms with one min-plus walk. A bounded
 ratio with integral lam is a product of u-variables, and a structural
-check of each distinct factor against its exchange relation proves the
-telescoping identity behind subtraction-freeness.
+check of each distinct factor against the belt's exact record of its
+exchange relation (BipartiteBelt._source_records) proves the telescoping
+identity behind subtraction-freeness.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .seeds import _laurent_ring, _monomial, _split
 from .uvars import (
     DegenerationRay,
     UVariable,
-    _u_variable_at,
     build_u_variables,
     degeneration_ray,
 )
@@ -636,7 +636,8 @@ class SubtractionFreeReport:
 
     kind "chain": the ratio is an integer u-monomial and the telescoping
     decomposition of denominator minus numerator into visibly positive
-    terms was verified. kind "expansion": the gap polynomial was expanded
+    terms was verified; chain lists its factors as (gamma, multiplicity)
+    pairs in power order. kind "expansion": the gap polynomial was expanded
     in the initial cluster; a negative coefficient disproves
     subtraction-freeness in cluster variables.
     """
@@ -664,7 +665,8 @@ class SubtractionFreeReport:
     def to_dict(self, belt: BipartiteBelt) -> dict:
         out = {"kind": self.kind, "verified": self.verified}
         if self.chain is not None:
-            out["chain"] = [belt.name(g) for g in self.chain]
+            out["chain"] = [belt.name(g) if m == 1 else f"{belt.name(g)}^{m}"
+                            for g, m in self.chain]
         if self.positive is not None:
             out["positive_terms"] = len(self.positive)
             out["negative_terms"] = len(self.negative)
@@ -677,8 +679,9 @@ class SubtractionFreeReport:
 def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeReport:
     """Explain why a bounded ratio is at most 1, or find a sign obstruction.
 
-    Integral lam: flatten the u-monomial into single u-factors and check
-    each against its exchange relation (_verify_chain), which makes the
+    Integral lam: the u-monomial is a product of single u-factors, each
+    with its multiplicity; check each distinct factor against the belt's
+    record of its exchange relation (_verify_chain), which makes the
     telescoping identity Q - P = sum_i q_1..q_{i-1} (q_i - p_i)
     p_{i+1}..p_r hold, with incoming-frozen products as middle factors.
     Every term is then a product of cluster variables and frozen
@@ -690,12 +693,10 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
         raise ValueError("subtraction-freeness is only defined for bounded ratios")
     belt = U.belt
     if cert.integral:
-        factors: list[UVariable] = []
-        for j, l in cert.powers:
-            factors.extend([U.uvars[j]] * int(l))
+        chain = [(U.uvars[j], int(l)) for j, l in cert.powers]
         return SubtractionFreeReport(
-            "chain", chain=[u.gamma for u in factors],
-            verified=_verify_chain(belt, factors))
+            "chain", chain=[(u.gamma, m) for u, m in chain],
+            verified=_verify_chain(belt, [u for u, _ in chain]))
     denoms = lcm(*(l.denominator for _, l in cert.powers))
     if not belt.symbolic:
         raise BeltError(
@@ -719,26 +720,30 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
     )
 
 
-def _verify_chain(belt: BipartiteBelt, factors: list[UVariable]) -> bool:
+def _verify_chain(belt: BipartiteBelt, factors: Sequence[UVariable]) -> bool:
     """Check the telescoping decomposition behind a chain proof.
 
-    Each u-factor u = p / (gamma * partner) must be exactly the ratio read
-    off its node of its belt step, and that node a source there: gamma
-    and partner are the variables at (step, node) and (step + 1, node),
-    and numerator and frozen_in are the out/in split of the node's matrix
-    row, the in-part frozen. The belt produced partner by the exchange
-    relation at exactly that row, so q = gamma * partner = p + f with f
-    the frozen in-product. Then Q - P = prod q_i - prod p_i telescopes as
-    sum_i q_1..q_{i-1} (q_i - p_i) p_{i+1}..p_r, formally in any
-    commutative ring, and q_i - p_i = f_i: every term is a product of
-    cluster and frozen variables. The check is exact on symbolic and
-    tropical belts alike. A factor repeated as the same object is checked
-    once; a changed copy is a distinct object and is checked on its own.
+    Each u-factor u = p / (gamma * partner) must be exactly the belt's
+    record at its position (step mod the period, node), and a record
+    exists only where the node is a source: gamma and partner are the
+    variables at (step, node) and (step + 1, node), and numerator and
+    frozen_in are the out/in split of the node's matrix row, the in-part
+    frozen (BipartiteBelt._source_records). The belt produced partner by
+    the exchange relation at exactly that row, so q = gamma * partner =
+    p + f with f the frozen in-product. Then Q - P = prod q_i - prod p_i
+    telescopes as sum_i q_1..q_{i-1} (q_i - p_i) p_{i+1}..p_r, formally
+    in any commutative ring, and q_i - p_i = f_i: every term is a product
+    of cluster and frozen variables. The check is exact on symbolic and
+    tropical belts alike. A factor at a non-source position, or with a
+    step or node that is not an int, fails. A factor repeated as the same
+    object is checked once; a changed copy is a distinct object and is
+    checked on its own.
     """
+    records, p = belt._source_records, belt.period
     for u in dict.fromkeys(factors):
-        if u.node not in belt.step(u.step).sources:
+        if not (isinstance(u.step, int) and isinstance(u.node, int)):
             return False
-        exact = _u_variable_at(belt, u.step, u.node)
-        if any(getattr(u, f) != getattr(exact, f) for f in UVariable.__slots__):
+        fields = (u.gamma, u.partner, u.numerator, u.frozen_in, u.vector)
+        if records[u.step % p].get(u.node) != fields:
             return False
     return True

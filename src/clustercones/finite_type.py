@@ -487,6 +487,19 @@ class BeltStep(NamedTuple):
     sources: tuple[int, ...]
 
 
+class SourceRecord(NamedTuple):
+    """The exchange at one source position of the belt, by registry id:
+    gamma * partner = prod numerator + prod frozen_in, the out-terms and
+    (frozen) in-terms of the source's matrix row, and vector, the
+    exponents of the u-variable numerator / (gamma * partner)."""
+
+    gamma: int
+    partner: int
+    numerator: dict[int, int]
+    frozen_in: dict[int, int]
+    vector: dict[int, int]
+
+
 class RegistryEntry:
     """One cluster variable met on the belt."""
 
@@ -898,6 +911,26 @@ class BipartiteBelt:
                 return width, [out[e.id] for e in self.entries]
             except _LaneOverflow:
                 width *= 2
+
+    @cached_property
+    def _source_records(self) -> list[dict[int, SourceRecord]]:
+        """Per step of the period, the SourceRecord of each source node,
+        read off the schedule's split of that node's row: the variable at
+        the node, and the one the exchange there produces as its partner.
+        Built on first use; callers copy the dicts they hand out."""
+        records = []
+        for st, moves in zip(self.steps, self._schedule):
+            ids = st.cluster_ids
+            records.append(at := {})
+            for k, pos, neg, partner in moves:
+                gamma = ids[k]
+                numerator = {ids[j]: b for j, b in pos}
+                vector = dict(numerator)
+                for id in (gamma, partner):
+                    vector[id] = vector.get(id, 0) - 1
+                at[k] = SourceRecord(gamma, partner, numerator,
+                                     {ids[j]: b for j, b in neg}, vector)
+        return records
 
     @cached_property
     def _headroom(self) -> int:

@@ -6,7 +6,10 @@ u-variable of gamma divides the product of gamma's out-neighbors there
 relation makes the denominator minus the numerator a product of frozen
 variables, which is why these ratios are bounded by 1 on the positive
 locus and why telescoping products of them witness subtraction-free
-inequalities.
+inequalities. The belt keeps the exchange at each source position of its
+period as one exact record (BipartiteBelt._source_records); a u-variable
+is a copy of the record at gamma's source position, and the chain check
+in cones compares every factor with the record at its own position.
 
 A DegenerationRay is the positive curve x_j = t^beta_j at gamma's source
 seed, with beta chosen so that every exchange relation there stays
@@ -28,7 +31,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .finite_type import BipartiteBelt
-from .seeds import _laurent_ring, _monomial, _split
+from .seeds import _laurent_ring, _monomial
 
 __all__ = [
     "UVariable",
@@ -58,9 +61,11 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     """One u-variable per mutable registry variable, in registry order.
 
     The u-variable is the out-part of gamma's source row over gamma times
-    its exchange partner, read off the belt's matrices and ids. On a
-    symbolic belt the exchange relation gamma * partner = out-product +
-    in-product is multiplied out once more from the registry expansions,
+    its exchange partner: a copy of the belt's record at gamma's source
+    position (BipartiteBelt._source_records), with dicts of its own, so
+    that U shares none with the records the chain check compares against.
+    On a symbolic belt the exchange relation gamma * partner = out-product
+    + in-product is multiplied out once more from the registry expansions,
     and a mismatch raises RuntimeError; a tropical belt has no expansions
     to check.
     """
@@ -68,13 +73,16 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     if belt.symbolic:
         ring = _laurent_ring(belt.exchange.size)
         polys = [e.poly for e in belt.entries]
+    records = belt._source_records
     for gamma in belt.mutable_ids:
         s, k = belt.entries[gamma].source_pos
-        if k not in belt.step(s).sources:
+        record = records[s].get(k)
+        if record is None:
             raise RuntimeError(
                 f"belt variable {gamma} has a mutable in-arrow at its source"
             )
-        u = _u_variable_at(belt, s, k)
+        u = UVariable(gamma, record.partner, s, k, dict(record.numerator),
+                      dict(record.frozen_in), dict(record.vector))
         if belt.symbolic:
             outp = _monomial(ring, polys, u.numerator.items())
             inp = _monomial(ring, polys, u.frozen_in.items())
@@ -84,22 +92,6 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
                 )
         out.append(u)
     return out
-
-
-def _u_variable_at(belt: BipartiteBelt, s: int, k: int) -> UVariable:
-    """The ratio read off node k of belt step s: the out/in split of that
-    node's matrix row, over the variable there times the one the exchange
-    at k produces, which sits at node k of step s + 1."""
-    st = belt.step(s)
-    ids = st.cluster_ids
-    gamma, partner = ids[k], belt.step(s + 1).cluster_ids[k]
-    pos, neg = _split(enumerate(st.matrix[k]))
-    numerator = {ids[j]: b for j, b in pos}
-    vector = dict(numerator)
-    for id in (gamma, partner):
-        vector[id] = vector.get(id, 0) - 1
-    return UVariable(gamma, partner, s, k, numerator,
-                     {ids[j]: b for j, b in neg}, vector)
 
 
 class DegenerationRay:

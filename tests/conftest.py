@@ -63,6 +63,27 @@ def packed_lanes(U):
     return [list(unpack(p)) for p in U.packed]
 
 
+def u_variable_at(belt, s, k):
+    """The ratio read off node k of belt step s: the out/in split of that
+    node's matrix row, over the variable there times the one at node k of
+    step s + 1. The matrix-row oracle for the belt's source records, which
+    also reads a node that is not mutated at its step (the variable there
+    is then its own "partner")."""
+    from clustercones.seeds import _split
+    from clustercones.uvars import UVariable
+
+    st = belt.step(s)
+    ids = st.cluster_ids
+    gamma, partner = ids[k], belt.step(s + 1).cluster_ids[k]
+    pos, neg = _split(enumerate(st.matrix[k]))
+    numerator = {ids[j]: b for j, b in pos}
+    vector = dict(numerator)
+    for id in (gamma, partner):
+        vector[id] = vector.get(id, 0) - 1
+    return UVariable(gamma, partner, s, k, numerator,
+                     {ids[j]: b for j, b in neg}, vector)
+
+
 def kernel_weights(U):
     """The weights of every registry variable under each vector of
     U.kernel, as one {id: weight} dict per vector, read off the leading

@@ -488,6 +488,29 @@ CHECK_GOLDEN = {
 }
 
 
+# a primitive Gr(3,8) ratio to the 10**12: the chain names each factor
+# once with its multiplicity, so the payload stays small
+GR38_LARGE_POWER = 10**12
+GR38_LARGE_POWER_CHECK = [
+    "check", "--gr", "3", "8", "--ratio",
+    "p[145]^{0}*p[235]^{0}/(p[135]^{0}*p[245]^{0})".format(GR38_LARGE_POWER)]
+
+
+def test_check_of_a_large_power_is_small_and_golden(capsys):
+    code, out, err = run(capsys, [*GR38_LARGE_POWER_CHECK, "--format", "json"])
+    assert code == 0 and err == ""
+    assert len(out.encode()) < 4096
+    report = json.loads(out)["subtraction_free"]
+    assert report["verified"] is True and report["subtraction_free"] is True
+    assert all(name.endswith(f"^{GR38_LARGE_POWER}") for name in report["chain"])
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5817b9fe520aaf52bd535ea20872ec31968b92ba96c5e354fb3ce0eb3947449c")
+    code, out, _ = run(capsys, [*GR38_LARGE_POWER_CHECK, "--format", "text"])
+    assert code == 0
+    assert (f"telescoping chain of {11 * GR38_LARGE_POWER} u-factors"
+            in out.splitlines()[-1])
+
+
 @pytest.mark.parametrize("case", sorted(CHECK_GOLDEN))
 def test_check_json_is_golden(capsys, case):
     args, want_code, digest = CHECK_GOLDEN[case]

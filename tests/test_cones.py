@@ -11,7 +11,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import GR26_SEED, kernel_weights, packed_lanes, value_walk, weight_walk
+from conftest import (
+    GR26_SEED,
+    kernel_weights,
+    packed_lanes,
+    u_variable_at,
+    value_walk,
+    weight_walk,
+)
 from test_linalg import ExactSolver
 from clustercones import cones
 from clustercones.cones import (
@@ -38,7 +45,7 @@ from clustercones.linalg import (
     solve,
 )
 from clustercones.seeds import _laurent_ring, _monomial, load_seed_file
-from clustercones.uvars import DegenerationRay, UVariable, _u_variable_at
+from clustercones.uvars import DegenerationRay, UVariable
 
 
 def belt_of(name, frozen=0):
@@ -179,7 +186,7 @@ def test_c2_counterexample_bounded_with_half_integer_factors():
     assert report2.kind == "chain"
     assert report2.verified
     assert report2.subtraction_free is True
-    assert sorted(report2.chain) == [1, 3, 5]
+    assert sorted(report2.chain) == [(1, 1), (3, 1), (5, 1)]
 
 
 def test_single_u_variables_are_subtraction_free():
@@ -205,7 +212,7 @@ def test_gr26_product_chains_verify():
     assert cert.verdict == "bounded" and cert.integral
     report = subtraction_free_check(cert, U)
     assert report.kind == "chain" and report.verified
-    assert len(report.chain) == 2
+    assert report.chain == [(u0.gamma, 1), (u1.gamma, 1)]
 
 
 def test_double_description_known_cones():
@@ -1235,7 +1242,7 @@ def test_structural_chain_check_matches_telescoping_identity(context):
             s = rng.randrange(belt.period)
             k = rng.choice([k for k in range(belt.exchange.n)
                             if k not in belt.step(s).sources])
-            bad = _u_variable_at(belt, s, k)
+            bad = u_variable_at(belt, s, k)
         tampered = factors[:pos] + [bad] + factors[pos + 1:]
         assert not _verify_chain(belt, tampered)
         assert not telescopes(ring, polys, tampered)
@@ -1266,3 +1273,80 @@ def test_chain_check_rejects_a_tampered_repeated_factor(gr36):
                         u.frozen_in, u.vector)
         assert not _verify_chain(belt, factors[:pos] + [bad]
                                  + factors[pos + 1:])
+
+
+@pytest.mark.parametrize("field", ["numerator", "frozen_in", "vector"])
+def test_chain_check_sees_a_u_variable_changed_in_place(field):
+    # U's dicts are its own: editing one after set-up leaves the belt's
+    # records as they were, so the chain check compares against them
+    belt = belt_of("D4", frozen=3)
+    U = build_u_matrix(belt)
+    assert _verify_chain(belt, U.uvars)
+    for j, u in enumerate(U.uvars):
+        d = getattr(u, field)
+        id = min(d) if d else 0
+        d[id] = d.get(id, 0) + 1
+        assert not _verify_chain(belt, [u])
+        assert not _verify_chain(belt, U.uvars)
+        cert = Certificate(u.vector, "bounded", powers=((j, Fraction(1)),),
+                           num_cols=U.num_cols)
+        assert not subtraction_free_check(cert, U).verified
+        d[id] -= 1
+        if not d[id]:
+            del d[id]
+        assert _verify_chain(belt, [u])
+    for s, at in enumerate(belt._source_records):
+        for k, record in at.items():
+            u = u_variable_at(belt, s, k)
+            assert record == (u.gamma, u.partner, u.numerator, u.frozen_in, u.vector)
+
+
+def test_chain_check_reads_steps_modulo_the_period(gr36):
+    U, belt = gr36.U, gr36.belt
+    for u in U.uvars:
+        for shift in (-2, -1, 1, 2):
+            moved = copy.copy(u)
+            moved.step = u.step + shift * belt.period
+            assert _verify_chain(belt, [moved])
+        moved = copy.copy(u)
+        moved.step = u.step + 1
+        assert not _verify_chain(belt, [moved])
+
+
+@pytest.mark.parametrize("attr, value", [
+    ("node", -1), ("node", 8), ("node", 10**6), ("node", "0"), ("node", None),
+    ("node", [0]), ("node", 0.0), ("step", "0"), ("step", None), ("step", 0.0),
+    ("step", 1.5), ("step", [0]),
+])
+def test_chain_check_refuses_a_position_without_a_record(gr36, attr, value):
+    # a position that holds no record fails the check, and never raises
+    U, belt = gr36.U, gr36.belt
+    u = U.uvars[0]
+    moved = copy.copy(u)
+    setattr(moved, attr, value)
+    assert not _verify_chain(belt, [moved])
+    assert not _verify_chain(belt, U.uvars[1:] + [moved])
+
+
+def test_chain_check_refuses_every_non_source_position(gr36):
+    belt = gr36.belt
+    for s in range(belt.period):
+        for k in range(belt.exchange.size):
+            if k not in belt.step(s).sources:
+                assert not _verify_chain(belt, [u_variable_at(belt, s, k)])
+
+
+@pytest.mark.parametrize("power", [1, 10**3, 10**12])
+def test_large_powers_keep_the_chain_as_multiplicities(gr38, power):
+    # the chain lists each factor once with its multiplicity, so its size
+    # and the check's cost do not grow with the power
+    U, belt = gr38.U, gr38.belt
+    prim = gr38.primitive_ratios()[0].vector
+    base = membership(prim, U)
+    cert = membership({id: power * e for id, e in prim.items()}, U)
+    report = subtraction_free_check(cert, U)
+    assert report.kind == "chain" and report.verified
+    assert report.chain == [(U.uvars[j].gamma, power * int(l)) for j, l in base.powers]
+    names = report.to_dict(belt)["chain"]
+    suffix = "" if power == 1 else f"^{power}"
+    assert names == [belt.name(g) + suffix for g, _ in report.chain]

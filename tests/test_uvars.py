@@ -11,6 +11,7 @@ from conftest import (
     content_walks,
     kernel_weights,
     ratio_value,
+    u_variable_at,
     value_walk,
     weight_ring,
     weight_walk,
@@ -723,3 +724,43 @@ def test_u_equations_match_cross_multiplied_form_on_tampered_vectors():
         assert not got[u.gamma]
         false_verdicts += sum(not ok for ok in got.values())
     assert false_verdicts > 105 and frozen_moves > 0
+
+
+@pytest.mark.parametrize("context", ["A3+3", "C2+2", "D4+3", "G2+2", "gr36", "gr38"])
+def test_source_records_match_the_matrix_rows(request, context):
+    # every source position of every step of the period holds one record,
+    # equal to the oracle's split of its matrix row; no other position does
+    if context.startswith("gr"):
+        belt = request.getfixturevalue(context).belt
+    else:
+        name, _, frozen = context.partition("+")
+        belt = belt_of(name, int(frozen))
+    records = belt._source_records
+    assert len(records) == belt.period
+    positions = 0
+    for s, at in enumerate(records):
+        assert sorted(at) == sorted(belt.step(s).sources)
+        for k, record in at.items():
+            u = u_variable_at(belt, s, k)
+            assert record == (u.gamma, u.partner, u.numerator, u.frozen_in, u.vector)
+            positions += 1
+    assert positions == belt.exchange.n * belt.period // 2
+
+
+@pytest.mark.parametrize("context", ["A3+3", "G2+2", "gr36"])
+def test_u_variables_copy_their_source_records(request, context):
+    # U's columns are the records at the source positions, in dicts of
+    # their own
+    if context.startswith("gr"):
+        belt = request.getfixturevalue(context).belt
+    else:
+        name, _, frozen = context.partition("+")
+        belt = belt_of(name, int(frozen))
+    uvars = build_u_variables(belt)
+    assert [u.gamma for u in uvars] == belt.mutable_ids
+    for u in uvars:
+        assert (u.step, u.node) == belt.entries[u.gamma].source_pos
+        record = belt._source_records[u.step][u.node]
+        assert record == (u.gamma, u.partner, u.numerator, u.frozen_in, u.vector)
+        for mine, theirs in zip((u.numerator, u.frozen_in, u.vector), record[2:]):
+            assert mine is not theirs
