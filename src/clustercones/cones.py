@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, lshift
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt, _lane_unpacker
@@ -431,6 +431,13 @@ def _double_description(
     of the 2-face of its pair, and distinct faces have disjoint relative
     interiors, so the new rays differ from each other and from the kept
     (extreme) ones: no deduplication is needed.
+
+    The supports hold a handful of columns, so a pair costs Python steps,
+    not arithmetic, and the loops take as few as they can: a dot product
+    reads the row's columns off the ray's dict, S_p - S_n is the columns
+    of p that are not keys of n's dict, the pair loop runs only when the
+    row makes rays of both signs, and a new ray is divided only by a gcd
+    other than 1.
     """
     rays = {i: ({i: 1}, 1 << i) for i in range(dim)}
     nz = [1 << i for i in range(dim)]  # nz[i]: ids of the rays holding i
@@ -446,23 +453,26 @@ def _double_description(
             touched ^= low
             k = low.bit_length() - 1
             vec, mask = rays[k]
-            s = sum(a * vec[c] for c, a in terms if c in vec)
+            s = 0
+            for c, a in terms:
+                s += a * vec.get(c, 0)
             if s > 0:
                 pos.append((k, s, vec, mask))
             elif s < 0:
                 neg.append((k, s, vec, mask))
         new = []
-        for _, sp, vp, mp in pos:
+        limit = processed + 2
+        for _, sp, vp, mp in pos if neg else ():  # no pairs without both
             for _, sn, vn, mn in neg:
                 both = mp | mn
-                if both.bit_count() > processed + 2:
+                if both.bit_count() > limit:
                     continue
                 from_p = from_n = 0
                 for i in vp:
-                    if not mn >> i & 1:
+                    if i not in vn:
                         from_p |= nz[i]
                 for i in vn:
-                    if not mp >> i & 1:
+                    if i not in vp:
                         from_n |= nz[i]
                 blockers = from_p & from_n
                 while blockers:
@@ -475,7 +485,9 @@ def _double_description(
                     for i, v in vn.items():
                         vec[i] = vec.get(i, 0) + sp * v
                     g = gcd(*vec.values())
-                    new.append(({i: v // g for i, v in vec.items()}, both))
+                    if g != 1:
+                        vec = {i: v // g for i, v in vec.items()}
+                    new.append((vec, both))
         for k, _, vec, _ in pos + neg:
             del rays[k]
             bit = ~(1 << k)
@@ -603,7 +615,15 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
             raise RuntimeError("ray escaped the requested subset")
         powers = tuple((j, fraction(ell[j], g)) for j in support)
         rays.append(ExtremeRay(vector, powers, U.num_cols))
-    rays.sort(key=lambda r: U.dense(r.vector))
+    # in the lexicographic order of the exponent lists in row order
+    # (U.dense), read off the nonzeros: with m the largest |e|, adding m to
+    # every entry leaves the order alone and the entries in [0, 2m], so
+    # the lists order as the ints they spell in base 2**b > 2m; minus the
+    # same sum of m's, each int is sum(e << b * (rows after e's row))
+    b = max([max(map(abs, r.vector.values())) for r in rays],
+            default=0).bit_length() + 1
+    shift = {id: b * i for i, id in enumerate(reversed(U.row_ids))}.__getitem__
+    rays.sort(key=lambda r: sum(map(lshift, r.vector.values(), map(shift, r.vector))))
     return ConeDescription(subset, rays, U)
 
 

@@ -678,7 +678,11 @@ class GrassmannianCluster:
         gets stuck while the factorization theorem holds: the remainder
         U lam is bounded and supported on minors, so it factors, and as
         lam is linear and every lam_p >= 0, each of its factors fits.
-        Sum(lam) drops at every step, so the loop ends.
+        Sum(lam) drops at every step, so the loop ends. A primitive is
+        subtracted as many times as it fits in one step: lam only shrinks,
+        so no earlier primitive fits again, and the greedy choice stays the
+        same until this one no longer fits. The list repeats it that many
+        times, and the multiply-back check weights it by the count.
 
         Raises UnboundedRatioError (with certificate) if the input is not
         bounded, ValueError if it is not supported on minors or its
@@ -705,7 +709,7 @@ class GrassmannianCluster:
                 lams.append(Counter({col: int(l) for col, l in enumerate(lam_p) if l}))
             self._primitive_lams = lams
         lam = Counter({col: int(l) for col, l in cert.powers})
-        out = []
+        counted = []  # (primitive, times subtracted in a row)
         while lam:
             for prim, lam_p in zip(self.primitive_ratios(), self._primitive_lams):
                 if all(lam[col] >= e for col, e in lam_p.items()):
@@ -715,12 +719,15 @@ class GrassmannianCluster:
                     "no primitive ratio fits the remaining u-exponents: "
                     "a bounded minor ratio without a primitive factorization"
                 )
-            out.append(prim)
-            lam -= lam_p  # drops the columns that reach 0
-        check = _ratio_product(t for prim in out for t in prim.vector.items())
+            m = min(lam[col] // e for col, e in lam_p.items())
+            counted.append((prim, m))
+            # drops the columns that reach 0
+            lam -= Counter({col: m * e for col, e in lam_p.items()})
+        check = _ratio_product((id, m * e) for prim, m in counted
+                               for id, e in prim.vector.items())
         if check != {id: e for id, e in vector.items() if e}:
             raise RatioTableError("primitive factors do not multiply back to the input")
-        return out
+        return [prim for prim, m in counted for _ in range(m)]
 
 
 # stored ratio tables
@@ -794,6 +801,20 @@ def check_ray_table(
     compared with that ray's powers. U has independent columns
     (build_u_matrix enforces it), so a ratio's u-exponents are unique and
     the ratio is that product exactly when its powers are the multiset.
+
+    Only candidates that can hold are drawn. Each row's unassigned names
+    are read as one sequence (by content, first seen first within one),
+    and its assignments come in lexicographic order, each name taking the
+    free ids of its content in class_ids order. Once the names up to the
+    last one on the left are assigned, the left ratio is fixed, so the
+    first step is taken once for every candidate that shares them: if it
+    is no ray, nothing further is tried, and otherwise every later name is
+    on the right alone and may take only a gamma with a nonzero power in
+    that ray, as the multisets must agree. A Pluecker row has only minors
+    on its left, so its ray is fixed before any name is drawn. Dropping
+    candidates that cannot hold keeps the survivors and their order, so
+    the result and every error are those of the full enumeration.
+
     Returns the chosen assignment and the ray index of each row; raises
     RatioTableError when no assignment survives, or when more than
     _ASSIGNMENT_CAP do after some row.
@@ -839,18 +860,34 @@ def check_ray_table(
     def resolve(tok, asg):
         return tok[1] if tok[0] == "id" else asg[tok[2]]
 
-    def row_ray(row, asg) -> int | None:
-        """The index of the row's ray if the row holds, else None."""
+    def left_ray(row, asg) -> int | None:
+        """The index of the ray the row's left ratio is, or None."""
         vec = _ratio_product((resolve(tok, asg), e) for tok, e in row[0])
-        i = ray_index.get(frozenset(vec.items()))
-        if i is None:
-            return None
-        named: dict[int, int] = {}
-        for tok in row[1]:
-            id = resolve(tok, asg)
-            named[id] = named.get(id, 0) + 1
-        powers = {gammas[j]: l for j, l in cone.rays[i].powers}
-        return i if named == powers else None
+        return ray_index.get(frozenset(vec.items()))
+
+    def extensions(asg, pending, keep):
+        """Each injective extension of asg to the pending (content, key)
+        names, ids outside keep (if given) left out, in lexicographic
+        order: the names read as one sequence, each taking the free ids of
+        its content in class_ids order."""
+        groups: dict[tuple[int, ...], list[str]] = {}
+        for content, key in pending:
+            groups.setdefault(content, []).append(key)
+        # an id has one content, so dropping every assigned id leaves the
+        # free ids of each content
+        used = set(asg.values())
+        option_sets = [
+            (keys, list(itertools.permutations(
+                [id for id in class_ids[content] if id not in used
+                 and (keep is None or id in keep)],
+                len(keys))))
+            for content, keys in groups.items()
+        ]
+        for combo in itertools.product(*(opts for _, opts in option_sets)):
+            ext = dict(asg)
+            for (keys, _), perm in zip(option_sets, combo):
+                ext.update(zip(keys, perm))
+            yield ext
 
     # each survivor carries the ray index of every row it has passed;
     # extensions of distinct assignments differ, so none repeats
@@ -859,34 +896,31 @@ def check_ray_table(
         # the row's content-pinned names, first seen first
         pinned = list(dict.fromkeys(
             tok for tok in [t for t, _ in row[0]] + row[1] if tok[0] == "cls"))
+        left = {tok[2] for tok, _ in row[0] if tok[0] == "cls"}
         survivors = []
         for asg, indices in assignments:
-            pending: dict[tuple[int, ...], list[str]] = {}
-            for _, content, key in pinned:
-                if key not in asg:
-                    pending.setdefault(content, []).append(key)
-            # an id has one content, so dropping every assigned id leaves
-            # the free ids of each content
-            used = set(asg.values())
-            option_sets = [
-                (names, list(itertools.permutations(
-                    [id for id in class_ids[content] if id not in used],
-                    len(names))))
-                for content, names in sorted(pending.items())
-            ]
-            for combo in itertools.product(*(opts for _, opts in option_sets)):
-                ext = dict(asg)
-                for (names, _), perm in zip(option_sets, combo):
-                    ext.update(zip(names, perm))
-                i = row_ray(row, ext)
+            # unassigned names by content, first seen first within one
+            pending = sorted(((content, key) for _, content, key in pinned
+                              if key not in asg), key=operator.itemgetter(0))
+            # the names up to the last one on the left fix the left ratio
+            # and so its ray; every later name is on the right alone and
+            # must take a gamma of that ray's powers
+            split = max((n + 1 for n, (_, key) in enumerate(pending)
+                         if key in left), default=0)
+            for head in extensions(asg, pending[:split], None):
+                i = left_ray(row, head)
                 if i is None:
                     continue
-                if len(survivors) == _ASSIGNMENT_CAP:
-                    raise RatioTableError(
-                        f"table row {ridx + 1}: more than "
-                        f"cap={_ASSIGNMENT_CAP} name assignments survive"
-                    )
-                survivors.append((ext, indices + [i]))
+                powers = {gammas[j]: l for j, l in cone.rays[i].powers}
+                for ext in extensions(head, pending[split:], powers):
+                    if Counter(resolve(tok, ext) for tok in row[1]) != powers:
+                        continue
+                    if len(survivors) == _ASSIGNMENT_CAP:
+                        raise RatioTableError(
+                            f"table row {ridx + 1}: more than "
+                            f"cap={_ASSIGNMENT_CAP} name assignments survive"
+                        )
+                    survivors.append((ext, indices + [i]))
         if not survivors:
             raise RatioTableError(
                 f"table row {ridx + 1}: no name assignment verifies the factorization"

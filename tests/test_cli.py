@@ -606,6 +606,20 @@ def test_factor_two_crossings(capsys):
     assert crossings == [(2, 5), (2, 6)]
 
 
+# sha256 of the JSON of factor on a primitive Gr(3,8) ratio to the 10**3,
+# computed when the primitive was still subtracted once per step
+FACTOR_POWER_GOLDEN = "762cf7bfea3a36cf3c733470eb2edfab9ab93ba50bb285375513b17b02a26078"
+
+
+def test_factor_of_a_power_is_golden(capsys):
+    ratio = "p[145]^1000*p[235]^1000/(p[135]^1000*p[245]^1000)"
+    code, out, err = run(capsys, ["factor", "--gr", "3", "8", "--ratio", ratio,
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == FACTOR_POWER_GOLDEN
+    assert len(json.loads(out)["factors"]) == 1000
+
+
 def test_factor_unbounded_exits_one(capsys):
     code, payload = run_json(
         capsys,

@@ -579,6 +579,22 @@ def test_subset_cone_rays_replay_through_membership():
     assert len(d["rays"]) == len(cone.rays)
 
 
+@pytest.mark.parametrize("name,frozen", [("C2", 2), ("A3", 3), ("D4", 4), ("G2", 2)])
+def test_subset_cone_rays_come_in_dense_row_order(name, frozen):
+    # the rays are sorted by an int read off their nonzeros; the order
+    # must be that of the dense exponent lists, negative entries included
+    U = build_u_matrix(belt_of(name, frozen))
+    rng = random.Random(f"cone-order-{name}")
+    ids = list(U.row_ids)
+    negatives = 0
+    for size in range(len(ids) // 2, len(ids) + 1):
+        cone = subset_cone(rng.sample(ids, size), U)
+        dense = [U.dense(r.vector) for r in cone.rays]
+        assert dense == sorted(dense)
+        negatives += sum(e < 0 for v in dense for e in v)
+    assert negatives
+
+
 def test_subset_cone_rays_are_extreme_and_primitive():
     belt = belt_of("C2")
     U = build_u_matrix(belt)

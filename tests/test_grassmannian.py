@@ -13,6 +13,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -571,6 +572,41 @@ def test_factorization_of_seeded_random_products(request, name):
         assert g.factor_into_primitives(target) == got
 
 
+def one_at_a_time_factors(g, vector):
+    # oracle: the greedy factorization subtracting one primitive per step
+    prims = g.primitive_ratios()
+    lams = [Counter({col: int(l) for col, l in enumerate(g.U.solve(p.vector)) if l})
+            for p in prims]
+    lam = Counter({col: int(l) for col, l in membership(vector, g.U).powers})
+    out = []
+    while lam:
+        t = next(t for t, lam_p in enumerate(lams)
+                 if all(lam[col] >= e for col, e in lam_p.items()))
+        out.append(prims[t])
+        lam -= lams[t]
+    return out
+
+
+@pytest.mark.parametrize("name", ["gr37", "gr38"])
+def test_factorization_of_seeded_powers_matches_one_at_a_time(request, name):
+    g = request.getfixturevalue(name)
+    prims = g.primitive_ratios()
+    rng = random.Random(f"factor-powers-{name}")
+    for size in range(1, 9):
+        target = vector_sum([{id: m * e for id, e in p.vector.items()}
+                             for p, m in ((rng.choice(prims), rng.randint(1, 12))
+                                          for _ in range(size))])
+        assert g.factor_into_primitives(target) == one_at_a_time_factors(g, target)
+
+
+def test_factorization_of_a_large_power_repeats_its_primitive(gr38):
+    prim = gr38.primitive_ratio(1, 3, (5,))
+    power = 10 ** 4
+    got = gr38.factor_into_primitives({id: power * e for id, e in prim.vector.items()})
+    assert len(got) == power and all(p is got[0] for p in got)
+    assert got[0].vector == prim.vector
+
+
 def test_factorization_without_a_fitting_primitive_raises():
     # in Gr(2,n) every primitive ratio is a single u-variable; once one is
     # hidden, nothing else fits under its u-exponents
@@ -782,6 +818,169 @@ def test_ray_table_parse_and_check_errors(gr36):
         "[a]\np[246]*p[123]/(p[236]*p[124]) : v[256]")["a"]
     with pytest.raises(RatioTableError, match="no name assignment"):
         check_ray_table(gr36, wrong_ray, cone)
+
+
+def unpruned_check_ray_table(grass, rows, cone):
+    # oracle: check_ray_table before it drew the right-side names from the
+    # gammas of the row's ray; every injective assignment of each row's
+    # unassigned names is tried, in product-of-permutations order
+    n = grass.n
+    gammas = [u.gamma for u in cone.umatrix.uvars]
+    class_ids = {}
+    for id in grass.belt.row_order:
+        if grass.degree[id] >= 2:
+            class_ids.setdefault(grass.content[id], []).append(id)
+
+    def canon(name):
+        groups = grassmannian._token_groups(name)
+        if len(groups) == 1 and len(groups[0]) == grass.k:
+            id = grass.minor_id.get(tuple(sorted(groups[0])))
+            if id is None:
+                raise RatioTableError(f"{name!r} names no minor of Gr({grass.k},{n})")
+            return ("id", id)
+        content = [0] * n
+        for g in groups:
+            for c in g:
+                if not 1 <= c <= n:
+                    raise RatioTableError(f"{name!r} uses column {c} outside 1..{n}")
+                content[c - 1] += 1
+        content = tuple(content)
+        if content not in class_ids:
+            raise RatioTableError(f"{name!r}: no registry variable has that content")
+        return ("cls", content, "|".join("".join(map(str, g)) for g in groups))
+
+    parsed = [([(canon(nm), e) for nm, e in sorted(lhs.items())],
+               [canon(nm) for nm in rhs]) for lhs, rhs in rows]
+
+    def resolve(tok, asg):
+        return tok[1] if tok[0] == "id" else asg[tok[2]]
+
+    def row_ray(row, asg):
+        vec = grassmannian._ratio_product((resolve(tok, asg), e) for tok, e in row[0])
+        i = cone.ray_index.get(frozenset(vec.items()))
+        if i is None:
+            return None
+        named = {}
+        for tok in row[1]:
+            id = resolve(tok, asg)
+            named[id] = named.get(id, 0) + 1
+        return i if named == {gammas[j]: l for j, l in cone.rays[i].powers} else None
+
+    assignments = [({}, [])]
+    for ridx, row in enumerate(parsed):
+        pinned = list(dict.fromkeys(
+            tok for tok in [t for t, _ in row[0]] + row[1] if tok[0] == "cls"))
+        survivors = []
+        for asg, indices in assignments:
+            pending = {}
+            for _, content, key in pinned:
+                if key not in asg:
+                    pending.setdefault(content, []).append(key)
+            used = set(asg.values())
+            option_sets = [
+                (names, list(itertools.permutations(
+                    [id for id in class_ids[content] if id not in used],
+                    len(names))))
+                for content, names in sorted(pending.items())
+            ]
+            for combo in itertools.product(*(opts for _, opts in option_sets)):
+                ext = dict(asg)
+                for (names, _), perm in zip(option_sets, combo):
+                    ext.update(zip(names, perm))
+                i = row_ray(row, ext)
+                if i is None:
+                    continue
+                if len(survivors) == grassmannian._ASSIGNMENT_CAP:
+                    raise RatioTableError(
+                        f"table row {ridx + 1}: more than "
+                        f"cap={grassmannian._ASSIGNMENT_CAP} name assignments survive")
+                survivors.append((ext, indices + [i]))
+        if not survivors:
+            raise RatioTableError(
+                f"table row {ridx + 1}: no name assignment verifies the factorization")
+        assignments = survivors
+    return assignments[0]
+
+
+def ray_table_outcome(check, grass, rows, cone):
+    """check's (assignment as item list, ray indices), or its error text."""
+    try:
+        assignment, indices = check(grass, rows, cone)
+    except RatioTableError as exc:
+        return str(exc)
+    return list(assignment.items()), indices
+
+
+@pytest.fixture(scope="module")
+def ray_tables(gr37, gr38):
+    """(cluster, cone, rows) of the Gr(3,7) table and both Gr(3,8) sections."""
+    gr38_tables = load_ray_table(packaged_table("gr38_appendix.txt"))
+    return {
+        "gr37": (gr37, gr37.pluecker_cone(),
+                 load_ray_table(GR37_ORBIT_TABLE)["pluecker"]),
+        "gr38-pluecker": (gr38, gr38.pluecker_cone(), gr38_tables["pluecker"]),
+        "gr38-degree2": (gr38, gr38.degree_filtered_cone(2),
+                         gr38_tables["degree2"]),
+    }
+
+
+TABLE_NAMES = ["gr37", "gr38-pluecker", "gr38-degree2"]
+
+
+def test_ray_table_check_keeps_the_order_of_its_survivors(gr37):
+    # two variables share content 0111111, and an exponent-zero name of
+    # it leaves both assignments standing (see the tests above): the
+    # first one found is returned, so the order shows in the result
+    cone = gr37.pluecker_cone()
+    row = ({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1}, ["v[124]"])
+    for names in (["q[234|567]"], ["q[234|567]", "q[256|347]"]):
+        rows = [({**row[0], name: 0}, row[1]) for name in names]
+        got = ray_table_outcome(check_ray_table, gr37, rows, cone)
+        assert not isinstance(got, str), got
+        assert got == ray_table_outcome(unpruned_check_ray_table, gr37, rows, cone)
+
+
+@pytest.mark.parametrize("table", TABLE_NAMES)
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_ray_table_check_matches_the_unpruned_search(ray_tables, table, seed):
+    grass, cone, rows = ray_tables[table]
+    rows = list(rows)
+    if seed is not None:
+        random.Random(seed).shuffle(rows)
+    got = ray_table_outcome(check_ray_table, grass, rows, cone)
+    assert not isinstance(got, str), got
+    assert got == ray_table_outcome(unpruned_check_ray_table, grass, rows, cone)
+
+
+def _tampered_rows(rows, how, row):
+    rows = [(dict(lhs), list(rhs)) for lhs, rhs in rows]
+    lhs, rhs = rows[row]
+    if how == "swap-name":
+        # the same content under other column groups: a name that no
+        # other row shares, so free to take any variable of its content
+        k = next(k for k, nm in enumerate(rhs) if "|" in nm)
+        head, groups = rhs[k][:-1].split("[")
+        rhs[k] = f"{head}[{'|'.join(reversed(groups.split('|')))}]"
+    elif how == "drop-name":
+        rhs.pop()
+    else:  # no ray: twice the left ratio
+        rows[row] = ({nm: 2 * e for nm, e in lhs.items()}, rhs)
+    return rows
+
+
+@pytest.mark.parametrize("table", TABLE_NAMES)
+@pytest.mark.parametrize("how", ["swap-name", "drop-name", "left-not-a-ray"])
+def test_ray_table_check_matches_the_unpruned_search_on_tampered_rows(
+        ray_tables, table, how):
+    grass, cone, rows = ray_tables[table]
+    row = next(r for r, (_, rhs) in enumerate(rows)
+               if any("|" in nm for nm in rhs))
+    rows = _tampered_rows(rows, how, row)
+    got = ray_table_outcome(check_ray_table, grass, rows, cone)
+    assert got == ray_table_outcome(unpruned_check_ray_table, grass, rows, cone)
+    if how != "swap-name":
+        assert got == (f"table row {row + 1}: "
+                       "no name assignment verifies the factorization")
 
 
 # unimodular minors of the exponent matrix
