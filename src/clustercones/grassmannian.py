@@ -1143,24 +1143,32 @@ def _shared_pairs(sides: list[dict[int, int]], first: int) -> list[tuple[int, in
     return made
 
 
-def _gr48_kernel(monomials) -> Callable[..., tuple[tuple[int, int], ...]]:
+def _gr48_kernel(monomials) -> Callable[[Iterable[Sequence[int]]], tuple[int, int]]:
     """Compile the difference monomials of `_gr48_monomials` into one
-    function `values(t0, ..., t7)`.
+    function `best(points)` that returns the first largest value the
+    monomials take over the points, as an unreduced pair (num, den).
 
-    Its body is straight-line integer code: the 28 differences
-    d_i = t_b - t_a (pairs in `itertools.combinations` order), then the
-    products the monomials share, then one tuple of (numerator,
-    denominator) products, one pair per monomial, in monomial order; an
-    empty side is 1. The source embeds only ints checked here, a pair
-    index in 0..27 and an exponent of at least 1, and names it makes;
-    anything else raises ValueError before any code is compiled.
+    Its body is a loop over the points, each a sequence t0 < ... < t7,
+    of straight-line integer code: the 28 differences d_i = t_b - t_a
+    (pairs in `itertools.combinations` order), then the products the
+    monomials share, then per monomial, in monomial order, `n = ...` and
+    `d = ...`, the products of its numerator and denominator (an empty
+    side is 1), and one comparison `n*bd > bn*d` that makes (n, d) the
+    running maximum (bn, bd). The maximum starts at (0, 1) and moves
+    only on a strictly larger value, so it is the first maximal pair the
+    comparisons meet, point by point; no points or no monomials leave
+    (0, 1). Every denominator is a product of differences, positive at
+    an increasing point, so the comparison is exact. The source embeds
+    only ints checked here, a pair index in 0..27 and an exponent of at
+    least 1, and names it makes; anything else raises ValueError before
+    any code is compiled.
 
     Every side is a multiset of differences, and `_shared_pairs` turns
     each pair of factors that occurs at least twice into a product
-    s_k = a*b computed once per call. On the stored table this cuts the
-    multiplications per point from 1,452 to 439. The rewrite runs in the
-    build, so the first `verify_gr48_table` call in a process pays it: a
-    few milliseconds.
+    s_k = a*b computed once per point. On the stored table this cuts the
+    multiplications per point from 1,452 to 439, before the 228 of the
+    comparisons. The rewrite runs in the build, so the first
+    `verify_gr48_table` call in a process pays it.
     """
     pairs = list(itertools.combinations(range(8), 2))
 
@@ -1183,33 +1191,31 @@ def _gr48_kernel(monomials) -> Callable[..., tuple[tuple[int, int], ...]]:
     def product(factors: dict[int, int]) -> str:
         return "*".join(name(x) for x in sorted(factors) for _ in range(factors[x])) or "1"
 
-    values = "".join(
-        f"({product(up)}, {product(down)}), " for up, down in zip(sides[::2], sides[1::2]))
     source = (
-        "def values(" + ", ".join(f"t{j}" for j in range(8)) + "):\n"
-        + "".join(f"    d{i} = t{b} - t{a}\n" for i, (a, b) in enumerate(pairs))
-        + "".join(f"    {name(len(pairs) + k)} = {name(x)}*{name(y)}\n"
+        "def best(points):\n"
+        "    bn, bd = 0, 1\n"
+        "    for " + ", ".join(f"t{j}" for j in range(8)) + " in points:\n"
+        + "".join(f"        d{i} = t{b} - t{a}\n" for i, (a, b) in enumerate(pairs))
+        + "".join(f"        {name(len(pairs) + k)} = {name(x)}*{name(y)}\n"
                   for k, (x, y) in enumerate(shared))
-        + f"    return ({values})\n"
+        + "".join(f"        n = {product(up)}\n"
+                  f"        d = {product(down)}\n"
+                  "        if n*bd > bn*d: bn = n; bd = d\n"
+                  for up, down in zip(sides[::2], sides[1::2]))
+        + "    return bn, bd\n"
     )
     scope = {"__builtins__": {}}
     exec(compile(source, "<gr48 kernel>", "exec"), scope)
-    return scope["values"]
+    return scope["best"]
 
 
 def _gr48_evaluate(kernel, points) -> tuple[bool, int, int]:
     """Largest value of the monomials compiled into `kernel` (see
     `_gr48_kernel`) over the points: (every value at most 1, num, den),
-    with num/den the exact maximum, tracked by cross-multiplication."""
-    best_num, best_den = 0, 1
-    ok = True
-    for ts in points:
-        for num, den in kernel(*ts):
-            if num > den:
-                ok = False
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-    return ok, best_num, best_den
+    with num/den the first largest value, unreduced. Every denominator is
+    positive, so every value is at most 1 exactly when the largest is."""
+    best_num, best_den = kernel(points)
+    return best_num <= best_den, best_num, best_den
 
 
 class Gr48Report:
@@ -1259,7 +1265,8 @@ class Gr48Report:
 
 
 @functools.cache
-def _gr48_compiled() -> tuple[int, int, bool, Callable[..., tuple[tuple[int, int], ...]]]:
+def _gr48_compiled() -> tuple[
+        int, int, bool, Callable[[Iterable[Sequence[int]]], tuple[int, int]]]:
     """What verify_gr48_table needs of the stored table, built once per
     process: (number of ratios, number of symmetry images, whether every
     image has weight zero, the `_gr48_kernel` of the images' difference
@@ -1297,16 +1304,17 @@ def verify_gr48_table(points: int = 1000, seed: int = 97, jobs: int = 1) -> Gr48
     monomial (114 of them) is evaluated once and stands for its images
     exactly; `num_images` still counts every image (316).
 
-    The 114 monomials are compiled once per process into one function of
-    straight-line integer code (`_gr48_kernel`): per point it takes the
-    28 differences, forms the products of differences that the monomials
-    share, once each, and returns each monomial's numerator and
-    denominator. Building it, the sharing rewrite included, costs a few
-    milliseconds, paid by the first call in a process. The points are
-    drawn one at a time as the evaluation consumes them, so memory does
-    not grow with `points`. The comparisons stay outside the kernel and
-    exact: a numerator above its denominator clears `all_bounded`, and
-    the maximum is tracked by cross-multiplication, never through floats.
+    The 114 monomials are compiled once per process into one function
+    (`_gr48_kernel`) that loops over the points in straight-line integer
+    code: per point it takes the 28 differences, forms the products of
+    differences that the monomials share, once each, then each
+    monomial's numerator and denominator, and compares the value with
+    the running maximum by cross-multiplication, exactly, never through
+    floats. Every denominator is positive, so `all_bounded` holds exactly
+    when that maximum is at most 1. Loading the table and building the
+    kernel, the sharing rewrite included, take about 20-35 ms, paid by
+    the first call in a process. The points are drawn one at a time as
+    the kernel consumes them, so memory does not grow with `points`.
 
     `jobs` accepts only 1 and raises ValueError otherwise: the check runs
     in this process, and the keyword stays only because the benchmark's

@@ -1080,12 +1080,12 @@ def test_integer_points_are_those_of_the_randint_loop():
 
 
 def test_gr48_points_are_streamed(monkeypatch):
-    # the points are drawn as the evaluation consumes them, so the check
+    # the points are drawn as the kernel consumes them, so the check
     # holds one at a time, where a list of 2,000 takes about 250 KB; a
-    # kernel of one monomial stands in for the table's 114, whose 2,000
-    # calls tracemalloc slows over a hundredfold
-    monkeypatch.setattr(grassmannian, "_gr48_compiled",
-                        lambda: (19, 316, True, lambda *ts: ((ts[0], ts[7]),)))
+    # kernel of one monomial, d0/d1, stands in for the table's 114, whose
+    # 2,000 points tracemalloc slows over a hundredfold
+    kernel = _gr48_kernel([(((0, 1),), ((1, 1),))])
+    monkeypatch.setattr(grassmannian, "_gr48_compiled", lambda: (19, 316, True, kernel))
 
     def peak(run):
         tracemalloc.start()
@@ -1285,6 +1285,11 @@ def gr48_diffs(ts):
     return [b - a for a, b in itertools.combinations(ts, 2)]
 
 
+def first_maximum(pairs):
+    """The first (num, den) of largest value, (0, 1) when there is none."""
+    return max(pairs, key=lambda pair: Fraction(*pair), default=(0, 1))
+
+
 def test_gr48_kernel_sides_and_exponents():
     d = gr48_diffs(GR48_TS)
     monomials = [
@@ -1294,13 +1299,16 @@ def test_gr48_kernel_sides_and_exponents():
         (((0, 1),), ((1, 1),)),
         ((), ()),                           # the empty monomial is 1
     ]
-    assert _gr48_kernel(monomials)(*GR48_TS) == (
+    want = [
         (1, d[0]),
         (d[27] ** 2 * d[3], 1),
         (d[5] ** 3 * d[7], d[2] ** 4),
         (d[0], d[1]),
         (1, 1),
-    )
+    ]
+    # a kernel of one monomial returns its own pair at one point
+    assert [_gr48_kernel([monomial])([GR48_TS]) for monomial in monomials] == want
+    assert _gr48_kernel(monomials)([GR48_TS]) == first_maximum(want)
     pts = list(_integer_points(8, 9, 61))
     got = _gr48_evaluate(_gr48_kernel(monomials), pts)
     assert got == scalar_evaluate(monomials, pts)
@@ -1311,14 +1319,46 @@ def test_gr48_kernel_sides_and_exponents():
 def test_gr48_kernel_of_one_monomial_and_of_none():
     monomials = [(((0, 1), (9, 5)), ((1, 3), (27, 1)))]
     d = gr48_diffs(GR48_TS)
-    assert _gr48_kernel(monomials)(*GR48_TS) == (
-        (d[0] * d[9] ** 5, d[1] ** 3 * d[27]),)
+    assert _gr48_kernel(monomials)([GR48_TS]) == (d[0] * d[9] ** 5, d[1] ** 3 * d[27])
     pts = list(_integer_points(8, 5, 62))
     assert _gr48_evaluate(_gr48_kernel(monomials), pts) == scalar_evaluate(monomials, pts)
-    assert _gr48_kernel([])(*GR48_TS) == ()
-    assert _gr48_evaluate(_gr48_kernel([]), pts) == (True, 0, 1)
-    # a value of exactly 1 is at most 1
-    assert _gr48_evaluate(_gr48_kernel([((), ())]), pts) == (True, 1, 1)
+    assert _gr48_kernel([])([GR48_TS]) == (0, 1)
+    # no monomial, and a value of exactly 1, which is at most 1
+    for none_or_one, want in [([], (True, 0, 1)), ([((), ())], (True, 1, 1))]:
+        assert scalar_evaluate(none_or_one, pts) == want
+        assert _gr48_evaluate(_gr48_kernel(none_or_one), pts) == want
+        # no points leave the starting (0, 1)
+        assert scalar_evaluate(none_or_one, []) == (True, 0, 1)
+        assert _gr48_evaluate(_gr48_kernel(none_or_one), []) == (True, 0, 1)
+
+
+def test_gr48_kernel_keeps_the_first_of_equal_maxima():
+    # d0*d1/(d0*d2) and d1/d2 are one value written as two pairs
+    monomials = [(((0, 1), (1, 1)), ((0, 1), (2, 1))), (((1, 1),), ((2, 1),))]
+    first = (1, 3, 5, 7, 9, 11, 13, 15)     # d0, d1, d2 = 2, 4, 6
+    lower = GR48_TS                         # 1, 3, 6
+    later = (1, 4, 7, 10, 13, 16, 19, 22)   # 3, 6, 9
+    for ordered, pts, want in [
+        (monomials, [first], (True, 8, 12)),
+        (monomials, [lower], (True, 3, 6)),
+        # the maximum recurs at a later point as another pair
+        (monomials, [first, lower, later], (True, 8, 12)),
+        (monomials, [later, lower, first], (True, 18, 27)),
+        (monomials[::-1], [first, later], (True, 4, 6)),
+    ]:
+        assert scalar_evaluate(ordered, pts) == want
+        assert _gr48_evaluate(_gr48_kernel(ordered), pts) == want
+
+
+def test_gr48_kernel_sees_a_value_above_one_at_the_very_end():
+    # d0/d1 < 1 everywhere; d7/d0 = (t2 - t1)/(t1 - t0) is 1, then 2/3,
+    # then 2, at the last monomial of the last point
+    monomials = [(((0, 1),), ((1, 1),)), (((7, 1),), ((0, 1),))]
+    pts = [(1, 3, 5, 6, 7, 8, 9, 10), (1, 4, 6, 8, 9, 10, 11, 12), (1, 2, 4, 5, 6, 7, 8, 9)]
+    kernel = _gr48_kernel(monomials)
+    for count, want in [(2, (True, 2, 2)), (3, (False, 2, 1))]:
+        assert scalar_evaluate(monomials, pts[:count]) == want
+        assert _gr48_evaluate(kernel, pts[:count]) == want
 
 
 @pytest.mark.parametrize("term", [
@@ -1360,6 +1400,23 @@ def kernel_source(monkeypatch, monomials):
     return kernel, source
 
 
+def traced_pairs(source, ts):
+    """Run the loop body of a kernel's source at one point, line by line,
+    and return the (n, d) pair each comparison meets: the value of every
+    monomial through the kernel's own shared products."""
+    scope = {f"t{j}": t for j, t in enumerate(ts)}
+    pairs = []
+    for line in source.splitlines()[3:-1]:
+        if line.startswith("        if "):
+            pairs.append((scope["n"], scope["d"]))
+        else:
+            exec(line.strip(), {"__builtins__": {}}, scope)
+    return tuple(pairs)
+
+
+COMPARISON = "        if n*bd > bn*d: bn = n; bd = d"
+
+
 def test_gr48_stored_kernel_shares_products(monkeypatch, gr48_images):
     monomials = _gr48_monomials(gr48_images)
     # left to right, the 228 products of differences take 1,452
@@ -1367,40 +1424,67 @@ def test_gr48_stored_kernel_shares_products(monkeypatch, gr48_images):
     factors = sum(e for monomial in monomials for side in monomial for _, e in side)
     assert factors - 2 * len(monomials) == 1452
     kernel, source = kernel_source(monkeypatch, monomials)
-    assert source.count("*") <= 600
     assert kernel_source(monkeypatch, monomials)[1] == source
-    # only generated names, ints and products
-    head, *body, tail = source.splitlines()
-    assert head == "def values(t0, t1, t2, t3, t4, t5, t6, t7):"
-    for line in body:
-        assert re.fullmatch(r"    (d\d+ = t\d - t\d|s\d+ = [ds]\d+\*[ds]\d+)", line), line
+    # only generated names, ints, products and the comparison
+    head, start, loop, *body, tail = source.splitlines()
+    assert head == "def best(points):"
+    assert start == "    bn, bd = 0, 1"
+    assert loop == "    for t0, t1, t2, t3, t4, t5, t6, t7 in points:"
+    assert tail == "    return bn, bd"
+    split = next(i for i, line in enumerate(body) if line.startswith("        n = "))
+    shared, per_monomial = body[:split], body[split:]
+    for line in shared:
+        assert re.fullmatch(r"        (d\d+ = t\d - t\d|s\d+ = [ds]\d+\*[ds]\d+)", line), line
+    # exactly one comparison per monomial, after its n and d
+    assert len(per_monomial) == 3 * len(monomials)
     product = r"(1|[ds]\d+(\*[ds]\d+)*)"
-    assert re.fullmatch(rf"    return \((\({product}, {product}\), )*\)", tail)
+    for num, den, comparison in zip(*[iter(per_monomial)] * 3):
+        assert re.fullmatch(rf"        n = {product}", num), num
+        assert re.fullmatch(rf"        d = {product}", den), den
+        assert comparison == COMPARISON
+    assert body.count(COMPARISON) == len(monomials)
+    products = [line for line in body if line != COMPARISON]
+    assert sum(line.count("*") for line in products) <= 600
+    assert traced_pairs(source, GR48_TS) == direct_values(monomials, GR48_TS)
     pts = list(_integer_points(8, 7, 71))
     assert _gr48_evaluate(kernel, pts) == scalar_evaluate(monomials, pts)
 
 
+def assert_kernel_values(monomials, kernel, source, ts):
+    """The kernel of `monomials` against their direct values at one point:
+    each monomial alone, through a one-monomial kernel; each monomial
+    through the shared products of `source`; and the first maximum."""
+    want = direct_values(monomials, ts)
+    assert tuple(_gr48_kernel([monomial])([ts]) for monomial in monomials) == want
+    assert traced_pairs(source, ts) == want
+    assert kernel([ts]) == first_maximum(want)
+
+
 @pytest.mark.parametrize("monomials, shared, products", [
     # a factor that repeats within one product: d5**4 is (d5*d5)*(d5*d5)
-    ([(((5, 4),), ())], ["s0 = d5*d5"], "((s0*s0, 1), )"),
+    ([(((5, 4),), ())], ["s0 = d5*d5"], [("s0*s0", "1")]),
     # a pair shared between a numerator and another monomial's denominator
     ([(((0, 1), (1, 1)), ((2, 1),)), (((3, 1),), ((1, 1), (0, 1)))],
-     ["s0 = d0*d1"], "((s0, d2), (d3, s0), )"),
+     ["s0 = d0*d1"], [("s0", "d2"), ("d3", "s0")]),
     # a shared product of a shared product
     ([(((0, 1), (1, 1), (2, 1)), ()), (((2, 1), (0, 1), (1, 1)), ((9, 1),)),
       (((7, 1),), ((0, 1), (1, 1), (2, 1)))],
-     ["s0 = d0*d1", "s1 = d2*s0"], "((s1, 1), (s1, d9), (d7, s1), )"),
+     ["s0 = d0*d1", "s1 = d2*s0"], [("s1", "1"), ("s1", "d9"), ("d7", "s1")]),
     # monomials that share nothing stay products of differences
     ([(((0, 1), (1, 1)), ((2, 1), (3, 1))), (((4, 1), (5, 1)), ((6, 2),))],
-     [], "((d0*d1, d2*d3), (d4*d5, d6*d6), )"),
+     [], [("d0*d1", "d2*d3"), ("d4*d5", "d6*d6")]),
 ])
 def test_gr48_kernel_shares_hand_checked_products(monkeypatch, monomials, shared, products):
     kernel, source = kernel_source(monkeypatch, monomials)
     lines = source.splitlines()
-    assert len(lines) == 1 + 28 + len(shared) + 1
-    assert lines[29:] == [f"    {line}" for line in shared] + [f"    return {products}"]
+    assert len(lines) == 3 + 28 + len(shared) + 3 * len(products) + 1
+    assert lines[31:] == (
+        [f"        {line}" for line in shared]
+        + [line for num, den in products
+           for line in (f"        n = {num}", f"        d = {den}", COMPARISON)]
+        + ["    return bn, bd"])
     for ts in list(_integer_points(8, 5, 63)) + [GR48_TS]:
-        assert kernel(*ts) == direct_values(monomials, ts)
+        assert_kernel_values(monomials, kernel, source, ts)
 
 
 def random_monomials(rng, count):
@@ -1414,14 +1498,14 @@ def random_monomials(rng, count):
     return [(side(), side()) for _ in range(count)]
 
 
-def test_gr48_kernel_of_random_monomials_matches_the_scalar_loop():
+def test_gr48_kernel_of_random_monomials_matches_the_scalar_loop(monkeypatch):
     rng = random.Random(43)
     pts = list(_integer_points(8, 4, 64))
     for trial in range(40):
         monomials = random_monomials(rng, rng.randint(1, 12))
-        kernel = _gr48_kernel(monomials)
+        kernel, source = kernel_source(monkeypatch, monomials)
         for ts in pts:
-            assert kernel(*ts) == direct_values(monomials, ts), (trial, monomials)
+            assert_kernel_values(monomials, kernel, source, ts)
         assert _gr48_evaluate(kernel, pts) == scalar_evaluate(monomials, pts)
 
 
