@@ -1460,6 +1460,17 @@ def assert_kernel_values(monomials, kernel, source, ts):
     assert kernel([ts]) == first_maximum(want)
 
 
+def products_id(value):
+    """Names a hand-checked case by its (numerator, denominator) products,
+    written as the tuple of pairs they form; other arguments keep their
+    default names."""
+    if (isinstance(value, list) and value
+            and all(isinstance(pair, tuple) and all(isinstance(side, str) for side in pair)
+                    for pair in value)):
+        return "(" + "".join(f"({num}, {den}), " for num, den in value) + ")"
+    return None
+
+
 @pytest.mark.parametrize("monomials, shared, products", [
     # a factor that repeats within one product: d5**4 is (d5*d5)*(d5*d5)
     ([(((5, 4),), ())], ["s0 = d5*d5"], [("s0*s0", "1")]),
@@ -1473,7 +1484,7 @@ def assert_kernel_values(monomials, kernel, source, ts):
     # monomials that share nothing stay products of differences
     ([(((0, 1), (1, 1)), ((2, 1), (3, 1))), (((4, 1), (5, 1)), ((6, 2),))],
      [], [("d0*d1", "d2*d3"), ("d4*d5", "d6*d6")]),
-])
+], ids=products_id)
 def test_gr48_kernel_shares_hand_checked_products(monkeypatch, monomials, shared, products):
     kernel, source = kernel_source(monkeypatch, monomials)
     lines = source.splitlines()
