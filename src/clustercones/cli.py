@@ -111,10 +111,8 @@ def _catalog_context(type_name: str, frozen: int) -> Context:
     belt = BipartiteBelt(exchange)
     # sequential aliases over the belt's discovery order, so x4, x5, ...
     # name the non-initial variables; root labels stay available
-    for i, id in enumerate(belt.mutable_ids):
-        belt.display_names[id] = f"x{i + 1}"
-    for j, id in enumerate(belt.frozen_ids):
-        belt.display_names[id] = f"f{j + 1}"
+    belt.rename({id: f"x{i + 1}" for i, id in enumerate(belt.mutable_ids)}
+                | {id: f"f{j + 1}" for j, id in enumerate(belt.frozen_ids)})
     label = f"{dynkin.family}{dynkin.rank}"
     if frozen:
         label += f" with {frozen} frozen"

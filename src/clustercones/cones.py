@@ -32,14 +32,15 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import itemgetter, lshift
+from operator import lshift
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt, _lane_unpacker
 from .linalg import det_bareiss, rref
 # unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
 from .linalg import rank  # noqa: F401
-from .seeds import _laurent_ring, _monomial, _split
+from .laurent import LaurentPolynomial
+from .seeds import _monomial, _split
 from .uvars import (
     DegenerationRay,
     UVariable,
@@ -94,7 +95,7 @@ class UMatrix:
     _solve). The row g_j of G is entry j of every column, and scales[j] =
     g_j . u_j = c_j > 0. bound is the least 2**b with all lanes in
     [-2**b, 2**b), tested per int by adding 2**b to every lane and masking
-    the field bits above b, as seeds._packed_valuations does.
+    the field bits above b, as seeds._packed_exchange does.
 
     U is kept as the sparse u-vectors. Its rows, dense or sparse (as
     (column, coefficient) pairs, which subset_cone reads), are built on
@@ -304,7 +305,10 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
         )
     if min(nums, default=0) >= 0:
         return Certificate(vector, "bounded", powers=powers, num_cols=U.num_cols)
-    j = min(powers, key=itemgetter(1))[0]
+    scales, j = U.scales, powers[0][0]
+    for i, _ in powers:  # the least lam_i = nums[i] / scales[i], in integers
+        if nums[i] * scales[j] < nums[j] * scales[i]:
+            j = i
     ray = U.rays[j]
     return Certificate(vector, "unbounded", powers=powers, num_cols=U.num_cols,
                        ray=DegenerationRay(ray.gamma, ray.step, ray.beta, nums[j]))
@@ -723,10 +727,10 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
             "expansion check needs symbolic mode; only integral "
             "factorizations can be verified on tropical belts"
         )
-    ring = _laurent_ring(belt.exchange.size)
+    one = LaurentPolynomial.one(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     pos, neg = _split(cert.vector.items())
-    diff = _monomial(ring, polys, neg) - _monomial(ring, polys, pos)
+    diff = _monomial(polys, neg, one) - _monomial(polys, pos, one)
     positive: dict[tuple[int, ...], int] = {}
     negative: dict[tuple[int, ...], int] = {}
     for exps, coeff in diff.terms():

@@ -6,19 +6,17 @@ Coxeter number), registering every distinct cluster variable it meets.
 A step applies the exchange relation x' = (prod out^b + prod in^b) / x
 at each source; the belt compiles its steps once into a schedule of
 (node, out-terms, in-terms, produced id) tuples, and one private walker
-runs that schedule over any of the rings in `seeds`:
-
-- Laurent polynomials, for the registry expansions;
-- min-plus exponent vectors, for the deduplication key and for the
-  frames that compatibility degrees are read from;
-- min-plus integers, for valuation_walk along a curve x = t^beta, and
-  many of them packed into one int, for valuation_columns along many
-  curves in one walk. Along a grading alpha (see
-  seeds.ExchangeData.grading_defect) every exchange relation is
-  homogeneous, so the valuations along alpha are the torus weights.
-
-Values at positive points are walked by `grassmannian`, over its own
-ring of exact integers.
+runs that schedule, calling an exchange function of `seeds` once per
+exchange: min-plus valuations along a curve x = t^beta, over ints or
+Fractions, for valuation_walk, and many of them packed into one int, for
+valuation_columns along many curves in one walk (the frames that
+compatibility degrees are read from are the valuations along unit rays).
+Along a grading alpha (see seeds.ExchangeData.grading_defect) every
+exchange relation is homogeneous, so the valuations along alpha are the
+torus weights. Building the belt calls the product exchange on Laurent
+polynomials, for the registry expansions, and the min-exponent one, for
+their deduplication key; `grassmannian` walks values at positive points
+with products of exact integers.
 
 Variables are deduplicated by their componentwise minimum exponent vector
 in the initial frame: min exponents are additive under multiplication
@@ -56,20 +54,19 @@ from collections import deque
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import gcd
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
 from .linalg import rref
 from .seeds import (
-    _VALUATIONS,
     ExchangeData,
-    _exchange,
     _LaneOverflow,
-    _laurent_ring,
-    _minplus_ring,
-    _packed_valuations,
-    _Ring,
+    _minexp_exchange,
+    _packed_exchange,
+    _product_exchange,
     _split,
+    _valuation_exchange,
     mutate_matrix,
 )
 
@@ -594,8 +591,8 @@ class BipartiteBelt:
         self.steps: list[BeltStep] = []
         self.period = 0
 
-        minplus = _minplus_ring(size)
-        laurent = _laurent_ring(size)
+        one = LaurentPolynomial.one(size)
+        laurent = _product_exchange(LaurentPolynomial.divide_exact, one)
         polys = [LaurentPolynomial.variable(size, i) for i in range(size)]
         minexps = [tuple(int(j == i) for j in range(size)) for i in range(size)]
         ids = [
@@ -640,14 +637,14 @@ class BipartiteBelt:
             # rows of the others as they are in this step's matrix
             moves.append([(k, *_split(enumerate(matrix[k]))) for k in srcs])
             for k, pos, neg in moves[-1]:
-                new_minexp = _exchange(minplus, minexps, pos, neg, minexps[k])
+                new_minexp = _minexp_exchange(minexps, pos, neg, minexps[k])
                 new_poly = None
                 if symbolic:
                     known = self._by_minexp.get(new_minexp)
                     if relabel is None:
-                        ring = laurent if known is None else laurent._replace(
-                            div=partial(_confirm_quotient, self.entries[known].poly))
-                        new_poly = _exchange(ring, polys, pos, neg, polys[k])
+                        relation = laurent if known is None else _product_exchange(
+                            partial(_confirm_quotient, self.entries[known].poly), one)
+                        new_poly = relation(polys, pos, neg, polys[k])
                     else:
                         # step s is step s - s0 relabeled by pi, so node k
                         # gets what node pi[k] got there, by a relation
@@ -692,9 +689,8 @@ class BipartiteBelt:
         for mid in self.mutable_ids:
             if self.entries[mid].source_pos is None:
                 raise BeltError(f"variable {mid} never sat at a source")
-        self.display_names: dict[int, str] = {}
-        for i in range(size):
-            self.display_names[i] = exchange.names[i]
+        self._names = dict(enumerate(exchange.names))
+        self.display_names = MappingProxyType(self._names)  # written by rename alone
         self._frames: dict[int, dict[int, tuple[int, ...]]] = {}
         # degeneration rays by belt step, and by nonsingular mutable block
         # (see _degenerations)
@@ -747,24 +743,35 @@ class BipartiteBelt:
         return "x[" + ",".join(str(d) for d in self.dvector(id)) + "]"
 
     def name(self, id: int) -> str:
-        got = self.display_names.get(id)
+        got = self._names.get(id)
         if got is not None:
             return got
         return self.root_label(id)
 
+    def rename(self, names: dict[int, str]) -> None:
+        """Give the ids in names these display names, keeping the others."""
+        self._names.update(names)
+        self.__dict__.pop("_ids_by_name", None)  # rebuilt on the next lookup
+
+    @cached_property
+    def _ids_by_name(self) -> dict[str, int]:
+        # read backwards, so that the first id of a repeated name wins
+        return {nm: id for id, nm in reversed(self._names.items())}
+
+    @cached_property
+    def _ids_by_root_label(self) -> dict[str, int]:
+        return {self.root_label(e.id): e.id for e in self.entries if not e.frozen}
+
     def id_by_name(self, name: str) -> int | None:
-        for id, nm in self.display_names.items():
-            if nm == name:
-                return id
-        for e in self.entries:
-            if not e.frozen and self.root_label(e.id) == name:
-                return e.id
-        return None
+        """First id of that display name, else the mutable variable of that root label."""
+        id = self._ids_by_name.get(name)
+        return self._ids_by_root_label.get(name) if id is None else id
 
     # walks
 
-    def _walk(self, ring: _Ring, values: list, start: int) -> dict:
-        """Walk one period of the belt from step start over a ring.
+    def _walk(self, exchange, values: list, start: int) -> dict:
+        """Walk one period of the belt from step start, calling
+        exchange(values, pos, neg, old) (see seeds) once per exchange.
 
         values holds the cluster of step start by node and is updated in
         place; returns the value of every registry variable.
@@ -773,24 +780,26 @@ class BipartiteBelt:
         p = self.period
         for r in range(start, start + p):
             for k, pos, neg, target in self._schedule[r % p]:
-                values[k] = out[target] = _exchange(ring, values, pos, neg, values[k])
+                values[k] = out[target] = exchange(values, pos, neg, values[k])
         return out
 
     def _frame(self, s: int) -> dict[int, tuple[int, ...]]:
         """Min exponents of every registry variable in the cluster of belt
-        step s, by one min-plus walk from unit vectors (cached per step).
+        step s: its valuations along the unit rays at step s, from one
+        packed walk (cached per step).
 
         The frame's variable j is the cluster entry at node j of step s.
         Every registry variable is a Laurent polynomial with positive
-        coefficients in that cluster, so nothing cancels and the min-plus
-        walk gives its componentwise minimum exponents exactly.
+        coefficients in that cluster, so its valuation along x_j = t (the
+        other entries 1) is its minimum exponent in x_j.
         """
         s %= self.period
         cached = self._frames.get(s)
         if cached is None:
             size = self.exchange.size
-            units = [tuple(int(i == j) for i in range(size)) for j in range(size)]
-            cached = self._frames[s] = self._walk(_minplus_ring(size), units, s)
+            units = [(tuple(int(i == j) for i in range(size)), s) for j in range(size)]
+            cached = self._frames[s] = {e.id: tuple(column) for e, column in zip(
+                self.entries, self.valuation_columns(units))}
         return cached
 
     def _degenerations(self, s: int) -> list[tuple[int, ...] | None]:
@@ -848,7 +857,7 @@ class BipartiteBelt:
         """
         if len(beta) != self.exchange.size:
             raise ValueError("need one exponent per node")
-        return self._walk(_VALUATIONS, list(beta), start_step)
+        return self._walk(_valuation_exchange, list(beta), start_step)
 
     def valuation_columns(
         self, rays: Sequence[tuple[Sequence[int], int]]
@@ -865,7 +874,7 @@ class BipartiteBelt:
     ) -> tuple[int, list[int]]:
         """The lane width, and per registry id one int packing the
         variable's valuations along the rays, lane r at bit width * (lanes
-        - 1 - r) (seeds._packed_valuations), so that the big-endian bytes
+        - 1 - r) (seeds._packed_exchange), so that the big-endian bytes
         of a packed int list its lanes in ray order.
 
         A lane is 0 until the walk reaches its ray's start step, where its
@@ -897,17 +906,17 @@ class BipartiteBelt:
                 for j, b in enumerate(beta):
                     if b:
                         at[j] = at.get(j, 0) + (b << shift)
-            ring = _packed_valuations(width, lanes, headroom)
+            exchange = _packed_exchange(width, lanes, headroom)
             values = [0] * size
             try:
                 for s in range(first, last):
                     for j, b in added.get(s, {}).items():
                         values[j] += b
                     for k, pos, neg, _ in self._schedule[s % p]:
-                        values[k] = _exchange(ring, values, pos, neg, values[k])
+                        values[k] = exchange(values, pos, neg, values[k])
                 for j, b in added[last].items():
                     values[j] += b
-                out = self._walk(ring, values, last)
+                out = self._walk(exchange, values, last)
                 return width, [out[e.id] for e in self.entries]
             except _LaneOverflow:
                 width *= 2

@@ -40,11 +40,10 @@ from .expressions import parse_ratio
 from .finite_type import BipartiteBelt, NotFiniteTypeError, find_bipartite_seed_path
 from .linalg import rank, solve
 from .seeds import (
-    _VALUATIONS,
     ExchangeData,
-    _exchange,
-    _Ring,
+    _product_exchange,
     _split,
+    _valuation_exchange,
     load_seed_file,
     mutate_matrix,
 )
@@ -273,7 +272,7 @@ def _divide_exactly(a: int, b: int) -> int:
 
 # exact values at an integral point of the cone over Gr(k, n), where every
 # cluster variable is an integer, so each exchange must divide exactly
-_INTEGERS = _Ring(lambda: 1, operator.mul, operator.pow, operator.add, _divide_exactly)
+_INTEGERS = _product_exchange(_divide_exactly)
 
 
 # the cluster structure
@@ -362,7 +361,7 @@ class GrassmannianCluster:
             if reason is not None:
                 raise IdentificationError(
                     f"column {c} content is not an exchange weight: {reason}")
-        functionals = [self._replay(_VALUATIONS, a) for a in columns]
+        functionals = [self._replay(_valuation_exchange, a) for a in columns]
         per_column = self.belt.valuation_columns([(a, 0) for a in functionals])
         if rank(functionals) != n:
             raise IdentificationError("column functionals do not have full rank")
@@ -393,11 +392,11 @@ class GrassmannianCluster:
 
     # plumbing
 
-    def _replay(self, ring: _Ring, vals: list) -> list:
+    def _replay(self, exchange, vals: list) -> list:
         """Walk a value system, indexed by grid node, along the re-basing
-        path in place."""
+        path in place, calling exchange (see seeds) once per move."""
         for node, pos, neg in self._path_moves:
-            vals[node] = _exchange(ring, vals, pos, neg, vals[node])
+            vals[node] = exchange(vals, pos, neg, vals[node])
         return vals
 
     def _walk_values(self, points, minor_of) -> list[dict[int, int]]:
@@ -461,8 +460,7 @@ class GrassmannianCluster:
                 names[id] = f"q[{digits}{suffix}]"
         if len(names) != len(self.belt.entries) or len(set(names.values())) != len(names):
             raise IdentificationError("registry naming is not a bijection")
-        self.belt.display_names.clear()
-        self.belt.display_names.update(names)
+        self.belt.rename(names)
 
     def _pin_gr36_exotics(self) -> dict[int, str]:
         """Name the two quadratic variables by their leading tableau.

@@ -11,12 +11,12 @@ Laurent division, which doubles as a proof that the new variable is again
 a Laurent polynomial; a division failure here means the input matrix was
 not what it claimed to be.
 
-The exchange relation x' = (prod out^b + prod in^b) / x is written once,
-in _exchange, over a _Ring: Laurent polynomials, min-plus exponent
-vectors, or min-plus valuations (one at a time, or many packed into one
-int); grassmannian adds exact integers. Every cluster mutation and belt
-walk in the package goes through it. Torus weights need no ring of their
-own: they are the valuations along a grading (ExchangeData.grading_defect).
+The exchange relation x' = (prod out^b + prod in^b) / x is written once
+per kind of value, as exchange(values, pos, neg, old): min-plus valuations
+(one at a time, or many packed into one int), min-exponent tuples, and
+exact quotients of products (Laurent polynomials; grassmannian's exact
+integers). Every mutation and belt walk calls one once per exchange. Torus
+weights are the valuations along a grading (ExchangeData.grading_defect).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .laurent import EXP_LIMIT, LaurentPolynomial
 from .linalg import rank, right_kernel_basis
@@ -40,77 +40,63 @@ __all__ = [
 ]
 
 
-# the exchange relation over a ring
-#
-# Everything here is private on purpose: one unbounded membership check
-# calls _exchange over a thousand times, so it must not pick up per-call
-# tracing or wrapping (the benchmark's tracer wraps public names).
+# one exchange(values, pos, neg, old) per kind of value: x' = (prod
+# values^pos + prod values^neg) / old, pos and neg the (node, exponent)
+# pairs of the out- and in-monomial. Private, so that the thousand calls of
+# an unbounded check pick up no tracing (the tracer wraps public names).
 
 
-class _Ring(NamedTuple):
-    """The operations an exchange walk needs, as plain callables."""
-
-    one: Callable[[], object]
-    mul: Callable[[object, object], object]
-    pow: Callable[[object, int], object]
-    add: Callable[[object, object], object]
-    div: Callable[[object, object], object]
-
-
-def _laurent_ring(nvars: int) -> _Ring:
-    # operators and lambdas look the methods up at call time, so wrappers
-    # installed on LaurentPolynomial later still see every call
-    return _Ring(
-        lambda: LaurentPolynomial.one(nvars),
-        operator.mul,
-        operator.pow,
-        operator.add,
-        lambda a, b: a.divide_exact(b),
-    )
+def _valuation_exchange(values, pos, neg, old):
+    """Valuations at t -> 0 along x = t^beta, ints or Fractions: a sum of
+    positive-coefficient terms c * t^a + d * t^b has valuation min(a, b),
+    and nothing cancels. (The builtin min would cost a call.)"""
+    a = c = 0
+    for j, b in pos:
+        a += values[j] * b
+    for j, b in neg:
+        c += values[j] * b
+    return (c if c < a else a) - old
 
 
-def _minplus_ring(nvars: int) -> _Ring:
-    """Componentwise minimum exponents: additive under products, and the
-    minimum under sums of positive-coefficient polynomials."""
-    return _Ring(
-        lambda: (0,) * nvars,
-        lambda a, b: tuple(map(operator.add, a, b)),
-        lambda a, e: tuple(e * x for x in a),
-        lambda a, b: tuple(map(min, a, b)),
-        lambda a, b: tuple(map(operator.sub, a, b)),
-    )
-
-
-# valuations at t -> 0 along x = t^beta: a sum of positive-coefficient
-# terms c * t^a + d * t^b has valuation min(a, b), and nothing cancels
-_VALUATIONS = _Ring(lambda: 0, operator.add, operator.mul, min, operator.sub)
+def _minexp_exchange(values, pos, neg, old):
+    """Componentwise minimum exponents, as tuples: additive under products,
+    the minimum under sums of positive-coefficient polynomials."""
+    a = c = None
+    for j, b in pos:
+        v = values[j] if b == 1 else [b * x for x in values[j]]
+        a = v if a is None else tuple(map(operator.add, a, v))
+    for j, b in neg:
+        v = values[j] if b == 1 else [b * x for x in values[j]]
+        c = v if c is None else tuple(map(operator.add, c, v))
+    zero = (0,) * len(old)  # the empty product
+    return tuple(map(operator.sub, map(min, a or zero, c or zero), old))
 
 
 class _LaneOverflow(ArithmeticError):
     """A lane of a packed valuation walk left its checked range."""
 
 
-def _packed_valuations(width: int, lanes: int, headroom: int) -> _Ring:
-    """_VALUATIONS on `lanes` valuations at once, packed into one int.
+def _packed_exchange(width: int, lanes: int, headroom: int):
+    """_valuation_exchange on `lanes` valuations at once, packed into one int.
 
     The int is sum v_r * 2**(width * r) over the lanes r, each v_r a
     signed valuation, so sums, differences and multiples by an exponent
-    are plain int ones. The lane-wise min reads signs off x = a - b +
+    are plain int ones. The lane-wise min reads signs off x = a - c +
     tops, tops the top bit 2**(width-1) of every lane: lane r of x is
-    a_r - b_r + 2**(width-1), a field in [0, 2**width) while |a_r - b_r|
-    < 2**(width-1), with its top bit set iff a_r >= b_r. neg = tops & ~x
-    keeps the top bits of the lanes where a_r < b_r, and there the min
-    adds x's field to b and takes neg off again, leaving a_r.
+    a_r - c_r + 2**(width-1), a field in [0, 2**width) while |a_r - c_r|
+    < 2**(width-1), with its top bit set iff a_r >= c_r. below = tops & ~x
+    keeps the top bits of the lanes where a_r < c_r, and there the min
+    adds x's field to c and takes below off again, leaving a_r.
 
-    No lane may wrap. div, the last operation of every exchange, checks
-    with one addition and one AND that every lane of its result lies in
-    [-M, M), M = 2**(width-2-headroom), and raises _LaneOverflow if one
-    does not. If every input lane lies in that range and 2**headroom
-    exceeds the total exponent of the exchange relation (its out- and
-    in-exponents summed), the two monomials differ by less than
-    2**(width-2) in every lane, so the min is exact, and every lane of
-    the result lies in [-2**(width-2), 2**(width-2)], where a lane outside
-    [-M, M) cannot hide behind a borrow from the lane below it.
+    No lane may wrap. Every exchange checks with one addition and one AND
+    that every lane of its result lies in [-M, M), M =
+    2**(width-2-headroom), and raises _LaneOverflow if one does not. If
+    every input lane lies in that range and 2**headroom exceeds the total
+    exponent of the exchange relation (its out- and in-exponents summed),
+    the two monomials differ by less than 2**(width-2) in every lane, so
+    the min is exact, and every lane of the result lies in
+    [-2**(width-2), 2**(width-2)], where a lane outside [-M, M) cannot
+    hide behind a borrow from the lane below it.
     """
     field = (1 << width) - 1
     low = 1 << (width - 2 - headroom)  # M
@@ -121,18 +107,20 @@ def _packed_valuations(width: int, lanes: int, headroom: int) -> _Ring:
         guards = (guards << width) | (field ^ (2 * low - 1))
     shift = width - 1
 
-    def lane_min(a: int, b: int) -> int:
-        x = a - b + tops
-        neg = tops & ~x
-        return b + (x & ((neg >> shift) * field)) - neg
-
-    def checked_sub(a: int, b: int) -> int:
-        c = a - b
-        if (c + half) & guards:
+    def exchange(values, pos, neg, old):
+        a = c = 0
+        for j, b in pos:
+            a += values[j] * b
+        for j, b in neg:
+            c += values[j] * b
+        x = a - c + tops
+        below = tops & ~x
+        new = c + (x & ((below >> shift) * field)) - below - old
+        if (new + half) & guards:
             raise _LaneOverflow(f"a valuation left its {width}-bit lane")
-        return c
+        return new
 
-    return _Ring(lambda: 0, operator.add, operator.mul, lane_min, checked_sub)
+    return exchange
 
 
 def _split(pairs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:
@@ -146,20 +134,23 @@ def _split(pairs: Iterable[tuple[int, int]]) -> tuple[tuple, tuple]:
     return tuple(pos), tuple(neg)
 
 
-def _monomial(ring: _Ring, values, terms) -> object:
-    """Product of values[j] ** b over the (j, b) pairs of terms."""
+def _monomial(values, terms, one=1):
+    """Product of values[j] ** b over the (j, b) pairs of terms (one if none)."""
     acc = None
     for j, b in terms:
-        f = values[j] if b == 1 else ring.pow(values[j], b)
-        acc = f if acc is None else ring.mul(acc, f)
-    return ring.one() if acc is None else acc
+        f = values[j] if b == 1 else values[j] ** b
+        acc = f if acc is None else acc * f
+    return one if acc is None else acc
 
 
-def _exchange(ring: _Ring, values, pos, neg, old) -> object:
-    """The exchange relation: (prod values^pos + prod values^neg) / old."""
-    return ring.div(
-        ring.add(_monomial(ring, values, pos), _monomial(ring, values, neg)), old
-    )
+def _product_exchange(div, one=1):
+    """The exchange relation over products (Laurent polynomials, exact
+    integers), div(prod values^pos + prod values^neg, old) the quotient."""
+
+    def exchange(values, pos, neg, old):
+        return div(_monomial(values, pos, one) + _monomial(values, neg, one), old)
+
+    return exchange
 
 
 def mutate_matrix(
@@ -336,9 +327,8 @@ class Seed:
             raise IndexError(f"mutation index {k} is not mutable")
         pos, neg = _split(enumerate(ex.matrix[k]))
         cluster = list(self.cluster)
-        cluster[k] = _exchange(
-            _laurent_ring(ex.size), self.cluster, pos, neg, self.cluster[k]
-        )
+        relation = _product_exchange(LaurentPolynomial.divide_exact, LaurentPolynomial.one(ex.size))
+        cluster[k] = relation(self.cluster, pos, neg, self.cluster[k])
         return Seed(ex.mutate(k), cluster)
 
     def __repr__(self) -> str:
@@ -389,12 +379,12 @@ class YSeed:
 def y_seed_from_cluster(seed: Seed) -> YSeed:
     """The y-values attached to a seed: y_i = prod_j cluster_j ^ B[i][j]."""
     ex = seed.exchange
-    ring = _laurent_ring(ex.size)
+    one = LaurentPolynomial.one(ex.size)
     values = []
     for i in range(ex.n):
         pos, neg = _split(enumerate(ex.matrix[i]))
         values.append(
-            (_monomial(ring, seed.cluster, pos), _monomial(ring, seed.cluster, neg))
+            (_monomial(seed.cluster, pos, one), _monomial(seed.cluster, neg, one))
         )
     return YSeed(ex, values)
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .finite_type import BipartiteBelt
-from .seeds import _laurent_ring, _monomial
+from .laurent import LaurentPolynomial
+from .seeds import _monomial
 
 __all__ = [
     "UVariable",
@@ -71,7 +72,7 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     """
     out = []
     if belt.symbolic:
-        ring = _laurent_ring(belt.exchange.size)
+        one = LaurentPolynomial.one(belt.exchange.size)
         polys = [e.poly for e in belt.entries]
     records = belt._source_records
     for gamma in belt.mutable_ids:
@@ -84,8 +85,8 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
         u = UVariable(gamma, record.partner, s, k, dict(record.numerator),
                       dict(record.frozen_in), dict(record.vector))
         if belt.symbolic:
-            outp = _monomial(ring, polys, u.numerator.items())
-            inp = _monomial(ring, polys, u.frozen_in.items())
+            outp = _monomial(polys, u.numerator.items(), one)
+            inp = _monomial(polys, u.frozen_in.items(), one)
             if polys[gamma] * polys[u.partner] != outp + inp:
                 raise RuntimeError(
                     f"exchange identity failed at variable {belt.name(gamma)}"
@@ -168,7 +169,7 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
     """
     if uvars is None:
         uvars = build_u_variables(belt)
-    ring = _laurent_ring(belt.exchange.size)
+    one = LaurentPolynomial.one(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     vectors = {u.gamma: u.vector for u in uvars}
     results: dict[int, bool] = {}
@@ -183,8 +184,8 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
         d = {id: -min(0, v.get(id, 0), w.get(id, 0)) for id in ids}
 
         def power(shift):
-            return _monomial(ring, polys, [
-                (id, b) for id in ids if (b := d[id] + shift.get(id, 0))])
+            return _monomial(polys, [
+                (id, b) for id in ids if (b := d[id] + shift.get(id, 0))], one)
 
         results[gamma] = power(v) + power(w) == power({})
     return results

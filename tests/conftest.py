@@ -2,16 +2,101 @@
 
 import operator
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import pytest
 
 
+# the exchange relation over a ring of five callables: the oracle for the
+# package's exchange functions (seeds._valuation_exchange and the others),
+# written term by term and walked from each belt step's matrix rows
+
+
+class Ring(NamedTuple):
+    """The operations an exchange walk needs, as plain callables."""
+
+    one: Callable[[], object]
+    mul: Callable[[object, object], object]
+    pow: Callable[[object, int], object]
+    add: Callable[[object, object], object]
+    div: Callable[[object, object], object]
+
+
+def ring_monomial(ring, values, terms):
+    """Product of values[j] ** b over the (j, b) pairs of terms."""
+    acc = None
+    for j, b in terms:
+        f = values[j] if b == 1 else ring.pow(values[j], b)
+        acc = f if acc is None else ring.mul(acc, f)
+    return ring.one() if acc is None else acc
+
+
+def ring_exchange(ring, values, pos, neg, old):
+    """The exchange relation: (prod values^pos + prod values^neg) / old."""
+    return ring.div(
+        ring.add(ring_monomial(ring, values, pos), ring_monomial(ring, values, neg)), old)
+
+
+def row_split(row):
+    """Positive and (negated) negative (index, exponent) pairs of a matrix row."""
+    return (tuple((j, b) for j, b in enumerate(row) if b > 0),
+            tuple((j, -b) for j, b in enumerate(row) if b < 0))
+
+
+def ring_walk(belt, ring, values, start=0):
+    """One period of the belt from step start over a ring, read off each
+    step's matrix and sources (not the belt's walk schedule): values holds
+    the cluster of step start by node and is updated in place; returns
+    the value of every registry variable."""
+    out = dict(zip(belt.step(start).cluster_ids, values))
+    for s in range(start, start + belt.period):
+        step, after = belt.step(s), belt.step(s + 1).cluster_ids
+        for k in step.sources:
+            pos, neg = row_split(step.matrix[k])
+            values[k] = out[after[k]] = ring_exchange(ring, values, pos, neg, values[k])
+    return out
+
+
+def ring_replay(grass, ring, vals):
+    """A value system, indexed by grid node, walked over a ring along a
+    GrassmannianCluster's re-basing path, from the grid's matrix."""
+    from clustercones.seeds import mutate_matrix
+
+    matrix = grass.grid.matrix
+    for node in grass.path:
+        pos, neg = row_split(matrix[node])
+        vals[node] = ring_exchange(ring, vals, pos, neg, vals[node])
+        matrix = mutate_matrix(matrix, node, grass.grid.n)
+    return vals
+
+
 def fraction_ring():
     """The exchange relation's operations over exact Fractions."""
-    from clustercones.seeds import _Ring
+    return Ring(lambda: Fraction(1), operator.mul, operator.pow,
+                operator.add, operator.truediv)
 
-    return _Ring(lambda: Fraction(1), operator.mul, operator.pow,
-                 operator.add, operator.truediv)
+
+def laurent_ring(nvars):
+    """The exchange relation's operations over Laurent polynomials."""
+    from clustercones.laurent import LaurentPolynomial
+
+    return Ring(lambda: LaurentPolynomial.one(nvars), operator.mul, operator.pow,
+                operator.add, lambda a, b: a.divide_exact(b))
+
+
+# valuations at t -> 0 along x = t^beta, ints or Fractions
+VALUATIONS = Ring(lambda: 0, operator.add, operator.mul, min, operator.sub)
+
+
+def minplus_ring(nvars):
+    """Componentwise minimum exponents, as tuples."""
+    return Ring(
+        lambda: (0,) * nvars,
+        lambda a, b: tuple(map(operator.add, a, b)),
+        lambda a, e: tuple(e * x for x in a),
+        lambda a, b: tuple(map(min, a, b)),
+        lambda a, b: tuple(map(operator.sub, a, b)),
+    )
 
 
 def value_walk(belt, point, start_step=0):
@@ -21,7 +106,7 @@ def value_walk(belt, point, start_step=0):
     walks."""
     if len(point) != belt.exchange.size:
         raise ValueError("need one value per node")
-    return belt._walk(fraction_ring(), [Fraction(v) for v in point], start_step)
+    return ring_walk(belt, fraction_ring(), [Fraction(v) for v in point], start_step)
 
 
 def _balanced(a, b):
@@ -35,9 +120,7 @@ def weight_ring():
     weights, so a walk over it checks every exchange relation it meets
     for homogeneity: the oracle for ExchangeData.grading_defect and for
     the valuation walks that give the package's weights."""
-    from clustercones.seeds import _Ring
-
-    return _Ring(lambda: 0, operator.add, operator.mul, _balanced, operator.sub)
+    return Ring(lambda: 0, operator.add, operator.mul, _balanced, operator.sub)
 
 
 def weight_walk(belt, alpha):
@@ -50,7 +133,7 @@ def weight_walk(belt, alpha):
     values = [Fraction(a) for a in alpha]
     if all(v.denominator == 1 for v in values):
         values = [v.numerator for v in values]
-    return belt._walk(weight_ring(), values, 0)
+    return ring_walk(belt, weight_ring(), values, 0)
 
 
 def packed_lanes(U):
@@ -98,7 +181,7 @@ def content_walks(grass):
     column's 0/1 vector on the grid walked over weight_ring along the
     re-basing path, then along the belt. Returns the column vectors the
     path ends with and {registry id: content}."""
-    alphas = [grass._replay(weight_ring(), [int(c in J) for J in grass._grid_sets])
+    alphas = [ring_replay(grass, weight_ring(), [int(c in J) for J in grass._grid_sets])
               for c in range(1, grass.n + 1)]
     walks = [weight_walk(grass.belt, alpha) for alpha in alphas]
     return alphas, {id: tuple(w[id] for w in walks) for id in grass.belt.row_order}
@@ -110,7 +193,7 @@ def registry_values(grass, point):
     with the point's minors, walked over Fractions along the re-basing
     path and then the belt."""
     vals = [Fraction(point.minor(J)) for J in grass._grid_sets]
-    return value_walk(grass.belt, grass._replay(fraction_ring(), vals))
+    return value_walk(grass.belt, ring_replay(grass, fraction_ring(), vals))
 
 
 def ratio_value(vector, values):

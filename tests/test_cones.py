@@ -14,7 +14,9 @@ import pytest
 from conftest import (
     GR26_SEED,
     kernel_weights,
+    laurent_ring,
     packed_lanes,
+    ring_monomial,
     u_variable_at,
     value_walk,
     weight_walk,
@@ -44,7 +46,7 @@ from clustercones.linalg import (
     right_kernel_basis,
     solve,
 )
-from clustercones.seeds import _laurent_ring, _monomial, load_seed_file
+from clustercones.seeds import load_seed_file
 from clustercones.uvars import DegenerationRay, UVariable
 
 
@@ -729,13 +731,13 @@ def test_packed_dual_columns_match_scalar_walks(request, context):
 def lane_widths(monkeypatch):
     """The lane width of every packed walk started while the test runs."""
     widths = []
-    packed = finite_type._packed_valuations
+    packed = finite_type._packed_exchange
 
     def spy(width, lanes, headroom):
         widths.append(width)
         return packed(width, lanes, headroom)
 
-    monkeypatch.setattr(finite_type, "_packed_valuations", spy)
+    monkeypatch.setattr(finite_type, "_packed_exchange", spy)
     return widths
 
 
@@ -1206,8 +1208,8 @@ def telescopes(ring, values, factors):
     p_i, q_i, f_i are the out-product, exchange pair and frozen in-product
     of the i-th u-factor, P = prod p_i and Q = prod q_i. Oracle for the
     structural chain check."""
-    ps = [_monomial(ring, values, u.numerator.items()) for u in factors]
-    fs = [_monomial(ring, values, u.frozen_in.items()) for u in factors]
+    ps = [ring_monomial(ring, values, u.numerator.items()) for u in factors]
+    fs = [ring_monomial(ring, values, u.frozen_in.items()) for u in factors]
     suffixes = [ring.one()]  # suffixes[i] = prod(ps[i:]), built backwards
     for p in reversed(ps):
         suffixes.append(ring.mul(p, suffixes[-1]))
@@ -1225,7 +1227,7 @@ def test_structural_chain_check_matches_telescoping_identity(context):
     name, _, frozen = context.partition("+")
     belt = belt_of(name, frozen=int(frozen))
     U = build_u_matrix(belt)
-    ring = _laurent_ring(belt.exchange.size)
+    ring = laurent_ring(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     rng = random.Random(37)
     for trial in range(10):
@@ -1366,3 +1368,26 @@ def test_large_powers_keep_the_chain_as_multiplicities(gr38, power):
     names = report.to_dict(belt)["chain"]
     suffix = "" if power == 1 else f"^{power}"
     assert names == [belt.name(g) + suffix for g, _ in report.chain]
+
+
+@pytest.mark.parametrize("context", ["C2+0", "C3+3", "G2+2", "D4+3", "gr38"])
+def test_least_lambda_is_picked_in_integers_first_on_ties(request, context):
+    # lam = -1 at two columns i < j and 1 at a third before them: the
+    # least lam_j is a tie, which membership breaks to the first column,
+    # whose ray it names with the valuation c_i * -1; where the scales
+    # differ (C2, C3, G2), the tie is between different numerators
+    U = u_matrix_of(request, context)
+    rng = random.Random(context)
+    pairs = [(i, j) for i in range(1, U.num_cols) for j in range(i + 1, U.num_cols)]
+    unequal = [(i, j) for i, j in pairs if U.scales[i] != U.scales[j]]
+    assert bool(unequal) == (context[0] in "CG")
+    for i, j in rng.sample(unequal, min(4, len(unequal))) + rng.sample(pairs, 4):
+        lam = [0] * U.num_cols
+        lam[i] = lam[j] = -1
+        lam[rng.randrange(i)] = 1
+        cert = membership(coeff_vec(U, combine(U, lam)), U)
+        assert cert.verdict == "unbounded" and cert.lam == lam
+        ray = U.rays[i]
+        assert (cert.ray.gamma, cert.ray.step, cert.ray.beta, cert.ray.valuation) == (
+            ray.gamma, ray.step, ray.beta, -U.scales[i])
+        assert verify_certificate(U, cert)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import value_walk
+from conftest import VALUATIONS, minplus_ring, ring_walk, value_walk
 from clustercones import finite_type
 from clustercones.finite_type import (
     BeltError,
@@ -438,22 +438,17 @@ def test_min_exponent_divergence_is_caught(monkeypatch, name, wrong):
     # vector no variable has, once on a variable the belt revisits (A3's
     # 16th); the expansion's own corners, which never come from that walk,
     # must disagree with it
-    minplus_ring = finite_type._minplus_ring
+    minexp_exchange = finite_type._minexp_exchange
     divisions = []
 
-    def skewed_ring(nvars):
-        ring = minplus_ring(nvars)
+    def skewed_exchange(values, pos, neg, old):
+        q = minexp_exchange(values, pos, neg, old)
+        divisions.append(q)
+        if len(divisions) == wrong:
+            q = (q[0] - 100,) + q[1:]
+        return q
 
-        def div(a, b):
-            q = ring.div(a, b)
-            divisions.append(q)
-            if len(divisions) == wrong:
-                q = (q[0] - 100,) + q[1:]
-            return q
-
-        return ring._replace(div=div)
-
-    monkeypatch.setattr(finite_type, "_minplus_ring", skewed_ring)
+    monkeypatch.setattr(finite_type, "_minexp_exchange", skewed_exchange)
     with pytest.raises(BeltError, match="tropical min-exponent bookkeeping diverged"):
         BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
     assert len(divisions) == wrong
@@ -508,3 +503,121 @@ def test_big_type_counts():
     for name, count in (("E7", 70), ("F4", 28), ("G2", 8), ("B4", 20), ("D5", 25)):
         belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
         assert len(belt.mutable_ids) == count, name
+
+
+# the exchange functions against the five-callable ring oracle of conftest
+
+WALK_CONTEXTS = [(name, f) for name in CATALOG for f in (0, DynkinType.from_name(name).rank)
+                 ] + [("E7", 0), ("E8", 0), ("E8", 2)]
+
+
+def typed(walk):
+    """A walk's values with their types, so that an int and an equal
+    Fraction do not compare equal."""
+    return {id: (type(v), v) for id, v in walk.items()}
+
+
+def units(size):
+    return [tuple(int(i == j) for i in range(size)) for j in range(size)]
+
+
+@pytest.mark.parametrize("name,frozen", WALK_CONTEXTS)
+def test_valuation_walks_match_the_ring_oracle(name, frozen):
+    # from every start step, along int and Fraction betas, and many int
+    # rays at once in one packed walk
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+    size, p = belt.exchange.size, belt.period
+    rng = random.Random(f"{name}+{frozen}")
+    rays = []
+    for s in range(p):
+        ints = [rng.randint(-9, 9) for _ in range(size)]
+        halves = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(size)]
+        for beta in (ints, halves, [Fraction(b) for b in ints]):
+            assert typed(belt.valuation_walk(beta, s)) == typed(
+                ring_walk(belt, VALUATIONS, list(beta), s)), (s, beta)
+        rays.append((ints, s + p * rng.randint(0, 2)))
+    walks = [ring_walk(belt, VALUATIONS, list(beta), s) for beta, s in rays]
+    assert belt.valuation_columns(rays) == [[w[e.id] for w in walks] for e in belt.entries]
+
+
+@pytest.mark.parametrize("name,frozen", WALK_CONTEXTS)
+def test_frames_and_dedup_keys_match_the_minplus_oracle(name, frozen):
+    # the frames are the packed valuations along unit rays, and the
+    # registry's min exponent vectors come from the tuple exchange while
+    # the belt is built; both equal the min-plus tuple walk of the oracle
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+    size = belt.exchange.size
+    for s in range(belt.period):
+        assert belt._frame(s) == ring_walk(belt, minplus_ring(size), units(size), s), s
+    initial = ring_walk(belt, minplus_ring(size), units(size), 0)
+    assert {e.id: e.minexp for e in belt.entries} == initial
+    assert belt._by_minexp == {minexp: id for id, minexp in initial.items()}
+    assert belt.symbolic == (len(belt.mutable_ids) <= 50)
+
+
+def test_gr38_rays_and_kernel_alphas_match_the_ring_oracle(gr38):
+    belt, U = gr38.belt, gr38.U
+    rays = [(list(alpha), 0) for alpha in U.kernel] + [
+        (list(ray.beta), ray.step) for ray in U.rays]
+    walks = [ring_walk(belt, VALUATIONS, list(beta), s) for beta, s in rays]
+    for (beta, s), want in zip(rays, walks):
+        assert typed(belt.valuation_walk(beta, s)) == typed(want)
+    assert belt.valuation_columns(rays) == [[w[e.id] for w in walks] for e in belt.entries]
+    for beta, s in rays[::9]:
+        halves = [Fraction(b, 2) for b in beta]
+        assert typed(belt.valuation_walk(halves, s)) == typed(
+            ring_walk(belt, VALUATIONS, list(halves), s))
+
+
+# names
+
+
+def scanned_id(belt, name):
+    """The id a name resolves to by a scan: display names in their order,
+    then the root labels of mutable variables, the first match winning."""
+    for id, nm in belt.display_names.items():
+        if nm == name:
+            return id
+    for e in belt.entries:
+        if not e.frozen and belt.root_label(e.id) == name:
+            return e.id
+    return None
+
+
+def every_name(belt):
+    return (set(belt.display_names.values())
+            | {belt.root_label(e.id) for e in belt.entries} | {"x0", "p[999]"})
+
+
+def test_renaming_rebuilds_the_name_index():
+    belt = BipartiteBelt(catalog_exchange(DynkinType("A", 3), 1))
+    assert [belt.id_by_name(nm) for nm in ("x1", "x2", "x3", "f1")] == [0, 1, 2, 3]
+    last, other = belt.mutable_ids[-1], belt.mutable_ids[-2]
+    label = belt.root_label(last)
+    assert belt.id_by_name(label) == last
+    assert belt.id_by_name(belt.root_label(3)) is None  # frozen: no root label
+    belt.rename({0: "alpha"})
+    assert belt.id_by_name("alpha") == 0 and belt.id_by_name("x1") is None
+    with pytest.raises(TypeError):  # only rename writes names
+        belt.display_names[0] = "beta"
+    # a display name comes before another variable's root label
+    belt.rename({other: label})
+    assert belt.id_by_name(label) == other
+    # a repeated display name resolves to the first id in display order
+    belt.rename({2: "dup", 1: "dup"})
+    assert belt.id_by_name("dup") == 1
+    belt.rename({1: "x2"})
+    assert belt.id_by_name("dup") == 2
+    for name in every_name(belt):
+        assert belt.id_by_name(name) == scanned_id(belt, name), name
+
+
+def test_name_index_matches_the_scan(gr38):
+    from clustercones.cli import _catalog_context
+
+    for belt in (gr38.belt, _catalog_context("D4", 2).belt, BipartiteBelt(
+            catalog_exchange(DynkinType("E", 6)))):
+        names = every_name(belt)
+        assert len(names) > len(belt.entries)
+        for name in names:
+            assert belt.id_by_name(name) == scanned_id(belt, name), name

@@ -18,7 +18,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import GR26_SEED, GR37_ORBIT_TABLE, ratio_value, registry_values
+from conftest import (
+    GR26_SEED,
+    GR37_ORBIT_TABLE,
+    VALUATIONS,
+    fraction_ring,
+    ratio_value,
+    registry_values,
+    ring_replay,
+)
 from clustercones import grassmannian
 from clustercones.cones import (
     membership,
@@ -51,7 +59,7 @@ from clustercones.grassmannian import (
     verify_gr48_table,
 )
 from clustercones.linalg import det_bareiss
-from clustercones.seeds import load_seed_file
+from clustercones.seeds import _valuation_exchange, load_seed_file
 
 
 def uvec(g, name):
@@ -272,6 +280,21 @@ def test_integer_walk_refuses_a_start_that_leaves_the_integers(gr36):
         gr36._walk_values(gr36.points[:1], lambda pt, J: prime_of[J])
     # the same walk from the point's own minors divides throughout
     assert gr36._walk_values(gr36.points[:1], TotallyPositivePoint.minor) == gr36.values[:1]
+
+
+@pytest.mark.parametrize("fixture", ["gr26", "gr36", "gr37", "gr38"])
+def test_replay_matches_the_ring_oracle(request, fixture):
+    # the re-basing path walked by the exchange functions, over valuations
+    # and over exact integers, equals the oracle walk from the grid matrix
+    g = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    for pt in g.points:
+        beta = [rng.randint(-5, 5) for _ in g._grid_sets]
+        assert g._replay(_valuation_exchange, list(beta)) == ring_replay(g, VALUATIONS, beta)
+        minors = [pt.minor(J) for J in g._grid_sets]
+        walked = g._replay(grassmannian._INTEGERS, list(minors))
+        assert all(type(v) is int for v in walked)
+        assert walked == ring_replay(g, fraction_ring(), [Fraction(m) for m in minors])
 
 
 # the 3x6 structure: full cone, reduction matrix, Plucker cone

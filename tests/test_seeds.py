@@ -10,7 +10,7 @@ from conftest import GR26_SEED
 from clustercones.laurent import LaurentPolynomial
 from clustercones.seeds import (
     _LaneOverflow,
-    _packed_valuations,
+    _packed_exchange,
     ExchangeData,
     Seed,
     YSeed,
@@ -306,37 +306,51 @@ def _unpack(packed, width, lanes):
     return [(packed >> width * r & ((1 << width) - 1)) - top for r in range(lanes)]
 
 
+def _checked(exchange, values, pos, neg, old, width, lanes, want, bound):
+    """exchange(values, pos, neg, old) unpacked is want when every lane
+    of want lies in the checked range [-bound, bound), and raises
+    _LaneOverflow otherwise."""
+    if all(-bound <= v < bound for v in want):
+        assert _unpack(exchange(values, pos, neg, old), width, lanes) == want
+    else:
+        with pytest.raises(_LaneOverflow):
+            exchange(values, pos, neg, old)
+
+
 @pytest.mark.parametrize("width,headroom", [(16, 2), (16, 4), (32, 3), (24, 1)])
 def test_packed_valuations_are_lanewise_min_plus(width, headroom):
+    # one packed exchange (prod pos + prod neg) / old gives the lanewise
+    # min of two monomials, lanewise sums and multiples when both
+    # monomials are the same, and lanewise differences by old
     rng = random.Random(width * 10 + headroom)
     lanes = 9
-    ring = _packed_valuations(width, lanes, headroom)
+    exchange = _packed_exchange(width, lanes, headroom)
     bound = 1 << (width - 2 - headroom)  # the checked range [-M, M)
+    one, both = ((0, 1),), ((0, 1), (1, 1))
     for _ in range(300):
         a = [rng.randrange(-bound, bound) for _ in range(lanes)]
         b = [rng.randrange(-bound, bound) for _ in range(lanes)]
         a[0], b[0] = -bound, bound - 1  # the ends of the range
         pa, pb = _pack(a, width), _pack(b, width)
-        assert _unpack(ring.add(pa, pb), width, lanes) == list(map(min, a, b))
-        assert _unpack(ring.mul(pa, pb), width, lanes) == [x + y for x, y in zip(a, b)]
-        assert _unpack(ring.pow(pa, 3), width, lanes) == [3 * x for x in a]
-        assert ring.one() == 0
-        diff = [x - y for x, y in zip(a, b)]
-        if all(-bound <= d < bound for d in diff):
-            assert _unpack(ring.div(pa, pb), width, lanes) == diff
-        else:
-            with pytest.raises(_LaneOverflow):
-                ring.div(pa, pb)
+        assert _unpack(exchange([pa, pb], one, ((1, 1),), 0), width, lanes) == list(map(min, a, b))
+        assert _unpack(exchange([pa, pb], ((1, 1),), one, 0), width, lanes) == list(map(min, a, b))
+        _checked(exchange, [pa, pb], both, both, 0, width, lanes,
+                 [x + y for x, y in zip(a, b)], bound)
+        _checked(exchange, [pa], ((0, 3),), ((0, 3),), 0, width, lanes, [3 * x for x in a], bound)
+        assert exchange([pa], (), (), 0) == 0
+        _checked(exchange, [pa, pb], one, one, pb, width, lanes,
+                 [x - y for x, y in zip(a, b)], bound)
 
 
 def test_packed_division_refuses_each_lane_just_outside_its_range():
     width, headroom, lanes = 16, 3, 5
-    ring = _packed_valuations(width, lanes, headroom)
+    exchange = _packed_exchange(width, lanes, headroom)
     bound = 1 << (width - 2 - headroom)
+    one = ((0, 1),)
     for r in range(lanes):
         for v in (bound - 1, -bound):
             inside = _pack([v if i == r else 0 for i in range(lanes)], width)
-            assert ring.div(inside, 0) == inside
+            assert exchange([inside], one, one, 0) == inside
         for v in (bound, -bound - 1, 3 * bound, -3 * bound):
             with pytest.raises(_LaneOverflow):
-                ring.div(_pack([v if i == r else 1 for i in range(lanes)], width), 0)
+                exchange([_pack([v if i == r else 1 for i in range(lanes)], width)], one, one, 0)

@@ -10,7 +10,10 @@ from conftest import (
     GR26_SEED,
     content_walks,
     kernel_weights,
+    laurent_ring,
     ratio_value,
+    ring_monomial,
+    ring_walk,
     u_variable_at,
     value_walk,
     weight_ring,
@@ -29,8 +32,6 @@ from clustercones.laurent import LaurentPolynomial
 from clustercones.linalg import primitive_vector, rank, rref
 from clustercones.seeds import (
     ExchangeData,
-    _laurent_ring,
-    _monomial,
     _split,
     load_seed_file,
 )
@@ -46,13 +47,13 @@ def cross_multiplied_u_equations(belt, uvars):
     """Reference check: u_gamma = a/b and the product term c/d, with c and
     d the products of the numerators and denominators raised to (w||gamma),
     checked as a*d + c*b == b*d."""
-    ring = _laurent_ring(belt.exchange.size)
+    ring = laurent_ring(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     nums, dens = {}, {}
     for u in uvars:
         pos, neg = _split(u.vector.items())
-        nums[u.gamma] = _monomial(ring, polys, pos)
-        dens[u.gamma] = _monomial(ring, polys, neg)
+        nums[u.gamma] = ring_monomial(ring, polys, pos)
+        dens[u.gamma] = ring_monomial(ring, polys, neg)
     results = {}
     for gamma in belt.mutable_ids:
         a, b = nums[gamma], dens[gamma]
@@ -61,8 +62,8 @@ def cross_multiplied_u_equations(belt, uvars):
             for omega in belt.mutable_ids
             if omega != gamma and (e := belt.compatibility_degree(omega, gamma))
         ]
-        c = _monomial(ring, nums, powers)
-        d = _monomial(ring, dens, powers)
+        c = ring_monomial(ring, nums, powers)
+        d = ring_monomial(ring, dens, powers)
         results[gamma] = (a * d + c * b) == (b * d)
     return results
 
@@ -496,8 +497,8 @@ def test_packed_weight_walk_reruns_wider(gr38, monkeypatch):
     # after the re-basing path, times 600, fit; their weights (up to 1200)
     # do not, and the walk reruns at 32 bits
     widths = []
-    packed = finite_type._packed_valuations
-    monkeypatch.setattr(finite_type, "_packed_valuations",
+    packed = finite_type._packed_exchange
+    monkeypatch.setattr(finite_type, "_packed_exchange",
                         lambda w, lanes, h: widths.append(w) or packed(w, lanes, h))
     alphas = [[600 * a for a in alpha] for alpha in content_walks(gr38)[0]
               if max(alpha) == 1]
@@ -561,7 +562,7 @@ def test_a_bad_column_content_is_named(monkeypatch, perturb, message):
 
 def fraction_weight_walk(belt, alpha):
     """Torus weights by an oracle walk over Fractions only."""
-    return belt._walk(weight_ring(), [Fraction(a) for a in alpha], 0)
+    return ring_walk(belt, weight_ring(), [Fraction(a) for a in alpha], 0)
 
 
 @pytest.mark.parametrize("context", ["catalog", "gr36", "gr38"])
