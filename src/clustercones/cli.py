@@ -54,7 +54,7 @@ from .grassmannian import (
     packaged_table,
     verify_gr48_table,
 )
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, pack_exponents
 from .seeds import ExchangeData, dump_seed_data, load_seed_file
 from .uvars import DegenerationRay, build_u_variables, verify_u_equations
 
@@ -222,10 +222,14 @@ def _context_from_key(key: dict) -> Context:
 # rendering helpers
 
 def _poly_fraction_text(poly: LaurentPolynomial, names: list[str]) -> str:
-    """Clear denominators and print as a reduced fraction."""
+    """Clear denominators and print as a reduced fraction.
+
+    The numerator is poly times the monomial of the shift, which adds one
+    packed offset to every key."""
     mins = poly.min_exponents()
     shift = [-m if m < 0 else 0 for m in mins]
-    num = poly * LaurentPolynomial.monomial(poly.nvars, 1, shift)
+    offset = pack_exponents(shift) - pack_exponents([0] * poly.nvars)
+    num = LaurentPolynomial(poly.nvars, {key + offset: c for key, c in poly._terms.items()})
     num_text = num.serialize(names)
     den_factors = [(names[i], s) for i, s in enumerate(shift) if s]
     if not den_factors:

@@ -9,8 +9,9 @@ at each source; the belt compiles its steps once into a schedule of
 runs that schedule, calling an exchange function of `seeds` once per
 exchange: min-plus valuations along a curve x = t^beta, over ints or
 Fractions, for valuation_walk, and many of them packed into one int, for
-valuation_columns along many curves in one walk (the frames that
-compatibility degrees are read from are the valuations along unit rays).
+valuation_columns along many curves in one walk (compatibility degrees
+are read off the valuations along the mutable unit rays of steps 0 and 1,
+see BipartiteBelt.compatibility_degree).
 Along a grading alpha (see seeds.ExchangeData.grading_defect) every
 exchange relation is homogeneous, so the valuations along alpha are the
 torus weights. Building the belt calls the product exchange on Laurent
@@ -569,6 +570,12 @@ class BipartiteBelt:
     node pi[k] got at step s - s0, which must have the min exponents of
     the min-plus vector and equal the registry expansion of the id that
     vector names.
+
+    Compatibility degrees come from the valuations along the mutable unit
+    rays of steps 0 and 1 alone, one packed walk: frozen valuations stay 0
+    along those rays and the mutable block repeats every two steps, so the
+    frame of any other step is one of those two, read at positions moved
+    back along the belt (see compatibility_degree).
     """
 
     def __init__(self, exchange: ExchangeData, symbolic: bool | None = None):
@@ -691,7 +698,6 @@ class BipartiteBelt:
                 raise BeltError(f"variable {mid} never sat at a source")
         self._names = dict(enumerate(exchange.names))
         self.display_names = MappingProxyType(self._names)  # written by rename alone
-        self._frames: dict[int, dict[int, tuple[int, ...]]] = {}
         # degeneration rays by belt step, and by nonsingular mutable block
         # (see _degenerations)
         self._rays: dict[int | tuple, list[tuple[int, ...] | None]] = {}
@@ -782,25 +788,6 @@ class BipartiteBelt:
             for k, pos, neg, target in self._schedule[r % p]:
                 values[k] = out[target] = exchange(values, pos, neg, values[k])
         return out
-
-    def _frame(self, s: int) -> dict[int, tuple[int, ...]]:
-        """Min exponents of every registry variable in the cluster of belt
-        step s: its valuations along the unit rays at step s, from one
-        packed walk (cached per step).
-
-        The frame's variable j is the cluster entry at node j of step s.
-        Every registry variable is a Laurent polynomial with positive
-        coefficients in that cluster, so its valuation along x_j = t (the
-        other entries 1) is its minimum exponent in x_j.
-        """
-        s %= self.period
-        cached = self._frames.get(s)
-        if cached is None:
-            size = self.exchange.size
-            units = [(tuple(int(i == j) for i in range(size)), s) for j in range(size)]
-            cached = self._frames[s] = {e.id: tuple(column) for e, column in zip(
-                self.entries, self.valuation_columns(units))}
-        return cached
 
     def _degenerations(self, s: int) -> list[tuple[int, ...] | None]:
         """Per mutable node j of belt step s, the primitive integer beta
@@ -951,21 +938,48 @@ class BipartiteBelt:
 
     # compatibility
 
+    @cached_property
+    def _unit_frames(self) -> list[list[int]]:
+        """Per registry id, its valuations along the mutable unit rays of
+        step 0 (lanes 0 to n - 1), then of step 1 (lanes n to 2n - 1):
+        lane q * n + j is its min exponent in the variable at node j of
+        step q, the others of that cluster set to 1. One packed walk,
+        built on first use."""
+        n, size = self.exchange.n, self.exchange.size
+        return self.valuation_columns([
+            (tuple(int(i == j) for i in range(size)), q) for q in (0, 1) for j in range(n)])
+
     def compatibility_degree(self, gamma: int, omega: int) -> int:
         """Exponent of the gamma-variable in the denominator of omega,
         written in the cluster at gamma's source seed. Zero when the two
         share a cluster, and for omega == gamma.
 
-        The exponent is read off the min-plus frame of that step (see
-        _frame), so it needs no Laurent expansion and works on tropical
-        belts as well.
+        That exponent is -min(0, val), val the valuation of omega along
+        the unit ray at gamma's source position (s, node): x_node = t,
+        every other entry of step s's cluster 1. It needs no Laurent
+        expansion and works on tropical belts as well. Every such
+        valuation is read off the walk of _unit_frames, which starts only
+        at steps 0 and 1, by a shift of position:
+
+        - Along a mutable unit ray every frozen valuation stays 0, so the
+          walk from step s sees only the mutable block of each matrix.
+        - Mutating every source of a bipartite seed negates its mutable
+          block, so the blocks, and the sources, repeat every two steps.
+
+        So the walk from step s, r steps in, holds node by node what the
+        walk from step q = s mod 2 holds r steps in. omega sits at node k
+        of step t, its source position; taking r = t - s modulo the
+        period, its valuation from step s is that, from step q, of the
+        variable at node k of step t - s + q.
         """
-        entry = self.entries[gamma]
-        if entry.frozen or self.entries[omega].frozen:
+        entry, other = self.entries[gamma], self.entries[omega]
+        if entry.frozen or other.frozen:
             raise ValueError("compatibility degrees are between mutable variables")
-        assert entry.source_pos is not None
         s, node = entry.source_pos
-        return max(-self._frame(s)[omega][node], 0)
+        t, k = other.source_pos
+        q = s % 2
+        shifted = self.steps[(t - s + q) % self.period].cluster_ids[k]
+        return max(-self._unit_frames[shifted][q * self.exchange.n + node], 0)
 
     def __repr__(self) -> str:
         return (

@@ -208,15 +208,20 @@ class LaurentPolynomial:
 
         Canonical order is graded lexicographic, highest first: total degree
         descending, ties broken by the exponent tuple descending.
+
+        A cached struct splits each key into its biased fields. Every
+        field is its exponent plus the same bias, so the fields' sum and
+        the packed key order the terms as the exponents' degree and tuple
+        do, and the bias comes off only as a term is yielded.
         """
-        n = self.nvars
+        unpack, size = _fields(self.nvars), 2 * self.nvars
         decorated = []
         for key, coeff in self._terms.items():
-            exps = unpack_exponents(key, n)
-            decorated.append((sum(exps), exps, coeff))
+            fields = unpack(key.to_bytes(size, "big"))
+            decorated.append((sum(fields), key, fields, coeff))
         decorated.sort(reverse=True)
-        for _, exps, coeff in decorated:
-            yield exps, coeff
+        for _, _, fields, coeff in decorated:
+            yield tuple([f - BIAS for f in fields]), coeff
 
     def min_exponents(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly: zeros).

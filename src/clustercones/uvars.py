@@ -11,6 +11,14 @@ period as one exact record (BipartiteBelt._source_records); a u-variable
 is a copy of the record at gamma's source position, and the chain check
 in cones compares every factor with the record at its own position.
 
+The u-equation u_gamma + prod_{w != gamma} u_w^(w||gamma) = 1 rests on
+the same record: the product term's exponents, summed over the vectors of
+the other u-variables, telescope to the frozen in-part of gamma's
+exchange relation over gamma times its partner, so the equation is that
+relation, which the belt proved when it was built. verify_u_equations
+checks the telescoping and the record, and multiplies out only what fails
+them (see there).
+
 A DegenerationRay is the positive curve x_j = t^beta_j at gamma's source
 seed, with beta chosen so that every exchange relation there stays
 balanced except gamma's own. Along it every registry variable is C * t^val
@@ -150,13 +158,36 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
     """Check u_gamma + prod_{w != gamma} u_w^(w||gamma) = 1 symbolically.
 
     Works on any belt in symbolic mode, full rank or not: the identity is
-    between explicit Laurent polynomials. Returns {gamma id: bool}.
+    between explicit Laurent polynomials (a tropical belt raises
+    BeltError). Returns {gamma id: bool}.
 
     Each u-variable is a monomial x^v in the registry variables (v is
     UVariable.vector, frozen ids included), so the product term is x^w
     with w = sum over omega != gamma of (omega||gamma) * v_omega, summed
-    as exponent vectors before any polynomial is formed. With D = max(0, -v, -w) componentwise, the
-    three vectors D + v, D + w and D are nonnegative, and
+    as exponent vectors before any polynomial is formed.
+
+    Most u-variables are decided without a product, from the exchange
+    relation at gamma's source position (s, k). The belt proved it when it
+    was built (by exact division, by one product with the stored
+    expansion, or relabeled from a relation proved earlier in the belt):
+
+        gamma * partner = prod numerator + prod frozen_in,
+
+    with partner, numerator and frozen_in those of the belt's record at
+    (s, k) (BipartiteBelt._source_records), whose vector is numerator -
+    e_gamma - e_partner. When the u-variable's partner, numerator,
+    frozen_in and vector equal the record's, and w telescopes to frozen_in
+    - e_gamma - e_partner, then
+
+        x^v + x^w = (prod numerator + prod frozen_in) / (gamma * partner) = 1,
+
+    and gamma's result is True. w telescopes so for every u-variable that
+    build_u_variables makes on the catalog types and Grassmannians tried
+    (tests/test_uvars.py); where it does not, the products below decide.
+
+    Any other u-variable, a tampered one for instance, is decided by
+    exact products. With D = max(0, -v, -w) componentwise, the three
+    vectors D + v, D + w and D are nonnegative, and
 
         x^v + x^w = 1  iff  x^(D+v) + x^(D+w) = x^D,
 
@@ -171,15 +202,27 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
         uvars = build_u_variables(belt)
     one = LaurentPolynomial.one(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
-    vectors = {u.gamma: u.vector for u in uvars}
+    records = belt._source_records
+    by_gamma = {u.gamma: u for u in uvars}
     results: dict[int, bool] = {}
     for gamma in belt.mutable_ids:
-        v = vectors[gamma]
+        u = by_gamma[gamma]
+        v = u.vector
         w: dict[int, int] = {}
         for omega in belt.mutable_ids:
             if omega != gamma and (e := belt.compatibility_degree(omega, gamma)):
-                for id, b in vectors[omega].items():
+                for id, b in by_gamma[omega].vector.items():
                     w[id] = w.get(id, 0) + e * b
+        s, k = belt.entries[gamma].source_pos
+        record = records[s].get(k)
+        if record is not None and (
+                gamma, u.partner, u.numerator, u.frozen_in, v) == record:
+            telescoped = dict(record.frozen_in)
+            for id in (gamma, record.partner):
+                telescoped[id] = telescoped.get(id, 0) - 1
+            if {id: b for id, b in w.items() if b} == telescoped:
+                results[gamma] = True
+                continue
         ids = sorted(v.keys() | w.keys())
         d = {id: -min(0, v.get(id, 0), w.get(id, 0)) for id in ids}
 

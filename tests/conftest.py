@@ -99,6 +99,18 @@ def minplus_ring(nvars):
     )
 
 
+def unit_frame(belt, s):
+    """Min exponents of every registry variable in the cluster of belt
+    step s, by id: its valuations along the unit rays of every node at
+    step s, from one packed walk that starts there. The per-step oracle
+    for BipartiteBelt.compatibility_degree, which walks from steps 0 and 1
+    only."""
+    size = belt.exchange.size
+    units = [(tuple(int(i == j) for i in range(size)), s) for j in range(size)]
+    return {e.id: tuple(column) for e, column in zip(
+        belt.entries, belt.valuation_columns(units))}
+
+
 def value_walk(belt, point, start_step=0):
     """Exact values of every registry variable, given positive values for
     the cluster of belt step start_step (by node): one walk of the belt

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import VALUATIONS, minplus_ring, ring_walk, value_walk
+from conftest import VALUATIONS, minplus_ring, ring_walk, unit_frame, value_walk
 from clustercones import finite_type
 from clustercones.finite_type import (
     BeltError,
@@ -297,7 +297,7 @@ def test_frames_agree_with_value_walks_from_every_step(name, frozen):
                 seed = seed.mutate(k)
             for id, poly in zip(belt.step(r + 1).cluster_ids, seed.cluster):
                 assert expansions.setdefault(id, poly) == poly, (s, belt.name(id))
-        frame = belt._frame(s)
+        frame = unit_frame(belt, s)
         assert frame.keys() == values.keys() == expansions.keys() == set(
             range(len(belt.entries)))
         # the registry polynomials live in the cluster of step 0
@@ -548,11 +548,35 @@ def test_frames_and_dedup_keys_match_the_minplus_oracle(name, frozen):
     belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
     size = belt.exchange.size
     for s in range(belt.period):
-        assert belt._frame(s) == ring_walk(belt, minplus_ring(size), units(size), s), s
+        assert unit_frame(belt, s) == ring_walk(belt, minplus_ring(size), units(size), s), s
     initial = ring_walk(belt, minplus_ring(size), units(size), 0)
     assert {e.id: e.minexp for e in belt.entries} == initial
     assert belt._by_minexp == {minexp: id for id, minexp in initial.items()}
     assert belt.symbolic == (len(belt.mutable_ids) <= 50)
+
+
+@pytest.mark.parametrize("context", [f"{name}+{frozen}" for name, frozen in WALK_CONTEXTS]
+                         + ["gr36", "gr37", "gr38"])
+def test_compatibility_degrees_match_the_per_step_frames(request, context):
+    # the two frames of steps 0 and 1, shifted along the belt, give every
+    # degree that the frame of gamma's own source step gives
+    if context.startswith("gr"):
+        belt = request.getfixturevalue(context).belt
+    else:
+        name, _, frozen = context.partition("+")
+        belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), int(frozen)))
+    frames = {}
+    positive = 0
+    for gamma in belt.mutable_ids:
+        s, node = belt.entries[gamma].source_pos
+        if s not in frames:
+            frames[s] = unit_frame(belt, s)
+        for omega in belt.mutable_ids:
+            degree = belt.compatibility_degree(gamma, omega)
+            assert degree == max(-frames[s][omega][node], 0), (s, gamma, omega)
+            positive += degree > 0
+    # source steps past 1 read their degrees shifted
+    assert positive > 0 and (max(frames) > 1 or len(belt.mutable_ids) == 2)
 
 
 def test_gr38_rays_and_kernel_alphas_match_the_ring_oracle(gr38):

@@ -727,6 +727,107 @@ def test_u_equations_match_cross_multiplied_form_on_tampered_vectors():
     assert false_verdicts > 105 and frozen_moves > 0
 
 
+TELESCOPING = [f"{name}+{frozen}" for name in (
+    "A1", "A2", "A3", "A5", "B3", "B4", "C2", "C3", "D4", "D5", "D6", "E6", "F4", "G2")
+    for frozen in (0, DynkinType.from_name(name).rank)] + [
+    "gr25", "gr26", "gr28", "gr36", "gr37", "gr38", "E7+3", "E8+3"]
+
+
+@pytest.mark.parametrize("context", TELESCOPING)
+def test_product_terms_telescope_to_the_frozen_in_part(request, context):
+    # w = sum over omega != gamma of (omega||gamma) * v_omega is frozen_in
+    # - e_gamma - e_partner: the product term of the u-equation is the
+    # in-monomial of gamma's exchange relation over gamma * partner
+    if context.startswith("gr"):
+        k, n = int(context[2]), int(context[3])
+        belt = (request.getfixturevalue(context) if context in ("gr26", "gr36", "gr37", "gr38")
+                else GrassmannianCluster(k, n)).belt
+    else:
+        name, _, frozen = context.partition("+")
+        belt = belt_of(name, int(frozen))
+    uvars = build_u_variables(belt)
+    vectors = {u.gamma: u.vector for u in uvars}
+    for u in uvars:
+        w = {}
+        for omega in belt.mutable_ids:
+            if omega != u.gamma and (e := belt.compatibility_degree(omega, u.gamma)):
+                for id, b in vectors[omega].items():
+                    w[id] = w.get(id, 0) + e * b
+        telescoped = dict(u.frozen_in)
+        telescoped[u.gamma] = telescoped[u.partner] = -1
+        assert {id: b for id, b in w.items() if b} == telescoped, belt.name(u.gamma)
+
+
+def count_products(monkeypatch):
+    """A list that gets one entry per LaurentPolynomial product."""
+    products = []
+    mul = LaurentPolynomial.__mul__
+    monkeypatch.setattr(LaurentPolynomial, "__mul__",
+                        lambda a, b: products.append(None) or mul(a, b))
+    return products
+
+
+@pytest.mark.parametrize("context", ["A1+1", "A3+3", "C2+0", "D4+2", "G2+2", "E6+0", "GR26_SEED"])
+def test_untampered_u_equations_take_no_product(monkeypatch, context):
+    if context == "GR26_SEED":
+        belt = BipartiteBelt(load_seed_file(GR26_SEED))
+    else:
+        name, _, frozen = context.partition("+")
+        belt = belt_of(name, int(frozen))
+    uvars = build_u_variables(belt)
+    products = count_products(monkeypatch)
+    results = verify_u_equations(belt, uvars)
+    assert len(results) == len(belt.mutable_ids) and all(results.values())
+    assert products == []
+    # a u-variable whose vector differs from its record is multiplied out
+    u = uvars[0]
+    vector = dict(u.vector)
+    vector[u.gamma] -= 1
+    uvars[0] = UVariable(u.gamma, u.partner, u.step, u.node, u.numerator,
+                         u.frozen_in, vector)
+    assert not verify_u_equations(belt, uvars)[u.gamma]
+    assert products
+
+
+@pytest.mark.parametrize("field", ["numerator", "frozen_in", "partner", "numerator+vector"])
+def test_u_equations_match_cross_multiplied_form_on_tampered_fields(monkeypatch, field):
+    # a u-variable that differs from its source record in any field is
+    # decided by products, with the verdict of the cross-multiplied form
+    rng = random.Random(field)
+    contexts = [("A2", 0), ("A3", 0), ("C2", 0), ("G2", 0), ("A1", 1),
+                ("A3", 3), ("B3", 0), ("D4", 2)]
+    belts = {c: belt_of(*c) for c in contexts}
+    uvars = {c: build_u_variables(belt) for c, belt in belts.items()}
+    products = count_products(monkeypatch)
+    verdicts = set()
+    for _ in range(12):
+        context = rng.choice([c for c in contexts if field != "frozen_in" or c[1]])
+        belt = belts[context]
+        tampered = list(uvars[context])
+        pos = rng.randrange(len(tampered))
+        u = tampered[pos]
+        partner, numerator, frozen_in, vector = (
+            u.partner, dict(u.numerator), dict(u.frozen_in), dict(u.vector))
+        if field == "frozen_in":
+            id = rng.choice(belt.frozen_ids)
+            frozen_in[id] = frozen_in.get(id, 0) + 1
+        elif field == "partner":
+            partner = rng.choice([id for id in belt.mutable_ids if id != u.partner])
+        else:
+            id = rng.choice([id for id in belt.mutable_ids if id != u.gamma])
+            numerator[id] = numerator.get(id, 0) + 1
+            if field == "numerator+vector":
+                vector[id] = vector.get(id, 0) + 1
+        tampered[pos] = UVariable(u.gamma, partner, u.step, u.node,
+                                  numerator, frozen_in, vector)
+        del products[:]
+        got = verify_u_equations(belt, tampered)
+        assert products
+        assert got == cross_multiplied_u_equations(belt, tampered), context
+        verdicts.add(got[u.gamma])
+    assert verdicts == ({False} if field == "numerator+vector" else {True})
+
+
 @pytest.mark.parametrize("context", ["A3+3", "C2+2", "D4+3", "G2+2", "gr36", "gr38"])
 def test_source_records_match_the_matrix_rows(request, context):
     # every source position of every step of the period holds one record,
