@@ -42,8 +42,6 @@ from .finite_type import (
     DynkinType,
     NotFiniteTypeError,
     catalog_exchange,
-    find_bipartite_seed_path,
-    is_bipartite_orientation,
 )
 from .grassmannian import (
     GrassmannianCluster,
@@ -55,7 +53,7 @@ from .grassmannian import (
     verify_gr48_table,
 )
 from .laurent import LaurentPolynomial, pack_exponents
-from .seeds import ExchangeData, dump_seed_data, load_seed_file
+from .seeds import dump_seed_data, load_seed_file
 from .uvars import DegenerationRay, build_u_variables, verify_u_equations
 
 U_EQUATION_TYPES = ("A1", "A2", "A3", "C2", "D4")
@@ -138,24 +136,18 @@ def _object(value, what: str) -> dict:
 
 
 def _seed_context(data: dict, label: str) -> Context:
+    """The context of a seed description. The belt re-bases a seed that is
+    not bipartite (priming each mutated node's name), and the context key
+    holds the base seed it starts from, which certificates replay."""
     try:
         exchange = load_seed_file(_object(data, "seed description"))
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"bad seed description: {exc}") from exc
     try:
-        if not is_bipartite_orientation(exchange.mutable_matrix(), exchange.n):
-            path = find_bipartite_seed_path(exchange)
-            names = list(exchange.names)
-            for k in path:
-                exchange = exchange.mutate(k)
-                names[k] += "'"
-            exchange = ExchangeData(
-                exchange.n, exchange.m, exchange.matrix, exchange.weights, names
-            )
         belt = BipartiteBelt(exchange)
     except (NotFiniteTypeError, BeltError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
-    key = {"kind": "seed", "seed": dump_seed_data(exchange)}
+    key = {"kind": "seed", "seed": dump_seed_data(belt.exchange)}
     return Context(label, belt, key)
 
 

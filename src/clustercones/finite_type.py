@@ -1,5 +1,11 @@
 """Dynkin catalog, recognition, and the bipartite belt.
 
+The belt starts from any seed of finite type. A seed that is not
+bipartite is first taken to a bipartite seed of its mutation class by
+find_bipartite_seed_path, and the belt keeps that re-basing path, so
+that any value system on the given seed can be walked to the belt's
+start (BipartiteBelt._rebase).
+
 The belt mutates all sources of a bipartite seed at once, repeatedly,
 until the labeled seed comes back (after h+2 or 2(h+2) steps, h the
 Coxeter number), registering every distinct cluster variable it meets.
@@ -548,7 +554,14 @@ def _relabeling(state: tuple, state0: tuple, n: int) -> tuple[int, ...] | None:
 
 
 class BipartiteBelt:
-    """The source-mutation orbit of a bipartite finite-type seed.
+    """The source-mutation orbit of a finite-type seed, from its bipartite base.
+
+    Any seed of finite type is accepted. One that is not bipartite is
+    first mutated to a bipartite seed along find_bipartite_seed_path; the
+    belt keeps that path (path, the nodes; _path_moves, the exchange terms
+    of each move, which _rebase walks) and starts from the base seed it
+    reaches, whose names are the given ones with each move's node primed.
+    exchange is that base seed, step 0 of the belt.
 
     symbolic=None picks symbolic Laurent bookkeeping for small types
     (at most 50 belt variables) and tropical bookkeeping beyond that.
@@ -580,11 +593,21 @@ class BipartiteBelt:
 
     def __init__(self, exchange: ExchangeData, symbolic: bool | None = None):
         n, size = exchange.n, exchange.size
+        # the re-basing path: (node, out-terms, in-terms) per move from the
+        # given seed to its bipartite base, each move priming its node's
+        # name; mutation keeps the matrix skew-symmetrizable, so only the
+        # base is checked
+        self.path: tuple[int, ...] = ()
+        self._path_moves: list[tuple[int, tuple, tuple]] = []
+        if not is_bipartite_orientation(exchange.mutable_matrix(), n):
+            self.path = find_bipartite_seed_path(exchange)
+            matrix, names = exchange.matrix, list(exchange.names)
+            for k in self.path:
+                self._path_moves.append((k, *_split(enumerate(matrix[k]))))
+                matrix = mutate_matrix(matrix, k, n)
+                names[k] += "'"
+            exchange = ExchangeData(n, exchange.m, matrix, exchange.weights, names)
         mut = exchange.mutable_matrix()
-        if not is_bipartite_orientation(mut, n):
-            raise NotFiniteTypeError(
-                "seed is not bipartite; mutate to a bipartite seed first"
-            )
         dynkin = _dynkin_type(mut, exchange, "bipartite seed is not a Dynkin orientation")
         self.exchange = exchange
         self.dynkin = dynkin
@@ -774,6 +797,14 @@ class BipartiteBelt:
         return self._ids_by_root_label.get(name) if id is None else id
 
     # walks
+
+    def _rebase(self, exchange, values: list) -> list:
+        """Walk a value system, indexed by node of the seed the belt was
+        given, along the re-basing path in place, calling exchange (see
+        seeds) once per move: it then holds the cluster of step 0."""
+        for node, pos, neg in self._path_moves:
+            values[node] = exchange(values, pos, neg, values[node])
+        return values
 
     def _walk(self, exchange, values: list, start: int) -> dict:
         """Walk one period of the belt from step start, calling

@@ -2,17 +2,17 @@
 
 Everything is exact and value-based. The initial seed is a quiver on
 Plucker coordinates (a rectangular grid for k >= 3, a zig-zag polygon
-triangulation for k = 2); a short mutation path turns it into a bipartite
-seed so the mutation belt can enumerate every cluster variable
-tropically. Belt variables are then identified against actual minors by
-combining two exact invariants: the torus content (one weight per matrix
-column, transported along the belt) and evaluation at three totally
-positive points, where each minor is a Vandermonde product. The points
-have integer parameters, so every minor is an integer, and so is every
-cluster variable (a polynomial in the minors, Scott 2006): the values
-are walked over ints, and an exchange that does not divide exactly
-raises IdentificationError. Variables that are not minors are named by
-their content multiset.
+triangulation for k = 2). The mutation belt starts from it, first taking
+it to a bipartite seed along a short mutation path where it is not one,
+and enumerates every cluster variable tropically. Belt variables are
+then identified against actual minors by combining two exact
+invariants: the torus content (one weight per matrix column, transported
+along the belt) and evaluation at three totally positive points, where
+each minor is a Vandermonde product. The points have integer parameters,
+so every minor is an integer, and so is every cluster variable (a
+polynomial in the minors, Scott 2006): the values are walked over ints,
+and an exchange that does not divide exactly raises IdentificationError.
+Variables that are not minors are named by their content multiset.
 
 On top of the identification sit the cone computations: the bounded-ratio
 cone restricted to Plucker coordinates or to variables of bounded degree,
@@ -37,15 +37,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .cones import ConeDescription, UMatrix, build_u_matrix, membership, subset_cone
 from .expressions import parse_ratio
-from .finite_type import BipartiteBelt, NotFiniteTypeError, find_bipartite_seed_path
+from .finite_type import BipartiteBelt, NotFiniteTypeError
 from .linalg import rank, solve
 from .seeds import (
     ExchangeData,
     _product_exchange,
-    _split,
     _valuation_exchange,
     load_seed_file,
-    mutate_matrix,
 )
 from .uvars import build_u_variables
 
@@ -332,36 +330,21 @@ class GrassmannianCluster:
         contents, _, _ = _grid_layout(k, n)
         self._grid_sets = contents  # column subsets, node order of self.grid
         self.points = tuple(_integral(tp_sample(k, n, s)) for s in (11, 12, 13))
-        self.path = find_bipartite_seed_path(self.grid)
-
-        # the exchange terms of every re-basing step, so any value system
-        # (the rotated minors, say) can replay the path later; mutation
-        # keeps the matrix skew-symmetrizable, so only the end is checked
-        ex = self.grid
-        matrix = ex.matrix
-        self._path_moves: list[tuple[int, tuple, tuple]] = []
-        for step in self.path:
-            self._path_moves.append((step, *_split(enumerate(matrix[step]))))
-            matrix = mutate_matrix(matrix, step, ex.n)
-        names = [
-            ex.names[i] if i not in set(self.path) else f"node{i}"
-            for i in range(ex.size)
-        ]
-        base = ExchangeData(ex.n, ex.m, matrix, ex.weights, names)
-        self.belt = BipartiteBelt(base, symbolic=False)
+        self.belt = BipartiteBelt(self.grid, symbolic=False)
 
         # the content of each column is a grading of the grid seed, and
         # mutation carries it to a grading of every seed after (see
         # ExchangeData.grading_defect): checked once at the grid, it is
-        # carried along the path as valuations, and its valuations on the
-        # belt, walked for all columns at once, are the contents
+        # carried along the belt's re-basing path as valuations, and its
+        # valuations on the belt, walked for all columns at once, are the
+        # contents
         columns = [[int(c in J) for J in contents] for c in range(1, n + 1)]
         for c, alpha in enumerate(columns, 1):
             reason = self.grid.grading_defect(alpha)
             if reason is not None:
                 raise IdentificationError(
                     f"column {c} content is not an exchange weight: {reason}")
-        functionals = [self._replay(_valuation_exchange, a) for a in columns]
+        functionals = [self.belt._rebase(_valuation_exchange, a) for a in columns]
         per_column = self.belt.valuation_columns([(a, 0) for a in functionals])
         if rank(functionals) != n:
             raise IdentificationError("column functionals do not have full rank")
@@ -392,18 +375,11 @@ class GrassmannianCluster:
 
     # plumbing
 
-    def _replay(self, exchange, vals: list) -> list:
-        """Walk a value system, indexed by grid node, along the re-basing
-        path in place, calling exchange (see seeds) once per move."""
-        for node, pos, neg in self._path_moves:
-            vals[node] = exchange(vals, pos, neg, vals[node])
-        return vals
-
     def _walk_values(self, points, minor_of) -> list[dict[int, int]]:
         """Registry values when each grid node J is seeded with the integer
         minor_of(pt, J), walked over ints along the path and the belt."""
         return [
-            self.belt._walk(_INTEGERS, self._replay(
+            self.belt._walk(_INTEGERS, self.belt._rebase(
                 _INTEGERS, [minor_of(pt, J) for J in self._grid_sets]), 0)
             for pt in points
         ]
@@ -903,7 +879,7 @@ def check_ray_table(
             # the names up to the last one on the left fix the left ratio
             # and so its ray; every later name is on the right alone and
             # must take a gamma of that ray's powers
-            split = max((n + 1 for n, (_, key) in enumerate(pending)
+            split = max((pos + 1 for pos, (_, key) in enumerate(pending)
                          if key in left), default=0)
             for head in extensions(asg, pending[:split], None):
                 i = left_ray(row, head)

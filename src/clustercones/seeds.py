@@ -5,18 +5,13 @@ matrix with the n mutable indices first, positive integer weights (the
 symmetrizer diagonal), and display names. Entries between two frozen
 indices are carried along untouched; mutation never reads them.
 
-A Seed pairs an ExchangeData with a cluster of Laurent polynomials in the
-initial variables. Mutation performs the exchange substitution with exact
-Laurent division, which doubles as a proof that the new variable is again
-a Laurent polynomial; a division failure here means the input matrix was
-not what it claimed to be.
-
 The exchange relation x' = (prod out^b + prod in^b) / x is written once
 per kind of value, as exchange(values, pos, neg, old): min-plus valuations
 (one at a time, or many packed into one int), min-exponent tuples, and
 exact quotients of products (Laurent polynomials; grassmannian's exact
-integers). Every mutation and belt walk calls one once per exchange. Torus
-weights are the valuations along a grading (ExchangeData.grading_defect).
+integers). The belt's walks, and its re-basing path, call one once per
+exchange; mutate_matrix carries the matrix. Torus weights are the
+valuations along a grading (ExchangeData.grading_defect).
 """
 
 from __future__ import annotations
@@ -26,15 +21,12 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .laurent import EXP_LIMIT, LaurentPolynomial
+from .laurent import EXP_LIMIT
 from .linalg import rank, right_kernel_basis
 
 __all__ = [
     "ExchangeData",
-    "Seed",
-    "YSeed",
     "mutate_matrix",
-    "y_seed_from_cluster",
     "load_seed_file",
     "dump_seed_data",
 ]
@@ -301,92 +293,6 @@ class ExchangeData:
 
     def __repr__(self) -> str:
         return f"<ExchangeData n={self.n} m={self.m}>"
-
-
-class Seed:
-    """Exchange data plus a cluster of Laurent polynomials."""
-
-    __slots__ = ("exchange", "cluster")
-
-    def __init__(self, exchange: ExchangeData, cluster: Sequence[LaurentPolynomial]):
-        if len(cluster) != exchange.size:
-            raise ValueError("cluster length mismatch")
-        self.exchange = exchange
-        self.cluster = tuple(cluster)
-
-    @classmethod
-    def initial(cls, exchange: ExchangeData) -> "Seed":
-        size = exchange.size
-        cluster = [LaurentPolynomial.variable(size, i) for i in range(size)]
-        return cls(exchange, cluster)
-
-    def mutate(self, k: int) -> "Seed":
-        """Exchange substitution at mutable index k."""
-        ex = self.exchange
-        if not 0 <= k < ex.n:
-            raise IndexError(f"mutation index {k} is not mutable")
-        pos, neg = _split(enumerate(ex.matrix[k]))
-        cluster = list(self.cluster)
-        relation = _product_exchange(LaurentPolynomial.divide_exact, LaurentPolynomial.one(ex.size))
-        cluster[k] = relation(self.cluster, pos, neg, self.cluster[k])
-        return Seed(ex.mutate(k), cluster)
-
-    def __repr__(self) -> str:
-        return f"<Seed n={self.exchange.n} m={self.exchange.m}>"
-
-
-class YSeed:
-    """Y-dynamics seed: one subtraction-free rational pair per mutable index.
-
-    Values are (numerator, denominator) pairs of Laurent polynomials in
-    whatever ambient variables the caller chose; equality of values is
-    decided by cross-multiplication, so pairs need not be reduced.
-    """
-
-    __slots__ = ("exchange", "values")
-
-    def __init__(
-        self,
-        exchange: ExchangeData,
-        values: Sequence[tuple[LaurentPolynomial, LaurentPolynomial]],
-    ):
-        if len(values) != exchange.n:
-            raise ValueError("one y-value per mutable index required")
-        self.exchange = exchange
-        self.values = tuple(values)
-
-    def mutate(self, k: int) -> "YSeed":
-        ex = self.exchange
-        if not 0 <= k < ex.n:
-            raise IndexError(f"mutation index {k} is not mutable")
-        yk_num, yk_den = self.values[k]
-        new_values = []
-        for i in range(ex.n):
-            if i == k:
-                new_values.append((yk_den, yk_num))
-                continue
-            num, den = self.values[i]
-            b = ex.matrix[i][k]
-            if b:
-                # b > 0: y_i * (y_k / (1 + y_k))^b; b < 0: y_i * (1 + y_k)^|b|
-                total = yk_num + yk_den
-                gain, loss = (yk_num, total) if b > 0 else (total, yk_den)
-                num, den = num * gain ** abs(b), den * loss ** abs(b)
-            new_values.append((num, den))
-        return YSeed(ex.mutate(k), new_values)
-
-
-def y_seed_from_cluster(seed: Seed) -> YSeed:
-    """The y-values attached to a seed: y_i = prod_j cluster_j ^ B[i][j]."""
-    ex = seed.exchange
-    one = LaurentPolynomial.one(ex.size)
-    values = []
-    for i in range(ex.n):
-        pos, neg = _split(enumerate(ex.matrix[i]))
-        values.append(
-            (_monomial(seed.cluster, pos, one), _monomial(seed.cluster, neg, one))
-        )
-    return YSeed(ex, values)
 
 
 def _positive_int(value, what: str) -> int:

@@ -73,15 +73,13 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     its exchange partner: a copy of the belt's record at gamma's source
     position (BipartiteBelt._source_records), with dicts of its own, so
     that U shares none with the records the chain check compares against.
-    On a symbolic belt the exchange relation gamma * partner = out-product
-    + in-product is multiplied out once more from the registry expansions,
-    and a mismatch raises RuntimeError; a tropical belt has no expansions
-    to check.
+    The exchange relation gamma * partner = out-product + in-product is
+    not multiplied out here: a symbolic belt proved it when it was built
+    (by exact division, by one confirming product, or relabeled from a
+    relation proved earlier in the belt), and a tropical belt has no
+    expansions to multiply.
     """
     out = []
-    if belt.symbolic:
-        one = LaurentPolynomial.one(belt.exchange.size)
-        polys = [e.poly for e in belt.entries]
     records = belt._source_records
     for gamma in belt.mutable_ids:
         s, k = belt.entries[gamma].source_pos
@@ -90,16 +88,8 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
             raise RuntimeError(
                 f"belt variable {gamma} has a mutable in-arrow at its source"
             )
-        u = UVariable(gamma, record.partner, s, k, dict(record.numerator),
-                      dict(record.frozen_in), dict(record.vector))
-        if belt.symbolic:
-            outp = _monomial(polys, u.numerator.items(), one)
-            inp = _monomial(polys, u.frozen_in.items(), one)
-            if polys[gamma] * polys[u.partner] != outp + inp:
-                raise RuntimeError(
-                    f"exchange identity failed at variable {belt.name(gamma)}"
-                )
-        out.append(u)
+        out.append(UVariable(gamma, record.partner, s, k, dict(record.numerator),
+                             dict(record.frozen_in), dict(record.vector)))
     return out
 
 

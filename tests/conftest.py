@@ -58,12 +58,13 @@ def ring_walk(belt, ring, values, start=0):
 
 
 def ring_replay(grass, ring, vals):
-    """A value system, indexed by grid node, walked over a ring along a
-    GrassmannianCluster's re-basing path, from the grid's matrix."""
+    """A value system, indexed by grid node, walked over a ring along the
+    re-basing path of a GrassmannianCluster's belt, from the grid's
+    matrix."""
     from clustercones.seeds import mutate_matrix
 
     matrix = grass.grid.matrix
-    for node in grass.path:
+    for node in grass.belt.path:
         pos, neg = row_split(matrix[node])
         vals[node] = ring_exchange(ring, vals, pos, neg, vals[node])
         matrix = mutate_matrix(matrix, node, grass.grid.n)
@@ -97,6 +98,102 @@ def minplus_ring(nvars):
         lambda a, b: tuple(map(min, a, b)),
         lambda a, b: tuple(map(operator.sub, a, b)),
     )
+
+
+# seeds that carry their cluster: the per-mutation oracles for the belt's
+# walks (Seed, Laurent expansions) and for the y-pattern (YSeed)
+
+
+class Seed:
+    """Exchange data plus a cluster of Laurent polynomials."""
+
+    __slots__ = ("exchange", "cluster")
+
+    def __init__(self, exchange, cluster):
+        if len(cluster) != exchange.size:
+            raise ValueError("cluster length mismatch")
+        self.exchange = exchange
+        self.cluster = tuple(cluster)
+
+    @classmethod
+    def initial(cls, exchange):
+        from clustercones.laurent import LaurentPolynomial
+
+        size = exchange.size
+        cluster = [LaurentPolynomial.variable(size, i) for i in range(size)]
+        return cls(exchange, cluster)
+
+    def mutate(self, k):
+        """Exchange substitution at mutable index k, by exact Laurent
+        division, which doubles as a proof that the new variable is again
+        a Laurent polynomial."""
+        from clustercones.laurent import LaurentPolynomial
+        from clustercones.seeds import _product_exchange, _split
+
+        ex = self.exchange
+        if not 0 <= k < ex.n:
+            raise IndexError(f"mutation index {k} is not mutable")
+        pos, neg = _split(enumerate(ex.matrix[k]))
+        cluster = list(self.cluster)
+        relation = _product_exchange(LaurentPolynomial.divide_exact, LaurentPolynomial.one(ex.size))
+        cluster[k] = relation(self.cluster, pos, neg, self.cluster[k])
+        return Seed(ex.mutate(k), cluster)
+
+    def __repr__(self):
+        return f"<Seed n={self.exchange.n} m={self.exchange.m}>"
+
+
+class YSeed:
+    """Y-dynamics seed: one subtraction-free rational pair per mutable index.
+
+    Values are (numerator, denominator) pairs of Laurent polynomials in
+    whatever ambient variables the caller chose; equality of values is
+    decided by cross-multiplication, so pairs need not be reduced.
+    """
+
+    __slots__ = ("exchange", "values")
+
+    def __init__(self, exchange, values):
+        if len(values) != exchange.n:
+            raise ValueError("one y-value per mutable index required")
+        self.exchange = exchange
+        self.values = tuple(values)
+
+    def mutate(self, k):
+        ex = self.exchange
+        if not 0 <= k < ex.n:
+            raise IndexError(f"mutation index {k} is not mutable")
+        yk_num, yk_den = self.values[k]
+        new_values = []
+        for i in range(ex.n):
+            if i == k:
+                new_values.append((yk_den, yk_num))
+                continue
+            num, den = self.values[i]
+            b = ex.matrix[i][k]
+            if b:
+                # b > 0: y_i * (y_k / (1 + y_k))^b; b < 0: y_i * (1 + y_k)^|b|
+                total = yk_num + yk_den
+                gain, loss = (yk_num, total) if b > 0 else (total, yk_den)
+                num, den = num * gain ** abs(b), den * loss ** abs(b)
+            new_values.append((num, den))
+        return YSeed(ex.mutate(k), new_values)
+
+
+def y_seed_from_cluster(seed):
+    """The y-values attached to a seed: y_i = prod_j cluster_j ^ B[i][j]."""
+    from clustercones.laurent import LaurentPolynomial
+    from clustercones.seeds import _monomial, _split
+
+    ex = seed.exchange
+    one = LaurentPolynomial.one(ex.size)
+    values = []
+    for i in range(ex.n):
+        pos, neg = _split(enumerate(ex.matrix[i]))
+        values.append(
+            (_monomial(seed.cluster, pos, one), _monomial(seed.cluster, neg, one))
+        )
+    return YSeed(ex, values)
 
 
 def unit_frame(belt, s):

@@ -14,7 +14,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import GR26_SEED, GR37_ORBIT_TABLE, value_walk
+from conftest import GR26_SEED, GR37_ORBIT_TABLE, Seed, value_walk, y_seed_from_cluster
 from test_cones import brute_force_rays, rank_test_rays
 from test_grassmannian import (
     GR36_EXCERPT_COLUMNS,
@@ -45,7 +45,7 @@ from clustercones.grassmannian import (
 )
 from clustercones.laurent import LaurentPolynomial
 from clustercones.linalg import det_bareiss
-from clustercones.seeds import ExchangeData, Seed, load_seed_file, y_seed_from_cluster
+from clustercones.seeds import ExchangeData, load_seed_file
 from clustercones.uvars import build_u_variables, verify_u_equations
 
 

@@ -653,6 +653,41 @@ def test_enumerate_non_bipartite_seed_file(capsys, tmp_path):
     assert "a'" in out
 
 
+# the linear seed a -> b -> c with a frozen node on each mutable one, and
+# the sha256 of its enumerate JSON and of a bounded check's certificate
+# file, computed when the command line still re-based seed files itself
+LINEAR_SEED = {
+    "nodes": [{"name": "a"}, {"name": "b"}, {"name": "c"},
+              {"name": "f1", "frozen": True}, {"name": "f2", "frozen": True},
+              {"name": "f3", "frozen": True}],
+    "arrows": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"},
+               {"from": "f1", "to": "a"}, {"from": "f2", "to": "b"},
+               {"from": "f3", "to": "c"}],
+}
+LINEAR_ENUMERATE_GOLDEN = "e49ac2a0473009635ab888c21f22f89b8286385fdf08bccbcf5b65393c729369"
+LINEAR_CERTIFICATE_GOLDEN = "5056490a4b98bbbd2989aedfed57799211cd3f451dfbe6ea00de94885b669248"
+
+
+def test_non_bipartite_seed_file_outputs_are_golden(capsys, tmp_path):
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(LINEAR_SEED))
+    code, out, err = run(capsys, ["enumerate", "--seed-file", str(path),
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == LINEAR_ENUMERATE_GOLDEN
+    cert = tmp_path / "linear-cert.json"
+    code, payload = run_json(capsys, [
+        "check", "--seed-file", str(path), "--ratio", "x[-1,0,0]*c/(b*x[0,1,0])",
+        "--certificate-out", str(cert), "--format", "json"])
+    assert code == 0 and payload["certificate"]["verdict"] == "bounded"
+    assert hashlib.sha256(cert.read_bytes()).hexdigest() == LINEAR_CERTIFICATE_GOLDEN
+    # the certificate names the base seed, primed names included, and replays
+    assert json.loads(cert.read_text())["context"]["seed"]["nodes"][0]["name"] == "a'"
+    code, payload = run_json(capsys, ["verify", "--certificate", str(cert),
+                                      "--format", "json"])
+    assert code == 0 and payload["replayed"] is True
+
+
 def test_enumerate_refuses_a_seed_file_that_is_not_2_finite(capsys, tmp_path):
     # the triple-arrow 3-cycle: b_ab * b_ba = -9 in the seed itself
     path = tmp_path / "triple.json"

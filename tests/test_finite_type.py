@@ -4,10 +4,20 @@ import random
 import re
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from conftest import VALUATIONS, minplus_ring, ring_walk, unit_frame, value_walk
+from conftest import (
+    VALUATIONS,
+    Seed,
+    laurent_ring,
+    minplus_ring,
+    ring_exchange,
+    ring_walk,
+    unit_frame,
+    value_walk,
+)
 from clustercones import finite_type
 from clustercones.finite_type import (
     BeltError,
@@ -21,7 +31,7 @@ from clustercones.finite_type import (
     sources_of,
 )
 from clustercones.laurent import LaurentPolynomial
-from clustercones.seeds import ExchangeData, Seed
+from clustercones.seeds import ExchangeData
 
 
 def P(nvars, text):
@@ -176,6 +186,48 @@ def test_find_bipartite_seed_path_returns_to_the_same_type(name):
                 exchange.mutable_matrix(), exchange.weights[:n]) == dynkin
 
 
+def seed_loop_rebase(exchange):
+    """The re-basing loop the command line ran on a seed file before the
+    belt re-based seeds itself: ExchangeData.mutate along
+    find_bipartite_seed_path, priming a node's name once per move. The
+    reference for BipartiteBelt's own re-basing."""
+    if is_bipartite_orientation(exchange.mutable_matrix(), exchange.n):
+        return exchange
+    path = find_bipartite_seed_path(exchange)
+    names = list(exchange.names)
+    for k in path:
+        exchange = exchange.mutate(k)
+        names[k] += "'"
+    return ExchangeData(exchange.n, exchange.m, exchange.matrix, exchange.weights, names)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_belt_rebases_random_orientations_as_the_seed_loop_did(name):
+    rng = random.Random("rebase " + name)
+    dynkin = DynkinType.from_name(name)
+    rebased = 0
+    for frozen in (0, dynkin.rank):
+        for _ in range(4):
+            exchange = catalog_exchange(dynkin, frozen)
+            for _ in range(rng.randrange(1, 26)):
+                exchange = exchange.mutate(rng.randrange(exchange.n))
+            want = seed_loop_rebase(exchange)
+            belt = BipartiteBelt(exchange, symbolic=False)
+            got = belt.exchange
+            assert (got.n, got.m, got.matrix, got.weights, got.names) == (
+                want.n, want.m, want.matrix, want.weights, want.names)
+            assert [k for k, _, _ in belt._path_moves] == list(belt.path)
+            reference = BipartiteBelt(want, symbolic=False)
+            assert reference.path == ()
+            assert belt.dynkin == reference.dynkin == dynkin
+            assert belt.period == reference.period
+            assert len(belt.mutable_ids) == len(reference.mutable_ids)
+            assert len(belt.frozen_ids) == len(reference.frozen_ids) == frozen
+            rebased += bool(belt.path)
+    # a rank-2 seed is always bipartite; every larger type meets the path
+    assert bool(rebased) == (dynkin.rank > 2)
+
+
 A3_GOLDEN = {
     (-1, 0, 0): "x1",
     (0, -1, 0): "x2",
@@ -233,10 +285,26 @@ def test_c2_belt_and_compatibility_row():
     assert belt.compatibility_degree(x1, ids[1]) == 0
 
 
-def test_belt_rejects_non_bipartite_and_infinite():
-    path_ex = ExchangeData(3, 0, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]])
-    with pytest.raises(NotFiniteTypeError):
-        BipartiteBelt(path_ex)
+def test_belt_rebases_a_non_bipartite_seed_and_rejects_infinite():
+    # the linear seed a -> b -> c is not bipartite: the belt mutates at a,
+    # primes its name, and walks the A3 belt of the seed it reaches
+    path_ex = ExchangeData(3, 0, [[0, 1, 0], [-1, 0, 1], [0, -1, 0]],
+                           names=["a", "b", "c"])
+    belt = BipartiteBelt(path_ex)
+    assert belt.path == (0,) and belt.dynkin == DynkinType("A", 3)
+    assert belt._path_moves == [(0, ((1, 1),), ())]
+    assert belt.exchange.matrix == path_ex.mutate(0).matrix
+    assert belt.exchange.names == ("a'", "b", "c")
+    assert belt.period == 12 and len(belt.mutable_ids) == 9
+    # the initial variables walked along the path: a becomes (b + 1)/a
+    x = [LaurentPolynomial.variable(3, i) for i in range(3)]
+    assert belt._rebase(partial(ring_exchange, laurent_ring(3)), list(x)) == [
+        P(3, "x1^-1*x2 + x1^-1"), x[1], x[2]]
+    # a bipartite seed is its own base
+    a3 = catalog_exchange(DynkinType("A", 3))
+    bipartite = BipartiteBelt(a3)
+    assert bipartite.path == () and bipartite._path_moves == []
+    assert bipartite.exchange is a3
     affine = ExchangeData(2, 0, [[0, 2], [-2, 0]])
     with pytest.raises(NotFiniteTypeError):
         BipartiteBelt(affine)

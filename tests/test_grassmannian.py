@@ -154,7 +154,7 @@ def test_grid_seed_gr36_matches_figure():
 @pytest.mark.parametrize("n", range(4, 11))
 def test_gr2_seed_is_bipartite_type_a(n):
     g = GrassmannianCluster(2, n)
-    assert g.path == ()
+    assert g.belt.path == ()
     assert recognize_dynkin(
         g.grid.mutable_matrix(), g.grid.weights[: g.grid.n]
     ) == DynkinType("A", n - 3)
@@ -284,15 +284,16 @@ def test_integer_walk_refuses_a_start_that_leaves_the_integers(gr36):
 
 @pytest.mark.parametrize("fixture", ["gr26", "gr36", "gr37", "gr38"])
 def test_replay_matches_the_ring_oracle(request, fixture):
-    # the re-basing path walked by the exchange functions, over valuations
-    # and over exact integers, equals the oracle walk from the grid matrix
+    # the belt's re-basing path walked by the exchange functions, over
+    # valuations and over exact integers, equals the oracle walk from the
+    # grid matrix
     g = request.getfixturevalue(fixture)
     rng = random.Random(fixture)
     for pt in g.points:
         beta = [rng.randint(-5, 5) for _ in g._grid_sets]
-        assert g._replay(_valuation_exchange, list(beta)) == ring_replay(g, VALUATIONS, beta)
+        assert g.belt._rebase(_valuation_exchange, list(beta)) == ring_replay(g, VALUATIONS, beta)
         minors = [pt.minor(J) for J in g._grid_sets]
-        walked = g._replay(grassmannian._INTEGERS, list(minors))
+        walked = g.belt._rebase(grassmannian._INTEGERS, list(minors))
         assert all(type(v) is int for v in walked)
         assert walked == ring_replay(g, fraction_ring(), [Fraction(m) for m in minors])
 

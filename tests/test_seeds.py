@@ -5,19 +5,16 @@ from math import gcd
 
 import pytest
 
-from conftest import GR26_SEED
+from conftest import GR26_SEED, Seed, y_seed_from_cluster
 
 from clustercones.laurent import LaurentPolynomial
 from clustercones.seeds import (
     _LaneOverflow,
     _packed_exchange,
     ExchangeData,
-    Seed,
-    YSeed,
     dump_seed_data,
     load_seed_file,
     mutate_matrix,
-    y_seed_from_cluster,
 )
 
 

@@ -866,3 +866,30 @@ def test_u_variables_copy_their_source_records(request, context):
         assert record == (u.gamma, u.partner, u.numerator, u.frozen_in, u.vector)
         for mine, theirs in zip((u.numerator, u.frozen_in, u.vector), record[2:]):
             assert mine is not theirs
+
+
+RELATIONS = [f"{name}+{frozen}" for name in (
+    "A1", "A2", "A3", "A5", "B3", "C2", "C3", "D4", "F4", "G2")
+    for frozen in (0, DynkinType.from_name(name).rank)]
+
+
+@pytest.mark.parametrize("context", RELATIONS)
+def test_every_source_record_is_an_exchange_relation_of_the_expansions(context):
+    # build_u_variables copies the source records without multiplying them
+    # out, since the symbolic belt proved each relation when it was built:
+    # gamma * partner = prod numerator + prod frozen_in, at every source
+    # position of the period
+    name, _, frozen = context.partition("+")
+    belt = belt_of(name, int(frozen))
+    assert belt.symbolic
+    ring = laurent_ring(belt.exchange.size)
+    polys = [belt.poly(e.id) for e in belt.entries]
+    positions = 0
+    for s, at in enumerate(belt._source_records):
+        for k, record in at.items():
+            outp = ring_monomial(ring, polys, record.numerator.items())
+            inp = ring_monomial(ring, polys, record.frozen_in.items())
+            assert polys[record.gamma] * polys[record.partner] == outp + inp, (s, k)
+            positions += 1
+    # every mutable variable sits at a source somewhere in the period
+    assert positions >= len(belt.mutable_ids)

@@ -6,11 +6,11 @@ entry per positive root. Also pins the two y-hat monomials of the
 Grassmannian rank 3 seed at its source cluster.
 """
 
-from conftest import GR26_SEED
+from conftest import GR26_SEED, Seed, YSeed, y_seed_from_cluster
 
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.laurent import LaurentPolynomial
-from clustercones.seeds import Seed, YSeed, load_seed_file, y_seed_from_cluster
+from clustercones.seeds import load_seed_file
 
 
 def _y_table():
