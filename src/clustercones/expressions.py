@@ -4,14 +4,16 @@ Grammar, with whitespace allowed between tokens:
 
     expr   := factor (('*' | '/') factor)*
     factor := '(' expr ')' ['^' integer] | name ['^' integer] | '1'
-    name   := ident | ident '[' payload ']'
+    name   := ident ['[' payload ']'] "'"*
 
 A '/' inverts the whole factor that follows, so a/(b*c) means a * b^-1 *
 c^-1, and chains associate left to right: a/b*c == (a/b)*c. Exponents are
 nonzero integers, possibly negative. The bracket payload is kept verbatim
 (digits, commas, '|', ...), which lets one grammar cover root labels like
 x[1,0,1], Plucker coordinates like p[124], and content labels like
-q[124|356].
+q[124|356]. Trailing primes belong to the name: a belt built on a seed
+that is not bipartite primes the name of every node that its re-basing
+path mutates (a', b''), and such names parse as they are printed.
 
 Names are resolved through a caller-supplied function mapping the full
 name string to any hashable key (or None for unknown); parse errors and
@@ -90,6 +92,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 if close == i + 1:
                     raise RatioSyntaxError("empty brackets", i, text)
                 i = close + 1
+            while i < size and text[i] == "'":
+                i += 1
             out.append(("name", text[start:i], start))
         else:
             raise RatioSyntaxError(f"unexpected character {ch!r}", i, text)

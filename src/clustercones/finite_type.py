@@ -485,6 +485,40 @@ def _degeneration_rays(matrix: tuple[tuple[int, ...], ...], n: int,
     return rays, rank
 
 
+def _mutate_sources(matrix: tuple[tuple[int, ...], ...],
+                    moves: Sequence[tuple[int, tuple, tuple]],
+                    n: int) -> tuple[tuple[int, ...], ...]:
+    """matrix mutated at every node k of moves, given with its row split
+    into (k, out-terms, in-terms) as seeds._split gives it, for nodes that
+    are pairwise unlinked (b_kl = 0), as the sources of one belt step are.
+
+    Mutating at k changes neither row l nor column l of another such node,
+    so the mutations commute and their changes add up: row k is negated,
+    and a row i with b_ik != 0 gets -b_ik at k and b_ik * |b_kj| added at
+    the entries of row k that have b_ik's sign, a frozen row in mutable
+    columns only. That is mutate_matrix applied node by node; frozen-frozen
+    entries stay as they are. The matrix is skew-symmetrizable, so the
+    rows with b_ik != 0 are those of the nodes in row k's split.
+    """
+    out = list(matrix)
+    rows: dict[int, list[int]] = {}
+    for k, pos, neg in moves:
+        out[k] = tuple([-b for b in matrix[k]])
+        frozen_terms = (tuple(t for t in pos if t[0] < n),
+                        tuple(t for t in neg if t[0] < n))
+        for i, _ in pos + neg:
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = list(matrix[i])
+            bik = row[k]
+            row[k] = -bik
+            for j, b in (frozen_terms if i >= n else (pos, neg))[bik < 0]:
+                row[j] += bik * b
+    for i, row in rows.items():
+        out[i] = tuple(row)
+    return tuple(out)
+
+
 class BeltStep(NamedTuple):
     matrix: tuple[tuple[int, ...], ...]
     cluster_ids: tuple[int, ...]
@@ -663,8 +697,9 @@ class BipartiteBelt:
             # blocks, and with them the sources, alternate from step to step
             srcs = steps[s - 2].sources if s >= 2 else sources_of(matrix, n)
             steps.append(BeltStep(matrix, tuple(ids), srcs))
-            # sources are pairwise unlinked, so mutating one leaves the
-            # rows of the others as they are in this step's matrix
+            # sources are pairwise unlinked, so every exchange of the step
+            # reads its row in this step's matrix, and one pass mutates
+            # them all once they are done
             moves.append([(k, *_split(enumerate(matrix[k]))) for k in srcs])
             for k, pos, neg in moves[-1]:
                 new_minexp = _minexp_exchange(minexps, pos, neg, minexps[k])
@@ -692,7 +727,7 @@ class BipartiteBelt:
                 ids[k] = self._register(new_poly, new_minexp, False, (s + 1, k))
                 minexps[k] = new_minexp
                 polys[k] = new_poly
-                matrix = mutate_matrix(matrix, k, n)
+            matrix = _mutate_sources(matrix, moves[-1], n)
             s += 1
         if total % self.period != 0:
             raise BeltError(
@@ -980,6 +1015,30 @@ class BipartiteBelt:
         return self.valuation_columns([
             (tuple(int(i == j) for i in range(size)), q) for q in (0, 1) for j in range(n)])
 
+    @cached_property
+    def _frame_lanes(self) -> dict[int, tuple[int, int]]:
+        """Per mutable id gamma, with source position (s, node): the shift
+        s - s % 2 and the lane (s % 2) * n + node of _unit_frames at which
+        the unit ray at (s, node) is read (see compatibility_degree)."""
+        n = self.exchange.n
+        lanes = {}
+        for gamma in self.mutable_ids:
+            s, node = self.entries[gamma].source_pos
+            lanes[gamma] = (s - s % 2, s % 2 * n + node)
+        return lanes
+
+    def _unit_valuations(self, omega: int, gammas: Sequence[int]) -> list[int]:
+        """The valuation of omega along the unit ray at each gamma's source
+        position, in the order of gammas (mutable ids), read off
+        _unit_frames in one loop: with (shift, lane) = _frame_lanes[gamma]
+        and omega at node k of step t, it is the lane of the variable at
+        node k of step t - shift (see compatibility_degree)."""
+        t, k = self.entries[omega].source_pos
+        frames, lanes, steps, period = (
+            self._unit_frames, self._frame_lanes, self.steps, self.period)
+        return [frames[steps[(t - shift) % period].cluster_ids[k]][lane]
+                for shift, lane in map(lanes.__getitem__, gammas)]
+
     def compatibility_degree(self, gamma: int, omega: int) -> int:
         """Exponent of the gamma-variable in the denominator of omega,
         written in the cluster at gamma's source seed. Zero when the two
@@ -1001,16 +1060,12 @@ class BipartiteBelt:
         walk from step q = s mod 2 holds r steps in. omega sits at node k
         of step t, its source position; taking r = t - s modulo the
         period, its valuation from step s is that, from step q, of the
-        variable at node k of step t - s + q.
+        variable at node k of step t - (s - q), read at lane q * n + node
+        (_frame_lanes, _unit_valuations).
         """
-        entry, other = self.entries[gamma], self.entries[omega]
-        if entry.frozen or other.frozen:
+        if self.entries[gamma].frozen or self.entries[omega].frozen:
             raise ValueError("compatibility degrees are between mutable variables")
-        s, node = entry.source_pos
-        t, k = other.source_pos
-        q = s % 2
-        shifted = self.steps[(t - s + q) % self.period].cluster_ids[k]
-        return max(-self._unit_frames[shifted][q * self.exchange.n + node], 0)
+        return max(-self._unit_valuations(omega, (gamma,))[0], 0)
 
     def __repr__(self) -> str:
         return (

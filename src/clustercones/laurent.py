@@ -30,9 +30,16 @@ C level. The product's range check and the quotient box read the corners.
 
 Coefficients are arbitrary-precision ints. There is no coefficient field:
 division is exact division over the integer Laurent ring, and refuses
-(raises NotDivisible) when the quotient does not exist there. It is heap
-long division: the remainder's keys wait in a heap that holds each key
-once, pushed when it enters the remainder, and the quotient box test runs
+(raises NotDivisible) when the quotient does not exist there. It is long
+division by the leading term in one sweep over the remainder: the
+dividend's keys are sorted once and walked in descending order while
+each quotient term's products are subtracted from the remainder in
+place, and only keys that enter the remainder outside the dividend's
+support wait in a heap, merged into the sweep by key. With nonnegative
+operands, as in every exchange relation of a cluster algebra (positivity;
+Gross, Hacking, Keel and Kontsevich 2018), nothing cancels in q * b, so
+every product of a quotient term and a divisor term is a key of the
+dividend and the heap stays empty. The quotient box test runs
 on packed keys, one addition, one subtraction and two ANDs per leading
 term against guard constants computed once per division.
 """
@@ -384,12 +391,20 @@ class LaurentPolynomial:
         read from their caches, and the quotient leaves with the corners
         of that box, a's minus b's: q * b = a in a domain, so they are
         exact. A quotient whose box leaves the 16-bit exponent fields is
-        refused with OverflowError, on both the monomial and the heap
-        branch, so that no quotient key wraps.
+        refused with OverflowError, on both the monomial and the
+        multi-term branch, so that no quotient key wraps.
 
-        The remainder's terms wait in a max-heap of keys, each key pushed
-        once, when it enters the remainder; a key whose coefficient
-        cancels stays behind and is skipped when popped.
+        The remainder starts as a copy of the dividend, whose keys are
+        sorted once and swept in descending order. Each quotient term's
+        products with the divisor's other terms go to keys below the
+        current one, so the sweep never revisits a key: they are
+        subtracted in place, a cancelled key keeps a 0 and is skipped when
+        the sweep reaches it, and a key outside the dividend's support
+        enters a heap that the sweep merges in by key (_merge_descending).
+        Keys are taken in the order a max-heap of the whole remainder
+        would give, so the quotient, and the first refusal, are those of
+        heap long division (Monagan and Pearce 2007).
+
         A remainder term with key k gives the quotient term k - b, b the
         divisor's leading key, so the quotient box shifted by b is a box
         for k, tested on the packed key by _box_guards. Every remainder
@@ -436,14 +451,13 @@ class LaurentPolynomial:
         shift = bkey - base
         rest = [(kb - bkey, cb) for kb, cb in bterms.items() if kb != bkey]
         rem = dict(self._terms)
-        get, pop = rem.get, rem.pop
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        push, popmax = heapq.heappush, heapq.heappop
+        # keys entering the remainder outside the dividend's support, as
+        # negatives: a min-heap of them is a max-heap of the keys
+        extra: list[int] = []
+        push = heapq.heappush
         quot: dict[int, int] = {}
-        while rem:
-            k = -popmax(heap)
-            c = pop(k, 0)
+        for k in _merge_descending(sorted(rem, reverse=True), extra):
+            c = rem[k]
             if not c:
                 continue
             if (k + plus) & (minus - k) & top != top:
@@ -454,14 +468,11 @@ class LaurentPolynomial:
             quot[k - shift] = qc
             for d, cb in rest:
                 kk = k + d
-                old = get(kk)
-                if old is None:
+                try:
+                    rem[kk] -= qc * cb
+                except KeyError:
                     rem[kk] = -qc * cb
-                    push(heap, -kk)
-                elif nc := old - qc * cb:
-                    rem[kk] = nc
-                else:
-                    del rem[kk]
+                    push(extra, -kk)
         return _exactly(n, quot, qmin, qmax)
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
@@ -595,6 +606,18 @@ class LaurentPolynomial:
         if len(s) > 60:
             s = s[:57] + "..."
         return f"<Laurent {self.nvars}v {s}>"
+
+
+def _merge_descending(keys: list[int], extra: list[int]) -> Iterator[int]:
+    """keys (descending) and the keys of the heap extra (negated), which
+    may grow while this runs, in one descending sequence."""
+    popmax = heapq.heappop
+    for k in keys:
+        while extra and -extra[0] > k:
+            yield -popmax(extra)
+        yield k
+    while extra:
+        yield -popmax(extra)
 
 
 def _exactly(nvars: int, terms: dict[int, int], lo: tuple[int, ...],

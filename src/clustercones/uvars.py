@@ -154,7 +154,9 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
     Each u-variable is a monomial x^v in the registry variables (v is
     UVariable.vector, frozen ids included), so the product term is x^w
     with w = sum over omega != gamma of (omega||gamma) * v_omega, summed
-    as exponent vectors before any polynomial is formed.
+    as exponent vectors before any polynomial is formed. The degrees
+    (omega||gamma) of one gamma are read off the belt's unit frames in one
+    pass (BipartiteBelt._unit_valuations), not one call per pair.
 
     Most u-variables are decided without a product, from the exchange
     relation at gamma's source position (s, k). The belt proved it when it
@@ -194,15 +196,18 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
     polys = [belt.poly(e.id) for e in belt.entries]
     records = belt._source_records
     by_gamma = {u.gamma: u for u in uvars}
+    mutable = belt.mutable_ids
     results: dict[int, bool] = {}
-    for gamma in belt.mutable_ids:
+    for gamma in mutable:
         u = by_gamma[gamma]
         v = u.vector
+        # (omega||gamma) = max(0, -val), read for every omega at once;
+        # omega == gamma reads 0
         w: dict[int, int] = {}
-        for omega in belt.mutable_ids:
-            if omega != gamma and (e := belt.compatibility_degree(omega, gamma)):
+        for omega, val in zip(mutable, belt._unit_valuations(gamma, mutable)):
+            if val < 0:
                 for id, b in by_gamma[omega].vector.items():
-                    w[id] = w.get(id, 0) + e * b
+                    w[id] = w.get(id, 0) - val * b
         s, k = belt.entries[gamma].source_pos
         record = records[s].get(k)
         if record is not None and (

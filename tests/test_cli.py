@@ -7,6 +7,7 @@ JSON; text assertions pass --format text explicitly.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import clustercones
-from clustercones.cli import _context_from_key, main
+from clustercones.cli import _context_from_key, _seed_context, main
+from clustercones.expressions import parse_ratio, render_ratio
 
 
 @pytest.fixture()
@@ -639,6 +641,24 @@ def test_enumerate_catalog_table(capsys):
     assert "[x[1,1,1]]" in out
 
 
+# sha256 of enumerate --format json for contexts whose exchange relations
+# carry exponents 2 and 3, taken when exact division still ran a heap
+ENUMERATE_GOLDEN = {
+    "B3+3": "b5e122a8db4815deaadf04b7bc54872e4ea67403fbc6faa0c2b37d6309fbd481",
+    "C3+3": "af2996604c155db90bd4825420ef6b53692cde631092280534c22716445af03e",
+    "G2+2": "bc2ae1b1da5943388433d888dafc1ee28f4b8820d58df76c5fc50d029ab7dfa8",
+}
+
+
+@pytest.mark.parametrize("context", sorted(ENUMERATE_GOLDEN))
+def test_enumerate_json_of_non_simply_laced_contexts_is_golden(capsys, context):
+    name, frozen = context.split("+")
+    code, out, err = run(capsys, ["enumerate", "--type", name, "--frozen", frozen,
+                                  "--format", "json"])
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_GOLDEN[context]
+
+
 def test_enumerate_non_bipartite_seed_file(capsys, tmp_path):
     path = tmp_path / "linear.json"
     path.write_text(json.dumps({
@@ -686,6 +706,33 @@ def test_non_bipartite_seed_file_outputs_are_golden(capsys, tmp_path):
     code, payload = run_json(capsys, ["verify", "--certificate", str(cert),
                                       "--format", "json"])
     assert code == 0 and payload["replayed"] is True
+
+
+def test_primed_names_of_a_re_based_seed_parse_as_rendered(capsys, tmp_path):
+    belt = _seed_context(LINEAR_SEED, "linear.json").belt
+    assert belt.name(0) == "a'"
+    rng = random.Random(3)
+    ids = range(len(belt.entries))
+    for _ in range(100):
+        vec = {id: e for id in rng.sample(ids, rng.randint(1, 5))
+               if (e := rng.randint(-3, 3))}
+        assert parse_ratio(render_ratio(vec, belt.name), belt.id_by_name) == vec
+    # the primed spelling of x[-1,0,0] gives the same vector, verdict and
+    # certificate file as the root label does
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(LINEAR_SEED))
+    payloads = []
+    for spelling in ("x[-1,0,0]", "a'"):
+        cert = tmp_path / "linear-cert.json"
+        code, payload = run_json(capsys, [
+            "check", "--seed-file", str(path), "--ratio", f"{spelling}*c/(b*x[0,1,0])",
+            "--certificate-out", str(cert), "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(cert.read_bytes()).hexdigest() == LINEAR_CERTIFICATE_GOLDEN
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[1]["expression"] == "a'*c/(b*x[0,1,0])"
+    assert payloads[1]["certificate"]["verdict"] == "bounded"
 
 
 def test_enumerate_refuses_a_seed_file_that_is_not_2_finite(capsys, tmp_path):

@@ -43,6 +43,24 @@ def test_exotic_payload_characters():
     assert parse_ratio("q[124|356]/x1", res) == {9: 1, 6: -1}
 
 
+PRIMED = {"a'": 0, "b''": 1, "b": 2, "p[12]'": 3}
+
+
+def test_trailing_primes_belong_to_the_name():
+    # a belt re-based from a seed that is not bipartite primes the names
+    # of the nodes it mutated, once per move
+    assert parse_ratio("a'*b/(b''*p[12]')", PRIMED.get) == {0: 1, 2: 1, 1: -1, 3: -1}
+    assert parse_ratio("a'^2/b''^-1", PRIMED.get) == {0: 2, 1: 1}
+    inv = {v: k for k, v in PRIMED.items()}
+    for vec in ({0: 1, 1: -2}, {3: -1, 2: 1}, {0: -1, 1: -1, 3: 2}):
+        assert parse_ratio(render_ratio(vec, inv.__getitem__), PRIMED.get) == vec
+    # a prime only ends a name: it neither starts one nor stands alone
+    for text, pos in (("'a", 0), ("a*'b", 2), ("a' '", 3), ("a'b", 2)):
+        with pytest.raises(RatioSyntaxError) as info:
+            parse_ratio(text, PRIMED.get)
+        assert info.value.position == pos, text
+
+
 @pytest.mark.parametrize(
     "text,pos",
     [

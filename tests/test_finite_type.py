@@ -242,6 +242,30 @@ A3_GOLDEN = {
 }
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_each_step_mutates_its_sources_in_one_pass(name):
+    # the belt's one pass per step equals mutate_matrix node by node, with
+    # no frozen node, one, and as many as the rank, and on the Gr(3,8) grid
+    # (eight frozen rows and columns)
+    from clustercones.grassmannian import GrassmannianCluster
+    from clustercones.seeds import _split, mutate_matrix
+
+    rank = DynkinType.from_name(name).rank
+    belts = [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen),
+                           symbolic=False) for frozen in sorted({0, 1, rank})]
+    if name == "E6":
+        belts.append(GrassmannianCluster(3, 8).belt)
+    for belt in belts:
+        n = belt.exchange.n
+        for s, step in enumerate(belt.steps):
+            matrix = step.matrix
+            for k in step.sources:
+                matrix = mutate_matrix(matrix, k, n)
+            moves = [(k, *_split(enumerate(step.matrix[k]))) for k in step.sources]
+            assert finite_type._mutate_sources(step.matrix, moves, n) == matrix
+            assert belt.steps[(s + 1) % belt.period].matrix == matrix
+
+
 def test_a3_belt_variables_and_seed_count():
     t0 = time.perf_counter()
     belt = BipartiteBelt(catalog_exchange(DynkinType("A", 3)))

@@ -320,7 +320,98 @@ def _refusal(divide, a, b):
     return str(info.value)
 
 
-def test_divide_exact_matches_reference_long_division():
+def _outcome(divide, a, b):
+    """The quotient's terms, or the type and message of the refusal."""
+    try:
+        return "quotient", divide(a, b)._terms
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _leaves_support(a, b, q):
+    """Whether some quotient term times some divisor term lies outside the
+    dividend's support: long division of a by b then meets a remainder key
+    that a does not hold, the case the division sweep keeps a heap for."""
+    shift = _zero_key(a.nvars)
+    return any(kq + kb - shift not in a._terms for kq in q._terms for kb in b._terms)
+
+
+def _belt_divisions(monkeypatch, contexts):
+    """The (dividend, divisor) pair of every exact division that symbolic
+    belts of the given (type, frozen count) contexts prove."""
+    from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
+
+    pairs = []
+    divide = LaurentPolynomial.divide_exact
+
+    def spy(a, b):
+        pairs.append((a, b))
+        return divide(a, b)
+
+    monkeypatch.setattr(LaurentPolynomial, "divide_exact", spy)
+    for name, frozen in contexts:
+        BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen), symbolic=True)
+    monkeypatch.undo()
+    return pairs
+
+
+def test_divide_exact_matches_reference_long_division(monkeypatch):
+    # every exchange division of these symbolic belts, whose operands are
+    # positive (positivity of cluster variables), so that no remainder key
+    # leaves the dividend's support
+    belt = _belt_divisions(monkeypatch, [
+        ("A3", 0), ("B3", 0), ("C3", 0), ("D4", 0), ("F4", 0), ("G2", 0), ("E6", 6)])
+    for a, b in belt:
+        assert min(a._terms.values()) > 0 and min(b._terms.values()) > 0
+        q = a.divide_exact(b)
+        assert q == _reference_divide(a, b) and q * b == a
+        assert not _leaves_support(a, b, q)
+    assert len(belt) > 60 and max(b.n_terms for _, b in belt) > 20
+    # signed quotients whose remainder leaves the dividend's support:
+    # (x^3 + 1) / (x + 1) meets -x^2 + 1 after its first quotient term
+    signed = [(P(1, "x1^3 + 1"), P(1, "x1 + 1")),
+              (P(2, "x1^4 - x2^4"), P(2, "x1 - x2")),
+              (P(2, "x1^2*x2^-1 - x2^3"), P(2, "x1*x2^-1 + x2"))]
+    for a, b in signed:
+        q = a.divide_exact(b)
+        assert q == _reference_divide(a, b) and q * b == a
+        assert _leaves_support(a, b, q)
+    assert P(1, "x1^3 + 1").divide_exact(P(1, "x1 + 1")) == P(1, "x1^2 - x1 + 1")
+    # refusals by type and message, among them a remainder key outside
+    # the dividend's support that lands outside the quotient box
+    for a, b in [(P(1, "x1^3 + 2"), P(1, "x1 + 1")), (P(1, "x1^2 + 1"), P(1, "x1 + 1")),
+                 (P(1, "2*x1^2 - 1"), P(1, "2*x1 + 2")), (P(2, "1 + x2"), P(2, "1 + x1")),
+                 (P(2, "x1^4 + x2^4"), P(2, "x1 - x2"))]:
+        got = _outcome(LaurentPolynomial.divide_exact, a, b)
+        assert got[0] == "NotDivisible" and got == _outcome(_reference_divide, a, b)
+
+    # dense operands in one or two variables with coefficients +-1, whose
+    # products often cancel
+    rng = random.Random(62)
+
+    def dense(nvars, nterms, span):
+        return LaurentPolynomial.from_terms(nvars, [
+            ([rng.randint(0, span) for _ in range(nvars)], rng.choice((-1, 1)))
+            for _ in range(nterms)])
+
+    outside = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 2)
+        q = dense(nvars, rng.randint(2, 6), 4 - nvars)
+        b = dense(nvars, rng.randint(2, 4), 3 - nvars)
+        if not q or b.n_terms < 2:
+            continue
+        a = q * b
+        assert a.divide_exact(b) == _reference_divide(a, b) == q
+        outside += _leaves_support(a, b, q)
+        # an arbitrary signed dividend: divisible or refused, the outcome
+        # and its message are the oracle's
+        other = dense(nvars, rng.randint(1, 8), 5 - nvars)
+        if other:
+            assert _outcome(LaurentPolynomial.divide_exact, other, b) == _outcome(
+                _reference_divide, other, b)
+    assert outside > 40
+
     rng = random.Random(61)
     checked = refused = 0
     for trial in range(400):
