@@ -70,6 +70,7 @@ from .seeds import (
     ExchangeData,
     _LaneOverflow,
     _minexp_exchange,
+    _mutate_sources,
     _packed_exchange,
     _product_exchange,
     _split,
@@ -483,40 +484,6 @@ def _degeneration_rays(matrix: tuple[tuple[int, ...], ...], n: int,
             g = -g
         rays.append(tuple(x // g for x in v))
     return rays, rank
-
-
-def _mutate_sources(matrix: tuple[tuple[int, ...], ...],
-                    moves: Sequence[tuple[int, tuple, tuple]],
-                    n: int) -> tuple[tuple[int, ...], ...]:
-    """matrix mutated at every node k of moves, given with its row split
-    into (k, out-terms, in-terms) as seeds._split gives it, for nodes that
-    are pairwise unlinked (b_kl = 0), as the sources of one belt step are.
-
-    Mutating at k changes neither row l nor column l of another such node,
-    so the mutations commute and their changes add up: row k is negated,
-    and a row i with b_ik != 0 gets -b_ik at k and b_ik * |b_kj| added at
-    the entries of row k that have b_ik's sign, a frozen row in mutable
-    columns only. That is mutate_matrix applied node by node; frozen-frozen
-    entries stay as they are. The matrix is skew-symmetrizable, so the
-    rows with b_ik != 0 are those of the nodes in row k's split.
-    """
-    out = list(matrix)
-    rows: dict[int, list[int]] = {}
-    for k, pos, neg in moves:
-        out[k] = tuple([-b for b in matrix[k]])
-        frozen_terms = (tuple(t for t in pos if t[0] < n),
-                        tuple(t for t in neg if t[0] < n))
-        for i, _ in pos + neg:
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = list(matrix[i])
-            bik = row[k]
-            row[k] = -bik
-            for j, b in (frozen_terms if i >= n else (pos, neg))[bik < 0]:
-                row[j] += bik * b
-    for i, row in rows.items():
-        out[i] = tuple(row)
-    return tuple(out)
 
 
 class BeltStep(NamedTuple):
@@ -1015,29 +982,21 @@ class BipartiteBelt:
         return self.valuation_columns([
             (tuple(int(i == j) for i in range(size)), q) for q in (0, 1) for j in range(n)])
 
-    @cached_property
-    def _frame_lanes(self) -> dict[int, tuple[int, int]]:
-        """Per mutable id gamma, with source position (s, node): the shift
-        s - s % 2 and the lane (s % 2) * n + node of _unit_frames at which
-        the unit ray at (s, node) is read (see compatibility_degree)."""
-        n = self.exchange.n
-        lanes = {}
-        for gamma in self.mutable_ids:
-            s, node = self.entries[gamma].source_pos
-            lanes[gamma] = (s - s % 2, s % 2 * n + node)
-        return lanes
-
     def _unit_valuations(self, omega: int, gammas: Sequence[int]) -> list[int]:
         """The valuation of omega along the unit ray at each gamma's source
         position, in the order of gammas (mutable ids), read off
-        _unit_frames in one loop: with (shift, lane) = _frame_lanes[gamma]
-        and omega at node k of step t, it is the lane of the variable at
-        node k of step t - shift (see compatibility_degree)."""
+        _unit_frames in one loop: with gamma at node j of step s and omega
+        at node k of step t, it is lane (s % 2) * n + j of the variable at
+        node k of step t - (s - s % 2) (see compatibility_degree)."""
         t, k = self.entries[omega].source_pos
-        frames, lanes, steps, period = (
-            self._unit_frames, self._frame_lanes, self.steps, self.period)
-        return [frames[steps[(t - shift) % period].cluster_ids[k]][lane]
-                for shift, lane in map(lanes.__getitem__, gammas)]
+        entries, frames, steps, period, n = (
+            self.entries, self._unit_frames, self.steps, self.period, self.exchange.n)
+        out = []
+        for gamma in gammas:
+            s, j = entries[gamma].source_pos
+            q = s % 2
+            out.append(frames[steps[(t - s + q) % period].cluster_ids[k]][q * n + j])
+        return out
 
     def compatibility_degree(self, gamma: int, omega: int) -> int:
         """Exponent of the gamma-variable in the denominator of omega,
@@ -1061,7 +1020,7 @@ class BipartiteBelt:
         of step t, its source position; taking r = t - s modulo the
         period, its valuation from step s is that, from step q, of the
         variable at node k of step t - (s - q), read at lane q * n + node
-        (_frame_lanes, _unit_valuations).
+        (_unit_valuations).
         """
         if self.entries[gamma].frozen or self.entries[omega].frozen:
             raise ValueError("compatibility degrees are between mutable variables")

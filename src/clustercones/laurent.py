@@ -35,13 +35,18 @@ division by the leading term in one sweep over the remainder: the
 dividend's keys are sorted once and walked in descending order while
 each quotient term's products are subtracted from the remainder in
 place, and only keys that enter the remainder outside the dividend's
-support wait in a heap, merged into the sweep by key. With nonnegative
-operands, as in every exchange relation of a cluster algebra (positivity;
-Gross, Hacking, Keel and Kontsevich 2018), nothing cancels in q * b, so
-every product of a quotient term and a divisor term is a key of the
-dividend and the heap stays empty. The quotient box test runs
-on packed keys, one addition, one subtraction and two ANDs per leading
-term against guard constants computed once per division.
+support wait in a heap, merged into the sweep by key. When the quotient
+q and the divisor b both have nonnegative coefficients, nothing cancels
+in q * b, so every product of a quotient term and a divisor term is a
+key of the dividend and the heap stays empty. That is the case in every
+exchange relation of a cluster algebra: the divisor is a cluster
+variable and the quotient the exchanged one, both positive Laurent
+polynomials (positivity; Gross, Hacking, Keel and Kontsevich 2018).
+Nonnegative operands alone do not suffice: (x^3 + 1) / (x + 1) has the
+signed quotient x^2 - x + 1, and its remainder leaves the dividend's
+support. The quotient box test runs on packed keys, one addition, one
+subtraction and two ANDs per leading term against guard constants
+computed once per division.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ per kind of value, as exchange(values, pos, neg, old): min-plus valuations
 (one at a time, or many packed into one int), min-exponent tuples, and
 exact quotients of products (Laurent polynomials; grassmannian's exact
 integers). The belt's walks, and its re-basing path, call one once per
-exchange; mutate_matrix carries the matrix. Torus weights are the
-valuations along a grading (ExchangeData.grading_defect).
+exchange. _mutate_sources is the one matrix mutation rule: the belt
+mutates all sources of a step with one call, and mutate_matrix is its
+single-node form. Torus weights are the valuations along a grading
+(ExchangeData.grading_defect).
 """
 
 from __future__ import annotations
@@ -156,26 +158,41 @@ def mutate_matrix(
     """
     if not 0 <= k < n:
         raise IndexError(f"mutation index {k} is not mutable")
-    # (j, |b_kj|) for the positive and the negative entries of row k: a row
-    # with b_ik != 0 gains b_ik * |b_kj| at the entries of b_ik's sign, and
-    # a frozen row only in mutable columns
-    pos, neg = _split(enumerate(matrix[k]))
-    frozen_terms = (pos, neg) if len(matrix) == n else (
-        tuple(t for t in pos if t[0] < n), tuple(t for t in neg if t[0] < n))
-    out = []
-    for i, row in enumerate(matrix):
-        bik = row[k]
-        if i == k:
-            out.append(tuple(map(operator.neg, row)))
-        elif not bik:
-            out.append(tuple(row))
-        else:
-            row = list(row)
-            row[k] = -bik
-            terms = (pos, neg) if i < n else frozen_terms
-            for j, b in terms[bik < 0]:
-                row[j] += bik * b
-            out.append(tuple(row))
+    return _mutate_sources(matrix, ((k, *_split(enumerate(matrix[k]))),), n)
+
+
+def _mutate_sources(matrix: Sequence[Sequence[int]],
+                    moves: Sequence[tuple[int, tuple, tuple]],
+                    n: int) -> tuple[tuple[int, ...], ...]:
+    """matrix mutated at every node k of moves, given with its row split
+    into (k, out-terms, in-terms) as _split gives it, for nodes that are
+    pairwise unlinked (b_kl = 0), as the sources of one belt step are.
+
+    Mutating at k changes neither row l nor column l of another such node,
+    so the mutations commute and their changes add up: row k is negated,
+    and a row i with b_ik != 0 gets -b_ik at k and b_ik * |b_kj| added at
+    the entries of row k that have b_ik's sign, a frozen row in mutable
+    columns only; frozen-frozen entries stay as they are. The matrix is
+    skew-symmetrizable, so the rows with b_ik != 0 are those of the nodes
+    in row k's split, and every other row is reused as it is.
+    """
+    out = list(map(tuple, matrix))
+    rows: dict[int, list[int]] = {}
+    for k, pos, neg in moves:
+        out[k] = tuple([-b for b in matrix[k]])
+        frozen_terms = (pos, neg) if len(matrix) == n else (
+            tuple([t for t in pos if t[0] < n]), tuple([t for t in neg if t[0] < n]))
+        for terms in (pos, neg):
+            for i, _ in terms:
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = list(matrix[i])
+                bik = row[k]
+                row[k] = -bik
+                for j, b in (frozen_terms if i >= n else (pos, neg))[bik < 0]:
+                    row[j] += bik * b
+    for i, row in rows.items():
+        out[i] = tuple(row)
     return tuple(out)
 
 

@@ -57,6 +57,21 @@ def ring_walk(belt, ring, values, start=0):
     return out
 
 
+def textbook_mutation(matrix, k, n):
+    """b'_ij = -b_ij if i or j is k, b_ij for two frozen indices, and
+    b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 otherwise."""
+    size = len(matrix)
+    out = [list(row) for row in matrix]
+    for i in range(size):
+        for j in range(size):
+            b_ij, b_ik, b_kj = matrix[i][j], matrix[i][k], matrix[k][j]
+            if k in (i, j):
+                out[i][j] = -b_ij
+            elif i < n or j < n:
+                out[i][j] = b_ij + (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
+    return tuple(tuple(row) for row in out)
+
+
 def ring_replay(grass, ring, vals):
     """A value system, indexed by grid node, walked over a ring along the
     re-basing path of a GrassmannianCluster's belt, from the grid's

@@ -15,6 +15,7 @@ from conftest import (
     minplus_ring,
     ring_exchange,
     ring_walk,
+    textbook_mutation,
     unit_frame,
     value_walk,
 )
@@ -244,11 +245,11 @@ A3_GOLDEN = {
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_each_step_mutates_its_sources_in_one_pass(name):
-    # the belt's one pass per step equals mutate_matrix node by node, with
-    # no frozen node, one, and as many as the rank, and on the Gr(3,8) grid
-    # (eight frozen rows and columns)
+    # the belt's one pass per step equals the textbook rule node by node,
+    # with no frozen node, one, and as many as the rank, and on the Gr(3,8)
+    # grid (eight frozen rows and columns)
     from clustercones.grassmannian import GrassmannianCluster
-    from clustercones.seeds import _split, mutate_matrix
+    from clustercones.seeds import _mutate_sources, _split
 
     rank = DynkinType.from_name(name).rank
     belts = [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen),
@@ -260,9 +261,9 @@ def test_each_step_mutates_its_sources_in_one_pass(name):
         for s, step in enumerate(belt.steps):
             matrix = step.matrix
             for k in step.sources:
-                matrix = mutate_matrix(matrix, k, n)
+                matrix = textbook_mutation(matrix, k, n)
             moves = [(k, *_split(enumerate(step.matrix[k]))) for k in step.sources]
-            assert finite_type._mutate_sources(step.matrix, moves, n) == matrix
+            assert _mutate_sources(step.matrix, moves, n) == matrix
             assert belt.steps[(s + 1) % belt.period].matrix == matrix
 
 

@@ -356,19 +356,20 @@ def _belt_divisions(monkeypatch, contexts):
 
 
 def test_divide_exact_matches_reference_long_division(monkeypatch):
-    # every exchange division of these symbolic belts, whose operands are
-    # positive (positivity of cluster variables), so that no remainder key
-    # leaves the dividend's support
+    # every exchange division of these symbolic belts: the divisor and the
+    # quotient are cluster variables, positive (positivity), so nothing
+    # cancels in q * b and no remainder key leaves the dividend's support
     belt = _belt_divisions(monkeypatch, [
         ("A3", 0), ("B3", 0), ("C3", 0), ("D4", 0), ("F4", 0), ("G2", 0), ("E6", 6)])
     for a, b in belt:
-        assert min(a._terms.values()) > 0 and min(b._terms.values()) > 0
         q = a.divide_exact(b)
+        assert min(q._terms.values()) > 0 and min(b._terms.values()) > 0
         assert q == _reference_divide(a, b) and q * b == a
         assert not _leaves_support(a, b, q)
     assert len(belt) > 60 and max(b.n_terms for _, b in belt) > 20
     # signed quotients whose remainder leaves the dividend's support:
-    # (x^3 + 1) / (x + 1) meets -x^2 + 1 after its first quotient term
+    # (x^3 + 1) / (x + 1) has positive operands, yet its quotient is
+    # signed and it meets -x^2 + 1 after its first quotient term
     signed = [(P(1, "x1^3 + 1"), P(1, "x1 + 1")),
               (P(2, "x1^4 - x2^4"), P(2, "x1 - x2")),
               (P(2, "x1^2*x2^-1 - x2^3"), P(2, "x1*x2^-1 + x2"))]

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from conftest import GR26_SEED, Seed, y_seed_from_cluster
+from conftest import GR26_SEED, Seed, textbook_mutation, y_seed_from_cluster
 
 from clustercones.laurent import LaurentPolynomial
 from clustercones.seeds import (
@@ -65,21 +65,6 @@ def test_frozen_frozen_entries_survive_mutation_untouched():
     mut = ex.mutate(0)
     assert mut.matrix[1][2] == 7
     assert mut.matrix[1][0] == 1 and mut.matrix[0][1] == -1
-
-
-def textbook_mutation(matrix, k, n):
-    """b'_ij = -b_ij if i or j is k, b_ij for two frozen indices, and
-    b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 otherwise."""
-    size = len(matrix)
-    out = [list(row) for row in matrix]
-    for i in range(size):
-        for j in range(size):
-            b_ij, b_ik, b_kj = matrix[i][j], matrix[i][k], matrix[k][j]
-            if k in (i, j):
-                out[i][j] = -b_ij
-            elif i < n or j < n:
-                out[i][j] = b_ij + (abs(b_ik) * b_kj + b_ik * abs(b_kj)) // 2
-    return tuple(tuple(row) for row in out)
 
 
 def _random_extended_exchange(rng):
