@@ -27,7 +27,6 @@ from .cones import (
     membership,
     subset_cone,
     subtraction_free_check,
-    unimodular_minor_search,
     verify_certificate,
 )
 from .expressions import RatioSyntaxError, parse_ratio, render_ratio
@@ -72,7 +71,6 @@ __all__ = [
     "membership",
     "subset_cone",
     "subtraction_free_check",
-    "unimodular_minor_search",
     "verify_certificate",
     "RatioSyntaxError",
     "parse_ratio",

@@ -4,9 +4,7 @@ The u-variables span the cone of Laurent monomials in cluster variables
 that stay bounded on the positive locus. This module assembles their
 exponent matrix U, decides membership with replayable certificates,
 enumerates extreme rays of restricted cones by exact double description,
-reads unimodular row minors of U (which force integer factorizations)
-off the one fraction-free elimination `linalg.rref`, and checks
-subtraction-freeness of bounded ratios.
+and checks subtraction-freeness of bounded ratios.
 
 Every verdict rests on the dual basis G of the u-variables: one row of
 valuations per u-variable, from one min-plus walk along its degeneration
@@ -36,7 +34,6 @@ from operator import lshift
 from typing import Sequence
 
 from .finite_type import BeltError, BipartiteBelt, _lane_unpacker
-from .linalg import det_bareiss, rref
 # unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
 from .linalg import rank  # noqa: F401
 from .laurent import LaurentPolynomial
@@ -55,11 +52,9 @@ __all__ = [
     "NotFullRankError",
     "UMatrix",
     "build_u_matrix",
-    "double_description",
     "membership",
     "subset_cone",
     "subtraction_free_check",
-    "unimodular_minor_search",
     "verify_certificate",
 ]
 
@@ -380,19 +375,6 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
 # double description over exact integers
 
 
-def double_description(
-    equalities: Sequence[Sequence[int]], dim: int
-) -> list[tuple[int, ...]]:
-    """Extreme rays of {x >= 0, Ex = 0} as primitive integer tuples,
-    sorted lexicographically: _double_description on the rows'
-    (column, coefficient) pairs, its rays made dense."""
-    if any(len(row) != dim for row in equalities):
-        raise ValueError("equality row has wrong length")
-    rays = _double_description(
-        [[(c, a) for c, a in enumerate(row) if a] for row in equalities], dim)
-    return sorted(tuple(ray.get(i, 0) for i in range(dim)) for ray in rays)
-
-
 def _double_description(
     equalities: Sequence[Sequence[tuple[int, int]]], dim: int
 ) -> list[dict[int, int]]:
@@ -401,12 +383,14 @@ def _double_description(
 
     Equalities are inserted one at a time into the positive orthant, in
     the order given; the result does not depend on that order, but the
-    number of intermediate rays, and so the cost, does. Each
-    row is given as its (column, coefficient) pairs. The current rays live
-    in a dict keyed by ray id, each as its sparse {column: value} and its
-    support as a bit mask; ids are handed out in increasing order and
-    renumbered 0, 1, ... (in the same order) once they run past twice the
-    number of current rays, so the bitsets below stay short. nz[i] is the
+    intermediate rays, and so the cost, do: the Gr(3,8) Pluecker rows take
+    593 ray pairs (130 rays at the peak) in subset_cone's band-width
+    order, against 863 (129) in registry order. Each row is given as its
+    (column, coefficient) pairs. The current rays live in a dict keyed by
+    ray id, each as its sparse {column: value} and its support as a bit
+    mask; ids are handed out in increasing order and renumbered 0, 1, ...
+    (in the same order) once they run past twice the number of current
+    rays, so the bitsets below stay short. nz[i] is the
     bitset of the ids of the current rays whose support holds i, kept up
     to date: a row visits only the rays in the union of nz over its
     columns (every other ray has dot product 0 and stays), the rays it
@@ -594,13 +578,21 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     ray's sparse powers (see ExtremeRay).
     """
     subset = frozenset(subset)
-    # Rows go in registry (belt) order, as the u-columns do. That makes
-    # U banded: past the first belt period, row r is nonzero only in the
-    # columns of the last period or so before it, so inserting rows in
-    # this order sweeps the band and each row meets only the rays the
-    # previous rows just made (Gr(3,8) Pluecker: at most 129 rays on the
-    # way to 80, against 600 with the sparsest rows first).
-    eq_rows = [row for id, row in zip(U.row_ids, U._sparse_rows) if id not in subset]
+    # Rows go in narrowest band first: by the last column of the row less
+    # its first, registry (belt) order breaking ties. In registry order U
+    # is banded, row r meeting only the u-columns of the last period or so
+    # before it (Gr(3,8): 7 to 9 apart), but the u-variables of the belt's
+    # last steps hold the initial cluster again, as the belt closes up, so
+    # its rows also meet those columns (122 to 126 apart). Narrowest first
+    # sweeps the band and closes that wrap last. Ray pairs the DD's pair
+    # loop visits, with the peak ray count, Gr(3,8) Pluecker: 593 and 130
+    # this way; 863 and 129 in registry order; 686 by descending first
+    # column; 759 reversed; 6,466 and 455 by width, then number of terms;
+    # 10,211 and 591 sparsest first. Gr(3,8) deg2: 234 and 168, against
+    # 269 and 173 in registry order; Gr(3,7) Pluecker: 84 against 82.
+    eq_rows = sorted(
+        (row for id, row in zip(U.row_ids, U._sparse_rows) if id not in subset),
+        key=lambda row: row[-1][0] - row[0][0] if row else 0)
     uvectors = [u.vector for u in U.uvars]
     fraction = cache(Fraction)  # the rays share a few distinct powers
     rays = []
@@ -629,27 +621,6 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     shift = {id: b * i for i, id in enumerate(reversed(U.row_ids))}.__getitem__
     rays.sort(key=lambda r: sum(map(lshift, r.vector.values(), map(shift, r.vector))))
     return ConeDescription(subset, rays, U)
-
-
-# unimodular minors
-
-
-def unimodular_minor_search(rows: Sequence[Sequence[int]]) -> list[int] | None:
-    """Row subset whose square minor has determinant +-1, or None.
-
-    One `rref` of the rows, pivoting on the smallest entry at each column,
-    is the greedy search: with a pivot in every column, its scale d is +-
-    the minor on the pivot rows (the Bareiss invariant), so |d| = 1 names
-    a unimodular minor, which det_bareiss confirms independently. Rows of
-    lower rank or a non-unit d give None, which proves only that this one
-    greedy pass found no unit minor; rows whose lattice has index > 1
-    (every maximal minor then shares a factor) always give None.
-    """
-    _, pivots, d, origin = rref(rows)
-    if len(pivots) != len(rows[0]) or abs(d) != 1:
-        return None
-    chosen = sorted(origin[:len(pivots)])
-    return chosen if abs(det_bareiss([rows[i] for i in chosen])) == 1 else None
 
 
 # subtraction-freeness

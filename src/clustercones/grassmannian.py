@@ -711,14 +711,24 @@ def packaged_table(filename: str) -> str:
     return _resource_files(__package__).joinpath("data", filename).read_text()
 
 
-def load_ray_table(text: str) -> dict[str, list[tuple[dict[str, int], list[str]]]]:
+# a table name with its column groups: ("q[147|368]", ((1, 4, 7), (3, 6, 8)))
+TableName = tuple[str, tuple[tuple[int, ...], ...]]
+
+
+def load_ray_table(
+    text: str,
+) -> dict[str, list[tuple[dict[TableName, int], list[TableName]]]]:
     """Parse a sectioned table of rows `<ratio> : <ray name> <ray name> ...`.
 
     Sections start with a [name] line; '#' begins a comment. The left side
-    uses the ratio grammar with names kept as strings; the right side is a
-    whitespace-separated multiset of ray names.
+    uses the ratio grammar; the right side is a whitespace-separated
+    multiset of ray names. Each distinct name is parsed once per table into
+    its column groups and kept as a TableName, the form check_ray_table
+    reads; a name not of the form h[digits|digits...] raises
+    RatioTableError.
     """
-    sections: dict[str, list[tuple[dict[str, int], list[str]]]] = {}
+    name = functools.cache(lambda nm: (nm, _token_groups(nm)))
+    sections: dict[str, list[tuple[dict[TableName, int], list[TableName]]]] = {}
     current: str | None = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -733,8 +743,8 @@ def load_ray_table(text: str) -> dict[str, list[tuple[dict[str, int], list[str]]
         lhs_text, sep, rhs_text = line.partition(":")
         if not sep:
             raise ValueError(f"missing ':' in table row {line!r}")
-        lhs = parse_ratio(lhs_text.strip(), lambda nm: nm)
-        rhs = rhs_text.split()
+        lhs = parse_ratio(lhs_text.strip(), name)
+        rhs = [name(nm) for nm in rhs_text.split()]
         if not rhs:
             raise ValueError(f"empty ray list in table row {line!r}")
         sections[current].append((lhs, rhs))
@@ -745,12 +755,10 @@ def _token_groups(name: str) -> tuple[tuple[int, ...], ...]:
     head, bracket, rest = name.partition("[")
     if not bracket or not rest.endswith("]"):
         raise RatioTableError(f"table name {name!r} is not of the form h[...]")
-    groups = []
-    for part in rest[:-1].split("|"):
-        if not part.isdigit():
-            raise RatioTableError(f"table name {name!r} has non-digit columns")
-        groups.append(tuple(int(ch) for ch in part))
-    return tuple(groups)
+    parts = rest[:-1].split("|")
+    if not all(map(str.isdigit, parts)):
+        raise RatioTableError(f"table name {name!r} has non-digit columns")
+    return tuple(tuple(map(int, part)) for part in parts)
 
 
 # name assignments a table row may leave open before check_ray_table
@@ -760,12 +768,15 @@ _ASSIGNMENT_CAP = 4096
 
 def check_ray_table(
     grass: GrassmannianCluster,
-    rows: Sequence[tuple[dict[str, int], list[str]]],
+    rows: Sequence[tuple[dict[TableName, int], list[TableName]]],
     cone: ConeDescription,
 ) -> tuple[dict[str, int], list[int]]:
     """Verify factorization rows whose non-minor names are ambiguous.
 
-    Minor names pin registry ids exactly. A name with several column
+    Rows are as load_ray_table gives them, each name with its column
+    groups; what depends on the cluster (the minor a name is, or its
+    content and the variables that share it) is read here. Minor names
+    pin registry ids exactly. A name with several column
     groups only pins the content multiset, which up to three registry
     variables share; the checker searches injective per-content
     assignments consistent with every row, where consistent means the
@@ -802,8 +813,8 @@ def check_ray_table(
             class_ids.setdefault(grass.content[id], []).append(id)
 
     @functools.cache  # a table repeats its names from row to row
-    def canon(name: str):
-        groups = _token_groups(name)
+    def canon(token: TableName):
+        name, groups = token
         if len(groups) == 1 and len(groups[0]) == grass.k:
             J = tuple(sorted(groups[0]))
             id = grass.minor_id.get(J)

@@ -19,11 +19,11 @@ read the same results off any choice. Swaps negate the row moved down,
 so for a square nonsingular matrix d stays its signed determinant, which
 `det_bareiss` reads. For any matrix, d is +- the minor on the pivot rows
 and pivot columns, and `rref` reports which input row each output row
-came from; with full column rank, a unit d is a unimodular row minor,
-and `cones.unimodular_minor_search` is that one reading. Small pivots
-make the pass a greedy search for a unit minor; it finds one on the
-u-exponent matrices of Gr(3,6), Gr(3,7) and Gr(3,8) that the paper's
-integer factorizations rest on.
+came from; with full column rank, a unit d is a unimodular row minor.
+Small pivots make the pass a greedy search for a unit minor, which the
+tests' `unimodular_minor_search` reads off the u-exponent matrices of
+Gr(3,6), Gr(3,7) and Gr(3,8) that the paper's integer factorizations
+rest on.
 """
 
 from __future__ import annotations

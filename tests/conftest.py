@@ -328,6 +328,44 @@ def ratio_value(vector, values):
         acc *= values[id] ** e
     return acc
 
+
+# oracles for the package's cones: the dense face of its double
+# description core, and its unimodular-minor reading of linalg.rref
+
+
+def double_description(equalities, dim):
+    """Extreme rays of {x >= 0, Ex = 0} as primitive integer tuples,
+    sorted lexicographically: cones._double_description on the rows'
+    (column, coefficient) pairs, its rays made dense."""
+    from clustercones.cones import _double_description
+
+    if any(len(row) != dim for row in equalities):
+        raise ValueError("equality row has wrong length")
+    rays = _double_description(
+        [[(c, a) for c, a in enumerate(row) if a] for row in equalities], dim)
+    return sorted(tuple(ray.get(i, 0) for i in range(dim)) for ray in rays)
+
+
+def unimodular_minor_search(rows):
+    """Row subset whose square minor has determinant +-1, or None.
+
+    One `rref` of the rows, pivoting on the smallest entry at each column,
+    is the greedy search: with a pivot in every column, its scale d is +-
+    the minor on the pivot rows (the Bareiss invariant), so |d| = 1 names
+    a unimodular minor, which det_bareiss confirms independently. Rows of
+    lower rank or a non-unit d give None, which proves only that this one
+    greedy pass found no unit minor; rows whose lattice has index > 1
+    (every maximal minor then shares a factor) always give None.
+    """
+    from clustercones.linalg import det_bareiss, rref
+
+    _, pivots, d, origin = rref(rows)
+    if len(pivots) != len(rows[0]) or abs(d) != 1:
+        return None
+    chosen = sorted(origin[:len(pivots)])
+    return chosen if abs(det_bareiss([rows[i] for i in chosen])) == 1 else None
+
+
 # Rank-3 seed with six frozen Plucker coordinates of Gr(2,6) attached.
 # P15 and P24 are the two sources of the bipartite orientation, P14 the
 # sink. Full rank, unlike the bare three-node seed.

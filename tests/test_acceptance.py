@@ -14,7 +14,15 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import GR26_SEED, GR37_ORBIT_TABLE, Seed, value_walk, y_seed_from_cluster
+from conftest import (
+    GR26_SEED,
+    GR37_ORBIT_TABLE,
+    Seed,
+    double_description,
+    unimodular_minor_search,
+    value_walk,
+    y_seed_from_cluster,
+)
 from test_cones import brute_force_rays, rank_test_rays
 from test_grassmannian import (
     GR36_EXCERPT_COLUMNS,
@@ -27,11 +35,9 @@ from test_seeds import _random_exchange, y_value_equal
 
 from clustercones.cones import (
     build_u_matrix,
-    double_description,
     membership,
     subset_cone,
     subtraction_free_check,
-    unimodular_minor_search,
     verify_certificate,
 )
 from clustercones.expressions import parse_ratio

@@ -13,11 +13,13 @@ import pytest
 
 from conftest import (
     GR26_SEED,
+    double_description,
     kernel_weights,
     laurent_ring,
     packed_lanes,
     ring_monomial,
     u_variable_at,
+    unimodular_minor_search,
     value_walk,
     weight_walk,
 )
@@ -29,11 +31,9 @@ from clustercones.cones import (
     _double_description,
     _verify_chain,
     build_u_matrix,
-    double_description,
     membership,
     subset_cone,
     subtraction_free_check,
-    unimodular_minor_search,
     verify_certificate,
 )
 from clustercones import finite_type
@@ -323,6 +323,12 @@ def test_double_description_matches_rank_oracle_on_sparse_degenerate_rows():
     assert any(r == d - 1 for d, r in ranks)
 
 
+def band_width(row):
+    """The last nonzero column of a dense row less its first, 0 if none."""
+    cols = [j for j, b in enumerate(row) if b]
+    return cols[-1] - cols[0] if cols else 0
+
+
 def subset_rows(g, subset):
     """The equality rows subset_cone feeds double description, in belt
     order: one per variable outside the Pluecker or degree <= 2 subset."""
@@ -341,13 +347,14 @@ def subset_rows(g, subset):
 ])
 def test_double_description_ignores_row_order(request, context, subset,
                                               shuffles, count):
-    # subset_cone feeds the rows in belt order because it is the cheap
-    # one; every other order must still give the same rays
+    # subset_cone feeds the rows narrowest band first, the order with the
+    # fewest ray pairs measured on the Gr(3,8) Pluecker rows (see its
+    # comment); the order changes the cost, never the rays
     g = request.getfixturevalue(context)
     rows = subset_rows(g, subset)
     want = double_description(rows, g.U.num_cols)
     assert len(want) == count
-    orders = [rows[::-1]]
+    orders = [rows[::-1], sorted(rows, key=band_width)]
     rng = random.Random(f"dd-order-{context}-{subset}")
     for _ in range(shuffles):
         order = list(rows)
@@ -357,9 +364,51 @@ def test_double_description_ignores_row_order(request, context, subset,
         assert double_description(order, g.U.num_cols) == want
 
 
+@pytest.mark.parametrize("subset", ["pluecker", "deg2"])
+@pytest.mark.parametrize("context", ["gr36", "gr37", "gr38"])
+def test_subset_cone_is_the_registry_order_cone(request, monkeypatch,
+                                                context, subset):
+    # subset_cone feeds the DD its rows narrowest band first; the same
+    # rows in registry order give the same rays, powers and ray order
+    g = request.getfixturevalue(context)
+    U = g.U
+    keep = set(g.degree_one_ids() if subset == "pluecker"
+               else g.ids_with_degree_at_most(2))
+    registry = [row for id, row in zip(U.row_ids, U._sparse_rows)
+                if id not in keep]
+    fed = []
+
+    def in_registry_order(equalities, dim):
+        fed.append(list(equalities))
+        return _double_description(registry, dim)
+
+    want = subset_cone(keep, U)
+    monkeypatch.setattr(cones, "_double_description", in_registry_order)
+    got = subset_cone(keep, U)
+    assert fed == [sorted(registry, key=lambda row: row[-1][0] - row[0][0])]
+    assert len(got) == len(want) > 0
+    assert [(list(r.vector.items()), r.powers) for r in got.rays] == [
+        (list(r.vector.items()), r.powers) for r in want.rays]
+
+
+def test_subset_cone_takes_an_empty_row_of_u():
+    # a frozen node without arrows is in no u-variable, so its row of U
+    # is empty, of no band width; a subset without it gives the full cone
+    seed = {"nodes": [{"name": "a"}, {"name": "b"}, {"name": "f", "frozen": True},
+                      {"name": "g", "frozen": True}],
+            "arrows": [{"from": "a", "to": "b"}, {"from": "g", "to": "a"}]}
+    U = build_u_matrix(BipartiteBelt(load_seed_file(seed)))
+    f = U.belt.id_by_name("f")
+    assert U._sparse_rows[U.row_index[f]] == []
+    full = subset_cone(U.row_ids, U)
+    assert len(full) == U.num_cols
+    assert subset_cone([id for id in U.row_ids if id != f], U).to_dict()["rays"] == (
+        full.to_dict()["rays"])
+
+
 def test_double_description_is_the_sparse_core_made_dense(gr38):
     # subset_cone hands U's sparse rows to the core and reads its sparse
-    # rays; the public function gives the same rays, dense and sorted
+    # rays; the dense oracle gives the same rays, dense and sorted
     U = gr38.U
     rows = subset_rows(gr38, "deg2")
     keep = set(gr38.ids_with_degree_at_most(2))
@@ -379,7 +428,7 @@ def test_double_description_is_the_sparse_core_made_dense(gr38):
 def dense_double_description(equalities, dim):
     """Double description on a plain list of dense ray tuples, rebuilding
     the per-coordinate bitsets of ray positions for every row that pairs
-    rays: the adjacency test of cones.double_description without its
+    rays: the adjacency test of cones._double_description without its
     id-keyed index, kept as its oracle."""
     zeros = (0,) * dim
     rays = [(zeros[:i] + (1,) + zeros[i + 1:], 1 << i, (i,))

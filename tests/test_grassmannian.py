@@ -26,12 +26,12 @@ from conftest import (
     ratio_value,
     registry_values,
     ring_replay,
+    unimodular_minor_search,
 )
 from clustercones import grassmannian
 from clustercones.cones import (
     membership,
     subset_cone,
-    unimodular_minor_search,
     verify_certificate,
 )
 from clustercones.expressions import parse_ratio, render_ratio
@@ -713,6 +713,16 @@ def test_gr38_full_cone_is_simplicial(gr38):
 # packaged factorization tables
 
 
+def table_row(text):
+    """One `<ratio> : <ray names>` row, as load_ray_table parses it."""
+    return load_ray_table(f"[t]\n{text}")["t"][0]
+
+
+def table_name(name):
+    """One table name with its column groups, as load_ray_table parses it."""
+    return table_row(f"{name} : {name}")[1][0]
+
+
 def assert_rows_name_their_rays(grass, rows, cone, assignment, ray_rows):
     # oracle: each row's left ratio, with its names read through the
     # returned assignment, is the ray the search reports for that row;
@@ -721,7 +731,7 @@ def assert_rows_name_their_rays(grass, rows, cone, assignment, ray_rows):
     assert len(ray_rows) == len(rows)
     for (lhs, _), i in zip(rows, ray_rows):
         vec = {}
-        for name, e in lhs.items():
+        for (name, _), e in lhs.items():
             key = name[name.index("[") + 1:-1]
             id = assignment.get(key)
             if id is None:
@@ -780,7 +790,7 @@ def _tampered_degree2_rows(how):
     elif how == "duplicate-factor":
         rhs.append(rhs[0])
     elif how == "frozen-minor":
-        rhs[0] = "v[123]"  # a frozen minor has no u-variable
+        rhs[0] = table_name("v[123]")  # a frozen minor has no u-variable
     else:  # twice a ray is no extreme ray, though its lambda is twice
         rows.append(({nm: 2 * e for nm, e in lhs.items()}, rhs + rhs))
     return rows
@@ -801,8 +811,8 @@ def test_ray_table_search_refuses_to_truncate(gr37, monkeypatch):
     cone = gr37.pluecker_cone()
     # the row holds whichever of the two variables of content 0111111 the
     # exponent-zero name takes, so two assignments survive it
-    rows = [({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1,
-              "q[234|567]": 0}, ["v[124]"])]
+    lhs, rhs = table_row("p[247]*p[123]/(p[237]*p[124]) : v[124]")
+    rows = [({**lhs, table_name("q[234|567]"): 0}, rhs)]
     monkeypatch.setattr(grassmannian, "_ASSIGNMENT_CAP", 1)
     with pytest.raises(RatioTableError, match=r"table row 1: more than cap=1 "):
         check_ray_table(gr37, rows, cone)
@@ -815,9 +825,9 @@ def test_ray_table_names_of_one_content_take_distinct_variables(gr37, monkeypatc
     cone = gr37.pluecker_cone()
     # two names of content 0111111, which two variables share, in two
     # rows: two injective assignments, where four maps would verify both
-    row = ({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1}, ["v[124]"])
-    rows = [({**row[0], "q[234|567]": 0}, row[1]),
-            ({**row[0], "q[256|347]": 0}, row[1])]
+    lhs, rhs = table_row("p[247]*p[123]/(p[237]*p[124]) : v[124]")
+    rows = [({**lhs, table_name("q[234|567]"): 0}, rhs),
+            ({**lhs, table_name("q[256|347]"): 0}, rhs)]
     monkeypatch.setattr(grassmannian, "_ASSIGNMENT_CAP", 2)
     assignment, _ = check_ray_table(gr37, rows, cone)
     assert sorted(assignment) == ["234|567", "256|347"]
@@ -831,6 +841,11 @@ def test_ray_table_parse_and_check_errors(gr36):
         load_ray_table("[a]\np[12]/p[13]")
     with pytest.raises(ValueError, match="empty ray list"):
         load_ray_table("[a]\np[12]/p[13] :")
+    # names are parsed with the table, once each, on either side
+    with pytest.raises(RatioTableError, match="non-digit columns"):
+        load_ray_table("[a]\np[12x]/p[123] : v[124]")
+    with pytest.raises(RatioTableError, match="not of the form"):
+        load_ray_table("[a]\np[123]/p[124] : v124")
     cone = gr36.full_cone()
     bad_name = load_ray_table("[a]\np[129]/p[123] : v[124]")["a"]
     with pytest.raises(RatioTableError, match="names no minor"):
@@ -855,8 +870,8 @@ def unpruned_check_ray_table(grass, rows, cone):
         if grass.degree[id] >= 2:
             class_ids.setdefault(grass.content[id], []).append(id)
 
-    def canon(name):
-        groups = grassmannian._token_groups(name)
+    def canon(token):
+        name, groups = token
         if len(groups) == 1 and len(groups[0]) == grass.k:
             id = grass.minor_id.get(tuple(sorted(groups[0])))
             if id is None:
@@ -956,9 +971,9 @@ def test_ray_table_check_keeps_the_order_of_its_survivors(gr37):
     # it leaves both assignments standing (see the tests above): the
     # first one found is returned, so the order shows in the result
     cone = gr37.pluecker_cone()
-    row = ({"p[247]": 1, "p[123]": 1, "p[237]": -1, "p[124]": -1}, ["v[124]"])
+    lhs, rhs = table_row("p[247]*p[123]/(p[237]*p[124]) : v[124]")
     for names in (["q[234|567]"], ["q[234|567]", "q[256|347]"]):
-        rows = [({**row[0], name: 0}, row[1]) for name in names]
+        rows = [({**lhs, table_name(name): 0}, rhs) for name in names]
         got = ray_table_outcome(check_ray_table, gr37, rows, cone)
         assert not isinstance(got, str), got
         assert got == ray_table_outcome(unpruned_check_ray_table, gr37, rows, cone)
@@ -982,9 +997,9 @@ def _tampered_rows(rows, how, row):
     if how == "swap-name":
         # the same content under other column groups: a name that no
         # other row shares, so free to take any variable of its content
-        k = next(k for k, nm in enumerate(rhs) if "|" in nm)
-        head, groups = rhs[k][:-1].split("[")
-        rhs[k] = f"{head}[{'|'.join(reversed(groups.split('|')))}]"
+        k = next(k for k, (nm, _) in enumerate(rhs) if "|" in nm)
+        head, groups = rhs[k][0][:-1].split("[")
+        rhs[k] = table_name(f"{head}[{'|'.join(reversed(groups.split('|')))}]")
     elif how == "drop-name":
         rhs.pop()
     else:  # no ray: twice the left ratio
@@ -998,7 +1013,7 @@ def test_ray_table_check_matches_the_unpruned_search_on_tampered_rows(
         ray_tables, table, how):
     grass, cone, rows = ray_tables[table]
     row = next(r for r, (_, rhs) in enumerate(rows)
-               if any("|" in nm for nm in rhs))
+               if any("|" in nm for nm, _ in rhs))
     rows = _tampered_rows(rows, how, row)
     got = ray_table_outcome(check_ray_table, grass, rows, cone)
     assert got == ray_table_outcome(unpruned_check_ray_table, grass, rows, cone)
