@@ -137,13 +137,6 @@ class UMatrix:
     def num_cols(self) -> int:
         return len(self.uvars)
 
-    def dense(self, vector: dict[int, int]) -> list[int]:
-        """Exponents of a ratio dict in row order."""
-        out = [0] * len(self.row_ids)
-        for id, e in vector.items():
-            out[self.row_index[id]] = e
-        return out
-
     def solve(self, vector: dict[int, int]) -> list[Fraction] | None:
         """The u-exponents lam with U lam = vector, or None when vector is
         outside the u-span (see _solve)."""
@@ -612,7 +605,7 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
         powers = tuple((j, fraction(ell[j], g)) for j in support)
         rays.append(ExtremeRay(vector, powers, U.num_cols))
     # in the lexicographic order of the exponent lists in row order
-    # (U.dense), read off the nonzeros: with m the largest |e|, adding m to
+    # (U.row_ids), read off the nonzeros: with m the largest |e|, adding m to
     # every entry leaves the order alone and the entries in [0, 2m], so
     # the lists order as the ints they spell in base 2**b > 2m; minus the
     # same sum of m's, each int is sum(e << b * (rows after e's row))

@@ -52,11 +52,9 @@ computed once per division.
 from __future__ import annotations
 
 import heapq
-import re
 import struct
-from fractions import Fraction
 from operator import add, gt, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "LaurentPolynomial",
@@ -186,22 +184,6 @@ class LaurentPolynomial:
             return cls(nvars, {})
         exps = tuple(exps)
         return _exactly(nvars, {pack_exponents(exps): coeff}, exps, exps)
-
-    @classmethod
-    def from_terms(
-        cls, nvars: int, items: Iterable[tuple[Sequence[int], int]]
-    ) -> "LaurentPolynomial":
-        terms: dict[int, int] = {}
-        for exps, coeff in items:
-            if len(exps) != nvars:
-                raise ValueError("exponent vector length mismatch")
-            key = pack_exponents(exps)
-            c = terms.get(key, 0) + coeff
-            if c:
-                terms[key] = c
-            elif key in terms:
-                del terms[key]
-        return cls(nvars, terms)
 
     # inspection
 
@@ -480,31 +462,6 @@ class LaurentPolynomial:
                     push(extra, -kk)
         return _exactly(n, quot, qmin, qmax)
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        """Evaluate at a point with nonzero coordinates, exactly."""
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        powcache: list[dict[int, Fraction]] = [dict() for _ in range(self.nvars)]
-        total = Fraction(0)
-        for exps, coeff in self._terms_raw():
-            term = Fraction(coeff)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cache = powcache[i]
-                p = cache.get(e)
-                if p is None:
-                    p = Fraction(point[i]) ** e
-                    cache[e] = p
-                term *= p
-            total += term
-        return total
-
-    def _terms_raw(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        n = self.nvars
-        for key, coeff in self._terms.items():
-            yield unpack_exponents(key, n), coeff
-
     # serialization
 
     def serialize(self, names: Sequence[str] | None = None) -> str:
@@ -512,8 +469,8 @@ class LaurentPolynomial:
 
         Terms in graded lex order (highest first), variables 1-based:
         "x1^2*x2 - 3*x1*x3^-1 + 2". The zero polynomial is "0". names,
-        when given, replaces x1, x2, ... in the output; parse() reads
-        only the default names.
+        when given, replaces x1, x2, ... in the output; the tests'
+        parse_laurent reads back only the default names.
         """
         if not self._terms:
             return "0"
@@ -538,73 +495,6 @@ class LaurentPolynomial:
             else:
                 pieces.append((" + " if coeff > 0 else " - ") + body)
         return "".join(pieces)
-
-    _TOKEN = re.compile(r"\s*(x(\d+)(\^(-?\d+))?|(-?\d+)|([+*-]))")
-
-    @classmethod
-    def parse(cls, nvars: int, text: str) -> "LaurentPolynomial":
-        """Parse the serialize() format (whitespace-tolerant)."""
-        terms: list[tuple[list[int], int]] = []
-        sign = 1
-        coeff: int | None = None
-        exps: list[int] | None = None
-        pos = 0
-
-        def flush():
-            nonlocal sign, coeff, exps
-            if exps is None and coeff is None:
-                raise ValueError(f"dangling operator in {text!r}")
-            c = sign * (1 if coeff is None else coeff)
-            terms.append((exps if exps is not None else [0] * nvars, c))
-            sign, coeff, exps = 1, None, None
-
-        expect_factor = True
-        while pos < len(text):
-            m = cls._TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"bad token at offset {pos} in {text!r}")
-                break
-            pos = m.end()
-            if m.group(6):
-                op = m.group(6)
-                if op == "*":
-                    expect_factor = True
-                    continue
-                if expect_factor and op == "-":
-                    sign = -sign
-                    continue
-                if expect_factor:
-                    continue
-                flush()
-                if op == "-":
-                    sign = -1
-                expect_factor = True
-            elif m.group(5) is not None:
-                value = int(m.group(5))
-                if not expect_factor:
-                    flush()
-                if value < 0:
-                    sign *= -1
-                    value = -value
-                coeff = value if coeff is None else coeff * value
-                expect_factor = False
-            else:
-                if not expect_factor:
-                    flush()
-                idx = int(m.group(2)) - 1
-                if not 0 <= idx < nvars:
-                    raise ValueError(f"variable x{idx + 1} out of range in {text!r}")
-                e = int(m.group(4)) if m.group(4) else 1
-                if exps is None:
-                    exps = [0] * nvars
-                exps[idx] += e
-                expect_factor = False
-        if exps is not None or coeff is not None:
-            flush()
-        elif not terms:
-            raise ValueError(f"empty polynomial string {text!r}")
-        return cls.from_terms(nvars, terms)
 
     def __repr__(self) -> str:
         s = self.serialize()

@@ -17,9 +17,10 @@ form rows / d, which are unique, so `rank`, `right_kernel_basis`
 (primitive rescalings of kernel vectors read off rows / d) and `solve`
 read the same results off any choice. Swaps negate the row moved down,
 so for a square nonsingular matrix d stays its signed determinant, which
-`det_bareiss` reads. For any matrix, d is +- the minor on the pivot rows
-and pivot columns, and `rref` reports which input row each output row
-came from; with full column rank, a unit d is a unimodular row minor.
+the tests' determinant oracle `det_bareiss` reads. For any matrix, d is
++- the minor on the pivot rows and pivot columns, and `rref` reports
+which input row each output row came from; with full column rank, a unit
+d is a unimodular row minor.
 Small pivots make the pass a greedy search for a unit minor, which the
 tests' `unimodular_minor_search` reads off the u-exponent matrices of
 Gr(3,6), Gr(3,7) and Gr(3,8) that the paper's integer factorizations
@@ -37,7 +38,6 @@ __all__ = [
     "rank",
     "right_kernel_basis",
     "solve",
-    "det_bareiss",
     "primitive_vector",
 ]
 
@@ -150,11 +150,3 @@ def solve(
         x[pc] = Fraction(row[ncols], d)
     return x
 
-
-def det_bareiss(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix, fraction-free."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    _, pivots, d, _ = rref(matrix)
-    return d if len(pivots) == n else 0

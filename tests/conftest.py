@@ -1,10 +1,114 @@
-"""Shared test fixtures: seed-file dicts and cluster structures used by several suites."""
+"""Shared test fixtures and oracles: seed-file dicts, cluster structures,
+and hand-written references for the package's arithmetic, used by several
+suites."""
 
 import operator
+import re
 from fractions import Fraction
+from math import prod
 from typing import Callable, NamedTuple
 
 import pytest
+
+
+# Laurent polynomials written out by hand: a reader of serialize()'s text
+# format, a constructor from exponent vectors, and exact evaluation, the
+# oracle for every walk that computes values without expanding polynomials
+
+
+def laurent_from_terms(nvars, items):
+    """The Laurent polynomial sum coeff * x^exps over the (exps, coeff)
+    pairs of items; terms with equal exponents add up, and zero ones go."""
+    from clustercones.laurent import LaurentPolynomial, pack_exponents
+
+    terms = {}
+    for exps, coeff in items:
+        if len(exps) != nvars:
+            raise ValueError("exponent vector length mismatch")
+        key = pack_exponents(exps)
+        c = terms.get(key, 0) + coeff
+        if c:
+            terms[key] = c
+        elif key in terms:
+            del terms[key]
+    return LaurentPolynomial(nvars, terms)
+
+
+_TOKEN = re.compile(r"\s*(x(\d+)(\^(-?\d+))?|(-?\d+)|([+*-]))")
+
+
+def parse_laurent(nvars, text):
+    """Parse the serialize() format (whitespace-tolerant)."""
+    terms = []
+    sign = 1
+    coeff = None
+    exps = None
+    pos = 0
+
+    def flush():
+        nonlocal sign, coeff, exps
+        if exps is None and coeff is None:
+            raise ValueError(f"dangling operator in {text!r}")
+        c = sign * (1 if coeff is None else coeff)
+        terms.append((exps if exps is not None else [0] * nvars, c))
+        sign, coeff, exps = 1, None, None
+
+    expect_factor = True
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise ValueError(f"bad token at offset {pos} in {text!r}")
+            break
+        pos = m.end()
+        if m.group(6):
+            op = m.group(6)
+            if op == "*":
+                expect_factor = True
+                continue
+            if expect_factor and op == "-":
+                sign = -sign
+                continue
+            if expect_factor:
+                continue
+            flush()
+            if op == "-":
+                sign = -1
+            expect_factor = True
+        elif m.group(5) is not None:
+            value = int(m.group(5))
+            if not expect_factor:
+                flush()
+            if value < 0:
+                sign *= -1
+                value = -value
+            coeff = value if coeff is None else coeff * value
+            expect_factor = False
+        else:
+            if not expect_factor:
+                flush()
+            idx = int(m.group(2)) - 1
+            if not 0 <= idx < nvars:
+                raise ValueError(f"variable x{idx + 1} out of range in {text!r}")
+            e = int(m.group(4)) if m.group(4) else 1
+            if exps is None:
+                exps = [0] * nvars
+            exps[idx] += e
+            expect_factor = False
+    if exps is not None or coeff is not None:
+        flush()
+    elif not terms:
+        raise ValueError(f"empty polynomial string {text!r}")
+    return laurent_from_terms(nvars, terms)
+
+
+def laurent_value(poly, point):
+    """Exact value of a Laurent polynomial at a point with nonzero
+    coordinates, term by term over Fractions."""
+    if len(point) != poly.nvars:
+        raise ValueError("point length mismatch")
+    return sum((Fraction(coeff) * prod(Fraction(x) ** e for x, e in zip(point, exps))
+                for exps, coeff in poly.terms()), Fraction(0))
 
 
 # the exchange relation over a ring of five callables: the oracle for the
@@ -329,8 +433,30 @@ def ratio_value(vector, values):
     return acc
 
 
-# oracles for the package's cones: the dense face of its double
-# description core, and its unimodular-minor reading of linalg.rref
+# oracles for the package's linear algebra and cones: determinants by
+# linalg.rref, the dense face of the double description core and of U's
+# rows, and the unimodular-minor reading of linalg.rref
+
+
+def det_bareiss(matrix):
+    """Exact determinant of an integer matrix, fraction-free: the scale d
+    of one linalg.rref pass, which stays the signed determinant of a
+    square nonsingular matrix."""
+    from clustercones.linalg import rref
+
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    _, pivots, d, _ = rref(matrix)
+    return d if len(pivots) == n else 0
+
+
+def dense_ratio(U, vector):
+    """Exponents of a ratio dict in the row order of a UMatrix."""
+    out = [0] * U.num_rows
+    for id, e in vector.items():
+        out[U.row_index[id]] = e
+    return out
 
 
 def double_description(equalities, dim):
@@ -357,7 +483,7 @@ def unimodular_minor_search(rows):
     greedy pass found no unit minor; rows whose lattice has index > 1
     (every maximal minor then shares a factor) always give None.
     """
-    from clustercones.linalg import det_bareiss, rref
+    from clustercones.linalg import rref
 
     _, pivots, d, origin = rref(rows)
     if len(pivots) != len(rows[0]) or abs(d) != 1:

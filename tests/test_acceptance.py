@@ -18,6 +18,7 @@ from conftest import (
     GR26_SEED,
     GR37_ORBIT_TABLE,
     Seed,
+    det_bareiss,
     double_description,
     unimodular_minor_search,
     value_walk,
@@ -50,7 +51,6 @@ from clustercones.grassmannian import (
     verify_gr48_table,
 )
 from clustercones.laurent import LaurentPolynomial
-from clustercones.linalg import det_bareiss
 from clustercones.seeds import ExchangeData, load_seed_file
 from clustercones.uvars import build_u_variables, verify_u_equations
 

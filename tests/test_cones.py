@@ -13,6 +13,8 @@ import pytest
 
 from conftest import (
     GR26_SEED,
+    dense_ratio,
+    det_bareiss,
     double_description,
     kernel_weights,
     laurent_ring,
@@ -40,7 +42,6 @@ from clustercones import finite_type
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 from clustercones.grassmannian import GrassmannianCluster
 from clustercones.linalg import (
-    det_bareiss,
     primitive_vector,
     rank,
     right_kernel_basis,
@@ -566,7 +567,7 @@ def test_ray_powers_are_the_nonzero_lam_entries(request, context):
         lam = r.lam
         assert len(lam) == U.num_cols == r.num_cols
         assert [(j, l) for j, l in enumerate(lam) if l] == list(r.powers)
-        assert combine(U, lam) == U.dense(r.vector)
+        assert combine(U, lam) == dense_ratio(U, r.vector)
         assert cone.ray_index[frozenset(r.vector.items())] == i
     assert len(cone.ray_index) == len(cone)
     with pytest.raises(AttributeError):
@@ -640,7 +641,7 @@ def test_subset_cone_rays_come_in_dense_row_order(name, frozen):
     negatives = 0
     for size in range(len(ids) // 2, len(ids) + 1):
         cone = subset_cone(rng.sample(ids, size), U)
-        dense = [U.dense(r.vector) for r in cone.rays]
+        dense = [dense_ratio(U, r.vector) for r in cone.rays]
         assert dense == sorted(dense)
         negatives += sum(e < 0 for v in dense for e in v)
     assert negatives
@@ -651,7 +652,7 @@ def test_subset_cone_rays_are_extreme_and_primitive():
     U = build_u_matrix(belt)
     keep = [0, 1, 2, 3, 5]  # drop one variable
     cone = subset_cone(keep, U)
-    dense = [U.dense(r.vector) for r in cone.rays]
+    dense = [dense_ratio(U, r.vector) for r in cone.rays]
     from math import gcd
     for v in dense:
         g = 0
@@ -720,7 +721,7 @@ def test_dual_basis_inverts_u(request, context):
     refused = 0
     for id in U.row_ids:
         got = U.solve({id: 1})
-        assert got == oracle.solve(U.dense({id: 1}))
+        assert got == oracle.solve(dense_ratio(U, {id: 1}))
         refused += got is None
     assert refused > 0
 
@@ -957,7 +958,7 @@ def reference_certificate(U, vector):
     ties, names the ray of an unbounded ratio."""
     nums = [pair(g, vector) for g in dual_rows(U)]
     lam = [Fraction(v, c) for v, c in zip(nums, U.scales)]
-    assert combine(U, lam) == U.dense(vector)
+    assert combine(U, lam) == dense_ratio(U, vector)
     j = min(range(len(lam)), key=lambda i: lam[i])
     if lam[j] >= 0:
         return "bounded", lam, None, None
@@ -1079,7 +1080,7 @@ def test_integer_replay_agrees_with_the_fraction_check(request, context):
         has_ray = cert.ray is not None
         if trial % 4 == 0:
             cert.verdict = "unbounded" if cert.bounded else "bounded"
-        want = combine(U, cert.lam) == U.dense(cert.vector) and (
+        want = combine(U, cert.lam) == dense_ratio(U, cert.vector) and (
             min(cert.lam) >= 0 if cert.bounded
             else min(cert.lam) < 0 and has_ray)
         assert verify_certificate(U, cert) is want, kind

@@ -22,6 +22,7 @@ from conftest import (
     GR26_SEED,
     GR37_ORBIT_TABLE,
     VALUATIONS,
+    det_bareiss,
     fraction_ring,
     ratio_value,
     registry_values,
@@ -58,7 +59,6 @@ from clustercones.grassmannian import (
     tp_sample,
     verify_gr48_table,
 )
-from clustercones.linalg import det_bareiss
 from clustercones.seeds import _valuation_exchange, load_seed_file
 
 

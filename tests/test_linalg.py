@@ -12,8 +12,9 @@ from math import gcd
 
 import pytest
 
+from conftest import det_bareiss
+
 from clustercones.linalg import (
-    det_bareiss,
     primitive_vector,
     rank,
     right_kernel_basis,

@@ -5,7 +5,13 @@ from math import gcd
 
 import pytest
 
-from conftest import GR26_SEED, Seed, textbook_mutation, y_seed_from_cluster
+from conftest import (
+    GR26_SEED,
+    Seed,
+    parse_laurent as P,
+    textbook_mutation,
+    y_seed_from_cluster,
+)
 
 from clustercones.laurent import LaurentPolynomial
 from clustercones.seeds import (
@@ -16,10 +22,6 @@ from clustercones.seeds import (
     load_seed_file,
     mutate_matrix,
 )
-
-
-def P(nvars, text):
-    return LaurentPolynomial.parse(nvars, text)
 
 
 C2 = ExchangeData(2, 0, [[0, 1], [-2, 0]], weights=[2, 1])
