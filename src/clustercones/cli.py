@@ -52,7 +52,7 @@ from .grassmannian import (
     packaged_table,
     verify_gr48_table,
 )
-from .laurent import LaurentPolynomial, pack_exponents
+from .laurent import LaurentPolynomial
 from .seeds import dump_seed_data, load_seed_file
 from .uvars import DegenerationRay, build_u_variables, verify_u_equations
 
@@ -170,14 +170,19 @@ def _context_from_args(args) -> Context:
     if args.gr:
         k, n = args.gr
         return _grassmannian_context(k, n)
+    return _seed_context(_read_json(args.seed_file), os.path.basename(args.seed_file))
+
+
+def _read_json(path: str):
+    """The JSON value in the file at path; UsageError if it cannot be
+    read or is not JSON."""
     try:
-        with open(args.seed_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read {args.seed_file}: {exc}") from exc
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.seed_file} is not JSON: {exc}") from exc
-    return _seed_context(data, os.path.basename(args.seed_file))
+        raise UsageError(f"{path} is not JSON: {exc}") from exc
 
 
 def _int(value, what: str) -> int:
@@ -214,14 +219,10 @@ def _context_from_key(key: dict) -> Context:
 # rendering helpers
 
 def _poly_fraction_text(poly: LaurentPolynomial, names: list[str]) -> str:
-    """Clear denominators and print as a reduced fraction.
-
-    The numerator is poly times the monomial of the shift, which adds one
-    packed offset to every key."""
-    mins = poly.min_exponents()
-    shift = [-m if m < 0 else 0 for m in mins]
-    offset = pack_exponents(shift) - pack_exponents([0] * poly.nvars)
-    num = LaurentPolynomial(poly.nvars, {key + offset: c for key, c in poly._terms.items()})
+    """Clear denominators and print as a reduced fraction: the numerator
+    is poly times the monomial of the shift."""
+    shift = [-m if m < 0 else 0 for m in poly.min_exponents()]
+    num = poly * LaurentPolynomial.monomial(poly.nvars, 1, shift)
     num_text = num.serialize(names)
     den_factors = [(names[i], s) for i, s in enumerate(shift) if s]
     if not den_factors:
@@ -258,6 +259,8 @@ def cmd_enumerate(args) -> int:
     belt = ctx.belt
     size = belt.exchange.size
     initial_names = [belt.name(i) for i in range(size)]
+    # Grassmannian contexts list degrees in place of expansions
+    expansions = ctx.grass is None and belt.offers_expansions
     variables = []
     for id in belt.row_order:
         entry = belt.entries[id]
@@ -267,7 +270,7 @@ def cmd_enumerate(args) -> int:
             root = belt.root_label(id)
             if root != row["name"]:
                 row["root"] = root
-        if belt.symbolic:
+        if expansions:
             row["expansion"] = _poly_fraction_text(belt.poly(id), initial_names)
         if ctx.grass is not None:
             row["degree"] = ctx.grass.degree[id]
@@ -361,8 +364,8 @@ def cmd_check(args) -> int:
         "certificate": cert.to_dict(U),
     }
     if cert.bounded:
-        # non-integral lam needs symbolic expansions; large belts run
-        # tropical and skip the report
+        # non-integral lam needs Laurent expansions; belts that do not
+        # offer them skip the report
         try:
             report = subtraction_free_check(cert, U)
         except BeltError:
@@ -582,13 +585,7 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
 
 
 def _verify_certificate(args) -> int:
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.certificate}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.certificate} is not JSON: {exc}") from exc
+    data = _read_json(args.certificate)
     try:
         data = _object(data, "certificate file")
         key, record = data["context"], data["certificate"]
@@ -838,10 +835,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(exc.annotate(), file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotFiniteTypeError, NotFullRankError) as exc:
+    except (UsageError, NotFiniteTypeError, NotFullRankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import lshift
 from typing import Sequence
 
-from .finite_type import BeltError, BipartiteBelt, _lane_unpacker
+from .finite_type import BipartiteBelt, _lane_unpacker
 # unused here; benchmark/selftest.py checks that cones.rank is linalg.rank
 from .linalg import rank  # noqa: F401
 from .laurent import LaurentPolynomial
@@ -675,7 +675,8 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
     Every term is then a product of cluster variables and frozen
     variables, so the gap is subtraction-free in cluster variables.
     Non-integral lam: expand the gap in the initial cluster and report
-    signed terms.
+    signed terms; on a belt that offers no expansions, BipartiteBelt.poly
+    raises BeltError.
     """
     if not cert.bounded:
         raise ValueError("subtraction-freeness is only defined for bounded ratios")
@@ -686,11 +687,6 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
             "chain", chain=[(u.gamma, m) for u, m in chain],
             verified=_verify_chain(belt, [u for u, _ in chain]))
     denoms = lcm(*(l.denominator for _, l in cert.powers))
-    if not belt.symbolic:
-        raise BeltError(
-            "expansion check needs symbolic mode; only integral "
-            "factorizations can be verified on tropical belts"
-        )
     one = LaurentPolynomial.one(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     pos, neg = _split(cert.vector.items())
@@ -721,8 +717,8 @@ def _verify_chain(belt: BipartiteBelt, factors: Sequence[UVariable]) -> bool:
     p + f with f the frozen in-product. Then Q - P = prod q_i - prod p_i
     telescopes as sum_i q_1..q_{i-1} (q_i - p_i) p_{i+1}..p_r, formally
     in any commutative ring, and q_i - p_i = f_i: every term is a product
-    of cluster and frozen variables. The check is exact on symbolic and
-    tropical belts alike. A factor at a non-source position, or with a
+    of cluster and frozen variables. The check needs no Laurent expansion,
+    so it runs on every belt. A factor at a non-source position, or with a
     step or node that is not an int, fails. A factor repeated as the same
     object is checked once; a changed copy is a distinct object and is
     checked on its own.

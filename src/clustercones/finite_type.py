@@ -20,37 +20,37 @@ are read off the valuations along the mutable unit rays of steps 0 and 1,
 see BipartiteBelt.compatibility_degree).
 Along a grading alpha (see seeds.ExchangeData.grading_defect) every
 exchange relation is homogeneous, so the valuations along alpha are the
-torus weights. Building the belt calls the product exchange on Laurent
-polynomials, for the registry expansions, and the min-exponent one, for
-their deduplication key; `grassmannian` walks values at positive points
-with products of exact integers.
+torus weights. Building the belt calls the min-exponent exchange alone,
+for the registry's deduplication key; the product exchange on Laurent
+polynomials runs once expansions are requested (BipartiteBelt.poly), and
+`grassmannian` walks values at positive points with products of exact
+integers.
 
 Variables are deduplicated by their componentwise minimum exponent vector
 in the initial frame: min exponents are additive under multiplication
 over a domain and take componentwise minima under sums with positive
 coefficients, so the min-plus walk computes them exactly. In finite type
 the mutable part of that vector (the negated denominator vector) is a
-complete invariant, which is what makes the tropical mode sound; symbolic
-mode also carries the full Laurent expansions and cross-checks the
-deduplication against them, proving every distinct exchange relation
-once: a new variable is proved Laurent by exact division, and a revisited
-one by a single product with the stored expansion. Where the seed comes
-back relabeled before the belt closes (A_n, D_odd and E6, at step h+2),
-the rest of the belt repeats those relations relabeled, so it carries the
-expansions of the first half over instead of multiplying them again, and
-checks each against the min-plus vector and against the registry entry
-that vector names. Every exchange compares the expansion's min exponents
-with the min-plus vector. The expansion's corners come out of the Laurent
-arithmetic itself, which carries them exactly through products, sums in
-which nothing cancels and exact quotients (see `laurent`), so no
-expansion is rescanned for them; they are never taken from the min-plus
-walk, so the comparison still tests that walk against the expansions.
+complete invariant, so the registry, the steps and the schedule, and
+everything downstream of them (ratio cones, identification at totally
+positive points, weight tables), come from that walk with no Laurent
+arithmetic.
 
-Tropical mode exists because the deepest variables of an E8-size belt have
-Laurent expansions with too many terms to multiply comfortably in pure
-Python, while everything downstream (ratio cones, identification at
-totally positive points, weight tables) only needs matrices, id schedules
-and numeric walks.
+Laurent expansions serve the enumerate display, the u-equation
+identities and the subtraction-free check of a non-integral lambda. Belts
+of at most 50 cluster variables offer them; the deepest variables of an
+E8-size belt have too many terms to multiply comfortably in pure Python.
+The first request proves every distinct exchange relation once: a new
+variable is proved Laurent by exact division, and a revisited one by a
+single product with the stored expansion. Where the seed comes back
+relabeled before the belt closes (A_n, D_odd and E6, at step h+2), the
+rest of the belt repeats those relations relabeled, so the proof stops
+there. Every expansion's min exponents must equal its registry vector.
+The expansion's corners come out of the Laurent arithmetic itself, which
+carries them exactly through products, sums in which nothing cancels and
+exact quotients (see `laurent`), so no expansion is rescanned for them;
+they are never taken from the min-plus walk, so the comparison still
+tests that walk against the expansions.
 """
 
 from __future__ import annotations
@@ -508,19 +508,18 @@ class SourceRecord(NamedTuple):
 class RegistryEntry:
     """One cluster variable met on the belt."""
 
-    __slots__ = ("id", "poly", "minexp", "frozen", "first_pos", "source_pos")
+    __slots__ = ("id", "minexp", "frozen", "source_pos")
 
-    def __init__(self, id: int, poly: LaurentPolynomial | None, minexp: tuple[int, ...], frozen: bool, first_pos: tuple[int, int]):
+    def __init__(self, id: int, minexp: tuple[int, ...], frozen: bool):
         self.id = id
-        self.poly = poly
         self.minexp = minexp
         self.frozen = frozen
-        self.first_pos = first_pos
         self.source_pos: tuple[int, int] | None = None
 
 
 class BeltError(RuntimeError):
-    """The belt failed to close or revisited inconsistent state."""
+    """The belt failed to close or revisited inconsistent state, its
+    expansions failed their proof, or it offers none."""
 
 
 def _confirm_quotient(quotient: LaurentPolynomial, numerator: LaurentPolynomial,
@@ -564,26 +563,10 @@ class BipartiteBelt:
     reaches, whose names are the given ones with each move's node primed.
     exchange is that base seed, step 0 of the belt.
 
-    symbolic=None picks symbolic Laurent bookkeeping for small types
-    (at most 50 belt variables) and tropical bookkeeping beyond that.
-
-    In symbolic mode every distinct exchange relation is proved exactly
-    once. When the min-plus walk lands on a variable not yet registered,
-    its expansion is the exact quotient of the exchange relation. When it
-    lands on a registered one (the initial cluster at the end of an h+2
-    belt), the stored expansion P is confirmed by testing P * old ==
-    numerator, one product in place of a division; the quotient in a
-    domain is unique, so this is the same proof.
-
-    A 2(h+2) belt meets state0 relabeled at step s0 = h+2: same frozen
-    ids, mutable ids permuted, and the matrix conjugated by that position
-    permutation pi (see _relabeling). The walk is a function of the
-    labeled seed, so step s0 + t is step t relabeled by pi and the same
-    variables meet in the same, already proved, exchange relations. From
-    s0 on the belt does no Laurent arithmetic: node k takes the expansion
-    node pi[k] got at step s - s0, which must have the min exponents of
-    the min-plus vector and equal the registry expansion of the id that
-    vector names.
+    Every belt is built by one min-plus walk of min exponent vectors,
+    with no Laurent arithmetic. Belts of at most 50 cluster variables
+    offer Laurent expansions (offers_expansions); the first call of poly
+    proves them all (_expansions).
 
     Compatibility degrees come from the valuations along the mutable unit
     rays of steps 0 and 1 alone, one packed walk: frozen valuations stay 0
@@ -592,7 +575,7 @@ class BipartiteBelt:
     back along the belt (see compatibility_degree).
     """
 
-    def __init__(self, exchange: ExchangeData, symbolic: bool | None = None):
+    def __init__(self, exchange: ExchangeData):
         n, size = exchange.n, exchange.size
         # the re-basing path: (node, out-terms, in-terms) per move from the
         # given seed to its bipartite base, each move priming its node's
@@ -613,23 +596,12 @@ class BipartiteBelt:
         self.exchange = exchange
         self.dynkin = dynkin
         self.h = dynkin.coxeter_number
-        if symbolic is None:
-            symbolic = dynkin.num_belt_variables <= 50
-        self.symbolic = symbolic
 
         self.entries: list[RegistryEntry] = []
         self._by_minexp: dict[tuple[int, ...], int] = {}
-        self.steps: list[BeltStep] = []
-        self.period = 0
 
-        one = LaurentPolynomial.one(size)
-        laurent = _product_exchange(LaurentPolynomial.divide_exact, one)
-        polys = [LaurentPolynomial.variable(size, i) for i in range(size)]
         minexps = [tuple(int(j == i) for j in range(size)) for i in range(size)]
-        ids = [
-            self._register(polys[i] if symbolic else None, minexps[i], i >= n, (0, i))
-            for i in range(size)
-        ]
+        ids = [self._register(minexps[i], i >= n) for i in range(size)]
 
         # Types whose longest Weyl element is not -1 (A_n, D_odd, E6) come
         # back to the start seed after h+2 steps only up to the diagram
@@ -638,10 +610,6 @@ class BipartiteBelt:
         state0 = (matrix, tuple(ids))
         steps: list[BeltStep] = []
         moves: list[list[tuple[int, tuple, tuple]]] = []
-        # symbolic only: the expansions by node at the start of each step,
-        # and (s0, pi) once step s0 is found to be state0 relabeled by pi
-        snapshots: list[tuple[LaurentPolynomial, ...]] = []
-        relabel: tuple[int, tuple[int, ...]] | None = None
         total = 2 * (self.h + 2)
         s = 0
         while True:
@@ -654,12 +622,6 @@ class BipartiteBelt:
                     f"belt did not close after {total} steps; "
                     "input is not finite type"
                 )
-            if symbolic:
-                if relabel is None and s > 0:
-                    pi = _relabeling(state, state0, n)
-                    if pi is not None:
-                        relabel = (s, pi)
-                snapshots.append(tuple(polys))
             # mutating every source of a bipartite block negates it, so the
             # blocks, and with them the sources, alternate from step to step
             srcs = steps[s - 2].sources if s >= 2 else sources_of(matrix, n)
@@ -669,31 +631,11 @@ class BipartiteBelt:
             # them all once they are done
             moves.append([(k, *_split(enumerate(matrix[k]))) for k in srcs])
             for k, pos, neg in moves[-1]:
-                new_minexp = _minexp_exchange(minexps, pos, neg, minexps[k])
-                new_poly = None
-                if symbolic:
-                    known = self._by_minexp.get(new_minexp)
-                    if relabel is None:
-                        relation = laurent if known is None else _product_exchange(
-                            partial(_confirm_quotient, self.entries[known].poly), one)
-                        new_poly = relation(polys, pos, neg, polys[k])
-                    else:
-                        # step s is step s - s0 relabeled by pi, so node k
-                        # gets what node pi[k] got there, by a relation
-                        # already proved
-                        s0, pi = relabel
-                        new_poly = snapshots[s - s0 + 1][pi[k]]
-                    if new_poly.min_exponents() != new_minexp:
-                        raise BeltError("tropical min-exponent bookkeeping diverged")
-                    if relabel is not None and (
-                            known is None or self.entries[known].poly != new_poly):
-                        raise BeltError("two distinct variables share a denominator vector")
                 entry = self.entries[ids[k]]
                 if entry.source_pos is None:
                     entry.source_pos = (s, k)
-                ids[k] = self._register(new_poly, new_minexp, False, (s + 1, k))
-                minexps[k] = new_minexp
-                polys[k] = new_poly
+                minexps[k] = _minexp_exchange(minexps, pos, neg, minexps[k])
+                ids[k] = self._register(minexps[k], False)
             matrix = _mutate_sources(matrix, moves[-1], n)
             s += 1
         if total % self.period != 0:
@@ -729,18 +671,12 @@ class BipartiteBelt:
 
     # registry helpers
 
-    def _register(
-        self,
-        poly: LaurentPolynomial | None,
-        minexp: tuple[int, ...],
-        frozen: bool,
-        pos: tuple[int, int],
-    ) -> int:
+    def _register(self, minexp: tuple[int, ...], frozen: bool) -> int:
         known = self._by_minexp.get(minexp)
         if known is not None:
             return known
         new_id = len(self.entries)
-        self.entries.append(RegistryEntry(new_id, poly, minexp, frozen, pos))
+        self.entries.append(RegistryEntry(new_id, minexp, frozen))
         self._by_minexp[minexp] = new_id
         return new_id
 
@@ -760,11 +696,61 @@ class BipartiteBelt:
     def step(self, s: int) -> BeltStep:
         return self.steps[s % self.period]
 
+    @property
+    def offers_expansions(self) -> bool:
+        """Whether poly gives Laurent expansions: on belts of at most 50
+        cluster variables."""
+        return len(self.mutable_ids) <= 50
+
     def poly(self, id: int) -> LaurentPolynomial:
-        p = self.entries[id].poly
-        if p is None:
-            raise BeltError("symbolic expansions disabled for this belt")
-        return p
+        """The Laurent expansion of registry variable id in the cluster of
+        step 0, all of them proved on the first call (_expansions);
+        BeltError on a belt that does not offer expansions."""
+        return self._expansions[id]
+
+    @cached_property
+    def _expansions(self) -> list[LaurentPolynomial]:
+        """Every registry variable's Laurent expansion, by id, each
+        distinct exchange relation of the belt proved exactly once.
+
+        The proof walks the schedule from step 0. When an exchange
+        produces a variable not yet met, its expansion is the exact
+        quotient of the exchange relation. When it produces one met before
+        (the initial cluster, at the end of the walk), the stored
+        expansion P is confirmed by testing P * old == numerator, one
+        product in place of a division; the quotient in a domain is
+        unique, so this is the same proof.
+
+        A 2(h+2) belt meets state0 relabeled at step s0 = h+2: same frozen
+        ids, mutable ids permuted, and the matrix conjugated by that
+        position permutation (see _relabeling). The walk is a function of
+        the labeled seed, so step s0 + t is step t relabeled and the same
+        variables meet in the same, already proved, exchange relations:
+        the proof stops at s0. Each expansion's min exponents, which come
+        out of the Laurent arithmetic, must then equal its registry vector.
+        """
+        if not self.offers_expansions:
+            raise BeltError(
+                "Laurent expansions are offered on belts of at most 50 "
+                "cluster variables")
+        n, size = self.exchange.n, self.exchange.size
+        one = LaurentPolynomial.one(size)
+        laurent = _product_exchange(LaurentPolynomial.divide_exact, one)
+        values = [LaurentPolynomial.variable(size, i) for i in range(size)]
+        proved = dict(zip(self.steps[0].cluster_ids, values))
+        state0 = self.steps[0][:2]
+        for s, moves in enumerate(self._schedule):
+            if s > 0 and _relabeling(self.steps[s][:2], state0, n) is not None:
+                break
+            for k, pos, neg, target in moves:
+                known = proved.get(target)
+                relation = laurent if known is None else _product_exchange(
+                    partial(_confirm_quotient, known), one)
+                values[k] = proved[target] = relation(values, pos, neg, values[k])
+        expansions = [proved[e.id] for e in self.entries]
+        if any(p.min_exponents() != e.minexp for p, e in zip(expansions, self.entries)):
+            raise BeltError("tropical min-exponent bookkeeping diverged")
+        return expansions
 
     def dvector(self, id: int) -> tuple[int, ...]:
         """Negated min exponents over the initial mutable coordinates."""

@@ -330,7 +330,7 @@ class GrassmannianCluster:
         contents, _, _ = _grid_layout(k, n)
         self._grid_sets = contents  # column subsets, node order of self.grid
         self.points = tuple(_integral(tp_sample(k, n, s)) for s in (11, 12, 13))
-        self.belt = BipartiteBelt(self.grid, symbolic=False)
+        self.belt = BipartiteBelt(self.grid)
 
         # the content of each column is a grading of the grid seed, and
         # mutation carries it to a grading of every seed after (see

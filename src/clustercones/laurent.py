@@ -153,10 +153,6 @@ class LaurentPolynomial:
     # construction
 
     @classmethod
-    def zero(cls, nvars: int) -> "LaurentPolynomial":
-        return cls(nvars, {})
-
-    @classmethod
     def constant(cls, nvars: int, c: int) -> "LaurentPolynomial":
         if c == 0:
             return cls(nvars, {})

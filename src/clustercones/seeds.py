@@ -250,15 +250,6 @@ class ExchangeData:
         """Mutable rows, all columns: the part that drives the dynamics."""
         return self.matrix[: self.n]
 
-    def mutate(self, k: int) -> "ExchangeData":
-        return ExchangeData(
-            self.n,
-            self.m,
-            mutate_matrix(self.matrix, k, self.n),
-            self.weights,
-            self.names,
-        )
-
     def extended_rank(self) -> int:
         return rank(self.extended_matrix())
 

@@ -74,10 +74,10 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     position (BipartiteBelt._source_records), with dicts of its own, so
     that U shares none with the records the chain check compares against.
     The exchange relation gamma * partner = out-product + in-product is
-    not multiplied out here: a symbolic belt proved it when it was built
-    (by exact division, by one confirming product, or relabeled from a
-    relation proved earlier in the belt), and a tropical belt has no
-    expansions to multiply.
+    not multiplied out here: the belt proves it with its expansions (by
+    exact division, by one confirming product, or relabeled from a
+    relation proved earlier in the belt; BipartiteBelt._expansions), and
+    a belt that offers none has nothing to multiply.
     """
     out = []
     records = belt._source_records
@@ -147,9 +147,9 @@ def degeneration_ray(belt: BipartiteBelt, gamma: int) -> DegenerationRay:
 def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = None):
     """Check u_gamma + prod_{w != gamma} u_w^(w||gamma) = 1 symbolically.
 
-    Works on any belt in symbolic mode, full rank or not: the identity is
-    between explicit Laurent polynomials (a tropical belt raises
-    BeltError). Returns {gamma id: bool}.
+    Works on any belt that offers Laurent expansions, full rank or not:
+    the identity is between explicit Laurent polynomials (on any other
+    belt BipartiteBelt.poly raises BeltError). Returns {gamma id: bool}.
 
     Each u-variable is a monomial x^v in the registry variables (v is
     UVariable.vector, frozen ids included), so the product term is x^w
@@ -159,8 +159,8 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
     pass (BipartiteBelt._unit_valuations), not one call per pair.
 
     Most u-variables are decided without a product, from the exchange
-    relation at gamma's source position (s, k). The belt proved it when it
-    was built (by exact division, by one product with the stored
+    relation at gamma's source position (s, k). The belt proved it with its
+    expansions (by exact division, by one product with the stored
     expansion, or relabeled from a relation proved earlier in the belt):
 
         gamma * partner = prod numerator + prod frozen_in,

@@ -161,6 +161,15 @@ def ring_walk(belt, ring, values, start=0):
     return out
 
 
+def mutate_exchange(exchange, k):
+    """The exchange data mutated at mutable index k by seeds.mutate_matrix,
+    with its weights and names."""
+    from clustercones.seeds import ExchangeData, mutate_matrix
+
+    return ExchangeData(exchange.n, exchange.m, mutate_matrix(exchange.matrix, k, exchange.n),
+                        exchange.weights, exchange.names)
+
+
 def textbook_mutation(matrix, k, n):
     """b'_ij = -b_ij if i or j is k, b_ij for two frozen indices, and
     b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 otherwise."""
@@ -256,7 +265,7 @@ class Seed:
         cluster = list(self.cluster)
         relation = _product_exchange(LaurentPolynomial.divide_exact, LaurentPolynomial.one(ex.size))
         cluster[k] = relation(self.cluster, pos, neg, self.cluster[k])
-        return Seed(ex.mutate(k), cluster)
+        return Seed(mutate_exchange(ex, k), cluster)
 
     def __repr__(self):
         return f"<Seed n={self.exchange.n} m={self.exchange.m}>"
@@ -296,7 +305,7 @@ class YSeed:
                 gain, loss = (yk_num, total) if b > 0 else (total, yk_den)
                 num, den = num * gain ** abs(b), den * loss ** abs(b)
             new_values.append((num, den))
-        return YSeed(ex.mutate(k), new_values)
+        return YSeed(mutate_exchange(ex, k), new_values)
 
 
 def y_seed_from_cluster(seed):

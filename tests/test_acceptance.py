@@ -20,6 +20,7 @@ from conftest import (
     Seed,
     det_bareiss,
     double_description,
+    mutate_exchange,
     unimodular_minor_search,
     value_walk,
     y_seed_from_cluster,
@@ -363,7 +364,7 @@ def test_criterion_11():
             n = len(mat)
             ex = ExchangeData(n, 0, mat)
             k = rng.randrange(n)
-            assert ex.mutate(k).mutate(k).matrix == ex.matrix
+            assert mutate_exchange(mutate_exchange(ex, k), k).matrix == ex.matrix
             y = y_seed_from_cluster(Seed.initial(ex))
             back = y.mutate(k).mutate(k)
             assert back.exchange.matrix == ex.matrix

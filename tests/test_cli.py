@@ -895,6 +895,45 @@ def test_usage_errors_exit_two(capsys, argv, needle):
     assert needle in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_a_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"nodes": [')
+    flag = "--seed-file" if command == "enumerate" else "--certificate"
+    code, out, err = run(capsys, [command, flag, str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {path} is not JSON: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["check", "--ratio", "x2/(x1*x7)"], ["cone"], ["uvars"]],
+                         ids=["check", "cone", "uvars"])
+def test_commands_without_expansions_divide_nothing(capsys, monkeypatch, argv):
+    # an integral check, cone and uvars read the belt's min-plus data
+    # alone, so on a belt that offers expansions they prove none; enumerate
+    # prints them, and divides
+    from clustercones.laurent import LaurentPolynomial
+
+    divisors = []
+    divide = LaurentPolynomial.divide_exact
+    monkeypatch.setattr(LaurentPolynomial, "divide_exact",
+                        lambda a, b: divisors.append(b) or divide(a, b))
+    context = ["--type", "E6", "--frozen", "6"]
+    code, payload = run_json(capsys, [argv[0], *context, *argv[1:]])
+    assert code == 0 and divisors == []
+    if argv[0] == "check":
+        assert payload["subtraction_free"]["kind"] == "chain"
+    code, payload = run_json(capsys, ["enumerate", *context])
+    assert code == 0 and "expansion" in payload["variables"][0]
+    assert len(divisors) == 42 - 6
+
+
+def test_grassmannian_enumerate_lists_degrees_not_expansions(capsys):
+    # Gr(3,7) is E6, whose belt offers expansions
+    code, payload = run_json(capsys, ["enumerate", "--gr", "3", "7"])
+    assert code == 0 and len(payload["variables"]) == 42 + 7
+    assert all("degree" in v and "expansion" not in v for v in payload["variables"])
+
+
 def a2(a=(), b=(), arrow=()):
     """An A2 seed description, with fields of node a, node b or the arrow
     replaced."""

@@ -14,6 +14,7 @@ from conftest import (
     laurent_ring,
     laurent_value,
     minplus_ring,
+    mutate_exchange,
     parse_laurent as P,
     ring_exchange,
     ring_walk,
@@ -141,7 +142,7 @@ def test_find_bipartite_seed_path():
     assert path == (0,)
     mutated = path_ex
     for k in path:
-        mutated = mutated.mutate(k)
+        mutated = mutate_exchange(mutated, k)
     assert is_bipartite_orientation(mutated.mutable_matrix(), 3)
     assert recognize_dynkin(mutated.mutable_matrix(), (1, 1, 1)) == DynkinType("A", 3)
 
@@ -176,9 +177,9 @@ def test_find_bipartite_seed_path_returns_to_the_same_type(name):
         for _ in range(4):
             exchange = catalog_exchange(dynkin, frozen)
             for _ in range(rng.randrange(26)):
-                exchange = exchange.mutate(rng.randrange(exchange.n))
+                exchange = mutate_exchange(exchange, rng.randrange(exchange.n))
             for k in find_bipartite_seed_path(exchange):
-                exchange = exchange.mutate(k)
+                exchange = mutate_exchange(exchange, k)
             n = exchange.n
             assert is_bipartite_orientation(exchange.mutable_matrix(), n)
             assert recognize_dynkin(
@@ -187,7 +188,7 @@ def test_find_bipartite_seed_path_returns_to_the_same_type(name):
 
 def seed_loop_rebase(exchange):
     """The re-basing loop the command line ran on a seed file before the
-    belt re-based seeds itself: ExchangeData.mutate along
+    belt re-based seeds itself: a mutation of the exchange data along
     find_bipartite_seed_path, priming a node's name once per move. The
     reference for BipartiteBelt's own re-basing."""
     if is_bipartite_orientation(exchange.mutable_matrix(), exchange.n):
@@ -195,7 +196,7 @@ def seed_loop_rebase(exchange):
     path = find_bipartite_seed_path(exchange)
     names = list(exchange.names)
     for k in path:
-        exchange = exchange.mutate(k)
+        exchange = mutate_exchange(exchange, k)
         names[k] += "'"
     return ExchangeData(exchange.n, exchange.m, exchange.matrix, exchange.weights, names)
 
@@ -209,14 +210,14 @@ def test_belt_rebases_random_orientations_as_the_seed_loop_did(name):
         for _ in range(4):
             exchange = catalog_exchange(dynkin, frozen)
             for _ in range(rng.randrange(1, 26)):
-                exchange = exchange.mutate(rng.randrange(exchange.n))
+                exchange = mutate_exchange(exchange, rng.randrange(exchange.n))
             want = seed_loop_rebase(exchange)
-            belt = BipartiteBelt(exchange, symbolic=False)
+            belt = BipartiteBelt(exchange)
             got = belt.exchange
             assert (got.n, got.m, got.matrix, got.weights, got.names) == (
                 want.n, want.m, want.matrix, want.weights, want.names)
             assert [k for k, _, _ in belt._path_moves] == list(belt.path)
-            reference = BipartiteBelt(want, symbolic=False)
+            reference = BipartiteBelt(want)
             assert reference.path == ()
             assert belt.dynkin == reference.dynkin == dynkin
             assert belt.period == reference.period
@@ -250,8 +251,8 @@ def test_each_step_mutates_its_sources_in_one_pass(name):
     from clustercones.seeds import _mutate_sources, _split
 
     rank = DynkinType.from_name(name).rank
-    belts = [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen),
-                           symbolic=False) for frozen in sorted({0, 1, rank})]
+    belts = [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+             for frozen in sorted({0, 1, rank})]
     if name == "E6":
         belts.append(GrassmannianCluster(3, 8).belt)
     for belt in belts:
@@ -316,7 +317,7 @@ def test_belt_rebases_a_non_bipartite_seed_and_rejects_infinite():
     belt = BipartiteBelt(path_ex)
     assert belt.path == (0,) and belt.dynkin == DynkinType("A", 3)
     assert belt._path_moves == [(0, ((1, 1),), ())]
-    assert belt.exchange.matrix == path_ex.mutate(0).matrix
+    assert belt.exchange.matrix == mutate_exchange(path_ex, 0).matrix
     assert belt.exchange.names == ("a'", "b", "c")
     assert belt.period == 12 and len(belt.mutable_ids) == 9
     # the initial variables walked along the path: a becomes (b + 1)/a
@@ -333,23 +334,27 @@ def test_belt_rebases_a_non_bipartite_seed_and_rejects_infinite():
         BipartiteBelt(affine)
 
 
+def tropical_record(belt):
+    """What the min-plus walk builds: the registry, the steps, the
+    schedule, and the compatibility degrees read off them."""
+    ids = belt.mutable_ids
+    return (
+        [(e.id, e.minexp, e.frozen, e.source_pos) for e in belt.entries],
+        dict(belt._by_minexp), list(belt.steps), list(belt._schedule),
+        belt.period, belt.seed_count, list(ids), list(belt.frozen_ids),
+        [[belt.compatibility_degree(g, w) for w in ids] for g in ids],
+    )
+
+
 def test_tropical_mode_matches_symbolic():
+    # the Laurent proof reads the belt and changes none of it
     for name in ("A3", "C2", "D4", "B3", "G2"):
-        ex = catalog_exchange(DynkinType.from_name(name), frozen_count=1)
-        sym = BipartiteBelt(ex, symbolic=True)
-        trop = BipartiteBelt(ex, symbolic=False)
-        assert sym.period == trop.period
-        assert [e.minexp for e in sym.entries] == [e.minexp for e in trop.entries]
-        assert [st.cluster_ids for st in sym.steps] == [
-            st.cluster_ids for st in trop.steps
-        ]
-        with pytest.raises(Exception):
-            trop.poly(trop.mutable_ids[-1])
-        ids = sym.mutable_ids
-        assert trop.mutable_ids == ids
-        assert [[trop.compatibility_degree(g, w) for w in ids] for g in ids] == [
-            [sym.compatibility_degree(g, w) for w in ids] for g in ids
-        ], name
+        belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen_count=1))
+        before = tropical_record(belt)
+        assert "_expansions" not in belt.__dict__
+        belt.poly(belt.mutable_ids[-1])
+        assert "_expansions" in belt.__dict__
+        assert tropical_record(belt) == before, name
 
 
 def test_value_walk_matches_symbolic_evaluation():
@@ -369,7 +374,7 @@ SYMBOLIC_WITH_FROZEN = [("A3", 3), ("C2", 2), ("G2", 0), ("D4", 2)]
 @pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN)
 def test_frames_agree_with_value_walks_from_every_step(name, frozen):
     belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
-    assert belt.symbolic
+    assert belt.offers_expansions
     ex = belt.exchange
     rng = random.Random(53)
     size = ex.size
@@ -399,33 +404,37 @@ def test_frames_agree_with_value_walks_from_every_step(name, frozen):
             assert laurent_value(belt.poly(id), initial) == values[id], (s, belt.name(id))
 
 
-@pytest.mark.parametrize("name,target", [("A3", (1, 0)), ("C2", (0, 0))])
+@pytest.mark.parametrize("name,target", [("A3", (0, 1)), ("C2", (0, 0))])
 def test_revisit_is_checked_against_the_stored_expansion(monkeypatch, name, target):
-    # A3's labeled period is 2(h+2): its second half, the first half
-    # relabeled, carries the variable first met at node 0 of step 1 over
-    # and compares it with the registry expansion. C2 closes after h+2
-    # steps and revisits only its initial cluster, at the end, by a
-    # confirming product. The stored expansion is made wrong after it was
-    # registered and before its revisit.
-    register = BipartiteBelt._register
+    # the proof of the expansions meets the initial cluster again before it
+    # stops: A3 in the steps before its relabeling step h+2, C2 at the end
+    # of its h+2 period. Each revisit confirms the stored expansion by one
+    # product; the expansion of the variable at target (step, node) is
+    # made wrong on its way into that product.
+    exchange = catalog_exchange(DynkinType.from_name(name))
+    s, k = target
+    reference = BipartiteBelt(exchange)
+    stored = reference.poly(reference.step(s).cluster_ids[k])
+    confirm = finite_type._confirm_quotient
     corrupted = []
 
-    def register_then_corrupt(self, poly, minexp, frozen, pos):
-        if pos[0] > target[0] and not corrupted:
-            entry = next(e for e in self.entries if e.first_pos == target)
-            entry.poly = entry.poly + LaurentPolynomial.one(entry.poly.nvars)
-            corrupted.append(entry.id)
-        return register(self, poly, minexp, frozen, pos)
+    def confirm_corrupted(quotient, numerator, denominator):
+        if quotient == stored:
+            quotient = quotient + LaurentPolynomial.one(quotient.nvars)
+            corrupted.append(numerator)
+        return confirm(quotient, numerator, denominator)
 
-    monkeypatch.setattr(BipartiteBelt, "_register", register_then_corrupt)
+    monkeypatch.setattr(finite_type, "_confirm_quotient", confirm_corrupted)
+    belt = BipartiteBelt(exchange)
     with pytest.raises(BeltError, match="two distinct variables share a denominator vector"):
-        BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
-    assert corrupted
+        belt.poly(0)
+    assert len(corrupted) == 1
 
 
 def spy_relabelings(monkeypatch):
-    """Record, per call of the relabeling finder during a belt build, what
-    it found; the call for step s is the s-th, until one finds pi."""
+    """Record, per call of the relabeling finder while a belt proves its
+    expansions, what it found; the call for step s is the s-th, until one
+    finds pi."""
     found = []
     relabeling = finite_type._relabeling
 
@@ -448,7 +457,8 @@ def test_relabeling_is_found_at_h_plus_2_exactly_on_2h_plus_4_belts(
     dynkin = DynkinType.from_name(name)
     found = spy_relabelings(monkeypatch)
     belt = BipartiteBelt(catalog_exchange(dynkin, dynkin.rank if frozen else 0))
-    assert belt.symbolic
+    assert belt.offers_expansions and not found
+    belt.poly(0)
     h = dynkin.coxeter_number
     assert (belt.period == 2 * (h + 2)) == relabeled
     hits = [s + 1 for s, pi in enumerate(found) if pi is not None]
@@ -461,9 +471,40 @@ def test_relabeling_is_found_at_h_plus_2_exactly_on_2h_plus_4_belts(
         assert pi[dynkin.rank:] == tuple(range(dynkin.rank, len(pi)))
 
 
+@pytest.mark.parametrize("name,frozen", [("A5", 0), ("D5", 5), ("E6", 6)])
+def test_first_request_proves_every_entry_before_the_relabeling_step(
+        monkeypatch, name, frozen):
+    # building divides nothing; the first poly call divides once per
+    # variable the schedule meets first, all of them before the step where
+    # the seed comes back relabeled, and a second request divides nothing
+    divisors = []
+    divide = LaurentPolynomial.divide_exact
+    monkeypatch.setattr(LaurentPolynomial, "divide_exact",
+                        lambda a, b: divisors.append(b) or divide(a, b))
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
+    assert divisors == []
+    found = spy_relabelings(monkeypatch)
+    expansions = [belt.poly(e.id) for e in belt.entries]
+    s0 = len(found)  # the finder ran for steps 1 to s0
+    assert found[-1] is not None and s0 == belt.h + 2 == belt.period // 2
+    met, want = set(belt.step(0).cluster_ids), []
+    for s, moves in enumerate(belt._schedule[:s0]):
+        for k, _, _, target in moves:
+            if target not in met:
+                met.add(target)
+                want.append(belt.poly(belt.step(s).cluster_ids[k]))
+    assert met == set(range(len(belt.entries)))
+    assert divisors == want and len(want) == len(belt.mutable_ids) - belt.n
+    assert [p.min_exponents() for p in expansions] == [e.minexp for e in belt.entries]
+    divisors.clear()
+    found.clear()
+    assert [belt.poly(e.id) for e in belt.entries] == expansions
+    assert divisors == [] and found == []
+
+
 def belt_record(belt):
     return (
-        [(e.id, e.poly, e.minexp, e.frozen, e.first_pos, e.source_pos)
+        [(e.id, belt.poly(e.id), e.minexp, e.frozen, e.source_pos)
          for e in belt.entries],
         belt.steps, belt._schedule, belt.period, belt.mutable_ids, belt.frozen_ids,
     )
@@ -471,15 +512,14 @@ def belt_record(belt):
 
 @pytest.mark.parametrize("name,frozen", [("A5", 0), ("D5", 5), ("E6", 6)])
 def test_relabeled_half_equals_the_recomputed_one(monkeypatch, name, frozen):
-    # oracle: with the finder made to report nothing, every exchange of
-    # the second half is divided or confirmed by a product again
+    # oracle: with the finder made to report nothing, the proof walks the
+    # second half too, confirming every variable there by a product again
     exchange = catalog_exchange(DynkinType.from_name(name), frozen)
     found = spy_relabelings(monkeypatch)
-    carried = BipartiteBelt(exchange)
+    stopped = belt_record(BipartiteBelt(exchange))
     assert any(pi is not None for pi in found)
     monkeypatch.setattr(finite_type, "_relabeling", lambda state, state0, n: None)
-    recomputed = BipartiteBelt(exchange)
-    assert belt_record(carried) == belt_record(recomputed)
+    assert belt_record(BipartiteBelt(exchange)) == stopped
 
 
 def test_relabeling_needs_the_conjugate_matrix_frozen_rows_included():
@@ -516,33 +556,26 @@ def test_registry_corners_match_the_terms(name, frozen):
     # arithmetic equal the ones read from its terms, and the min corner
     # is the min-plus vector the belt deduplicates by
     belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
-    assert belt.symbolic
+    assert belt.offers_expansions
     for entry in belt.entries:
-        poly = entry.poly
+        poly = belt.poly(entry.id)
         assert poly.min_exponents() == poly._corner(min) == entry.minexp, belt.name(entry.id)
         assert poly.max_exponents() == poly._corner(max), belt.name(entry.id)
 
 
 @pytest.mark.parametrize("name,wrong", [("A3", 1), ("A3", 16), ("C2", 4), ("E6", 30)])
-def test_min_exponent_divergence_is_caught(monkeypatch, name, wrong):
-    # the min-plus walk is made to give one exchange (the wrong-th) a min
-    # vector no variable has, once on a variable the belt revisits (A3's
-    # 16th); the expansion's own corners, which never come from that walk,
-    # must disagree with it
-    minexp_exchange = finite_type._minexp_exchange
-    divisions = []
-
-    def skewed_exchange(values, pos, neg, old):
-        q = minexp_exchange(values, pos, neg, old)
-        divisions.append(q)
-        if len(divisions) == wrong:
-            q = (q[0] - 100,) + q[1:]
-        return q
-
-    monkeypatch.setattr(finite_type, "_minexp_exchange", skewed_exchange)
+def test_min_exponent_divergence_is_caught(name, wrong):
+    # the registry vector of the variable that the wrong-th exchange of
+    # the period produces is made one no variable has, once from an
+    # exchange of A3's relabeled half (its 16th), which the proof does not
+    # walk; the expansion's own corners, which never come from the
+    # min-plus walk, must disagree with it
+    belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
+    targets = [target for moves in belt._schedule for *_, target in moves]
+    entry = belt.entries[targets[wrong - 1]]
+    entry.minexp = (entry.minexp[0] - 100,) + entry.minexp[1:]
     with pytest.raises(BeltError, match="tropical min-exponent bookkeeping diverged"):
-        BipartiteBelt(catalog_exchange(DynkinType.from_name(name)))
-    assert len(divisions) == wrong
+        belt.poly(0)
 
 
 @pytest.mark.parametrize("name,frozen", SYMBOLIC_WITH_FROZEN)
@@ -580,12 +613,12 @@ def test_e8_belt_tropical_is_fast():
     assert len(belt.mutable_ids) == 128
     assert belt.period == 32 and belt.seed_count == 32
     assert elapsed < 5.0
-    assert not belt.symbolic
+    assert not belt.offers_expansions
 
 
 def test_e6_belt_symbolic_default():
     belt = BipartiteBelt(catalog_exchange(DynkinType("E", 6)))
-    assert belt.symbolic
+    assert belt.offers_expansions
     assert len(belt.mutable_ids) == 42
     assert belt.period == 28 and belt.seed_count == 14
 
@@ -643,7 +676,7 @@ def test_frames_and_dedup_keys_match_the_minplus_oracle(name, frozen):
     initial = ring_walk(belt, minplus_ring(size), units(size), 0)
     assert {e.id: e.minexp for e in belt.entries} == initial
     assert belt._by_minexp == {minexp: id for id, minexp in initial.items()}
-    assert belt.symbolic == (len(belt.mutable_ids) <= 50)
+    assert belt.offers_expansions == (len(belt.mutable_ids) <= 50)
 
 
 @pytest.mark.parametrize("context", [f"{name}+{frozen}" for name, frozen in WALK_CONTEXTS]

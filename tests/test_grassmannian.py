@@ -160,6 +160,16 @@ def test_gr2_seed_is_bipartite_type_a(n):
     ) == DynkinType("A", n - 3)
 
 
+@pytest.mark.parametrize("k,n", [(2, n) for n in range(5, 13)] + [(3, 6), (3, 7)])
+def test_every_u_variable_scale_is_one(k, n):
+    # so every lambda membership finds is integral, and a bounded check
+    # proves its chain without the Laurent expansions that the belts of
+    # Gr(2,5..11), Gr(3,6) and Gr(3,7) offer
+    grass = GrassmannianCluster(k, n)
+    assert grass.belt.offers_expansions == (n < 12 or k == 3)
+    assert set(grass.U.scales) == {1}
+
+
 def test_shape_guards():
     with pytest.raises(ValueError):
         grid_seed(1, 5)

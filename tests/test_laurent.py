@@ -90,7 +90,7 @@ def test_divide_exact_laurent_shift():
 def test_divide_by_zero_and_coefficient_refusal():
     a = P(1, "2*x1")
     with pytest.raises(ZeroDivisionError):
-        a.divide_exact(LaurentPolynomial.zero(1))
+        a.divide_exact(LaurentPolynomial.constant(1, 0))
     with pytest.raises(NotDivisible):
         P(1, "3*x1 + 2").divide_exact(P(1, "2"))
     mono = LaurentPolynomial.monomial(1, 2, [1])
@@ -124,8 +124,8 @@ def test_powers_equal_repeated_products_and_carry_exact_corners():
     x = LaurentPolynomial.variable(3, 1)
     assert x**0 == LaurentPolynomial.one(3)
     assert (x**0).min_exponents() == (0, 0, 0) == (x**0).max_exponents()
-    assert LaurentPolynomial.zero(3)**0 == LaurentPolynomial.one(3)
-    assert not LaurentPolynomial.zero(3)**5
+    assert LaurentPolynomial.constant(3, 0)**0 == LaurentPolynomial.one(3)
+    assert not LaurentPolynomial.constant(3, 0)**5
 
 
 def test_eval_exact():
@@ -137,7 +137,7 @@ def test_min_max_exponents():
     p = P(2, "x1^-2*x2 + x1^3*x2^-1")
     assert p.min_exponents() == (-2, -1)
     assert p.max_exponents() == (3, 1)
-    assert LaurentPolynomial.zero(2).min_exponents() == (0, 0)
+    assert LaurentPolynomial.constant(2, 0).min_exponents() == (0, 0)
 
 
 def test_min_max_exponents_match_a_per_term_loop():
@@ -180,10 +180,10 @@ def test_cached_corners_of_cancelling_sums_and_zeros():
         (x1**-2 + one) + (-(x1**-2)),
         (x1 * x2 + x2**-1) - x2**-1,
         x1 - x1,
-        (x1 + x2) + LaurentPolynomial.zero(2),
-        LaurentPolynomial.zero(2) - (x1 + x2**3),
-        (x1 + x2) * LaurentPolynomial.zero(2),
-        LaurentPolynomial.zero(2).divide_exact(x1 + x2),
+        (x1 + x2) + LaurentPolynomial.constant(2, 0),
+        LaurentPolynomial.constant(2, 0) - (x1 + x2**3),
+        (x1 + x2) * LaurentPolynomial.constant(2, 0),
+        LaurentPolynomial.constant(2, 0).divide_exact(x1 + x2),
         (x1**3 - x1 * x2**2).divide_exact(x1 + x2),
         (x1 + x2).divide_exact(LaurentPolynomial.monomial(2, -1, [2, -3])),
     ]
@@ -335,8 +335,8 @@ def _leaves_support(a, b, q):
 
 
 def _belt_divisions(monkeypatch, contexts):
-    """The (dividend, divisor) pair of every exact division that symbolic
-    belts of the given (type, frozen count) contexts prove."""
+    """The (dividend, divisor) pair of every exact division that proves
+    the expansions of the belts of the given (type, frozen count) contexts."""
     from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
 
     pairs = []
@@ -348,13 +348,13 @@ def _belt_divisions(monkeypatch, contexts):
 
     monkeypatch.setattr(LaurentPolynomial, "divide_exact", spy)
     for name, frozen in contexts:
-        BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen), symbolic=True)
+        BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen)).poly(0)
     monkeypatch.undo()
     return pairs
 
 
 def test_divide_exact_matches_reference_long_division(monkeypatch):
-    # every exchange division of these symbolic belts: the divisor and the
+    # every exchange division of these belts' expansions: the divisor and the
     # quotient are cluster variables, positive (positivity), so nothing
     # cancels in q * b and no remainder key leaves the dividend's support
     belt = _belt_divisions(monkeypatch, [
@@ -509,7 +509,7 @@ def test_serialize_with_names():
     p = P(2, "2*x1^-1*x2^2 - x1 + 1")
     assert p.serialize(["a", "b"]) == "-a + 2*a^-1*b^2 + 1"
     assert p.serialize() == "-x1 + 2*x1^-1*x2^2 + 1"
-    assert LaurentPolynomial.zero(2).serialize(["a", "b"]) == "0"
+    assert LaurentPolynomial.constant(2, 0).serialize(["a", "b"]) == "0"
 
 
 def test_products_refuse_exponents_that_would_wrap():

@@ -22,6 +22,7 @@ from conftest import (
 from clustercones import finite_type
 from clustercones.cones import Certificate, build_u_matrix, verify_certificate
 from clustercones.finite_type import (
+    BeltError,
     BipartiteBelt,
     DynkinType,
     catalog_exchange,
@@ -68,9 +69,8 @@ def cross_multiplied_u_equations(belt, uvars):
     return results
 
 
-def belt_of(name, frozen=0, symbolic=None):
-    ex = catalog_exchange(DynkinType.from_name(name), frozen)
-    return BipartiteBelt(ex, symbolic)
+def belt_of(name, frozen=0):
+    return BipartiteBelt(catalog_exchange(DynkinType.from_name(name), frozen))
 
 
 def coeff_vec(belt, coeffs):
@@ -160,13 +160,14 @@ def test_weight_table_rejects_non_kernel_vector():
 
 
 def scanned_weights(belt, alpha):
-    """Reference torus weights of a symbolic belt: the common alpha-degree
-    of each variable's Laurent terms. Raises ValueError when some
-    variable's terms disagree, i.e. alpha is outside the exchange kernel."""
+    """Reference torus weights of a belt with expansions: the common
+    alpha-degree of each variable's Laurent terms. Raises ValueError when
+    some variable's terms disagree, i.e. alpha is outside the exchange
+    kernel."""
     weights = {}
     for entry in belt.entries:
         degrees = {sum((a * e for a, e in zip(alpha, exps)), Fraction(0))
-                   for exps, _ in entry.poly.terms()}
+                   for exps, _ in belt.poly(entry.id).terms()}
         if len(degrees) != 1:
             raise ValueError(f"variable {belt.name(entry.id)} is inhomogeneous")
         (weights[entry.id],) = degrees
@@ -184,7 +185,7 @@ def test_weight_paths_agree_on_symbolic_belts():
         ("B3", 3), ("C2", 2), ("C3", 1), ("D4", 4), ("G2", 2), ("G2", 1),
     )] + [BipartiteBelt(load_seed_file(GR26_SEED))]
     for belt in belts:
-        assert belt.symbolic
+        assert belt.offers_expansions
         size = belt.exchange.size
         basis = belt.exchange.kernel_basis()
         assert basis
@@ -340,15 +341,14 @@ def test_degeneration_rays_match_a_fraction_solve(context, request):
     solution (rank-deficient steps can still reach some nodes)."""
     if context == "catalog":
         belts = [
-            BipartiteBelt(catalog_exchange(DynkinType.from_name(name), f),
-                          symbolic=False)
+            BipartiteBelt(catalog_exchange(DynkinType.from_name(name), f))
             for name, rank_ in (("A1", 1), ("A2", 2), ("A3", 3), ("A4", 4),
                                 ("A5", 5), ("B2", 2), ("B3", 3), ("C3", 3),
                                 ("D4", 4), ("D5", 5), ("E6", 6), ("F4", 4),
                                 ("G2", 2))
             for f in sorted({0, 1, rank_ - 1, rank_})
-        ] + [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), f),
-                           symbolic=False) for name, f in (("E7", 7), ("E8", 8))]
+        ] + [BipartiteBelt(catalog_exchange(DynkinType.from_name(name), f))
+             for name, f in (("E7", 7), ("E8", 8))]
     else:
         belts = [request.getfixturevalue(context).belt]
     rays = missing = partial = 0
@@ -400,9 +400,9 @@ def full_elimination_rays(belt, s):
 
 
 def catalog_belts(names, frozen):
-    """Tropical catalog belts of the named types, each with the frozen
+    """Catalog belts of the named types, each with the frozen
     counts frozen(rank) gives."""
-    return [BipartiteBelt(catalog_exchange(t, f), symbolic=False)
+    return [BipartiteBelt(catalog_exchange(t, f))
             for t in map(DynkinType.from_name, names) for f in frozen(t.rank)]
 
 
@@ -441,7 +441,7 @@ def test_gr38_degenerations_take_two_eliminations(gr38, monkeypatch):
     calls = []
     spy = lambda matrix: calls.append(len(matrix[0])) or rref(matrix)
     monkeypatch.setattr(finite_type, "rref", spy)
-    belt = BipartiteBelt(gr38.belt.exchange, symbolic=False)
+    belt = BipartiteBelt(gr38.belt.exchange)
     U = build_u_matrix(belt)
     assert [ray.beta for ray in U.rays] == [ray.beta for ray in gr38.U.rays]
     assert belt.period == 32 and calls == [16, 16]
@@ -576,7 +576,7 @@ def test_integer_weight_walks_match_fraction_walks(context, request):
     refuse the alphas the oracle refuses."""
     rng = random.Random(29)
     if context == "catalog":
-        Us = [build_u_matrix(belt_of(name, frozen=f, symbolic=False)) for name, f in (
+        Us = [build_u_matrix(belt_of(name, frozen=f)) for name, f in (
             ("A3", 1), ("A4", 4), ("B3", 3), ("C3", 2), ("D4", 4),
             ("E6", 6), ("F4", 4), ("G2", 2))]
     else:
@@ -775,6 +775,9 @@ def test_untampered_u_equations_take_no_product(monkeypatch, context):
         name, _, frozen = context.partition("+")
         belt = belt_of(name, int(frozen))
     uvars = build_u_variables(belt)
+    # the belt's proof of its expansions multiplies; the products counted
+    # are verify_u_equations' own
+    belt.poly(0)
     products = count_products(monkeypatch)
     results = verify_u_equations(belt, uvars)
     assert len(results) == len(belt.mutable_ids) and all(results.values())
@@ -787,6 +790,18 @@ def test_untampered_u_equations_take_no_product(monkeypatch, context):
                          u.frozen_in, vector)
     assert not verify_u_equations(belt, uvars)[u.gamma]
     assert products
+
+
+def test_belts_beyond_50_variables_offer_no_expansions():
+    # E7 has 70 cluster variables: its belt, u-variables and degrees come
+    # from the min-plus walk, and asking for expansions raises
+    belt = belt_of("E7")
+    assert len(belt.mutable_ids) == 70 and not belt.offers_expansions
+    assert len(build_u_variables(belt)) == 70
+    with pytest.raises(BeltError, match="at most 50 cluster variables"):
+        belt.poly(belt.mutable_ids[0])
+    with pytest.raises(BeltError, match="at most 50 cluster variables"):
+        verify_u_equations(belt)
 
 
 @pytest.mark.parametrize("field", ["numerator", "frozen_in", "partner", "numerator+vector"])
@@ -876,12 +891,12 @@ RELATIONS = [f"{name}+{frozen}" for name in (
 @pytest.mark.parametrize("context", RELATIONS)
 def test_every_source_record_is_an_exchange_relation_of_the_expansions(context):
     # build_u_variables copies the source records without multiplying them
-    # out, since the symbolic belt proved each relation when it was built:
+    # out, since the belt proves each relation with its expansions:
     # gamma * partner = prod numerator + prod frozen_in, at every source
     # position of the period
     name, _, frozen = context.partition("+")
     belt = belt_of(name, int(frozen))
-    assert belt.symbolic
+    assert belt.offers_expansions
     ring = laurent_ring(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     positions = 0
