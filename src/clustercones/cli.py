@@ -503,8 +503,9 @@ def cmd_factor(args) -> int:
             "expression": render_ratio(
                 {grass.name(id): e for id, e in f.vector.items()}
             ),
+            "multiplicity": m,
         }
-        for f in factors
+        for f, m in factors
     ]
     _emit(args, payload, _text_factor)
     return 0
@@ -515,14 +516,14 @@ def _text_factor(payload):
     if payload["factors"] is None:
         yield f"not factorable: {payload['reason']}"
         return
-    yield f"primitive factors: {len(payload['factors'])}"
+    yield f"primitive factors: {sum(f['multiplicity'] for f in payload['factors'])}"
     for f in payload["factors"]:
         i, j = f["crossing"]
         extra = ", ".join(str(c) for c in f["extra"])
         tail = f"  crossing ({i},{j})"
         if extra:
             tail += f", S = {{{extra}}}"
-        yield f"  {f['expression']}{tail}"
+        yield f"  {f['expression']}{tail}, multiplicity {f['multiplicity']}"
 
 
 # verify
@@ -557,15 +558,16 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
         raise ValueError('"verdict" must be "bounded", "unbounded" or '
                          f'"not-weight-zero", got {json.dumps(verdict)}')
     vector = by_id("ratio")
-    lam = None
+    powers = None
     if "lambda" in data:
+        column = {u.gamma: j for j, u in enumerate(ctx.U.uvars)}
         entries = by_id("lambda")
-        lam = tuple(_exact(entries.pop(u.gamma, 0), '"lambda" entry')
-                    for u in ctx.U.uvars)
-        if entries:
-            name = belt.name(next(iter(entries)))
-            raise UsageError(
-                f"certificate lambda names {name!r}, which has no u-variable")
+        pairs = sorted((column[id], e) for id, e in entries.items() if id in column)
+        powers = tuple((j, l) for j, e in pairs if (l := _exact(e, '"lambda" entry')))
+        stray = next((id for id in entries if id not in column), None)
+        if stray is not None:
+            raise UsageError(f"certificate lambda names {belt.name(stray)!r}, "
+                             "which has no u-variable")
     alpha = weight = None
     if "alpha" in data:
         if not isinstance(data["alpha"], list):
@@ -580,8 +582,8 @@ def _certificate_from_dict(data: dict, ctx: Context) -> Certificate:
         # on as read: the replay rejects anything but integers
         ray = DegenerationRay(rid(rd["gamma"]), rd["step"], rd["beta"],
                               rd["valuation"])
-    return Certificate(vector, verdict, lam=lam, alpha=alpha, weight=weight,
-                       ray=ray)
+    return Certificate(vector, verdict, powers=powers, alpha=alpha,
+                       weight=weight, ray=ray)
 
 
 def _verify_certificate(args) -> int:

@@ -12,16 +12,17 @@ ray, with G U = diag(c) and c > 0 (the extreme-ray theorem, per context).
 A ratio's u-exponents are lam = G v / c, confirmed by the exact residual
 U lam = v. As c > 0, lam has the signs of the integers G v, so
 membership and the replay of lam run on integers: G v and the torus
-weights of v under the kernel vectors U.kernel are one packed sum, and
-lam travels as its nonzero entries, so each later step costs what the
-ratio touches. Nonnegative lam proves
-the ratio bounded; a negative entry lam_gamma means the ratio has
-valuation c_gamma lam_gamma < 0 along gamma's ray, so it grows like t^val
-as t -> 0, which the replay confirms with one min-plus walk. A bounded
-ratio with integral lam is a product of u-variables, and a structural
-check of each distinct factor against the belt's exact record of its
-exchange relation (BipartiteBelt._source_records) proves the telescoping
-identity behind subtraction-freeness.
+weights of v under the kernel vectors U.kernel are one packed sum. lam
+is held in one form only, its powers: the (column, entry) pairs of its
+nonzero entries in column order, so each later step costs what the
+ratio touches. Nonnegative lam proves the ratio bounded; a negative
+entry lam_gamma means the ratio has valuation c_gamma lam_gamma < 0
+along gamma's ray, so it grows like t^val as t -> 0, which the replay
+confirms with one min-plus walk. A bounded ratio with integral lam is a
+product of u-variables, and a structural check of each distinct factor
+against the belt's exact record of its exchange relation
+(BipartiteBelt._source_records) proves the telescoping identity behind
+subtraction-freeness.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ __all__ = [
     "subtraction_free_check",
     "verify_certificate",
 ]
-
-
-_ZERO = Fraction(0)  # shared by every zero lam entry; Fractions are immutable
 
 
 class NotFullRankError(ValueError):
@@ -137,12 +135,6 @@ class UMatrix:
     def num_cols(self) -> int:
         return len(self.uvars)
 
-    def solve(self, vector: dict[int, int]) -> list[Fraction] | None:
-        """The u-exponents lam with U lam = vector, or None when vector is
-        outside the u-span (see _solve)."""
-        powers = self._solve(vector)[1]
-        return None if powers is None else _dense(powers, self.num_cols)
-
     def _solve(self, vector: dict[int, int]):
         """(weights, powers, G vector) of a ratio: its weights under the
         kernel vectors, the (column, Fraction) pairs of its nonzero lam_j =
@@ -172,12 +164,6 @@ class UMatrix:
             if _numerators(self, powers, vector) is not None:
                 return weights, powers, nums
         return weights, None, nums
-
-
-def _dense(powers, num_cols: int) -> list:
-    """lam over all num_cols columns from its nonzero (column, power) pairs."""
-    nonzero = dict(powers)
-    return [nonzero.get(j, _ZERO) for j in range(num_cols)]
 
 
 def _numerators(U: "UMatrix", powers, vector: dict[int, int]) -> list[int] | None:
@@ -215,31 +201,17 @@ class Certificate:
     carries a kernel vector alpha of U.kernel and the ratio's nonzero
     weight under it.
 
-    lam is kept as powers, its (column, entry) pairs in column order less
-    the int and Fraction zeros, and num_cols, its length; every step after
-    membership reads powers alone. Reading lam builds a new dense list (as
-    ExtremeRay.lam does); setting it keeps other types for the replay to refuse.
+    lam is held as powers alone: its (column, entry) pairs in column order,
+    the zero entries left out. Fields read from a file are kept as they
+    stand, for the replay (verify_certificate) to refuse.
     """
 
-    __slots__ = ("vector", "verdict", "powers", "num_cols", "alpha", "weight", "ray")
+    __slots__ = ("vector", "verdict", "powers", "alpha", "weight", "ray")
 
-    def __init__(self, vector, verdict, lam=None, alpha=None, weight=None,
-                 ray=None, powers=None, num_cols=None):
-        self.vector, self.verdict, self.ray = vector, verdict, ray
-        self.alpha, self.weight = alpha, weight
-        self.powers, self.num_cols = powers, num_cols
-        if lam is not None:
-            self.lam = lam
-
-    @property
-    def lam(self) -> list | None:
-        return None if self.powers is None else _dense(self.powers, self.num_cols)
-
-    @lam.setter
-    def lam(self, lam) -> None:
-        self.powers = None if lam is None else tuple(
-            (j, l) for j, l in enumerate(lam) if type(l) not in (int, Fraction) or l)
-        self.num_cols = None if lam is None else len(lam)
+    def __init__(self, vector, verdict, powers=None, alpha=None, weight=None,
+                 ray=None):
+        self.vector, self.verdict, self.powers = vector, verdict, powers
+        self.alpha, self.weight, self.ray = alpha, weight, ray
 
     @property
     def bounded(self) -> bool:
@@ -292,13 +264,13 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
             "the kernel weights failed to span the left kernel"
         )
     if min(nums, default=0) >= 0:
-        return Certificate(vector, "bounded", powers=powers, num_cols=U.num_cols)
+        return Certificate(vector, "bounded", powers=powers)
     scales, j = U.scales, powers[0][0]
     for i, _ in powers:  # the least lam_i = nums[i] / scales[i], in integers
         if nums[i] * scales[j] < nums[j] * scales[i]:
             j = i
     ray = U.rays[j]
-    return Certificate(vector, "unbounded", powers=powers, num_cols=U.num_cols,
+    return Certificate(vector, "unbounded", powers=powers,
                        ray=DegenerationRay(ray.gamma, ray.step, ray.beta, nums[j]))
 
 
@@ -306,10 +278,10 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
     """Replay a certificate's evidence without re-deciding membership.
 
     Fields read from a file are taken as they stand: a ratio exponent,
-    step, beta entry or valuation that is not an integer, a lam entry that
-    is neither an integer nor a Fraction, a lam of the wrong length, a
-    beta of the wrong length, or a missing ray fails the replay instead of
-    raising.
+    step, beta entry or valuation that is not an integer, a power whose
+    column is not an int in [0, U.num_cols) or whose entry is neither an
+    integer nor a Fraction, a beta of the wrong length, or a missing ray
+    fails the replay instead of raising.
     lam is replayed in integers from its powers: with L the lcm of their
     denominators, the sum of (L lam_j) u_j must be L times the ratio, and
     the signs of lam are those of the numerators L lam_j.
@@ -338,9 +310,9 @@ def verify_certificate(U: UMatrix, cert: Certificate) -> bool:
             return False  # wrong length, or outside the exchange kernel
         weights = belt.valuation_walk(alpha)
         return sum(e * weights[id] for id, e in vector.items()) == cert.weight != 0
-    powers = cert.powers
-    if (powers is None or cert.num_cols != U.num_cols
-            or not all(type(l) in (int, Fraction) for _, l in powers)):
+    powers, num_cols = cert.powers, U.num_cols
+    if powers is None or not all(type(j) is int and 0 <= j < num_cols
+                                 and type(l) in (int, Fraction) for j, l in powers):
         return False
     nums = _numerators(U, powers, vector)
     if nums is None:
@@ -502,22 +474,16 @@ class ExtremeRay:
     """Primitive integer ratio vector with its u-variable provenance.
 
     powers holds the ray's nonzero u-exponents as (column, Fraction)
-    pairs in column order: a ray has a handful of them out of num_cols.
-    lam is the dense tuple over all num_cols columns, built from powers
-    on request.
+    pairs in column order: a ray has a handful of them out of
+    UMatrix.num_cols.
     """
 
-    __slots__ = ("vector", "powers", "num_cols")
+    __slots__ = ("vector", "powers")
 
     def __init__(self, vector: dict[int, int],
-                 powers: tuple[tuple[int, Fraction], ...], num_cols: int):
+                 powers: tuple[tuple[int, Fraction], ...]):
         self.vector = vector
         self.powers = powers
-        self.num_cols = num_cols
-
-    @property
-    def lam(self) -> tuple[Fraction, ...]:
-        return tuple(_dense(self.powers, self.num_cols))
 
 
 class ConeDescription:
@@ -603,7 +569,7 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
         if not subset.issuperset(vector):
             raise RuntimeError("ray escaped the requested subset")
         powers = tuple((j, fraction(ell[j], g)) for j in support)
-        rays.append(ExtremeRay(vector, powers, U.num_cols))
+        rays.append(ExtremeRay(vector, powers))
     # in the lexicographic order of the exponent lists in row order
     # (U.row_ids), read off the nonzeros: with m the largest |e|, adding m to
     # every entry leaves the order alone and the entries in [0, 2m], so

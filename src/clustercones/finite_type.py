@@ -17,7 +17,7 @@ exchange: min-plus valuations along a curve x = t^beta, over ints or
 Fractions, for valuation_walk, and many of them packed into one int, for
 valuation_columns along many curves in one walk (compatibility degrees
 are read off the valuations along the mutable unit rays of steps 0 and 1,
-see BipartiteBelt.compatibility_degree).
+see BipartiteBelt._unit_valuations).
 Along a grading alpha (see seeds.ExchangeData.grading_defect) every
 exchange relation is homogeneous, so the valuations along alpha are the
 torus weights. Building the belt calls the min-exponent exchange alone,
@@ -572,7 +572,7 @@ class BipartiteBelt:
     rays of steps 0 and 1 alone, one packed walk: frozen valuations stay 0
     along those rays and the mutable block repeats every two steps, so the
     frame of any other step is one of those two, read at positions moved
-    back along the belt (see compatibility_degree).
+    back along the belt (see _unit_valuations).
     """
 
     def __init__(self, exchange: ExchangeData):
@@ -970,31 +970,16 @@ class BipartiteBelt:
 
     def _unit_valuations(self, omega: int, gammas: Sequence[int]) -> list[int]:
         """The valuation of omega along the unit ray at each gamma's source
-        position, in the order of gammas (mutable ids), read off
-        _unit_frames in one loop: with gamma at node j of step s and omega
-        at node k of step t, it is lane (s % 2) * n + j of the variable at
-        node k of step t - (s - s % 2) (see compatibility_degree)."""
-        t, k = self.entries[omega].source_pos
-        entries, frames, steps, period, n = (
-            self.entries, self._unit_frames, self.steps, self.period, self.exchange.n)
-        out = []
-        for gamma in gammas:
-            s, j = entries[gamma].source_pos
-            q = s % 2
-            out.append(frames[steps[(t - s + q) % period].cluster_ids[k]][q * n + j])
-        return out
+        position, in the order of gammas (mutable ids): with gamma at node
+        j of step s, the ray x_j = t, every other entry of step s's cluster
+        1. Its negative part, max(-val, 0), is the compatibility degree of
+        omega with gamma: the exponent of gamma in the denominator of
+        omega written in the cluster at gamma's source seed, zero when the
+        two share a cluster and for omega == gamma. It needs no Laurent
+        expansion and works on tropical belts as well.
 
-    def compatibility_degree(self, gamma: int, omega: int) -> int:
-        """Exponent of the gamma-variable in the denominator of omega,
-        written in the cluster at gamma's source seed. Zero when the two
-        share a cluster, and for omega == gamma.
-
-        That exponent is -min(0, val), val the valuation of omega along
-        the unit ray at gamma's source position (s, node): x_node = t,
-        every other entry of step s's cluster 1. It needs no Laurent
-        expansion and works on tropical belts as well. Every such
-        valuation is read off the walk of _unit_frames, which starts only
-        at steps 0 and 1, by a shift of position:
+        Every such valuation is read off the walk of _unit_frames, which
+        starts only at steps 0 and 1, by a shift of position:
 
         - Along a mutable unit ray every frozen valuation stays 0, so the
           walk from step s sees only the mutable block of each matrix.
@@ -1005,12 +990,17 @@ class BipartiteBelt:
         walk from step q = s mod 2 holds r steps in. omega sits at node k
         of step t, its source position; taking r = t - s modulo the
         period, its valuation from step s is that, from step q, of the
-        variable at node k of step t - (s - q), read at lane q * n + node
-        (_unit_valuations).
+        variable at node k of step t - (s - q), read at lane q * n + j.
         """
-        if self.entries[gamma].frozen or self.entries[omega].frozen:
-            raise ValueError("compatibility degrees are between mutable variables")
-        return max(-self._unit_valuations(omega, (gamma,))[0], 0)
+        t, k = self.entries[omega].source_pos
+        entries, frames, steps, period, n = (
+            self.entries, self._unit_frames, self.steps, self.period, self.exchange.n)
+        out = []
+        for gamma in gammas:
+            s, j = entries[gamma].source_pos
+            q = s % 2
+            out.append(frames[steps[(t - s + q) % period].cluster_ids[k]][q * n + j])
+        return out
 
     def __repr__(self) -> str:
         return (

@@ -368,9 +368,6 @@ class GrassmannianCluster:
         self._identify()
         self._name_registry()
 
-        self._primitives = None
-        self._primitive_lams = None
-        self._rotation = None
         self._cones: dict[frozenset, ConeDescription] = {}
 
     # plumbing
@@ -530,8 +527,10 @@ class GrassmannianCluster:
         the stored ones. Sign bookkeeping drops out because each minor is
         evaluated through the Vandermonde product on sorted columns.
         """
-        if self._rotation is not None:
-            return self._rotation
+        return self._rotation
+
+    @functools.cached_property
+    def _rotation(self) -> dict[int, int]:
         n = self.n
 
         def rho(J):
@@ -568,7 +567,6 @@ class GrassmannianCluster:
             walk = {id: perm[walk[id]] for id in walk}
         if any(walk[id] != id for id in walk):
             raise IdentificationError("rotation has wrong order")
-        self._rotation = perm
         return perm
 
     def rotate_vector(self, vector: dict[int, int]) -> dict[int, int]:
@@ -626,25 +624,42 @@ class GrassmannianCluster:
 
     def primitive_ratios(self) -> list[PrimitiveRatio]:
         """All primitive ratios, ordered by (i, j, S)."""
-        if self._primitives is None:
-            n = self.n
-            succ = lambda a: a % n + 1
-            out = []
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    if succ(i) == j or succ(j) == i:
-                        continue
-                    rest = [
-                        c for c in range(1, n + 1)
-                        if c not in (i, succ(i), j, succ(j))
-                    ]
-                    for S in itertools.combinations(rest, self.k - 2):
-                        out.append(self.primitive_ratio(i, j, S))
-            self._primitives = out
         return self._primitives
 
-    def factor_into_primitives(self, vector: dict[int, int]) -> list[PrimitiveRatio]:
-        """Write a bounded ratio of minors as a product of primitive ratios.
+    @functools.cached_property
+    def _primitives(self) -> list[PrimitiveRatio]:
+        n = self.n
+        succ = lambda a: a % n + 1
+        out = []
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                if succ(i) == j or succ(j) == i:
+                    continue
+                rest = [
+                    c for c in range(1, n + 1)
+                    if c not in (i, succ(i), j, succ(j))
+                ]
+                for S in itertools.combinations(rest, self.k - 2):
+                    out.append(self.primitive_ratio(i, j, S))
+        return out
+
+    @functools.cached_property
+    def _primitive_lams(self) -> list[Counter]:
+        """The u-exponents of each primitive ratio, as a Counter over the
+        columns of U, in the order of primitive_ratios()."""
+        lams = []
+        for p in self.primitive_ratios():
+            cert = membership(p.vector, self.U)
+            if not (cert.bounded and cert.integral):
+                raise RatioTableError(
+                    f"u-exponents of {p!r} are not all nonnegative integers")
+            lams.append(Counter({col: int(l) for col, l in cert.powers}))
+        return lams
+
+    def factor_into_primitives(
+            self, vector: dict[int, int]) -> list[tuple[PrimitiveRatio, int]]:
+        """Write a bounded ratio of minors as a product of primitive ratios,
+        each with its multiplicity.
 
         With lam the input's u-exponents, repeatedly subtract the first
         primitive ratio in (i, j, S) order whose u-exponents lam_p (cached
@@ -655,8 +670,9 @@ class GrassmannianCluster:
         Sum(lam) drops at every step, so the loop ends. A primitive is
         subtracted as many times as it fits in one step: lam only shrinks,
         so no earlier primitive fits again, and the greedy choice stays the
-        same until this one no longer fits. The list repeats it that many
-        times, and the multiply-back check weights it by the count.
+        same until this one no longer fits. The list pairs it with that
+        count, so its length does not grow with the exponents, and the
+        multiply-back check weights it by the count.
 
         Raises UnboundedRatioError (with certificate) if the input is not
         bounded, ValueError if it is not supported on minors or its
@@ -674,14 +690,6 @@ class GrassmannianCluster:
             raise UnboundedRatioError(cert)
         if not cert.integral:
             raise ValueError("u-exponents are not integral; no monomial factorization")
-        if self._primitive_lams is None:
-            lams = []
-            for p in self.primitive_ratios():
-                lam_p = self.U.solve(p.vector)
-                if lam_p is None or any(l < 0 or l.denominator != 1 for l in lam_p):
-                    raise RatioTableError(f"u-exponents of {p!r} are not all nonnegative integers")
-                lams.append(Counter({col: int(l) for col, l in enumerate(lam_p) if l}))
-            self._primitive_lams = lams
         lam = Counter({col: int(l) for col, l in cert.powers})
         counted = []  # (primitive, times subtracted in a row)
         while lam:
@@ -701,7 +709,7 @@ class GrassmannianCluster:
                                for id, e in prim.vector.items())
         if check != {id: e for id, e in vector.items() if e}:
             raise RatioTableError("primitive factors do not multiply back to the input")
-        return [prim for prim, m in counted for _ in range(m)]
+        return counted
 
 
 # stored ratio tables

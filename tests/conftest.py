@@ -324,11 +324,22 @@ def y_seed_from_cluster(seed):
     return YSeed(ex, values)
 
 
+def compatibility_degree(belt, gamma, omega):
+    """Exponent of the gamma-variable in the denominator of omega, written
+    in the cluster at gamma's source seed: minus the negative part of the
+    valuation BipartiteBelt._unit_valuations reads off the belt's unit
+    frames (its docstring has the derivation). Zero when the two share a
+    cluster, and for omega == gamma."""
+    if belt.entries[gamma].frozen or belt.entries[omega].frozen:
+        raise ValueError("compatibility degrees are between mutable variables")
+    return max(-belt._unit_valuations(omega, (gamma,))[0], 0)
+
+
 def unit_frame(belt, s):
     """Min exponents of every registry variable in the cluster of belt
     step s, by id: its valuations along the unit rays of every node at
     step s, from one packed walk that starts there. The per-step oracle
-    for BipartiteBelt.compatibility_degree, which walks from steps 0 and 1
+    for compatibility_degree, which reads the walks from steps 0 and 1
     only."""
     size = belt.exchange.size
     units = [(tuple(int(i == j) for i in range(size)), s) for j in range(size)]
@@ -466,6 +477,18 @@ def dense_ratio(U, vector):
     for id, e in vector.items():
         out[U.row_index[id]] = e
     return out
+
+
+def dense_lam(powers, num_cols):
+    """The u-exponents lam over all num_cols columns, from the (column,
+    entry) pairs of its powers, every other entry Fraction(0); None for
+    None. The dense form tests compare certificates and rays in."""
+    if powers is None:
+        return None
+    lam = [Fraction(0)] * num_cols
+    for j, l in powers:
+        lam[j] = l
+    return lam
 
 
 def double_description(equalities, dim):

@@ -18,6 +18,8 @@ from conftest import (
     GR26_SEED,
     GR37_ORBIT_TABLE,
     Seed,
+    compatibility_degree,
+    dense_lam,
     det_bareiss,
     double_description,
     mutate_exchange,
@@ -179,10 +181,10 @@ def test_criterion_02():
             want[left] = {left: -1, mid: power, right: -1}
         assert got == want
 
-        degs = [belt.compatibility_degree(ids[0], w) for w in ids[1:]]
+        degs = [compatibility_degree(belt, ids[0], w) for w in ids[1:]]
         assert degs == [0, 1, 2, 1, 0]
-        assert belt.compatibility_degree(ids[3], ids[0]) == 1
-        assert belt.compatibility_degree(ids[0], ids[3]) == 2
+        assert compatibility_degree(belt, ids[3], ids[0]) == 1
+        assert compatibility_degree(belt, ids[0], ids[3]) == 2
 
 
 def test_criterion_03():
@@ -267,8 +269,9 @@ def test_criterion_07():
         dcone = g.degree_filtered_cone(2)
         assert len(dcone.rays) == 168
         uvectors = {frozenset(u.vector.items()) for u in g.uvars}
-        singles = [r for r in dcone.rays if sum(r.lam) == 1]
-        composite = [r for r in dcone.rays if sum(r.lam) > 1]
+        n = g.U.num_cols
+        singles = [r for r in dcone.rays if sum(dense_lam(r.powers, n)) == 1]
+        composite = [r for r in dcone.rays if sum(dense_lam(r.powers, n)) > 1]
         assert len(singles) == 56 and len(composite) == 112
         for ray in singles:
             assert frozenset(ray.vector.items()) in uvectors
@@ -283,7 +286,7 @@ def test_criterion_07():
         downer = {i: t for t, orbit in enumerate(dorbits) for i in orbit}
         composite_orbits = {
             t for t, orbit in enumerate(dorbits)
-            if sum(dcone.rays[orbit[0]].lam) > 1
+            if sum(dense_lam(dcone.rays[orbit[0]].powers, n)) > 1
         }
         assert len(composite_orbits) == 14
         assert {downer[i] for i in drows} == composite_orbits
@@ -318,7 +321,7 @@ def test_criterion_09():
         assert cert.verdict == "bounded"
         assert not cert.integral
         half = Fraction(1, 2)
-        lam_of = {u.gamma: l for u, l in zip(U.uvars, cert.lam)}
+        lam_of = {u.gamma: l for u, l in zip(U.uvars, dense_lam(cert.powers, U.num_cols))}
         assert lam_of == {
             ids[0]: 0, ids[1]: half, ids[2]: 0,
             ids[3]: half, ids[4]: 0, ids[5]: half,

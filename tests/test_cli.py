@@ -608,9 +608,9 @@ def test_factor_two_crossings(capsys):
     assert crossings == [(2, 5), (2, 6)]
 
 
-# sha256 of the JSON of factor on a primitive Gr(3,8) ratio to the 10**3,
-# computed when the primitive was still subtracted once per step
-FACTOR_POWER_GOLDEN = "762cf7bfea3a36cf3c733470eb2edfab9ab93ba50bb285375513b17b02a26078"
+# sha256 of the JSON of factor on a primitive Gr(3,8) ratio to the 10**3:
+# the payload of 1000 equal entries, collapsed to one with its multiplicity
+FACTOR_POWER_GOLDEN = "5e50de3de0a3e313e2ea1e3147e67f0b567da57580a22f1a0cad350e7e7e73f1"
 
 
 def test_factor_of_a_power_is_golden(capsys):
@@ -619,7 +619,24 @@ def test_factor_of_a_power_is_golden(capsys):
                                   "--format", "json"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == FACTOR_POWER_GOLDEN
-    assert len(json.loads(out)["factors"]) == 1000
+    factors = json.loads(out)["factors"]
+    assert [f["multiplicity"] for f in factors] == [1000]
+
+
+def test_factor_of_a_large_power_is_one_counted_entry(capsys):
+    ratio = "p[145]^{0}*p[235]^{0}/(p[135]^{0}*p[245]^{0})".format(GR38_LARGE_POWER)
+    args = ["factor", "--gr", "3", "8", "--ratio", ratio]
+    code, out, err = run(capsys, [*args, "--format", "json"])
+    assert code == 0 and err == ""
+    assert len(out.encode()) < 4096
+    (factor,) = json.loads(out)["factors"]
+    assert (factor["crossing"], factor["extra"]) == ([1, 3], [5])
+    assert factor["multiplicity"] == GR38_LARGE_POWER
+    code, out, _ = run(capsys, [*args, "--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == f"primitive factors: {GR38_LARGE_POWER}"
+    assert lines[2].endswith(f"multiplicity {GR38_LARGE_POWER}")
 
 
 def test_factor_unbounded_exits_one(capsys):

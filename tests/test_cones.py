@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     GR26_SEED,
+    dense_lam,
     dense_ratio,
     det_bareiss,
     double_description,
@@ -107,12 +108,12 @@ def test_a1_membership_verdicts():
 
     cert = membership(coeff_vec(U, (-1, -1, 0)), U)
     assert cert.verdict == "bounded"
-    assert cert.lam == [Fraction(1), Fraction(0)]
+    assert dense_lam(cert.powers, U.num_cols) == [Fraction(1), Fraction(0)]
     assert cert.integral
 
     cert = membership(coeff_vec(U, (-1, -1, 1)), U)
     assert cert.verdict == "bounded"
-    assert cert.lam == [Fraction(0), Fraction(1)]
+    assert dense_lam(cert.powers, U.num_cols) == [Fraction(0), Fraction(1)]
 
     cert = membership(coeff_vec(U, (1, 0, 1)), U)
     assert cert.verdict == "not-weight-zero"
@@ -120,7 +121,7 @@ def test_a1_membership_verdicts():
 
     cert = membership(coeff_vec(U, (1, 1, 0)), U)
     assert cert.verdict == "unbounded"
-    assert cert.lam == [Fraction(-1), Fraction(0)]
+    assert dense_lam(cert.powers, U.num_cols) == [Fraction(-1), Fraction(0)]
     assert cert.ray is not None
     # the ratio is x * x' = 1 + f1, which grows like t^-1 along f1 = t^-1
     assert cert.ray.beta == [0, -1] and cert.ray.valuation == -1
@@ -134,7 +135,7 @@ def test_certificates_replay_and_serialize():
         json.dumps(cert.to_dict(U))  # must be plain data
 
     good = membership(coeff_vec(U, (-1, -1, 1)), U)
-    good.lam = [Fraction(1), Fraction(0)]  # tampered evidence
+    good.powers = ((0, Fraction(1)),)  # tampered evidence
     assert not verify_certificate(U, good)
 
 
@@ -161,8 +162,9 @@ def test_c2_counterexample_bounded_with_half_integer_factors():
     vector = {0: 1, 2: 1, 4: 1, 1: -1, 3: -1, 5: -1}
     cert = membership(vector, U)
     assert cert.verdict == "bounded"
-    assert cert.lam == [Fraction(0), Fraction(1, 2), Fraction(0),
-                        Fraction(1, 2), Fraction(0), Fraction(1, 2)]
+    assert dense_lam(cert.powers, U.num_cols) == [
+        Fraction(0), Fraction(1, 2), Fraction(0),
+        Fraction(1, 2), Fraction(0), Fraction(1, 2)]
     assert not cert.integral
     assert verify_certificate(U, cert)
 
@@ -198,7 +200,8 @@ def test_single_u_variables_are_subtraction_free():
         for j, u in enumerate(U.uvars):
             cert = membership(u.vector, U)
             assert cert.verdict == "bounded"
-            assert cert.lam == [Fraction(int(i == j)) for i in range(U.num_cols)]
+            assert dense_lam(cert.powers, U.num_cols) == [
+                Fraction(int(i == j)) for i in range(U.num_cols)]
             report = subtraction_free_check(cert, U)
             assert report.kind == "chain" and report.verified
 
@@ -546,8 +549,8 @@ def test_gr37_pluecker_rays_replay_through_membership(gr37):
     for r in cone.rays:
         cert = membership(r.vector, U)
         assert cert.verdict == "bounded"
-        assert tuple(cert.lam) == r.lam
-        assert all(type(l) is Fraction for l in r.lam)
+        assert cert.powers == r.powers
+        assert all(type(l) is Fraction for l in dense_lam(r.powers, U.num_cols))
 
 
 @pytest.mark.parametrize("context", ["C2", "gr36", "gr38"])
@@ -563,15 +566,17 @@ def test_ray_powers_are_the_nonzero_lam_entries(request, context):
     for i, r in enumerate(cone.rays):
         columns = [j for j, _ in r.powers]
         assert columns == sorted(set(columns))
+        assert all(0 <= j < U.num_cols for j in columns)
         assert all(type(l) is Fraction and l > 0 for _, l in r.powers)
-        lam = r.lam
-        assert len(lam) == U.num_cols == r.num_cols
+        lam = dense_lam(r.powers, U.num_cols)
         assert [(j, l) for j, l in enumerate(lam) if l] == list(r.powers)
         assert combine(U, lam) == dense_ratio(U, r.vector)
         assert cone.ray_index[frozenset(r.vector.items())] == i
     assert len(cone.ray_index) == len(cone)
-    with pytest.raises(AttributeError):
-        cone.rays[0].lam = ()
+    # a ray holds its powers alone: no dense lam, no column count
+    for field in ("lam", "num_cols"):
+        with pytest.raises(AttributeError):
+            setattr(cone.rays[0], field, ())
 
 
 @pytest.mark.parametrize("context", ["C2", "D4+3", "gr36"])
@@ -603,7 +608,7 @@ def test_subset_cone_of_everything_returns_u_columns():
     for u in U.uvars:
         assert u.vector in vectors
     for r in cone.rays:
-        assert sorted(r.lam) == [0, 0, 0, 0, 0, 1]
+        assert sorted(dense_lam(r.powers, U.num_cols)) == [0, 0, 0, 0, 0, 1]
 
 
 def test_initial_cluster_alone_bounds_nothing():
@@ -625,7 +630,7 @@ def test_subset_cone_rays_replay_through_membership():
         assert set(r.vector) <= keep
         cert = membership(r.vector, U)
         assert cert.verdict == "bounded"
-        assert tuple(cert.lam) == r.lam
+        assert cert.powers == r.powers
     d = cone.to_dict()
     json.dumps(d)
     assert len(d["rays"]) == len(cone.rays)
@@ -716,11 +721,11 @@ def test_dual_basis_inverts_u(request, context):
         lam = [rng.choice((-2, -1, 0, 0, 0, 1, 3)) for _ in range(U.num_cols)]
         dense = combine(U, lam)
         vector = {id: e for id, e in zip(U.row_ids, dense) if e}
-        assert U.solve(vector) == lam == oracle.solve(dense)
+        assert dense_lam(U._solve(vector)[1], U.num_cols) == lam == oracle.solve(dense)
     # off the u-span the residual check refuses, as the oracle does
     refused = 0
     for id in U.row_ids:
-        got = U.solve({id: 1})
+        got = dense_lam(U._solve({id: 1})[1], U.num_cols)
         assert got == oracle.solve(dense_ratio(U, {id: 1}))
         refused += got is None
     assert refused > 0
@@ -847,6 +852,14 @@ def test_packed_walk_of_no_rays_and_of_a_wrong_beta(gr26):
 # replay of tampered certificates
 
 
+def sparse_powers(lam):
+    """The powers of a dense lam, as a certificate holds them: its (column,
+    entry) pairs less the int and Fraction zeros. An entry of any other
+    type is kept, a zero of it included, for the replay to refuse."""
+    return tuple((j, l) for j, l in enumerate(lam)
+                 if type(l) not in (int, Fraction) or l)
+
+
 def _tamper(cert, U, rng):
     """A mutated copy of cert and the name of the mutation, or None when
     the mutation does not apply to this verdict."""
@@ -861,13 +874,12 @@ def _tamper(cert, U, rng):
         out.vector[id] = out.vector.get(id, 0) + rng.choice((-1, 1))
         if not out.vector[id]:
             del out.vector[id]
-    elif kind == "lambda-entry" and out.lam is not None:
-        # lam is a new list on every read: change a copy, then set it
-        lam = out.lam
+    elif kind == "lambda-entry" and out.powers is not None:
+        lam = dense_lam(out.powers, U.num_cols)
         lam[rng.randrange(len(lam))] += rng.choice((-1, 1, Fraction(1, 2)))
-        out.lam = lam
+        out.powers = sparse_powers(lam)
     elif kind == "drop":
-        fields = [f for f in ("lam", "ray", "alpha", "weight")
+        fields = [f for f in ("powers", "ray", "alpha", "weight")
                   if getattr(out, f) is not None]
         if ray is not None:
             fields += ["ray.valuation", "ray.beta", "ray.step"]
@@ -1016,8 +1028,8 @@ def test_membership_matches_the_fraction_reference(request, context):
         cert = membership(vector, U)
         verdict, lam, j, valuation = reference_certificate(U, vector)
         assert cert.verdict == verdict
-        assert cert.lam == lam
-        assert all(type(l) is Fraction for l in cert.lam)
+        assert dense_lam(cert.powers, U.num_cols) == lam
+        assert all(type(l) is Fraction for l in dense_lam(cert.powers, U.num_cols))
         if j is None:
             assert cert.ray is None
         else:
@@ -1073,16 +1085,18 @@ def test_integer_replay_agrees_with_the_fraction_check(request, context):
     kinds = set()
     for trial in range(300):
         cert = copy.deepcopy(rng.choice(certs))
-        cert.lam, kind = _tamper_lam(cert.lam, cert.vector, U, rng)
+        lam, kind = _tamper_lam(dense_lam(cert.powers, U.num_cols), cert.vector, U, rng)
+        cert.powers = sparse_powers(lam)
+        lam = dense_lam(cert.powers, U.num_cols)
         kinds.add(kind)
         # the ray is untouched, and valid if there is one, so only lam and
         # the claimed verdict decide; every fourth trial swaps the verdict
         has_ray = cert.ray is not None
         if trial % 4 == 0:
             cert.verdict = "unbounded" if cert.bounded else "bounded"
-        want = combine(U, cert.lam) == dense_ratio(U, cert.vector) and (
-            min(cert.lam) >= 0 if cert.bounded
-            else min(cert.lam) < 0 and has_ray)
+        want = combine(U, lam) == dense_ratio(U, cert.vector) and (
+            min(lam) >= 0 if cert.bounded
+            else min(lam) < 0 and has_ray)
         assert verify_certificate(U, cert) is want, kind
         accepted += want
         rejected += not want
@@ -1091,9 +1105,9 @@ def test_integer_replay_agrees_with_the_fraction_check(request, context):
     # a lam entry of any other type fails the replay without raising
     for bad in (1.0, True, "1", None, [1]):
         cert = copy.deepcopy(rng.choice(certs))
-        lam = cert.lam
+        lam = dense_lam(cert.powers, U.num_cols)
         lam[rng.randrange(len(lam))] = bad
-        cert.lam = lam
+        cert.powers = sparse_powers(lam)
         assert verify_certificate(U, cert) is False
 
 
@@ -1130,11 +1144,12 @@ def test_sparse_certificates_match_solve_and_the_scalar_weight_loop(request, con
         if first is not None:
             assert cert.verdict == "not-weight-zero"
             assert (cert.alpha, cert.weight) == first
-            assert cert.powers is None and U.solve(vector) is None
+            assert cert.powers is None and U._solve(vector)[1] is None
             continue
-        assert cert.lam == U.solve(vector)
-        assert cert.num_cols == U.num_cols
-        assert list(cert.powers) == [(j, l) for j, l in enumerate(cert.lam) if l]
+        lam = dense_lam(cert.powers, U.num_cols)
+        assert lam == dense_lam(U._solve(vector)[1], U.num_cols)
+        assert all(0 <= j < U.num_cols for j, _ in cert.powers)
+        assert list(cert.powers) == [(j, l) for j, l in enumerate(lam) if l]
         assert verify_certificate(U, cert)
     assert verdicts == {"bounded", "unbounded", "not-weight-zero"}
 
@@ -1186,7 +1201,8 @@ def test_large_powers_widen_the_lanes_and_scale_lam_exactly(gr38, unpack_widths,
     assert cert.verdict == base.verdict == ("bounded" if power > 0 else "unbounded")
     scale = abs(power)
     assert cert.powers == tuple((j, scale * l) for j, l in base.powers)
-    assert cert.lam == U.solve(cert.vector)
+    assert dense_lam(cert.powers, U.num_cols) == dense_lam(
+        U._solve(cert.vector)[1], U.num_cols)
     if cert.ray is not None:
         assert cert.ray.gamma == base.ray.gamma
         assert cert.ray.valuation == scale * base.ray.valuation
@@ -1217,7 +1233,8 @@ def test_large_weights_widen_the_lanes_and_name_the_first_functional(unpack_widt
             first = next(((alpha, pair(walk, scaled)) for alpha, walk in walks
                           if pair(walk, scaled)), None)
             if first is None:
-                assert cert.lam == U.solve(scaled)
+                assert dense_lam(cert.powers, U.num_cols) == dense_lam(
+                    U._solve(scaled)[1], U.num_cols)
                 assert verify_certificate(U, cert)
             else:
                 assert (cert.verdict, cert.alpha, cert.weight) == (
@@ -1227,27 +1244,46 @@ def test_large_weights_widen_the_lanes_and_name_the_first_functional(unpack_widt
 
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
 def test_lam_setter_drops_only_int_and_fraction_zeros(gr36, zero):
+    # certificates hold powers alone; a zero power of int or Fraction type
+    # changes nothing in the replay, and the CLI reader drops it
     U = gr36.U
     vector = U.uvars[3].vector
     cert = membership(vector, U)
-    lam = cert.lam
-    assert lam[0] == 0
-    lam[0] = zero
-    explicit = Certificate(vector, "bounded", lam=lam)
-    assert explicit.powers == cert.powers and explicit.num_cols == U.num_cols
+    assert cert.powers == ((3, Fraction(1)),)
+    explicit = Certificate(vector, "bounded", powers=((0, zero),) + cert.powers)
     assert verify_certificate(U, explicit)
-    # any other type is kept as an entry, a zero of it included, and refused
+    assert sparse_powers(dense_lam(explicit.powers, U.num_cols)) == cert.powers
+    # any other type is refused, a zero of it included
     for bad in (False, 0.0, "0", None, True, 1.0):
-        lam[0] = bad
-        tampered = Certificate(vector, "bounded", lam=lam)
-        assert tampered.powers[0] == (0, bad)
+        tampered = Certificate(vector, "bounded", powers=((0, bad),) + cert.powers)
         assert verify_certificate(U, tampered) is False
-    # a lam of the wrong length fails, however its entries read
-    for short in (cert.lam[:-1], cert.lam + [Fraction(0)]):
-        assert verify_certificate(U, Certificate(vector, "bounded", lam=short)) is False
-    cert.lam = None
-    assert (cert.powers, cert.num_cols, cert.integral) == (None, None, None)
+    # a power at a column outside U fails, however its entry reads
+    for column in (U.num_cols, -1):
+        for entry in (zero, Fraction(1)):
+            outside = Certificate(vector, "bounded",
+                                  powers=cert.powers + ((column, entry),))
+            assert verify_certificate(U, outside) is False
+    cert.powers = None
+    assert (cert.powers, cert.integral) == (None, None)
     assert verify_certificate(U, cert) is False
+
+
+@pytest.mark.parametrize("context", ["A1+1", "gr36"])
+def test_replay_refuses_powers_off_the_columns_without_raising(request, context):
+    # a column must be an int in [0, U.num_cols) and an entry an int or a
+    # Fraction; -1 is refused, not read as the last column
+    U = u_matrix_of(request, context)
+    last = U.uvars[-1].vector
+    for vector in (last, {id: -e for id, e in last.items()}):
+        cert = membership(vector, U)
+        assert verify_certificate(U, cert)
+        (j, l), = cert.powers
+        assert j == U.num_cols - 1
+        for pair in [(-1, l), (U.num_cols, l), (True, l), (False, l),
+                     (str(j), l), (j, float(l))]:
+            tampered = copy.deepcopy(cert)
+            tampered.powers = (pair,)
+            assert verify_certificate(U, tampered) is False, pair
 
 
 # the structural chain check against the telescoping identity
@@ -1288,7 +1324,8 @@ def test_structural_chain_check_matches_telescoping_identity(context):
         cert = membership(vector, U)
         report = subtraction_free_check(cert, U)
         assert report.kind == "chain" and report.verified
-        factors = [u for u, l in zip(U.uvars, cert.lam) for _ in range(int(l))]
+        factors = [u for u, l in zip(U.uvars, dense_lam(cert.powers, U.num_cols))
+                   for _ in range(int(l))]
         assert telescopes(ring, polys, factors)
 
         # one tampered u-factor fails both checks and the report
@@ -1356,8 +1393,7 @@ def test_chain_check_sees_a_u_variable_changed_in_place(field):
         d[id] = d.get(id, 0) + 1
         assert not _verify_chain(belt, [u])
         assert not _verify_chain(belt, U.uvars)
-        cert = Certificate(u.vector, "bounded", powers=((j, Fraction(1)),),
-                           num_cols=U.num_cols)
+        cert = Certificate(u.vector, "bounded", powers=((j, Fraction(1)),))
         assert not subtraction_free_check(cert, U).verified
         d[id] -= 1
         if not d[id]:
@@ -1436,7 +1472,7 @@ def test_least_lambda_is_picked_in_integers_first_on_ties(request, context):
         lam[i] = lam[j] = -1
         lam[rng.randrange(i)] = 1
         cert = membership(coeff_vec(U, combine(U, lam)), U)
-        assert cert.verdict == "unbounded" and cert.lam == lam
+        assert cert.verdict == "unbounded" and dense_lam(cert.powers, U.num_cols) == lam
         ray = U.rays[i]
         assert (cert.ray.gamma, cert.ray.step, cert.ray.beta, cert.ray.valuation) == (
             ray.gamma, ray.step, ray.beta, -U.scales[i])

@@ -22,6 +22,7 @@ from conftest import (
     GR26_SEED,
     GR37_ORBIT_TABLE,
     VALUATIONS,
+    dense_lam,
     det_bareiss,
     fraction_ring,
     ratio_value,
@@ -87,6 +88,11 @@ def vector_sum(vectors):
         for id, e in vec.items():
             total[id] = total.get(id, 0) + e
     return {id: e for id, e in total.items() if e}
+
+
+def factors_product(factors):
+    """The ratio vector of (primitive, multiplicity) pairs."""
+    return vector_sum([{id: m * e for id, e in p.vector.items()} for p, m in factors])
 
 
 # seed construction
@@ -379,12 +385,13 @@ def test_gr36_pluecker_rays_by_multiplier_support(gr36):
     singles = []
     pairs = set()
     for ray in cone.rays:
+        lam = dense_lam(ray.powers, cone.umatrix.num_cols)
         support = [
             gr36.name(u.gamma)
-            for u, l in zip(cone.umatrix.uvars, ray.lam)
+            for u, l in zip(cone.umatrix.uvars, lam)
             if l
         ]
-        assert all(l == 1 for l in ray.lam if l)
+        assert all(l == 1 for l in lam if l)
         if len(support) == 1:
             singles.append(support[0])
         else:
@@ -419,7 +426,7 @@ def test_pluecker_cone_rays_are_the_primitive_ratios(request, fixture):
         frozenset(p.vector.items()) for p in prims
     }
     for ray in cone.rays:
-        assert all(l.denominator == 1 for l in ray.lam)
+        assert all(l.denominator == 1 for l in dense_lam(ray.powers, g.U.num_cols))
 
 
 @pytest.mark.parametrize("n", range(5, 10))
@@ -551,8 +558,8 @@ def test_factorization_matches_exhaustive_search(gr26):
         target = parse_ratio(expr, resolve)
         assert exhaustive_decompositions(gr26, target, 4) == [want]
         got = gr26.factor_into_primitives(target)
-        assert tuple(sorted((p.i, p.j) for p in got)) == want
-        assert vector_sum([p.vector for p in got]) == target
+        assert sorted(((p.i, p.j), m) for p, m in got) == [(w, 1) for w in want]
+        assert factors_product(got) == target
 
 
 def test_factorization_with_quadratic_multipliers(gr37):
@@ -560,17 +567,18 @@ def test_factorization_with_quadratic_multipliers(gr37):
     resolve = gr37.belt.id_by_name
     target = parse_ratio("p[256]*p[247]/(p[257]*p[246])", resolve)
     factors = gr37.factor_into_primitives(target)
-    assert [(p.i, p.j, p.extra) for p in factors] == [(4, 6, (2,))]
-    assert factors[0].vector == target
+    assert [(p.i, p.j, p.extra, m) for p, m in factors] == [(4, 6, (2,), 1)]
+    assert factors[0][0].vector == target
     cert = membership(target, gr37.U)
-    assert cert.bounded and sum(1 for l in cert.lam if l) == 4
+    assert cert.bounded and sum(1 for l in dense_lam(cert.powers, gr37.U.num_cols) if l) == 4
 
     combined = vector_sum([
         target, parse_ratio("p[145]*p[235]/(p[135]*p[245])", resolve),
     ])
     got = gr37.factor_into_primitives(combined)
-    assert sorted((p.i, p.j, p.extra) for p in got) == [(1, 3, (5,)), (4, 6, (2,))]
-    assert vector_sum([p.vector for p in got]) == combined
+    assert sorted((p.i, p.j, p.extra, m) for p, m in got) == [
+        (1, 3, (5,), 1), (4, 6, (2,), 1)]
+    assert factors_product(got) == combined
 
 
 def test_factorization_rejects_unbounded_input(gr26):
@@ -598,25 +606,30 @@ def test_factorization_of_seeded_random_products(request, name):
     for size in range(1, 41):
         target = vector_sum([rng.choice(prims).vector for _ in range(size)])
         got = g.factor_into_primitives(target)
-        assert vector_sum([p.vector for p in got]) == target
-        assert all(id(p) in position for p in got)
-        # first fit: a primitive that did not fit never fits a smaller lam
-        order = [position[id(p)] for p in got]
-        assert order == sorted(order)
+        assert factors_product(got) == target
+        assert all(id(p) in position and type(m) is int and m > 0 for p, m in got)
+        # first fit: a primitive that did not fit never fits a smaller lam;
+        # each is listed once, with its multiplicity
+        order = [position[id(p)] for p, _ in got]
+        assert order == sorted(set(order))
         assert g.factor_into_primitives(target) == got
 
 
 def one_at_a_time_factors(g, vector):
-    # oracle: the greedy factorization subtracting one primitive per step
+    # oracle: the greedy factorization subtracting one primitive per step,
+    # each run of one primitive counted into a (primitive, multiplicity) pair
     prims = g.primitive_ratios()
-    lams = [Counter({col: int(l) for col, l in enumerate(g.U.solve(p.vector)) if l})
+    lams = [Counter({col: int(l) for col, l in membership(p.vector, g.U).powers})
             for p in prims]
     lam = Counter({col: int(l) for col, l in membership(vector, g.U).powers})
     out = []
     while lam:
         t = next(t for t, lam_p in enumerate(lams)
                  if all(lam[col] >= e for col, e in lam_p.items()))
-        out.append(prims[t])
+        if out and out[-1][0] is prims[t]:
+            out[-1] = (prims[t], out[-1][1] + 1)
+        else:
+            out.append((prims[t], 1))
         lam -= lams[t]
     return out
 
@@ -637,8 +650,8 @@ def test_factorization_of_a_large_power_repeats_its_primitive(gr38):
     prim = gr38.primitive_ratio(1, 3, (5,))
     power = 10 ** 4
     got = gr38.factor_into_primitives({id: power * e for id, e in prim.vector.items()})
-    assert len(got) == power and all(p is got[0] for p in got)
-    assert got[0].vector == prim.vector
+    assert len(got) == 1 and got[0][1] == power
+    assert got[0][0].vector == prim.vector
 
 
 def test_factorization_without_a_fitting_primitive_raises():
@@ -646,7 +659,8 @@ def test_factorization_without_a_fitting_primitive_raises():
     # hidden, nothing else fits under its u-exponents
     g = GrassmannianCluster(2, 6)
     prims = g.primitive_ratios()
-    hidden = next(p for p in prims if sum(membership(p.vector, g.U).lam) == 1)
+    hidden = next(p for p in prims if sum(
+        dense_lam(membership(p.vector, g.U).powers, g.U.num_cols)) == 1)
     g._primitives = [p for p in prims if p is not hidden]
     with pytest.raises(RatioTableError, match="no primitive ratio fits"):
         g.factor_into_primitives(hidden.vector)
@@ -691,15 +705,16 @@ def test_gr38_degree_two_cone(gr38):
     cone = gr38.degree_filtered_cone(2)
     assert len(cone.rays) == 168
     uvectors = {frozenset(u.vector.items()) for u in gr38.uvars}
-    singles = [r for r in cone.rays if sum(r.lam) == 1]
-    composite = [r for r in cone.rays if sum(r.lam) > 1]
+    n = gr38.U.num_cols
+    singles = [r for r in cone.rays if sum(dense_lam(r.powers, n)) == 1]
+    composite = [r for r in cone.rays if sum(dense_lam(r.powers, n)) > 1]
     assert len(singles) == 56 and len(composite) == 112
     for ray in singles:
         assert frozenset(ray.vector.items()) in uvectors
     sums = {}
     for ray in composite:
-        assert all(l.denominator == 1 for l in ray.lam)
-        s = int(sum(ray.lam))
+        assert all(l.denominator == 1 for l in dense_lam(ray.powers, n))
+        s = int(sum(dense_lam(ray.powers, n)))
         sums[s] = sums.get(s, 0) + 1
     assert sums == {3: 64, 4: 40, 5: 8}
     assert sorted(len(o) for o in gr38.ray_orbits(cone)) == [8] * 21
@@ -779,7 +794,7 @@ def test_gr38_appendix_tables(gr38):
     composite_orbits = {
         t
         for t, orbit in enumerate(dorbits)
-        if sum(dcone.rays[orbit[0]].lam) > 1
+        if sum(dense_lam(dcone.rays[orbit[0]].powers, gr38.U.num_cols)) > 1
     }
     assert len(composite_orbits) == 14
     assert {downer[i] for i in drows} == composite_orbits
