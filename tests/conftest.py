@@ -326,10 +326,10 @@ def y_seed_from_cluster(seed):
 
 def compatibility_degree(belt, gamma, omega):
     """Exponent of the gamma-variable in the denominator of omega, written
-    in the cluster at gamma's source seed: minus the negative part of the
-    valuation BipartiteBelt._unit_valuations reads off the belt's unit
-    frames (its docstring has the derivation). Zero when the two share a
-    cluster, and for omega == gamma."""
+    in the cluster at gamma's source seed: max(-val, 0), val the valuation
+    BipartiteBelt._unit_valuations reads off the belt's unit frames (its
+    docstring has the derivation). Zero when the two share a cluster, and
+    for omega == gamma."""
     if belt.entries[gamma].frozen or belt.entries[omega].frozen:
         raise ValueError("compatibility degrees are between mutable variables")
     return max(-belt._unit_valuations(omega, (gamma,))[0], 0)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import clustercones
-from clustercones.cli import _context_from_key, _seed_context, main
+from clustercones.cli import _certificate_from_dict, _context_from_key, _seed_context, main
 from clustercones.expressions import parse_ratio, render_ratio
 
 
@@ -293,10 +293,15 @@ def test_explicit_zero_lambda_entries_replay_as_before(capsys, tmp_path, check):
     lam = record["certificate"]["lambda"]
     ctx = _context_from_key(record["context"])
     names = [ctx.belt.name(u.gamma) for u in ctx.U.uvars]
+    want = _certificate_from_dict(record["certificate"], ctx).powers
     zeros = ("0", 0, "0/7")
     for i, name in enumerate(n for n in names if n not in lam):
         lam[name] = zeros[i % 3]
     assert len(lam) == len(names)
+    # the reader keeps the nonzero powers in column order, in any file order
+    reversed_lam = dict(record["certificate"], **{"lambda": dict(reversed(lam.items()))})
+    for read in (record["certificate"], reversed_lam):
+        assert _certificate_from_dict(read, ctx).powers == want
     path.write_text(json.dumps(record))
     code, payload = run_json(capsys, ["verify", "--certificate", str(path)])
     assert (code, payload["replayed"]) == (0, True)

@@ -1245,7 +1245,8 @@ def test_large_weights_widen_the_lanes_and_name_the_first_functional(unpack_widt
 @pytest.mark.parametrize("zero", [0, Fraction(0)])
 def test_lam_setter_drops_only_int_and_fraction_zeros(gr36, zero):
     # certificates hold powers alone; a zero power of int or Fraction type
-    # changes nothing in the replay, and the CLI reader drops it
+    # changes nothing in the replay (the CLI reader drops it, see
+    # test_cli.test_explicit_zero_lambda_entries_replay_as_before)
     U = gr36.U
     vector = U.uvars[3].vector
     cert = membership(vector, U)
@@ -1277,7 +1278,7 @@ def test_replay_refuses_powers_off_the_columns_without_raising(request, context)
     for vector in (last, {id: -e for id, e in last.items()}):
         cert = membership(vector, U)
         assert verify_certificate(U, cert)
-        (j, l), = cert.powers
+        [(j, l)] = cert.powers
         assert j == U.num_cols - 1
         for pair in [(-1, l), (U.num_cols, l), (True, l), (False, l),
                      (str(j), l), (j, float(l))]:
