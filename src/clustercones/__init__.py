@@ -10,5 +10,8 @@ Import each module by name; the package itself exports nothing.
     cones         the u-exponent matrix U, membership certificates, and cones
     expressions   the ratio grammar that reads and prints user input
     grassmannian  Plucker cluster structures, ray tables and the 4x8 table
-    cli           the command-line interface
+    gr48          the 4x8 table's kernel, loaded by its first check
+    cli           the command-line interface: the parser and main
+    context       what the subcommands share: contexts, input and output
+    commands      one module per subcommand, loaded when it runs
 """

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import clustercones
-from clustercones.cli import _certificate_from_dict, _context_from_key, _seed_context, main
+from clustercones.cli import main
+from clustercones.commands.verify import _certificate_from_dict
+from clustercones.context import _context_from_key, _seed_context
 from clustercones.expressions import parse_ratio, render_ratio
 
 
@@ -578,6 +580,30 @@ def test_importing_the_cli_does_not_load_the_process_pool():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["cone", "--type", "A3", "--subset", "pluecker"], "--subset pluecker needs a --gr context"),
+    (["check", "--type", "A3", "--ratio", "x1*/x2"], "expected a variable name"),
+    (["enumerate", "--seed-file", "triple.json"], "2-finite"),
+], ids=["usage-error-in-a-command-module", "malformed-ratio", "seed-not-of-finite-type"])
+def test_errors_exit_two_under_python_m(tmp_path, argv, needle):
+    # `python -m clustercones.cli` runs cli.py as __main__: a command
+    # module that imported from clustercones.cli would load it a second
+    # time, and raise a UsageError class that main does not catch
+    (tmp_path / "triple.json").write_text(json.dumps({
+        "nodes": [{"name": "a"}, {"name": "b"}, {"name": "c"}],
+        "arrows": [{"from": "a", "to": "b", "mult": 3},
+                   {"from": "b", "to": "c", "mult": 3},
+                   {"from": "c", "to": "a", "mult": 3}],
+    }))
+    src = Path(clustercones.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "clustercones.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and needle in done.stderr.splitlines()[0]
+    assert "Traceback" not in done.stderr
 
 
 def test_cone_ignores_a_cone_cache_variable(capsys, tmp_path, monkeypatch):

@@ -762,7 +762,7 @@ def test_renaming_rebuilds_the_name_index():
 
 
 def test_name_index_matches_the_scan(gr38):
-    from clustercones.cli import _catalog_context
+    from clustercones.context import _catalog_context
 
     for belt in (gr38.belt, _catalog_context("D4", 2).belt, BipartiteBelt(
             catalog_exchange(DynkinType("E", 6)))):

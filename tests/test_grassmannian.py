@@ -30,7 +30,7 @@ from conftest import (
     ring_replay,
     unimodular_minor_search,
 )
-from clustercones import grassmannian
+from clustercones import gr48, grassmannian
 from clustercones.cones import (
     membership,
     subset_cone,
@@ -38,12 +38,7 @@ from clustercones.cones import (
 )
 from clustercones.expressions import parse_ratio, render_ratio
 from clustercones.finite_type import DynkinType, NotFiniteTypeError, recognize_dynkin
-from clustercones.grassmannian import (
-    GrassmannianCluster,
-    IdentificationError,
-    RatioTableError,
-    TotallyPositivePoint,
-    UnboundedRatioError,
+from clustercones.gr48 import (
     _gr48_evaluate,
     _gr48_images,
     _gr48_kernel,
@@ -51,6 +46,13 @@ from clustercones.grassmannian import (
     _gr48_symmetries,
     _integer_points,
     _shared_pairs,
+)
+from clustercones.grassmannian import (
+    GrassmannianCluster,
+    IdentificationError,
+    RatioTableError,
+    TotallyPositivePoint,
+    UnboundedRatioError,
     _zigzag_diagonals,
     check_ray_table,
     grid_seed,
@@ -1149,7 +1151,7 @@ def test_gr48_points_are_streamed(monkeypatch):
     # kernel of one monomial, d0/d1, stands in for the table's 114, whose
     # 2,000 points tracemalloc slows over a hundredfold
     kernel = _gr48_kernel([(((0, 1),), ((1, 1),))])
-    monkeypatch.setattr(grassmannian, "_gr48_compiled", lambda: (19, 316, True, kernel))
+    monkeypatch.setattr(gr48, "_gr48_compiled", lambda: (19, 316, True, kernel))
 
     def peak(run):
         tracemalloc.start()
@@ -1432,7 +1434,7 @@ def test_gr48_kernel_sees_a_value_above_one_at_the_very_end():
 ])
 def test_gr48_kernel_refuses_a_bad_term_before_compiling(monkeypatch, term):
     compiled = []
-    monkeypatch.setattr(grassmannian, "compile", lambda *a: compiled.append(a),
+    monkeypatch.setattr(gr48, "compile", lambda *a: compiled.append(a),
                         raising=False)
     good = (((0, 1),), ((1, 1),))
     with pytest.raises(ValueError, match="difference index|exponent"):
@@ -1458,7 +1460,7 @@ def kernel_source(monkeypatch, monomials):
         sources.append(source)
         return compile(source, *args)
 
-    monkeypatch.setattr(grassmannian, "compile", record, raising=False)
+    monkeypatch.setattr(gr48, "compile", record, raising=False)
     kernel = _gr48_kernel(monomials)
     [source] = sources
     return kernel, source

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "clustercones"
 
@@ -21,6 +23,42 @@ def test_importing_a_module_loads_no_other_package_module():
         done = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == f"['clustercones', '{module}']\n", module
+
+
+# runs `main` on argv, when given, after importing the CLI, then lists the
+# package modules loaded
+LOADED_BY_CLI = """
+import contextlib, io, sys
+import clustercones.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = clustercones.cli.main(sys.argv[1:])
+print(" ".join(sorted(m for m in sys.modules if m.startswith("clustercones."))))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,grassmannian,kernel", [
+    ([], False, False),
+    (["enumerate", "--type", "E6", "--frozen", "6"], False, False),
+    (["check", "--gr", "3", "8", "--ratio", "p[145]*p[235]/(p[135]*p[245])"],
+     True, False),
+    (["verify", "--suite", "gr48", "--samples", "1"], True, True),
+], ids=["import", "enumerate-E6", "check-gr38", "verify-gr48"])
+def test_a_cli_run_loads_only_the_modules_it_runs(argv, grassmannian, kernel):
+    # the CLI loads the module of the command it dispatches, the
+    # Grassmannian module only on Grassmannian paths, and the 4x8 kernel
+    # only for the gr48 suite
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", LOADED_BY_CLI, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert ("clustercones.grassmannian" in loaded) == grassmannian
+    assert ("clustercones.gr48" in loaded) == kernel
+    commands = {m for m in loaded if m.startswith("clustercones.commands")}
+    assert commands == ({"clustercones.commands", f"clustercones.commands.{argv[0]}"}
+                        if argv else set())
 
 
 def test_every_exported_name_is_used_outside_its_definition():
