@@ -25,10 +25,11 @@ def run(args) -> int:
     }
     if cert.bounded:
         # non-integral lam needs Laurent expansions; belts that do not
-        # offer them skip the report
+        # offer them, and gap expansions whose exponents leave the Laurent
+        # range, skip the report
         try:
             report = subtraction_free_check(cert, U)
-        except BeltError:
+        except (BeltError, OverflowError):
             report = None
         if report is not None:
             payload["subtraction_free"] = report.to_dict(belt)

@@ -10,9 +10,10 @@ The belt mutates all sources of a bipartite seed at once, repeatedly,
 until the labeled seed comes back (after h+2 or 2(h+2) steps, h the
 Coxeter number), registering every distinct cluster variable it meets.
 A step applies the exchange relation x' = (prod out^b + prod in^b) / x
-at each source; the belt compiles its steps once into a schedule of
-(node, out-terms, in-terms, produced id) tuples, and one private walker
-runs that schedule, calling an exchange function of `seeds` once per
+at each source; the build writes each exchange into a schedule of
+(node, out-terms, in-terms, produced id) tuples as it registers the
+produced variable, and one private walker runs any range of steps of
+that schedule, calling an exchange function of `seeds` once per
 exchange: min-plus valuations along a curve x = t^beta, over ints or
 Fractions, for valuation_walk, and many of them packed into one int, for
 valuation_columns along many curves in one walk (compatibility degrees
@@ -40,12 +41,13 @@ Laurent expansions serve the enumerate display, the u-equation
 identities and the subtraction-free check of a non-integral lambda. Belts
 of at most 50 cluster variables offer them; the deepest variables of an
 E8-size belt have too many terms to multiply comfortably in pure Python.
-The first request proves every distinct exchange relation once: a new
-variable is proved Laurent by exact division, and a revisited one by a
-single product with the stored expansion. Where the seed comes back
-relabeled before the belt closes (A_n, D_odd and E6, at step h+2), the
-rest of the belt repeats those relations relabeled, so the proof stops
-there. Every expansion's min exponents must equal its registry vector.
+The first request proves every distinct exchange relation once, each by
+one exact division; where an exchange revisits a variable already
+proved, its quotient must equal the stored expansion. Where the seed
+comes back relabeled before the belt closes (A_n, D_odd and E6, at step
+h+2), the rest of the belt repeats those relations relabeled, so the
+proof stops there. Every expansion's min exponents must equal its
+registry vector.
 The expansion's corners come out of the Laurent arithmetic itself, which
 carries them exactly through products, sums in which nothing cancels and
 exact quotients (see `laurent`), so no expansion is rescanned for them;
@@ -59,9 +61,8 @@ import heapq
 import struct
 from collections import deque
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import gcd
-from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from .laurent import LaurentPolynomial
@@ -522,16 +523,6 @@ class BeltError(RuntimeError):
     expansions failed their proof, or it offers none."""
 
 
-def _confirm_quotient(quotient: LaurentPolynomial, numerator: LaurentPolynomial,
-                      denominator: LaurentPolynomial) -> LaurentPolynomial:
-    """Division for an exchange that revisits a registered variable: the
-    stored expansion is the quotient iff one product gives the numerator
-    back, since the quotient in a domain is unique."""
-    if quotient * denominator != numerator:
-        raise BeltError("two distinct variables share a denominator vector")
-    return quotient
-
-
 def _relabeling(state: tuple, state0: tuple, n: int) -> tuple[int, ...] | None:
     """The position permutation pi under which state is state0 relabeled,
     or None if there is none.
@@ -560,7 +551,8 @@ class BipartiteBelt:
     first mutated to a bipartite seed along find_bipartite_seed_path; the
     belt keeps that path (path, the nodes; _path_moves, the exchange terms
     of each move, which _rebase walks) and starts from the base seed it
-    reaches, whose names are the given ones with each move's node primed.
+    reaches, whose names are the given ones with each move's node primed,
+    as often as it takes to give it a name no other node has.
     exchange is that base seed, step 0 of the belt.
 
     Every belt is built by one min-plus walk of min exponent vectors,
@@ -579,8 +571,8 @@ class BipartiteBelt:
         n, size = exchange.n, exchange.size
         # the re-basing path: (node, out-terms, in-terms) per move from the
         # given seed to its bipartite base, each move priming its node's
-        # name; mutation keeps the matrix skew-symmetrizable, so only the
-        # base is checked
+        # name until no other node has it; mutation keeps the matrix
+        # skew-symmetrizable, so only the base is checked
         self.path: tuple[int, ...] = ()
         self._path_moves: list[tuple[int, tuple, tuple]] = []
         if not is_bipartite_orientation(exchange.mutable_matrix(), n):
@@ -589,7 +581,10 @@ class BipartiteBelt:
             for k in self.path:
                 self._path_moves.append((k, *_split(enumerate(matrix[k]))))
                 matrix = mutate_matrix(matrix, k, n)
-                names[k] += "'"
+                name = names[k] + "'"
+                while name in names:
+                    name += "'"
+                names[k] = name
             exchange = ExchangeData(n, exchange.m, matrix, exchange.weights, names)
         mut = exchange.mutable_matrix()
         dynkin = _dynkin_type(mut, exchange, "bipartite seed is not a Dynkin orientation")
@@ -609,7 +604,9 @@ class BipartiteBelt:
         matrix = exchange.matrix
         state0 = (matrix, tuple(ids))
         steps: list[BeltStep] = []
-        moves: list[list[tuple[int, tuple, tuple]]] = []
+        # the walk schedule: per step, (node, out-terms, in-terms, id of
+        # the variable the exchange produces), nonzero exponents only
+        self._schedule: list[tuple[tuple[int, tuple, tuple, int], ...]] = []
         total = 2 * (self.h + 2)
         s = 0
         while True:
@@ -629,27 +626,23 @@ class BipartiteBelt:
             # sources are pairwise unlinked, so every exchange of the step
             # reads its row in this step's matrix, and one pass mutates
             # them all once they are done
-            moves.append([(k, *_split(enumerate(matrix[k]))) for k in srcs])
-            for k, pos, neg in moves[-1]:
+            moves = []
+            for k in srcs:
+                pos, neg = _split(enumerate(matrix[k]))
                 entry = self.entries[ids[k]]
                 if entry.source_pos is None:
                     entry.source_pos = (s, k)
                 minexps[k] = _minexp_exchange(minexps, pos, neg, minexps[k])
                 ids[k] = self._register(minexps[k], False)
-            matrix = _mutate_sources(matrix, moves[-1], n)
+                moves.append((k, pos, neg, ids[k]))
+            self._schedule.append(tuple(moves))
+            matrix = _mutate_sources(matrix, moves, n)
             s += 1
         if total % self.period != 0:
             raise BeltError(
                 f"belt period {self.period} does not divide 2(h+2) = {total}"
             )
         self.steps = steps
-        # the walk schedule: per step, (node, out-terms, in-terms, id of
-        # the variable the exchange produces), nonzero exponents only
-        self._schedule = [
-            tuple((k, pos, neg, steps[(r + 1) % self.period].cluster_ids[k])
-                  for k, pos, neg in step_moves)
-            for r, step_moves in enumerate(moves)
-        ]
         self.seed_count = len({frozenset(st.cluster_ids) for st in steps})
 
         self.mutable_ids = [e.id for e in self.entries if not e.frozen]
@@ -664,7 +657,6 @@ class BipartiteBelt:
             if self.entries[mid].source_pos is None:
                 raise BeltError(f"variable {mid} never sat at a source")
         self._names = dict(enumerate(exchange.names))
-        self.display_names = MappingProxyType(self._names)  # written by rename alone
         # degeneration rays by belt step, and by nonsingular mutable block
         # (see _degenerations)
         self._rays: dict[int | tuple, list[tuple[int, ...] | None]] = {}
@@ -683,10 +675,6 @@ class BipartiteBelt:
     @property
     def n(self) -> int:
         return self.exchange.n
-
-    @property
-    def m(self) -> int:
-        return self.exchange.m
 
     @property
     def row_order(self) -> list[int]:
@@ -713,13 +701,13 @@ class BipartiteBelt:
         """Every registry variable's Laurent expansion, by id, each
         distinct exchange relation of the belt proved exactly once.
 
-        The proof walks the schedule from step 0. When an exchange
-        produces a variable not yet met, its expansion is the exact
-        quotient of the exchange relation. When it produces one met before
-        (the initial cluster, at the end of the walk), the stored
-        expansion P is confirmed by testing P * old == numerator, one
-        product in place of a division; the quotient in a domain is
-        unique, so this is the same proof.
+        The proof walks the schedule from step 0 and divides every
+        exchange relation exactly. A quotient that exists is the Laurent
+        expansion of the variable the exchange produces; where that
+        variable was proved before (the initial cluster, met again near
+        the end of the walk), the two must be equal, or two distinct
+        variables share a denominator vector. The quotient in a domain is
+        unique, so that is the same proof.
 
         A 2(h+2) belt meets state0 relabeled at step s0 = h+2: same frozen
         ids, mutable ids permuted, and the matrix conjugated by that
@@ -734,8 +722,8 @@ class BipartiteBelt:
                 "Laurent expansions are offered on belts of at most 50 "
                 "cluster variables")
         n, size = self.exchange.n, self.exchange.size
-        one = LaurentPolynomial.one(size)
-        laurent = _product_exchange(LaurentPolynomial.divide_exact, one)
+        laurent = _product_exchange(LaurentPolynomial.divide_exact,
+                                    LaurentPolynomial.one(size))
         values = [LaurentPolynomial.variable(size, i) for i in range(size)]
         proved = dict(zip(self.steps[0].cluster_ids, values))
         state0 = self.steps[0][:2]
@@ -743,10 +731,9 @@ class BipartiteBelt:
             if s > 0 and _relabeling(self.steps[s][:2], state0, n) is not None:
                 break
             for k, pos, neg, target in moves:
-                known = proved.get(target)
-                relation = laurent if known is None else _product_exchange(
-                    partial(_confirm_quotient, known), one)
-                values[k] = proved[target] = relation(values, pos, neg, values[k])
+                values[k] = quotient = laurent(values, pos, neg, values[k])
+                if proved.setdefault(target, quotient) != quotient:
+                    raise BeltError("two distinct variables share a denominator vector")
         expansions = [proved[e.id] for e in self.entries]
         if any(p.min_exponents() != e.minexp for p, e in zip(expansions, self.entries)):
             raise BeltError("tropical min-exponent bookkeeping diverged")
@@ -794,16 +781,18 @@ class BipartiteBelt:
             values[node] = exchange(values, pos, neg, values[node])
         return values
 
-    def _walk(self, exchange, values: list, start: int) -> dict:
-        """Walk one period of the belt from step start, calling
+    def _walk(self, exchange, values: list, start: int, stop: int) -> dict:
+        """Walk the belt over steps start to stop - 1, calling
         exchange(values, pos, neg, old) (see seeds) once per exchange.
 
         values holds the cluster of step start by node and is updated in
-        place; returns the value of every registry variable.
+        place; returns the value of every variable met: the cluster of
+        step start and each exchange's product. A walk of one period
+        meets every registry variable.
         """
         out = dict(zip(self.step(start).cluster_ids, values))
         p = self.period
-        for r in range(start, start + p):
+        for r in range(start, stop):
             for k, pos, neg, target in self._schedule[r % p]:
                 values[k] = out[target] = exchange(values, pos, neg, values[k])
         return out
@@ -863,7 +852,8 @@ class BipartiteBelt:
         """
         if len(beta) != self.exchange.size:
             raise ValueError("need one exponent per node")
-        return self._walk(_valuation_exchange, list(beta), start_step)
+        return self._walk(_valuation_exchange, list(beta), start_step,
+                          start_step + self.period)
 
     def valuation_columns(
         self, rays: Sequence[tuple[Sequence[int], int]]
@@ -898,31 +888,28 @@ class BipartiteBelt:
             return 16, [0] * len(self.entries)
         headroom = self._headroom
         largest = max(max(map(abs, beta)) for beta, _ in rays)
-        starts = [s % p for _, s in rays]
-        first, last = min(starts), max(starts)
         width = 16
         while largest >= 1 << (width - 2 - headroom):
             width *= 2
         while True:
             # per start step, (node, packed betas) of the rays starting there
             added: dict[int, dict[int, int]] = {}
-            for r, ((beta, _), s) in enumerate(zip(rays, starts)):
-                at = added.setdefault(s, {})
+            for r, (beta, s) in enumerate(rays):
+                at = added.setdefault(s % p, {})
                 shift = width * (lanes - 1 - r)
                 for j, b in enumerate(beta):
                     if b:
                         at[j] = at.get(j, 0) + (b << shift)
             exchange = _packed_exchange(width, lanes, headroom)
             values = [0] * size
+            order = sorted(added)
             try:
-                for s in range(first, last):
-                    for j, b in added.get(s, {}).items():
+                # add each start step's betas, then walk to the next start
+                # step, the last start step for one period
+                for s, stop in zip(order, order[1:] + [order[-1] + p]):
+                    for j, b in added[s].items():
                         values[j] += b
-                    for k, pos, neg, _ in self._schedule[s % p]:
-                        values[k] = exchange(values, pos, neg, values[k])
-                for j, b in added[last].items():
-                    values[j] += b
-                out = self._walk(exchange, values, last)
+                    out = self._walk(exchange, values, s, stop)
                 return width, [out[e.id] for e in self.entries]
             except _LaneOverflow:
                 width *= 2

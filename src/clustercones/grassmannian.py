@@ -42,7 +42,6 @@ from .seeds import (
     ExchangeData,
     _product_exchange,
     _valuation_exchange,
-    load_seed_file,
 )
 from .uvars import build_u_variables
 
@@ -174,29 +173,28 @@ def _grid_layout(k: int, n: int) -> tuple[list[tuple[int, ...]], list[bool], lis
     return contents, [False] * len(mutable) + [True] * len(frozen_nodes), arrows
 
 
-def grid_seed(k: int, n: int) -> ExchangeData:
-    """Initial exchange data for the Plucker cluster structure on Gr(k, n).
+def grid_seed(k: int, n: int) -> tuple[ExchangeData, list[tuple[int, ...]]]:
+    """Initial exchange data for the Plucker cluster structure on Gr(k, n),
+    and the column subset of each of its nodes.
 
-    Mutable nodes come first; node names are the Plucker labels. The
+    Mutable nodes come first; node names are the Plucker labels. Every
+    arrow i -> j of _grid_layout adds 1 to B[i][j] and -1 to B[j][i]. The
     extended matrix has full rank (the n frozen coordinates see every
     column), which downstream cone computations rely on.
     """
     if not 2 <= k <= n - 2:
         raise ValueError("need 2 <= k <= n-2")
     contents, frozen, arrows = _grid_layout(k, n)
-    names = [_pl_name(J) for J in contents]
-    data = {
-        "nodes": [
-            {"name": nm, "frozen": fr} for nm, fr in zip(names, frozen)
-        ],
-        "arrows": [
-            {"from": names[i], "to": names[j]} for i, j in arrows
-        ],
-    }
-    exchange = load_seed_file(data)
+    size, n_mutable = len(contents), frozen.count(False)
+    matrix = [[0] * size for _ in range(size)]
+    for i, j in arrows:
+        matrix[i][j] += 1
+        matrix[j][i] -= 1
+    exchange = ExchangeData(n_mutable, size - n_mutable, matrix,
+                            names=[_pl_name(J) for J in contents])
     if not exchange.is_full_rank():
         raise RuntimeError(f"grid seed for Gr({k},{n}) lost full rank")
-    return exchange
+    return exchange, contents
 
 
 # totally positive evaluation
@@ -327,8 +325,7 @@ class GrassmannianCluster:
             )
         self.k = k
         self.n = n
-        self.grid = grid_seed(k, n)
-        contents, _, _ = _grid_layout(k, n)
+        self.grid, contents = grid_seed(k, n)
         self._grid_sets = contents  # column subsets, node order of self.grid
         self.points = tuple(_integral(tp_sample(k, n, s)) for s in (11, 12, 13))
         self.belt = BipartiteBelt(self.grid)
@@ -376,9 +373,10 @@ class GrassmannianCluster:
     def _walk_values(self, points, minor_of) -> list[dict[int, int]]:
         """Registry values when each grid node J is seeded with the integer
         minor_of(pt, J), walked over ints along the path and the belt."""
+        belt = self.belt
         return [
-            self.belt._walk(_INTEGERS, self.belt._rebase(
-                _INTEGERS, [minor_of(pt, J) for J in self._grid_sets]), 0)
+            belt._walk(_INTEGERS, belt._rebase(
+                _INTEGERS, [minor_of(pt, J) for J in self._grid_sets]), 0, belt.period)
             for pt in points
         ]
 

@@ -162,11 +162,12 @@ def mutate_matrix(
 
 
 def _mutate_sources(matrix: Sequence[Sequence[int]],
-                    moves: Sequence[tuple[int, tuple, tuple]],
+                    moves: Sequence[tuple],
                     n: int) -> tuple[tuple[int, ...], ...]:
-    """matrix mutated at every node k of moves, given with its row split
-    into (k, out-terms, in-terms) as _split gives it, for nodes that are
-    pairwise unlinked (b_kl = 0), as the sources of one belt step are.
+    """matrix mutated at every node k of moves, each (k, out-terms,
+    in-terms, ...) with k's row split as _split gives it and any further
+    fields unread, for nodes that are pairwise unlinked (b_kl = 0), as the
+    sources of one belt step are.
 
     Mutating at k changes neither row l nor column l of another such node,
     so the mutations commute and their changes add up: row k is negated,
@@ -178,7 +179,7 @@ def _mutate_sources(matrix: Sequence[Sequence[int]],
     """
     out = list(map(tuple, matrix))
     rows: dict[int, list[int]] = {}
-    for k, pos, neg in moves:
+    for k, pos, neg, *_ in moves:
         out[k] = tuple([-b for b in matrix[k]])
         frozen_terms = (pos, neg) if len(matrix) == n else (
             tuple([t for t in pos if t[0] < n]), tuple([t for t in neg if t[0] < n]))

@@ -75,9 +75,9 @@ def build_u_variables(belt: BipartiteBelt) -> list[UVariable]:
     that U shares none with the records the chain check compares against.
     The exchange relation gamma * partner = out-product + in-product is
     not multiplied out here: the belt proves it with its expansions (by
-    exact division, by one confirming product, or relabeled from a
-    relation proved earlier in the belt; BipartiteBelt._expansions), and
-    a belt that offers none has nothing to multiply.
+    one exact division, or relabeled from a relation proved earlier in
+    the belt; BipartiteBelt._expansions), and a belt that offers none has
+    nothing to multiply.
     """
     out = []
     records = belt._source_records
@@ -160,8 +160,8 @@ def verify_u_equations(belt: BipartiteBelt, uvars: Sequence[UVariable] | None = 
 
     Most u-variables are decided without a product, from the exchange
     relation at gamma's source position (s, k). The belt proved it with its
-    expansions (by exact division, by one product with the stored
-    expansion, or relabeled from a relation proved earlier in the belt):
+    expansions (by one exact division, or relabeled from a relation proved
+    earlier in the belt):
 
         gamma * partner = prod numerator + prod frozen_in,
 

@@ -88,6 +88,23 @@ def test_check_half_integral_counterexample_json(capsys):
     assert payload["subtraction_free"]["subtraction_free"] is False
 
 
+def test_check_omits_a_gap_expansion_out_of_exponent_range(capsys, tmp_path):
+    # lam = 9001/2 is bounded and not integral, and the gap expansion's
+    # exponents leave the 16-bit fields of a Laurent polynomial: the report
+    # is omitted, as on a belt that offers no expansions, and check exits 0
+    argv = ["check", "--type", "C2", "--ratio", "(x1*x3*x5/(x2*x4*x6))^9001",
+            "--format", "json"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0 and "subtraction_free" not in payload
+    assert payload["certificate"]["lambda"] == {"x2": "9001/2", "x4": "9001/2", "x6": "9001/2"}
+    src = Path(clustercones.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "clustercones.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout) == payload
+
+
 def test_check_integral_ratio_has_chain(capsys):
     code, payload = run_json(
         capsys,
@@ -756,6 +773,31 @@ def test_non_bipartite_seed_file_outputs_are_golden(capsys, tmp_path):
     assert code == 0 and payload["replayed"] is True
 
 
+def test_re_basing_primes_a_name_until_no_other_node_has_it(capsys, tmp_path):
+    # the linear seed a -> a' -> c mutates at a, whose single prime would
+    # be the name of the next node: it gets two, and the certificate's
+    # base seed, which names every node once, replays
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps({
+        "nodes": [{"name": "a"}, {"name": "a'"}, {"name": "c"},
+                  {"name": "f", "frozen": True}, {"name": "g", "frozen": True},
+                  {"name": "h", "frozen": True}],
+        "arrows": [{"from": "a", "to": "a'"}, {"from": "a'", "to": "c"},
+                   {"from": "f", "to": "a"}, {"from": "g", "to": "a'"},
+                   {"from": "h", "to": "c"}],
+    }))
+    cert = tmp_path / "collide-cert.json"
+    code, payload = run_json(capsys, ["check", "--seed-file", str(path), "--ratio", "a'/c",
+                                      "--certificate-out", str(cert), "--format", "json"])
+    assert code == 1 and payload["certificate"]["verdict"] == "not-weight-zero"
+    assert payload["legend"]["mutable"][:3] == ["a''", "a'", "c"]
+    assert payload["certificate"]["ratio"] == {"a'": 1, "c": -1}
+    names = [nd["name"] for nd in json.loads(cert.read_text())["context"]["seed"]["nodes"]]
+    assert names == ["a''", "a'", "c", "f", "g", "h"]
+    code, payload = run_json(capsys, ["verify", "--certificate", str(cert), "--format", "json"])
+    assert code == 0 and payload["replayed"] is True
+
+
 def test_primed_names_of_a_re_based_seed_parse_as_rendered(capsys, tmp_path):
     belt = _seed_context(LINEAR_SEED, "linear.json").belt
     assert belt.name(0) == "a'"
@@ -958,7 +1000,8 @@ def test_a_file_that_is_not_json_is_a_usage_error(capsys, tmp_path, command):
 def test_commands_without_expansions_divide_nothing(capsys, monkeypatch, argv):
     # an integral check, cone and uvars read the belt's min-plus data
     # alone, so on a belt that offers expansions they prove none; enumerate
-    # prints them, and divides
+    # prints them, and divides once per exchange before the relabeling step
+    # h+2 = 14: 3 sources a step, 36 new variables and the initial 6 again
     from clustercones.laurent import LaurentPolynomial
 
     divisors = []
@@ -972,7 +1015,7 @@ def test_commands_without_expansions_divide_nothing(capsys, monkeypatch, argv):
         assert payload["subtraction_free"]["kind"] == "chain"
     code, payload = run_json(capsys, ["enumerate", *context])
     assert code == 0 and "expansion" in payload["variables"][0]
-    assert len(divisors) == 42 - 6
+    assert len(divisors) == 14 * 3 == 36 + 6
 
 
 def test_grassmannian_enumerate_lists_degrees_not_expansions(capsys):

@@ -409,23 +409,24 @@ def test_frames_agree_with_value_walks_from_every_step(name, frozen):
 def test_revisit_is_checked_against_the_stored_expansion(monkeypatch, name, target):
     # the proof of the expansions meets the initial cluster again before it
     # stops: A3 in the steps before its relabeling step h+2, C2 at the end
-    # of its h+2 period. Each revisit confirms the stored expansion by one
-    # product; the expansion of the variable at target (step, node) is
-    # made wrong on its way into that product.
+    # of its h+2 period. Each revisit divides, and its quotient must equal
+    # the stored expansion; the quotient that gives back the variable at
+    # target (step, node) is made wrong.
     exchange = catalog_exchange(DynkinType.from_name(name))
     s, k = target
     reference = BipartiteBelt(exchange)
     stored = reference.poly(reference.step(s).cluster_ids[k])
-    confirm = finite_type._confirm_quotient
+    divide = LaurentPolynomial.divide_exact
     corrupted = []
 
-    def confirm_corrupted(quotient, numerator, denominator):
+    def divide_corrupted(numerator, denominator):
+        quotient = divide(numerator, denominator)
         if quotient == stored:
             quotient = quotient + LaurentPolynomial.one(quotient.nvars)
             corrupted.append(numerator)
-        return confirm(quotient, numerator, denominator)
+        return quotient
 
-    monkeypatch.setattr(finite_type, "_confirm_quotient", confirm_corrupted)
+    monkeypatch.setattr(LaurentPolynomial, "divide_exact", divide_corrupted)
     belt = BipartiteBelt(exchange)
     with pytest.raises(BeltError, match="two distinct variables share a denominator vector"):
         belt.poly(0)
@@ -476,8 +477,10 @@ def test_relabeling_is_found_at_h_plus_2_exactly_on_2h_plus_4_belts(
 def test_first_request_proves_every_entry_before_the_relabeling_step(
         monkeypatch, name, frozen):
     # building divides nothing; the first poly call divides once per
-    # variable the schedule meets first, all of them before the step where
-    # the seed comes back relabeled, and a second request divides nothing
+    # exchange before the step h+2 where the seed comes back relabeled,
+    # n(h+2)/2 of them, one per mutable variable: those not in step 0's
+    # cluster, met first, and step 0's mutable cluster, met again; a second
+    # request divides nothing
     divisors = []
     divide = LaurentPolynomial.divide_exact
     monkeypatch.setattr(LaurentPolynomial, "divide_exact",
@@ -491,11 +494,10 @@ def test_first_request_proves_every_entry_before_the_relabeling_step(
     met, want = set(belt.step(0).cluster_ids), []
     for s, moves in enumerate(belt._schedule[:s0]):
         for k, _, _, target in moves:
-            if target not in met:
-                met.add(target)
-                want.append(belt.poly(belt.step(s).cluster_ids[k]))
+            met.add(target)
+            want.append(belt.poly(belt.step(s).cluster_ids[k]))
     assert met == set(range(len(belt.entries)))
-    assert divisors == want and len(want) == len(belt.mutable_ids) - belt.n
+    assert divisors == want and len(want) == len(belt.mutable_ids)
     assert [p.min_exponents() for p in expansions] == [e.minexp for e in belt.entries]
     divisors.clear()
     found.clear()
@@ -514,13 +516,46 @@ def belt_record(belt):
 @pytest.mark.parametrize("name,frozen", [("A5", 0), ("D5", 5), ("E6", 6)])
 def test_relabeled_half_equals_the_recomputed_one(monkeypatch, name, frozen):
     # oracle: with the finder made to report nothing, the proof walks the
-    # second half too, confirming every variable there by a product again
+    # second half too, dividing every exchange there again
     exchange = catalog_exchange(DynkinType.from_name(name), frozen)
     found = spy_relabelings(monkeypatch)
     stopped = belt_record(BipartiteBelt(exchange))
     assert any(pi is not None for pi in found)
     monkeypatch.setattr(finite_type, "_relabeling", lambda state, state0, n: None)
     assert belt_record(BipartiteBelt(exchange)) == stopped
+
+
+UP_TO_RANK_8 = [f"{family}{rank}" for family, ranks in (
+    ("A", range(1, 9)), ("B", range(2, 9)), ("C", range(2, 9)), ("D", range(4, 9)),
+    ("E", range(6, 9)), ("F", (4,)), ("G", (2,))) for rank in ranks]
+
+
+@pytest.mark.parametrize("context", [
+    f"{name}+{frozen}" for name in UP_TO_RANK_8
+    for frozen in (0, DynkinType.from_name(name).rank)
+] + ["gr25", "gr28", "gr36", "gr37", "gr38"])
+def test_the_proof_meets_each_variable_once_but_step_0s_cluster(request, context):
+    # before the proof's stop step (h+2 where the seed comes back
+    # relabeled, else the period) the exchanges produce pairwise distinct
+    # variables, and the ones already met are exactly step 0's mutable
+    # cluster: every division proves a new variable or checks an initial one
+    if context in ("gr25", "gr28"):
+        from clustercones.grassmannian import GrassmannianCluster
+
+        belt = GrassmannianCluster(2, int(context[3])).belt
+    elif context.startswith("gr"):
+        belt = request.getfixturevalue(context).belt
+    else:
+        name, _, frozen = context.partition("+")
+        belt = BipartiteBelt(catalog_exchange(DynkinType.from_name(name), int(frozen)))
+    state0, n = belt.step(0)[:2], belt.n
+    stop = next((s for s in range(1, belt.period)
+                 if finite_type._relabeling(belt.step(s)[:2], state0, n) is not None),
+                belt.period)
+    targets = [target for moves in belt._schedule[:stop] for *_, target in moves]
+    assert len(set(targets)) == len(targets)
+    initial = belt.step(0).cluster_ids
+    assert set(targets) & set(initial) == set(initial[:n])
 
 
 def test_relabeling_needs_the_conjugate_matrix_frozen_rows_included():
@@ -724,7 +759,7 @@ def test_gr38_rays_and_kernel_alphas_match_the_ring_oracle(gr38):
 def scanned_id(belt, name):
     """The id a name resolves to by a scan: display names in their order,
     then the root labels of mutable variables, the first match winning."""
-    for id, nm in belt.display_names.items():
+    for id, nm in belt._names.items():
         if nm == name:
             return id
     for e in belt.entries:
@@ -734,7 +769,7 @@ def scanned_id(belt, name):
 
 
 def every_name(belt):
-    return (set(belt.display_names.values())
+    return (set(belt._names.values())
             | {belt.root_label(e.id) for e in belt.entries} | {"x0", "p[999]"})
 
 
@@ -747,8 +782,6 @@ def test_renaming_rebuilds_the_name_index():
     assert belt.id_by_name(belt.root_label(3)) is None  # frozen: no root label
     belt.rename({0: "alpha"})
     assert belt.id_by_name("alpha") == 0 and belt.id_by_name("x1") is None
-    with pytest.raises(TypeError):  # only rename writes names
-        belt.display_names[0] = "beta"
     # a display name comes before another variable's root label
     belt.rename({other: label})
     assert belt.id_by_name(label) == other

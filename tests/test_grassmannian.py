@@ -117,7 +117,7 @@ def test_zigzag_diagonals():
 
 
 def test_grid_seed_gr26_matches_reference_seed():
-    grid = grid_seed(2, 6)
+    grid, _ = grid_seed(2, 6)
     ref = load_seed_file(GR26_SEED)
     # reference names are P15 style, grid names p[15] style
     fix = lambda nm: "p[" + nm[1:] + "]"
@@ -149,7 +149,8 @@ GR36_GRID_ARROWS = {
 
 
 def test_grid_seed_gr36_matches_figure():
-    grid = grid_seed(3, 6)
+    grid, contents = grid_seed(3, 6)
+    assert list(grid.names) == ["p[" + "".join(map(str, J)) + "]" for J in contents]
     arrows = arrow_map(grid)
     assert set(arrows) == GR36_GRID_ARROWS
     assert set(arrows.values()) == {1}
