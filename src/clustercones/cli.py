@@ -16,7 +16,10 @@ suite, failed replay), 2 usage error. Output is text on a terminal and
 JSON otherwise; --format overrides. JSON payloads carry a legend naming
 every variable so ratio vectors are self-describing.
 
-Layout. This module holds only the parser and `main`. Each subcommand is
+Layout. This module holds only the parser and `main`. The parser is
+built once per process, on the first `main` call, and nothing mutates it
+afterwards, so a process that calls `main` many times parses each argv
+as a fresh process would. Each subcommand is
 a module of `commands` (`commands.check`, ...) with `run(args) -> int`,
 which `main` imports when it dispatches, so a run compiles the one
 command it runs; the Grassmannian modules load only on Grassmannian
@@ -32,6 +35,7 @@ in place of exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import sys
 
@@ -41,7 +45,10 @@ from .expressions import RatioSyntaxError
 from .finite_type import NotFiniteTypeError
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use and never
+    mutated afterwards; parse_args keeps no state between calls."""
     context = argparse.ArgumentParser(add_help=False)
     context.add_argument(
         "--type", metavar="NAME",
@@ -129,8 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     command = importlib.import_module(f".commands.{args.subcommand}", __package__)
     try:
         return command.run(args)

@@ -25,11 +25,10 @@ def run(args) -> int:
     }
     if cert.bounded:
         # non-integral lam needs Laurent expansions; belts that do not
-        # offer them, and gap expansions whose exponents leave the Laurent
-        # range, skip the report
+        # offer them skip the report
         try:
             report = subtraction_free_check(cert, U)
-        except (BeltError, OverflowError):
+        except BeltError:
             report = None
         if report is not None:
             payload["subtraction_free"] = report.to_dict(belt)
@@ -83,6 +82,8 @@ def _text_check(payload):
                 f"{report['positive_terms']} positive and "
                 f"{report['negative_terms']} negative terms)"
             )
+        elif report["kind"] == "undecided":
+            yield f"subtraction-free: undecided ({report['reason']})"
         else:
             yield "subtraction-free: inconclusive"
     if "certificate_path" in payload:

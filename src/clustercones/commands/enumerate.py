@@ -1,23 +1,31 @@
-"""`enumerate`: walk the belt and list every cluster variable."""
+"""`enumerate`: walk the belt and list every cluster variable.
+
+A catalog or seed-file context prints each variable's expansion in the
+initial cluster as one reduced fraction: the numerator is the expansion
+times the monomial that clears its denominators, and the denominator is
+that monomial. Both come from `laurent.render` over factor tables built
+once per command from the initial names, so a term costs one packed
+shift, one unpacking and table lookups. Grassmannian contexts list
+degrees in place of expansions.
+"""
 
 from __future__ import annotations
 
 from ..context import _context_from_args, _emit
-from ..laurent import LaurentPolynomial
+from ..laurent import LaurentPolynomial, factor_texts, render
 
 
-def _poly_fraction_text(poly: LaurentPolynomial, names: list[str]) -> str:
-    """Clear denominators and print as a reduced fraction: the numerator
-    is poly times the monomial of the shift."""
+def _poly_fraction_text(poly: LaurentPolynomial, factors) -> str:
+    """poly as a reduced fraction over the names of the tables factors:
+    the numerator is poly times the monomial of the shift."""
     shift = [-m if m < 0 else 0 for m in poly.min_exponents()]
-    num = poly * LaurentPolynomial.monomial(poly.nvars, 1, shift)
-    num_text = num.serialize(names)
-    den_factors = [(names[i], s) for i, s in enumerate(shift) if s]
+    num_text = render(poly, factors, shift)
+    den_factors = [factors[i].power(s) for i, s in enumerate(shift) if s]
     if not den_factors:
         return num_text
-    if num.n_terms > 1:
+    if poly.n_terms > 1:
         num_text = f"({num_text})"
-    den = "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in den_factors)
+    den = "*".join(den_factors)
     if len(den_factors) > 1:
         den = f"({den})"
     return f"{num_text}/{den}"
@@ -26,8 +34,7 @@ def _poly_fraction_text(poly: LaurentPolynomial, names: list[str]) -> str:
 def run(args) -> int:
     ctx = _context_from_args(args)
     belt = ctx.belt
-    size = belt.exchange.size
-    initial_names = [belt.name(i) for i in range(size)]
+    factors = factor_texts([belt.name(i) for i in range(belt.exchange.size)])
     # Grassmannian contexts list degrees in place of expansions
     expansions = ctx.grass is None and belt.offers_expansions
     variables = []
@@ -40,7 +47,7 @@ def run(args) -> int:
             if root != row["name"]:
                 row["root"] = root
         if expansions:
-            row["expansion"] = _poly_fraction_text(belt.poly(id), initial_names)
+            row["expansion"] = _poly_fraction_text(belt.poly(id), factors)
         if ctx.grass is not None:
             row["degree"] = ctx.grass.degree[id]
         variables.append(row)

@@ -585,6 +585,13 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
 # subtraction-freeness
 
 
+# The most terms a gap expansion D - N may be bounded by for check to
+# expand it; above it the report is undecided. A C2 gap of this bound takes
+# about 0.2 s to expand (2-vCPU x86-64 VM, CPython 3.11), and the time
+# grows faster than the size.
+GAP_TERM_LIMIT = 25_000
+
+
 class SubtractionFreeReport:
     """Outcome of a subtraction-freeness check on a bounded ratio.
 
@@ -593,20 +600,22 @@ class SubtractionFreeReport:
     terms was verified; chain lists its factors as (gamma, multiplicity)
     pairs in power order. kind "expansion": the gap polynomial was expanded
     in the initial cluster; a negative coefficient disproves
-    subtraction-freeness in cluster variables.
+    subtraction-freeness in cluster variables. kind "undecided": the gap
+    was not expanded, for the reason given.
     """
 
     __slots__ = ("kind", "chain", "positive", "negative", "scale_integral",
-                 "verified")
+                 "verified", "reason")
 
     def __init__(self, kind, chain=None, positive=None, negative=None,
-                 scale_integral=None, verified=False):
+                 scale_integral=None, verified=False, reason=None):
         self.kind = kind
         self.chain = chain
         self.positive = positive
         self.negative = negative
         self.scale_integral = scale_integral
         self.verified = verified
+        self.reason = reason
 
     @property
     def subtraction_free(self) -> bool | None:
@@ -618,6 +627,8 @@ class SubtractionFreeReport:
 
     def to_dict(self, belt: BipartiteBelt) -> dict:
         out = {"kind": self.kind, "verified": self.verified}
+        if self.reason is not None:
+            out["reason"] = self.reason
         if self.chain is not None:
             out["chain"] = [belt.name(g) if m == 1 else f"{belt.name(g)}^{m}"
                             for g, m in self.chain]
@@ -640,9 +651,11 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
     p_{i+1}..p_r hold, with incoming-frozen products as middle factors.
     Every term is then a product of cluster variables and frozen
     variables, so the gap is subtraction-free in cluster variables.
-    Non-integral lam: expand the gap in the initial cluster and report
-    signed terms; on a belt that offers no expansions, BipartiteBelt.poly
-    raises BeltError.
+    Non-integral lam: expand the gap D - N in the initial cluster and
+    report signed terms. Before expanding, _term_bound bounds the gap's
+    size; above GAP_TERM_LIMIT, or when the expansion's exponents leave
+    the Laurent range, the report is "undecided" with its reason. On a
+    belt that offers no expansions, BipartiteBelt.poly raises BeltError.
     """
     if not cert.bounded:
         raise ValueError("subtraction-freeness is only defined for bounded ratios")
@@ -656,7 +669,14 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
     one = LaurentPolynomial.one(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]
     pos, neg = _split(cert.vector.items())
-    diff = _monomial(polys, neg, one) - _monomial(polys, pos, one)
+    if _term_bound(polys, neg) + _term_bound(polys, pos) > GAP_TERM_LIMIT:
+        return SubtractionFreeReport("undecided", reason=(
+            f"the gap expansion may have more than {GAP_TERM_LIMIT} terms"))
+    try:
+        diff = _monomial(polys, neg, one) - _monomial(polys, pos, one)
+    except OverflowError:
+        return SubtractionFreeReport("undecided", reason=(
+            "the gap expansion's exponents leave the Laurent range"))
     positive: dict[tuple[int, ...], int] = {}
     negative: dict[tuple[int, ...], int] = {}
     for exps, coeff in diff.terms():
@@ -668,6 +688,29 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
         "expansion", positive=positive, negative=negative,
         scale_integral=denoms, verified=True,
     )
+
+
+def _term_bound(polys: Sequence[LaurentPolynomial], terms) -> int:
+    """An upper bound on the term count of the product of polys[j] ** b
+    over the (j, b) pairs of terms, read without expanding it: the smaller
+    of the volume of its exponent box, whose corners are the b-weighted
+    sums of the factors' cached corners, and the product of the factors'
+    term counts. Past GAP_TERM_LIMIT that product is no longer multiplied
+    out, so a huge power costs nothing, and a result above the limit says
+    only that the bound is above it too.
+    """
+    n = polys[0].nvars
+    lo, hi, count = [0] * n, [0] * n, 1
+    for j, b in terms:
+        p = polys[j]
+        lo = [x + b * e for x, e in zip(lo, p.min_exponents())]
+        hi = [x + b * e for x, e in zip(hi, p.max_exponents())]
+        if count <= GAP_TERM_LIMIT and p.n_terms > 1:
+            count = p.n_terms ** min(b, GAP_TERM_LIMIT.bit_length()) * count
+    volume = 1
+    for x, y in zip(lo, hi):
+        volume *= y - x + 1
+    return min(volume, count)
 
 
 def _verify_chain(belt: BipartiteBelt, factors: Sequence[UVariable]) -> bool:

@@ -47,13 +47,22 @@ signed quotient x^2 - x + 1, and its remainder leaves the dividend's
 support. The quotient box test runs on packed keys, one addition, one
 subtraction and two ANDs per leading term against guard constants
 computed once per division.
+
+Text comes from one table-driven pass, render, which serialize and
+enumerate's fractions share. factor_texts(names) builds one table per
+variable that maps a biased field to its factor string ("", the name, or
+"name^e"), once per set of names. A monomial shift, such as the one that
+clears a fraction's denominators, is one packed addition per key; each
+shifted key is split once into its fields, the terms are sorted by
+(degree, key), and a term's text is its coefficient and the table
+entries of its fields.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from operator import add, gt, sub
+from operator import add, getitem, gt, sub
 from typing import Callable, Iterator, Sequence
 
 __all__ = [
@@ -466,37 +475,82 @@ class LaurentPolynomial:
         Terms in graded lex order (highest first), variables 1-based:
         "x1^2*x2 - 3*x1*x3^-1 + 2". The zero polynomial is "0". names,
         when given, replaces x1, x2, ... in the output; the tests'
-        parse_laurent reads back only the default names.
+        parse_laurent reads back only the default names. The text is
+        render's over factor_texts(names), the one table-driven pass that
+        enumerate's fractions use too.
         """
-        if not self._terms:
-            return "0"
         if names is None:
             names = [f"x{i + 1}" for i in range(self.nvars)]
-        pieces: list[str] = []
-        for exps, coeff in self.terms():
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
-            mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
+        return render(self, factor_texts(names))
 
     def __repr__(self) -> str:
         s = self.serialize()
         if len(s) > 60:
             s = s[:57] + "..."
         return f"<Laurent {self.nvars}v {s}>"
+
+
+class _FactorText(dict):
+    """One variable's factor strings, keyed by biased field and filled on
+    first use: "" at exponent 0, the name at 1, "name^e" otherwise."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, field: int) -> str:
+        e = field - BIAS
+        text = self[field] = "" if e == 0 else self.name if e == 1 else f"{self.name}^{e}"
+        return text
+
+    def power(self, e: int) -> str:
+        """The factor string of exponent e."""
+        return self[e + BIAS]
+
+
+def factor_texts(names: Sequence[str]) -> list[_FactorText]:
+    """The factor tables render reads, one per variable. Build them once
+    for every polynomial printed over the same names."""
+    return [_FactorText(name) for name in names]
+
+
+def render(poly: LaurentPolynomial, factors: Sequence[_FactorText],
+           shift: Sequence[int] | None = None) -> str:
+    """Text of poly times the monomial x^shift, as serialize prints it.
+
+    One pass: each key gets the shift as one packed addition, is split
+    once into its biased fields, and is sorted with its degree, the
+    fields' sum, then by the key itself, highest first (graded lex, the
+    order of terms()). A term's factors are table lookups by field, and
+    the exponent-0 entries are empty strings that the join skips.
+    """
+    terms = poly._terms
+    if not terms:
+        return "0"
+    n = poly.nvars
+    off = 0 if shift is None else pack_exponents(shift) - _zero_key(n)
+    unpack, size = _fields(n), 2 * n
+    decorated = []
+    for key, coeff in terms.items():
+        key += off
+        fields = unpack(key.to_bytes(size, "big"))
+        decorated.append((sum(fields), key, fields, coeff))
+    decorated.sort(reverse=True)
+    pieces: list[str] = []
+    for _, _, fields, coeff in decorated:
+        body = "*".join(filter(None, map(getitem, factors, fields)))
+        mag = abs(coeff)
+        if not body:
+            body = str(mag)
+        elif mag != 1:
+            body = f"{mag}*{body}"
+        if pieces:
+            pieces.append((" + " if coeff > 0 else " - ") + body)
+        else:
+            pieces.append(body if coeff > 0 else "-" + body)
+    return "".join(pieces)
 
 
 def _merge_descending(keys: list[int], extra: list[int]) -> Iterator[int]:

@@ -111,6 +111,52 @@ def laurent_value(poly, point):
                 for exps, coeff in poly.terms()), Fraction(0))
 
 
+def reference_serialize(poly, names=None):
+    """serialize()'s text written term by term from terms(): the oracle
+    for the table-driven renderer."""
+    if not poly:
+        return "0"
+    if names is None:
+        names = [f"x{i + 1}" for i in range(poly.nvars)]
+    pieces = []
+    for exps, coeff in poly.terms():
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}"
+                   for i, e in enumerate(exps) if e]
+        mag = abs(coeff)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        if not pieces:
+            pieces.append(body if coeff > 0 else "-" + body)
+        else:
+            pieces.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(pieces)
+
+
+def reference_fraction_text(poly, names):
+    """enumerate's fraction text by multiplying out: the numerator is
+    poly times the monomial that clears its denominators, in parentheses
+    when it has several terms, over that monomial, in parentheses when it
+    has several factors."""
+    from clustercones.laurent import LaurentPolynomial
+
+    shift = [-m if m < 0 else 0 for m in poly.min_exponents()]
+    num = poly * LaurentPolynomial.monomial(poly.nvars, 1, shift)
+    num_text = reference_serialize(num, names)
+    den_factors = [(names[i], s) for i, s in enumerate(shift) if s]
+    if not den_factors:
+        return num_text
+    if num.n_terms > 1:
+        num_text = f"({num_text})"
+    den = "*".join(nm if e == 1 else f"{nm}^{e}" for nm, e in den_factors)
+    if len(den_factors) > 1:
+        den = f"({den})"
+    return f"{num_text}/{den}"
+
+
 # the exchange relation over a ring of five callables: the oracle for the
 # package's exchange functions (seeds._valuation_exchange and the others),
 # written term by term and walked from each belt step's matrix rows

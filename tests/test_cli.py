@@ -16,11 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from conftest import reference_fraction_text
+
 import clustercones
-from clustercones.cli import main
+from clustercones.cli import _build_parser, main
+from clustercones.commands.enumerate import _poly_fraction_text
 from clustercones.commands.verify import _certificate_from_dict
+from clustercones.cones import GAP_TERM_LIMIT
 from clustercones.context import _context_from_key, _seed_context
 from clustercones.expressions import parse_ratio, render_ratio
+from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
+from clustercones.laurent import factor_texts
 
 
 @pytest.fixture()
@@ -88,14 +94,25 @@ def test_check_half_integral_counterexample_json(capsys):
     assert payload["subtraction_free"]["subtraction_free"] is False
 
 
-def test_check_omits_a_gap_expansion_out_of_exponent_range(capsys, tmp_path):
-    # lam = 9001/2 is bounded and not integral, and the gap expansion's
-    # exponents leave the 16-bit fields of a Laurent polynomial: the report
-    # is omitted, as on a belt that offers no expansions, and check exits 0
+UNDECIDED_GAP = {"kind": "undecided", "verified": False,
+                 "reason": f"the gap expansion may have more than {GAP_TERM_LIMIT} terms",
+                 "subtraction_free": None}
+
+
+def test_check_reports_an_oversized_gap_expansion_undecided(capsys, tmp_path):
+    # lam = k/2 is bounded and not integral for odd k, and the gap
+    # expansion's size bound is far above the limit: the report says so
+    # before anything is expanded, and check exits 0 (at k = 161 the
+    # expansion used to take 15 s; at 9001 its exponents leave the 16-bit
+    # fields of a Laurent polynomial)
+    for k in (161, 1000001):
+        code, payload = run_json(capsys, ["check", "--type", "C2", "--ratio",
+                                          f"(x1*x3*x5/(x2*x4*x6))^{k}", "--format", "json"])
+        assert code == 0 and payload["subtraction_free"] == UNDECIDED_GAP
     argv = ["check", "--type", "C2", "--ratio", "(x1*x3*x5/(x2*x4*x6))^9001",
             "--format", "json"]
     code, payload = run_json(capsys, argv)
-    assert code == 0 and "subtraction_free" not in payload
+    assert code == 0 and payload["subtraction_free"] == UNDECIDED_GAP
     assert payload["certificate"]["lambda"] == {"x2": "9001/2", "x4": "9001/2", "x6": "9001/2"}
     src = Path(clustercones.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-m", "clustercones.cli", *argv], cwd=tmp_path,
@@ -103,6 +120,14 @@ def test_check_omits_a_gap_expansion_out_of_exponent_range(capsys, tmp_path):
                           capture_output=True, text=True)
     assert done.returncode == 0 and done.stderr == ""
     assert json.loads(done.stdout) == payload
+    code, out, _ = run(capsys, argv[:-1] + ["text"])
+    assert code == 0
+    assert f"subtraction-free: undecided ({UNDECIDED_GAP['reason']})" in out
+    # an even power has integral lam: a chain, however large
+    code, payload = run_json(capsys, ["check", "--type", "C2", "--ratio",
+                                      "(x1*x3*x5/(x2*x4*x6))^1000000", "--format", "json"])
+    assert payload["subtraction_free"]["kind"] == "chain"
+    assert payload["subtraction_free"]["subtraction_free"] is True
 
 
 def test_check_integral_ratio_has_chain(capsys):
@@ -707,21 +732,79 @@ def test_enumerate_catalog_table(capsys):
 
 
 # sha256 of enumerate --format json for contexts whose exchange relations
-# carry exponents 2 and 3, taken when exact division still ran a heap
+# carry exponents 2 and 3, taken when exact division still ran a heap; of
+# the benchmark's three contexts (benchmark/golden.json); and, keyed
+# "CONTEXT text", of enumerate --format text, taken when the numerator
+# was still multiplied out by the denominator monomial
 ENUMERATE_GOLDEN = {
     "B3+3": "b5e122a8db4815deaadf04b7bc54872e4ea67403fbc6faa0c2b37d6309fbd481",
     "C3+3": "af2996604c155db90bd4825420ef6b53692cde631092280534c22716445af03e",
     "G2+2": "bc2ae1b1da5943388433d888dafc1ee28f4b8820d58df76c5fc50d029ab7dfa8",
+    "D5+5": "e6f3202daedb08474df6d347b343b7f62dffdadbcd1572f2eaac68df99a57552",
+    "E6+6": "fb9711475f1e8c952671c8fce311704974deccc351f601af6046d064aeadf0c2",
+    "F4+4": "ea9923de77208c22fbf74f3c24a682707a56e9ed21fc5d5c3b1d2ae1938b5706",
+    "E6+6 text": "4352a6fc61fe7f0265a3fcd311e3521420f8d781ac1785f8d532dbdfc9c4067f",
+    "G2+2 text": "3f8a03110b8edeb565387b5e62a292e0438ccdcc4b994c95c198a39e2d510755",
 }
 
 
 @pytest.mark.parametrize("context", sorted(ENUMERATE_GOLDEN))
 def test_enumerate_json_of_non_simply_laced_contexts_is_golden(capsys, context):
-    name, frozen = context.split("+")
+    label, _, fmt = context.partition(" ")
+    name, frozen = label.split("+")
     code, out, err = run(capsys, ["enumerate", "--type", name, "--frozen", frozen,
-                                  "--format", "json"])
+                                  "--format", fmt or "json"])
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_GOLDEN[context]
+
+
+# every catalog type of rank <= 6
+RENDER_CATALOG = ([f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4))
+                   for rank in range(low, 7)] + ["E6", "F4", "G2"])
+
+
+@pytest.mark.parametrize("name", RENDER_CATALOG)
+def test_enumerate_fractions_match_the_multiplied_out_reference(name):
+    # with 0..rank frozen attachments: each expansion's fraction text is
+    # the reference's, which multiplies the numerator out
+    dynkin = DynkinType.from_name(name)
+    for frozen in range(dynkin.rank + 1):
+        belt = BipartiteBelt(catalog_exchange(dynkin, frozen))
+        assert belt.offers_expansions
+        names = [belt.name(i) for i in range(belt.exchange.size)]
+        factors = factor_texts(names)
+        for id in belt.row_order:
+            poly = belt.poly(id)
+            assert _poly_fraction_text(poly, factors) == reference_fraction_text(poly, names)
+
+
+def test_the_shared_parser_carries_no_state_between_calls(capsys, monkeypatch):
+    # one parser serves every main call of a process: after a usage
+    # error, an unknown subcommand and an unbounded check, the first
+    # enumerate prints the same bytes again
+    assert _build_parser() is _build_parser()
+    first = ["enumerate", "--type", "E6", "--frozen", "6", "--format", "json"]
+    code, out, err = run(capsys, first)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_GOLDEN["E6+6"]
+    code, _, err = run(capsys, ["cone", "--type", "A2", "--subset", "pluecker"])
+    assert code == 2 and "--subset pluecker needs a --gr context" in err
+    with pytest.raises(SystemExit) as info:
+        main(["no-such-command"])
+    assert info.value.code == 2
+    assert "no-such-command" in capsys.readouterr().err
+    code, payload = run_json(capsys, ["check", "--type", "A1", "--frozen", "1",
+                                      "--ratio", "x1*x2"])
+    assert code == 1 and payload["certificate"]["verdict"] == "unbounded"
+    assert run(capsys, first) == (0, out, "")
+    # the default format still follows isatty on each call
+    argv = ["uvars", "--type", "A1", "--frozen", "1"]
+    for tty in (True, False, True):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda tty=tty: tty)
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert ("v(x1) = 1/(x1*x2)" in out) is tty
+        assert out.startswith("{") is not tty
 
 
 def test_enumerate_non_bipartite_seed_file(capsys, tmp_path):

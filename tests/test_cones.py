@@ -48,7 +48,8 @@ from clustercones.linalg import (
     right_kernel_basis,
     solve,
 )
-from clustercones.seeds import load_seed_file
+from clustercones.laurent import LaurentPolynomial
+from clustercones.seeds import _monomial, load_seed_file
 from clustercones.uvars import DegenerationRay, UVariable
 
 
@@ -192,6 +193,53 @@ def test_c2_counterexample_bounded_with_half_integer_factors():
     assert report2.verified
     assert report2.subtraction_free is True
     assert sorted(report2.chain) == [(1, 1), (3, 1), (5, 1)]
+
+
+def test_term_bound_is_at_least_the_term_count_it_bounds():
+    # random products of expansions, with exponents up to 3: the bound,
+    # read from cached corners and term counts, never undercounts
+    rng = random.Random(5)
+    for name, frozen in (("A3", 0), ("C2", 0), ("C2", 1), ("B3", 1), ("G2", 2), ("D4", 0)):
+        belt = belt_of(name, frozen)
+        polys = [belt.poly(e.id) for e in belt.entries]
+        one = LaurentPolynomial.one(belt.exchange.size)
+        for _ in range(15):
+            ids = rng.sample(range(len(polys)), 3)
+            terms = [(j, rng.randint(1, 3)) for j in ids]
+            assert cones._term_bound(polys, terms) >= _monomial(polys, terms, one).n_terms
+        assert cones._term_bound(polys, ()) == 1
+
+
+@pytest.mark.parametrize("k, kind", [(45, "expansion"), (47, "undecided")])
+def test_gap_expansions_above_the_term_limit_are_undecided(k, kind):
+    # (x1*x3*x5/(x2*x4*x6))^k on C2: the bound on D - N passes
+    # GAP_TERM_LIMIT between k = 45 and 47, and only below it is D - N
+    # expanded
+    belt = belt_of("C2")
+    U = build_u_matrix(belt)
+    cert = membership({0: k, 2: k, 4: k, 1: -k, 3: -k, 5: -k}, U)
+    report = subtraction_free_check(cert, U)
+    assert report.kind == kind
+    if kind == "undecided":
+        assert str(cones.GAP_TERM_LIMIT) in report.reason
+        assert report.positive is report.negative is None and not report.verified
+        assert report.subtraction_free is None
+    else:
+        assert report.subtraction_free is False
+
+
+def test_gap_expansion_leaving_the_laurent_range_is_undecided(monkeypatch):
+    # with the term limit out of the way, x2^9001 leaves the 16-bit
+    # exponent fields: the report is undecided, and nothing raises
+    monkeypatch.setattr(cones, "GAP_TERM_LIMIT", 10**30)
+    belt = belt_of("C2")
+    U = build_u_matrix(belt)
+    cert = membership({0: 9001, 2: 9001, 4: 9001, 1: -9001, 3: -9001, 5: -9001}, U)
+    report = subtraction_free_check(cert, U)
+    assert report.kind == "undecided"
+    assert report.reason == "the gap expansion's exponents leave the Laurent range"
+    assert report.to_dict(belt) == {"kind": "undecided", "verified": False,
+                                    "reason": report.reason, "subtraction_free": None}
 
 
 def test_single_u_variables_are_subtraction_free():

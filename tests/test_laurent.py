@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import laurent_from_terms, laurent_value, parse_laurent as P
+from conftest import laurent_from_terms, laurent_value, parse_laurent as P, reference_serialize
 
 from clustercones.laurent import (
     EXP_LIMIT,
@@ -14,6 +14,8 @@ from clustercones.laurent import (
     NotDivisible,
     _box_guards,
     _zero_key,
+    factor_texts,
+    render,
     unpack_exponents,
 )
 
@@ -510,6 +512,31 @@ def test_serialize_with_names():
     assert p.serialize(["a", "b"]) == "-a + 2*a^-1*b^2 + 1"
     assert p.serialize() == "-x1 + 2*x1^-1*x2^2 + 1"
     assert LaurentPolynomial.constant(2, 0).serialize(["a", "b"]) == "0"
+
+
+def test_serialize_matches_the_reference_rendering():
+    # signed terms, coefficients above 1, a constant, a monomial and zero,
+    # then random signed polynomials; with default and given names
+    rng = random.Random(41)
+    cases = [
+        P(2, "x1 - x2"),
+        P(3, "-3*x1^2*x3^-1 + x2 - 7"),
+        P(2, "12*x1^-4*x2^3 - 5*x1 + 2"),
+        P(2, "-4"),
+        P(1, "9"),
+        P(3, "-x1^-2*x2*x3^5"),
+        P(2, "6*x2^-1"),
+        LaurentPolynomial.constant(2, 0),
+    ]
+    cases += [_random_poly(rng, rng.randint(1, 5), nterms=9, span=6) for _ in range(60)]
+    for p in cases:
+        names = [f"v{i}" for i in range(p.nvars)]
+        assert p.serialize() == reference_serialize(p)
+        assert p.serialize(names) == reference_serialize(p, names)
+        # a shift is rendered as the product by its monomial
+        shift = [rng.randint(-3, 9) for _ in range(p.nvars)]
+        shifted = p * LaurentPolynomial.monomial(p.nvars, 1, shift)
+        assert render(p, factor_texts(names), shift) == reference_serialize(shifted, names)
 
 
 def test_products_refuse_exponents_that_would_wrap():
