@@ -9,13 +9,15 @@ and checks subtraction-freeness of bounded ratios.
 Every verdict rests on the dual basis G of the u-variables: one row of
 valuations per u-variable, from one min-plus walk along its degeneration
 ray, with G U = diag(c) and c > 0 (the extreme-ray theorem, per context).
-A ratio's u-exponents are lam = G v / c, confirmed by the exact residual
-U lam = v. As c > 0, lam has the signs of the integers G v, so
-membership and the replay of lam run on integers: G v and the torus
-weights of v under the kernel vectors U.kernel are one packed sum. lam
-is held in one form only, its powers: the (column, entry) pairs of its
-nonzero entries in column order, so each later step costs what the
-ratio touches. Nonnegative lam proves the ratio bounded; a negative
+UMatrix checks that identity exactly once, when it is built, and it makes
+U lam = v hold for every ratio v of weight zero with lam = G v / c (see
+UMatrix), so no ratio needs a residual of its own. As c > 0, lam has the
+signs of the integers G v, so membership runs on integers: G v and the
+torus weights of v under the kernel vectors U.kernel are one packed sum.
+lam is held in one form only, its powers: the (column, entry) pairs of
+its nonzero entries in column order, so each later step costs what the
+ratio touches. An entry is an int where it is integral and a Fraction
+otherwise (_quotient). Nonnegative lam proves the ratio bounded; a negative
 entry lam_gamma means the ratio has valuation c_gamma lam_gamma < 0
 along gamma's ray, so it grows like t^val as t -> 0, which the replay
 confirms with one min-plus walk. A bounded ratio with integral lam is a
@@ -28,7 +30,7 @@ subtraction-freeness.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from itertools import compress
 from math import gcd, lcm
 from operator import lshift
@@ -85,10 +87,24 @@ class UMatrix:
     under the kernel vectors, then its column of G, whose entry j is the
     variable's valuation along rays[j], as the width-bit lanes of one int
     from one packed walk along the kernel vectors and the rays (see
-    _solve). The row g_j of G is entry j of every column, and scales[j] =
-    g_j . u_j = c_j > 0. bound is the least 2**b with all lanes in
+    _packed_sum). The row g_j of G is entry j of every column, and
+    scales[j] = g_j . u_j = c_j. bound is the least 2**b with all lanes in
     [-2**b, 2**b), tested per int by adding 2**b to every lane and masking
     the field bits above b, as seeds._packed_exchange does.
+
+    Building U checks, exactly and once, what makes membership need no
+    residual. Write K for the kernel weights, one row per kernel vector.
+    The packed sum of u_j's entries (_packed_sum) holds K u_j and G u_j in
+    its lanes; it must be c_j in lane k + j (k = len(kernel)) and 0 in
+    every other lane, with c_j > 0, so K U = 0 and G U = diag(c). The
+    kernel vectors and the u-variables together must also number the
+    rows. A failure raises RuntimeError. Lemma: then, for a ratio v of
+    weight zero (K v = 0) and lam = G v / c, U lam = v. Let x = v - U lam.
+    K x = K v - K U lam = 0, and G x = G v - diag(c) lam = 0. K has full
+    rank (on the initial cluster its columns are the kernel basis), and a
+    relation a K + b G = 0 among the rows of [K; G] gives b diag(c) = 0
+    after multiplying by U, so b = 0 and then a = 0: the square matrix
+    [K; G] is injective, and x = 0.
 
     U is kept as the sparse u-vectors. Its rows, dense or sparse (as
     (column, coefficient) pairs, which subset_cone reads), are built on
@@ -103,17 +119,30 @@ class UMatrix:
         self.kernel = belt.exchange.kernel_basis()
         self.rays = [degeneration_ray(belt, u.gamma) for u in uvars]
         k, n = len(self.kernel), len(self.kernel) + len(uvars)
+        if n != len(self.row_ids):
+            raise RuntimeError(
+                f"{k} kernel vectors and {len(uvars)} u-variables do not "
+                f"number the {len(self.row_ids)} rows")
         width, self.packed = belt._packed_columns(
             [(alpha, 0) for alpha in self.kernel]
             + [(ray.beta, ray.step) for ray in self.rays])
-        lanes = list(map(_lane_unpacker(width, n), self.packed))
-        self.scales = [sum(b * lanes[id][k + j] for id, b in u.vector.items())
-                       for j, u in enumerate(uvars)]
         ones, b = ((1 << width * n) - 1) // ((1 << width) - 1), 0
         while any((p + (ones << b)) & ((ones << width) - (ones << b + 1))
                   for p in self.packed):
             b += 1
         self.width, self.bound = width, 1 << b
+        self.scales = []
+        for j, u in enumerate(uvars):
+            # no lane of the sum wraps (_packed_sum), so it equals c << shift,
+            # with c a lane's value, only if every other lane is 0
+            total, width = self._packed_sum(u.vector)
+            shift = width * (n - 1 - k - j)
+            c = total >> shift
+            if not (0 < c < 1 << (width - 1) and c << shift == total):
+                raise RuntimeError(
+                    f"the dual basis does not invert U at column {j} "
+                    f"(u-variable of {belt.name(u.gamma)})")
+            self.scales.append(c)
 
     @cached_property
     def _sparse_rows(self) -> list[list[tuple[int, int]]]:
@@ -135,42 +164,58 @@ class UMatrix:
     def num_cols(self) -> int:
         return len(self.uvars)
 
-    def _solve(self, vector: dict[int, int]):
-        """(weights, powers, G vector) of a ratio: its weights under the
-        kernel vectors, the (column, Fraction) pairs of its nonzero lam_j =
-        (G vector)_j / c_j in column order (None unless U lam = vector, see
-        _numerators), and G vector, its valuations c_j lam_j along the rays.
-
-        The weights and G vector are the lanes of sum e * packed[id],
-        unpacked once. No lane of it exceeds sum |e| * bound in absolute
-        value; where that could reach 2**(width-1), the vector's columns
-        are repacked at twice the width, or more, so no lane wraps.
-        """
-        width, packed, k = self.width, self.packed, len(self.kernel)
-        n = k + len(self.uvars)
+    def _packed_sum(self, vector: dict[int, int]) -> tuple[int, int]:
+        """(sum e * packed[id] over the vector's items, its lane width):
+        the vector's weights under the kernel vectors, then G vector, as
+        the lanes of one int. No lane of it exceeds sum |e| * bound in
+        absolute value; where that could reach 2**(width-1), the vector's
+        columns are repacked at twice the width, or more, so no lane
+        wraps."""
+        width, packed = self.width, self.packed
         need = self.bound * sum(map(abs, vector.values()))
         if need >= 1 << (width - 1):
-            unpack = _lane_unpacker(width, n)
+            unpack = _lane_unpacker(width, len(self.kernel) + len(self.uvars))
             while need >= 1 << (width - 1):
                 width *= 2
             packed = {id: reduce(lambda out, v: (out << width) + v,
                                  unpack(packed[id]), 0) for id in vector}
-        out = _lane_unpacker(width, n)(
-            sum(e * packed[id] for id, e in vector.items()))
+        return sum(e * packed[id] for id, e in vector.items()), width
+
+    def _solve(self, vector: dict[int, int]):
+        """(weights, powers, G vector) of a ratio: its weights under the
+        kernel vectors, the (column, entry) pairs of its nonzero lam_j =
+        (G vector)_j / c_j in column order (None unless every weight is 0),
+        and G vector, its valuations c_j lam_j along the rays, all read
+        off the lanes of one packed sum (_packed_sum), unpacked once. A
+        ratio of weight zero has U lam = vector by the lemma of UMatrix,
+        so nothing else is checked.
+        """
+        k, n = len(self.kernel), len(self.kernel) + len(self.uvars)
+        total, width = self._packed_sum(vector)
+        out = _lane_unpacker(width, n)(total)
         weights, nums = out[:k], out[k:]
-        if not any(weights):
-            powers = tuple((j, Fraction(nums[j], self.scales[j]))
-                           for j in compress(range(len(nums)), nums))
-            if _numerators(self, powers, vector) is not None:
-                return weights, powers, nums
-        return weights, None, nums
+        if any(weights):
+            return weights, None, nums
+        scales = self.scales
+        return weights, tuple((j, _quotient(nums[j], scales[j]))
+                              for j in compress(range(len(nums)), nums)), nums
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """num / den for den > 0, as an int when den divides num and as a
+    Fraction otherwise: the one form of a lam entry. An int is a Rational
+    with denominator 1, so both print, compare and replay alike."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _numerators(U: "UMatrix", powers, vector: dict[int, int]) -> list[int] | None:
     """The integers L lam_j of the powers (j, lam_j), L the lcm of their
-    denominators, if U lam is the ratio vector, else None. The residual
-    sum of (L lam_j) u_j - L vector is in integers and can be nonzero only
-    on the rows the powers touch and the vector's support, summed alone."""
+    denominators, if U lam is the ratio vector, else None: the replay's
+    residual (verify_certificate), which takes a certificate's lam as it
+    stands. The residual sum of (L lam_j) u_j - L vector is in integers and
+    can be nonzero only on the rows the powers touch and the vector's
+    support, summed alone."""
     scale = lcm(*(l.denominator for _, l in powers))
     residual = {id: -scale * e for id, e in vector.items()}
     nums = []
@@ -202,8 +247,9 @@ class Certificate:
     weight under it.
 
     lam is held as powers alone: its (column, entry) pairs in column order,
-    the zero entries left out. Fields read from a file are kept as they
-    stand, for the replay (verify_certificate) to refuse.
+    the zero entries left out, each entry an int where it is integral and
+    a Fraction otherwise. Fields read from a file are kept as they stand,
+    for the replay (verify_certificate) to refuse.
     """
 
     __slots__ = ("vector", "verdict", "powers", "alpha", "weight", "ray")
@@ -244,10 +290,11 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
     """Decide whether a ratio vector lies in the bounded cone.
 
     Weight-zero failure short-circuits with the first vector of U.kernel
-    under which the ratio has nonzero weight. Otherwise the unique
-    u-exponent solution lam exists (the weights under U.kernel span the
-    left kernel of U). Its signs are those of the integer valuations
-    G vector, as every scale c_j > 0: none negative certifies boundedness.
+    under which the ratio has nonzero weight. Otherwise lam = G vector / c
+    is the unique u-exponent solution, U lam = vector, by the lemma that
+    UMatrix checks once when it is built. Its signs are those of the
+    integer valuations G vector, as every scale c_j > 0: none negative
+    certifies boundedness.
     Otherwise the least lam_gamma, first on ties, yields gamma's
     degeneration ray, along which the ratio has valuation
     c_gamma * lam_gamma < 0 and so blows up. All of it is read off one
@@ -258,11 +305,6 @@ def membership(vector: dict[int, int], U: UMatrix) -> Certificate:
         if weight:
             return Certificate(vector, "not-weight-zero",
                                alpha=alpha, weight=weight)
-    if powers is None:
-        raise RuntimeError(
-            "ratio has weight zero but is outside the u-span; "
-            "the kernel weights failed to span the left kernel"
-        )
     if min(nums, default=0) >= 0:
         return Certificate(vector, "bounded", powers=powers)
     scales, j = U.scales, powers[0][0]
@@ -473,15 +515,16 @@ def _double_description(
 class ExtremeRay:
     """Primitive integer ratio vector with its u-variable provenance.
 
-    powers holds the ray's nonzero u-exponents as (column, Fraction)
-    pairs in column order: a ray has a handful of them out of
+    powers holds the ray's nonzero u-exponents as (column, entry) pairs
+    in column order, each entry an int where it is integral and a
+    Fraction otherwise: a ray has a handful of them out of
     UMatrix.num_cols.
     """
 
     __slots__ = ("vector", "powers")
 
     def __init__(self, vector: dict[int, int],
-                 powers: tuple[tuple[int, Fraction], ...]):
+                 powers: tuple[tuple[int, int | Fraction], ...]):
         self.vector = vector
         self.powers = powers
 
@@ -553,7 +596,6 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
         (row for id, row in zip(U.row_ids, U._sparse_rows) if id not in subset),
         key=lambda row: row[-1][0] - row[0][0] if row else 0)
     uvectors = [u.vector for u in U.uvars]
-    fraction = cache(Fraction)  # the rays share a few distinct powers
     rays = []
     for ell in _double_description(eq_rows, U.num_cols):
         support = sorted(ell)
@@ -568,7 +610,7 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
         vector = {id: e // g for id, e in total.items() if e}
         if not subset.issuperset(vector):
             raise RuntimeError("ray escaped the requested subset")
-        powers = tuple((j, fraction(ell[j], g)) for j in support)
+        powers = tuple((j, _quotient(ell[j], g)) for j in support)
         rays.append(ExtremeRay(vector, powers))
     # in the lexicographic order of the exponent lists in row order
     # (U.row_ids), read off the nonzeros: with m the largest |e|, adding m to
@@ -661,10 +703,9 @@ def subtraction_free_check(cert: Certificate, U: UMatrix) -> SubtractionFreeRepo
         raise ValueError("subtraction-freeness is only defined for bounded ratios")
     belt = U.belt
     if cert.integral:
-        chain = [(U.uvars[j], int(l)) for j, l in cert.powers]
         return SubtractionFreeReport(
-            "chain", chain=[(u.gamma, m) for u, m in chain],
-            verified=_verify_chain(belt, [u for u, _ in chain]))
+            "chain", chain=[(U.uvars[j].gamma, m) for j, m in cert.powers],
+            verified=_verify_chain(belt, [U.uvars[j] for j, _ in cert.powers]))
     denoms = lcm(*(l.denominator for _, l in cert.powers))
     one = LaurentPolynomial.one(belt.exchange.size)
     polys = [belt.poly(e.id) for e in belt.entries]

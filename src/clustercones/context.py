@@ -163,14 +163,16 @@ def _int(value, what: str) -> int:
     return value
 
 
-def _exact(value, what: str) -> Fraction:
-    """Fraction(value) for a JSON integer or string such as "-1/2";
-    TypeError naming what for anything else (Fraction() reads true as 1
-    and a float as its binary value)."""
+def _exact(value, what: str) -> int | Fraction:
+    """The rational a JSON integer or string such as "-1/2" names, as an
+    int when it is integral and a Fraction otherwise, the form the
+    package's certificates hold; TypeError naming what for anything else
+    (Fraction() reads true as 1 and a float as its binary value)."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(
             f"{what} must be an integer or a string, got {json.dumps(value)}")
-    return Fraction(value)
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _context_from_key(key: dict) -> Context:

@@ -652,7 +652,7 @@ class GrassmannianCluster:
             if not (cert.bounded and cert.integral):
                 raise RatioTableError(
                     f"u-exponents of {p!r} are not all nonnegative integers")
-            lams.append(Counter({col: int(l) for col, l in cert.powers}))
+            lams.append(Counter(dict(cert.powers)))
         return lams
 
     def factor_into_primitives(
@@ -689,7 +689,7 @@ class GrassmannianCluster:
             raise UnboundedRatioError(cert)
         if not cert.integral:
             raise ValueError("u-exponents are not integral; no monomial factorization")
-        lam = Counter({col: int(l) for col, l in cert.powers})
+        lam = Counter(dict(cert.powers))
         counted = []  # (primitive, times subtracted in a row)
         while lam:
             for prim, lam_p in zip(self.primitive_ratios(), self._primitive_lams):

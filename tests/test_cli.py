@@ -22,7 +22,7 @@ import clustercones
 from clustercones.cli import _build_parser, main
 from clustercones.commands.enumerate import _poly_fraction_text
 from clustercones.commands.verify import _certificate_from_dict
-from clustercones.cones import GAP_TERM_LIMIT
+from clustercones.cones import GAP_TERM_LIMIT, membership
 from clustercones.context import _context_from_key, _seed_context
 from clustercones.expressions import parse_ratio, render_ratio
 from clustercones.finite_type import BipartiteBelt, DynkinType, catalog_exchange
@@ -323,6 +323,34 @@ def test_certificate_verdict_must_be_one_of_the_three(capsys, tmp_path, verdict)
     assert code == 2 and out == ""
     assert err.startswith("error: malformed certificate (ValueError: ")
     assert '"verdict"' in err and len(err.splitlines()) == 1
+
+
+C2_FRACTIONAL_CHECK = ["check", "--type", "C2", "--ratio", "x1*x3*x5/(x2*x4*x6)"]
+
+
+@pytest.mark.parametrize("check", [GR38_BOUNDED_CHECK, GR38_UNBOUNDED_CHECK,
+                                   C2_FRACTIONAL_CHECK],
+                         ids=["gr38-bounded", "gr38-unbounded", "c2-fractional"])
+def test_certificate_read_back_equals_a_fresh_one_type_for_type(capsys, tmp_path, check):
+    # the reader holds an integral lambda entry as an int and any other as
+    # a Fraction, as membership does, so a file read back is the
+    # certificate that was written, entry types included
+    path = tmp_path / "cert.json"
+    run(capsys, [*check, "--certificate-out", str(path)])
+    record = json.loads(path.read_text())
+    ctx = _context_from_key(record["context"])
+    read = _certificate_from_dict(record["certificate"], ctx)
+    fresh = membership(read.vector, ctx.U)
+
+    def typed(cert):
+        ray = cert.ray and (cert.ray.gamma, cert.ray.step, list(cert.ray.beta),
+                            cert.ray.valuation)
+        return (cert.verdict, cert.vector, ray,
+                [(j, l, type(l)) for j, l in cert.powers])
+
+    assert typed(read) == typed(fresh)
+    assert {type(l) for _, l in read.powers} == (
+        {Fraction} if check is C2_FRACTIONAL_CHECK else {int})
 
 
 @pytest.mark.parametrize("check", [BOUNDED_CHECK, GR38_BOUNDED_CHECK, GR38_UNBOUNDED_CHECK],

@@ -64,7 +64,7 @@ def coeff_vec(U, coeffs):
 def combine(U, lam):
     """Row-order exponent vector of the u-monomial with powers lam, in
     Fractions if lam holds one and in integers otherwise: the oracle for
-    U lam that the integer residual and replay checks are held to."""
+    U lam that membership's lemma and the replay's residual are held to."""
     zero = Fraction(0) if Fraction in map(type, lam) else 0
     out = [zero] * U.num_rows
     for l, u in zip(lam, U.uvars):
@@ -86,6 +86,13 @@ def dual_rows(U):
     nonzero entries, read off U's columns of G."""
     return [{id: col[j] for id, col in enumerate(dual_columns(U)) if col[j]}
             for j in range(U.num_cols)]
+
+
+def one_form(power):
+    """Whether a (column, entry) power holds its entry in the one form of
+    a lam entry: an int when it is integral, a Fraction otherwise."""
+    l = power[1]
+    return type(l) is (int if l.denominator == 1 else Fraction)
 
 
 def pair(valuations, vector):
@@ -598,7 +605,7 @@ def test_gr37_pluecker_rays_replay_through_membership(gr37):
         cert = membership(r.vector, U)
         assert cert.verdict == "bounded"
         assert cert.powers == r.powers
-        assert all(type(l) is Fraction for l in dense_lam(r.powers, U.num_cols))
+        assert all(map(one_form, r.powers))
 
 
 @pytest.mark.parametrize("context", ["C2", "gr36", "gr38"])
@@ -615,7 +622,7 @@ def test_ray_powers_are_the_nonzero_lam_entries(request, context):
         columns = [j for j, _ in r.powers]
         assert columns == sorted(set(columns))
         assert all(0 <= j < U.num_cols for j in columns)
-        assert all(type(l) is Fraction and l > 0 for _, l in r.powers)
+        assert all(one_form(p) and p[1] > 0 for p in r.powers)
         lam = dense_lam(r.powers, U.num_cols)
         assert [(j, l) for j, l in enumerate(lam) if l] == list(r.powers)
         assert combine(U, lam) == dense_ratio(U, r.vector)
@@ -770,7 +777,7 @@ def test_dual_basis_inverts_u(request, context):
         dense = combine(U, lam)
         vector = {id: e for id, e in zip(U.row_ids, dense) if e}
         assert dense_lam(U._solve(vector)[1], U.num_cols) == lam == oracle.solve(dense)
-    # off the u-span the residual check refuses, as the oracle does
+    # off the u-span a nonzero weight refuses, as the oracle does
     refused = 0
     for id in U.row_ids:
         got = dense_lam(U._solve({id: 1})[1], U.num_cols)
@@ -895,6 +902,102 @@ def test_packed_walk_of_no_rays_and_of_a_wrong_beta(gr26):
     assert belt.valuation_columns([]) == [[] for _ in belt.entries]
     with pytest.raises(ValueError, match="one exponent per node"):
         belt.valuation_columns([([1], 0)])
+
+
+# the build-time check of G U = diag(c) and the lemma that rests on it
+
+
+@pytest.mark.parametrize("lane", ["kernel", "dual"])
+def test_a_corrupted_ray_valuation_fails_the_build(gr36, monkeypatch, lane):
+    # one variable's lane off by one: under a kernel vector, K u_j is no
+    # longer 0 for a u-variable holding it; along the ray of another
+    # u-variable, an off-diagonal entry of G U is no longer 0
+    belt, uvars = gr36.belt, gr36.uvars
+    k = len(gr36.U.kernel)
+    j, i = 0, 1
+    id = next(iter(uvars[j].vector))
+    assert k > 0
+    column = 0 if lane == "kernel" else k + i
+    packed_columns = BipartiteBelt._packed_columns
+
+    def corrupted(self, rays):
+        width, packed = packed_columns(self, rays)
+        packed = list(packed)
+        packed[id] += 1 << width * (len(rays) - 1 - column)
+        return width, packed
+
+    monkeypatch.setattr(BipartiteBelt, "_packed_columns", corrupted)
+    with pytest.raises(RuntimeError, match="does not invert U"):
+        build_u_matrix(belt, uvars)
+
+
+def test_kernel_and_u_variables_must_number_the_rows(gr36):
+    with pytest.raises(RuntimeError, match="do not number"):
+        build_u_matrix(gr36.belt, gr36.uvars[:-1])
+
+
+def weight_zero_vectors(U, rng, count):
+    """count seeded ratio vectors of weight zero under U.kernel: integer
+    u-monomials, and, with at most one kernel vector, random small vectors
+    (every one of them on a belt without frozen variables, and w' v - w v'
+    from two of weights w and w' under the one kernel vector otherwise)."""
+    weights = kernel_weights(U)
+
+    def small():
+        return {id: rng.choice((-2, -1, 1, 2))
+                for id in rng.sample(U.row_ids, rng.randint(1, 4))}
+
+    vectors = []
+    while len(vectors) < count:
+        if len(weights) > 1 or rng.random() < 0.4:
+            lam = [rng.choice((-2, -1, 0, 0, 0, 0, 1, 2)) for _ in U.uvars]
+            vector = {id: e for id, e in zip(U.row_ids, combine(U, lam)) if e}
+        elif not weights:
+            vector = small()
+        else:
+            v, w = small(), small()
+            a, b = pair(weights[0], v), pair(weights[0], w)
+            vector = {id: b * v.get(id, 0) - a * w.get(id, 0) for id in {*v, *w}}
+            vector = {id: e for id, e in vector.items() if e}
+        if vector:
+            vectors.append(vector)
+    return vectors
+
+
+@pytest.mark.parametrize("context", ["gr36", "gr38", "C2+0", "B2+0", "G2+0", "G2+1"])
+def test_weight_zero_vectors_get_u_lam_exactly(request, context):
+    # membership computes no residual: the build-time check of G U =
+    # diag(c) makes U lam = v for every ratio v of weight zero, which the
+    # oracle confirms here on 200 seeded vectors per context
+    U = u_matrix_of(request, context)
+    fractional = 0
+    for vector in weight_zero_vectors(U, random.Random(307), 200):
+        cert = membership(vector, U)
+        assert cert.verdict in ("bounded", "unbounded")
+        assert all(map(one_form, cert.powers))
+        assert combine(U, dense_lam(cert.powers, U.num_cols)) == dense_ratio(U, vector)
+        fractional += not cert.integral
+    # U's columns are saturated on the Grassmannians, of index 2 on B2 and
+    # C2 and of index 3 on G2 (ROADMAP item 8)
+    assert fractional == 0 if context.startswith("gr") else fractional > 0
+
+
+@pytest.mark.parametrize("context", ["gr36", "G2+1", "A1+1"])
+def test_unit_vectors_off_the_span_get_no_powers(request, context):
+    # a unit vector of nonzero weight is outside the u-span: membership
+    # names the weight and holds no powers; one of weight zero is in it
+    U = u_matrix_of(request, context)
+    weights = kernel_weights(U)
+    off = 0
+    for id in U.row_ids:
+        cert = membership({id: 1}, U)
+        if any(w[id] for w in weights):
+            assert cert.verdict == "not-weight-zero" and cert.powers is None
+            assert U._solve({id: 1})[1] is None
+            off += 1
+        else:
+            assert combine(U, dense_lam(cert.powers, U.num_cols)) == dense_ratio(U, {id: 1})
+    assert off > 0
 
 
 # replay of tampered certificates
@@ -1077,7 +1180,7 @@ def test_membership_matches_the_fraction_reference(request, context):
         verdict, lam, j, valuation = reference_certificate(U, vector)
         assert cert.verdict == verdict
         assert dense_lam(cert.powers, U.num_cols) == lam
-        assert all(type(l) is Fraction for l in dense_lam(cert.powers, U.num_cols))
+        assert all(map(one_form, cert.powers))
         if j is None:
             assert cert.ray is None
         else:
