@@ -397,14 +397,19 @@ def _double_description(
     ray id, each as its sparse {column: value} and its support as a bit
     mask; ids are handed out in increasing order and renumbered 0, 1, ...
     (in the same order) once they run past twice the number of current
-    rays, so the bitsets below stay short. nz[i] is the
-    bitset of the ids of the current rays whose support holds i, kept up
-    to date: a row visits only the rays in the union of nz over its
-    columns (every other ray has dot product 0 and stays), the rays it
-    makes positive or negative leave the dict and nz, and the new rays
-    enter both after the row's pair loop. A new ray is
-    s_p * r_n - s_n * r_p with s_p > 0 > s_n and r_p, r_n >= 0, so nothing
-    cancels and its support is exactly S = S_p | S_n.
+    rays, so the bitsets below stay short. alive is the bitset of the ids
+    of the current rays, and nz[i] the bitset of the ids of the rays that
+    held i since the last renumbering, the deleted ones included; every
+    id read off nz is masked by alive. A row visits only the rays in the
+    union of nz over its columns, masked (every other ray has dot product
+    0 and stays); the rays it makes positive or negative leave the dict
+    and clear their bit of alive, and the new rays take fresh ids, set in
+    alive and in nz, after the row's pair loop. An id is never handed out
+    twice between renumberings, and renumbering rebuilds nz and alive from
+    the current rays alone, so a deleted ray's stale bits in nz name no
+    other ray. A new ray is s_p * r_n - s_n * r_p with s_p > 0 > s_n and
+    r_p, r_n >= 0, so nothing cancels and its support is exactly
+    S = S_p | S_n.
 
     A positive ray p and a negative ray n are adjacent iff no third current
     ray has its support inside S (its zero set containing their common
@@ -420,27 +425,31 @@ def _double_description(
     therefore lies inside S_n and is n itself, and likewise for p. Nor
     are p and n candidates: p misses S_n - S_p and n misses S_p - S_n.
     Nor is a deleted ray: it left the cone with the row that made it
-    nonzero, so it could wrongly block an adjacent pair, but its bits
-    leave nz with it, before any new ray takes an id, so every id read
-    off nz names a current ray. A new ray lies in the relative interior
-    of the 2-face of its pair, and distinct faces have disjoint relative
-    interiors, so the new rays differ from each other and from the kept
-    (extreme) ones: no deduplication is needed.
+    nonzero, so it could wrongly block an adjacent pair, but its bit left
+    alive with it, before any new ray took an id, and every id read off
+    nz is masked by alive, so every candidate is a current ray. A new ray
+    lies in the relative interior of the 2-face of its pair, and distinct
+    faces have disjoint relative interiors, so the new rays differ from
+    each other and from the kept (extreme) ones: no deduplication is
+    needed.
 
     The supports hold a handful of columns, so a pair costs Python steps,
-    not arithmetic, and the loops take as few as they can: a dot product
-    reads the row's columns off the ray's dict, S_p - S_n is the columns
-    of p that are not keys of n's dict, the pair loop runs only when the
-    row makes rays of both signs, and a new ray is divided only by a gcd
-    other than 1.
+    not arithmetic, and the loops take as few as they can: a ray leaves
+    by one bit of alive, not by one bit of nz per column it holds, a dot
+    product reads the row's columns off the ray's dict, S_p - S_n is the
+    columns of p that are not keys of n's dict, the pair loop runs only
+    when the row makes rays of both signs, and a new ray is divided only
+    by a gcd other than 1.
     """
     rays = {i: ({i: 1}, 1 << i) for i in range(dim)}
-    nz = [1 << i for i in range(dim)]  # nz[i]: ids of the rays holding i
+    nz = [1 << i for i in range(dim)]  # nz[i]: ids of rays that held i
+    alive = (1 << dim) - 1  # the ids of the current rays
     next_id = dim
     for processed, terms in enumerate(equalities):
         touched = 0
         for c, _ in terms:
             touched |= nz[c]
+        touched &= alive
         pos = []
         neg = []
         while touched:
@@ -469,7 +478,7 @@ def _double_description(
                 for i in vn:
                     if i not in vp:
                         from_n |= nz[i]
-                blockers = from_p & from_n
+                blockers = from_p & from_n & alive
                 while blockers:
                     low = blockers & -blockers
                     if rays[low.bit_length() - 1][1] | both == both:
@@ -483,14 +492,13 @@ def _double_description(
                     if g != 1:
                         vec = {i: v // g for i, v in vec.items()}
                     new.append((vec, both))
-        for k, _, vec, _ in pos + neg:
+        for k, _, _, _ in pos + neg:
             del rays[k]
-            bit = ~(1 << k)
-            for i in vec:
-                nz[i] &= bit
+            alive ^= 1 << k
         for ray in new:
             rays[next_id] = ray
             bit = 1 << next_id
+            alive |= bit
             for i in ray[0]:
                 nz[i] |= bit
             next_id += 1
@@ -506,6 +514,7 @@ def _double_description(
                 for i in vec:
                     nz[i] |= 1 << k
             next_id = len(rays)
+            alive = (1 << next_id) - 1
     return [vec for vec, _ in rays.values()]
 
 
@@ -551,16 +560,14 @@ class ConeDescription:
 
     def to_dict(self) -> dict:
         belt = self.umatrix.belt
-        uvars = self.umatrix.uvars
+        names = list(map(belt.name, range(len(belt.entries))))
+        gammas = [names[u.gamma] for u in self.umatrix.uvars]
         return {
-            "subset": sorted(belt.name(id) for id in self.subset),
+            "subset": sorted(names[id] for id in self.subset),
             "rays": [
                 {
-                    "ratio": {belt.name(id): e
-                              for id, e in sorted(r.vector.items())},
-                    "lambda": {
-                        belt.name(uvars[j].gamma): str(l) for j, l in r.powers
-                    },
+                    "ratio": {names[id]: e for id, e in sorted(r.vector.items())},
+                    "lambda": {gammas[j]: str(l) for j, l in r.powers},
                 }
                 for r in self.rays
             ],
@@ -574,10 +581,15 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     must have exponent zero on every variable outside the subset. Double
     description over those equality rows gives the lambda-rays, which map
     through U to the ratio vectors themselves. U's rows go in sparse and
-    the lambda-rays come out sparse, and each ray is built from the
-    nonzero entries of its lambda-ray alone: the sparse u-vectors of those
-    columns are summed and divided by the gcd of the sum, which leaves the
-    ray's sparse powers (see ExtremeRay).
+    the lambda-rays come out sparse, and each ray is built in one pass
+    over the nonzero entries of its lambda-ray, in column order: the
+    sparse u-vectors of those columns are summed, and the sum is divided
+    by its gcd g. The ray's powers (see ExtremeRay) are the lambda-ray's
+    entries divided by g: when g is 1 they are its ints as they stand,
+    and only otherwise is each divided (_quotient). No sum is 0: UMatrix
+    checks G U = diag(c) with every c > 0, so G U lam = diag(c) lam is
+    nonzero, and so is U lam, for every nonzero lam >= 0. A ray off the
+    subset would be a fault, and raises RuntimeError.
     """
     subset = frozenset(subset)
     # Rows go in narrowest band first: by the last column of the row less
@@ -598,19 +610,19 @@ def subset_cone(subset, U: UMatrix) -> ConeDescription:
     uvectors = [u.vector for u in U.uvars]
     rays = []
     for ell in _double_description(eq_rows, U.num_cols):
-        support = sorted(ell)
+        powers = tuple(sorted(ell.items()))
         total: dict[int, int] = {}
-        for j in support:
-            l = ell[j]
+        for j, l in powers:
             for id, c in uvectors[j].items():
                 total[id] = total.get(id, 0) + l * c
         g = gcd(*total.values())
-        if g == 0:
-            continue
-        vector = {id: e // g for id, e in total.items() if e}
+        if g == 1:
+            vector = {id: e for id, e in total.items() if e}
+        else:
+            vector = {id: e // g for id, e in total.items() if e}
+            powers = tuple((j, _quotient(l, g)) for j, l in powers)
         if not subset.issuperset(vector):
             raise RuntimeError("ray escaped the requested subset")
-        powers = tuple((j, _quotient(ell[j], g)) for j in support)
         rays.append(ExtremeRay(vector, powers))
     # in the lexicographic order of the exponent lists in row order
     # (U.row_ids), read off the nonzeros: with m the largest |e|, adding m to

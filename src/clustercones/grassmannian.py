@@ -568,15 +568,12 @@ class GrassmannianCluster:
             raise IdentificationError("rotation has wrong order")
         return perm
 
-    def rotate_vector(self, vector: dict[int, int]) -> dict[int, int]:
-        perm = self.rotation()
-        return {perm[id]: e for id, e in vector.items()}
-
     def ray_orbits(self, cone: ConeDescription) -> list[list[int]]:
         """Ray indices grouped into rotation orbits; fails if not closed."""
         ray_index = cone.ray_index
         if len(ray_index) != len(cone.rays):
             raise IdentificationError("duplicate rays in cone description")
+        perm = self.rotation()
         orbits = []
         seen = set()
         for start in range(len(cone.rays)):
@@ -584,10 +581,10 @@ class GrassmannianCluster:
                 continue
             orbit = [start]
             seen.add(start)
-            current = cone.rays[start].vector
+            current = cone.rays[start].vector.items()
             while True:
-                current = self.rotate_vector(current)
-                nxt = ray_index.get(frozenset(current.items()))
+                current = frozenset([(perm[id], e) for id, e in current])
+                nxt = ray_index.get(current)
                 if nxt is None:
                     raise IdentificationError(
                         "rotation carried an extreme ray outside the cone"
@@ -598,6 +595,45 @@ class GrassmannianCluster:
                 seen.add(nxt)
             orbits.append(orbit)
         return orbits
+
+    @functools.cached_property
+    def _table_names(self):
+        """(class_ids, canon) for check_ray_table, built once: the ids of
+        degree >= 2 by content, in row order, and the reading of a table
+        name (name, column groups) as ("id", the minor's id) or as ("cls",
+        its content, its column groups), memoized, as a table repeats its
+        names from row to row. A name that reads as neither raises
+        RatioTableError, on every call."""
+        k, n = self.k, self.n
+        class_ids: dict[tuple[int, ...], list[int]] = {}
+        for id in self.belt.row_order:
+            if self.degree[id] >= 2:
+                class_ids.setdefault(self.content[id], []).append(id)
+
+        @functools.cache
+        def canon(token: TableName):
+            name, groups = token
+            if len(groups) == 1 and len(groups[0]) == k:
+                J = tuple(sorted(groups[0]))
+                id = self.minor_id.get(J)
+                if id is None:
+                    raise RatioTableError(f"{name!r} names no minor of Gr({k},{n})")
+                return ("id", id)
+            content = [0] * n
+            for g in groups:
+                for c in g:
+                    if not 1 <= c <= n:
+                        raise RatioTableError(f"{name!r} uses column {c} outside 1..{n}")
+                    content[c - 1] += 1
+            content = tuple(content)
+            if content not in class_ids:
+                raise RatioTableError(f"{name!r}: no registry variable has that content")
+            # key by the column groups only: q[147|368] on the left and
+            # v[147|368] on the right refer to the same variable
+            key = "|".join("".join(str(c) for c in g) for g in groups)
+            return ("cls", content, key)
+
+        return class_ids, canon
 
     # primitive ratios
 
@@ -782,7 +818,8 @@ def check_ray_table(
 
     Rows are as load_ray_table gives them, each name with its column
     groups; what depends on the cluster (the minor a name is, or its
-    content and the variables that share it) is read here. Minor names
+    content and the variables that share it) is read here, through the
+    cluster's _table_names, built on the first call. Minor names
     pin registry ids exactly. A name with several column
     groups only pins the content multiset, which up to three registry
     variables share; the checker searches injective per-content
@@ -811,36 +848,9 @@ def check_ray_table(
     RatioTableError when no assignment survives, or when more than
     _ASSIGNMENT_CAP do after some row.
     """
-    n = grass.n
     gammas = [u.gamma for u in cone.umatrix.uvars]
     ray_index = cone.ray_index
-    class_ids: dict[tuple[int, ...], list[int]] = {}
-    for id in grass.belt.row_order:
-        if grass.degree[id] >= 2:
-            class_ids.setdefault(grass.content[id], []).append(id)
-
-    @functools.cache  # a table repeats its names from row to row
-    def canon(token: TableName):
-        name, groups = token
-        if len(groups) == 1 and len(groups[0]) == grass.k:
-            J = tuple(sorted(groups[0]))
-            id = grass.minor_id.get(J)
-            if id is None:
-                raise RatioTableError(f"{name!r} names no minor of Gr({grass.k},{n})")
-            return ("id", id)
-        content = [0] * n
-        for g in groups:
-            for c in g:
-                if not 1 <= c <= n:
-                    raise RatioTableError(f"{name!r} uses column {c} outside 1..{n}")
-                content[c - 1] += 1
-        content = tuple(content)
-        if content not in class_ids:
-            raise RatioTableError(f"{name!r}: no registry variable has that content")
-        # key by the column groups only: q[147|368] on the left and
-        # v[147|368] on the right refer to the same variable
-        key = "|".join("".join(str(c) for c in g) for g in groups)
-        return ("cls", content, key)
+    class_ids, canon = grass._table_names
 
     parsed = []
     for lhs, rhs in rows:

@@ -608,6 +608,28 @@ def test_gr37_pluecker_rays_replay_through_membership(gr37):
         assert all(map(one_form, r.powers))
 
 
+def test_small_subset_cone_rays_replay_through_membership():
+    # subset_cone divides a ray's powers only when the gcd of its ratio
+    # vector is above 1; every other ray keeps its lambda-ray's ints. On
+    # every subset of 2-4 variables of C2, B2 and G2 each ray's powers are
+    # membership's, entry types included; 14 of the 724 rays carry a
+    # Fraction, all on 2-variable subsets
+    rays = fractional = 0
+    for name in ("C2", "B2", "G2"):
+        U = build_u_matrix(belt_of(name))
+        for size in (2, 3, 4):
+            for subset in combinations(U.row_ids, size):
+                for r in subset_cone(subset, U).rays:
+                    cert = membership(r.vector, U)
+                    assert cert.verdict == "bounded"
+                    assert [(j, l, type(l)) for j, l in cert.powers] == [
+                        (j, l, type(l)) for j, l in r.powers]
+                    assert all(map(one_form, r.powers))
+                    rays += 1
+                    fractional += not cert.integral
+    assert (rays, fractional) == (724, 14)
+
+
 @pytest.mark.parametrize("context", ["C2", "gr36", "gr38"])
 def test_ray_powers_are_the_nonzero_lam_entries(request, context):
     if context == "C2":
