@@ -1,6 +1,14 @@
 """The check behind `grassmannian.verify_gr48_table`: the 4x8 table's
-symmetry images, their difference monomials, and the integer kernel that
+symmetry images, their difference monomials, and the kernel that
 evaluates them at totally positive points.
+
+The kernel ranks the monomials in floats and decides in integers: a
+monomial whose float value is provably below the running maximum is
+skipped, and every other one is compared exactly. The float error bound,
+CPython's correctly rounded int division and a margin kappa above both
+prove each skip (see `_gr48_kernel`), and points wide enough to overflow
+a float are refused, so the largest value is the one exact arithmetic
+alone finds, pair for pair.
 
 `verify_gr48_table` imports this module on its first call, so a run that
 never checks the 4x8 table never compiles it.
@@ -215,27 +223,52 @@ def _gr48_kernel(monomials) -> Callable[[Iterable[Sequence[int]]], tuple[int, in
     function `best(points)` that returns the first largest value the
     monomials take over the points, as an unreduced pair (num, den).
 
-    Its body is a loop over the points, each a sequence t0 < ... < t7,
-    of straight-line integer code: the 28 differences d_i = t_b - t_a
-    (pairs in `itertools.combinations` order), then the products the
-    monomials share, then per monomial, in monomial order, `n = ...` and
-    `d = ...`, the products of its numerator and denominator (an empty
-    side is 1), and one comparison `n*bd > bn*d` that makes (n, d) the
-    running maximum (bn, bd). The maximum starts at (0, 1) and moves
-    only on a strictly larger value, so it is the first maximal pair the
-    comparisons meet, point by point; no points or no monomials leave
-    (0, 1). Every denominator is a product of differences, positive at
-    an increasing point, so the comparison is exact. The source embeds
-    only ints checked here, a pair index in 0..27 and an exponent of at
-    least 1, and names it makes; anything else raises ValueError before
-    any code is compiled.
+    It ranks the monomials in floats and decides them in integers. Its
+    body is a loop over the points, each a sequence t0 < ... < t7, of
+    straight-line float code: the 28 integer differences d_i = t_b - t_a
+    (pairs in `itertools.combinations` order), their floats x_i, the
+    float products the monomials share, and per monomial, in monomial
+    order, its value v = N~/D~ in floats and one test `if not v < lim:`.
+    Only a monomial that passes the test reaches the exact tier, `take`,
+    one function for every monomial: it multiplies the monomial's integer
+    differences at the point into (n, d) (an empty side is 1), and one
+    comparison `n*bd > bn*d` makes (n, d) the running maximum (bn, bd) and
+    lim = fl(n/d)*(1 - kappa). The maximum starts at (0, 1) and lim at
+    -1.0, and the maximum moves only on a strictly larger value, so it is
+    the first maximal pair the exact comparisons meet, point by point; no
+    points or no monomials leave (0, 1). Every denominator is a product of
+    differences, positive at an increasing point, so the comparison is
+    exact.
+
+    The float tier skips only monomials the exact tier would not take.
+    Let deg be the most factors on one side. Each factor is an exact
+    float (below 2**53), a side takes at most deg - 1 roundings and the
+    quotient one more, so v is within gamma_{2 deg} of the exact value,
+    relatively (Higham's gamma_k = k u / (1 - k u), u = 2**-53). CPython
+    rounds an int / int quotient correctly, so fl(bn/bd) is within u of
+    the exact maximum, and the product with 1 - kappa adds one more u.
+    With kappa = 2**-kappa_bits, kappa_bits = 53 - (4 deg + 3).bit_length(),
+    kappa exceeds (4 deg + 3) u >= gamma_{2 deg} + 2u + u**2, so v < lim
+    proves the exact value strictly below bn/bd; an exact tie always
+    reaches the exact tier. Floats must not overflow: every factor is at
+    least 1, so every side stays below 2**1000 when t7 - t0 < span =
+    2**min(53, 1000 // deg). A point at or beyond span, or one that does
+    not increase, stops the loop before its first comparison, and `best`
+    raises ValueError; no such point is filtered. A NaN fails `v < lim`
+    and goes to the exact tier. So `best` returns what the exact
+    comparisons alone would, pair for pair: a filtered exact predicate
+    (Shewchuk, 1997; Bronnimann, Burnikel and Pion, 2001).
+
+    The source embeds only ints checked or computed here, a pair index
+    in 0..27 and an exponent of at least 1, and names it makes; anything
+    else raises ValueError before any code is compiled.
 
     Every side is a multiset of differences, and `_shared_pairs` turns
-    each pair of factors that occurs at least twice into a product
+    each pair of factors that occurs at least twice into a float product
     s_k = a*b computed once per point. On the stored table this cuts the
-    multiplications per point from 1,452 to 439, before the 228 of the
-    comparisons. The rewrite runs in the build, so the first
-    `verify_gr48_table` call in a process pays it.
+    float multiplications per point from 1,452 to 439. The rewrite runs
+    in the build, so the first `verify_gr48_table` call in a process
+    pays it.
     """
     pairs = list(itertools.combinations(range(8), 2))
 
@@ -249,31 +282,64 @@ def _gr48_kernel(monomials) -> Callable[[Iterable[Sequence[int]]], tuple[int, in
             factors[i] = factors.get(i, 0) + e
         return factors
 
-    sides = [side(terms) for up, down in monomials for terms in (up, down)]
-    shared = _shared_pairs(sides, len(pairs))
+    exact = [side(terms) for up, down in monomials for terms in (up, down)]
+    deg = max((sum(factors.values()) for factors in exact), default=0)
+    bits = min(53, 1000 // max(deg, 1))
+    kappa_bits = 53 - (4 * deg + 3).bit_length()
+    keep = (2 ** kappa_bits - 1) / 2 ** kappa_bits
+    # each side's differences as (a, b) column pairs, a factor e times
+    columns = [tuple(pairs[i] for i, e in sorted(factors.items()) for _ in range(e))
+               for factors in exact]
 
-    def name(x: int) -> str:
-        return f"d{x}" if x < len(pairs) else f"s{x - len(pairs)}"
+    def take(k: int, point: Sequence[int], bn: int, bd: int, lim: float
+             ) -> tuple[int, int, float]:
+        n = d = 1
+        for a, b in columns[2 * k]:
+            n *= point[b] - point[a]
+        for a, b in columns[2 * k + 1]:
+            d *= point[b] - point[a]
+        if n * bd > bn * d:
+            return n, d, n / d * keep
+        return bn, bd, lim
+
+    sides = [dict(factors) for factors in exact]
+    shared = _shared_pairs(sides, len(pairs))
+    floats = [f"x{i}" for i in range(len(pairs))] + [f"s{k}" for k in range(len(shared))]
 
     def product(factors: dict[int, int]) -> str:
-        return "*".join(name(x) for x in sorted(factors) for _ in range(factors[x])) or "1"
+        return "*".join(["*".join([floats[x]] * m) for x, m in sorted(factors.items())]) or "1"
+
+    def value(up: dict[int, int], down: dict[int, int]) -> str:
+        if not down:
+            return product(up)
+        den = product(down)
+        return product(up) + "/" + (den if "*" not in den else f"({den})")
 
     source = (
         "def best(points):\n"
-        "    bn, bd = 0, 1\n"
-        "    for " + ", ".join(f"t{j}" for j in range(8)) + " in points:\n"
+        "    bn, bd, lim = 0, 1, -1 / 1\n"
+        "    for p in points:\n"
+        "        " + ", ".join(f"t{j}" for j in range(8)) + " = p\n"
         + "".join(f"        d{i} = t{b} - t{a}\n" for i, (a, b) in enumerate(pairs))
-        + "".join(f"        {name(len(pairs) + k)} = {name(x)}*{name(y)}\n"
-                  for k, (x, y) in enumerate(shared))
-        + "".join(f"        n = {product(up)}\n"
-                  f"        d = {product(down)}\n"
-                  "        if n*bd > bn*d: bn = n; bd = d\n"
-                  for up, down in zip(sides[::2], sides[1::2]))
+        + f"        if d{pairs.index((0, 7))} >= {2 ** bits}"
+        + "".join(f" or d{pairs.index((j, j + 1))} < 1" for j in range(7)) + ": return\n"
+        + "".join(f"        x{i} = d{i} / 1\n" for i in range(len(pairs)))
+        + "".join(f"        s{k} = {floats[x]}*{floats[y]}\n" for k, (x, y) in enumerate(shared))
+        + "".join(f"        if not {value(up, down)} < lim: bn, bd, lim = take({k}, p, bn, bd, lim)\n"
+                  for k, (up, down) in enumerate(zip(sides[::2], sides[1::2])))
         + "    return bn, bd\n"
     )
-    scope = {"__builtins__": {}}
+    scope = {"__builtins__": {}, "take": take}
     exec(compile(source, "<gr48 kernel>", "exec"), scope)
-    return scope["best"]
+    filtered = scope["best"]
+
+    def best(points: Iterable[Sequence[int]]) -> tuple[int, int]:
+        pair = filtered(points)
+        if pair is None:
+            raise ValueError(f"every point must increase, with t7 - t0 below 2**{bits}")
+        return pair
+
+    return best
 
 
 def _gr48_evaluate(kernel, points) -> tuple[bool, int, int]:

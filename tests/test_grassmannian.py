@@ -8,6 +8,7 @@ figures transcribed row by row, or outputs of brute-force searches coded
 inline next to the assertion.
 """
 
+import ast
 import itertools
 import math
 import random
@@ -1428,6 +1429,79 @@ def test_gr48_kernel_sees_a_value_above_one_at_the_very_end():
         assert _gr48_evaluate(kernel, pts[:count]) == want
 
 
+def test_gr48_kernel_decides_near_ties_exactly():
+    # differences near 2**52, where the float tier sees nearby values as
+    # one float, as adjacent floats, or in the wrong order; the exact
+    # tier must decide each, and keep the first of equal values
+    a, b = 2**51 + 1, 2**51 + 3
+    near = (0, a, b, 2 * a, 2 * b, 2 * b + 1, 2 * b + 2, 2 * b + 3)
+    x = [diff / 1 for diff in gr48_diffs(near)]
+
+    def monomial(up, down):
+        return tuple((i, 1) for i in up), tuple((i, 1) for i in down)
+
+    def float_value(up, down):
+        return math.prod(x[i] for i, _ in up) / math.prod(x[i] for i, _ in down)
+
+    def exact_value(up, down):
+        [pair] = direct_values([(up, down)], near)
+        return Fraction(*pair)
+
+    tie = (monomial([0], [1]), monomial([2], [3]))             # a/b, 2a/2b
+    same_float = (monomial([0], [1]), monomial([1], [9]))      # a/b < b/(2b - a)
+    adjacent = (monomial([0], [2]), monomial([9], [6]))        # 1/2 < (2b - a)/(2b + 3)
+    inverted = (monomial([14, 22], [4, 5]), monomial([22, 24], [6, 20]))
+    for (first, second), floats in [
+        (tie, "equal"), (same_float, "equal"), (adjacent, "adjacent"), (inverted, "inverted"),
+    ]:
+        got = float_value(*first), float_value(*second)
+        assert {"equal": got[0] == got[1],
+                "adjacent": math.nextafter(got[0], 1) == got[1],
+                "inverted": got[0] > got[1]}[floats], (first, second)
+        assert exact_value(*first) <= exact_value(*second)
+        for ordered in ([first, second], [second, first]):
+            for pts in ([near], [GR48_TS, near], [near, GR48_TS, near]):
+                want = scalar_evaluate(ordered, pts)
+                assert _gr48_evaluate(_gr48_kernel(ordered), pts) == want, (ordered, pts)
+    # of two equal values the first is kept, in either order
+    assert exact_value(*tie[0]) == exact_value(*tie[1])
+    assert _gr48_kernel(list(tie))([near]) == (a, b)
+    assert _gr48_kernel(list(tie[::-1]))([near]) == (2 * a, 2 * b)
+    # the larger value is taken after the one its float is not above
+    assert _gr48_kernel(list(same_float))([near]) == (b, 2 * b - a)
+    assert _gr48_kernel(list(inverted))([near]) == (3, (2 * b + 3) * 6)
+
+
+def test_gr48_kernel_refuses_points_beyond_its_span(gr48_images):
+    # a side of 100 factors: span = 2**(1000 // 100) = 2**10, so no side
+    # reaches 2**1000
+    monomials = [(((0, 100),), ((6, 100),)), (((1, 1),), ((6, 1),))]
+    kernel = _gr48_kernel(monomials)
+    inside = (0, 1, 2, 3, 4, 5, 6, 2**10 - 1)
+    assert _gr48_evaluate(kernel, [inside]) == scalar_evaluate(monomials, [inside])
+    refused = [
+        (0, 1, 2, 3, 4, 5, 6, 2**10),
+        # floats of these sides would overflow
+        (5, 6, 7, 8, 9, 10, 11, 2**60),
+        # points that do not increase
+        (0, 1, 1, 3, 4, 5, 6, 7),
+        (0, 2, 1, 3, 4, 5, 6, 7),
+    ]
+    for point in refused:
+        with pytest.raises(ValueError, match=r"increase, with t7 - t0 below 2\*\*10$"):
+            kernel([inside, point])
+    # the stored table: 12 factors a side at most, so span = 2**53, far
+    # beyond the widest point `_integer_points` draws, t7 - t0 <= 63
+    monomials = _gr48_monomials(gr48_images)
+    assert max(sum(e for _, e in side) for monomial in monomials for side in monomial) == 12
+    assert max(ts[7] - ts[0] for ts in _integer_points(8, 2000, 5)) <= 63
+    kernel = _gr48_kernel(monomials)
+    widest = (0, 1, 2, 3, 4, 5, 6, 2**53 - 1)
+    assert _gr48_evaluate(kernel, [widest]) == scalar_evaluate(monomials, [widest])
+    with pytest.raises(ValueError, match=r"below 2\*\*53$"):
+        kernel([widest, (0, 1, 2, 3, 4, 5, 6, 2**53)])
+
+
 @pytest.mark.parametrize("term", [
     (1.0, 1), ("3", 1), (True, 1), (-1, 1), (28, 1),
     (3, 2.0), (3, "2"), (3, True), (3, 0), (3, -1),
@@ -1454,34 +1528,51 @@ def direct_values(monomials, ts):
 
 
 def kernel_source(monkeypatch, monomials):
-    """The kernel of `monomials` and the source it was compiled from."""
-    sources = []
+    """The kernel of `monomials`, the source it was compiled from, and the
+    scope its code runs in, which holds the exact tier `take`."""
+    sources, scopes = [], []
 
     def record(source, *args):
         sources.append(source)
         return compile(source, *args)
 
+    def run(code, scope):
+        scopes.append(scope)
+        exec(code, scope)
+
     monkeypatch.setattr(gr48, "compile", record, raising=False)
+    monkeypatch.setattr(gr48, "exec", run, raising=False)
     kernel = _gr48_kernel(monomials)
-    [source] = sources
-    return kernel, source
+    [source], [scope] = sources, scopes
+    return kernel, source, scope
 
 
-def traced_pairs(source, ts):
+def traced_pairs(source, scope, ts):
     """Run the loop body of a kernel's source at one point, line by line,
-    and return the (n, d) pair each comparison meets: the value of every
-    monomial through the kernel's own shared products."""
-    scope = {f"t{j}": t for j, t in enumerate(ts)}
+    and both tiers of every monomial whatever its filter decides; return
+    the (n, d) pair the exact tier makes of each: the value of every
+    monomial through the kernel's own code. From the starting maximum
+    (0, 1) the exact tier takes every pair. The float value each filter
+    forms from the shared products must lie within 2**-40 of n/d."""
+    local = {f"t{j}": t for j, t in enumerate(ts)}
     pairs = []
-    for line in source.splitlines()[3:-1]:
-        if line.startswith("        if "):
-            pairs.append((scope["n"], scope["d"]))
-        else:
-            exec(line.strip(), {"__builtins__": {}}, scope)
+    for line in source.splitlines()[4:-1]:
+        test = FILTER.fullmatch(line)
+        if test:
+            value = eval(test["value"], {"__builtins__": {}}, local)
+            n, d, _ = scope["take"](int(test["k"]), ts, 0, 1, -1.0)
+            assert abs(Fraction(value) - Fraction(n, d)) <= Fraction(n, d) / 2**40, line
+            pairs.append((n, d))
+        elif not line.startswith("        if d6 >= "):
+            exec(line.strip(), {"__builtins__": {}}, local)
     return tuple(pairs)
 
 
-COMPARISON = "        if n*bd > bn*d: bn = n; bd = d"
+# a monomial's float value, its test, and the one way into the exact tier
+FILTER = re.compile(
+    r"        if not (?P<value>.+) < lim: bn, bd, lim = take\((?P<k>\d+), p, bn, bd, lim\)")
+# every name the kernel source may hold
+KERNEL_NAMES = re.compile(r"best|points|p|bn|bd|lim|take|t[0-7]|[dx]([0-9]|1[0-9]|2[0-7])|s\d+")
 
 
 def test_gr48_stored_kernel_shares_products(monkeypatch, gr48_images):
@@ -1490,40 +1581,67 @@ def test_gr48_stored_kernel_shares_products(monkeypatch, gr48_images):
     # multiplications per point
     factors = sum(e for monomial in monomials for side in monomial for _, e in side)
     assert factors - 2 * len(monomials) == 1452
-    kernel, source = kernel_source(monkeypatch, monomials)
+    kernel, source, scope = kernel_source(monkeypatch, monomials)
     assert kernel_source(monkeypatch, monomials)[1] == source
-    # only generated names, ints, products and the comparison
-    head, start, loop, *body, tail = source.splitlines()
+    # only generated names, ints, products and the tests
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            assert KERNEL_NAMES.fullmatch(node.id), node.id
+        elif isinstance(node, ast.Constant):
+            assert type(node.value) is int, node.value
+    head, start, loop, unpack, *body, tail = source.splitlines()
     assert head == "def best(points):"
-    assert start == "    bn, bd = 0, 1"
-    assert loop == "    for t0, t1, t2, t3, t4, t5, t6, t7 in points:"
+    assert start == "    bn, bd, lim = 0, 1, -1 / 1"
+    assert loop == "    for p in points:"
+    assert unpack == "        t0, t1, t2, t3, t4, t5, t6, t7 = p"
     assert tail == "    return bn, bd"
-    split = next(i for i, line in enumerate(body) if line.startswith("        n = "))
+    split = next(i for i, line in enumerate(body) if FILTER.fullmatch(line))
     shared, per_monomial = body[:split], body[split:]
+    assert [line for line in shared if line.startswith("        if ")] == [
+        f"        if d6 >= {2**53} or d0 < 1 or d7 < 1 or d13 < 1 or d18 < 1"
+        " or d22 < 1 or d25 < 1 or d27 < 1: return"]
     for line in shared:
-        assert re.fullmatch(r"        (d\d+ = t\d - t\d|s\d+ = [ds]\d+\*[ds]\d+)", line), line
-    # exactly one comparison per monomial, after its n and d
-    assert len(per_monomial) == 3 * len(monomials)
-    product = r"(1|[ds]\d+(\*[ds]\d+)*)"
-    for num, den, comparison in zip(*[iter(per_monomial)] * 3):
-        assert re.fullmatch(rf"        n = {product}", num), num
-        assert re.fullmatch(rf"        d = {product}", den), den
-        assert comparison == COMPARISON
-    assert body.count(COMPARISON) == len(monomials)
-    products = [line for line in body if line != COMPARISON]
-    assert sum(line.count("*") for line in products) <= 600
-    assert traced_pairs(source, GR48_TS) == direct_values(monomials, GR48_TS)
+        assert re.fullmatch(r"        (d\d+ = t\d - t\d|if d6 .*|x\d+ = d\d+ / 1"
+                            r"|s\d+ = [xs]\d+\*[xs]\d+)", line), line
+    # exactly one test per monomial, in monomial order, each the one way
+    # into the exact comparison, for its own monomial
+    tests = [FILTER.fullmatch(line) for line in per_monomial]
+    assert all(tests) and [int(test["k"]) for test in tests] == list(range(len(monomials)))
+    assert source.count("take(") == len(monomials)
+    floats = r"(1|[xs]\d+(\*[xs]\d+)*)"
+    for test in tests:
+        assert re.fullmatch(rf"{floats}(/([xs]\d+|\({floats}\)))?", test["value"]), test[0]
+    # the float tier, every point: 439 multiplications
+    assert sum(line.count("*") for line in body) <= 600
+    assert traced_pairs(source, scope, GR48_TS) == direct_values(monomials, GR48_TS)
     pts = list(_integer_points(8, 7, 71))
     assert _gr48_evaluate(kernel, pts) == scalar_evaluate(monomials, pts)
 
 
-def assert_kernel_values(monomials, kernel, source, ts):
+def test_gr48_filter_leaves_few_monomials_to_the_exact_tier(monkeypatch, gr48_images):
+    # the first monomial, and those that may move the maximum: 10 of the
+    # 22,800 at the 200 points of `verify --suite gr48 --samples 200
+    # --sample-seed 11`, whose maximum is 560/561
+    kernel, _, scope = kernel_source(monkeypatch, _gr48_monomials(gr48_images))
+    take, entered = scope["take"], []
+
+    def counted(k, *args):
+        entered.append(k)
+        return take(k, *args)
+
+    scope["take"] = counted
+    assert kernel(_integer_points(8, 200, 11)) == (1120, 1122)
+    assert len(entered) == 10
+
+
+def assert_kernel_values(monomials, kernel, source, scope, ts):
     """The kernel of `monomials` against their direct values at one point:
     each monomial alone, through a one-monomial kernel; each monomial
-    through the shared products of `source`; and the first maximum."""
+    through the shared products of `source` and the exact tier of
+    `scope`; and the first maximum."""
     want = direct_values(monomials, ts)
     assert tuple(_gr48_kernel([monomial])([ts]) for monomial in monomials) == want
-    assert traced_pairs(source, ts) == want
+    assert traced_pairs(source, scope, ts) == want
     assert kernel([ts]) == first_maximum(want)
 
 
@@ -1553,16 +1671,21 @@ def products_id(value):
      [], [("d0*d1", "d2*d3"), ("d4*d5", "d6*d6")]),
 ], ids=products_id)
 def test_gr48_kernel_shares_hand_checked_products(monkeypatch, monomials, shared, products):
-    kernel, source = kernel_source(monkeypatch, monomials)
+    # the float tier writes difference d_i as its float x_i
+    def float_value(num, den):
+        num, den = num.replace("d", "x"), den.replace("d", "x")
+        return num if den == "1" else num + "/" + (den if "*" not in den else f"({den})")
+
+    kernel, source, scope = kernel_source(monkeypatch, monomials)
     lines = source.splitlines()
-    assert len(lines) == 3 + 28 + len(shared) + 3 * len(products) + 1
-    assert lines[31:] == (
-        [f"        {line}" for line in shared]
-        + [line for num, den in products
-           for line in (f"        n = {num}", f"        d = {den}", COMPARISON)]
+    assert len(lines) == 4 + 28 + 1 + 28 + len(shared) + len(products) + 1
+    assert lines[61:] == (
+        [f"        {line.replace('d', 'x')}" for line in shared]
+        + [f"        if not {float_value(num, den)} < lim: bn, bd, lim = take({k}, p, bn, bd, lim)"
+           for k, (num, den) in enumerate(products)]
         + ["    return bn, bd"])
     for ts in list(_integer_points(8, 5, 63)) + [GR48_TS]:
-        assert_kernel_values(monomials, kernel, source, ts)
+        assert_kernel_values(monomials, kernel, source, scope, ts)
 
 
 def random_monomials(rng, count):
@@ -1581,9 +1704,9 @@ def test_gr48_kernel_of_random_monomials_matches_the_scalar_loop(monkeypatch):
     pts = list(_integer_points(8, 4, 64))
     for trial in range(40):
         monomials = random_monomials(rng, rng.randint(1, 12))
-        kernel, source = kernel_source(monkeypatch, monomials)
+        kernel, source, scope = kernel_source(monkeypatch, monomials)
         for ts in pts:
-            assert_kernel_values(monomials, kernel, source, ts)
+            assert_kernel_values(monomials, kernel, source, scope, ts)
         assert _gr48_evaluate(kernel, pts) == scalar_evaluate(monomials, pts)
 
 
